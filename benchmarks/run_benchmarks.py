@@ -275,14 +275,17 @@ def workload_study(quick: bool) -> dict:
 
 
 def workload_sweep1000(quick: bool) -> dict:
-    """1000-point sweep: batched (grouped, shared-demand) versus per-point dispatch.
+    """1000-point sweep: batched (grouped) versus per-point dispatch, per method.
 
     One ``p_scale`` axis with 500 values evaluated by ``exact`` and
-    ``montecarlo`` (2 x 500 = 1000 points, 100 in quick mode).  The batched
-    path folds the whole exact family through one stacked convolution and
-    scores every Monte Carlo point against one shared demand stream; the
-    ``batch=False`` pass is the old one-task-per-point dispatch over the
-    same spec (fresh cache each, jobs=4).
+    ``montecarlo`` (2 x 500 = 1000 points, 100 in quick mode).  Each method
+    runs as its own study, twice over fresh caches (jobs=4): grouped
+    (``batch=True``) and one task per point (``batch=False``).  Monte Carlo
+    gains from grouping -- every point is scored against one shared demand
+    stream -- so ``montecarlo_speedup`` is large.  Exact sweeps run the
+    scalar kernel per point either way, so ``exact_speedup`` only says that
+    grouping is no slower than per-point dispatch.  ``speedup`` is the
+    combined figure over both methods.
     """
     import tempfile
 
@@ -290,38 +293,58 @@ def workload_sweep1000(quick: bool) -> dict:
 
     points = 50 if quick else 500
     replications = 2_000 if quick else 10_000
-    spec = StudySpec.from_dict(
-        {
-            "name": "bench-sweep1000",
-            "base": {"scenario": "many-small-faults"},
-            "sweep": {"grid": [{"name": "p_scale", "logspace": [0.05, 1.0, points]}]},
-            "methods": [
-                {"name": "exact", "max_support": 256},
-                {"name": "montecarlo", "replications": replications},
-            ],
-            "seed": 20010704,
-        }
-    )
+    methods = {
+        "exact": {"name": "exact", "max_support": 256},
+        "montecarlo": {"name": "montecarlo", "replications": replications},
+    }
+    def spec(name: str, axis: dict, methods: list) -> StudySpec:
+        return StudySpec.from_dict(
+            {
+                "name": name,
+                "base": {"scenario": "many-small-faults"},
+                "sweep": {"grid": [{"name": "p_scale", **axis}]},
+                "methods": methods,
+                "seed": 20010704,
+            }
+        )
+
+    # Untimed, so the first timed pass does not pay the process's first-run
+    # costs (about half a second, as much as a whole quick exact pass).
+    run_study(spec("bench-sweep1000-warmup", {"values": [0.5, 1.0]}, list(methods.values())), jobs=4)
+    seconds: dict[tuple[str, bool], float] = {}
+    tasks: dict[bool, int] = {True: 0, False: 0}
     with tempfile.TemporaryDirectory() as tmp:
-        start = time.perf_counter()
-        batched = run_study(spec, cache_dir=f"{tmp}/batched", jobs=4, batch=True)
-        batched_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        scalar = run_study(spec, cache_dir=f"{tmp}/scalar", jobs=4, batch=False)
-        scalar_elapsed = time.perf_counter() - start
-    if batched.summary["computed"] != scalar.summary["computed"]:
-        raise RuntimeError("batched and scalar passes evaluated different point counts")
+        for name, method in methods.items():
+            sweep = spec(f"bench-sweep1000-{name}", {"logspace": [0.05, 1.0, points]}, [method])
+            computed = set()
+            for batch in (True, False):
+                start = time.perf_counter()
+                result = run_study(
+                    sweep, cache_dir=f"{tmp}/{name}-{batch}", jobs=4, batch=batch
+                )
+                seconds[name, batch] = time.perf_counter() - start
+                tasks[batch] += result.summary["dispatched_tasks"]
+                computed.add(result.summary["computed"])
+            if len(computed) != 1:
+                raise RuntimeError(f"{name}: batched and scalar passes evaluated different point counts")
+    batched_elapsed = sum(seconds[name, True] for name in methods)
+    scalar_elapsed = sum(seconds[name, False] for name in methods)
+    total_points = points * len(methods)
     return {
-        "points": batched.summary["points"],
+        "points": total_points,
         "replications": replications,
         "jobs": 4,
         "batched_seconds": round(batched_elapsed, 3),
         "scalar_seconds": round(scalar_elapsed, 3),
-        "batched_points_per_second": round(batched.summary["points"] / batched_elapsed, 1),
-        "scalar_points_per_second": round(scalar.summary["points"] / scalar_elapsed, 1),
+        "batched_points_per_second": round(total_points / batched_elapsed, 1),
+        "scalar_points_per_second": round(total_points / scalar_elapsed, 1),
         "speedup": round(scalar_elapsed / batched_elapsed, 1),
-        "dispatched_tasks_batched": batched.summary["dispatched_tasks"],
-        "dispatched_tasks_scalar": scalar.summary["dispatched_tasks"],
+        **{
+            f"{name}_speedup": round(seconds[name, False] / seconds[name, True], 2)
+            for name in methods
+        },
+        "dispatched_tasks_batched": tasks[True],
+        "dispatched_tasks_scalar": tasks[False],
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
@@ -882,9 +905,17 @@ def check_record(record: dict) -> list[str]:
             lambda: value("one_out_of_r", "replications_per_second")
             >= 0.25 * value("single", "replications_per_second"),
         ),
-        # The batched sweep fast path must stay well ahead of per-point
-        # dispatch on the 1000-point workload.
-        ("sweep1000 batched >= 3x scalar", lambda: value("sweep1000", "speedup") >= 3.0),
+        # Shared-demand Monte Carlo sweeps must stay well ahead of per-point
+        # dispatch; exact sweeps run the scalar kernel per point either
+        # way, so grouping them must merely not be slower.
+        (
+            "sweep1000 montecarlo batched >= 3x scalar",
+            lambda: value("sweep1000", "montecarlo_speedup") >= 3.0,
+        ),
+        (
+            "sweep1000 exact batched >= 0.8x scalar",
+            lambda: value("sweep1000", "exact_speedup") >= 0.8,
+        ),
         # Micro-batched concurrent serving must beat a serial request loop on
         # the sweep-style workload (the service's reason to exist); the
         # workload itself already enforces that the warm burst recomputed

@@ -4,8 +4,8 @@ The paper's central question -- how much the PFD distribution improves as the
 development process improves -- is a sweep over the Appendix B quality knob
 ``p_scale``.  This example evaluates a 25-point axis three ways:
 
-* ``repro.evaluate_sweep`` with the **batched exact kernel**: one stacked
-  convolution for the whole family instead of 25 convolutions;
+* ``repro.evaluate_sweep`` with the **exact kernel**, once per point: each
+  record equals a lone ``repro.evaluate`` of that point;
 * ``repro.evaluate_sweep`` with **shared-demand Monte Carlo** (common random
   numbers): one sampled development history scored against every point --
   faster than per-point simulation, and the cross-point ratio curve comes
@@ -41,12 +41,12 @@ def main() -> None:
     variations = [{"p_scale": float(scale)} for scale in SCALES]
 
     # ----------------------------------------------------------------- #
-    # Exact PFD distributions: one stacked convolution for 25 points
+    # Exact PFD distributions: the scalar kernel for each of 25 points
     # ----------------------------------------------------------------- #
     start = time.perf_counter()
     exact = evaluate_sweep(model, "exact", variations, max_support=2048)
     exact_elapsed = time.perf_counter() - start
-    print(f"batched exact sweep: {len(variations)} points in {exact_elapsed:.3f}s")
+    print(f"exact sweep: {len(variations)} points in {exact_elapsed:.3f}s")
 
     # ----------------------------------------------------------------- #
     # Monte Carlo: shared demands (CRN) versus independent streams

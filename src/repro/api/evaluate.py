@@ -320,10 +320,10 @@ def _sweep_outcome_triples(
 
     ``subset`` names the variation positions the caller needs (default:
     all).  A batched kernel always sees the *whole* sweep -- the shared
-    structure it derives from the scale set (the Monte Carlo demand
-    envelope, the exact kernel's lattice span) must not depend on which
-    points a caller happens to need -- while the scalar path (no kernel, or
-    the kernel declined) evaluates only the requested positions.  The third
+    structure it may derive from the scale set (the Monte Carlo demand
+    envelope) must not depend on which points a caller happens to need --
+    while the scalar path (no kernel, or the kernel declined) evaluates only
+    the requested positions.  The third
     element records the seed entropy the point's result actually came from
     (the shared sweep entropy on the batched path, the per-variation stream
     otherwise; ``None`` for deterministic methods and live generators).
@@ -471,8 +471,11 @@ def evaluate_sweep(
         A registered method name.  Methods whose definition carries a
         batched kernel (``supports_batch``; currently ``exact``,
         ``tail-quantile`` and ``montecarlo``) evaluate the whole sweep in
-        vectorised passes; any other method falls back to per-variation
-        scalar evaluation with no semantic difference.
+        one kernel call; any other method falls back to per-variation
+        scalar evaluation with no semantic difference.  The ``exact`` and
+        ``tail-quantile`` kernels loop the scalar kernel, so their records
+        equal per-point :func:`evaluate` records byte for byte; only the
+        stochastic ``montecarlo`` kernel changes values (shared stream).
     variations:
         Sweep points: mappings with optional ``p_scale`` (every ``p_i``
         multiplied, the Appendix B process-quality knob) and ``q_scale``

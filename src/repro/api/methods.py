@@ -32,19 +32,39 @@ def _variation_scales(variations) -> tuple[np.ndarray, np.ndarray]:
     return p_scales, q_scales
 
 
-def _prob_pfd_zero_scaled(
-    model, p_scales: np.ndarray, q_scales: np.ndarray, versions: int
-) -> np.ndarray:
-    """Closed-form ``P(PFD = 0)`` per sweep point (faults with ``q > 0`` absent).
+def _max_support(options: dict) -> int | None:
+    max_support = options["max_support"]
+    return None if max_support is None else int(max_support)
 
-    A ``q_scale`` of zero collapses every impact to zero, making the PFD
-    identically zero regardless of which faults are present.
+
+def _exact_distribution(model, options: dict):
+    from repro.core.pfd_distribution import exact_pfd_distribution
+
+    return exact_pfd_distribution(
+        model, int(options["versions"]), max_support=_max_support(options)
+    )
+
+
+def _swept_distributions(model, variations, options: dict):
+    """``(point model, exact distribution)`` per sweep variation.
+
+    Runs :func:`repro.stats.batched.batched_scaled_pfd`, the per-point
+    scalar kernel, so each pair is exactly what a lone evaluation of
+    ``model.rescaled(p_scale, q_scale)`` computes.
     """
-    effective = model.q > 0.0
-    if not np.any(effective):
-        return np.ones_like(p_scales)
-    present = (p_scales[:, np.newaxis] * model.p[np.newaxis, effective]) ** versions
-    return np.where(q_scales == 0.0, 1.0, np.prod(1.0 - present, axis=1))
+    from repro.stats.batched import batched_scaled_pfd
+
+    p_scales, q_scales = _variation_scales(variations)
+    distributions = batched_scaled_pfd(
+        model,
+        p_scales,
+        q_scales,
+        versions=int(options["versions"]),
+        max_support=_max_support(options),
+    )
+    points = (model.rescaled(v["p_scale"], v["q_scale"]) for v in variations)
+    return zip(points, distributions)
+
 
 _VERSIONS = OptionSpec(
     "versions", "int", 2, help="number of independently developed versions, combined 1-out-of-r"
@@ -101,18 +121,24 @@ def _moments_method(model, options: dict, rng) -> dict:
     description="exact PFD distribution: mean, std, a percentile and optional exceedance",
 )
 def _exact_method(model, options: dict, rng) -> dict:
-    from repro.core.pfd_distribution import exact_pfd_distribution
+    return _exact_record(model, _exact_distribution(model, options), options)
 
-    versions = int(options["versions"])
-    max_support = options["max_support"]
-    max_support = None if max_support is None else int(max_support)
+
+def _exact_record(model, distribution, options: dict) -> dict:
+    """The ``exact`` metrics of ``model``'s PFD ``distribution``.
+
+    The percentile is 0 whenever its level is at or below the closed-form
+    ``P(PFD = 0)`` (:func:`~repro.core.pfd_distribution.pfd_quantile`).
+    """
+    from repro.core.pfd_distribution import pfd_quantile, prob_pfd_zero
+
     level = float(options["level"])
-    distribution = exact_pfd_distribution(model, versions, max_support=max_support)
+    prob_zero = prob_pfd_zero(model, int(options["versions"]))
     record = {
         "exact_mean": distribution.mean(),
         "exact_std": distribution.std(),
         "exact_percentile_level": level,
-        "exact_percentile": distribution.quantile(level),
+        "exact_percentile": pfd_quantile(distribution, level, prob_zero),
         "exact_support": int(distribution.support.size),
     }
     if options["threshold"] is not None:
@@ -124,44 +150,15 @@ def _exact_method(model, options: dict, rng) -> dict:
 
 @register_batch("exact")
 def _exact_batch(model, variations, options: dict, rng) -> list[dict]:
-    """Batched ``exact``: one stacked convolution for the whole sweep.
+    """Swept ``exact``: the scalar kernel per point, records built as in the scalar method.
 
-    Dispatches to :func:`repro.stats.batched.batched_scaled_pfd`; means are
-    exact, standard deviations and quantiles agree with the scalar path to
-    the lattice resolution (``exact_support`` reports the shared lattice
-    size, which may exceed ``max_support`` by the kernel's oversampling
-    factor).  Full-support evaluations (``max_support=null``) have no
-    batched form and fall back to per-point convolutions.
+    Every record is byte-identical to ``evaluate(model.rescaled(p_scale,
+    q_scale), "exact", ...)`` for its point, whatever else the sweep holds.
     """
-    max_support = options["max_support"]
-    if max_support is None:
-        raise BatchUnsupported("full-support exact distributions sweep point by point")
-    from repro.stats.batched import batched_scaled_pfd
-
-    versions = int(options["versions"])
-    level = float(options["level"])
-    p_scales, q_scales = _variation_scales(variations)
-    batch = batched_scaled_pfd(
-        model, p_scales, q_scales, versions=versions, max_support=int(max_support)
-    )
-    means, stds, percentiles = batch.means(), batch.stds(), batch.quantiles(level)
-    exceedances = None
-    if options["threshold"] is not None:
-        exceedances = batch.survival(float(options["threshold"]))
-    records = []
-    for index in range(batch.points):
-        record = {
-            "exact_mean": float(means[index]),
-            "exact_std": float(stds[index]),
-            "exact_percentile_level": level,
-            "exact_percentile": float(percentiles[index]),
-            "exact_support": int(batch.support.size),
-        }
-        if exceedances is not None:
-            record["exact_threshold"] = float(options["threshold"])
-            record["exact_exceedance"] = float(exceedances[index])
-        records.append(record)
-    return records
+    return [
+        _exact_record(point, distribution, options)
+        for point, distribution in _swept_distributions(model, variations, options)
+    ]
 
 
 @register_method(
@@ -359,20 +356,28 @@ def _tail_quantile_method(model, options: dict, rng) -> dict:
     (``repro evaluate --method tail-quantile``), study specs and
     :func:`repro.evaluate` without touching any dispatch code.
     """
-    from repro.core.pfd_distribution import exact_pfd_distribution
+    return _tail_record(model, _exact_distribution(model, options), options)
 
-    versions = int(options["versions"])
-    max_support = options["max_support"]
-    max_support = None if max_support is None else int(max_support)
+
+def _tail_record(model, distribution, options: dict) -> dict:
+    """The ``tail-quantile`` metrics of ``model``'s PFD ``distribution``.
+
+    ``tail_prob_zero`` is the closed form ``P(PFD = 0)``
+    (:func:`~repro.core.pfd_distribution.prob_pfd_zero`), never a readout
+    of the support-capped distribution, and every quantile at a level at or
+    below it is 0.
+    """
+    from repro.core.pfd_distribution import pfd_quantile, prob_pfd_zero
+
     level = float(options["level"])
-    distribution = exact_pfd_distribution(model, versions, max_support=max_support)
+    prob_zero = prob_pfd_zero(model, int(options["versions"]))
     record = {
         "tail_level": level,
-        "tail_quantile": distribution.quantile(level),
-        "tail_median": distribution.quantile(0.5),
-        "tail_q90": distribution.quantile(0.9),
-        "tail_q99": distribution.quantile(0.99),
-        "tail_prob_zero": distribution.prob_zero(),
+        "tail_quantile": pfd_quantile(distribution, level, prob_zero),
+        "tail_median": pfd_quantile(distribution, 0.5, prob_zero),
+        "tail_q90": pfd_quantile(distribution, 0.9, prob_zero),
+        "tail_q99": pfd_quantile(distribution, 0.99, prob_zero),
+        "tail_prob_zero": prob_zero,
         "tail_support": int(distribution.support.size),
     }
     if options["threshold"] is not None:
@@ -384,46 +389,11 @@ def _tail_quantile_method(model, options: dict, rng) -> dict:
 
 @register_batch("tail-quantile")
 def _tail_quantile_batch(model, variations, options: dict, rng) -> list[dict]:
-    """Batched ``tail-quantile`` over the stacked exact distributions.
+    """Swept ``tail-quantile``: the scalar kernel per point, like swept ``exact``.
 
-    Same kernel as the batched ``exact`` method; ``tail_prob_zero`` uses the
-    closed form ``prod(1 - (k p_i)^versions)`` (faults with ``q > 0``),
-    which is *more* accurate than the scalar path's readout from the
-    support-capped distribution -- the capped distribution's zero atom is an
-    artifact of support collapsing on either path.
+    Every record is byte-identical to the lone per-point evaluation.
     """
-    max_support = options["max_support"]
-    if max_support is None:
-        raise BatchUnsupported("full-support exact distributions sweep point by point")
-    from repro.stats.batched import batched_scaled_pfd
-
-    versions = int(options["versions"])
-    level = float(options["level"])
-    p_scales, q_scales = _variation_scales(variations)
-    batch = batched_scaled_pfd(
-        model, p_scales, q_scales, versions=versions, max_support=int(max_support)
-    )
-    quantiles = {
-        label: batch.quantiles(value)
-        for label, value in (("level", level), ("median", 0.5), ("q90", 0.9), ("q99", 0.99))
-    }
-    prob_zero = _prob_pfd_zero_scaled(model, p_scales, q_scales, versions)
-    exceedances = None
-    if options["threshold"] is not None:
-        exceedances = batch.survival(float(options["threshold"]))
-    records = []
-    for index in range(batch.points):
-        record = {
-            "tail_level": level,
-            "tail_quantile": float(quantiles["level"][index]),
-            "tail_median": float(quantiles["median"][index]),
-            "tail_q90": float(quantiles["q90"][index]),
-            "tail_q99": float(quantiles["q99"][index]),
-            "tail_prob_zero": float(prob_zero[index]),
-            "tail_support": int(batch.support.size),
-        }
-        if exceedances is not None:
-            record["tail_threshold"] = float(options["threshold"])
-            record["tail_exceedance"] = float(exceedances[index])
-        records.append(record)
-    return records
+    return [
+        _tail_record(point, distribution, options)
+        for point, distribution in _swept_distributions(model, variations, options)
+    ]

@@ -334,11 +334,20 @@ def register_batch(
     by every variation, and one shared random stream (``None`` for
     deterministic methods).  It must return one metric mapping per
     variation, in order, or raise :class:`BatchUnsupported` to make the
-    caller fall back to per-variation scalar evaluation::
+    caller fall back to per-variation scalar evaluation.  A deterministic
+    kernel must return, per variation, exactly the record the scalar method
+    gives ``model.rescaled(p_scale, q_scale)``; the study runner relies on
+    that and splits deterministic groups across workers.  Only a kernel
+    that shares a random stream across its points (``requires_seed``) has
+    its group kept whole.  The simplest valid kernel, for the ``mean-only``
+    method of :func:`register_method`'s example::
 
-        @register_batch("exact")
-        def _exact_batch(model, variations, options, rng):
-            ...
+        @register_batch("mean-only")
+        def _mean_only_batch(model, variations, options, rng):
+            return [
+                _mean_only(model.rescaled(v["p_scale"], v["q_scale"]), options, rng)
+                for v in variations
+            ]
     """
     target = registry if registry is not None else _DEFAULT_REGISTRY
 

@@ -25,6 +25,7 @@ __all__ = [
     "exact_pfd_distribution",
     "pfd_exceedance_probability",
     "pfd_percentile",
+    "pfd_quantile",
     "prob_pfd_zero",
 ]
 
@@ -84,7 +85,20 @@ def pfd_percentile(
     the distribution of the system PFD?" exactly.
     """
     distribution = exact_pfd_distribution(model, versions, max_support)
-    return distribution.quantile(level)
+    return pfd_quantile(distribution, level, prob_pfd_zero(model, versions))
+
+
+def pfd_quantile(distribution: DiscreteDistribution, level: float, prob_zero: float) -> float:
+    """The ``level`` quantile of a PFD distribution whose zero atom is ``prob_zero``.
+
+    A support-capped distribution smears the atom at zero into its
+    neighbouring lattice points, so its own quantile can read a small
+    positive PFD at a level the fault-free outcome alone covers.  Given the
+    closed-form ``prob_zero`` (:func:`prob_pfd_zero`), every level at or
+    below it has quantile 0 exactly.
+    """
+    value = distribution.quantile(level)
+    return 0.0 if level <= prob_zero else value
 
 
 def prob_pfd_zero(model: FaultModel, versions: int = 1) -> float:

@@ -15,8 +15,8 @@ here so they cannot drift:
 * the **batch group** of a payload -- the payload with the batchable model
   transforms (``p_scale``, ``q_scale``) replaced by their neutral defaults.
   Evaluations that differ only in those transforms share a group and can be
-  dispatched as *one* batched-kernel call (one stacked convolution, one
-  shared demand stream); everything else -- base model, other parameters,
+  dispatched as *one* batched-kernel call (one shared demand stream for
+  Monte Carlo, one per-point loop for exact methods); everything else -- base model, other parameters,
   options, seed -- stays in the group key, so group identity is as
   content-addressed as the evaluation digests themselves.
 """

@@ -7,9 +7,9 @@ issues many requests that agree on everything except the batchable
 request for a short window (``--batch-window-ms``) keyed by its batch-group
 digest -- the same (model content, method, options, seed) grouping the study
 runner uses for cache-miss sweep points -- and dispatches every group as
-*one* :func:`repro.service.worker.evaluate_group` call: one stacked
-convolution or one shared-demand Monte Carlo pass instead of N scalar
-evaluations.
+*one* :func:`repro.service.worker.evaluate_group` call: one shared-demand
+Monte Carlo pass instead of N scalar evaluations, or one pool job looping the
+scalar exact kernel, whose records equal the lone requests' byte for byte.
 
 Grouping never changes *whether* an answer is right, only which equally
 valid estimator produced it (see the README's CRN notes): a lone request, a

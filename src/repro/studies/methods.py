@@ -181,10 +181,11 @@ def evaluate_study_group(
 
     ``wanted`` selects the variation positions whose outcomes the caller
     needs (default: all).  A batched kernel still sees the *whole* sweep --
-    the shared structure it derives from the scale set (demand envelope,
-    lattice span) must not depend on which siblings the runner already had
-    cached -- while the scalar path (no kernel, or the kernel declined)
-    evaluates only the wanted points.
+    a shared demand stream's envelope spans the scale set and must not
+    depend on which siblings the runner already had cached -- while the
+    scalar path (no kernel, or the kernel declined) evaluates only the
+    wanted points.  The runner sends deterministic groups with their cache
+    misses only, so exact kernels never recompute a cached sibling.
 
     Returns ``("ok", metrics)`` / ``("error", message)`` per wanted
     variation, in ``wanted`` order, so one bad sweep point cannot discard

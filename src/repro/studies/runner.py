@@ -189,22 +189,26 @@ def _plan_groups(
 ) -> list[tuple]:
     """Partition the evaluation into batchable groups, heaviest first.
 
-    Each group with at least one cache miss becomes one worker task: points
-    sharing everything except the ``p_scale`` / ``q_scale`` transforms
-    evaluate together against one resolved base model (and, for batched
-    stochastic methods, one shared demand stream).  A group always carries
-    its *full* planned sweep -- cached siblings included -- because batched
-    kernels derive shared structure from the whole scale set (the Monte
-    Carlo demand envelope, the exact kernel's lattice span); deriving it
-    from the cache misses alone would make a point's fresh value depend on
-    which siblings happened to be cached.  The worker only returns the
-    missing points.  Heaviest groups are dispatched first so the process
-    pool drains evenly.
+    Points sharing everything except the ``p_scale`` / ``q_scale``
+    transforms form one group, evaluated against one resolved base model.
+    Only a group whose batch kernel shares a demand stream across its
+    points (``supports_batch`` and ``requires_seed``: the ``montecarlo``
+    kernel) stays whole, as one worker task carrying its *full* planned
+    sweep -- cached siblings included -- because the shared stream's demand
+    envelope spans the whole scale set; deriving it from the cache misses
+    alone would make a point's fresh value depend on which siblings happened
+    to be cached.  The worker only returns the missing points.  Every other
+    group -- deterministic kernels such as ``exact``, whose swept values
+    equal per-point values, and methods without a batch kernel -- keeps
+    only its cache misses and is split into up to ``jobs`` chunks, so its
+    points spread across the workers.  Heaviest groups are dispatched first
+    so the process pool drains evenly.
     """
     registry = default_registry()
-    batchable = {
-        method.name: registry.get(method.name).supports_batch for method in spec.methods
-    }
+    shared_stream = {}
+    for method in spec.methods:
+        definition = registry.get(method.name)
+        shared_stream[method.name] = definition.supports_batch and definition.requires_seed
     groups: dict[str, dict] = {}
     for index, entry in enumerate(planned):
         key = group_digest(entry.payload)
@@ -225,23 +229,21 @@ def _plan_groups(
         if entry.digest not in group["seen"]:
             group["seen"].add(entry.digest)
             group["members"].append((entry.digest, index))
-    # A batched kernel needs the whole axis in one task (its shared
-    # structure -- demand envelope, lattice span -- spans the sweep), but a
-    # kernel-less method gains nothing from a single big task and would
-    # serialise its points inside one worker; split those groups into up to
-    # ``jobs`` chunks (per-point digest seeding makes the split invisible
-    # in the results).
     chunked: list[dict] = []
     for group in groups.values():
-        if batchable[group["method"].name] or jobs <= 1 or len(group["members"]) <= 1:
+        if shared_stream[group["method"].name]:
             chunked.append(group)
             continue
-        parts = min(jobs, len(group["members"]))
-        size, remainder = divmod(len(group["members"]), parts)
+        # Per-point digest seeding makes the split invisible in the results.
+        members = [member for member in group["members"] if member[0] in pending]
+        if not members:
+            continue
+        parts = min(jobs, len(members))
+        size, remainder = divmod(len(members), parts)
         offset = 0
         for part in range(parts):
             take = size + (1 if part < remainder else 0)
-            chunked.append({**group, "members": group["members"][offset : offset + take]})
+            chunked.append({**group, "members": members[offset : offset + take]})
             offset += take
     ordered = sorted(
         (group for group in chunked if any(d in pending for d, _ in group["members"])),
@@ -325,20 +327,18 @@ def run_study(
     batch:
         When true (the default), cache misses are grouped by batchable axis
         -- points differing only in ``p_scale`` / ``q_scale`` -- and each
-        group is dispatched as *one* task: the base model is resolved once,
-        methods with a batched kernel evaluate the whole group in vectorised
-        passes, and stochastic batched methods score every point against one
-        shared demand stream (common random numbers; see
-        :mod:`repro.montecarlo.sweep`).  Point digests, cache entries and
-        warm-run behaviour are identical in both modes; what can differ are
-        the *fresh* metric values of batch-capable methods -- Monte Carlo
-        points sample a different (shared) stream, and batched exact values
-        agree with the scalar path to kernel resolution rather than bitwise.
-        Methods without a batched kernel produce bitwise-identical results
-        in either mode (their groups are chunked across the workers, so
-        they keep their cross-point parallelism).  One caveat: a sweep a
-        batch-capable method *declines at runtime* (e.g. correlated Monte
-        Carlo) runs point by point inside its single group task; pass
+        group resolves its base model once.  Only a group whose batch
+        kernel shares a demand stream (``montecarlo``) is dispatched whole,
+        as *one* task scoring every point against one shared stream (common
+        random numbers; see :mod:`repro.montecarlo.sweep`); every other
+        group is chunked across the workers.  Point digests, cache entries
+        and warm-run behaviour are identical in both modes; the only fresh
+        values that differ are Monte Carlo points, which sample the shared
+        stream.  ``exact`` / ``tail-quantile`` values (their kernels loop
+        the scalar kernel) and methods without a batched kernel are
+        bitwise-identical in either mode.  One caveat: a sweep the Monte
+        Carlo kernel *declines at runtime* (e.g. correlated developments)
+        runs point by point inside its single group task; pass
         ``batch=False`` to spread such sweeps across workers.  ``batch=
         False`` restores the one-task-per-point dispatch with per-point
         independent streams everywhere.

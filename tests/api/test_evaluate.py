@@ -8,7 +8,7 @@ import pytest
 from repro import evaluate, evaluate_batch
 from repro.api import MethodRegistry, OptionSpec, register_method
 from repro.core.moments import pfd_moments
-from repro.core.pfd_distribution import exact_pfd_distribution
+from repro.core.pfd_distribution import exact_pfd_distribution, prob_pfd_zero
 
 
 class TestEvaluate:
@@ -28,7 +28,10 @@ class TestEvaluate:
         distribution = exact_pfd_distribution(small_model, 2, max_support=256)
         assert result["tail_quantile"] == distribution.quantile(0.999)
         assert result["tail_exceedance"] == distribution.survival(1e-4)
-        assert result["tail_prob_zero"] == distribution.prob_zero()
+        # The zero atom is the closed form, not a readout of the capped
+        # distribution; uncapped, the two agree to rounding.
+        assert result["tail_prob_zero"] == prob_pfd_zero(small_model, 2)
+        assert result["tail_prob_zero"] == pytest.approx(distribution.prob_zero(), rel=1e-12)
 
     def test_montecarlo_reproducible_per_seed(self, small_model):
         first = evaluate(small_model, "montecarlo", seed=7, replications=2000)

@@ -65,8 +65,7 @@ class TestEvaluateSweep:
                 variation.get("p_scale", 1.0), variation.get("q_scale", 1.0)
             )
             scalar = evaluate(transformed, "exact", max_support=512)
-            assert result["exact_mean"] == pytest.approx(scalar["exact_mean"], rel=1e-9)
-            assert result["exact_std"] == pytest.approx(scalar["exact_std"], rel=1e-9)
+            assert result.metric_dict() == scalar.metric_dict()
 
     def test_fallback_method_is_bitwise_identical(self, small_model):
         results = evaluate_sweep(small_model, "moments", VARIATIONS)

@@ -1,19 +1,16 @@
-"""Batched-vs-scalar equivalence and shared-demand determinism.
+"""Swept-vs-lone equivalence and shared-demand determinism.
 
-Pins the accuracy and reproducibility contracts of the batched sweep fast
-path:
+Pins the reproducibility contracts of the sweep paths:
 
-* the stacked exact kernel (:mod:`repro.stats.batched`) matches the scalar
-  :func:`~repro.core.pfd_distribution.exact_pfd_distribution` point by
-  point -- means to float rounding, standard deviations and tail queries to
-  the lattice resolution -- and is *exact* while the support fits;
+* an ``exact`` / ``tail-quantile`` sweep runs the scalar kernel per point
+  (:func:`repro.stats.batched.batched_scaled_pfd`), so every swept
+  distribution and record is byte-identical to a lone evaluation of
+  ``model.rescaled(p_scale, q_scale)``, whichever groupmates share the sweep;
 * the shared-demand Monte Carlo kernel (:mod:`repro.montecarlo.sweep`) is a
   deterministic function of ``(seed, model, versions, replications, scale
   envelope)``: the engine's ``chunk_size`` / ``jobs`` knobs never enter,
   repeated calls are identical, and its estimates agree with the analytic
-  moments statistically;
-* the study runner's batched dispatch leaves digests, caching and
-  jobs-invariance untouched.
+  moments statistically.
 """
 
 from __future__ import annotations
@@ -23,13 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import evaluate, evaluate_sweep
 from repro.core.fault_model import FaultModel
 from repro.core.moments import pfd_moments
 from repro.core.no_common_faults import prob_any_common_fault, prob_any_fault
 from repro.core.pfd_distribution import exact_pfd_distribution
 from repro.montecarlo.engine import MonteCarloEngine
 from repro.montecarlo.sweep import simulate_scaled_sweep
-from repro.stats.batched import BatchedPMF, batched_scaled_pfd, batched_two_point_pmf
+from repro.stats.batched import batched_scaled_pfd
 
 SCALES = (0.125, 0.35, 0.7, 1.0)
 
@@ -39,84 +37,118 @@ def random_model(seed: int, n: int) -> FaultModel:
     return FaultModel.random(rng, n=n, p_range=(0.005, 0.2), total_impact=0.4)
 
 
+def assert_same_distribution(swept, lone) -> None:
+    assert swept.support.tobytes() == lone.support.tobytes()
+    assert swept.probabilities.tobytes() == lone.probabilities.tobytes()
+
+
 class TestBatchedExactEquivalence:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     @settings(max_examples=25, deadline=None)
     def test_exact_while_support_fits(self, seed, n):
-        # With the support budget never exceeded, the stacked kernel does the
-        # same exact folds as the scalar path: every moment and every tail
-        # query must agree to float rounding.
         model = random_model(seed, n)
-        batch = batched_scaled_pfd(model, np.array(SCALES), versions=1, max_support=4096)
-        for index, scale in enumerate(SCALES):
-            scalar = exact_pfd_distribution(model.scaled(scale), 1, max_support=4096)
-            assert batch.means()[index] == pytest.approx(scalar.mean(), rel=1e-12, abs=1e-300)
-            assert batch.stds()[index] == pytest.approx(scalar.std(), rel=1e-9, abs=1e-15)
-            assert batch.quantiles(0.99)[index] == pytest.approx(
-                scalar.quantile(0.99), rel=1e-12, abs=1e-15
-            )
-            assert batch.survival(1e-3)[index] == pytest.approx(
-                scalar.survival(1e-3), abs=1e-12
-            )
+        swept = batched_scaled_pfd(model, np.array(SCALES), versions=1, max_support=4096)
+        assert len(swept) == len(SCALES)
+        for distribution, scale in zip(swept, SCALES):
+            lone = exact_pfd_distribution(model.rescaled(scale), 1, max_support=4096)
+            assert_same_distribution(distribution, lone)
 
     @pytest.mark.parametrize("n,versions", [(150, 1), (150, 2), (400, 1)])
     def test_lattice_regime_matches_to_resolution(self, n, versions):
+        # Past the support cap each point folds onto its own lattice, exactly
+        # as a lone evaluation does: no resolution is lost to the sweep.
         model = random_model(11, n)
-        max_support = 1024
-        batch = batched_scaled_pfd(
-            model, np.array(SCALES), versions=versions, max_support=max_support
-        )
-        lattice_step = float(batch.support[-1]) / batch.support.size
-        for index, scale in enumerate(SCALES):
-            scalar = exact_pfd_distribution(
-                model.scaled(scale), versions, max_support=max_support
-            )
-            # Means are preserved exactly by the mean-preserving split.
-            assert batch.means()[index] == pytest.approx(scalar.mean(), rel=1e-9)
-            assert batch.stds()[index] == pytest.approx(scalar.std(), rel=5e-3)
-            assert batch.quantiles(0.9)[index] == pytest.approx(
-                scalar.quantile(0.9), abs=8 * lattice_step
-            )
+        swept = batched_scaled_pfd(model, np.array(SCALES), versions=versions, max_support=1024)
+        for distribution, scale in zip(swept, SCALES):
+            lone = exact_pfd_distribution(model.rescaled(scale), versions, max_support=1024)
+            assert_same_distribution(distribution, lone)
+            assert distribution.support.size <= 1024
 
     def test_q_scale_is_a_support_rescale(self):
         model = random_model(3, 60)
         q_scales = np.array([0.5, 1.0, 1.5])
-        batch = batched_scaled_pfd(
-            model, np.ones(3), q_scales, versions=2, max_support=512
-        )
-        for index, q_scale in enumerate(q_scales):
+        swept = batched_scaled_pfd(model, np.ones(3), q_scales, versions=2, max_support=512)
+        base_mean = exact_pfd_distribution(model, 2, max_support=512).mean()
+        for distribution, q_scale in zip(swept, q_scales):
             scaled = FaultModel(
                 p=model.p.copy(), q=model.q * q_scale, names=model.names, strict=False
             )
-            scalar = exact_pfd_distribution(scaled, 2, max_support=512)
-            assert batch.means()[index] == pytest.approx(scalar.mean(), rel=1e-9)
-            assert batch.stds()[index] == pytest.approx(scalar.std(), rel=5e-3)
+            assert_same_distribution(distribution, exact_pfd_distribution(scaled, 2, max_support=512))
+            assert distribution.mean() == pytest.approx(q_scale * base_mean, rel=1e-9)
 
     def test_single_point_distribution_roundtrip(self):
         model = random_model(5, 8)
-        batch = batched_scaled_pfd(model, np.array([0.5]), versions=1, max_support=4096)
-        row = batch.distribution(0)
-        scalar = exact_pfd_distribution(model.scaled(0.5), 1, max_support=4096)
-        np.testing.assert_allclose(row.support, scalar.support, rtol=0, atol=0)
-        np.testing.assert_allclose(row.probabilities, scalar.probabilities, atol=1e-14)
+        [row] = batched_scaled_pfd(model, np.array([0.5]), versions=1, max_support=4096)
+        assert_same_distribution(row, exact_pfd_distribution(model.scaled(0.5), 1, max_support=4096))
 
     def test_kernel_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="max_support"):
-            batched_two_point_pmf(np.array([0.1]), np.array([[0.5]]), max_support=None)
-        with pytest.raises(ValueError, match="probabilities"):
-            batched_two_point_pmf(np.array([0.1]), np.array([[1.5]]))
         model = random_model(1, 4)
+        with pytest.raises(ValueError, match="equal length"):
+            batched_scaled_pfd(model, np.array([0.5, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="pushes some p_i above 1"):
             batched_scaled_pfd(model, np.array([50.0]))
+        with pytest.raises(ValueError, match="q_scale must be non-negative"):
+            batched_scaled_pfd(model, np.ones(1), np.array([-1.0]))
+        assert batched_scaled_pfd(model, np.array([])) == []
 
     def test_zero_q_scale_collapses_to_point_mass(self):
         model = random_model(9, 10)
-        batch = batched_scaled_pfd(model, np.ones(2), np.array([0.0, 1.0]), max_support=256)
-        assert batch.means()[0] == 0.0
-        assert batch.prob_zero()[0] == 1.0
-        assert batch.quantiles(0.999)[0] == 0.0
-        assert batch.survival(1e-6)[0] == pytest.approx(0.0, abs=1e-12)
-        assert batch.distribution(0).support.tolist() == [0.0]
+        zero, _ = batched_scaled_pfd(model, np.ones(2), np.array([0.0, 1.0]), max_support=256)
+        assert zero.mean() == 0.0
+        assert zero.prob_zero() == 1.0
+        assert zero.quantile(0.999) == 0.0
+        assert zero.survival(1e-6) == 0.0
+        assert zero.support.tolist() == [0.0]
+
+
+_POOL = st.lists(
+    st.tuples(
+        st.floats(0.0, 4.0, allow_nan=False), st.floats(0.0, 2.0, allow_nan=False)
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestSweepGroupmateIndependence:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        pool=_POOL,
+        picks=st.lists(st.booleans(), min_size=5, max_size=5),
+        method=st.sampled_from(["exact", "tail-quantile"]),
+        max_support=st.sampled_from([16, 64, None]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_swept_record_is_the_lone_record(self, seed, n, pool, picks, method, max_support):
+        # The first pool entry is the point under test; a random subset of
+        # the rest shares its sweep.  Its record must not notice.
+        if max_support is None:
+            n = min(n, 12)
+        model = random_model(seed, n)
+        target, *others = pool
+        groupmates = [other for other, keep in zip(others, picks) if keep]
+        variations = [
+            {"p_scale": p_scale, "q_scale": q_scale} for p_scale, q_scale in [target, *groupmates]
+        ]
+        options = {"max_support": max_support, "threshold": 1e-3}
+        swept = evaluate_sweep(model, method, variations, options=options)
+        for variation, result in zip(variations, swept):
+            lone = evaluate(
+                model.rescaled(variation["p_scale"], variation["q_scale"]), method, options=options
+            )
+            assert result.metric_dict() == lone.metric_dict()
+            assert result.option_dict() == lone.option_dict()
+            assert result.seed_entropy is None
+
+    def test_point_is_independent_of_its_groupmates(self):
+        # A 200-fault model at the default support cap: p_scale=0.5 must
+        # read the same record alone, with 0.6 and with 1.0.
+        model = random_model(17, 200)
+        alone = evaluate(model.rescaled(0.5), "exact").metric_dict()
+        for mate in (0.6, 1.0):
+            first, _ = evaluate_sweep(model, "exact", [{"p_scale": 0.5}, {"p_scale": mate}])
+            assert first.metric_dict() == alone
 
 
 class TestSharedDemandDeterminism:

@@ -12,6 +12,7 @@ import asyncio
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.api import evaluate, evaluate_batch, evaluate_sweep
@@ -92,6 +93,29 @@ class TestByteIdentity:
             assert _strip_elapsed(response["result"]) == _strip_elapsed(expected.to_dict())
         assert server.metrics["batched_groups"] == 1
         assert server.metrics["batched_group_requests"] == len(scales)
+
+    @pytest.mark.parametrize("method", ["exact", "tail-quantile"])
+    def test_exact_request_alone_equals_inside_a_group(self, method):
+        # A deterministic answer must not depend on concurrent traffic: the
+        # same request, alone or micro-batched with other sweep points, gets
+        # the same record (the LRU keys it without a seed, so whichever
+        # answer arrives first is what later callers read).
+        model = FaultModel.random(
+            np.random.default_rng(8), n=120, p_range=(0.005, 0.2), total_impact=0.4
+        )
+        payload = {"model": model.to_dict(), "method": method, "p_scale": 0.5}
+        [alone] = _gather_evaluate(EvaluationServer(batch_window_ms=1.0), [payload])
+        server = EvaluationServer(batch_window_ms=50.0)
+        grouped = _gather_evaluate(
+            server, [payload, *(dict(payload, p_scale=scale) for scale in (0.6, 1.0))]
+        )
+        assert alone["served"]["batched"] is False
+        assert grouped[0]["served"]["batched"] is True
+        assert grouped[0]["served"]["group_size"] == 3
+        assert _strip_elapsed(grouped[0]["result"]) == _strip_elapsed(alone["result"])
+        assert json.dumps(grouped[0]["result"]["metrics"]) == json.dumps(
+            alone["result"]["metrics"]
+        )
 
     def test_no_batch_mode_equals_direct_evaluate_everywhere(self, small_model):
         scales = (0.25, 0.5, 0.75)

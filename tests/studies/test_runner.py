@@ -170,8 +170,8 @@ class TestBatchedDispatch:
 
     def test_partially_cached_group_reproduces_cold_values(self, tmp_path):
         # The shared structure a batched kernel derives from the sweep (the
-        # Monte Carlo demand envelope, the exact lattice span) must come
-        # from the *planned* group, not the cache-miss subset: recomputing
+        # Monte Carlo demand envelope) must come from the *planned* group,
+        # not the cache-miss subset: recomputing
         # one evicted point must reproduce its cold value exactly even when
         # the scale set spans a power-of-two envelope bracket (p_scale > 1
         # is where a miss-only envelope would sample a different world).
@@ -191,6 +191,41 @@ class TestBatchedDispatch:
         ResultCache(cache_dir).path_for(evicted.digest).unlink()
         partial = run_study(spec, cache_dir=str(cache_dir))
         assert partial.summary["computed"] == 1
+        assert partial.records == cold.records
+
+    def test_exact_groups_match_per_point_dispatch(self, tmp_path):
+        data = base_spec_dict()
+        data["methods"] = [{"name": "exact"}, {"name": "tail-quantile"}]
+        spec = StudySpec.from_dict(data)
+        grouped = run_study(spec, cache_dir=str(tmp_path / "grouped"), jobs=2)
+        per_point = run_study(spec, cache_dir=str(tmp_path / "per-point"), batch=False)
+        assert grouped.records == per_point.records
+
+    def test_partially_cached_exact_group_computes_only_misses(self, tmp_path, monkeypatch):
+        # Exact groups carry only their cache misses: a swept exact record
+        # is its per-point record, so cached siblings are never recomputed.
+        from repro.stats import batched
+        from repro.studies import ResultCache
+
+        data = base_spec_dict()
+        data["methods"] = [{"name": "exact"}]
+        spec = StudySpec.from_dict(data)
+        cache_dir = tmp_path / "cache"
+        cold = run_study(spec, cache_dir=str(cache_dir))
+        evicted = plan_study(spec)[0]
+        ResultCache(cache_dir).path_for(evicted.digest).unlink()
+        swept = []
+        original = batched.batched_scaled_pfd
+
+        def counting(model, p_scales, *args, **kwargs):
+            swept.extend(p_scales)
+            return original(model, p_scales, *args, **kwargs)
+
+        monkeypatch.setattr(batched, "batched_scaled_pfd", counting)
+        partial = run_study(spec, cache_dir=str(cache_dir))
+        assert partial.summary["computed"] == 1
+        assert partial.summary["dispatched_tasks"] == 1
+        assert swept == [evicted.point.param_dict()["p_scale"]]
         assert partial.records == cold.records
 
     def test_warm_cache_identical_across_modes(self, spec, tmp_path):
