@@ -286,6 +286,14 @@ def workload_sweep1000(quick: bool) -> dict:
     scalar kernel per point either way, so ``exact_speedup`` only says that
     grouping is no slower than per-point dispatch.  ``speedup`` is the
     combined figure over both methods.
+
+    ``exact_tail_shared_speedup`` compares one ``exact`` + ``tail-quantile``
+    study over 50 of the sweep's ``p_scale`` points with the two
+    single-method studies over the same points, each on a fresh cache, at
+    the default ``max_support`` where the kernel dominates: the combined
+    study computes each point's exact distribution once and both methods
+    read it.  Both sides run in-process, best of three, so the ratio
+    measures the kernel work saved rather than pool start-up.
     """
     import tempfile
 
@@ -327,6 +335,22 @@ def workload_sweep1000(quick: bool) -> dict:
                 computed.add(result.summary["computed"])
             if len(computed) != 1:
                 raise RuntimeError(f"{name}: batched and scalar passes evaluated different point counts")
+        axis = {"logspace": [0.05, 1.0, 50]}
+        pair = [{"name": "exact"}, {"name": "tail-quantile"}]
+        studies = {
+            "shared": [spec("bench-sweep1000-shared", axis, pair)],
+            "separate": [
+                spec(f"bench-sweep1000-{method['name']}-alone", axis, [method]) for method in pair
+            ],
+        }
+        best: dict[str, float] = {}
+        for repeat in range(3):
+            for label, sweeps in studies.items():
+                start = time.perf_counter()
+                for position, sweep in enumerate(sweeps):
+                    run_study(sweep, cache_dir=f"{tmp}/{label}-{repeat}-{position}")
+                elapsed = time.perf_counter() - start
+                best[label] = min(best.get(label, elapsed), elapsed)
     batched_elapsed = sum(seconds[name, True] for name in methods)
     scalar_elapsed = sum(seconds[name, False] for name in methods)
     total_points = points * len(methods)
@@ -345,6 +369,9 @@ def workload_sweep1000(quick: bool) -> dict:
         },
         "dispatched_tasks_batched": tasks[True],
         "dispatched_tasks_scalar": tasks[False],
+        "exact_tail_shared_seconds": round(best["shared"], 3),
+        "exact_tail_separate_seconds": round(best["separate"], 3),
+        "exact_tail_shared_speedup": round(best["separate"] / best["shared"], 2),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
@@ -915,6 +942,12 @@ def check_record(record: dict) -> list[str]:
         (
             "sweep1000 exact batched >= 0.8x scalar",
             lambda: value("sweep1000", "exact_speedup") >= 0.8,
+        ),
+        # One exact + tail-quantile study convolves each point once; the
+        # two single-method studies convolve it twice (about 2x).
+        (
+            "sweep1000 exact+tail-quantile shared >= 1.5x separate",
+            lambda: value("sweep1000", "exact_tail_shared_speedup") >= 1.5,
         ),
         # Micro-batched concurrent serving must beat a serial request loop on
         # the sweep-style workload (the service's reason to exist); the

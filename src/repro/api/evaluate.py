@@ -165,7 +165,11 @@ def evaluate_batch(
         items evaluate once and the result fans out to every requester --
         which cannot change any value: deterministic methods ignore their
         stream, and stochastic duplicates only share work when their
-        ``(seed, index)`` streams are equal.  ``jobs > 1`` requires
+        ``(seed, index)`` streams are equal.  In-process (``jobs=1``) the
+        batch runs inside one
+        :func:`~repro.core.pfd_distribution.shared_distributions` scope, so
+        requests reading the same exact PFD distribution compute it once.
+        ``jobs > 1`` requires
         the default registry (a custom ``registry`` object cannot be shipped
         across the process boundary) and, on spawn-start platforms
         (macOS/Windows), methods registered at *import* time -- a
@@ -253,10 +257,16 @@ def evaluate_batch(
             payloads = list(executor.map(_evaluate_request_worker, unique_work))
         computed = [EvaluationResult.from_dict(payload) for payload in payloads]
     else:
-        computed = [
-            evaluate(model, method, seed=entropy, registry=target, options=options)
-            for model, method, options, entropy in unique_work
-        ]
+        from repro.core.pfd_distribution import shared_distributions
+
+        # One scope for the batch: requests that read the same exact PFD
+        # distribution (``exact`` at several levels, ``tail-quantile``)
+        # compute it once and read the same object.
+        with shared_distributions():
+            computed = [
+                evaluate(model, method, seed=entropy, registry=target, options=options)
+                for model, method, options, entropy in unique_work
+            ]
     return [computed[slot] for slot in positions]
 
 

@@ -19,9 +19,8 @@ Entries are one JSON file per digest, sharded by the first two hex digits,
 written atomically (temp file + ``os.replace``) so parallel writers and
 crashed runs never leave a corrupt entry behind.
 
-This module started life as ``repro.studies.cache`` and was promoted when
-the evaluation service grew a disk cache tier; the old import path remains
-as a re-export.
+The study runner and the evaluation service both use this module;
+:mod:`repro.studies` re-exports its public names.
 """
 
 from __future__ import annotations

@@ -12,9 +12,19 @@ tractable.  This lets the library:
 * answer percentile questions ("what bound is not exceeded with 99%
   probability?") without the normal approximation;
 * validate the Monte Carlo engine.
+
+The ``exact`` and ``tail-quantile`` evaluation methods are both readouts of
+one :func:`exact_pfd_distribution`.  Inside a :func:`shared_distributions`
+scope that distribution is computed once per point model and every later
+request for it is served from the scope; outside a scope nothing is kept
+between calls.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -22,12 +32,53 @@ from repro.core.fault_model import FaultModel
 from repro.stats.discrete import DiscreteDistribution, convolve_two_points
 
 __all__ = [
+    "DistributionScope",
     "exact_pfd_distribution",
     "pfd_exceedance_probability",
     "pfd_percentile",
     "pfd_quantile",
     "prob_pfd_zero",
+    "shared_distributions",
 ]
+
+
+class DistributionScope:
+    """The distributions computed inside one :func:`shared_distributions` block.
+
+    ``computed`` counts kernel runs (misses) and ``shared`` the calls served
+    from the scope (hits).
+    """
+
+    __slots__ = ("distributions", "computed", "shared")
+
+    def __init__(self) -> None:
+        self.distributions: dict[tuple, DiscreteDistribution] = {}
+        self.computed = 0
+        self.shared = 0
+
+
+_SCOPE: contextvars.ContextVar[DistributionScope | None] = contextvars.ContextVar(
+    "repro_shared_distributions", default=None
+)
+
+
+@contextlib.contextmanager
+def shared_distributions() -> Iterator[DistributionScope]:
+    """Compute each distinct exact PFD distribution once inside the block.
+
+    While the block runs, :func:`exact_pfd_distribution` memoises its result
+    on ``(versions, max_support, q, p)`` and returns the *same* object for
+    every repeat call, so ``exact`` and ``tail-quantile`` readouts of one
+    point model cost one convolution.  The cached arrays are read-only.
+    The memo lives in the yielded :class:`DistributionScope` and is dropped
+    when the block exits; a nested block starts an empty scope of its own.
+    """
+    scope = DistributionScope()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
 
 
 def exact_pfd_distribution(
@@ -49,10 +100,27 @@ def exact_pfd_distribution(
         default keeps the computation tractable for any model size while
         preserving the mean exactly and the shape to within the grid
         resolution.
+
+    Inside a :func:`shared_distributions` scope a repeat call with an equal
+    model, ``versions`` and ``max_support`` returns the distribution the
+    first call computed; outside one every call computes afresh.
     """
     if versions < 1:
         raise ValueError(f"versions must be a positive integer, got {versions}")
-    return convolve_two_points(model.q, model.p ** versions, max_support=max_support)
+    scope = _SCOPE.get()
+    if scope is None:
+        return convolve_two_points(model.q, model.p ** versions, max_support=max_support)
+    key = (versions, max_support, model.q.tobytes(), model.p.tobytes())
+    distribution = scope.distributions.get(key)
+    if distribution is not None:
+        scope.shared += 1
+        return distribution
+    distribution = convolve_two_points(model.q, model.p ** versions, max_support=max_support)
+    distribution.support.setflags(write=False)
+    distribution.probabilities.setflags(write=False)
+    scope.distributions[key] = distribution
+    scope.computed += 1
+    return distribution
 
 
 def pfd_exceedance_probability(

@@ -9,8 +9,8 @@ of model evaluations:
 * :mod:`~repro.studies.methods` -- per-point model resolution and dispatch
   through the unified evaluation API (:mod:`repro.api`), so any method in
   the :class:`~repro.api.registry.MethodRegistry` is usable in a spec;
-* :mod:`~repro.studies.cache` -- content-addressed on-disk result cache
-  keyed by point content, so re-runs are incremental;
+* :mod:`repro.cache` -- the content-addressed on-disk result cache
+  (re-exported here) keyed by point content, so re-runs are incremental;
 * :mod:`~repro.studies.runner` -- cache-aware parallel execution with
   per-point reproducible seeds;
 * :mod:`~repro.studies.results` -- tidy result table with JSON/JSONL/CSV
@@ -19,14 +19,9 @@ of model evaluations:
 Exposed on the command line as ``python -m repro study run|show``.
 """
 
-from repro.studies.cache import CACHE_FORMAT_VERSION, ResultCache, canonical_json, payload_digest
+from repro.cache import CACHE_FORMAT_VERSION, ResultCache, canonical_json, payload_digest
 from repro.studies.grid import StudyPoint, expand_points
-from repro.studies.methods import (
-    evaluate_point,
-    evaluate_study_point,
-    resolve_model,
-    split_point_params,
-)
+from repro.studies.methods import evaluate_study_point, resolve_model, split_point_params
 from repro.studies.results import StudyResult
 from repro.studies.runner import PlannedPoint, plan_study, point_seed_entropy, run_study
 from repro.studies.spec import MethodSpec, StudySpec, SweepAxis
@@ -41,7 +36,6 @@ __all__ = [
     "StudySpec",
     "SweepAxis",
     "canonical_json",
-    "evaluate_point",
     "evaluate_study_point",
     "expand_points",
     "payload_digest",

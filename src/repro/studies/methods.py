@@ -24,7 +24,6 @@ method works.
 from __future__ import annotations
 
 import inspect
-import warnings
 from typing import Any, Mapping
 
 from repro import faults
@@ -37,7 +36,6 @@ from repro.studies.spec import MethodSpec
 __all__ = [
     "MODEL_TRANSFORM_PARAMS",
     "canonical_model_params",
-    "evaluate_point",
     "evaluate_study_group",
     "evaluate_study_point",
     "resolve_model",
@@ -185,7 +183,10 @@ def evaluate_study_group(
     depend on which siblings the runner already had cached -- while the
     scalar path (no kernel, or the kernel declined) evaluates only the
     wanted points.  The runner sends deterministic groups with their cache
-    misses only, so exact kernels never recompute a cached sibling.
+    misses only, so exact kernels never recompute a cached sibling, and
+    runs the groups of one point-model bundle back to back inside one
+    :func:`~repro.core.pfd_distribution.shared_distributions` scope, so a
+    distribution an earlier group computed is read, not recomputed.
 
     Returns ``("ok", metrics)`` / ``("error", message)`` per wanted
     variation, in ``wanted`` order, so one bad sweep point cannot discard
@@ -208,23 +209,3 @@ def evaluate_study_group(
         variation_seeds=tuple(point_entropies),
         subset=wanted,
     )
-
-
-def evaluate_point(
-    base: Mapping,
-    params: Mapping[str, Any],
-    method: MethodSpec,
-    seed_entropy: tuple[int, ...],
-) -> dict[str, Any]:
-    """Deprecated alias of :func:`evaluate_study_point` (the pre-registry name).
-
-    Kept so existing callers survive the unified-API refactor; emits a
-    ``DeprecationWarning`` and returns the identical metric record.
-    """
-    warnings.warn(
-        "repro.studies.evaluate_point is deprecated; use "
-        "repro.studies.evaluate_study_point (or repro.evaluate for a resolved model)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return evaluate_study_point(base, params, method, seed_entropy)

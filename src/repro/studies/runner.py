@@ -32,14 +32,16 @@ re-run recomputes nothing and reproduces the table byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import telemetry
 from repro.api.registry import default_registry
-from repro.cache import ResultCache, payload_digest
-from repro.grouping import evaluation_payload, group_digest
+from repro.cache import ResultCache, canonical_json, payload_digest
+from repro.core.pfd_distribution import shared_distributions
+from repro.grouping import evaluation_payload, group_digest, group_payload
 from repro.studies.grid import StudyPoint, expand_points
 from repro.studies.methods import (
     MODEL_TRANSFORM_PARAMS,
@@ -154,133 +156,169 @@ def _evaluate_planned(arguments: tuple) -> tuple[str, Any]:
 
 
 def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
-    """Group worker entry point: one pickle per batchable group of points.
+    """Group worker entry point: one pickle per task of one or more groups.
+
+    ``arguments`` is ``(base, groups)``; every group shares ``base`` and,
+    when there are several, the point models (a bundle, see
+    :func:`_plan_groups`).  A bundle runs inside one
+    :func:`~repro.core.pfd_distribution.shared_distributions` scope, so each
+    distinct exact PFD distribution is computed once for all its groups;
+    the task's span reports the scope's misses and hits as
+    ``distributions_computed`` / ``distributions_shared``.  A lone group
+    has nothing to share and runs without a scope.
 
     Returns one ``("ok", metrics)`` / ``("error", message)`` outcome per
-    member.  A failure that escapes the per-point handling (e.g. a broken
-    base model) is fanned out to every member so the runner's bookkeeping
-    stays aligned.
+    wanted member, group by group.  A failure that escapes a group's
+    per-point handling (e.g. a broken base model) is fanned out to every
+    wanted member of that group, so the runner's bookkeeping stays aligned
+    and sibling groups still complete.
     """
-    base, shared_params, method, variations, group_entropy, point_entropies, wanted = arguments
-    try:
-        with telemetry.span(
-            "study.group",
-            method=method.name,
-            group_size=len(variations),
-            wanted=len(wanted),
-        ):
-            return evaluate_study_group(
-                base,
-                dict(shared_params),
-                method,
-                variations,
-                group_entropy,
-                point_entropies,
-                wanted=wanted,
+    base, groups = arguments
+    outcomes: list[tuple[str, Any]] = []
+    scope = shared_distributions() if len(groups) > 1 else contextlib.nullcontext()
+    with telemetry.span(
+        "study.group",
+        method=",".join(method.name for _, method, *_ in groups),
+        group_size=sum(len(variations) for _, _, variations, *_ in groups),
+        wanted=sum(len(wanted) for *_, wanted in groups),
+    ) as span, scope as distributions:
+        for shared_params, method, variations, group_entropy, point_entropies, wanted in groups:
+            try:
+                outcomes.extend(
+                    evaluate_study_group(
+                        base,
+                        dict(shared_params),
+                        method,
+                        variations,
+                        group_entropy,
+                        point_entropies,
+                        wanted=wanted,
+                    )
+                )
+            except Exception as error:  # noqa: BLE001 - reported with point context by run_study
+                outcomes.extend([("error", f"{type(error).__name__}: {error}")] * len(wanted))
+        if distributions is not None:
+            span.set(
+                distributions_computed=distributions.computed,
+                distributions_shared=distributions.shared,
             )
-    except Exception as error:  # noqa: BLE001 - reported with point context by run_study
-        return [(
-            "error", f"{type(error).__name__}: {error}"
-        )] * len(wanted)
+    return outcomes
+
+
+def _scales(entry: PlannedPoint) -> tuple[float, float]:
+    params = entry.payload["params"]
+    return (params["p_scale"], params["q_scale"])
 
 
 def _plan_groups(
     spec: StudySpec, planned: list[PlannedPoint], pending: dict, jobs: int = 1
 ) -> list[tuple]:
-    """Partition the evaluation into batchable groups, heaviest first.
+    """Partition the evaluation into worker tasks, heaviest first.
 
     Points sharing everything except the ``p_scale`` / ``q_scale``
-    transforms form one group, evaluated against one resolved base model.
-    Only a group whose batch kernel shares a demand stream across its
-    points (``supports_batch`` and ``requires_seed``: the ``montecarlo``
-    kernel) stays whole, as one worker task carrying its *full* planned
-    sweep -- cached siblings included -- because the shared stream's demand
-    envelope spans the whole scale set; deriving it from the cache misses
-    alone would make a point's fresh value depend on which siblings happened
-    to be cached.  The worker only returns the missing points.  Every other
-    group -- deterministic kernels such as ``exact``, whose swept values
-    equal per-point values, and methods without a batch kernel -- keeps
-    only its cache misses and is split into up to ``jobs`` chunks, so its
-    points spread across the workers.  Heaviest groups are dispatched first
-    so the process pool drains evenly.
+    transforms form one *group*, evaluated against one resolved base model.
+    A group whose batch kernel shares a demand stream across its points
+    (``supports_batch`` and ``requires_seed``: the ``montecarlo`` kernel)
+    stays whole, as one task carrying its *full* planned sweep -- cached
+    siblings included -- because the shared stream's demand envelope spans
+    the whole scale set; deriving it from the cache misses alone would make
+    a point's fresh value depend on which siblings happened to be cached.
+    The worker only returns the missing points.
+
+    Every other group is deterministic (``exact``, whose swept values equal
+    per-point values, and methods without a batch kernel) and keeps only
+    its cache misses.  Deterministic groups that resolve the same point
+    models -- the same base and factory parameters; method options such as
+    ``level`` are not part of the key -- form one *bundle*.  The union of a
+    bundle's pending variations is split into up to ``jobs`` chunks, and
+    one task runs every group of the bundle over its chunk, so a point's
+    ``exact`` and ``tail-quantile`` records (at any level or threshold)
+    read one shared distribution (:func:`_evaluate_group`).  Heaviest tasks
+    are dispatched first so the process pool drains evenly.
+
+    Returns one ``(members, arguments)`` pair per task: ``members`` lists
+    the ``(digest, planned index)`` of every point the task computes, in
+    the order :func:`_evaluate_group` returns their outcomes.
     """
     registry = default_registry()
-    shared_stream = {}
-    for method in spec.methods:
-        definition = registry.get(method.name)
-        shared_stream[method.name] = definition.supports_batch and definition.requires_seed
     groups: dict[str, dict] = {}
     for index, entry in enumerate(planned):
         key = group_digest(entry.payload)
         group = groups.get(key)
         if group is None:
+            definition = registry.get(entry.point.method.name)
+            shared_stream = definition.supports_batch and definition.requires_seed
             shared = tuple(
                 item for item in entry.consumed_params if item[0] not in MODEL_TRANSFORM_PARAMS
             )
             group = groups[key] = {
-                "base": dict(spec.base),
                 "shared": shared,
                 "method": entry.point.method,
                 "members": [],
                 "seen": set(),
                 "entropy": group_seed_entropy(spec, key),
                 "weight": int(entry.payload["method"].get("replications", 1)),
+                # The study's one base plus these params build the point models.
+                "bundle": None if shared_stream else canonical_json(
+                    group_payload(entry.payload)["params"]
+                ),
             }
         if entry.digest not in group["seen"]:
             group["seen"].add(entry.digest)
             group["members"].append((entry.digest, index))
-    chunked: list[dict] = []
+    # A task is a list of (group, members) pairs.
+    tasks: list[list[tuple[dict, list]]] = []
+    bundles: dict[str, list[dict]] = {}
     for group in groups.values():
-        if shared_stream[group["method"].name]:
-            chunked.append(group)
+        if group["bundle"] is not None:
+            bundles.setdefault(group["bundle"], []).append(group)
+        elif any(digest in pending for digest, _ in group["members"]):
+            tasks.append([(group, group["members"])])
+    for bundle in bundles.values():
+        missing = [
+            [member for member in group["members"] if member[0] in pending] for group in bundle
+        ]
+        scales = list(
+            dict.fromkeys(_scales(planned[index]) for members in missing for _, index in members)
+        )
+        if not scales:
             continue
         # Per-point digest seeding makes the split invisible in the results.
-        members = [member for member in group["members"] if member[0] in pending]
-        if not members:
-            continue
-        parts = min(jobs, len(members))
-        size, remainder = divmod(len(members), parts)
+        parts = min(jobs, len(scales))
+        size, remainder = divmod(len(scales), parts)
         offset = 0
         for part in range(parts):
             take = size + (1 if part < remainder else 0)
-            chunked.append({**group, "members": members[offset : offset + take]})
+            chunk = set(scales[offset : offset + take])
             offset += take
-    ordered = sorted(
-        (group for group in chunked if any(d in pending for d, _ in group["members"])),
-        key=lambda group: len(group["members"]) * group["weight"],
+            task = []
+            for group, members in zip(bundle, missing):
+                chosen = [member for member in members if _scales(planned[member[1]]) in chunk]
+                if chosen:
+                    task.append((group, chosen))
+            tasks.append(task)
+    tasks.sort(
+        key=lambda task: sum(len(members) * group["weight"] for group, members in task),
         reverse=True,
     )
     work = []
-    for group in ordered:
-        variations = tuple(
-            {
-                "p_scale": planned[index].payload["params"]["p_scale"],
-                "q_scale": planned[index].payload["params"]["q_scale"],
-            }
-            for _, index in group["members"]
-        )
-        entropies = tuple(
-            point_seed_entropy(spec, digest) for digest, _ in group["members"]
-        )
-        wanted = tuple(
-            position
-            for position, (digest, _) in enumerate(group["members"])
-            if digest in pending
-        )
-        work.append(
-            (
-                [group["members"][position] for position in wanted],
-                (
-                    group["base"],
-                    group["shared"],
-                    group["method"],
-                    variations,
-                    group["entropy"],
-                    entropies,
-                    wanted,
-                ),
+    for task in tasks:
+        task_members: list[tuple[str, int]] = []
+        arguments = []
+        for group, members in task:
+            variations = tuple(
+                {"p_scale": p_scale, "q_scale": q_scale}
+                for p_scale, q_scale in (_scales(planned[index]) for _, index in members)
             )
-        )
+            entropies = tuple(point_seed_entropy(spec, digest) for digest, _ in members)
+            wanted = tuple(
+                position for position, (digest, _) in enumerate(members) if digest in pending
+            )
+            task_members.extend(members[position] for position in wanted)
+            arguments.append(
+                (group["shared"], group["method"], variations, group["entropy"], entropies, wanted)
+            )
+        work.append((task_members, (dict(spec.base), tuple(arguments))))
     return work
 
 
@@ -330,8 +368,12 @@ def run_study(
         group resolves its base model once.  Only a group whose batch
         kernel shares a demand stream (``montecarlo``) is dispatched whole,
         as *one* task scoring every point against one shared stream (common
-        random numbers; see :mod:`repro.montecarlo.sweep`); every other
-        group is chunked across the workers.  Point digests, cache entries
+        random numbers; see :mod:`repro.montecarlo.sweep`).  The other,
+        deterministic groups are bundled by point model and chunked across
+        the workers: one task runs every method of a bundle over its chunk
+        and computes each exact PFD distribution once, so a point's
+        ``exact`` and ``tail-quantile`` records share one convolution
+        (:func:`_plan_groups`).  Point digests, cache entries
         and warm-run behaviour are identical in both modes; the only fresh
         values that differ are Monte Carlo points, which sample the shared
         stream.  ``exact`` / ``tail-quantile`` values (their kernels loop

@@ -9,7 +9,10 @@ renders two views:
   raw durations are all on disk, no bucketing needed offline);
 * a **per-request breakdown** -- for each trace that contains a root
   ``server.request`` span, where its wall-clock went: queue wait,
-  batch-window wait, worker kernel time, cache probes and writes.
+  batch-window wait, worker kernel time, cache probes and writes;
+* **counters** -- count attributes summed over every span that carries
+  them (the study runner's ``distributions_computed`` /
+  ``distributions_shared``).
 
 Since the observability plane ships spans across processes, one capture
 (or several -- :func:`summarize_files` concatenates router, shard and
@@ -52,6 +55,9 @@ _REQUEST_COMPONENTS = {
     "cache_ms": ("server.cache_probe", "cache.read", "cache.write"),
 }
 
+#: Span attributes that count work; the summary sums each over the capture.
+_COUNTER_ATTRS = ("distributions_computed", "distributions_shared")
+
 
 def load_events(path: str | os.PathLike) -> list[dict]:
     """Parse a JSONL trace file, skipping blank or malformed lines.
@@ -92,11 +98,16 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict:
     events = list(events)
     by_name: dict[str, list[float]] = defaultdict(list)
     by_trace: dict[str, list[Mapping[str, Any]]] = defaultdict(list)
+    counters: dict[str, int] = {}
     for event in events:
         by_name[str(event["name"])].append(float(event["dur_ms"]))
         trace = event.get("trace")
         if trace:
             by_trace[str(trace)].append(event)
+        attrs = event.get("attrs") or {}
+        for name in _COUNTER_ATTRS:
+            if name in attrs:
+                counters[name] = counters.get(name, 0) + int(attrs[name])
 
     spans = {}
     for name, durations in sorted(by_name.items()):
@@ -153,6 +164,7 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict:
         "stitched": stitched,
         "spans": spans,
         "requests": requests,
+        "counters": counters,
     }
 
 
@@ -239,6 +251,10 @@ def format_summary(summary: Mapping[str, Any], *, top: int = 10) -> str:
                     widths,
                 )
             )
+    counters = summary.get("counters")
+    if counters:
+        lines.append("")
+        lines.append("counters: " + "  ".join(f"{name}={value}" for name, value in counters.items()))
     requests = summary["requests"]
     if requests:
         lines.append("")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,27 @@ class TestEvaluateBatch:
         with pytest.raises(ValueError, match="integer seed"):
             evaluate_batch(small_model, ["moments"], seed=np.random.default_rng(1))
 
+
+    def test_requests_reading_one_distribution_convolve_once(self, small_model, monkeypatch):
+        from repro.core import pfd_distribution
+
+        calls = []
+        original = pfd_distribution.convolve_two_points
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pfd_distribution, "convolve_two_points", counting)
+        requests = ["exact", ("exact", {"level": 0.999}), "tail-quantile"]
+        batched = evaluate_batch(small_model, requests, seed=5)
+        assert len(calls) == 1
+        separate = [evaluate(small_model, "exact"), evaluate(small_model, "exact", level=0.999),
+                    evaluate(small_model, "tail-quantile")]
+        assert len(calls) == 4
+        assert [json.dumps(result.to_dict()["metrics"]) for result in batched] == [
+            json.dumps(result.to_dict()["metrics"]) for result in separate
+        ]
 
 class TestBatchCoalescing:
     """Identical work items compute once; the result fans out per request."""

@@ -13,6 +13,7 @@ from repro.core.pfd_distribution import (
     pfd_exceedance_probability,
     pfd_percentile,
     prob_pfd_zero,
+    shared_distributions,
 )
 
 
@@ -48,6 +49,39 @@ class TestExactDistribution:
         with pytest.raises(ValueError):
             exact_pfd_distribution(small_model, 0)
 
+
+
+class TestSharedDistributions:
+    def test_repeat_call_returns_the_computed_object(self, small_model: FaultModel):
+        with shared_distributions() as scope:
+            first = exact_pfd_distribution(small_model, 2)
+            equal = FaultModel(p=small_model.p.copy(), q=small_model.q.copy())
+            again = exact_pfd_distribution(equal, 2)
+            other = exact_pfd_distribution(small_model, 1)
+            capped = exact_pfd_distribution(small_model, 2, max_support=4)
+        assert again is first
+        assert other is not first and capped is not first
+        assert (scope.computed, scope.shared) == (3, 1)
+        assert not first.support.flags.writeable
+        assert not first.probabilities.flags.writeable
+        fresh = exact_pfd_distribution(small_model, 2)
+        np.testing.assert_array_equal(fresh.probabilities, first.probabilities)
+        np.testing.assert_array_equal(fresh.support, first.support)
+
+    def test_nothing_is_kept_outside_a_scope(self, small_model: FaultModel):
+        with shared_distributions():
+            inside = exact_pfd_distribution(small_model, 2)
+        assert exact_pfd_distribution(small_model, 2) is not inside
+        assert exact_pfd_distribution(small_model, 2) is not exact_pfd_distribution(small_model, 2)
+
+    def test_nested_scope_starts_empty(self, small_model: FaultModel):
+        with shared_distributions() as outer:
+            first = exact_pfd_distribution(small_model, 2)
+            with shared_distributions() as inner:
+                assert exact_pfd_distribution(small_model, 2) is not first
+            assert exact_pfd_distribution(small_model, 2) is first
+        assert (inner.computed, inner.shared) == (1, 0)
+        assert (outer.computed, outer.shared) == (1, 1)
 
 class TestExceedanceAndPercentile:
     def test_exceedance_simple_case(self):

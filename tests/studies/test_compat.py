@@ -3,9 +3,8 @@
 The unified-API refactor moved method dispatch from per-consumer tables into
 :class:`repro.api.MethodRegistry`.  Two things must survive it byte for byte:
 
-* the deprecated entry points (``repro.studies.evaluate_point``, the
-  ``repro simulate`` subcommand) keep producing identical output, now with a
-  ``DeprecationWarning``;
+* the deprecated ``repro simulate`` subcommand keeps producing identical
+  output, now with a ``DeprecationWarning``;
 * study cache digests: the digests below were recorded by running
   ``plan_study`` on the *pre-registry* implementation (commit f421fea), so a
   warm cache written by the old dispatch must be served untouched by the new
@@ -18,15 +17,7 @@ import json
 
 import pytest
 
-from repro.studies import (
-    MethodSpec,
-    ResultCache,
-    StudySpec,
-    evaluate_point,
-    evaluate_study_point,
-    plan_study,
-    run_study,
-)
+from repro.studies import ResultCache, StudySpec, plan_study, run_study
 
 COMPAT_SPEC = {
     "name": "compat-study",
@@ -148,14 +139,6 @@ class TestBatchedDispatchCompat:
 
 
 class TestDeprecatedShims:
-    def test_evaluate_point_warns_and_matches_new_output(self, small_model):
-        base = {"model": small_model.to_dict()}
-        method = MethodSpec(name="montecarlo", options=(("replications", 500),))
-        fresh = evaluate_study_point(base, {}, method, (7, 99))
-        with pytest.warns(DeprecationWarning, match="evaluate_point is deprecated"):
-            legacy = evaluate_point(base, {}, method, (7, 99))
-        assert legacy == fresh
-
     def test_simulate_cli_warns_and_output_is_unchanged(self, tmp_path, capsys, small_model):
         from repro.cli import main
         from repro.montecarlo.engine import MonteCarloEngine

@@ -253,6 +253,111 @@ class TestBatchedDispatch:
         assert summary["batch"] is False
 
 
+
+def shared_spec_dict() -> dict:
+    """Four point models, each read by ``exact`` at two levels and ``tail-quantile``."""
+    data = base_spec_dict()
+    data["sweep"]["grid"].append({"name": "level", "values": [0.99, 0.999]})
+    data["methods"] = [{"name": "exact"}, {"name": "tail-quantile"}]
+    return data
+
+
+@pytest.fixture
+def convolutions(tmp_path, monkeypatch):
+    """Log every exact-distribution kernel run to a file, pool workers included.
+
+    Returns a function reading the logged runs as ``(n, p digest)`` pairs.
+    """
+    import hashlib
+
+    from repro.core import pfd_distribution
+
+    log = tmp_path / "convolutions.log"
+    log.touch()
+    original = pfd_distribution.convolve_two_points
+
+    def logging(values, probabilities, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            digest = hashlib.sha256(probabilities.tobytes()).hexdigest()[:16]
+            handle.write(f"{values.size} {digest}\n")
+        return original(values, probabilities, *args, **kwargs)
+
+    monkeypatch.setattr(pfd_distribution, "convolve_two_points", logging)
+    return lambda: log.read_text(encoding="utf-8").splitlines()
+
+
+class TestSharedDistributions:
+    """One exact PFD distribution per point model and study task."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_point_model_is_convolved_once(self, tmp_path, convolutions, jobs):
+        spec = StudySpec.from_dict(shared_spec_dict())
+        result = run_study(spec, cache_dir=str(tmp_path / "cache"), jobs=jobs)
+        assert result.summary["computed"] == 16
+        runs = convolutions()
+        assert len(runs) == len(set(runs)) == 4
+
+    def test_records_equal_scalar_dispatch_and_lone_evaluate(self, tmp_path):
+        from repro import evaluate
+        from repro.experiments.scenarios import get_scenario
+
+        spec = StudySpec.from_dict(shared_spec_dict())
+        shared = run_study(spec, cache_dir=str(tmp_path / "shared"), jobs=2)
+        scalar = run_study(spec, cache_dir=str(tmp_path / "scalar"), batch=False)
+        # sort_keys: the two dispatch paths order metric keys differently.
+        assert json.dumps(shared.records, sort_keys=True) == json.dumps(
+            scalar.records, sort_keys=True
+        )
+        metric_names = {
+            "exact": lambda name: name.startswith("exact_"),
+            "tail-quantile": lambda name: name.startswith("tail_"),
+        }
+        for row in shared.records:
+            model = get_scenario("many-small-faults", n=row["n"]).rescaled(p_scale=row["p_scale"])
+            lone = evaluate(model, row["method"], level=row["level"]).metric_dict()
+            metrics = {key: value for key, value in row.items() if metric_names[row["method"]](key)}
+            assert json.dumps(metrics, sort_keys=True) == json.dumps(lone, sort_keys=True)
+
+    def test_partly_warm_cache_computes_each_missing_distribution_once(
+        self, tmp_path, convolutions
+    ):
+        from repro.studies import ResultCache
+
+        spec = StudySpec.from_dict(shared_spec_dict())
+        cache_dir = tmp_path / "cache"
+        cold = run_study(spec, cache_dir=str(cache_dir))
+        planned = plan_study(spec)
+
+        def entry(method, n, level):
+            return next(
+                item for item in planned
+                if item.point.method.name == method
+                and item.point.param_dict() == {"n": n, "p_scale": 0.5, "level": level}
+            )
+
+        evicted = [entry("exact", 10, 0.99), entry("tail-quantile", 10, 0.999),
+                   entry("tail-quantile", 20, 0.99)]
+        for item in evicted:
+            ResultCache(cache_dir).path_for(item.digest).unlink()
+        before = len(convolutions())
+        partial = run_study(spec, cache_dir=str(cache_dir), jobs=2)
+        assert partial.summary["computed"] == 3
+        runs = convolutions()[before:]
+        # Two point models lost records: (n=10, p_scale=0.5) and (n=20, p_scale=0.5).
+        assert len(runs) == len(set(runs)) == 2
+        assert sorted(int(run.split()[0]) for run in runs) == [10, 20]
+        assert partial.records == cold.records
+
+    def test_lone_evaluations_share_nothing(self, convolutions):
+        from repro import evaluate
+        from repro.experiments.scenarios import get_scenario
+
+        model = get_scenario("many-small-faults", n=10)
+        first = evaluate(model, "exact")
+        second = evaluate(model, "tail-quantile")
+        assert len(convolutions()) == 2
+        assert first["exact_support"] == second["tail_support"]
+
 class TestSeeding:
     def test_seeds_are_content_keyed_not_positional(self):
         # Reversing an axis must not change any point's seed entropy.

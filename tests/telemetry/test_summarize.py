@@ -127,6 +127,21 @@ class TestFormatSummary:
         assert "trace7" in text and "trace5" in text
         assert "trace0" not in text
 
+    def test_counter_attributes_are_summed_and_reported(self):
+        events = [
+            _event("study.group", "t1", 4.0,
+                   attrs={"distributions_computed": 3, "distributions_shared": 6}),
+            _event("study.group", "t2", 2.0,
+                   attrs={"distributions_computed": 1, "distributions_shared": 2}),
+            _event("study.group", "t3", 1.0, attrs={"group_size": 5}),
+        ]
+        summary = summarize_events(events)
+        assert summary["counters"] == {"distributions_computed": 4, "distributions_shared": 8}
+        assert "counters: distributions_computed=4  distributions_shared=8" in format_summary(
+            summary
+        )
+        assert "counters" not in format_summary(summarize_events(events[2:]))
+
     def test_empty_capture_renders_without_tables(self):
         text = format_summary(summarize_events([]))
         assert "events: 0" in text
