@@ -881,6 +881,54 @@ def workload_telemetry_fleet_overhead(quick: bool) -> dict:
     }
 
 
+#: Entry points timed by ``cold_start``: the numpy floor, then the two repro
+#: entry points every CLI, service and study process starts with.
+COLD_START_IMPORTS = ("numpy", "repro.cli", "repro.studies")
+
+_COLD_START_PROBE = (
+    "import json, resource, sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+    "usage = resource.getrusage(resource.RUSAGE_SELF); "
+    "print(json.dumps({{'cpu_s': usage.ru_utime + usage.ru_stime, "
+    "'max_rss_mb': usage.ru_maxrss / 1024.0, "
+    "'scipy_loaded': any(name.split('.')[0] == 'scipy' for name in sys.modules)}}))"
+)
+
+
+def workload_cold_start(quick: bool) -> dict:
+    """Start-up cost of a fresh interpreter importing each entry point.
+
+    Every CLI call, shard, router, pool worker and study process pays this
+    before its first evaluation.  Each import runs in its own fresh
+    subprocess, three times; the record keeps the best CPU and RSS of the
+    three and whether any run loaded scipy (only the normal-approximation
+    methods need it, and they import it on first use).
+    """
+    runs = 3
+    src = str(REPO_ROOT / "src")
+    imports = {}
+    for module in COLD_START_IMPORTS:
+        samples = []
+        for _ in range(runs):
+            completed = subprocess.run(
+                [sys.executable, "-c", _COLD_START_PROBE.format(module=module), src],
+                capture_output=True, text=True, check=True, timeout=300,
+            )
+            samples.append(json.loads(completed.stdout))
+        imports[module] = {
+            "cpu_s": round(min(sample["cpu_s"] for sample in samples), 3),
+            "max_rss_mb": round(min(sample["max_rss_mb"] for sample in samples), 1),
+            "scipy_loaded": any(sample["scipy_loaded"] for sample in samples),
+        }
+    return {
+        "runs": runs,
+        "imports": imports,
+        "cli_vs_numpy_cpu_ratio": round(
+            imports["repro.cli"]["cpu_s"] / imports["numpy"]["cpu_s"], 2
+        ),
+        "peak_rss_mb": round(_peak_rss_mb(), 1),
+    }
+
+
 WORKLOADS = {
     "single": workload_single,
     "paired": workload_paired,
@@ -896,6 +944,7 @@ WORKLOADS = {
     "dispatch": workload_dispatch,
     "telemetry_overhead": workload_telemetry_overhead,
     "telemetry_fleet_overhead": workload_telemetry_fleet_overhead,
+    "cold_start": workload_cold_start,
 }
 
 
@@ -1054,6 +1103,22 @@ def check_record(record: dict) -> list[str]:
         (
             "telemetry_fleet_overhead scrape beat stays off the hot path",
             lambda: value("telemetry_fleet_overhead", "scrape_cpu_percent") < 5.0,
+        ),
+        # Only the normal-approximation methods need scipy, and they import
+        # it on first use; an entry point that loads it at import time pays
+        # ~1 s CPU and ~60 MB in every process.  The CPU ratio to a bare
+        # numpy import is taken within one record, so it holds on any host.
+        (
+            "cold_start repro.cli import loads no scipy",
+            lambda: value("cold_start", "imports")["repro.cli"]["scipy_loaded"] is False,
+        ),
+        (
+            "cold_start repro.studies import loads no scipy",
+            lambda: value("cold_start", "imports")["repro.studies"]["scipy_loaded"] is False,
+        ),
+        (
+            "cold_start repro.cli import CPU <= 4x import numpy",
+            lambda: value("cold_start", "cli_vs_numpy_cpu_ratio") <= 4.0,
         ),
     ]
     failures = []

@@ -98,7 +98,7 @@ class ResultCache:
             )
             try:
                 with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, sort_keys=True)
+                    handle.write(json.dumps(entry, sort_keys=True))
                 os.replace(temp_name, path)
             except BaseException:
                 try:

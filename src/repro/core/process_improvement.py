@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.fault_model import FaultModel
 from repro.core.no_common_faults import prob_any_common_fault, prob_any_fault, risk_ratio
@@ -140,6 +139,8 @@ def single_fault_reversal_point(
     derivative_low, derivative_high = derivative_at(low), derivative_at(high)
     if np.sign(derivative_low) == np.sign(derivative_high):
         return None
+    from scipy import optimize
+
     root = optimize.brentq(derivative_at, low, high, xtol=tolerance)
     return float(root)
 

@@ -20,12 +20,14 @@ Profiles provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.demandspace.space import ContinuousDemandSpace, DiscreteDemandSpace
+
+if TYPE_CHECKING:
+    from scipy import stats as sps
 
 __all__ = [
     "OperationalProfile",
@@ -98,6 +100,8 @@ class TruncatedNormalMarginal:
             raise ValueError(f"lower ({self.lower}) must be below upper ({self.upper})")
 
     def _distribution(self) -> sps.rv_continuous:
+        from scipy import stats as sps
+
         a = (self.lower - self.mean) / self.std
         b = (self.upper - self.mean) / self.std
         return sps.truncnorm(a, b, loc=self.mean, scale=self.std)

@@ -31,6 +31,15 @@ __all__ = ["BackoffPolicy", "RETRYABLE_STATUSES", "ServiceClient", "ServiceError
 #: fault (4xx) or a typed evaluation failure a retry would only repeat.
 RETRYABLE_STATUSES = frozenset({429, 503})
 
+#: Failures of a reused keep-alive connection that mean the server closed it
+#: between calls; only these are retried on a fresh connection.
+_STALE_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+    ConnectionAbortedError,
+)
+
 
 class ServiceError(RuntimeError):
     """A non-2xx service response, fully typed.
@@ -249,29 +258,33 @@ class ServiceClient:
     def _exchange(self, verb: str, path: str, body: bytes | None, headers: dict):
         """One request/response over this thread's connection.
 
-        A *reused* connection that fails at the transport layer is presumed
-        stale -- the server closed it between calls, which HTTP/1.1
-        keep-alive explicitly allows -- so it is dropped and the exchange
-        retried once on a fresh connection (counted in ``reconnects``).  A
-        *fresh* connection failing the same way is a real transport error
-        and propagates to the retry loop.
+        A *reused* connection that the server closed between calls (which
+        HTTP/1.1 keep-alive explicitly allows) is stale: it is dropped and
+        the exchange retried once on a fresh connection (counted in
+        ``reconnects``).  Only a server-side close counts as stale; any other
+        failure -- a read timeout above all, where the server may still be
+        working on the request -- propagates to the retry loop, as does every
+        failure of a *fresh* connection.
         """
         connection, reused = self._connection()
         try:
             connection.request(verb, path, body=body, headers=headers)
             response = connection.getresponse()
             return response, response.read()
-        except (http.client.HTTPException, ConnectionError, TimeoutError, OSError):
+        except _STALE_ERRORS:
             self._drop_connection()
             if not reused:
                 raise
             self._count("reconnects")
+        except (http.client.HTTPException, OSError):
+            self._drop_connection()
+            raise
         connection, _ = self._connection()
         try:
             connection.request(verb, path, body=body, headers=headers)
             response = connection.getresponse()
             return response, response.read()
-        except (http.client.HTTPException, ConnectionError, TimeoutError, OSError):
+        except (http.client.HTTPException, OSError):
             self._drop_connection()
             raise
 
@@ -288,9 +301,10 @@ class ServiceClient:
                 retry_after = error.retry_after
                 last_error = error
             except (ConnectionError, TimeoutError, OSError) as error:
-                # The connection itself failed (refused, reset, timed out):
-                # nothing reached the evaluation layer, so a retry cannot
-                # duplicate work.
+                # The transport failed (refused, reset, timed out).  A reset
+                # or read timeout may come after the server received the
+                # request, so a retry can repeat its work; that is safe
+                # because evaluation is deterministic and idempotent.
                 if attempt >= self.retries:
                     raise
                 last_error = error

@@ -18,6 +18,11 @@ This subpackage provides the probability machinery that the core model in
   (moments and histograms) for chunked / parallel Monte Carlo at replication
   counts where storing every sample is impractical.
 * :mod:`~repro.stats.rng` -- reproducible random-generator management.
+
+Importing this package loads numpy only.  The scipy-backed helpers (the
+normal CDF and quantile, the Poisson-binomial normal approximations and
+normal-theory confidence intervals) import scipy on their first call, so a
+process that never uses them never pays for scipy.
 """
 
 from repro.stats.discrete import DiscreteDistribution

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "normal_cdf",
@@ -38,11 +37,15 @@ BERRY_ESSEEN_CONSTANT = 0.5600
 
 def normal_cdf(x: float) -> float:
     """Standard normal cumulative distribution function."""
+    from scipy import stats as sps
+
     return float(sps.norm.cdf(x))
 
 
 def normal_quantile(level: float) -> float:
     """Standard normal quantile (inverse CDF) at probability ``level``."""
+    from scipy import stats as sps
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     return float(sps.norm.ppf(level))

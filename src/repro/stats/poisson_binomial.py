@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["PoissonBinomial"]
 
@@ -161,6 +160,8 @@ class PoissonBinomial:
         Used to study how well central-limit-theorem style reasoning (the basis
         of the paper's Section 5) describes the fault-count distribution.
         """
+        from scipy import stats as sps
+
         variance = self.variance()
         if variance == 0.0:
             return 1.0 if k >= self.mean() else 0.0
@@ -176,6 +177,8 @@ class PoissonBinomial:
         normal approximation when the component probabilities are small and the
         distribution is noticeably skewed.
         """
+        from scipy import stats as sps
+
         variance = self.variance()
         if variance == 0.0:
             return 1.0 if k >= self.mean() else 0.0

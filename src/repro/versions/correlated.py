@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.core.fault_model import FaultModel
 from repro.versions.generation import DevelopmentProcess
@@ -160,6 +159,8 @@ class CopulaDevelopmentProcess(DevelopmentProcess):
             raise ValueError(f"count must be non-negative, got {count}")
         if count == 0:
             return np.zeros((0, self.model.n), dtype=bool)
+        from scipy import stats as sps
+
         thresholds = sps.norm.ppf(np.clip(self.model.p, 1e-15, 1.0 - 1e-15))
         loading = np.sqrt(abs(self.correlation))
         residual_scale = np.sqrt(1.0 - abs(self.correlation))

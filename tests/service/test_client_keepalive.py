@@ -10,6 +10,7 @@ from __future__ import annotations
 import http.server
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -76,7 +77,57 @@ class _OneShotHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _FreezingHandler(http.server.BaseHTTPRequestHandler):
+    """Answers the first request it sees, then freezes on every later one
+    until ``release`` is set -- a gray failure: the server holds the
+    connection open but never replies."""
+
+    protocol_version = "HTTP/1.1"
+    requests = 0
+    release = threading.Event()
+
+    def do_GET(self):
+        type(self).requests += 1
+        if type(self).requests > 1:
+            type(self).release.wait(10.0)
+            return
+        body = json.dumps({"status": "ok"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestReconnect:
+    def test_read_timeout_on_kept_alive_connection_is_not_resent(self):
+        """A timeout after the request went out is not a stale connection:
+        the server has the request, so re-sending it would duplicate work
+        and stretch the call past its timeout."""
+        handler = type("Handler", (_FreezingHandler,), {"release": threading.Event()})
+        stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        timeout = 0.3
+        try:
+            client = ServiceClient(port=stub.server_address[1], timeout=timeout, retries=0)
+            assert client.health()["status"] == "ok"  # opens the kept-alive connection
+            started = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                client.health()
+            assert time.perf_counter() - started < 1.5 * timeout
+            assert handler.requests == 2
+            assert client.stats["reconnects"] == 0
+            client.close()
+        finally:
+            handler.release.set()
+            stub.shutdown()
+            stub.server_close()
+            thread.join(5.0)
+
     def test_stale_kept_alive_connection_reconnects_once(self):
         stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _OneShotHandler)
         thread = threading.Thread(target=stub.serve_forever, daemon=True)

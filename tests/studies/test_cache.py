@@ -85,3 +85,16 @@ class TestResultCache:
         cache.store(digest, {"metrics": {"x": 1.5}})
         raw = cache.path_for(digest).read_text(encoding="utf-8")
         assert json.loads(raw)["metrics"]["x"] == 1.5
+
+    def test_stored_bytes_are_sorted_key_json(self, tmp_path):
+        # The on-disk format: exactly json.dumps(entry, sort_keys=True).
+        cache = ResultCache(tmp_path / "cache")
+        digest = payload_digest({"u": 6})
+        entry = {
+            "metrics": {"mean": 0.1 + 0.2, "tiny": 5e-324, "missing": None},
+            "payload": {"model": {"names": ["Ärger", "故障"], "p": [0.5, 1e-17]}},
+            "options": {"level": 0.99, "nested": {"b": 1, "a": [None, -0.0]}},
+        }
+        cache.store(digest, entry)
+        raw = cache.path_for(digest).read_bytes()
+        assert raw == json.dumps(entry, sort_keys=True).encode("utf-8")
