@@ -145,6 +145,12 @@ class MethodDefinition:
         """Whether the method opted into batched sweep evaluation."""
         return self.evaluate_batch is not None
 
+    @property
+    def shares_work(self) -> bool:
+        """Whether the batched kernel shares work (one random stream) across
+        a sweep's points; a deterministic point depends on that point alone."""
+        return self.supports_batch and self.requires_seed
+
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"method name must be a non-empty string, got {self.name!r}")

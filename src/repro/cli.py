@@ -30,9 +30,10 @@ writing any code:
   in parallel against a content-addressed result cache and writes the tidy
   result table as JSON/JSONL/CSV;
 * ``serve`` -- run the evaluation service (:mod:`repro.service`): an asyncio
-  HTTP server that micro-batches concurrent requests into batched kernel
-  calls, with an LRU response cache optionally layered on a disk cache
-  (``--cache-dir``) and on other shards' caches (``--cache-peer``);
+  HTTP server that micro-batches concurrent Monte Carlo sweep points into
+  shared-stream kernel calls, with an LRU response cache optionally layered
+  on a disk cache (``--cache-dir``) and on other shards' caches
+  (``--cache-peer``);
 * ``route`` -- run the shard router (:mod:`repro.cluster`): a consistent-hash
   front that spreads traffic across several ``serve`` shards, fails over
   around dead or saturated ones and fans batches out with order-preserving
@@ -276,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help=(
-            "micro-batching window: how long the first request of a batchable group "
-            "waits for companions (added latency ceiling; default 5)"
+            "micro-batching window: how long the first montecarlo sweep point of a "
+            "group waits for companions sharing its demand stream (added latency "
+            "ceiling; default 5); other methods never wait"
         ),
     )
     serve_parser.add_argument(
@@ -299,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "disable micro-batching: every request takes the scalar repro.evaluate "
-            "path (per-request independent streams, no shared-kernel grouping)"
+            "path (montecarlo points draw independent streams instead of a shared "
+            "one); identical concurrent requests still compute once"
         ),
     )
     serve_parser.add_argument(

@@ -5,9 +5,11 @@ same endpoints, same error bodies) and forwards each request to a backend
 ``repro serve`` shard:
 
 * ``POST /v1/evaluate`` routes by consistent hash of the request's
-  **batch-group digest** (:meth:`ServiceRequest.group_key`), so all
-  groupmates of a batch land on the same shard and its micro-batcher still
-  coalesces them into one kernel call.  The original body bytes are
+  **batch-group digest** (:meth:`ServiceRequest.group_key`).  Only a
+  shared-work method (``montecarlo``) needs that: its sweep points land on
+  one shard, whose micro-batcher windows them into one kernel call.  Every
+  other method's equal-digest requests co-locate under any key, which is
+  all the shard's single flight needs.  The original body bytes are
   forwarded untouched -- the router parses only to validate and route --
   so shard-side digests, and therefore cache keys and results, are
   byte-identical to a direct call;

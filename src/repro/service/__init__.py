@@ -9,10 +9,11 @@ evaluations the sweep kernels make cheap:
   :class:`~repro.api.EvaluationResult` plus the content-addressed request
   identity (digest and batch-group key, shared with the study runner via
   :mod:`repro.grouping`);
-* :mod:`~repro.service.batcher` -- the micro-batcher: requests in flight
-  during a short window that share (model digest, method, options, seed) and
-  differ only in the batchable ``p_scale`` / ``q_scale`` axis are dispatched
-  as *one* batched-kernel call;
+* :mod:`~repro.service.batcher` -- the micro-batcher: shared-work
+  (``montecarlo``) requests in flight during a short window that share
+  (model digest, method, options, seed) and differ only in the batchable
+  ``p_scale`` / ``q_scale`` axis are dispatched as *one* batched-kernel
+  call; every other request dispatches at once;
 * :mod:`~repro.service.worker` -- the picklable execution functions the
   process worker pool runs, byte-identical to :func:`repro.evaluate` /
   :func:`repro.evaluate_sweep`;

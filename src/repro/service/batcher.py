@@ -1,22 +1,24 @@
-"""The micro-batcher: concurrent requests become batched kernel calls.
+"""The micro-batcher: concurrent sweep points become one shared-work kernel call.
 
-Requests arriving while others are in flight rarely have *nothing* in
-common: a sweep-style client (or several clients scanning the same model)
-issues many requests that agree on everything except the batchable
-``p_scale`` / ``q_scale`` transforms.  The batcher holds each batchable
-request for a short window (``--batch-window-ms``) keyed by its batch-group
+Only a kernel that *shares work* across a sweep's points gains from
+grouping them: the Monte Carlo common-random-numbers sweep scores every
+point against one shared demand stream
+(:attr:`~repro.api.registry.MethodDefinition.shares_work`).  Such a request
+waits a short window (``--batch-window-ms``) keyed by its batch-group
 digest -- the same (model content, method, options, seed) grouping the study
-runner uses for cache-miss sweep points -- and dispatches every group as
-*one* :func:`repro.service.worker.evaluate_group` call: one shared-demand
-Monte Carlo pass instead of N scalar evaluations, or one pool job looping the
-scalar exact kernel, whose records equal the lone requests' byte for byte.
+runner uses for cache-miss sweep points -- and every group dispatches as
+*one* :func:`repro.service.worker.evaluate_group` call.
 
-Grouping never changes *whether* an answer is right, only which equally
-valid estimator produced it (see the README's CRN notes): a lone request, a
-group whose kernel declined, and every non-batchable method dispatch through
-the exact scalar :func:`repro.evaluate` path; duplicate requests inside a
-group (same digest) are coalesced -- computed once, fanned out to every
-waiter.
+Every other request -- a deterministic method, whose per-point answer
+depends only on that point, or any request under ``--no-batch`` --
+dispatches at once through the scalar :func:`repro.evaluate` path.  So does
+a lone window, and a group whose kernel declined answers with the same
+bytes.  Grouping never changes *whether* an answer is right, only which
+equally valid estimator produced it (see the README's CRN notes).
+
+Windows never hold duplicates: the server's single-flight table
+(:class:`~repro.service.server.EvaluationServer`) coalesces equal-digest
+requests before they reach the batcher.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = ["MicroBatcher"]
 @dataclass
 class _Job:
     request: ServiceRequest
-    digest: str
     future: asyncio.Future
     #: Stamped at submit so the flush can report how long this job sat in
     #: the open batching window -- the latency the window *added*.
@@ -54,7 +55,7 @@ class _PendingGroup:
 
 
 class MicroBatcher:
-    """Collects in-flight batchable requests and dispatches them per group.
+    """Windows shared-work requests per group; dispatches the rest at once.
 
     Parameters
     ----------
@@ -62,23 +63,24 @@ class MicroBatcher:
         ``async (function, arguments) -> result``: how work reaches the
         executor (the server wraps ``loop.run_in_executor``).
     window_seconds:
-        How long the *first* request of a group waits for companions.  The
-        window bounds added latency; it does not delay non-batchable
-        requests, which dispatch immediately.
+        How long the *first* request of a shared-work group waits for
+        companions.  The window bounds added latency; requests whose kernel
+        shares no work never wait in it.
     batch:
-        ``False`` disables grouping entirely (``repro serve --no-batch``):
+        ``False`` disables windows entirely (``repro serve --no-batch``):
         every request takes the scalar path, byte-identical to
-        :func:`repro.evaluate`.
+        :func:`repro.evaluate`, so ``montecarlo`` requests draw independent
+        streams instead of a shared one.
     on_group:
-        Optional ``(group_size, unique, batched)`` callback invoked per
-        dispatch, feeding the server's ``/metrics`` counters.
+        Optional ``(group_size, batched)`` callback invoked per dispatch,
+        feeding the server's ``/metrics`` counters.
     on_fallback:
         Optional zero-argument callback invoked when a batched group call
         failed and the group was re-dispatched point by point (the
         ``group_fallbacks`` metric).
     metrics:
         Optional :class:`~repro.telemetry.metrics.MetricsRegistry` receiving
-        the ``batch_window_wait_seconds`` histogram (how long each batched
+        the ``batch_window_wait_seconds`` histogram (how long each windowed
         job sat in its window before dispatch).
     """
 
@@ -88,7 +90,7 @@ class MicroBatcher:
         *,
         window_seconds: float = 0.005,
         batch: bool = True,
-        on_group: Callable[[int, int, bool], None] | None = None,
+        on_group: Callable[[int, bool], None] | None = None,
         on_fallback: Callable[[], None] | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -108,19 +110,18 @@ class MicroBatcher:
         """Requests currently waiting in an open batching window."""
         return sum(len(group.jobs) for group in self._pending.values())
 
-    async def submit(self, request: ServiceRequest, digest: str) -> tuple[dict, dict]:
+    async def submit(self, request: ServiceRequest) -> tuple[dict, dict]:
         """Serve one request; returns ``(wire record, served metadata)``.
 
-        Batchable requests (method registered a kernel, batching enabled)
-        wait up to the window for groupmates; everything else dispatches
+        A request whose kernel shares work (with batching enabled) waits up
+        to the window for groupmates; everything else dispatches
         immediately on the scalar path.
         """
-        if not (self.batch and request.supports_batch):
-            return await self._dispatch_single(request, group_size=1)
+        if not (self.batch and request.shares_work):
+            return await self._dispatch_single(request)
         loop = asyncio.get_running_loop()
         job = _Job(
             request=request,
-            digest=digest,
             future=loop.create_future(),
             submitted=time.perf_counter(),
             trace=telemetry.current_trace_id(),
@@ -143,13 +144,12 @@ class MicroBatcher:
         self._flush_tasks.add(task)
         task.add_done_callback(self._flush_tasks.discard)
 
-    async def _dispatch_single(
-        self, request: ServiceRequest, group_size: int
-    ) -> tuple[dict, dict]:
+    async def _dispatch_single(self, request: ServiceRequest) -> tuple[dict, dict]:
+        """One scalar evaluation, dispatched as a group of one."""
         record = await self._run(worker.evaluate_single, request.single_arguments())
         if self._on_group is not None:
-            self._on_group(group_size, 1, False)
-        return record, {"batched": False, "group_size": group_size}
+            self._on_group(1, False)
+        return record, {"batched": False, "group_size": 1}
 
     async def _flush(self, key: str) -> None:
         group = self._pending.pop(key, None)
@@ -159,93 +159,65 @@ class MicroBatcher:
             group.timer.cancel()
         jobs = group.jobs
         self._record_window_waits(jobs)
-        # Coalesce duplicates (same request digest) into one variation
-        # slot, preserving first-seen order -- the batched kernel sees
-        # each distinct point once and every waiter gets its result.
-        slot_by_digest: dict[str, int] = {}
-        variations: list[dict] = []
-        positions: list[int] = []
-        for job in jobs:
-            slot = slot_by_digest.get(job.digest)
-            if slot is None:
-                slot = slot_by_digest[job.digest] = len(variations)
-                variations.append(
-                    {"p_scale": job.request.p_scale, "q_scale": job.request.q_scale}
-                )
-            positions.append(slot)
-        if len(variations) == 1:
-            # A single distinct point gains nothing from the kernel and
-            # must not depend on how many duplicates asked for it.
-            try:
-                record, meta = await self._dispatch_single(
-                    jobs[0].request, group_size=len(jobs)
-                )
-            except Exception as error:  # noqa: BLE001 - fanned out to every waiter
-                self._fan_exception(jobs, error)
-                return
-            self._fan_result(jobs, record, meta)
+        if len(jobs) == 1:
+            # A lone point gains nothing from the kernel: its value must be
+            # the lone request's.
+            await self._settle(jobs[0], self._dispatch_single(jobs[0].request))
             return
+        variations = tuple(
+            {"p_scale": job.request.p_scale, "q_scale": job.request.q_scale} for job in jobs
+        )
         try:
             # The flush task inherits the window opener's context (the timer
             # was scheduled from the first submit), so this span lands in the
             # first job's trace; every job's own trace still gets its
             # window-wait event above.
             with telemetry.span(
-                "batcher.dispatch",
-                group_size=len(jobs),
-                unique=len(variations),
-                method=jobs[0].request.method,
+                "batcher.dispatch", group_size=len(jobs), method=jobs[0].request.method
             ):
                 used_batch, records = await self._run(
-                    worker.evaluate_group, jobs[0].request.group_arguments(tuple(variations))
+                    worker.evaluate_group, jobs[0].request.group_arguments(variations)
                 )
-            if len(records) != len(variations):
+            if len(records) != len(jobs):
                 raise TypeError(
                     f"group evaluation returned {len(records)} records "
-                    f"for {len(variations)} variations"
+                    f"for {len(jobs)} variations"
                 )
         except Exception:  # noqa: BLE001 - isolated below, point by point
             # Group isolation: one bad point (or one crashed group job) must
-            # not poison its groupmates.  Re-dispatch every distinct point on
-            # the scalar path -- byte-identical to repro.evaluate, the same
+            # not poison its groupmates.  Re-dispatch every point on the
+            # scalar path -- byte-identical to repro.evaluate, the same
             # contract as a declined kernel -- so only the genuinely failing
             # points answer with errors.
             if self._on_fallback is not None:
                 self._on_fallback()
-            await self._fallback_scalar(jobs, positions)
-            return
-        meta = {"batched": used_batch, "group_size": len(jobs)}
-        if self._on_group is not None:
-            self._on_group(len(jobs), len(variations), used_batch)
-        for job, slot in zip(jobs, positions):
-            if not job.future.done():
-                job.future.set_result((records[slot], meta))
-
-    async def _fallback_scalar(self, jobs: list[_Job], positions: list[int]) -> None:
-        """Per-point scalar re-dispatch after a failed group call.
-
-        Each distinct point is evaluated once (duplicates still coalesce);
-        a point whose scalar evaluation also fails answers only its own
-        waiters with that error.
-        """
-        by_slot: dict[int, list[_Job]] = {}
-        for job, slot in zip(jobs, positions):
-            by_slot.setdefault(slot, []).append(job)
-
-        async def serve_slot(slot_jobs: list[_Job]) -> None:
-            try:
-                record = await self._run(
-                    worker.evaluate_single, slot_jobs[0].request.single_arguments()
-                )
-            except Exception as error:  # noqa: BLE001 - this slot's waiters only
-                self._fan_exception(slot_jobs, error)
-                return
             meta = {"batched": False, "group_size": len(jobs), "fallback": True}
-            self._fan_result(slot_jobs, record, meta)
 
-        await asyncio.gather(*(serve_slot(slot_jobs) for slot_jobs in by_slot.values()))
+            async def scalar(request: ServiceRequest) -> tuple[dict, dict]:
+                return await self._run(worker.evaluate_single, request.single_arguments()), meta
+
+            await asyncio.gather(*(self._settle(job, scalar(job.request)) for job in jobs))
+            if self._on_group is not None:
+                self._on_group(len(jobs), False)
+            return
         if self._on_group is not None:
-            self._on_group(len(jobs), len(by_slot), False)
+            self._on_group(len(jobs), used_batch)
+        meta = {"batched": used_batch, "group_size": len(jobs)}
+        for job, record in zip(jobs, records):
+            if not job.future.done():
+                job.future.set_result((record, meta))
+
+    @staticmethod
+    async def _settle(job: _Job, dispatch: Awaitable[tuple[dict, dict]]) -> None:
+        """Resolve ``job``'s waiter with ``dispatch``'s outcome, error included."""
+        try:
+            outcome = await dispatch
+        except Exception as error:  # noqa: BLE001 - this job's waiter only
+            if not job.future.done():
+                job.future.set_exception(error)
+            return
+        if not job.future.done():
+            job.future.set_result(outcome)
 
     def _record_window_waits(self, jobs: list[_Job]) -> None:
         """Report how long each job sat in the batching window.
@@ -267,15 +239,3 @@ class MicroBatcher:
                     trace_id=job.trace or telemetry.new_trace_id(),
                     group_size=len(jobs),
                 )
-
-    @staticmethod
-    def _fan_result(jobs: list[_Job], record: dict, meta: dict) -> None:
-        for job in jobs:
-            if not job.future.done():
-                job.future.set_result((record, meta))
-
-    @staticmethod
-    def _fan_exception(jobs: list[_Job], error: BaseException) -> None:
-        for job in jobs:
-            if not job.future.done():
-                job.future.set_exception(error)

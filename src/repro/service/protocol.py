@@ -65,7 +65,8 @@ class ServiceRequest:
     p_scale: float = 1.0
     q_scale: float = 1.0
     requires_seed: bool = False
-    supports_batch: bool = False
+    #: Only requests whose kernel shares work wait in a batching window.
+    shares_work: bool = False
     #: Per-request deadline in milliseconds (``None``: the server default).
     #: Delivery metadata, not content: it never enters the digest, the group
     #: key or the cache payload, so a request with a deadline hits the same
@@ -247,7 +248,7 @@ def parse_evaluate_payload(payload) -> ServiceRequest:
         p_scale=p_scale,
         q_scale=q_scale,
         requires_seed=definition.requires_seed,
-        supports_batch=definition.supports_batch,
+        shares_work=definition.shares_work,
         timeout_ms=parse_timeout_ms(payload.get("timeout_ms")),
     )
 

@@ -25,7 +25,9 @@ other's entries after a local LRU + disk miss, so a shard warmed by studies
 or earlier traffic answers for a cold one without recomputation.
 
 Request handling is fully asynchronous: each connection is a task, each
-``/v1/evaluate`` awaits the micro-batcher, and every evaluation runs on an
+``/v1/evaluate`` cache miss joins the single-flight task for its digest (one
+per digest: it probes the disk and remote tiers, computes through the
+micro-batcher and stores the record), and every evaluation runs on an
 executor (process pool with ``workers >= 1``, a thread pool in-process
 otherwise), so slow evaluations never stall the accept loop, ``/healthz`` or
 ``/metrics``.
@@ -127,11 +129,13 @@ class EvaluationServer(HttpApp):
         Process-pool size for evaluations; ``0`` evaluates in server-side
         threads (no pickling, fine for tests and small deployments).
     batch_window_ms:
-        Micro-batching window: how long the first request of a batchable
-        group waits for companions (the added latency ceiling).
+        Micro-batching window: how long the first request of a shared-work
+        group (``montecarlo`` sweep points) waits for companions (the added
+        latency ceiling).  Every other method dispatches at once.
     batch:
         ``False`` disables micro-batching; every request takes the scalar
-        :func:`repro.evaluate` path.
+        :func:`repro.evaluate` path (``montecarlo`` points draw independent
+        streams).  Equal-digest requests coalesce either way.
     cache_dir:
         Optional disk tier for the response cache (the shared
         content-addressed :class:`~repro.cache.ResultCache` format).
@@ -232,6 +236,8 @@ class EvaluationServer(HttpApp):
         for name in _HISTOGRAM_NAMES:
             self.registry.histogram(name)
         self._worker_metrics = MetricsRegistry()
+        # Single flight: one task per digest in flight, joined by its duplicates.
+        self._flights: dict[str, asyncio.Task] = {}
         self.batcher = MicroBatcher(
             self._run_in_pool,
             window_seconds=batch_window_ms / 1000.0,
@@ -307,10 +313,9 @@ class EvaluationServer(HttpApp):
             self._slots_loop = loop
         return self._slots
 
-    def _record_group(self, group_size: int, unique: int, batched: bool) -> None:
+    def _record_group(self, group_size: int, batched: bool) -> None:
         self.registry.inc("dispatched_groups")
-        self.registry.inc("evaluations_computed", unique)
-        self.registry.inc("coalesced_requests", group_size - unique)
+        self.registry.inc("evaluations_computed", group_size)
         self.registry.set_max("max_group_size", group_size)
         if batched and group_size >= 2:
             self.registry.inc("batched_groups")
@@ -337,50 +342,48 @@ class EvaluationServer(HttpApp):
         request = parse_evaluate_payload(payload)
         self.registry.inc("evaluate_requests")
         digest = request.digest()
-        with telemetry.span("server.cache_probe") as probe:
-            record = self.cache.get_local(digest)
+        flight = self._flights.get(digest)
+        if flight is not None:
+            self.registry.inc("coalesced_requests")
+        else:
+            with telemetry.span("server.cache_probe") as probe:
+                record = self.cache.get_local(digest)
+                probe.set(tier="miss" if record is None else "lru")
             if record is not None:
-                probe.set(tier="lru")
                 self.registry.inc("cache_hits_lru")
                 return {"result": record, "served": {"cached": "lru", "batched": False, "group_size": 0}}
-            # Disk-tier file I/O runs on the default thread executor: the
-            # event loop (accept loop, /healthz, in-flight responses) must
-            # never wait on a slow disk.
-            metrics = None
+            flight = self._flights[digest] = asyncio.ensure_future(self._resolve(request, digest))
+            flight.add_done_callback(lambda _: self._flights.pop(digest))
+        # A waiter's cancellation must not cancel a flight other waiters share.
+        return await asyncio.shield(flight)
+
+    async def _resolve(self, request, digest: str) -> dict:
+        """One digest's single flight: the shared tiers, else compute; then store."""
+        # The disk tier, then peer shards' /v1/cache surface: file and
+        # network I/O, both on the default thread executor -- the event loop
+        # (accept loop, /healthz, in-flight responses) must never wait on it.
+        metrics = cached = None
+        with telemetry.span("server.shared_tier_probe") as probe:
             if self.cache.disk is not None:
                 metrics = await self._in_io_thread(self.cache.get_disk, digest)
-            if metrics is not None:
-                probe.set(tier="disk")
-                self.registry.inc("cache_hits_disk")
-                record = request.result_record(metrics)
-                self.cache.put_local(digest, record)
-                return {"result": record, "served": {"cached": "disk", "batched": False, "group_size": 0}}
-            # The shared remote tier: peer shards' /v1/cache surface, probed
-            # only after both local tiers missed (network I/O, also off the
-            # event loop).  A hit back-fills LRU and disk so each key is
-            # fetched from a peer at most once.
-            if self.cache.remote is not None:
+                cached = "disk" if metrics is not None else None
+            if cached is None and self.cache.remote is not None:
                 self.registry.inc("remote_cache_probes")
                 metrics = await self._in_io_thread(self.cache.get_remote, digest)
-            if metrics is not None:
-                probe.set(tier="remote")
-                self.registry.inc("cache_hits_remote")
-                record = request.result_record(metrics)
-                self.cache.put_local(digest, record)
-                if self.cache.disk is not None:
-                    await self._in_io_thread(
-                        self.cache.store_disk, digest, record, request.payload()
-                    )
-                return {"result": record, "served": {"cached": "remote", "batched": False, "group_size": 0}}
-            probe.set(tier="miss")
-        self.registry.inc("cache_misses")
-        record, meta = await self.batcher.submit(request, digest)
+                cached = "remote" if metrics is not None else None
+            probe.set(tier=cached or "miss")
+        if cached is None:
+            self.registry.inc("cache_misses")
+            record, meta = await self.batcher.submit(request)
+        else:
+            self.registry.inc(f"cache_hits_{cached}")
+            record, meta = request.result_record(metrics), {"batched": False, "group_size": 0}
+        # A remote hit back-fills LRU and disk like a fresh record, so each
+        # key is fetched from a peer at most once.
         self.cache.put_local(digest, record)
-        if self.cache.disk is not None:
-            await self._in_io_thread(
-                self.cache.store_disk, digest, record, request.payload()
-            )
-        return {"result": record, "served": {"cached": None, **meta}}
+        if self.cache.disk is not None and cached != "disk":
+            await self._in_io_thread(self.cache.store_disk, digest, record, request.payload())
+        return {"result": record, "served": {"cached": cached, **meta}}
 
     async def _serve_batch(self, payload) -> dict:
         model_data, requests, seed, stream_indices = parse_batch_payload(payload)
@@ -401,7 +404,9 @@ class EvaluationServer(HttpApp):
         timeout_ms = parse_timeout_ms(
             payload.get("timeout_ms") if isinstance(payload, dict) else None
         )
-        return await self._admit(serve(payload), timeout_ms)
+        # An evaluation outlives its deadline (its record is stored for the
+        # retry); batch work is cancelled with it.
+        return await self._admit(serve(payload), timeout_ms, serve == self._serve_evaluate)
 
     def _serve_methods(self, request: HttpRequest) -> dict:
         return {"methods": [definition.schema() for definition in default_registry()]}
@@ -530,15 +535,20 @@ class EvaluationServer(HttpApp):
     # ----------------------------------------------------------------- #
     # Admission control and deadlines
     # ----------------------------------------------------------------- #
-    async def _admit(self, coroutine, timeout_ms: float | None) -> tuple[int, dict, dict]:
+    async def _admit(
+        self, coroutine, timeout_ms: float | None, keep_past_deadline: bool = False
+    ) -> tuple[int, dict, dict]:
         """Run an evaluation coroutine under admission control and a deadline.
 
         Saturation (the wait queue is full) answers 429, draining answers
         503 -- both with ``Retry-After``, both *before* any work starts, so
         an overloaded server stays responsive instead of building an
-        unbounded backlog.  A deadline overrun cancels the waiting request
-        and answers 504; groupmates batched with it are unaffected (their
-        futures complete independently).
+        unbounded backlog.  A deadline overrun answers 504.  A request still
+        queued is cancelled; a running one is cancelled too unless
+        ``keep_past_deadline`` (``/v1/evaluate``: the single flight it waits
+        on keeps computing, so the other waiters and a retry still get its
+        record).  Such work keeps its running slot until it ends, so a 504
+        never frees capacity the executor is still using.
 
         Admission accounting is *atomic with the saturation check*: the
         queued counter (and its gauge) is bumped here, synchronously, before
@@ -584,7 +594,9 @@ class EvaluationServer(HttpApp):
         effective = timeout_ms if timeout_ms is not None else self.request_timeout_ms
         timeout = None if effective is None else effective / 1000.0
         try:
-            payload = await asyncio.wait_for(self._with_slot(coroutine), timeout)
+            payload = await asyncio.wait_for(
+                self._with_slot(coroutine, keep_past_deadline), timeout
+            )
         except asyncio.TimeoutError:
             self.registry.inc("deadline_timeouts")
             return (
@@ -607,7 +619,7 @@ class EvaluationServer(HttpApp):
         self.registry.set_gauge("queued_requests", self._queued)
         self.registry.set_gauge("running_requests", self._running)
 
-    async def _with_slot(self, coroutine):
+    async def _with_slot(self, coroutine, keep_past_deadline: bool):
         # The caller (_admit) already took the queued reservation; this
         # coroutine releases it once a running slot is acquired.  A deadline
         # cancellation lands inside acquire() -- after this task's first
@@ -631,12 +643,16 @@ class EvaluationServer(HttpApp):
         telemetry.record("server.queue_wait", waited)
         self._running += 1
         self._set_admission_gauges()
-        try:
-            return await coroutine
-        finally:
-            self._running -= 1
-            self._set_admission_gauges()
-            semaphore.release()
+        # The slot is freed when the work ends, not the waiter: work that
+        # outlives its deadline stays counted by admission and aclose's drain.
+        work = asyncio.ensure_future(coroutine)
+        work.add_done_callback(lambda _: self._release_slot(semaphore))
+        return await (asyncio.shield(work) if keep_past_deadline else work)
+
+    def _release_slot(self, semaphore: asyncio.Semaphore) -> None:
+        self._running -= 1
+        self._set_admission_gauges()
+        semaphore.release()
 
     def _failure(self, error: Exception) -> tuple[int, dict, dict]:
         if isinstance(error, WorkerCrashError):
@@ -667,8 +683,9 @@ class EvaluationServer(HttpApp):
 
         New evaluation requests answer 503 (``Retry-After``) from here on;
         every open batching window is flushed and already-admitted requests
-        get up to ``drain_seconds`` to finish before the executor is torn
-        down, so a routine shutdown never truncates accepted work.
+        (including evaluations whose waiters timed out) get up to
+        ``drain_seconds`` to finish before the executor is torn down, so a
+        routine shutdown never truncates accepted work.
         """
         self._draining = True
         await self.batcher.flush_all()

@@ -11,13 +11,13 @@ is **byte-identical** to what the public API returns for the same inputs --
 * :func:`evaluate_single` is ``repro.evaluate(model.rescaled(p, q), method,
   seed=seed, options=options)``, nothing more;
 * :func:`evaluate_group` runs the same sweep dispatch as
-  :func:`repro.evaluate_sweep` for ``(model, method, variations, seed)``:
-  the batched kernel sees the whole variation set with one shared stream
-  seeded from the request seed (common-random-numbers semantics for
-  stochastic methods), and when the kernel declines every member is
-  evaluated on its own rescaled model with the lone request's ``seed``
-  stream, so an unbatchable group is indistinguishable from never having
-  been grouped.
+  :func:`repro.evaluate_sweep` for one window of ``montecarlo`` sweep
+  points ``(model, method, variations, seed)``: the batched kernel sees the
+  whole variation set with one shared stream seeded from the request seed
+  (common-random-numbers semantics), and when the kernel declines every
+  member is evaluated on its own rescaled model with the lone request's
+  ``seed`` stream, so an unbatchable group is indistinguishable from never
+  having been grouped.
 """
 
 from __future__ import annotations

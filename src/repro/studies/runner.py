@@ -218,7 +218,8 @@ def _plan_groups(
     Points sharing everything except the ``p_scale`` / ``q_scale``
     transforms form one *group*, evaluated against one resolved base model.
     A group whose batch kernel shares a demand stream across its points
-    (``supports_batch`` and ``requires_seed``: the ``montecarlo`` kernel)
+    (:attr:`~repro.api.registry.MethodDefinition.shares_work`: the
+    ``montecarlo`` kernel)
     stays whole, as one task carrying its *full* planned sweep -- cached
     siblings included -- because the shared stream's demand envelope spans
     the whole scale set; deriving it from the cache misses alone would make
@@ -246,8 +247,7 @@ def _plan_groups(
         key = group_digest(entry.payload)
         group = groups.get(key)
         if group is None:
-            definition = registry.get(entry.point.method.name)
-            shared_stream = definition.supports_batch and definition.requires_seed
+            shared_stream = registry.get(entry.point.method.name).shares_work
             shared = tuple(
                 item for item in entry.consumed_params if item[0] not in MODEL_TRANSFORM_PARAMS
             )

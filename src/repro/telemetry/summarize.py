@@ -52,7 +52,12 @@ _REQUEST_COMPONENTS = {
     "queue_wait_ms": ("server.queue_wait",),
     "window_wait_ms": ("batcher.window_wait",),
     "kernel_ms": ("worker.kernel",),
-    "cache_ms": ("server.cache_probe", "cache.read", "cache.write"),
+    "cache_ms": (
+        "server.cache_probe",
+        "server.shared_tier_probe",
+        "cache.read",
+        "cache.write",
+    ),
 }
 
 #: Span attributes that count work; the summary sums each over the capture.

@@ -217,8 +217,9 @@ class TestDeadlines:
         def body(scale, timeout_ms=None):
             payload = {
                 "model": small_model.to_dict(),
-                "method": "exact",
-                "options": {"max_support": 256},
+                "method": "montecarlo",
+                "options": {"replications": 500},
+                "seed": 7,
                 "p_scale": scale,
             }
             if timeout_ms is not None:
@@ -237,10 +238,129 @@ class TestDeadlines:
         assert survived[1]["served"]["batched"] is True
         assert survived[1]["served"]["group_size"] == 2
         reference = evaluate_sweep(
-            small_model, "exact", [{"p_scale": 0.5}, {"p_scale": 1.0}], max_support=256
+            small_model,
+            "montecarlo",
+            [{"p_scale": 0.5}, {"p_scale": 1.0}],
+            seed=7,
+            replications=500,
         )
         assert survived[1]["result"]["metrics"] == reference[1].to_dict()["metrics"]
         assert server.registry["deadline_timeouts"] == 1
+
+    def test_duplicate_deadline_fails_alone(self, small_model, monkeypatch):
+        # Two requests for one digest share one flight; the one whose own
+        # 50 ms deadline fires answers 504, the other still gets the record
+        # of the single kernel run.
+        import time
+
+        from repro.service import worker
+
+        runs = []
+        evaluate_single = worker.evaluate_single
+
+        def held(arguments):
+            runs.append(arguments)
+            time.sleep(0.5)
+            return evaluate_single(arguments)
+
+        monkeypatch.setattr(worker, "evaluate_single", held)
+        server = EvaluationServer(batch_window_ms=1.0)
+        payload = {"model": small_model.to_dict(), "method": "moments"}
+
+        async def run():
+            return await asyncio.gather(
+                server._route("POST", "/v1/evaluate", json.dumps(payload).encode()),
+                server._route(
+                    "POST", "/v1/evaluate", json.dumps({**payload, "timeout_ms": 50}).encode()
+                ),
+            )
+
+        survived, timed_out = asyncio.run(run())
+        assert timed_out[0] == 504
+        assert survived[0] == 200
+        assert _strip_elapsed(survived[1]["result"]) == _strip_elapsed(
+            evaluate(small_model, "moments").to_dict()
+        )
+        assert len(runs) == 1
+        assert server.registry["coalesced_requests"] == 1
+
+    def test_retry_after_504_reads_the_finished_flight(self, small_model, monkeypatch):
+        # The computation a 504 abandoned still lands in the LRU: the
+        # client's retry reads it instead of running the kernel again.
+        import threading
+        import time
+
+        from repro.service import worker
+
+        runs = []
+        release = threading.Event()
+        evaluate_single = worker.evaluate_single
+
+        def held(arguments):
+            runs.append(arguments)
+            release.wait(30.0)
+            return evaluate_single(arguments)
+
+        monkeypatch.setattr(worker, "evaluate_single", held)
+        server = EvaluationServer(workers=0, batch_window_ms=1.0)
+        with start_in_background(server) as handle:
+            client = ServiceClient(port=handle.port, retries=0, timeout=30.0)
+            with pytest.raises(ServiceError) as excinfo:
+                client.evaluate_detail(small_model, "exact", timeout_ms=100)
+            assert excinfo.value.status == 504
+            release.set()
+            deadline = time.monotonic() + 30.0
+            while client.metrics()["lru_entries"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            result, served = client.evaluate_detail(small_model, "exact")
+        assert served["cached"] == "lru"
+        assert len(runs) == 1
+        assert result.metric_dict() == evaluate(small_model, "exact").to_dict()["metrics"]
+
+    def test_timed_out_evaluations_keep_their_slots(self, small_model, monkeypatch):
+        # Flights that outlive their waiters' 504s still occupy the executor,
+        # so they stay charged against admission: with every slot held by
+        # one, the next request is 429, not a new evaluation.
+        import threading
+
+        from repro.service import worker
+
+        runs = []
+        release = threading.Event()
+        evaluate_single = worker.evaluate_single
+
+        def held(arguments):
+            runs.append(arguments)
+            release.wait(30.0)
+            return evaluate_single(arguments)
+
+        monkeypatch.setattr(worker, "evaluate_single", held)
+        server = EvaluationServer(workers=0, batch_window_ms=1.0, max_inflight=2, max_queue=0)
+
+        def body(scale, timeout_ms=None):
+            payload = {"model": small_model.to_dict(), "method": "exact", "p_scale": scale}
+            if timeout_ms is not None:
+                payload["timeout_ms"] = timeout_ms
+            return json.dumps(payload).encode()
+
+        async def run():
+            timed_out = await asyncio.gather(
+                server._route("POST", "/v1/evaluate", body(0.5, 50)),
+                server._route("POST", "/v1/evaluate", body(0.6, 50)),
+            )
+            saturated = await server._route("POST", "/v1/evaluate", body(0.7))
+            held_running = server.registry["running_requests"]
+            release.set()
+            await server.aclose()
+            return timed_out, saturated, held_running
+
+        timed_out, saturated, held_running = asyncio.run(run())
+        assert [status for status, _, _ in timed_out] == [504, 504]
+        assert saturated[0] == 429
+        assert held_running == 2
+        assert len(runs) == 2
+        assert server.registry["running_requests"] == 0
+        assert len(server.cache) == 2
 
 
 class TestWireRobustness:

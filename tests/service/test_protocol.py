@@ -57,7 +57,7 @@ class TestParseEvaluate:
     def test_stochastic_entropy_is_a_list(self, small_model):
         request = parse_evaluate_payload(_payload(small_model, method="montecarlo", seed=9))
         assert request.entropy == [9]
-        assert request.requires_seed and request.supports_batch
+        assert request.requires_seed and request.shares_work
 
     @pytest.mark.parametrize(
         "mutation, fragment",

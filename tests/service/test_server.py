@@ -110,12 +110,35 @@ class TestByteIdentity:
             server, [payload, *(dict(payload, p_scale=scale) for scale in (0.6, 1.0))]
         )
         assert alone["served"]["batched"] is False
-        assert grouped[0]["served"]["batched"] is True
-        assert grouped[0]["served"]["group_size"] == 3
+        assert grouped[0]["served"]["batched"] is False
+        assert grouped[0]["served"]["group_size"] == 1
         assert _strip_elapsed(grouped[0]["result"]) == _strip_elapsed(alone["result"])
         assert json.dumps(grouped[0]["result"]["metrics"]) == json.dumps(
             alone["result"]["metrics"]
         )
+
+    def test_deterministic_sweep_siblings_skip_the_window(self, small_model):
+        # exact and tail-quantile points of one sweep, concurrent: no window
+        # opens (their kernels share no work), and every record is the lone
+        # request's, byte for byte.
+        scales = (0.25, 0.5, 1.0)
+        server = EvaluationServer(batch_window_ms=50.0)
+        payloads = [
+            {"model": small_model.to_dict(), "method": method, "p_scale": scale}
+            for method in ("exact", "tail-quantile")
+            for scale in scales
+        ]
+        responses = _gather_evaluate(server, payloads)
+        for payload, response in zip(payloads, responses):
+            assert response["served"] == {"cached": None, "batched": False, "group_size": 1}
+            direct = evaluate(
+                small_model.rescaled(payload["p_scale"], 1.0), payload["method"]
+            ).to_dict()
+            assert json.dumps(_strip_elapsed(response["result"])) == json.dumps(
+                _strip_elapsed(direct)
+            )
+        assert server.registry.histogram("batch_window_wait_seconds").count == 0
+        assert server.registry["batched_groups"] == 0
 
     def test_no_batch_mode_equals_direct_evaluate_everywhere(self, small_model):
         scales = (0.25, 0.5, 0.75)
@@ -377,6 +400,30 @@ class TestHttpTransport:
             live_client.evaluate(None, "moments")
         with pytest.raises(ValueError, match="exactly one of"):
             live_client.evaluate({"p": [0.1], "q": [0.1]}, "moments", scenario="high-quality")
+
+
+class TestSingleFlight:
+    def test_identical_concurrent_requests_run_one_pool_job(self, small_model, monkeypatch):
+        from repro.service import worker
+
+        runs = []
+        evaluate_single = worker.evaluate_single
+
+        def counted(arguments):
+            runs.append(arguments)
+            return evaluate_single(arguments)
+
+        monkeypatch.setattr(worker, "evaluate_single", counted)
+        server = EvaluationServer(batch_window_ms=50.0)
+        payload = {"model": small_model.to_dict(), "method": "moments", "p_scale": 0.5}
+        responses = _gather_evaluate(server, [payload] * 5)
+        assert len(runs) == 1
+        direct = evaluate(small_model.rescaled(0.5, 1.0), "moments").to_dict()
+        for response in responses:
+            assert _strip_elapsed(response["result"]) == _strip_elapsed(direct)
+        assert server.registry["evaluate_requests"] == 5
+        assert server.registry["coalesced_requests"] == 4
+        assert server.registry["evaluations_computed"] == 1
 
 
 class TestProcessPool:

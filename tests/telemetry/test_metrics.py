@@ -85,6 +85,17 @@ class TestHistogram:
         assert 1.0 <= histogram_quantile(data, 0.5) <= 1.5
         assert histogram_quantile(data, 1.0) == pytest.approx(1.5)
 
+    def test_default_buckets_resolve_sub_millisecond_latency(self):
+        # Warm requests take a few hundred microseconds; a scrape (no
+        # observed max to clamp by) must not snap them to the midpoint of a
+        # 1 ms bucket.
+        registry = MetricsRegistry()
+        for _ in range(100):
+            registry.observe("request_seconds", 0.0002)
+        scraped = parse_prometheus(render_prometheus(registry.snapshot()))
+        p50 = histogram_quantile(scraped["histograms"]["request_seconds"], 0.5)
+        assert 0.0002 / 1.5 <= p50 <= 0.0002 * 1.5
+
     def test_quantile_of_empty_histogram_is_none(self):
         registry = MetricsRegistry()
         data = registry.histogram("lat").snapshot()
