@@ -78,9 +78,9 @@ def workload_paired(quick: bool) -> dict:
     """Chunked ``simulate_paired`` (full sample collection) on the n=200 scenario.
 
     The full (non-quick) size is the acceptance workload: 10M replications at
-    n=200 must fit a ~500 MB peak-RSS budget; the in-memory path would need
-    three ``(10M, 200)`` float64 uniform matrices (~48 GB transient, >30 GB
-    at once).
+    n=200 must fit a ~500 MB peak-RSS budget; a dense draw would need three
+    ``(10M, 200)`` float64 uniform matrices (~48 GB transient, >30 GB at
+    once).
     """
     from repro.experiments.scenarios import many_small_faults_scenario
     from repro.montecarlo.engine import MonteCarloEngine

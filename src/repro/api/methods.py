@@ -67,7 +67,11 @@ def _swept_distributions(model, variations, options: dict):
 
 
 _VERSIONS = OptionSpec(
-    "versions", "int", 2, help="number of independently developed versions, combined 1-out-of-r"
+    "versions",
+    "int",
+    2,
+    minimum=1,
+    help="number of independently developed versions, combined 1-out-of-r",
 )
 _CONFIDENCE = OptionSpec("confidence", "float", 0.99, help="confidence level for the bounds")
 _MAX_SUPPORT = OptionSpec(
@@ -75,6 +79,7 @@ _MAX_SUPPORT = OptionSpec(
     "int",
     4096,
     allow_none=True,
+    minimum=2,
     help="support-size cap for the exact convolution (null keeps the full support)",
 )
 
@@ -226,15 +231,23 @@ def _bounds_method(model, options: dict, rng) -> dict:
     "montecarlo",
     options=(
         _VERSIONS,
-        OptionSpec("replications", "int", 10_000, help="number of simulated developments"),
+        OptionSpec(
+            "replications", "int", 10_000, minimum=1, help="number of simulated developments"
+        ),
         OptionSpec(
             "chunk_size",
             "int",
             None,
             allow_none=True,
-            help="rows drawn per chunk (bounds peak memory; null draws in one block)",
+            minimum=1,
+            help=(
+                "replications per chunk: bounds the per-replication vectors and sets the "
+                "tally granularity (null: one chunk); never changes the sampled values"
+            ),
         ),
-        OptionSpec("mc_jobs", "int", 1, help="worker processes inside the engine"),
+        OptionSpec(
+            "mc_jobs", "int", 1, minimum=1, help="worker processes inside the engine"
+        ),
         OptionSpec(
             "correlation", "float", 0.0, help="copula correlation between the versions"
         ),

@@ -49,13 +49,18 @@ OPTION_TYPES = ("int", "float", "bool", "str")
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """One typed method option: name, type, default and documentation."""
+    """One typed method option: name, type, default and documentation.
+
+    ``minimum`` is an inclusive lower bound for numeric options (``None``:
+    unbounded); ``null`` stays allowed when ``allow_none`` is set.
+    """
 
     name: str
     type: str
     default: Any = None
     allow_none: bool = False
     help: str = ""
+    minimum: int | float | None = None
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -91,21 +96,24 @@ class OptionSpec:
         elif isinstance(value, bool):
             pass  # bool is an int subclass; never accept it for numeric options
         elif self.type == "int":
-            if isinstance(value, int):
-                return value
-            if isinstance(value, float) and value.is_integer():
-                return value
+            if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+                return self._bounded(value)
         elif self.type == "float":
             if isinstance(value, (int, float)):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(
                         f"option {self.name!r} must be finite, got {value!r}"
                     )
-                return value
+                return self._bounded(value)
         raise ValueError(
             f"option {self.name!r} expects {self.type}"
             f"{' (or null)' if self.allow_none else ''}, got {value!r}"
         )
+
+    def _bounded(self, value: Any) -> Any:
+        if self.minimum is not None and value < self.minimum:
+            raise ValueError(f"option {self.name!r} must be >= {self.minimum}, got {value!r}")
+        return value
 
     def to_dict(self) -> dict:
         """JSON-friendly schema entry (used by ``repro methods``)."""
@@ -114,6 +122,7 @@ class OptionSpec:
             "type": self.type,
             "default": self.default,
             "allow_none": self.allow_none,
+            "minimum": self.minimum,
             "help": self.help,
         }
 

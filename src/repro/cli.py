@@ -11,8 +11,8 @@ writing any code:
   ``evaluate --method montecarlo``): run the Monte Carlo engine over a model
   and print the paired single-versus-1-out-of-2 summary as JSON.
   ``--chunk-size`` bounds
-  peak memory without changing the sampled values (the chunked path is
-  bitwise-identical to the in-memory path for the same ``--seed``);
+  the per-replication vectors without changing the sampled values (samples
+  are bitwise-identical for every chunk size at the same ``--seed``);
   ``--jobs`` fans the replications out across worker processes (a distinct,
   statistically equivalent random stream); ``--stream`` switches to the
   constant-memory accumulator summaries recommended for very large
@@ -131,8 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "draw fault matrices at most this many rows at a time; bounds peak memory at "
-            "O(chunk_size * n) and is bitwise-identical to the in-memory path for the same seed"
+            "replications per chunk: bounds the per-replication vectors at O(chunk_size) "
+            "and sets how often --stream tallies update; fault matrices are drawn in "
+            "cache-sized blocks either way, and samples are bitwise-identical for any "
+            "chunk size at the same seed"
         ),
     )
     simulate_parser.add_argument(
@@ -764,6 +766,8 @@ def _handle_methods(arguments: argparse.Namespace) -> int:
             print(f"  {definition.description}")
         for option in definition.options:
             kind = option.type + ("|null" if option.allow_none else "")
+            if option.minimum is not None:
+                kind += f" >= {option.minimum}"
             line = f"  --set {option.name}=...  {kind}, default {render_default(option.default)}"
             if option.help:
                 line += f"  -- {option.help}"

@@ -5,20 +5,22 @@ default the paper's independent process), records the PFD and fault count of
 single versions and of 1-out-of-2 (or 1-out-of-r) systems, and packages the
 output for comparison with the analytic results of :mod:`repro.core`.
 
-Three execution strategies share one sampling core:
+Every simulation runs through one chunk routine.  Replications are split
+into chunks of ``chunk_size`` rows (one chunk when it is unset), and each
+chunk is drawn in blocks of at most :data:`BLOCK_CELLS` fault indicators per
+version, so the fault matrices stay cache-sized whatever the replication
+count.  Each block writes its rows of the chunk's per-replication PFD and
+fault-count vectors; the sample arrays or the streaming tallies then receive
+those vectors once per chunk.  ``simulate_single_versions`` draws from the
+caller's generator; multi-version simulations (``simulate_paired`` /
+``simulate_systems``) draw each version from a dedicated stream spawned from
+it.  Every block continues each version's stream where the previous block
+stopped, so:
 
-* **in-memory** (default): one fault matrix per sampling call.  Note that
-  multi-version simulations (``simulate_paired`` / ``simulate_systems``) now
-  draw each version's matrices from a dedicated stream spawned from the
-  caller's generator -- a seeded run therefore differs from releases before
-  the chunked engine, which drew all versions back to back from one stream
-  (``simulate_single_versions`` is unchanged);
-* **chunked** (``chunk_size=...``): fault matrices are drawn in chunks so the
-  peak memory is ``O(chunk_size * n)`` instead of ``O(replications * n)``.
-  Each system's fault matrices come from a dedicated generator spawned from
-  the caller's generator, and every chunk continues the same stream, so the
-  sequential chunked path is bitwise-identical to the in-memory path for the
-  same seed -- chunking is purely a memory knob;
+* **sequential** sample arrays are bitwise-identical for every
+  ``chunk_size``.  The chunk size bounds the per-replication vectors at
+  ``O(chunk_size)`` and sets how many replications each streaming-tally
+  update folds in; it never changes what is drawn;
 * **parallel** (``jobs=...``): replications are sharded over worker processes
   with :func:`repro.stats.rng.spawn_rngs`.  Shard streams are spawned from
   the caller's generator, so results are reproducible for a fixed
@@ -57,6 +59,10 @@ __all__ = ["MonteCarloEngine"]
 #: Default number of histogram bins for the streaming PFD summaries.
 DEFAULT_STREAM_BINS = 4096
 
+#: Fault indicators drawn per version per block: about 1 MB of float64
+#: uniforms, small enough that a block's matrices stay in cache.
+BLOCK_CELLS = 1 << 17
+
 
 @dataclass(frozen=True)
 class MonteCarloEngine:
@@ -70,14 +76,16 @@ class MonteCarloEngine:
         Development process to sample from; defaults to the paper's
         independent process over ``model``.
     chunk_size:
-        When set, fault matrices are drawn at most ``chunk_size`` rows at a
-        time, bounding peak memory at ``O(chunk_size * n)`` per matrix.  The
-        sequential chunked path produces bitwise-identical results to the
-        default in-memory path for the same seed.
+        Replications per chunk: bounds the per-replication PFD and
+        fault-count vectors at ``O(chunk_size)`` and sets how many
+        replications each streaming-tally update folds in (``None``: the
+        whole run is one chunk).  Fault matrices are drawn in blocks of
+        :data:`BLOCK_CELLS` cells either way, and the sampled values do not
+        depend on ``chunk_size``.
     jobs:
         When greater than 1, replications are sharded across this many worker
         processes (see the module docstring for the reproducibility
-        contract).  Worker shards always run chunked.
+        contract).  Worker shards always run in chunks.
     """
 
     model: FaultModel
@@ -104,7 +112,7 @@ class MonteCarloEngine:
         """Develop ``replications`` single versions and record PFD and fault count."""
         self._validate_replications(replications)
         generator = ensure_rng(rng)
-        pfds, counts = self._run(_single_samples, _merge_samples, replications, generator, 1)
+        pfds, counts = self._run("single", False, replications, generator, 1)
         return SimulationResult(
             pfds=EmpiricalDistribution(pfds),
             fault_counts=EmpiricalDistribution(counts),
@@ -122,7 +130,7 @@ class MonteCarloEngine:
             raise ValueError(f"versions must be a positive integer, got {versions}")
         self._validate_replications(replications)
         generator = ensure_rng(rng)
-        pfds, counts = self._run(_system_samples, _merge_samples, replications, generator, versions)
+        pfds, counts = self._run("systems", False, replications, generator, versions)
         return SimulationResult(
             pfds=EmpiricalDistribution(pfds),
             fault_counts=EmpiricalDistribution(counts),
@@ -142,7 +150,7 @@ class MonteCarloEngine:
         self._validate_replications(replications)
         generator = ensure_rng(rng)
         first_pfds, first_counts, common_pfds, common_counts = self._run(
-            _paired_samples, _merge_samples, replications, generator, 2
+            "paired", False, replications, generator, 2
         )
         single = SimulationResult(
             pfds=EmpiricalDistribution(first_pfds),
@@ -167,15 +175,13 @@ class MonteCarloEngine:
     ) -> StreamingSimulationResult:
         """Like :meth:`simulate_single_versions` but summarising into accumulators.
 
-        Memory is ``O(chunk_size * n + bins)`` regardless of ``replications``.
-        Moments and zero-probabilities are exact; percentile queries resolve
-        to one histogram bin.
+        Memory is ``O(chunk_size + BLOCK_CELLS + bins)`` regardless of
+        ``replications``.  Moments and zero-probabilities are exact;
+        percentile queries resolve to one histogram bin.
         """
         self._validate_replications(replications)
         generator = ensure_rng(rng)
-        tally = self._run(
-            _single_streaming, _merge_streaming, replications, generator, 1, bins
-        )
+        (tally,) = self._run("single", True, replications, generator, 1, bins)
         return _streaming_result(tally, replications)
 
     def simulate_systems_streaming(
@@ -190,9 +196,7 @@ class MonteCarloEngine:
             raise ValueError(f"versions must be a positive integer, got {versions}")
         self._validate_replications(replications)
         generator = ensure_rng(rng)
-        tally = self._run(
-            _system_streaming, _merge_streaming, replications, generator, versions, bins
-        )
+        (tally,) = self._run("systems", True, replications, generator, versions, bins)
         return _streaming_result(tally, replications)
 
     def simulate_paired_streaming(
@@ -204,9 +208,7 @@ class MonteCarloEngine:
         """Like :meth:`simulate_paired` but summarising into accumulators."""
         self._validate_replications(replications)
         generator = ensure_rng(rng)
-        single_tally, system_tally = self._run(
-            _paired_streaming, _merge_paired_streaming, replications, generator, 2, bins
-        )
+        single_tally, system_tally = self._run("paired", True, replications, generator, 2, bins)
         return StreamingPairResult(
             single=_streaming_result(single_tally, replications),
             system=_streaming_result(system_tally, replications),
@@ -306,35 +308,40 @@ class MonteCarloEngine:
         if replications < 1:
             raise ValueError(f"replications must be positive, got {replications}")
 
-    def _run(self, shard_fn, merge_fn, replications, generator, versions, bins=None):
-        """Execute ``shard_fn`` sequentially or across worker processes."""
+    def _run(self, layout, streaming, replications, generator, versions, bins=None):
+        """Run the ``layout`` kernel sequentially or across worker processes."""
         with telemetry.span(
             "kernel.montecarlo",
             replications=replications,
             versions=versions,
             jobs=self.jobs,
         ):
+            kernel = _tally_shard if streaming else _sample_shard
             if self.jobs == 1 or replications < 2 * self.jobs:
-                return shard_fn(
-                    self.process, replications, generator, self.chunk_size, versions, bins
+                return kernel(
+                    self.process, replications, generator, self.chunk_size, layout, versions, bins
                 )
             shard_sizes = _shard_sizes(replications, self.jobs)
             shard_rngs = spawn_rngs(generator, len(shard_sizes))
             chunk = self.chunk_size if self.chunk_size is not None else _DEFAULT_PARALLEL_CHUNK
             arguments = [
-                (shard_fn, self.process, size, shard_rng, chunk, versions, bins)
+                (kernel, self.process, size, shard_rng, chunk, layout, versions, bins)
                 for size, shard_rng in zip(shard_sizes, shard_rngs)
             ]
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=len(arguments)) as pool:
                 shards = list(pool.map(_run_shard, arguments))
-            return merge_fn(shards)
+            return _merge_tallies(shards) if streaming else np.concatenate(shards, axis=1)
 
 
 #: Chunk size used by parallel workers when the engine has no explicit one;
-#: bounds each worker's peak memory without affecting throughput noticeably.
+#: bounds each worker's per-replication vectors and sets its tally granularity.
 _DEFAULT_PARALLEL_CHUNK = 65536
+
+#: Per-replication rows each layout records: PFD and fault count of the
+#: all-versions intersection, preceded for ``"paired"`` by the first version's.
+_ROWS = {"single": 2, "systems": 2, "paired": 4}
 
 
 def _shard_sizes(replications: int, jobs: int) -> list[int]:
@@ -345,185 +352,93 @@ def _shard_sizes(replications: int, jobs: int) -> list[int]:
 
 
 def _run_shard(arguments):
-    shard_fn, process, size, rng, chunk_size, versions, bins = arguments
-    return shard_fn(process, size, rng, chunk_size, versions, bins)
+    kernel, *rest = arguments
+    return kernel(*rest)
 
 
-def _spawn_version_rngs(generator: np.random.Generator, versions: int):
-    """One independent stream per developed version of a replication.
+def _chunks(process, replications, generator, chunk_size, layout, versions, out=None):
+    """Yield each chunk's per-replication rows (see :data:`_ROWS`), block by block.
 
-    Giving each version its own spawned stream (instead of drawing all
-    versions from one stream back to back) is what makes chunked multi-version
-    simulation bitwise-identical to the in-memory path: every chunk simply
-    continues each version's stream where the previous chunk stopped.
+    ``"single"`` develops one version from ``generator`` itself; the other
+    layouts develop ``versions`` versions per replication, each from its own
+    stream spawned from ``generator``.  Each block draws at most
+    :data:`BLOCK_CELLS` indicators per version and continues that version's
+    stream, and ``einsum`` scores every row on its own, so the values depend
+    on neither the chunk nor the block size.  Rows are views into ``out``
+    (shape ``(rows, replications)``) when given, else into one chunk buffer
+    that the next chunk overwrites.
     """
-    return generator.spawn(versions)
+    model = process.model
+    streams = [generator] if layout == "single" else generator.spawn(versions)
+    chunk = replications if chunk_size is None else min(chunk_size, replications)
+    block = max(1, min(chunk, BLOCK_CELLS // max(model.n, 1)))
+    # The version iterators advance in lockstep and each compares its draw
+    # into its own presence buffer, so one uniforms buffer serves them all.
+    scratch = np.empty((block, model.n))
+    common = np.empty((block, model.n), dtype=bool)
+    buffer = np.empty((_ROWS[layout], chunk)) if out is None else None
+    for start in range(0, replications, chunk):
+        size = min(chunk, replications - start)
+        rows = buffer[:, :size] if out is None else out[:, start : start + size]
+        blocks = zip(
+            *(
+                process.stream_fault_matrices(stream, size, block, scratch=scratch)
+                for stream in streams
+            )
+        )
+        for begin, matrices in zip(range(0, size, block), blocks):
+            span = slice(begin, begin + matrices[0].shape[0])
+            if layout == "paired":
+                _score(matrices[0], model.q, rows[0, span], rows[1, span])
+            intersection = matrices[0]
+            if len(matrices) > 1:
+                intersection = np.logical_and(
+                    matrices[0], matrices[1], out=common[: intersection.shape[0]]
+                )
+                for matrix in matrices[2:]:
+                    np.logical_and(intersection, matrix, out=intersection)
+            _score(intersection, model.q, rows[-2, span], rows[-1, span])
+        yield rows
 
 
-# --------------------------------------------------------------------- #
-# Sample-collecting shard kernels
-# --------------------------------------------------------------------- #
-def _intersection_buffer(process, replications, chunk_size):
-    """Reusable buffer for the common-fault matrix of multi-version chunks."""
-    rows = replications if chunk_size is None else min(chunk_size, replications)
-    return np.empty((rows, process.model.n), dtype=bool)
+def _score(matrix, q, pfds, counts):
+    """Write each row's PFD and fault count, scoring only the non-empty rows."""
+    counts[:] = np.count_nonzero(matrix, axis=1)
+    hit = np.flatnonzero(counts)
+    pfds.fill(0.0)
+    pfds[hit] = matrix_pfds(matrix[hit], q)
 
 
-def _shared_scratch(process, replications, chunk_size):
-    """One float work buffer shared by all version streams of a simulation.
-
-    The per-version iterators are advanced in lockstep (draw, then compare
-    into a per-version presence buffer), so a single uniforms buffer serves
-    every version -- the float working set stays at one chunk no matter how
-    many versions are developed per replication.
-    """
-    rows = replications if chunk_size is None else min(chunk_size, replications)
-    return np.empty((rows, process.model.n))
+def _sample_shard(process, replications, generator, chunk_size, layout, versions, bins):
+    out = np.empty((_ROWS[layout], replications))
+    for _ in _chunks(process, replications, generator, chunk_size, layout, versions, out):
+        pass
+    return out
 
 
-def _intersect(matrices, buffer) -> np.ndarray:
-    """All-versions fault intersection, accumulated into ``buffer`` in place."""
-    common = buffer[: matrices[0].shape[0]]
-    np.logical_and(matrices[0], matrices[1], out=common)
-    for matrix in matrices[2:]:
-        np.logical_and(common, matrix, out=common)
-    return common
-
-
-def _single_samples(process, replications, generator, chunk_size, versions, bins):
-    q = process.model.q
-    pfds = np.empty(replications, dtype=float)
-    counts = np.empty(replications, dtype=float)
-    offset = 0
-    for matrix in process.stream_fault_matrices(generator, replications, chunk_size):
-        size = matrix.shape[0]
-        pfds[offset : offset + size] = matrix_pfds(matrix, q)
-        counts[offset : offset + size] = np.sum(matrix, axis=1)
-        offset += size
-    return (pfds, counts)
-
-
-def _system_samples(process, replications, generator, chunk_size, versions, bins):
-    q = process.model.q
-    pfds = np.empty(replications, dtype=float)
-    counts = np.empty(replications, dtype=float)
-    streams = _spawn_version_rngs(generator, versions)
-    scratch = _shared_scratch(process, replications, chunk_size)
-    iterators = [
-        process.stream_fault_matrices(stream, replications, chunk_size, scratch=scratch)
-        for stream in streams
-    ]
-    buffer = _intersection_buffer(process, replications, chunk_size)
-    offset = 0
-    for matrices in zip(*iterators):
-        common = matrices[0] if len(matrices) == 1 else _intersect(matrices, buffer)
-        size = common.shape[0]
-        pfds[offset : offset + size] = matrix_pfds(common, q)
-        counts[offset : offset + size] = np.sum(common, axis=1)
-        offset += size
-    return (pfds, counts)
-
-
-def _paired_samples(process, replications, generator, chunk_size, versions, bins):
-    q = process.model.q
-    first_pfds = np.empty(replications, dtype=float)
-    first_counts = np.empty(replications, dtype=float)
-    common_pfds = np.empty(replications, dtype=float)
-    common_counts = np.empty(replications, dtype=float)
-    first_stream, second_stream = _spawn_version_rngs(generator, 2)
-    scratch = _shared_scratch(process, replications, chunk_size)
-    buffer = _intersection_buffer(process, replications, chunk_size)
-    offset = 0
-    for first, second in zip(
-        process.stream_fault_matrices(first_stream, replications, chunk_size, scratch=scratch),
-        process.stream_fault_matrices(second_stream, replications, chunk_size, scratch=scratch),
-    ):
-        size = first.shape[0]
-        common = _intersect((first, second), buffer)
-        first_pfds[offset : offset + size] = matrix_pfds(first, q)
-        first_counts[offset : offset + size] = np.sum(first, axis=1)
-        common_pfds[offset : offset + size] = matrix_pfds(common, q)
-        common_counts[offset : offset + size] = np.sum(common, axis=1)
-        offset += size
-    return (first_pfds, first_counts, common_pfds, common_counts)
-
-
-def _merge_samples(shards):
-    return tuple(np.concatenate(parts) for parts in zip(*shards))
-
-
-# --------------------------------------------------------------------- #
-# Streaming shard kernels
-# --------------------------------------------------------------------- #
-def _new_tally(process, bins):
+def _tally_shard(process, replications, generator, chunk_size, layout, versions, bins):
     top = max(process.model.total_impact, np.finfo(float).tiny)
-    return (StreamingMoments(), StreamingHistogram(0.0, top, bins), StreamingMoments())
-
-
-def _tally_update(tally, pfds, counts):
-    pfd_moments, histogram, count_moments = tally
-    pfd_moments.update(pfds)
-    histogram.update(pfds)
-    count_moments.update(counts)
-
-
-def _single_streaming(process, replications, generator, chunk_size, versions, bins):
-    q = process.model.q
-    tally = _new_tally(process, bins)
-    for matrix in process.stream_fault_matrices(generator, replications, chunk_size):
-        _tally_update(tally, matrix_pfds(matrix, q), np.sum(matrix, axis=1))
-    return tally
-
-
-def _system_streaming(process, replications, generator, chunk_size, versions, bins):
-    q = process.model.q
-    tally = _new_tally(process, bins)
-    streams = _spawn_version_rngs(generator, versions)
-    scratch = _shared_scratch(process, replications, chunk_size)
-    iterators = [
-        process.stream_fault_matrices(stream, replications, chunk_size, scratch=scratch)
-        for stream in streams
+    tallies = [
+        (StreamingMoments(), StreamingHistogram(0.0, top, bins), StreamingMoments())
+        for _ in range(_ROWS[layout] // 2)
     ]
-    buffer = _intersection_buffer(process, replications, chunk_size)
-    for matrices in zip(*iterators):
-        common = matrices[0] if len(matrices) == 1 else _intersect(matrices, buffer)
-        _tally_update(tally, matrix_pfds(common, q), np.sum(common, axis=1))
-    return tally
+    for rows in _chunks(process, replications, generator, chunk_size, layout, versions):
+        for (pfd_moments, histogram, count_moments), pfds, counts in zip(
+            tallies, rows[0::2], rows[1::2]
+        ):
+            pfd_moments.update(pfds)
+            histogram.update(pfds)
+            count_moments.update(counts)
+    return tallies
 
 
-def _paired_streaming(process, replications, generator, chunk_size, versions, bins):
-    q = process.model.q
-    single_tally = _new_tally(process, bins)
-    system_tally = _new_tally(process, bins)
-    first_stream, second_stream = _spawn_version_rngs(generator, 2)
-    scratch = _shared_scratch(process, replications, chunk_size)
-    buffer = _intersection_buffer(process, replications, chunk_size)
-    for first, second in zip(
-        process.stream_fault_matrices(first_stream, replications, chunk_size, scratch=scratch),
-        process.stream_fault_matrices(second_stream, replications, chunk_size, scratch=scratch),
-    ):
-        common = _intersect((first, second), buffer)
-        _tally_update(single_tally, matrix_pfds(first, q), np.sum(first, axis=1))
-        _tally_update(system_tally, matrix_pfds(common, q), np.sum(common, axis=1))
-    return single_tally, system_tally
-
-
-def _merge_tallies(tallies):
-    merged = tallies[0]
-    for tally in tallies[1:]:
-        for accumulator, other in zip(merged, tally):
-            accumulator.merge(other)
+def _merge_tallies(shards):
+    merged = shards[0]
+    for shard in shards[1:]:
+        for tally, other in zip(merged, shard):
+            for accumulator, part in zip(tally, other):
+                accumulator.merge(part)
     return merged
-
-
-def _merge_streaming(shards):
-    return _merge_tallies(shards)
-
-
-def _merge_paired_streaming(shards):
-    singles = [shard[0] for shard in shards]
-    systems = [shard[1] for shard in shards]
-    return _merge_tallies(singles), _merge_tallies(systems)
 
 
 def _streaming_result(tally, replications) -> StreamingSimulationResult:

@@ -25,10 +25,11 @@ def matrix_pfds(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Uses ``einsum`` rather than ``@`` because BLAS matrix-vector products are
     not bitwise row-stable across block sizes (the summation order can change
-    with the number of rows), which would break the guarantee that chunked
-    simulation reproduces the in-memory path exactly.  ``einsum`` reduces each
-    row independently with a fixed order -- and skips the bool-to-float
-    matrix copy, which also makes it several times faster here.
+    with the number of rows), which would break the guarantee that a
+    simulation drawn in chunks and blocks reproduces a dense draw exactly.
+    ``einsum`` reduces each row independently with a fixed order -- and skips
+    the bool-to-float matrix copy, which also makes it several times faster
+    here.
     """
     return np.einsum("ij,j->i", matrix, q)
 
@@ -84,11 +85,11 @@ class DevelopmentProcess:
         chunk, which roughly halves the wall time of streaming simulations --
         at large chunk sizes the allocation and page-faulting of hundreds of
         megabytes per chunk costs as much as generating the random numbers.
-        ``scratch`` optionally provides a shared float work buffer of shape
-        ``(chunk rows, n)``; iterators drawing from *interleaved* streams
-        (one per developed version, advanced in lockstep) can safely share
-        one, which bounds the float working set at a single chunk regardless
-        of the version count.  The yielded *values* are bitwise-identical to
+        ``scratch`` optionally provides a shared float work buffer of at
+        least ``(chunk rows, n)``; iterators drawing from *interleaved*
+        streams (one per developed version, advanced in lockstep) can safely
+        share one, which bounds the float working set at a single chunk
+        regardless of the version count.  The yielded *values* are bitwise-identical to
         :meth:`iter_fault_matrices` for the same starting generator state.
         """
         return self.iter_fault_matrices(rng, count, chunk_size)
@@ -178,8 +179,13 @@ class IndependentDevelopmentProcess(DevelopmentProcess):
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         rows = count if chunk_size is None else min(chunk_size, count)
-        if scratch is not None and scratch.shape == (rows, self.model.n) and scratch.dtype == float:
-            uniforms = scratch
+        if (
+            scratch is not None
+            and scratch.shape[0] >= rows
+            and scratch.shape[1:] == (self.model.n,)
+            and scratch.dtype == float
+        ):
+            uniforms = scratch[:rows]
         else:
             uniforms = np.empty((rows, self.model.n))
         presence = np.empty((rows, self.model.n), dtype=bool)

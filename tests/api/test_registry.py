@@ -136,6 +136,19 @@ class TestOptionSpec:
         with pytest.raises(ValueError, match="allow_none"):
             OptionSpec("x", "int", None)
 
+    def test_minimum_bounds_numbers_and_returns_them_unchanged(self):
+        spec = OptionSpec("reps", "int", 10, minimum=1)
+        assert spec.validate(1) == 1
+        value = spec.validate(3.0)
+        assert value == 3.0 and type(value) is float  # never coerced
+        with pytest.raises(ValueError, match="'reps' must be >= 1, got 0"):
+            spec.validate(0)
+        assert spec.to_dict()["minimum"] == 1
+        nullable = OptionSpec("chunk", "int", None, allow_none=True, minimum=1)
+        assert nullable.validate(None) is None
+        with pytest.raises(ValueError, match="'support' must be >= 2"):
+            OptionSpec("support", "int", 1, minimum=2)
+
     def test_bool_and_str_options(self):
         assert OptionSpec("flag", "bool", True).validate(False) is False
         with pytest.raises(ValueError, match="expects bool"):

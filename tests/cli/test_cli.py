@@ -352,6 +352,14 @@ class TestEvaluateCommand:
         assert "error:" in error and "unknown method" in error
         assert error.strip().count("\n") == 0  # one line, no traceback
 
+    def test_out_of_range_option_exits_2(self, capsys, model_file):
+        assert main([
+            "evaluate", "--model", model_file, "--method", "montecarlo",
+            "--set", "replications=0",
+        ]) == 2
+        error = capsys.readouterr().err
+        assert "error:" in error and "'replications' must be >= 1" in error
+
     def test_unknown_option_exits_2(self, capsys, model_file):
         assert main([
             "evaluate", "--model", model_file, "--method", "moments", "--set", "bogus=1",

@@ -366,6 +366,21 @@ class TestHttpTransport:
         finally:
             connection.close()
 
+    def test_out_of_range_option_is_400_before_any_cache_or_window(
+        self, live_client, small_model
+    ):
+        before = live_client.metrics()
+        with pytest.raises(ServiceError) as excinfo:
+            live_client.evaluate(small_model, "montecarlo", options={"mc_jobs": -1}, seed=3)
+        assert excinfo.value.status == 400
+        assert "'mc_jobs' must be >= 1" in excinfo.value.message
+        after = live_client.metrics()
+        assert after["cache_misses"] == before["cache_misses"]
+        assert (
+            after["histograms"]["batch_window_wait_seconds"]["count"]
+            == before["histograms"]["batch_window_wait_seconds"]["count"]
+        )
+
     def test_negative_content_length_is_400_not_a_dropped_connection(self, live_client):
         import socket
 

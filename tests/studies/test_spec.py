@@ -87,6 +87,10 @@ class TestMethodSpec:
         with pytest.raises(ValueError, match="does not accept option"):
             MethodSpec.from_dict({"name": "moments", "replications": 10})
 
+    def test_out_of_range_option_rejected(self):
+        with pytest.raises(ValueError, match="'chunk_size' must be >= 1"):
+            MethodSpec.from_dict({"name": "montecarlo", "chunk_size": 0})
+
 
 class TestStudySpec:
     def test_from_dict_roundtrip(self):
