@@ -2,7 +2,7 @@
 
 Runs the performance-critical workloads (chunked/streaming Monte Carlo for
 single versions, paired 1-out-of-2 systems and 1-out-of-r systems, plus the
-fast exact-PFD convolution core) and writes one JSON record with
+exact-PFD kernel with its bracket widths) and writes one JSON record with
 replications-per-second, wall time and peak RSS per workload, so future
 changes have a perf trajectory to regress against.
 
@@ -173,56 +173,65 @@ def workload_parallel(quick: bool) -> dict:
     }
 
 
+#: Levels at which the convolution record reports relative bracket widths.
+BRACKET_LEVELS = (0.9, 0.99, 0.999)
+
+
 def workload_convolution(quick: bool) -> dict:
-    """Fast exact-PFD convolution core across model sizes.
+    """The exact-PFD kernel -- two integer lattice folds -- across model sizes.
 
-    Also times the tree-based baseline (the seed's algorithm shape, already
-    sped up by this PR's kernels) at n=200 so the record contains a measured
-    same-process comparison in addition to :data:`SEED_CONVOLUTION_REFERENCE`.
+    For each ``n`` and versions 1 and 2 (``max_support=4096``, a lattice of
+    16,384 cells) the record holds the best of three kernel times and the
+    relative width ``(hi - lo) / hi`` of the bracket of the 0.9, 0.99 and
+    0.999 quantiles (0 where the quantile is the closed-form zero).
+    ``cold_mix_model`` times the kernel on the benchmark's ``cold_mix``
+    model shape (100 random faults, versions 2, default options), median
+    over five models.
     """
-    from repro.core.moments import pfd_moments
-    from repro.core.pfd_distribution import exact_pfd_distribution
-    from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.stats.discrete import DiscreteDistribution
+    import numpy as np
 
-    sizes = [200, 500, 1000, 2000] if quick else [200, 500, 1000, 2000, 5000]
+    from repro.core.fault_model import FaultModel
+    from repro.core.pfd_distribution import exact_pfd_distribution, pfd_quantiles, prob_pfd_zero
+    from repro.experiments.scenarios import many_small_faults_scenario
+
+    def best_seconds(model, versions: int) -> float:
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            exact_pfd_distribution(model, versions, max_support=4096)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    sizes = [100, 200, 500, 1000, 2000] if quick else [100, 200, 500, 1000, 2000, 5000]
     rows = []
     for n in sizes:
         model = many_small_faults_scenario(n=n)
-        start = time.perf_counter()
-        distribution = exact_pfd_distribution(model, 1, max_support=4096)
-        elapsed = time.perf_counter() - start
-        moments = pfd_moments(model, 1)
-        rows.append(
-            {
-                "n": n,
-                "max_support": 4096,
-                "seconds": round(elapsed, 4),
-                "support": int(distribution.support.size),
-                "mean_rel_error": abs(distribution.mean() - moments.mean) / moments.mean,
-                "std_rel_error": abs(distribution.std() - moments.std) / moments.std,
-            }
-        )
-    fast_path_peak_rss = round(_peak_rss_mb(), 1)
-    baseline = None
-    if not quick:
-        model = many_small_faults_scenario(n=200)
-        components = [
-            DiscreteDistribution.two_point(float(value), float(probability))
-            for value, probability in zip(model.q, model.p)
-        ]
-        start = time.perf_counter()
-        DiscreteDistribution.convolve_many(components, max_support=4096)
-        baseline = {
-            "algorithm": "pairwise tree (seed shape, current kernels)",
-            "n": 200,
-            "max_support": 4096,
-            "seconds": round(time.perf_counter() - start, 3),
-        }
-    record = {"fast_path": rows, "peak_rss_mb": fast_path_peak_rss}
-    if baseline is not None:
-        record["tree_baseline"] = baseline
-    return record
+        for versions in (1, 2):
+            bracket = exact_pfd_distribution(model, versions, max_support=4096)
+            quantiles = pfd_quantiles(bracket, BRACKET_LEVELS, prob_pfd_zero(model, versions))
+            rows.append(
+                {
+                    "n": n,
+                    "versions": versions,
+                    "max_support": 4096,
+                    "seconds": round(best_seconds(model, versions), 4),
+                    "support": bracket.support_size,
+                    **{
+                        f"width_{level}": (high - low) / high if high else 0.0
+                        for level, (low, high) in zip(BRACKET_LEVELS, quantiles)
+                    },
+                }
+            )
+    cold_models = [
+        FaultModel.random(np.random.default_rng(seed), n=100, p_range=(0.001, 0.1), total_impact=0.5)
+        for seed in range(5)
+    ]
+    cold_seconds = sorted(best_seconds(model, 2) for model in cold_models)[len(cold_models) // 2]
+    return {
+        "pair": rows,
+        "cold_mix_model": {"n": 100, "versions": 2, "seconds": round(cold_seconds, 4)},
+        "peak_rss_mb": round(_peak_rss_mb(), 1),
+    }
 
 
 def workload_study(quick: bool) -> dict:
@@ -1056,6 +1065,17 @@ def check_record(record: dict) -> list[str]:
             "chaos_soak fleet roll-up equals per-target merge",
             lambda: value("chaos_soak", "fleet_rollup_matches") is True,
         ),
+        # The exact kernel's bracket stays narrow where the gated workloads
+        # run: a deterministic figure, so any regression is the kernel's.
+        (
+            "convolution bracket width at n=200, level 0.99 <= 1% (versions 1 and 2)",
+            lambda: all(
+                row["width_0.99"] <= 0.01
+                for row in value("convolution", "pair")
+                if row["n"] == 200
+            )
+            and sum(row["n"] == 200 for row in value("convolution", "pair")) == 2,
+        ),
         # Warm study runs must stay essentially free.  A broken cache makes
         # warm ~= cold (ratio ~1); the floor sits well above that while
         # leaving room for the fixed per-run cost (plan + cache probing)
@@ -1180,7 +1200,11 @@ def main(argv=None) -> int:
         print(f"running {name} ...", flush=True)
         record["workloads"][name] = _run_in_subprocess(name, arguments.quick)
         print(f"  -> {json.dumps(record['workloads'][name])[:200]}", flush=True)
-    fast = {row["n"]: row["seconds"] for row in record["workloads"]["convolution"].get("fast_path", [])}
+    fast = {
+        row["n"]: row["seconds"]
+        for row in record["workloads"]["convolution"].get("pair", [])
+        if row["versions"] == 1
+    }
     speedups = [
         {
             "n": ref["n"],

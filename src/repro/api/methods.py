@@ -37,7 +37,7 @@ def _max_support(options: dict) -> int | None:
     return None if max_support is None else int(max_support)
 
 
-def _exact_distribution(model, options: dict):
+def _exact_bracket(model, options: dict):
     from repro.core.pfd_distribution import exact_pfd_distribution
 
     return exact_pfd_distribution(
@@ -45,8 +45,8 @@ def _exact_distribution(model, options: dict):
     )
 
 
-def _swept_distributions(model, variations, options: dict):
-    """``(point model, exact distribution)`` per sweep variation.
+def _swept_brackets(model, variations, options: dict):
+    """``(point model, PFD bracket)`` per sweep variation.
 
     Runs :func:`repro.stats.batched.batched_scaled_pfd`, the per-point
     scalar kernel, so each pair is exactly what a lone evaluation of
@@ -55,7 +55,7 @@ def _swept_distributions(model, variations, options: dict):
     from repro.stats.batched import batched_scaled_pfd
 
     p_scales, q_scales = _variation_scales(variations)
-    distributions = batched_scaled_pfd(
+    brackets = batched_scaled_pfd(
         model,
         p_scales,
         q_scales,
@@ -63,7 +63,7 @@ def _swept_distributions(model, variations, options: dict):
         max_support=_max_support(options),
     )
     points = (model.rescaled(v["p_scale"], v["q_scale"]) for v in variations)
-    return zip(points, distributions)
+    return zip(points, brackets)
 
 
 _VERSIONS = OptionSpec(
@@ -80,7 +80,10 @@ _MAX_SUPPORT = OptionSpec(
     4096,
     allow_none=True,
     minimum=2,
-    help="support-size cap for the exact convolution (null keeps the full support)",
+    help=(
+        "largest full support computed exactly; larger models are bracketed on a "
+        "lattice of 4 * max_support cells (null keeps the full support)"
+    ),
 )
 
 
@@ -114,7 +117,9 @@ def _moments_method(model, options: dict, rng) -> dict:
     options=(
         _VERSIONS,
         _MAX_SUPPORT,
-        OptionSpec("level", "float", 0.99, help="percentile level to report"),
+        OptionSpec(
+            "level", "float", 0.99, minimum=0, maximum=1, help="percentile level to report"
+        ),
         OptionSpec(
             "threshold",
             "float",
@@ -126,30 +131,43 @@ def _moments_method(model, options: dict, rng) -> dict:
     description="exact PFD distribution: mean, std, a percentile and optional exceedance",
 )
 def _exact_method(model, options: dict, rng) -> dict:
-    return _exact_record(model, _exact_distribution(model, options), options)
+    return _exact_record(model, _exact_bracket(model, options), options)
 
 
-def _exact_record(model, distribution, options: dict) -> dict:
-    """The ``exact`` metrics of ``model``'s PFD ``distribution``.
+def _bracketed(name: str, bounds: tuple[float, float]) -> dict:
+    """A bracketed readout: the conservative upper value plus ``_lo`` / ``_hi``."""
+    low, high = bounds
+    return {name: high, f"{name}_lo": low, f"{name}_hi": high}
 
-    The percentile is 0 whenever its level is at or below the closed-form
-    ``P(PFD = 0)`` (:func:`~repro.core.pfd_distribution.pfd_quantile`).
+
+def _exact_record(model, bracket, options: dict) -> dict:
+    """The ``exact`` metrics of ``model``'s PFD ``bracket``.
+
+    The mean and standard deviation are the closed forms
+    (:func:`~repro.core.moments.pfd_moments`).  The percentile and the
+    exceedance report the bracket's conservative upper value plus its
+    ``_lo`` / ``_hi`` ends; the percentile is 0 whenever its level is at or
+    below the closed-form ``P(PFD = 0)``
+    (:func:`~repro.core.pfd_distribution.pfd_quantiles`).
     """
-    from repro.core.pfd_distribution import pfd_quantile, prob_pfd_zero
+    from repro.core.moments import pfd_moments
+    from repro.core.pfd_distribution import pfd_quantiles, prob_pfd_zero
 
+    versions = int(options["versions"])
     level = float(options["level"])
-    prob_zero = prob_pfd_zero(model, int(options["versions"]))
+    moments = pfd_moments(model, versions)
+    (percentile,) = pfd_quantiles(bracket, [level], prob_pfd_zero(model, versions))
     record = {
-        "exact_mean": distribution.mean(),
-        "exact_std": distribution.std(),
+        "exact_mean": moments.mean,
+        "exact_std": moments.std,
         "exact_percentile_level": level,
-        "exact_percentile": pfd_quantile(distribution, level, prob_zero),
-        "exact_support": int(distribution.support.size),
+        **_bracketed("exact_percentile", percentile),
+        "exact_support": bracket.support_size,
     }
     if options["threshold"] is not None:
         threshold = float(options["threshold"])
         record["exact_threshold"] = threshold
-        record["exact_exceedance"] = distribution.survival(threshold)
+        record.update(_bracketed("exact_exceedance", bracket.survival(threshold)))
     return record
 
 
@@ -161,8 +179,8 @@ def _exact_batch(model, variations, options: dict, rng) -> list[dict]:
     q_scale), "exact", ...)`` for its point, whatever else the sweep holds.
     """
     return [
-        _exact_record(point, distribution, options)
-        for point, distribution in _swept_distributions(model, variations, options)
+        _exact_record(point, bracket, options)
+        for point, bracket in _swept_brackets(model, variations, options)
     ]
 
 
@@ -350,7 +368,9 @@ def _montecarlo_batch(model, variations, options: dict, rng) -> list[dict]:
     options=(
         _VERSIONS,
         _MAX_SUPPORT,
-        OptionSpec("level", "float", 0.99, help="quantile level to report"),
+        OptionSpec(
+            "level", "float", 0.99, minimum=0, maximum=1, help="quantile level to report"
+        ),
         OptionSpec(
             "threshold",
             "float",
@@ -369,34 +389,32 @@ def _tail_quantile_method(model, options: dict, rng) -> dict:
     (``repro evaluate --method tail-quantile``), study specs and
     :func:`repro.evaluate` without touching any dispatch code.
     """
-    return _tail_record(model, _exact_distribution(model, options), options)
+    return _tail_record(model, _exact_bracket(model, options), options)
 
 
-def _tail_record(model, distribution, options: dict) -> dict:
-    """The ``tail-quantile`` metrics of ``model``'s PFD ``distribution``.
+def _tail_record(model, bracket, options: dict) -> dict:
+    """The ``tail-quantile`` metrics of ``model``'s PFD ``bracket``.
 
     ``tail_prob_zero`` is the closed form ``P(PFD = 0)``
-    (:func:`~repro.core.pfd_distribution.prob_pfd_zero`), never a readout
-    of the support-capped distribution, and every quantile at a level at or
-    below it is 0.
+    (:func:`~repro.core.pfd_distribution.prob_pfd_zero`), and every quantile
+    at a level at or below it is 0.  Each quantile and the exceedance report
+    the bracket's conservative upper value plus its ``_lo`` / ``_hi`` ends.
     """
-    from repro.core.pfd_distribution import pfd_quantile, prob_pfd_zero
+    from repro.core.pfd_distribution import pfd_quantiles, prob_pfd_zero
 
     level = float(options["level"])
     prob_zero = prob_pfd_zero(model, int(options["versions"]))
-    record = {
-        "tail_level": level,
-        "tail_quantile": pfd_quantile(distribution, level, prob_zero),
-        "tail_median": pfd_quantile(distribution, 0.5, prob_zero),
-        "tail_q90": pfd_quantile(distribution, 0.9, prob_zero),
-        "tail_q99": pfd_quantile(distribution, 0.99, prob_zero),
-        "tail_prob_zero": prob_zero,
-        "tail_support": int(distribution.support.size),
-    }
+    names = ("tail_quantile", "tail_median", "tail_q90", "tail_q99")
+    quantiles = pfd_quantiles(bracket, (level, 0.5, 0.9, 0.99), prob_zero)
+    record = {"tail_level": level}
+    for name, bounds in zip(names, quantiles):
+        record.update(_bracketed(name, bounds))
+    record["tail_prob_zero"] = prob_zero
+    record["tail_support"] = bracket.support_size
     if options["threshold"] is not None:
         threshold = float(options["threshold"])
         record["tail_threshold"] = threshold
-        record["tail_exceedance"] = distribution.survival(threshold)
+        record.update(_bracketed("tail_exceedance", bracket.survival(threshold)))
     return record
 
 
@@ -407,6 +425,6 @@ def _tail_quantile_batch(model, variations, options: dict, rng) -> list[dict]:
     Every record is byte-identical to the lone per-point evaluation.
     """
     return [
-        _tail_record(point, distribution, options)
-        for point, distribution in _swept_distributions(model, variations, options)
+        _tail_record(point, bracket, options)
+        for point, bracket in _swept_brackets(model, variations, options)
     ]

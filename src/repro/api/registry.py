@@ -51,8 +51,8 @@ OPTION_TYPES = ("int", "float", "bool", "str")
 class OptionSpec:
     """One typed method option: name, type, default and documentation.
 
-    ``minimum`` is an inclusive lower bound for numeric options (``None``:
-    unbounded); ``null`` stays allowed when ``allow_none`` is set.
+    ``minimum`` and ``maximum`` are inclusive bounds for numeric options
+    (``None``: unbounded); ``null`` stays allowed when ``allow_none`` is set.
     """
 
     name: str
@@ -61,6 +61,7 @@ class OptionSpec:
     allow_none: bool = False
     help: str = ""
     minimum: int | float | None = None
+    maximum: int | float | None = None
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -113,6 +114,8 @@ class OptionSpec:
     def _bounded(self, value: Any) -> Any:
         if self.minimum is not None and value < self.minimum:
             raise ValueError(f"option {self.name!r} must be >= {self.minimum}, got {value!r}")
+        if self.maximum is not None and value > self.maximum:
+            raise ValueError(f"option {self.name!r} must be <= {self.maximum}, got {value!r}")
         return value
 
     def to_dict(self) -> dict:
@@ -123,6 +126,7 @@ class OptionSpec:
             "default": self.default,
             "allow_none": self.allow_none,
             "minimum": self.minimum,
+            "maximum": self.maximum,
             "help": self.help,
         }
 

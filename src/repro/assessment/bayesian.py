@@ -34,8 +34,9 @@ class BayesianPfdAssessment:
     Parameters
     ----------
     prior:
-        Discrete prior distribution over possible PFD values, normally obtained
-        from :func:`repro.core.pfd_distribution.exact_pfd_distribution`.
+        Discrete prior distribution over possible PFD values, normally the
+        conservative upper end of the bracket that
+        :func:`repro.core.pfd_distribution.exact_pfd_distribution` computes.
     """
 
     prior: DiscreteDistribution
@@ -44,8 +45,15 @@ class BayesianPfdAssessment:
     def from_model(
         model: FaultModel, versions: int = 2, max_support: int | None = 4096
     ) -> "BayesianPfdAssessment":
-        """Build the assessment with the fault-creation model's PFD distribution as prior."""
-        return BayesianPfdAssessment(prior=exact_pfd_distribution(model, versions, max_support))
+        """Build the assessment with the fault-creation model's PFD distribution as prior.
+
+        The prior is the upper end of the PFD bracket -- the distribution
+        itself when its full support fits ``max_support``, otherwise one
+        that never puts less mass above any PFD value -- so posterior bounds
+        err on the conservative side.
+        """
+        bracket = exact_pfd_distribution(model, versions, max_support)
+        return BayesianPfdAssessment(prior=bracket.upper())
 
     def posterior(self, demands: int, failures: int = 0) -> DiscreteDistribution:
         """Posterior PFD distribution after observing operational demands.

@@ -68,7 +68,7 @@ def claim_from_system(
         Required confidence level.
     method:
         ``"normal-approximation"`` (Section 5) or ``"exact-distribution"``
-        (exact convolution of the PFD distribution).
+        (the upper end of the exact percentile's guaranteed bracket).
     """
     if method == "normal-approximation":
         bound = system.normal_bound(confidence)

@@ -34,8 +34,9 @@ from pathlib import Path
 __all__ = ["CACHE_FORMAT_VERSION", "ResultCache", "canonical_json", "payload_digest"]
 
 #: Bump to invalidate every existing cache entry (e.g. when a method's
-#: numerical meaning changes without its options changing).
-CACHE_FORMAT_VERSION = 1
+#: numerical meaning changes without its options changing).  Version 2:
+#: ``exact`` / ``tail-quantile`` report bracketed quantiles and exceedances.
+CACHE_FORMAT_VERSION = 2
 
 
 def canonical_json(payload) -> str:

@@ -768,6 +768,8 @@ def _handle_methods(arguments: argparse.Namespace) -> int:
             kind = option.type + ("|null" if option.allow_none else "")
             if option.minimum is not None:
                 kind += f" >= {option.minimum}"
+            if option.maximum is not None:
+                kind += f" <= {option.maximum}"
             line = f"  --set {option.name}=...  {kind}, default {render_default(option.default)}"
             if option.help:
                 line += f"  -- {option.help}"

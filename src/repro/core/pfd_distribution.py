@@ -4,8 +4,11 @@ The paper works with means, standard deviations, the probability of zero PFD,
 and normal approximations, because the full distribution of the PFD has
 ``2^n`` atoms in general.  For models of moderate size, however, the exact
 distribution *can* be computed by convolving the ``n`` independent two-point
-contributions, optionally collapsing the support onto a bounded grid to stay
-tractable.  This lets the library:
+contributions; past a support cap it is bracketed instead, by two lattice
+distributions that bound the PFD from below and from above outcome by
+outcome (:func:`repro.stats.discrete.bracket_two_points`), so every
+percentile and exceedance comes with a guaranteed ``[lo, hi]``.  This lets
+the library:
 
 * check the quality of the Section 5 normal approximation exactly
   (experiment E10);
@@ -29,14 +32,14 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core.fault_model import FaultModel
-from repro.stats.discrete import DiscreteDistribution, convolve_two_points
+from repro.stats.discrete import DistributionBracket, bracket_two_points
 
 __all__ = [
     "DistributionScope",
     "exact_pfd_distribution",
     "pfd_exceedance_probability",
     "pfd_percentile",
-    "pfd_quantile",
+    "pfd_quantiles",
     "prob_pfd_zero",
     "shared_distributions",
 ]
@@ -52,7 +55,7 @@ class DistributionScope:
     __slots__ = ("distributions", "computed", "shared")
 
     def __init__(self) -> None:
-        self.distributions: dict[tuple, DiscreteDistribution] = {}
+        self.distributions: dict[tuple, DistributionBracket] = {}
         self.computed = 0
         self.shared = 0
 
@@ -69,7 +72,7 @@ def shared_distributions() -> Iterator[DistributionScope]:
     While the block runs, :func:`exact_pfd_distribution` memoises its result
     on ``(versions, max_support, q, p)`` and returns the *same* object for
     every repeat call, so ``exact`` and ``tail-quantile`` readouts of one
-    point model cost one convolution.  The cached arrays are read-only.
+    point model cost one kernel run.  The cached arrays are read-only.
     The memo lives in the yielded :class:`DistributionScope` and is dropped
     when the block exits; a nested block starts an empty scope of its own.
     """
@@ -83,8 +86,8 @@ def shared_distributions() -> Iterator[DistributionScope]:
 
 def exact_pfd_distribution(
     model: FaultModel, versions: int = 1, max_support: int | None = 4096
-) -> DiscreteDistribution:
-    """The exact distribution of the PFD of a 1-out-of-``versions`` system.
+) -> DistributionBracket:
+    """The distribution of the PFD of a 1-out-of-``versions`` system, bracketed.
 
     Parameters
     ----------
@@ -95,32 +98,37 @@ def exact_pfd_distribution(
         ``1`` gives the single-version distribution, ``2`` the paper's
         two-version system.
     max_support:
-        Upper bound on the number of support points kept during convolution.
-        ``None`` keeps the full support (exact but exponential in ``n``); the
-        default keeps the computation tractable for any model size while
-        preserving the mean exactly and the shape to within the grid
-        resolution.
+        Largest full support computed exactly.  A model whose support may
+        exceed it is bracketed on a lattice of ``4 * max_support`` cells
+        instead.  ``None`` always keeps the full support (exact but
+        exponential in ``n``).
+
+    Returns a :class:`~repro.stats.discrete.DistributionBracket`: lower and
+    upper distributions with lower <= PFD <= upper outcome by outcome (one
+    and the same distribution when exact).  A caller that needs a single
+    distribution takes the conservative upper one.
 
     Inside a :func:`shared_distributions` scope a repeat call with an equal
-    model, ``versions`` and ``max_support`` returns the distribution the
-    first call computed; outside one every call computes afresh.
+    model, ``versions`` and ``max_support`` returns the bracket the first
+    call computed; outside one every call computes afresh.
     """
     if versions < 1:
         raise ValueError(f"versions must be a positive integer, got {versions}")
     scope = _SCOPE.get()
     if scope is None:
-        return convolve_two_points(model.q, model.p ** versions, max_support=max_support)
+        return bracket_two_points(model.q, model.p ** versions, max_support=max_support)
     key = (versions, max_support, model.q.tobytes(), model.p.tobytes())
-    distribution = scope.distributions.get(key)
-    if distribution is not None:
+    bracket = scope.distributions.get(key)
+    if bracket is not None:
         scope.shared += 1
-        return distribution
-    distribution = convolve_two_points(model.q, model.p ** versions, max_support=max_support)
-    distribution.support.setflags(write=False)
-    distribution.probabilities.setflags(write=False)
-    scope.distributions[key] = distribution
+        return bracket
+    bracket = bracket_two_points(model.q, model.p ** versions, max_support=max_support)
+    if bracket.exact is not None:
+        bracket.exact.support.setflags(write=False)
+        bracket.exact.probabilities.setflags(write=False)
+    scope.distributions[key] = bracket
     scope.computed += 1
-    return distribution
+    return bracket
 
 
 def pfd_exceedance_probability(
@@ -129,16 +137,16 @@ def pfd_exceedance_probability(
     versions: int = 1,
     max_support: int | None = 4096,
 ) -> float:
-    """``P(Theta_r > threshold)`` computed from the exact PFD distribution.
+    """Conservative (upper) ``P(Theta_r > threshold)`` from the PFD bracket.
 
     This is the risk of violating a required PFD bound ``theta_R``
     (the paper's Section 3 second scenario) without invoking the normal
-    approximation.
+    approximation.  The value is the bracket's upper end, never below the
+    true risk; it is the true risk when the bracket is exact.
     """
     if threshold < 0.0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    distribution = exact_pfd_distribution(model, versions, max_support)
-    return distribution.survival(threshold)
+    return exact_pfd_distribution(model, versions, max_support).survival(threshold)[1]
 
 
 def pfd_percentile(
@@ -147,26 +155,28 @@ def pfd_percentile(
     versions: int = 1,
     max_support: int | None = 4096,
 ) -> float:
-    """The ``level`` percentile of the exact PFD distribution.
+    """Conservative (upper) ``level`` percentile of the PFD.
 
     E.g. ``level=0.99`` answers the paper's "what is the 99th percentile of
-    the distribution of the system PFD?" exactly.
+    the distribution of the system PFD?" without the normal approximation:
+    the value is the bracket's upper end, never below the true percentile.
     """
-    distribution = exact_pfd_distribution(model, versions, max_support)
-    return pfd_quantile(distribution, level, prob_pfd_zero(model, versions))
+    bracket = exact_pfd_distribution(model, versions, max_support)
+    return pfd_quantiles(bracket, [level], prob_pfd_zero(model, versions))[0][1]
 
 
-def pfd_quantile(distribution: DiscreteDistribution, level: float, prob_zero: float) -> float:
-    """The ``level`` quantile of a PFD distribution whose zero atom is ``prob_zero``.
+def pfd_quantiles(
+    bracket: DistributionBracket, levels, prob_zero: float
+) -> list[tuple[float, float]]:
+    """``(lo, hi)`` bracketing each ``level`` quantile of a PFD whose zero atom is ``prob_zero``.
 
-    A support-capped distribution smears the atom at zero into its
-    neighbouring lattice points, so its own quantile can read a small
-    positive PFD at a level the fault-free outcome alone covers.  Given the
-    closed-form ``prob_zero`` (:func:`prob_pfd_zero`), every level at or
-    below it has quantile 0 exactly.
+    Given the closed-form ``prob_zero`` (:func:`prob_pfd_zero`), every level
+    at or below it has quantile 0 exactly.
     """
-    value = distribution.quantile(level)
-    return 0.0 if level <= prob_zero else value
+    return [
+        (0.0, 0.0) if 0.0 < prob_zero and level <= prob_zero else bounds
+        for level, bounds in zip(levels, bracket.quantiles(levels))
+    ]
 
 
 def prob_pfd_zero(model: FaultModel, versions: int = 1) -> float:

@@ -23,7 +23,11 @@ from repro.core.no_common_faults import (
     prob_fault_free_r_versions,
 )
 from repro.core.normal_approximation import berry_esseen_error, normal_approximation
-from repro.core.pfd_distribution import exact_pfd_distribution, pfd_exceedance_probability
+from repro.core.pfd_distribution import (
+    exact_pfd_distribution,
+    pfd_exceedance_probability,
+    pfd_percentile,
+)
 from repro.stats.discrete import DiscreteDistribution
 from repro.stats.normal import NormalApproximation
 from repro.stats.poisson_binomial import PoissonBinomial
@@ -76,8 +80,13 @@ class OneOutOfRSystem:
 
     # -- distributions and bounds --------------------------------------- #
     def pfd_distribution(self, max_support: int | None = 4096) -> DiscreteDistribution:
-        """Exact distribution of the system PFD."""
-        return exact_pfd_distribution(self.model, self.versions, max_support)
+        """Distribution of the system PFD: the conservative upper end of its bracket.
+
+        It is exact when the full support fits ``max_support``; otherwise it
+        stochastically dominates the PFD, so its quantiles and exceedances
+        never understate the true ones.
+        """
+        return exact_pfd_distribution(self.model, self.versions, max_support).upper()
 
     def normal_approximation(self) -> NormalApproximation:
         """Normal approximation to the PFD distribution (Section 5)."""
@@ -88,11 +97,14 @@ class OneOutOfRSystem:
         return self.normal_approximation().bound_for_confidence(confidence)
 
     def exact_bound(self, confidence: float, max_support: int | None = 4096) -> float:
-        """Confidence bound on the PFD from the exact distribution."""
-        return self.pfd_distribution(max_support).quantile(confidence)
+        """Confidence bound on the PFD: the upper end of the exact percentile's bracket."""
+        return pfd_percentile(self.model, confidence, self.versions, max_support)
 
     def prob_pfd_exceeds(self, threshold: float, max_support: int | None = 4096) -> float:
-        """Probability that the system PFD exceeds a required bound ``theta_R``."""
+        """Probability that the system PFD exceeds a required bound ``theta_R``.
+
+        The upper end of its bracket: never below the true probability.
+        """
         return pfd_exceedance_probability(self.model, threshold, self.versions, max_support)
 
     def normal_approximation_error_bound(self) -> float:

@@ -7,8 +7,10 @@ This subpackage provides the probability machinery that the core model in
   the number of faults present in a version (a sum of independent, non-identical
   Bernoulli variables).
 * :class:`~repro.stats.discrete.DiscreteDistribution` -- finite discrete
-  distributions with convolution, used for the exact distribution of the
-  probability of failure on demand (PFD).
+  distributions with convolution, and
+  :class:`~repro.stats.discrete.DistributionBracket` -- the guaranteed
+  lower and upper bounds the exact distribution of the probability of
+  failure on demand (PFD) is computed as.
 * :mod:`~repro.stats.normal` -- normal-distribution helpers used by the paper's
   Section 5 (confidence bounds under the normal approximation), including a
   Berry-Esseen error bound for judging the approximation quality.
@@ -25,7 +27,7 @@ normal-theory confidence intervals) import scipy on their first call, so a
 process that never uses them never pays for scipy.
 """
 
-from repro.stats.discrete import DiscreteDistribution
+from repro.stats.discrete import DiscreteDistribution, DistributionBracket
 from repro.stats.empirical import (
     EmpiricalDistribution,
     bootstrap_confidence_interval,
@@ -44,6 +46,7 @@ from repro.stats.streaming import StreamingHistogram, StreamingMoments
 
 __all__ = [
     "DiscreteDistribution",
+    "DistributionBracket",
     "EmpiricalDistribution",
     "NormalApproximation",
     "PoissonBinomial",

@@ -1,18 +1,17 @@
-"""Exact PFD distributions of a family of rescaled models.
+"""Exact PFD distribution brackets of a family of rescaled models.
 
 Parameter sweeps over scalar model knobs -- the Appendix B process-quality
 scale ``p_scale`` (every ``p_i`` multiplied by ``k``) and the uniform
 failure-region scale ``q_scale`` -- evaluate one exact distribution per sweep
 point.  :func:`batched_scaled_pfd` runs the scalar kernel
 :func:`~repro.core.pfd_distribution.exact_pfd_distribution` once per point on
-``model.rescaled(p_scale, q_scale)``, so a swept distribution is exactly the
-one a lone evaluation of that point computes: it depends on the point alone,
-never on which other points share the sweep.
+``model.rescaled(p_scale, q_scale)``, so a swept bracket is exactly the one a
+lone evaluation of that point computes: it depends on the point alone, never
+on which other points share the sweep.
 
-The loop is deliberate: a stacked ``(points, support)`` convolution over the
-whole family shares one lattice across points, which makes each point's
-values depend on its groupmates, and at the default ``max_support=4096`` it
-is about 2.6 times slower per point than this loop.
+The loop is deliberate: a stacked ``(points, cells)`` fold over the whole
+family would share one lattice across points, which makes each point's
+values depend on its groupmates.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.stats.discrete import DiscreteDistribution
+from repro.stats.discrete import DistributionBracket
 
 __all__ = ["batched_scaled_pfd"]
 
@@ -31,8 +30,8 @@ def batched_scaled_pfd(
     q_scales=None,
     versions: int = 1,
     max_support: int | None = 4096,
-) -> list[DiscreteDistribution]:
-    """Exact PFD distributions of a family of rescaled models, one per point.
+) -> list[DistributionBracket]:
+    """PFD distribution brackets of a family of rescaled models, one per point.
 
     Point ``j`` is ``exact_pfd_distribution(model.rescaled(p_scales[j],
     q_scales[j]), versions, max_support)``: every ``p_i`` multiplied by

@@ -4,23 +4,20 @@ The probability of failure on demand (PFD) of a version in the fault-creation
 model is a sum of independent two-point random variables: the ``i``-th takes
 the value ``q_i`` with probability ``p_i`` and ``0`` otherwise (Section 3 of
 the paper).  Its exact distribution is therefore a finite discrete distribution
-whose support grows by convolution.  :class:`DiscreteDistribution` provides the
-convolution machinery, with optional support collapsing (binning of nearly
-equal support points) so that exact-to-within-tolerance distributions remain
-tractable for models with many potential faults.
+whose support grows by convolution, up to ``2^n`` points.
 
 Two layers are provided:
 
-* the generic, validating public constructor and :meth:`DiscreteDistribution.convolve`,
-  for arbitrary finite distributions;
-* a fast convolution core for the special structure of PFD distributions --
-  :meth:`DiscreteDistribution.convolve_two_point` (an ``O(m log m)`` kernel
-  for adding one two-point fault contribution) and :func:`convolve_two_points`
-  (a fold over thousands of contributions, with identical ``(q, p)`` groups
-  combined in closed form through the binomial distribution).  Intermediate
-  results use a trusted internal constructor that skips re-validation and
-  re-sorting, which is what makes the exact PFD distribution usable at
-  ``n`` in the thousands.
+* :class:`DiscreteDistribution` -- the generic, validating constructor and
+  :meth:`DiscreteDistribution.convolve`, for arbitrary finite distributions,
+  with an ``O(m log m)`` kernel for adding one two-point fault contribution
+  (:meth:`DiscreteDistribution.convolve_two_point`);
+* :func:`bracket_two_points` -- the kernel for sums of thousands of
+  two-point contributions.  It returns a :class:`DistributionBracket`: the
+  exact distribution when its support fits a cap, and otherwise two integer
+  shift-add folds on one lattice whose values bound the sum from below and
+  from above outcome by outcome, so every quantile and exceedance probability
+  read from them is a guaranteed ``[lo, hi]``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiscreteDistribution", "convolve_two_points"]
+__all__ = ["DiscreteDistribution", "DistributionBracket", "bracket_two_points"]
 
 
 @dataclass(frozen=True)
@@ -170,8 +167,14 @@ class DiscreteDistribution:
         return values
 
     def survival(self, x: float) -> float:
-        """``P(X > x)``, the exceedance probability used for PFD-bound risks."""
-        return float(1.0 - self.cdf(x))
+        """``P(X > x)``, the exceedance probability used for PFD-bound risks.
+
+        Summed over the tail rather than taken as ``1 - cdf(x)``, so a small
+        exceedance keeps its relative precision (and capped at 1 against
+        rounding).
+        """
+        index = int(np.searchsorted(self.support, float(x), side="right"))
+        return min(1.0, float(self.probabilities[index:].sum()))
 
     def quantile(self, level: float) -> float:
         """Smallest support point ``x`` with ``P(X <= x) >= level``."""
@@ -219,81 +222,30 @@ class DiscreteDistribution:
         order = np.argsort(support, kind="stable")
         return DiscreteDistribution._from_sorted(support[order], weights[order])
 
-    def convolve(
-        self, other: "DiscreteDistribution", max_support: int | None = None
-    ) -> "DiscreteDistribution":
+    def convolve(self, other: "DiscreteDistribution") -> "DiscreteDistribution":
         """Distribution of the sum of two independent variables.
-
-        Parameters
-        ----------
-        other:
-            Distribution of the independent second summand.
-        max_support:
-            When given and the convolution support would exceed this size, the
-            result is collapsed onto a grid of ``max_support`` points (see
-            :meth:`collapse`).  This keeps an "exact to within tolerance"
-            distribution tractable when convolving hundreds of fault
-            contributions.
 
         Point masses and two-point summands are dispatched to the specialised
         ``O(m log m)`` kernels; the general case falls back to the
         outer-product convolution.
         """
         if other.support.size == 1:
-            result = self.shifted(float(other.support[0]))
-        elif self.support.size == 1:
-            result = other.shifted(float(self.support[0]))
-        elif other.support.size == 2 and other.support[0] == 0.0:
-            result = self.convolve_two_point(
-                float(other.support[1]), float(other.probabilities[1])
-            )
-        elif self.support.size == 2 and self.support[0] == 0.0:
-            result = other.convolve_two_point(
-                float(self.support[1]), float(self.probabilities[1])
-            )
-        else:
-            sums = self.support[:, np.newaxis] + other.support[np.newaxis, :]
-            weights = self.probabilities[:, np.newaxis] * other.probabilities[np.newaxis, :]
-            flat_sums = sums.ravel()
-            flat_weights = weights.ravel()
-            order = np.argsort(flat_sums, kind="stable")
-            result = DiscreteDistribution._from_sorted(flat_sums[order], flat_weights[order])
-        if max_support is not None and result.support.size > max_support:
-            result = result.collapse(max_support)
-        return result
-
-    def collapse(self, max_support: int) -> "DiscreteDistribution":
-        """Collapse the support onto at most ``max_support`` points.
-
-        Support points are merged into equal-width bins spanning the support
-        range; each bin is represented by its probability-weighted mean, so the
-        distribution's mean is preserved exactly and its variance is preserved
-        to within the bin width.
-        """
-        if max_support < 2:
-            raise ValueError(f"max_support must be >= 2, got {max_support}")
-        if self.support.size <= max_support:
-            return self
-        low, high = float(self.support[0]), float(self.support[-1])
-        if high == low:
-            return DiscreteDistribution.point_mass(low)
-        edges = np.linspace(low, high, max_support + 1)
-        bin_index = np.clip(np.searchsorted(edges, self.support, side="right") - 1, 0, max_support - 1)
-        probability_sums = np.zeros(max_support)
-        weighted_sums = np.zeros(max_support)
-        np.add.at(probability_sums, bin_index, self.probabilities)
-        np.add.at(weighted_sums, bin_index, self.probabilities * self.support)
-        occupied = probability_sums > 0.0
-        new_support = weighted_sums[occupied] / probability_sums[occupied]
-        new_probabilities = probability_sums[occupied]
-        # Bin means are non-decreasing across ordered bins; merge the (rare)
-        # exact ties so the trusted invariants hold.
-        return DiscreteDistribution._from_sorted(new_support, new_probabilities)
+            return self.shifted(float(other.support[0]))
+        if self.support.size == 1:
+            return other.shifted(float(self.support[0]))
+        if other.support.size == 2 and other.support[0] == 0.0:
+            return self.convolve_two_point(float(other.support[1]), float(other.probabilities[1]))
+        if self.support.size == 2 and self.support[0] == 0.0:
+            return other.convolve_two_point(float(self.support[1]), float(self.probabilities[1]))
+        sums = self.support[:, np.newaxis] + other.support[np.newaxis, :]
+        weights = self.probabilities[:, np.newaxis] * other.probabilities[np.newaxis, :]
+        flat_sums = sums.ravel()
+        flat_weights = weights.ravel()
+        order = np.argsort(flat_sums, kind="stable")
+        return DiscreteDistribution._from_sorted(flat_sums[order], flat_weights[order])
 
     @staticmethod
-    def convolve_many(
-        components: list["DiscreteDistribution"], max_support: int | None = None
-    ) -> "DiscreteDistribution":
+    def convolve_many(components: list["DiscreteDistribution"]) -> "DiscreteDistribution":
         """Convolve a list of independent components.
 
         Components are combined pairwise (balanced tree order) which keeps
@@ -305,7 +257,7 @@ class DiscreteDistribution:
         while len(current) > 1:
             next_round: list[DiscreteDistribution] = []
             for index in range(0, len(current) - 1, 2):
-                next_round.append(current[index].convolve(current[index + 1], max_support=max_support))
+                next_round.append(current[index].convolve(current[index + 1]))
             if len(current) % 2 == 1:
                 next_round.append(current[-1])
             current = next_round
@@ -344,96 +296,262 @@ def _binomial_contribution(value: float, probability: float, count: int) -> Disc
     return DiscreteDistribution._trusted(value * np.arange(count + 1, dtype=float), pmf)
 
 
-def _lattice_fold(
-    accumulator: DiscreteDistribution,
-    values: np.ndarray,
-    probabilities: np.ndarray,
-    max_support: int,
-) -> DiscreteDistribution:
-    """Fold two-point contributions into ``accumulator`` on a fixed lattice.
+#: Relative rounding error of one float operation (unit roundoff).
+_EPS = float(np.finfo(float).eps)
+#: Smallest normal float; below it rounding errors are absolute, not relative.
+_MIN_NORMAL = float(np.finfo(float).tiny)
+#: Smallest positive (subnormal) float.
+_TINY = float(np.nextafter(0.0, 1.0))
+#: Standard deviations of the remaining sum the lattice spans above its mean.
+_SPAN_STDS = 40.0
 
-    Each contribution's value is split across the two neighbouring lattice
-    points so its mean is preserved exactly, and the fold becomes three
-    vectorised shift-adds per contribution -- ``O(max_support)`` each, with a
-    *single* discretisation step per contribution instead of the compounding
-    bin-merge error of collapsing an irregular support thousands of times.
 
-    The lattice spans the statistically attainable range (mean plus 40
-    standard deviations of the remaining sum, on top of the accumulator's
-    maximum) rather than the full combinatorial range ``sum(values)``, which
-    keeps the spacing ``delta`` -- and with it the variance inflation of the
-    two-point split -- small for long-tailed models.  Mass that would land
-    beyond the lattice (probability below ``exp(-O(40^2))``) is clamped into
-    the top cell, so total probability is conserved exactly.
+@dataclass(frozen=True, eq=False)
+class DistributionBracket:
+    """Two distributions that bound a non-negative random variable pointwise.
+
+    ``lower <= X <= upper`` holds outcome by outcome, so every quantile and
+    every exceedance probability of ``X`` lies between those of the two
+    bounds.  Two forms share the class:
+
+    * *exact* -- ``exact`` holds the distribution of ``X`` itself and both
+      bounds are it;
+    * *lattice* -- cell ``k`` of ``lower_weights`` and ``upper_weights``
+      (read-only) holds the value ``offset + k * delta``, and the upper bound
+      also puts ``overflow`` mass on ``ceiling``, a value no outcome exceeds.
+
+    ``slack`` is a relative bound on the rounding error of the lattice
+    weights, of their partial sums and of the lattice values; every readout
+    moves its ends outward by it (:func:`_outward`), so containment survives
+    floating-point arithmetic (a full-support distribution computed in
+    another order may differ from the lattice in the last few bits).
     """
-    remaining_mean = float(np.sum(values * probabilities))
-    remaining_var = float(np.sum(values**2 * probabilities * (1.0 - probabilities)))
-    statistical_span = (
-        float(accumulator.support[-1])
-        + remaining_mean
-        + 40.0 * float(np.sqrt(remaining_var))
-        + float(values.max())
-    )
-    span = min(float(accumulator.support[-1]) + float(values.sum()), statistical_span)
-    # Work at 4x the requested resolution and collapse once at the end: the
-    # finer spacing shrinks the split error 16-fold and the final collapse
-    # returns probability-weighted bin means, at the cost of a single
-    # discretisation step.
-    resolution = 4 * max_support
-    delta = span / (resolution - 1)
-    # The mean-preserving split rounds each value up to the next lattice point
-    # for part of its mass, so the working array needs headroom beyond the cap.
-    work = resolution + 2
-    weights = np.zeros(work)
-    positions = accumulator.support / delta
-    lower = np.floor(positions).astype(int)
-    fractions = positions - lower
-    np.add.at(weights, lower, accumulator.probabilities * (1.0 - fractions))
-    np.add.at(weights, lower + 1, accumulator.probabilities * fractions)
-    for value, probability in zip(values, probabilities):
-        position = value / delta
-        index = int(position)
-        fraction = position - index
-        updated = weights * (1.0 - probability)
-        for shift, mass in ((index, probability * (1.0 - fraction)), (index + 1, probability * fraction)):
-            if mass == 0.0:
-                continue
-            if shift < work:
-                updated[shift:] += weights[: work - shift] * mass
-                tail = weights[work - shift :]
+
+    exact: DiscreteDistribution | None = None
+    delta: float = 0.0
+    offset: float = 0.0
+    lower_weights: np.ndarray | None = None
+    upper_weights: np.ndarray | None = None
+    overflow: float = 0.0
+    ceiling: float = 0.0
+    slack: float = 0.0
+
+    @property
+    def is_exact(self) -> bool:
+        """Whether both bounds are the distribution itself (``lo == hi``)."""
+        return self.exact is not None
+
+    @property
+    def support_size(self) -> int:
+        """Number of support points of the upper bound."""
+        if self.exact is not None:
+            return int(self.exact.support.size)
+        return int(np.count_nonzero(self.upper_weights)) + int(self.overflow > 0.0)
+
+    def _value(self, cell: int, sign: int) -> float:
+        """The value of lattice ``cell``, moved outward (see :func:`_outward`)."""
+        return _outward(self.offset + cell * self.delta, self.slack, sign)
+
+    def _first_above(self, x: float, sign: int) -> int:
+        """Index of the first cell whose outward value exceeds ``x``."""
+        size = self.upper_weights.size
+        first = max(0, min(size, int(np.floor((x - self.offset) / self.delta)) + 1))
+        while first > 0 and self._value(first - 1, sign) > x:
+            first -= 1
+        while first < size and self._value(first, sign) <= x:
+            first += 1
+        return first
+
+    def quantiles(self, levels) -> list[tuple[float, float]]:
+        """``(lo, hi)`` bracketing the ``level`` quantile of ``X``, per level.
+
+        The quantile is the smallest value ``x`` with ``P(X <= x) >= level``.
+        """
+        levels = [float(level) for level in levels]
+        for level in levels:
+            if not 0.0 <= level <= 1.0:
+                raise ValueError(f"level must be in [0, 1], got {level}")
+        if self.exact is not None:
+            return [(value, value) for value in map(self.exact.quantile, levels)]
+        lower = np.searchsorted(np.cumsum(self.lower_weights), [lv - self.slack for lv in levels])
+        upper = np.searchsorted(np.cumsum(self.upper_weights), [lv + self.slack for lv in levels])
+        if self.overflow > 0.0:
+            top = self.ceiling
+        else:
+            top = self._value(int(np.flatnonzero(self.upper_weights)[-1]), +1)
+        last = self.upper_weights.size - 1
+        return [
+            (
+                self._value(min(int(low), last), -1),
+                top if high > last else min(self._value(int(high), +1), top),
+            )
+            for low, high in zip(lower, upper)
+        ]
+
+    def quantile(self, level: float) -> tuple[float, float]:
+        """``(lo, hi)`` bracketing the ``level`` quantile of ``X``."""
+        return self.quantiles([level])[0]
+
+    def survival(self, x: float) -> tuple[float, float]:
+        """``(lo, hi)`` bracketing the exceedance probability ``P(X > x)``."""
+        if self.exact is not None:
+            value = self.exact.survival(x)
+            return value, value
+        low = float(self.lower_weights[self._first_above(x, -1):].sum())
+        high = float(self.upper_weights[self._first_above(x, +1):].sum())
+        if self.ceiling > x:
+            high += self.overflow
+        return _outward(low, self.slack, -1), min(1.0, _outward(high, self.slack, +1))
+
+    def lower(self) -> DiscreteDistribution:
+        """The lower bound as a distribution (``X`` itself when exact)."""
+        if self.exact is not None:
+            return self.exact
+        return self._distribution(self.lower_weights, 0.0)
+
+    def upper(self) -> DiscreteDistribution:
+        """The upper bound as a distribution (``X`` itself when exact).
+
+        This is the conservative choice wherever one distribution must stand
+        for ``X``: every quantile and exceedance it gives is at least the
+        true one.
+        """
+        if self.exact is not None:
+            return self.exact
+        return self._distribution(self.upper_weights, self.overflow)
+
+    def _distribution(self, weights: np.ndarray, overflow: float) -> DiscreteDistribution:
+        occupied = np.flatnonzero(weights)
+        support = self.offset + occupied * self.delta
+        probabilities = weights[occupied]
+        if overflow > 0.0:
+            support = np.append(support, max(self.ceiling, float(support[-1])))
+            probabilities = np.append(probabilities, overflow)
+        return DiscreteDistribution._from_sorted(support, probabilities)
+
+
+def _outward(value: float, slack: float, sign: int) -> float:
+    """``value`` moved away from the truth by its rounding ``slack``.
+
+    Down for ``sign=-1``, up for ``sign=+1``, and never below 0: a relative
+    ``slack`` plus the matching absolute error of subnormal arithmetic.
+    """
+    return max(0.0, value + sign * slack * (abs(value) + _MIN_NORMAL))
+
+
+def _fold(
+    shifts: np.ndarray, probabilities: np.ndarray, cells: int, clamp: bool
+) -> tuple[np.ndarray, float]:
+    """Fold two-point contributions as integer shifts on a lattice of ``cells``.
+
+    Contribution ``i`` moves mass ``probabilities[i]`` up by ``shifts[i]``
+    cells.  Mass pushed past the top cell is clamped into it when ``clamp``
+    is set (which can only lower a value) and otherwise returned apart as
+    the overflow (to be placed at or above every value).  Returns the
+    normalised weights and the overflow mass.
+
+    The fold keeps unnormalised weights ``u`` scaled by ``1 / prod(1 - p)``,
+    so each contribution costs one multiply and one shift-add over the
+    occupied cells: ``u[s:] += p / (1 - p) * u[:-s]``.
+    """
+    weights = np.zeros(cells)
+    weights[0] = 1.0
+    scratch = np.empty(cells)
+    top = 0
+    spilled = 0.0
+    scale = 1.0
+    for shift, probability in zip(shifts.tolist(), probabilities.tolist()):
+        if shift == 0:
+            continue
+        odds = probability / (1.0 - probability)
+        # Overflow stays past the lattice whether or not this fault is present.
+        spilled *= 1.0 + odds
+        occupied = top + 1
+        kept = max(0, min(occupied, cells - shift))
+        if kept < occupied:
+            spill = odds * float(weights[kept:occupied].sum())
+            if clamp:
+                weights[-1] += spill
             else:
-                tail = weights
-            if tail.size:
-                updated[-1] += float(tail.sum()) * mass
-        weights = updated
-    occupied = np.flatnonzero(weights > 0.0)
-    result = DiscreteDistribution._trusted(occupied * delta, weights[occupied])
-    if result.support.size > max_support:
-        result = result.collapse(max_support)
-    return result
+                spilled += spill
+        np.multiply(weights[:kept], odds, out=scratch[:kept])
+        weights[shift : shift + kept] += scratch[:kept]
+        top = min(top + shift, cells - 1)
+        scale *= 1.0 + odds
+        if scale > 1e150:
+            weights /= scale
+            spilled /= scale
+            scale = 1.0
+    total = float(weights.sum()) + spilled
+    weights /= total
+    return weights, spilled / total
 
 
-def convolve_two_points(
+def _lattice_bracket(
+    values: np.ndarray, probabilities: np.ndarray, cells: int, offset: float
+) -> DistributionBracket:
+    """The lower and upper lattice folds of ``sum_i B_i`` (see :func:`bracket_two_points`)."""
+    mean = float(np.dot(values, probabilities))
+    variance = float(np.dot(values * values, probabilities * (1.0 - probabilities)))
+    total = float(values.sum())
+    span = min(total, mean + _SPAN_STDS * float(np.sqrt(variance)) + float(values.max()))
+    # The smallest positive float keeps delta positive for subnormal spans.
+    delta = max(span / (cells - 1), _TINY)
+    ratios = values / delta
+    down = np.floor(ratios)
+    down -= down * delta > values
+    up = np.ceil(ratios)
+    up += up * delta < values
+    slack = (cells + 3 * values.size) * _EPS
+    lower, _ = _fold(down.astype(np.int64), probabilities, cells, clamp=True)
+    upper, overflow = _fold(up.astype(np.int64), probabilities, cells, clamp=False)
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return DistributionBracket(
+        delta=delta,
+        offset=offset,
+        lower_weights=lower,
+        upper_weights=upper,
+        overflow=overflow,
+        ceiling=_outward(offset + total, slack, +1),
+        slack=slack,
+    )
+
+
+def bracket_two_points(
     values: np.ndarray,
     probabilities: np.ndarray,
     max_support: int | None = None,
-) -> DiscreteDistribution:
-    """Distribution of ``sum_i B_i`` for independent two-point variables.
+) -> DistributionBracket:
+    """Bracket the distribution of ``sum_i B_i`` for independent two-point variables.
 
     ``B_i`` equals ``values[i]`` with probability ``probabilities[i]`` and 0
     otherwise -- exactly the structure of the PFD of a version (Section 3).
-    This is the fast path behind
+    This is the kernel behind
     :func:`repro.core.pfd_distribution.exact_pfd_distribution`:
 
     * contributions with ``value == 0`` or ``probability == 0`` are dropped;
     * contributions with ``probability == 1`` are an exact constant shift;
-    * groups with identical ``(value, probability)`` are combined in closed
-      form via the binomial distribution (so homogeneous models cost
-      ``O(n)`` regardless of ``max_support``);
-    * remaining distinct contributions are folded exactly with the
-      ``O(m log m)`` two-point kernel while the support fits within
-      ``max_support``, then on a fixed mean-preserving lattice
-      (:func:`_lattice_fold`) once it would not.
+    * when the full support fits in ``max_support`` points (a bound taken
+      over groups of identical ``(value, probability)``, each of which has
+      ``count + 1`` points) -- or ``max_support`` is ``None`` -- the sum is
+      folded exactly: singles with the ``O(m log m)`` two-point kernel,
+      groups in closed form through the binomial distribution.  The result
+      is an exact bracket (``lo == hi``);
+    * otherwise two integer folds run on a lattice of ``4 * max_support``
+      cells of spacing ``delta``: the lower fold rounds each value down to a
+      multiple of ``delta`` and clamps mass past the lattice into its top
+      cell, the upper fold rounds each value up and sends mass past the
+      lattice to one atom at ``sum(values)``, which no outcome exceeds.  So
+      lower <= sum <= upper outcome by outcome; a group of ``k`` identical
+      faults shifts by ``k * floor`` / ``k * ceil`` of ``value / delta``.  In
+      the upper fold every present fault moves at least one cell, so its
+      atom at zero is exact.
+
+    The lattice spans the statistically attainable range -- the mean plus
+    40 standard deviations plus the largest value, capped at
+    ``sum(values)`` -- which keeps ``delta`` small for long-tailed models;
+    the clamp and the overflow atom keep the bracket rigorous beyond it.
 
     Parameters
     ----------
@@ -441,8 +559,8 @@ def convolve_two_points(
         Equal-length 1-D arrays; each ``probabilities[i]`` must lie in
         ``[0, 1]`` and ``values`` must be non-negative.
     max_support:
-        Upper bound on the number of support points kept during the fold
-        (``None`` keeps the full support, exact but exponential in ``n``).
+        Largest full support folded exactly, and a quarter of the lattice
+        size otherwise (``None`` always folds exactly, exponential in ``n``).
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     probabilities = np.atleast_1d(np.asarray(probabilities, dtype=float))
@@ -458,35 +576,33 @@ def convolve_two_points(
         raise ValueError(f"max_support must be >= 2, got {max_support}")
     offset = float(np.sum(values[probabilities == 1.0]))
     active = (probabilities > 0.0) & (probabilities < 1.0) & (values != 0.0)
-    values = values[active]
-    probabilities = probabilities[active]
     result = DiscreteDistribution.point_mass(0.0)
-    if values.size:
-        pairs = np.stack([values, probabilities], axis=1)
-        unique_pairs, counts = np.unique(pairs, axis=0, return_counts=True)
-        grouped = counts >= 2
-        single_mask = ~grouped
-        # Singles are folded largest-value first (fixed, reproducible order).
-        single_order = np.argsort(unique_pairs[single_mask, 0], kind="stable")[::-1]
-        single_values = unique_pairs[single_mask, 0][single_order]
-        single_probabilities = unique_pairs[single_mask, 1][single_order]
-        index = 0
-        while index < single_values.size and (
-            max_support is None or 2 * result.support.size <= max_support
-        ):
-            result = result.convolve_two_point(
-                float(single_values[index]), float(single_probabilities[index])
+    if not np.any(active):
+        return DistributionBracket(exact=result.shifted(offset))
+    pairs = np.stack([values[active], probabilities[active]], axis=1)
+    unique_pairs, counts = np.unique(pairs, axis=0, return_counts=True)
+    support_bound = 1
+    for count in counts.tolist():
+        support_bound *= count + 1
+        if max_support is not None and support_bound > max_support:
+            # Ascending values, identical pairs adjacent: a fixed fold order.
+            return _lattice_bracket(
+                np.repeat(unique_pairs[:, 0], counts),
+                np.repeat(unique_pairs[:, 1], counts),
+                4 * max_support,
+                offset,
             )
-            index += 1
-        if index < single_values.size:
-            result = _lattice_fold(
-                result, single_values[index:], single_probabilities[index:], max_support
-            )
-        for group_index in np.flatnonzero(grouped):
-            contribution = _binomial_contribution(
+    grouped = counts >= 2
+    # Singles are folded largest-value first (fixed, reproducible order).
+    singles = unique_pairs[~grouped][::-1]
+    for value, probability in singles.tolist():
+        result = result.convolve_two_point(value, probability)
+    for group_index in np.flatnonzero(grouped):
+        result = result.convolve(
+            _binomial_contribution(
                 float(unique_pairs[group_index, 0]),
                 float(unique_pairs[group_index, 1]),
                 int(counts[group_index]),
             )
-            result = result.convolve(contribution, max_support=max_support)
-    return result.shifted(offset)
+        )
+    return DistributionBracket(exact=result.shifted(offset))

@@ -372,7 +372,7 @@ def run_study(
         deterministic groups are bundled by point model and chunked across
         the workers: one task runs every method of a bundle over its chunk
         and computes each exact PFD distribution once, so a point's
-        ``exact`` and ``tail-quantile`` records share one convolution
+        ``exact`` and ``tail-quantile`` records share one kernel run
         (:func:`_plan_groups`).  Point digests, cache entries
         and warm-run behaviour are identical in both modes; the only fresh
         values that differ are Monte Carlo points, which sample the shared

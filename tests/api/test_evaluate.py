@@ -27,13 +27,16 @@ class TestEvaluate:
         result = evaluate(
             small_model, "tail-quantile", level=0.999, threshold=1e-4, max_support=256
         )
-        distribution = exact_pfd_distribution(small_model, 2, max_support=256)
-        assert result["tail_quantile"] == distribution.quantile(0.999)
-        assert result["tail_exceedance"] == distribution.survival(1e-4)
-        # The zero atom is the closed form, not a readout of the capped
-        # distribution; uncapped, the two agree to rounding.
+        bracket = exact_pfd_distribution(small_model, 2, max_support=256)
+        assert bracket.is_exact  # three faults: the full support fits
+        low, high = bracket.quantile(0.999)
+        assert result["tail_quantile"] == result["tail_quantile_hi"] == high
+        assert result["tail_quantile_lo"] == low == high
+        assert result["tail_exceedance"] == bracket.survival(1e-4)[1]
+        # The zero atom is the closed form; it agrees with the distribution
+        # to rounding.
         assert result["tail_prob_zero"] == prob_pfd_zero(small_model, 2)
-        assert result["tail_prob_zero"] == pytest.approx(distribution.prob_zero(), rel=1e-12)
+        assert result["tail_prob_zero"] == pytest.approx(bracket.exact.prob_zero(), rel=1e-12)
 
     def test_montecarlo_reproducible_per_seed(self, small_model):
         first = evaluate(small_model, "montecarlo", seed=7, replications=2000)
@@ -150,13 +153,13 @@ class TestEvaluateBatch:
         from repro.core import pfd_distribution
 
         calls = []
-        original = pfd_distribution.convolve_two_points
+        original = pfd_distribution.bracket_two_points
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(pfd_distribution, "convolve_two_points", counting)
+        monkeypatch.setattr(pfd_distribution, "bracket_two_points", counting)
         requests = ["exact", ("exact", {"level": 0.999}), "tail-quantile"]
         batched = evaluate_batch(small_model, requests, seed=5)
         assert len(calls) == 1

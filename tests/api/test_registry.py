@@ -149,6 +149,26 @@ class TestOptionSpec:
         with pytest.raises(ValueError, match="'support' must be >= 2"):
             OptionSpec("support", "int", 1, minimum=2)
 
+    def test_maximum_bounds_numbers_inclusively(self):
+        spec = OptionSpec("share", "float", 0.5, minimum=0, maximum=1)
+        assert spec.validate(0) == 0 and spec.validate(1.0) == 1.0
+        with pytest.raises(ValueError, match="'share' must be <= 1, got 1.5"):
+            spec.validate(1.5)
+        with pytest.raises(ValueError, match="'share' must be >= 0, got -0.1"):
+            spec.validate(-0.1)
+        assert spec.to_dict()["maximum"] == 1
+        with pytest.raises(ValueError, match="'cap' must be <= 3"):
+            OptionSpec("cap", "int", 4, maximum=3)
+
+    @pytest.mark.parametrize("method", ["exact", "tail-quantile"])
+    def test_level_is_bounded_at_resolution(self, method):
+        registry = default_registry()
+        assert registry.resolve_options(method, {"level": 1})["level"] == 1
+        with pytest.raises(ValueError, match="'level' must be <= 1, got 1.5"):
+            registry.resolve_options(method, {"level": 1.5})
+        with pytest.raises(ValueError, match="'level' must be >= 0"):
+            registry.resolve_options(method, {"level": -0.5})
+
     def test_bool_and_str_options(self):
         assert OptionSpec("flag", "bool", True).validate(False) is False
         with pytest.raises(ValueError, match="expects bool"):

@@ -360,6 +360,15 @@ class TestEvaluateCommand:
         error = capsys.readouterr().err
         assert "error:" in error and "'replications' must be >= 1" in error
 
+    def test_out_of_range_level_exits_2(self, capsys, model_file):
+        assert main([
+            "evaluate", "--model", model_file, "--method", "tail-quantile",
+            "--set", "level=1.5",
+        ]) == 2
+        error = capsys.readouterr().err
+        assert "error:" in error and "'level' must be <= 1" in error
+        assert error.strip().count("\n") == 0
+
     def test_unknown_option_exits_2(self, capsys, model_file):
         assert main([
             "evaluate", "--model", model_file, "--method", "moments", "--set", "bogus=1",

@@ -112,7 +112,7 @@ class TestAgainstExactDistribution:
         from repro.core.pfd_distribution import exact_pfd_distribution
 
         for versions in (1, 2, 3):
-            distribution = exact_pfd_distribution(small_model, versions, max_support=None)
+            distribution = exact_pfd_distribution(small_model, versions, max_support=None).exact
             moments = pfd_moments(small_model, versions)
             assert distribution.mean() == pytest.approx(moments.mean, rel=1e-12)
             assert distribution.variance() == pytest.approx(moments.variance, rel=1e-10)

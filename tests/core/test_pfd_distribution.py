@@ -20,7 +20,7 @@ from repro.core.pfd_distribution import (
 class TestExactDistribution:
     def test_two_fault_enumeration(self):
         model = FaultModel(p=np.array([0.5, 0.2]), q=np.array([0.1, 0.3]))
-        distribution = exact_pfd_distribution(model, 1, max_support=None)
+        distribution = exact_pfd_distribution(model, 1, max_support=None).exact
         np.testing.assert_allclose(distribution.support, [0.0, 0.1, 0.3, 0.4])
         np.testing.assert_allclose(
             distribution.probabilities, [0.5 * 0.8, 0.5 * 0.8, 0.5 * 0.2, 0.5 * 0.2]
@@ -29,21 +29,23 @@ class TestExactDistribution:
     def test_mean_and_variance_match_moments(self, small_model, homogeneous_model):
         for model in (small_model, homogeneous_model):
             for versions in (1, 2):
-                distribution = exact_pfd_distribution(model, versions, max_support=None)
+                distribution = exact_pfd_distribution(model, versions, max_support=None).exact
                 moments = pfd_moments(model, versions)
                 assert distribution.mean() == pytest.approx(moments.mean, rel=1e-12, abs=1e-15)
                 assert distribution.variance() == pytest.approx(moments.variance, rel=1e-10, abs=1e-18)
 
     def test_prob_zero_matches_fault_free_probability(self, small_model: FaultModel):
-        single = exact_pfd_distribution(small_model, 1, max_support=None)
-        pair = exact_pfd_distribution(small_model, 2, max_support=None)
+        single = exact_pfd_distribution(small_model, 1, max_support=None).exact
+        pair = exact_pfd_distribution(small_model, 2, max_support=None).exact
         assert single.prob_zero() == pytest.approx(prob_fault_free_version(small_model))
         assert pair.prob_zero() == pytest.approx(prob_fault_free_pair(small_model))
 
-    def test_collapsed_distribution_preserves_mean(self, random_model: FaultModel):
-        collapsed = exact_pfd_distribution(random_model, 1, max_support=256)
-        assert collapsed.support.size <= 256
-        assert collapsed.mean() == pytest.approx(pfd_moments(random_model, 1).mean, rel=1e-9)
+    def test_capped_bracket_contains_the_mean(self, random_model: FaultModel):
+        bracket = exact_pfd_distribution(random_model, 1, max_support=256)
+        assert not bracket.is_exact
+        assert bracket.upper_weights.size == 4 * 256
+        mean = pfd_moments(random_model, 1).mean
+        assert bracket.lower().mean() <= mean <= bracket.upper().mean()
 
     def test_rejects_bad_versions(self, small_model: FaultModel):
         with pytest.raises(ValueError):
@@ -62,11 +64,13 @@ class TestSharedDistributions:
         assert again is first
         assert other is not first and capped is not first
         assert (scope.computed, scope.shared) == (3, 1)
-        assert not first.support.flags.writeable
-        assert not first.probabilities.flags.writeable
+        assert not first.exact.support.flags.writeable
+        assert not first.exact.probabilities.flags.writeable
+        assert not capped.upper_weights.flags.writeable
+        assert not capped.lower_weights.flags.writeable
         fresh = exact_pfd_distribution(small_model, 2)
-        np.testing.assert_array_equal(fresh.probabilities, first.probabilities)
-        np.testing.assert_array_equal(fresh.support, first.support)
+        np.testing.assert_array_equal(fresh.exact.probabilities, first.exact.probabilities)
+        np.testing.assert_array_equal(fresh.exact.support, first.exact.support)
 
     def test_nothing_is_kept_outside_a_scope(self, small_model: FaultModel):
         with shared_distributions():
@@ -121,7 +125,7 @@ class TestProbPfdZero:
         assert prob_pfd_zero(model, 1) == 1.0
 
     def test_matches_distribution(self, small_model: FaultModel):
-        distribution = exact_pfd_distribution(small_model, 2, max_support=None)
+        distribution = exact_pfd_distribution(small_model, 2, max_support=None).exact
         assert prob_pfd_zero(small_model, 2) == pytest.approx(distribution.prob_zero())
 
     def test_rejects_bad_versions(self, small_model: FaultModel):

@@ -47,7 +47,7 @@ class TestAnalyticVersusSimulation:
         assert result.risk_ratio() == pytest.approx(risk_ratio(moderate_model), rel=0.05)
 
     def test_exact_distribution_matches_simulation_cdf(self, moderate_model: FaultModel):
-        distribution = exact_pfd_distribution(moderate_model, 2, max_support=None)
+        distribution = exact_pfd_distribution(moderate_model, 2, max_support=None).exact
         samples = OneOutOfTwoSystem(moderate_model).sample_pfd(np.random.default_rng(2), 200_000)
         for threshold in (0.0, 0.02, 0.05, 0.1, 0.2):
             empirical = float(np.mean(samples <= threshold))

@@ -4,7 +4,7 @@ Pins the reproducibility contracts of the sweep paths:
 
 * an ``exact`` / ``tail-quantile`` sweep runs the scalar kernel per point
   (:func:`repro.stats.batched.batched_scaled_pfd`), so every swept
-  distribution and record is byte-identical to a lone evaluation of
+  bracket and record is byte-identical to a lone evaluation of
   ``model.rescaled(p_scale, q_scale)``, whichever groupmates share the sweep;
 * the shared-demand Monte Carlo kernel (:mod:`repro.montecarlo.sweep`) is a
   deterministic function of ``(seed, model, versions, replications, scale
@@ -42,6 +42,12 @@ def assert_same_distribution(swept, lone) -> None:
     assert swept.probabilities.tobytes() == lone.probabilities.tobytes()
 
 
+def assert_same_bracket(swept, lone) -> None:
+    assert swept.is_exact == lone.is_exact
+    assert_same_distribution(swept.lower(), lone.lower())
+    assert_same_distribution(swept.upper(), lone.upper())
+
+
 class TestBatchedExactEquivalence:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     @settings(max_examples=25, deadline=None)
@@ -49,9 +55,10 @@ class TestBatchedExactEquivalence:
         model = random_model(seed, n)
         swept = batched_scaled_pfd(model, np.array(SCALES), versions=1, max_support=4096)
         assert len(swept) == len(SCALES)
-        for distribution, scale in zip(swept, SCALES):
+        for bracket, scale in zip(swept, SCALES):
             lone = exact_pfd_distribution(model.rescaled(scale), 1, max_support=4096)
-            assert_same_distribution(distribution, lone)
+            assert bracket.is_exact
+            assert_same_bracket(bracket, lone)
 
     @pytest.mark.parametrize("n,versions", [(150, 1), (150, 2), (400, 1)])
     def test_lattice_regime_matches_to_resolution(self, n, versions):
@@ -59,27 +66,29 @@ class TestBatchedExactEquivalence:
         # as a lone evaluation does: no resolution is lost to the sweep.
         model = random_model(11, n)
         swept = batched_scaled_pfd(model, np.array(SCALES), versions=versions, max_support=1024)
-        for distribution, scale in zip(swept, SCALES):
+        for bracket, scale in zip(swept, SCALES):
             lone = exact_pfd_distribution(model.rescaled(scale), versions, max_support=1024)
-            assert_same_distribution(distribution, lone)
-            assert distribution.support.size <= 1024
+            assert_same_bracket(bracket, lone)
+            assert bracket.upper_weights.size == 4 * 1024
 
     def test_q_scale_is_a_support_rescale(self):
         model = random_model(3, 60)
         q_scales = np.array([0.5, 1.0, 1.5])
         swept = batched_scaled_pfd(model, np.ones(3), q_scales, versions=2, max_support=512)
-        base_mean = exact_pfd_distribution(model, 2, max_support=512).mean()
-        for distribution, q_scale in zip(swept, q_scales):
+        base_mean = pfd_moments(model, 2).mean
+        for bracket, q_scale in zip(swept, q_scales):
             scaled = FaultModel(
                 p=model.p.copy(), q=model.q * q_scale, names=model.names, strict=False
             )
-            assert_same_distribution(distribution, exact_pfd_distribution(scaled, 2, max_support=512))
-            assert distribution.mean() == pytest.approx(q_scale * base_mean, rel=1e-9)
+            assert_same_bracket(bracket, exact_pfd_distribution(scaled, 2, max_support=512))
+            mean = q_scale * base_mean
+            assert bracket.lower().mean() <= mean * (1 + 1e-12)
+            assert bracket.upper().mean() >= mean * (1 - 1e-12)
 
     def test_single_point_distribution_roundtrip(self):
         model = random_model(5, 8)
         [row] = batched_scaled_pfd(model, np.array([0.5]), versions=1, max_support=4096)
-        assert_same_distribution(row, exact_pfd_distribution(model.scaled(0.5), 1, max_support=4096))
+        assert_same_bracket(row, exact_pfd_distribution(model.scaled(0.5), 1, max_support=4096))
 
     def test_kernel_rejects_bad_input(self):
         model = random_model(1, 4)
@@ -94,11 +103,12 @@ class TestBatchedExactEquivalence:
     def test_zero_q_scale_collapses_to_point_mass(self):
         model = random_model(9, 10)
         zero, _ = batched_scaled_pfd(model, np.ones(2), np.array([0.0, 1.0]), max_support=256)
-        assert zero.mean() == 0.0
-        assert zero.prob_zero() == 1.0
-        assert zero.quantile(0.999) == 0.0
-        assert zero.survival(1e-6) == 0.0
-        assert zero.support.tolist() == [0.0]
+        assert zero.is_exact
+        assert zero.exact.mean() == 0.0
+        assert zero.exact.prob_zero() == 1.0
+        assert zero.quantile(0.999) == (0.0, 0.0)
+        assert zero.survival(1e-6) == (0.0, 0.0)
+        assert zero.exact.support.tolist() == [0.0]
 
 
 _POOL = st.lists(

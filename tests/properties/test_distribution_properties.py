@@ -95,7 +95,7 @@ class TestExactPfdDistributionProperties:
     @given(small_fault_models(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=150, deadline=None)
     def test_moments_match_closed_forms(self, model: FaultModel, versions: int):
-        distribution = exact_pfd_distribution(model, versions, max_support=None)
+        distribution = exact_pfd_distribution(model, versions, max_support=None).exact
         moments = pfd_moments(model, versions)
         assert distribution.mean() == pytest.approx(moments.mean, abs=1e-10)
         assert distribution.variance() == pytest.approx(moments.variance, abs=1e-10)
@@ -103,7 +103,7 @@ class TestExactPfdDistributionProperties:
     @given(small_fault_models())
     @settings(max_examples=150, deadline=None)
     def test_support_bounded_by_total_impact(self, model: FaultModel):
-        distribution = exact_pfd_distribution(model, 1, max_support=None)
+        distribution = exact_pfd_distribution(model, 1, max_support=None).exact
         assert distribution.support.min() >= -1e-12
         assert distribution.support.max() <= model.q.sum() + 1e-12
 
@@ -112,13 +112,13 @@ class TestExactPfdDistributionProperties:
     def test_prob_zero_at_least_fault_free_probability(self, model: FaultModel):
         # P(Theta = 0) >= P(no fault present): faults with q_i = 0 also leave
         # the PFD at zero.
-        distribution = exact_pfd_distribution(model, 1, max_support=None)
+        distribution = exact_pfd_distribution(model, 1, max_support=None).exact
         assert distribution.prob_zero() >= prob_fault_free_version(model) - 1e-12
 
     @given(small_fault_models(), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=100, deadline=None)
     def test_cdf_monotone(self, model: FaultModel, seed: int):
-        distribution = exact_pfd_distribution(model, 2, max_support=None)
+        distribution = exact_pfd_distribution(model, 2, max_support=None).exact
         rng = np.random.default_rng(seed)
         points = np.sort(rng.random(5) * (model.q.sum() + 0.01))
         cdf_values = [distribution.cdf(float(x)) for x in points]

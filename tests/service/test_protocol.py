@@ -80,6 +80,8 @@ class TestParseEvaluate:
             ({"method": "montecarlo", "options": {"mc_jobs": -1}}, "'mc_jobs' must be >= 1"),
             ({"options": {"versions": 0}}, "'versions' must be >= 1"),
             ({"method": "exact", "options": {"max_support": 1}}, "'max_support' must be >= 2"),
+            ({"method": "exact", "options": {"level": 1.5}}, "'level' must be <= 1"),
+            ({"method": "tail-quantile", "options": {"level": -0.1}}, "'level' must be >= 0"),
         ],
     )
     def test_invalid_inputs_rejected(self, small_model, mutation, fragment):

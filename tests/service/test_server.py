@@ -381,6 +381,16 @@ class TestHttpTransport:
             == before["histograms"]["batch_window_wait_seconds"]["count"]
         )
 
+    def test_out_of_range_level_is_400_before_any_cache_or_pool(self, live_client, small_model):
+        before = live_client.metrics()
+        with pytest.raises(ServiceError) as excinfo:
+            live_client.evaluate(small_model, "exact", options={"level": 1.5})
+        assert excinfo.value.status == 400
+        assert "'level' must be <= 1" in excinfo.value.message
+        after = live_client.metrics()
+        assert after["cache_misses"] == before["cache_misses"]
+        assert after["evaluations_computed"] == before["evaluations_computed"]
+
     def test_negative_content_length_is_400_not_a_dropped_connection(self, live_client):
         import socket
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.stats.discrete import DiscreteDistribution
+from repro.stats.discrete import DiscreteDistribution, bracket_two_points
 
 
 class TestConstruction:
@@ -134,30 +134,38 @@ class TestConvolution:
         distribution = DiscreteDistribution.convolve_many([])
         assert distribution.support.tolist() == [0.0]
 
-    def test_collapse_preserves_mean(self):
+    def test_lattice_bracket_contains_the_mean(self):
         rng = np.random.default_rng(0)
-        support = np.sort(rng.random(500))
+        values = np.sort(rng.random(500))
         probabilities = rng.random(500)
         probabilities /= probabilities.sum()
-        distribution = DiscreteDistribution(support, probabilities)
-        collapsed = distribution.collapse(32)
-        assert collapsed.support.size <= 32
-        assert collapsed.mean() == pytest.approx(distribution.mean(), rel=1e-9)
+        bracket = bracket_two_points(values, probabilities, max_support=32)
+        assert not bracket.is_exact
+        assert bracket.upper_weights.size == 4 * 32
+        mean = float(np.dot(values, probabilities))
+        assert bracket.lower().mean() <= mean <= bracket.upper().mean()
 
-    def test_collapse_noop_when_small(self):
-        distribution = DiscreteDistribution.two_point(0.5, 0.5)
-        assert distribution.collapse(100) is distribution
+    def test_bracket_is_exact_when_small(self):
+        bracket = bracket_two_points([0.5], [0.5], max_support=100)
+        assert bracket.is_exact
+        assert bracket.lower() is bracket.upper() is bracket.exact
+        np.testing.assert_array_equal(bracket.exact.support, [0.0, 0.5])
+        np.testing.assert_array_equal(bracket.exact.probabilities, [0.5, 0.5])
 
-    def test_collapse_rejects_tiny_max_support(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution.two_point(0.5, 0.5).collapse(1)
+    def test_bracket_rejects_tiny_max_support(self):
+        with pytest.raises(ValueError, match="max_support must be >= 2"):
+            bracket_two_points([0.5], [0.5], max_support=1)
 
-    def test_convolve_with_max_support_limits_size(self):
-        components = [DiscreteDistribution.two_point(0.01 * (i + 1), 0.4) for i in range(12)]
-        limited = DiscreteDistribution.convolve_many(components, max_support=64)
-        assert limited.support.size <= 64
+    def test_capped_bracket_contains_the_full_convolution(self):
+        values = [0.01 * (i + 1) for i in range(12)]
+        components = [DiscreteDistribution.two_point(value, 0.4) for value in values]
         full = DiscreteDistribution.convolve_many(components)
-        assert limited.mean() == pytest.approx(full.mean(), rel=1e-9)
+        bracket = bracket_two_points(values, [0.4] * 12, max_support=64)
+        assert bracket.support_size <= 4 * 64 + 1
+        for level in (0.1, 0.5, 0.9, 0.99):
+            low, high = bracket.quantile(level)
+            assert low <= full.quantile(level) <= high
+        assert bracket.lower().mean() <= full.mean() <= bracket.upper().mean()
 
 
 class TestSampling:

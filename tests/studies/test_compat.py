@@ -6,7 +6,8 @@ The unified-API refactor moved method dispatch from per-consumer tables into
 * the deprecated ``repro simulate`` subcommand keeps producing identical
   output, now with a ``DeprecationWarning``;
 * study cache digests: the digests below were recorded by running
-  ``plan_study`` on the *pre-registry* implementation (commit f421fea), so a
+  ``plan_study`` on the *pre-registry* implementation (commit f421fea) and
+  re-pinned once for the deliberate cache format bump to version 2, so a
   warm cache written by the old dispatch must be served untouched by the new
   one.
 """
@@ -32,18 +33,21 @@ COMPAT_SPEC = {
     "seed": 11,
 }
 
-#: (method, digest) per planned point, recorded on the pre-registry
-#: implementation.  Any change here silently invalidates every user's warm
-#: study cache -- treat a failure as a release blocker, not a snapshot bump.
+#: (method, digest) per planned point.  Recorded on the pre-registry
+#: implementation at cache format version 1 and re-pinned when
+#: ``CACHE_FORMAT_VERSION`` went to 2 (bracketed ``exact`` records), which
+#: moved every digest on purpose.  Any other change here silently
+#: invalidates every user's warm study cache -- treat a failure as a
+#: release blocker, not a snapshot bump.
 PRE_REGISTRY_DIGESTS = [
-    ("moments", "95671c1b406e600e2dfa51178dd5fa126dcba61a1d45162a35247749767dec74"),
-    ("bounds", "e8a5fab6e7f8f97adaf8a37ab978a2951b2d058f2eebe426b06a46e3b5477aa3"),
-    ("exact", "3072e1182ab031a5cd86957289c908b76f90499efef4b0537d3c64e98e51c98b"),
-    ("montecarlo", "36bdadc16f2903f7e819235a410e3a7b0c3f3098a04df4b7ef67b4f2ce417ea1"),
-    ("moments", "64c9bb0607aca7976650ee05b79369130d1a8f31f0c4a400e7ed91e738f0dac8"),
-    ("bounds", "bf4384720c99274130ac338bc0eeb782c9774b1814808fc576b0c2032e1a7fe8"),
-    ("exact", "56ad05581586ef56105556cf5cc472e106a6a0373aa20ed9d968bfb3881ad020"),
-    ("montecarlo", "4778c89e277dbed29be5579a97c467b88dfe2184676edc8d51415a7536845de3"),
+    ("moments", "4c2e5621dd829d2a3bd9327ae1ce4b41d7f65f67d5e9757dc5df2c9b87112093"),
+    ("bounds", "ef846d622a0fa93afb73eee68f2988978aecdcae55eb25736f65ddbfff028951"),
+    ("exact", "89f4788af035167fdc5db9c5305d82ef832bd9903275f84d979b92beb30b196f"),
+    ("montecarlo", "f19820ce2db184585f2ea8ca502e1e8694fa390436b225f6cec804ad94f12d28"),
+    ("moments", "229c908495dfbde03b2cf50c672500e52488594363007c996d20d317325039c1"),
+    ("bounds", "cbaba34d77a9327c0432e2e53bb7dd204042bd8ba9f4704b74fb81544b1961b5"),
+    ("exact", "44f694f6158cee48f10a51489a34ea530ab5a78ed16378242f7292b6910fa4df"),
+    ("montecarlo", "8ea81cb6891c79519ffa2151246841a7b7550dcb7455c39d2823f945c7e98525"),
 ]
 
 

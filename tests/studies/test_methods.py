@@ -81,9 +81,10 @@ class TestMethods:
             MethodSpec(name="exact", options=(("level", 0.95),)),
             (0, 1),
         )
-        distribution = exact_pfd_distribution(small_model, 2, max_support=256)
-        assert record["exact_mean"] == distribution.mean()
-        assert record["exact_percentile"] == distribution.quantile(0.95)
+        bracket = exact_pfd_distribution(small_model, 2, max_support=256)
+        assert record["exact_mean"] == pfd_moments(small_model, 2).mean
+        assert record["exact_percentile"] == bracket.quantile(0.95)[1]
+        assert record["exact_percentile_lo"] == bracket.quantile(0.95)[0]
 
     def test_exact_threshold_metric_is_optional(self, small_model):
         without = evaluate_study_point(inline_base(small_model), {}, MethodSpec(name="exact"), (0, 1))

@@ -274,7 +274,7 @@ def convolutions(tmp_path, monkeypatch):
 
     log = tmp_path / "convolutions.log"
     log.touch()
-    original = pfd_distribution.convolve_two_points
+    original = pfd_distribution.bracket_two_points
 
     def logging(values, probabilities, *args, **kwargs):
         with open(log, "a", encoding="utf-8") as handle:
@@ -282,7 +282,7 @@ def convolutions(tmp_path, monkeypatch):
             handle.write(f"{values.size} {digest}\n")
         return original(values, probabilities, *args, **kwargs)
 
-    monkeypatch.setattr(pfd_distribution, "convolve_two_points", logging)
+    monkeypatch.setattr(pfd_distribution, "bracket_two_points", logging)
     return lambda: log.read_text(encoding="utf-8").splitlines()
 
 
