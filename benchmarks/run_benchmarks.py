@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import resource
 import subprocess
@@ -468,6 +469,92 @@ def workload_service_throughput(quick: bool) -> dict:
         "max_group_size": after_cold["max_group_size"],
         "warm_recomputed": recomputed,
         "warm_cache_hits": after_warm["cache_hits_lru"] - after_cold["cache_hits_lru"],
+        "peak_rss_mb": round(_peak_rss_mb(), 1),
+    }
+
+
+def _echo_job(arguments):
+    """The trivial pool job of ``pool_handoff``: hand-off cost only."""
+    return arguments
+
+
+def _process_cpu_seconds(pid: int) -> float:
+    """User plus system CPU seconds of one live process (Linux ``/proc``)."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def workload_pool_handoff(quick: bool) -> dict:
+    """CPU per trivial job through the server's worker pool.
+
+    The same ``worker.run_job`` envelope around an echo function, awaited
+    one job at a time from an asyncio loop, through the server's pool
+    (:class:`repro.service.pool.WorkerPool`: forked workers on direct
+    pipes) and through a fork-context ``ProcessPoolExecutor`` via
+    ``run_in_executor`` (the hand-off it replaced), each with one worker.
+    Parent CPU counts every thread of this process (the executor's manager
+    and queue-feeder threads too); worker CPU is read from ``/proc`` for the
+    child processes the first job started.  A record, not a gate.
+    """
+    import asyncio
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.service import EvaluationServer, worker
+
+    jobs = 500 if quick else 2000
+    payload = list(range(64))
+
+    def measure(submit) -> dict:
+        async def run() -> tuple[float, float, float]:
+            before = {child.pid for child in multiprocessing.active_children()}
+            await submit(payload)  # the first job starts the worker
+            pids = [
+                child.pid
+                for child in multiprocessing.active_children()
+                if child.pid not in before
+            ]
+            parent = time.process_time()
+            workers = sum(_process_cpu_seconds(pid) for pid in pids)
+            wall = time.perf_counter()
+            for _ in range(jobs):
+                await submit(payload)
+            wall = time.perf_counter() - wall
+            workers = sum(_process_cpu_seconds(pid) for pid in pids) - workers
+            return time.process_time() - parent, workers, wall
+
+        parent, workers, wall = asyncio.run(run())
+        return {
+            "parent_cpu_us_per_job": round(parent / jobs * 1e6, 1),
+            "worker_cpu_us_per_job": round(workers / jobs * 1e6, 1),
+            "wall_us_per_job": round(wall / jobs * 1e6, 1),
+        }
+
+    server = EvaluationServer(workers=1)
+    try:
+        pool = measure(lambda arguments: server._run_in_pool(_echo_job, arguments))
+    finally:
+        asyncio.run(server.aclose(drain_seconds=0.0))
+
+    executor = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
+
+    async def executor_submit(arguments):
+        job = (_echo_job, arguments, None, None, True)
+        loop = asyncio.get_running_loop()
+        result, _ = await loop.run_in_executor(executor, worker.run_job, job)
+        return result
+
+    try:
+        executor_record = measure(executor_submit)
+    finally:
+        executor.shutdown()
+    return {
+        "jobs": jobs,
+        "worker_pool": pool,
+        "process_pool_executor": executor_record,
+        "parent_cpu_ratio": round(
+            executor_record["parent_cpu_us_per_job"] / max(pool["parent_cpu_us_per_job"], 0.1), 1
+        ),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
@@ -948,6 +1035,7 @@ WORKLOADS = {
     "study": workload_study,
     "sweep1000": workload_sweep1000,
     "service_throughput": workload_service_throughput,
+    "pool_handoff": workload_pool_handoff,
     "cluster_loadgen": workload_cluster_loadgen,
     "chaos_soak": workload_chaos_soak,
     "dispatch": workload_dispatch,

@@ -31,7 +31,13 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["CACHE_FORMAT_VERSION", "ResultCache", "canonical_json", "payload_digest"]
+__all__ = [
+    "CACHE_FORMAT_VERSION",
+    "ResultCache",
+    "canonical_json",
+    "payload_digest",
+    "text_digest",
+]
 
 #: Bump to invalidate every existing cache entry (e.g. when a method's
 #: numerical meaning changes without its options changing).  Version 2:
@@ -50,7 +56,12 @@ def canonical_json(payload) -> str:
 
 def payload_digest(payload) -> str:
     """SHA-256 hex digest of the canonical form of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return text_digest(canonical_json(payload))
+
+
+def text_digest(text: str) -> str:
+    """SHA-256 hex digest of an already canonical payload text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ResultCache:

@@ -126,6 +126,19 @@ _COUNTER_NAMES = (
 )
 
 
+def _replica_entry(digest: str, payload_text: str, metrics: dict) -> bytes:
+    """The body of a replica ``PUT /v1/cache/<digest>``: a study-shaped entry.
+
+    The payload goes out as the request's canonical text, which its digest
+    already encoded, so the model is not encoded again; the body decodes to
+    ``{"digest": digest, "payload": payload, "metrics": metrics}``.
+    """
+    return (
+        f'{{"digest": {json.dumps(digest)}, "payload": {payload_text}, '
+        f'"metrics": {json.dumps(metrics)}}}'
+    ).encode("utf-8")
+
+
 class ShardRouter(HttpApp):
     """Route service traffic across ``repro serve`` shards.
 
@@ -459,7 +472,7 @@ class ShardRouter(HttpApp):
     # Write-all replication fan-out
     # ----------------------------------------------------------------- #
     def _spawn_replica_writes(
-        self, key: str, digest: str, payload: dict, record: dict, source: str
+        self, key: str, digest: str, payload_text: str, record: dict, source: str
     ) -> None:
         """Asynchronously push a freshly computed result to the other replicas.
 
@@ -478,9 +491,7 @@ class ShardRouter(HttpApp):
         ]
         if not targets:
             return
-        entry = json.dumps(
-            {"digest": digest, "payload": payload, "metrics": record.get("metrics", {})}
-        ).encode("utf-8")
+        entry = _replica_entry(digest, payload_text, record.get("metrics", {}))
         task = asyncio.get_running_loop().create_task(
             self._write_replicas(digest, entry, targets)
         )
@@ -547,7 +558,7 @@ class ShardRouter(HttpApp):
             computed = isinstance(served, dict) and served.get("cached") is None
             if computed and shard is not None and self.placement.replication > 1:
                 self._spawn_replica_writes(
-                    key, digest, request.payload(), data["result"], source=shard
+                    key, digest, request.payload_text(), data["result"], source=shard
                 )
         return status, data, extra_headers
 

@@ -32,7 +32,7 @@ Directives (API keyword / env spelling):
 ``every=N``            fire on every Nth hit (default 1: every hit)
 ``times=M``            stop firing after M fires (default: unlimited)
 ``crash`` / `crash`    ``os._exit(70)`` instead of raising -- simulates a
-                       worker-process crash (``BrokenProcessPool`` upstream)
+                       worker-process crash (``BrokenExecutor`` upstream)
 =====================  ========================================================
 
 Failpoints in the tree (grep for ``faults.hit`` to refresh this list):

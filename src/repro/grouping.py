@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.cache import CACHE_FORMAT_VERSION, payload_digest
+from repro.cache import CACHE_FORMAT_VERSION, canonical_json, payload_digest
 
 __all__ = [
     "MODEL_TRANSFORM_DEFAULTS",
@@ -33,6 +33,7 @@ __all__ = [
     "evaluation_payload",
     "group_digest",
     "group_payload",
+    "payload_text",
 ]
 
 #: Parameters applied to the resolved model rather than to its construction,
@@ -81,6 +82,19 @@ def evaluation_payload(
         "method": {"name": method, **dict(resolved_options)},
         "entropy": entropy,
     }
+
+
+def payload_text(payload: Mapping[str, Any], base_text: str) -> str:
+    """``canonical_json(payload)``, given ``base_text = canonical_json(payload["base"])``.
+
+    The base (a whole model's content) is nearly all of a payload's bytes: a
+    caller that keeps its canonical text encodes the payload, and the group
+    payload of the same base, without encoding the base again.
+    """
+    rest = canonical_json({key: value for key, value in payload.items() if key != "base"})
+    # Canonical JSON sorts keys: "base" leads an evaluation payload, and the
+    # other keys of evaluation_payload always follow it.
+    return '{"base":' + base_text + "," + rest[1:]
 
 
 def group_payload(payload: Mapping[str, Any]) -> dict:

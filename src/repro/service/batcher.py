@@ -61,7 +61,7 @@ class MicroBatcher:
     ----------
     run_in_pool:
         ``async (function, arguments) -> result``: how work reaches the
-        executor (the server wraps ``loop.run_in_executor``).
+        executor (the server's ``_run_in_pool``).
     window_seconds:
         How long the *first* request of a shared-work group waits for
         companions.  The window bounds added latency; requests whose kernel

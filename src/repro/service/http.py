@@ -28,6 +28,8 @@ from repro.telemetry.metrics import MetricsRegistry, histogram_summary, render_p
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "MAX_HEADER_BYTES",
+    "MAX_HEADER_LINES",
     "REASONS",
     "HttpApp",
     "HttpError",
@@ -43,6 +45,11 @@ __all__ = [
 #: misbehaving client's memory impact.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
+#: Bounds of one request's head (request line plus header lines).  Real
+#: clients send a few hundred bytes in under a dozen lines.
+MAX_HEADER_BYTES = 64 * 1024
+MAX_HEADER_LINES = 100
+
 REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -50,6 +57,7 @@ REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     502: "Bad Gateway",
     503: "Service Unavailable",
@@ -72,15 +80,24 @@ class HttpRequest:
     error: tuple[int, str] | None = None
 
 
+def _head_too_large() -> HttpRequest:
+    message = f"request head exceeds {MAX_HEADER_BYTES} bytes or {MAX_HEADER_LINES} header lines"
+    return HttpRequest(error=(431, message), close=True)
+
+
 async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Read one request off ``reader``; ``None`` at a clean end of stream.
 
-    Framing failures (malformed request line, bad Content-Length, oversized
-    body) come back as a request whose ``error`` is set -- the caller
-    responds with it and drops the connection, because the stream position
-    is no longer trustworthy.
+    Framing failures (malformed request line, a head over
+    :data:`MAX_HEADER_BYTES` or :data:`MAX_HEADER_LINES`, bad
+    Content-Length, oversized body) come back as a request whose ``error``
+    is set -- the caller responds with it and drops the connection, because
+    the stream position is no longer trustworthy.
     """
-    request_line = await reader.readline()
+    try:
+        request_line = await reader.readline()
+    except ValueError:  # one line past the stream's buffer limit
+        return _head_too_large()
     if not request_line:
         return None
     parts = request_line.decode("latin-1").strip().split()
@@ -88,12 +105,21 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         return HttpRequest(error=(400, "malformed request line"), close=True)
     verb, target, version = parts
     headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
+    size = len(request_line)
+    for _ in range(MAX_HEADER_LINES + 1):
+        try:
+            line = await reader.readline()
+        except ValueError:
+            return _head_too_large()
+        size += len(line)
+        if size > MAX_HEADER_BYTES:
+            return _head_too_large()
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        return _head_too_large()
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:

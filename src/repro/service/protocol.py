@@ -36,9 +36,9 @@ from typing import Any, Mapping
 
 from repro.api.registry import default_registry
 from repro.api.results import EvaluationRequest
-from repro.cache import payload_digest
+from repro.cache import canonical_json, text_digest
 from repro.core.fault_model import FaultModel
-from repro.grouping import evaluation_payload, group_digest
+from repro.grouping import evaluation_payload, group_payload, payload_text
 from repro.stats.rng import DEFAULT_SEED
 
 __all__ = [
@@ -72,8 +72,8 @@ class ServiceRequest:
     #: key or the cache payload, so a request with a deadline hits the same
     #: cache entry as one without.
     timeout_ms: float | None = field(default=None, compare=False)
-    #: Computed lazily and memoised: hashing the canonical payload walks the
-    #: whole model content, so each request pays for it at most once.
+    #: Computed lazily and memoised: the base model's canonical text (encoded
+    #: at most once per request), the payload text and the two digests.
     _digests: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -99,19 +99,34 @@ class ServiceRequest:
             self.entropy,
         )
 
+    def payload_text(self) -> str:
+        """``canonical_json(self.payload())``, the bytes the digest hashes."""
+        text = self._digests.get("payload")
+        if text is None:
+            text = self._digests["payload"] = self._text(self.payload())
+        return text
+
     def digest(self) -> str:
         """Content digest of this request: the response-cache key."""
         digest = self._digests.get("digest")
         if digest is None:
-            digest = self._digests["digest"] = payload_digest(self.payload())
+            digest = self._digests["digest"] = text_digest(self.payload_text())
         return digest
 
     def group_key(self) -> str:
         """Batch-group digest: the payload with neutral transforms."""
         key = self._digests.get("group")
         if key is None:
-            key = self._digests["group"] = group_digest(self.payload())
+            key = self._digests["group"] = text_digest(self._text(group_payload(self.payload())))
         return key
+
+    def _text(self, payload: dict) -> str:
+        """``canonical_json(payload)`` for a payload of this request's model,
+        whose base is encoded once per request."""
+        base = self._digests.get("base")
+        if base is None:
+            base = self._digests["base"] = canonical_json(payload["base"])
+        return payload_text(payload, base)
 
     def result_record(self, metrics: Mapping[str, Any]) -> dict:
         """Rebuild the wire result record around cached ``metrics``.

@@ -28,9 +28,9 @@ Request handling is fully asynchronous: each connection is a task, each
 ``/v1/evaluate`` cache miss joins the single-flight task for its digest (one
 per digest: it probes the disk and remote tiers, computes through the
 micro-batcher and stores the record), and every evaluation runs on an
-executor (process pool with ``workers >= 1``, a thread pool in-process
-otherwise), so slow evaluations never stall the accept loop, ``/healthz`` or
-``/metrics``.
+executor (forked workers on direct pipes with ``workers >= 1``, see
+:mod:`repro.service.pool`; a thread pool in-process otherwise), so slow
+evaluations never stall the accept loop, ``/healthz`` or ``/metrics``.
 
 Responses are JSON; invalid input is HTTP 400 with a one-line ``error``
 message (the same messages the CLI prints), unknown paths 404, wrong verbs
@@ -220,6 +220,9 @@ class EvaluationServer(HttpApp):
             remote=RemoteCacheClient(self.cache_peers) if self.cache_peers else None,
         )
         self._executor = None
+        # Set when aclose tears the executor down: a flight kept past the
+        # drain must then fail rather than fork a pool nothing would close.
+        self._executor_released = False
         self._draining = False
         self._running = 0
         self._queued = 0
@@ -252,10 +255,12 @@ class EvaluationServer(HttpApp):
     # ----------------------------------------------------------------- #
     def _ensure_executor(self):
         if self._executor is None:
+            if self._executor_released:
+                raise RuntimeError("the evaluation server has released its executor")
             if self.workers >= 1:
-                from concurrent.futures import ProcessPoolExecutor
+                from repro.service.pool import WorkerPool
 
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                self._executor = WorkerPool(self.workers)
             else:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -263,14 +268,6 @@ class EvaluationServer(HttpApp):
                     max_workers=4, thread_name_prefix="repro-eval"
                 )
         return self._executor
-
-    def _discard_executor(self, executor) -> None:
-        """Drop a broken executor (identity-checked: concurrent failures of
-        the same pool must count one restart, not one per in-flight job)."""
-        if self._executor is executor:
-            self._executor = None
-            self.registry.inc("pool_restarts")
-        executor.shutdown(wait=False, cancel_futures=True)
 
     async def _run_in_pool(self, function, arguments):
         from concurrent.futures import BrokenExecutor
@@ -285,19 +282,26 @@ class EvaluationServer(HttpApp):
             telemetry.current_span_id(),
             self.workers >= 1,
         )
-        loop = asyncio.get_running_loop()
         for attempt in (0, 1):
             executor = self._ensure_executor()
             try:
-                result, delta = await loop.run_in_executor(executor, worker.run_job, job)
+                # A WorkerPool answers with an asyncio future (wrap_future
+                # passes it through), a thread executor with a concurrent one.
+                result, delta = await asyncio.wrap_future(
+                    executor.submit(worker.run_job, job)
+                )
                 if delta is not None:
                     self._worker_metrics.merge(delta)
                 return result
             except BrokenExecutor as error:
-                # A worker process died (BrokenProcessPool) mid-job.  Rebuild
-                # the pool and retry the job once -- results are
-                # deterministic, so a retry is safe and byte-identical.
-                self._discard_executor(executor)
+                # A worker process died mid-job (end of file on its pipe) and
+                # the pool terminated the rest.  Rebuild it and retry the job
+                # once -- results are deterministic, so a retry is safe and
+                # byte-identical.  Identity-checked: concurrent failures of
+                # one pool count one restart, not one per in-flight job.
+                if self._executor is executor:
+                    self._executor = None
+                    self.registry.inc("pool_restarts")
                 if attempt:
                     self.registry.inc("poison_jobs")
                     raise WorkerCrashError(
@@ -685,7 +689,9 @@ class EvaluationServer(HttpApp):
         every open batching window is flushed and already-admitted requests
         (including evaluations whose waiters timed out) get up to
         ``drain_seconds`` to finish before the executor is torn down, so a
-        routine shutdown never truncates accepted work.
+        routine shutdown never truncates accepted work.  Pool workers get
+        what is left of that budget to exit on their stop message; a flight
+        kept past the drain that reaches the executor afterwards fails.
         """
         self._draining = True
         await self.batcher.flush_all()
@@ -694,9 +700,16 @@ class EvaluationServer(HttpApp):
         while self._running > 0 and loop.time() < deadline:
             await asyncio.sleep(0.02)
         await self._close_connections(deadline + 1.0 - loop.time())
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        self._executor_released = True
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if self.workers >= 1:
+            # Workers exit on a stop message, so their exit-time hooks run;
+            # they get what is left of the drain budget, then are killed.
+            await executor.aclose(max(0.0, deadline - loop.time()))
+        else:
+            executor.shutdown(wait=False, cancel_futures=True)
 
 
 class ServerHandle:

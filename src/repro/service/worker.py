@@ -2,8 +2,8 @@
 
 Everything here is module-level and takes one picklable argument tuple, so
 the same functions serve the in-process thread executor (``--workers 0``)
-and the process pool (``--workers N``); worker processes re-import the
-default method registry, exactly like the study runner's workers.
+and the process pool (``--workers N``, :mod:`repro.service.pool`), whose
+workers are forked from the server and so share its method registry.
 
 The contract that makes the service trustworthy: every record produced here
 is **byte-identical** to what the public API returns for the same inputs --
@@ -40,9 +40,9 @@ def run_job(arguments: tuple) -> tuple:
 
     ``arguments`` is ``(function, function_arguments, trace_id, parent_span,
     collect)``.  The wrapper exists because neither trace context nor metrics
-    cross the executor boundary on their own (``run_in_executor`` does not
-    propagate contextvars, and a pool worker's registry lives in another
-    process):
+    cross the executor boundary on their own (neither a thread executor nor
+    a worker's pipe carries contextvars, and a pool worker's registry lives
+    in another process):
 
     * the request's trace id and enclosing span id ride in explicitly and
       scope a ``worker.kernel`` span, so worker-side events land in the

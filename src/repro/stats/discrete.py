@@ -355,7 +355,9 @@ class DistributionBracket:
     def _first_above(self, x: float, sign: int) -> int:
         """Index of the first cell whose outward value exceeds ``x``."""
         size = self.upper_weights.size
-        first = max(0, min(size, int(np.floor((x - self.offset) / self.delta)) + 1))
+        # Clamped as a float first: with a subnormal ``delta`` the ratio can
+        # overflow to infinity, which has no integer.
+        first = int(min(max(np.floor((x - self.offset) / self.delta) + 1.0, 0.0), size))
         while first > 0 and self._value(first - 1, sign) > x:
             first -= 1
         while first < size and self._value(first, sign) <= x:

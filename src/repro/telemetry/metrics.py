@@ -16,7 +16,7 @@ renders the classic text exposition format via :func:`render_prometheus`):
   slowest traced observation, so a bad p99 links straight to a stitched
   trace).  Fixed buckets make histograms *merge-able*:
   adding two registries' bucket counts is exact, which is how
-  ``ProcessPoolExecutor`` workers report their kernel timings back with
+  the service's pool workers report their kernel timings back with
   their job results (snapshot before, snapshot after, ship the
   :func:`subtract`-ed delta, :meth:`MetricsRegistry.merge` on arrival).
   Quantiles (p50/p95/p99) are derived from the buckets by linear

@@ -99,6 +99,17 @@ class TestExceedanceAndPercentile:
             1 - prob_fault_free_version(small_model)
         )
 
+    def test_exceedance_on_a_subnormal_lattice(self):
+        # Impacts near the smallest float make the lattice spacing
+        # subnormal: a threshold far above it must read as "nothing
+        # exceeds", not overflow while locating its cell.
+        model = FaultModel(p=np.full(18, 0.5), q=np.full(18, 2.2250738585e-313))
+        bracket = exact_pfd_distribution(model, 2, max_support=16)
+        assert not bracket.is_exact
+        low, high = bracket.survival(1e-3)
+        assert low == 0.0
+        assert high < 1e-300  # only the readout's rounding allowance
+
     def test_exceedance_rejects_negative_threshold(self, small_model: FaultModel):
         with pytest.raises(ValueError):
             pfd_exceedance_probability(small_model, -0.1)

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
+import socket
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from repro.cluster import ShardRouter
 from repro.core.fault_model import FaultModel
 from repro.service import EvaluationServer, ServiceClient, start_in_background
+from repro.service.http import MAX_HEADER_LINES
 
 MODEL = {"p": [0.05, 0.02, 0.01], "q": [1e-4, 5e-4, 2e-3]}
 
@@ -85,6 +89,69 @@ class TestErrorEnvelope:
         assert status == 400
         assert payload["code"] == "bad_request"
         assert payload["trace_id"] == trace
+
+
+def _raw_exchange(port: int, head: bytes) -> bytes:
+    """Send ``head`` from a thread while reading; returns the status line.
+
+    The front answers an oversized head before reading all of it and then
+    closes, so the tail of the send may meet a reset: only the answer that
+    arrived first matters.
+    """
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    sender = threading.Thread(target=_send_ignoring_reset, args=(sock, head))
+    sender.start()
+    received = b""
+    try:
+        while b"\r\n" not in received:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    except ConnectionResetError:
+        pass
+    finally:
+        sender.join()
+        sock.close()
+    return received.split(b"\r\n", 1)[0]
+
+
+def _send_ignoring_reset(sock: socket.socket, data: bytes) -> None:
+    try:
+        sock.sendall(data)
+    except OSError:
+        pass
+
+
+@pytest.mark.parametrize("role", ["shard", "router"])
+class TestHeaderBounds:
+    def test_a_header_line_over_64k_is_431(self, fronts, role, caplog):
+        head = b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n"
+        with caplog.at_level(logging.ERROR):
+            status = _raw_exchange(fronts[role].port, head)
+        assert status == b"HTTP/1.1 431 Request Header Fields Too Large"
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+        assert _exchange(fronts[role].port, "GET", "/healthz")[0] == 200
+
+    def test_too_many_header_lines_are_431(self, fronts, role, caplog):
+        head = b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 200_000 + b"\r\n"
+        with caplog.at_level(logging.ERROR):
+            status = _raw_exchange(fronts[role].port, head)
+        assert status == b"HTTP/1.1 431 Request Header Fields Too Large"
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+        assert _exchange(fronts[role].port, "GET", "/healthz")[0] == 200
+
+    def test_the_header_line_limit_is_inclusive(self, fronts, role):
+        head = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"X-A: b\r\n" * (MAX_HEADER_LINES - 1)
+            + b"Connection: close\r\n\r\n"
+        )
+        assert _raw_exchange(fronts[role].port, head) == b"HTTP/1.1 200 OK"
+
+    def test_bare_lf_line_endings_are_accepted(self, fronts, role):
+        head = b"GET /healthz HTTP/1.1\nHost: x\nConnection: close\n\n"
+        assert _raw_exchange(fronts[role].port, head) == b"HTTP/1.1 200 OK"
 
 
 def test_each_front_frames_through_its_module_globals(monkeypatch):
