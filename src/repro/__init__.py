@@ -71,103 +71,40 @@ Subpackage                      Paper sections
 ==============================  =====================================================
 """
 
-from repro.core import (
-    DiversityGainSummary,
-    FaultClass,
-    FaultModel,
-    OneOutOfTwoSystem,
-    PfdMoments,
-    SingleVersionSystem,
-    confidence_bound_from_bound,
-    confidence_bound_from_moments,
-    diversity_gain_summary,
-    exact_pfd_distribution,
-    fault_count_distribution,
-    mean_gain_factor,
-    normal_approximation,
-    pfd_moments,
-    pmax_gain_table,
-    prob_any_common_fault,
-    prob_any_fault,
-    prob_fault_free_pair,
-    prob_fault_free_version,
-    proportional_improvement_derivative,
-    risk_ratio,
-    risk_ratio_partial_derivative,
-    single_fault_reversal_point,
-    single_version_mean,
-    single_version_std,
-    std_gain_factor,
-    success_ratio,
-    two_fault_reversal_point,
-    two_version_mean,
-    two_version_std,
-)
-from repro.api import (
-    BatchUnsupported,
-    EvaluationRequest,
-    EvaluationResult,
-    MethodDefinition,
-    MethodRegistry,
-    OptionSpec,
-    default_registry,
-    evaluate,
-    evaluate_batch,
-    evaluate_sweep,
-    register_batch,
-    register_method,
-)
-from repro.montecarlo import MonteCarloEngine
-from repro.stats import PoissonBinomial
-from repro.versions import IndependentDevelopmentProcess
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "BatchUnsupported",
-    "DiversityGainSummary",
-    "EvaluationRequest",
-    "EvaluationResult",
-    "MethodDefinition",
-    "MethodRegistry",
-    "OptionSpec",
-    "FaultClass",
-    "FaultModel",
-    "IndependentDevelopmentProcess",
-    "MonteCarloEngine",
-    "OneOutOfTwoSystem",
-    "PfdMoments",
-    "PoissonBinomial",
-    "SingleVersionSystem",
-    "__version__",
-    "confidence_bound_from_bound",
-    "confidence_bound_from_moments",
-    "default_registry",
-    "diversity_gain_summary",
-    "evaluate",
-    "evaluate_batch",
-    "evaluate_sweep",
-    "exact_pfd_distribution",
-    "fault_count_distribution",
-    "mean_gain_factor",
-    "normal_approximation",
-    "pfd_moments",
-    "pmax_gain_table",
-    "prob_any_common_fault",
-    "prob_any_fault",
-    "prob_fault_free_pair",
-    "prob_fault_free_version",
-    "proportional_improvement_derivative",
-    "register_batch",
-    "register_method",
-    "risk_ratio",
-    "risk_ratio_partial_derivative",
-    "single_fault_reversal_point",
-    "single_version_mean",
-    "single_version_std",
-    "std_gain_factor",
-    "success_ratio",
-    "two_fault_reversal_point",
-    "two_version_mean",
-    "two_version_std",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.api.evaluate": ("evaluate", "evaluate_batch", "evaluate_sweep"),
+    "repro.api.registry": (
+        "BatchUnsupported", "MethodDefinition", "MethodRegistry", "OptionSpec",
+        "default_registry", "register_batch", "register_method",
+    ),
+    "repro.api.results": ("EvaluationRequest", "EvaluationResult"),
+    "repro.core.bounds": (
+        "confidence_bound_from_bound", "confidence_bound_from_moments", "mean_gain_factor",
+        "pmax_gain_table", "std_gain_factor",
+    ),
+    "repro.core.fault_model": ("FaultClass", "FaultModel"),
+    "repro.core.gain": ("DiversityGainSummary", "diversity_gain_summary"),
+    "repro.core.moments": (
+        "PfdMoments", "pfd_moments", "single_version_mean", "single_version_std",
+        "two_version_mean", "two_version_std",
+    ),
+    "repro.core.no_common_faults": (
+        "fault_count_distribution", "prob_any_common_fault", "prob_any_fault",
+        "prob_fault_free_pair", "prob_fault_free_version", "risk_ratio", "success_ratio",
+    ),
+    "repro.core.normal_approximation": ("normal_approximation",),
+    "repro.core.pfd_distribution": ("exact_pfd_distribution",),
+    "repro.core.process_improvement": (
+        "proportional_improvement_derivative", "risk_ratio_partial_derivative",
+        "single_fault_reversal_point", "two_fault_reversal_point",
+    ),
+    "repro.core.system": ("OneOutOfTwoSystem", "SingleVersionSystem"),
+    "repro.montecarlo.engine": ("MonteCarloEngine",),
+    "repro.stats.poisson_binomial": ("PoissonBinomial",),
+    "repro.versions.generation": ("IndependentDevelopmentProcess",),
+})
+__all__.append("__version__")

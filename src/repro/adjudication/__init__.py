@@ -9,19 +9,11 @@ system simulator that runs developed versions demand-by-demand against an
 operational profile.
 """
 
-from repro.adjudication.adjudicators import (
-    Adjudicator,
-    MOutOfNAdjudicator,
-    OneOutOfNAdjudicator,
-    UnanimityAdjudicator,
-)
-from repro.adjudication.architectures import DemandSimulationResult, NVersionSystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Adjudicator",
-    "DemandSimulationResult",
-    "MOutOfNAdjudicator",
-    "NVersionSystem",
-    "OneOutOfNAdjudicator",
-    "UnanimityAdjudicator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.adjudication.adjudicators": (
+        "Adjudicator", "MOutOfNAdjudicator", "OneOutOfNAdjudicator", "UnanimityAdjudicator",
+    ),
+    "repro.adjudication.architectures": ("DemandSimulationResult", "NVersionSystem"),
+})

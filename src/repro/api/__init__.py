@@ -17,32 +17,16 @@ One extensible surface for every way of evaluating a fault model:
   through.
 """
 
-from repro.api.evaluate import evaluate, evaluate_batch, evaluate_sweep
-from repro.api.registry import (
-    BatchUnsupported,
-    MethodDefinition,
-    MethodRegistry,
-    OptionSpec,
-    default_registry,
-    register_batch,
-    register_method,
-)
-from repro.api.results import EvaluationRequest, EvaluationResult
+from repro._lazy import lazy_exports
 
 # Importing the built-in methods registers them on the default registry.
 from repro.api import methods as _builtin_methods  # noqa: F401  (import for side effect)
 
-__all__ = [
-    "BatchUnsupported",
-    "EvaluationRequest",
-    "EvaluationResult",
-    "MethodDefinition",
-    "MethodRegistry",
-    "OptionSpec",
-    "default_registry",
-    "evaluate",
-    "evaluate_batch",
-    "evaluate_sweep",
-    "register_batch",
-    "register_method",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.api.evaluate": ("evaluate", "evaluate_batch", "evaluate_sweep"),
+    "repro.api.registry": (
+        "BatchUnsupported", "MethodDefinition", "MethodRegistry", "OptionSpec",
+        "default_registry", "register_batch", "register_method",
+    ),
+    "repro.api.results": ("EvaluationRequest", "EvaluationResult"),
+})

@@ -16,6 +16,7 @@ for the template) rather than widening an existing schema.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any
 
 import numpy as np
@@ -23,6 +24,27 @@ import numpy as np
 from repro.api.registry import BatchUnsupported, OptionSpec, register_batch, register_method
 
 __all__: list[str] = []
+
+#: The modules the built-in methods import when they run.  A process about
+#: to fork evaluation workers imports them first (:func:`import_kernels`),
+#: so the workers inherit them instead of each compiling them again.
+KERNEL_MODULES = (
+    "repro.core.bounds",
+    "repro.core.moments",
+    "repro.core.normal_approximation",
+    "repro.core.pfd_distribution",
+    "repro.montecarlo.engine",
+    "repro.montecarlo.sweep",
+    "repro.stats.batched",
+    "repro.stats.normal",
+    "repro.versions.correlated",
+)
+
+
+def import_kernels() -> None:
+    """Import every module in :data:`KERNEL_MODULES` (numpy only: no scipy)."""
+    for name in KERNEL_MODULES:
+        importlib.import_module(name)
 
 
 def _variation_scales(variations) -> tuple[np.ndarray, np.ndarray]:

@@ -19,30 +19,15 @@ the model's outputs in that vocabulary:
   command line).
 """
 
-from repro.assessment.bayesian import BayesianPfdAssessment
-from repro.assessment.beta_factor import beta_factor, guaranteed_beta_factor
-from repro.assessment.confidence import ConfidenceClaim, claim_from_system
-from repro.assessment.report import AssessmentReport, SystemAssessment, assess
-from repro.assessment.sil import (
-    SIL_BANDS,
-    SafetyIntegrityLevel,
-    required_pfd_bound,
-    sil_for_pfd,
-    sil_claim_for_system,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssessmentReport",
-    "BayesianPfdAssessment",
-    "ConfidenceClaim",
-    "SIL_BANDS",
-    "SafetyIntegrityLevel",
-    "SystemAssessment",
-    "assess",
-    "beta_factor",
-    "claim_from_system",
-    "guaranteed_beta_factor",
-    "required_pfd_bound",
-    "sil_claim_for_system",
-    "sil_for_pfd",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.assessment.bayesian": ("BayesianPfdAssessment",),
+    "repro.assessment.beta_factor": ("beta_factor", "guaranteed_beta_factor"),
+    "repro.assessment.confidence": ("ConfidenceClaim", "claim_from_system"),
+    "repro.assessment.report": ("AssessmentReport", "SystemAssessment", "assess"),
+    "repro.assessment.sil": (
+        "SIL_BANDS", "SafetyIntegrityLevel", "required_pfd_bound", "sil_claim_for_system",
+        "sil_for_pfd",
+    ),
+})

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import evaluate_batch
+from repro.api.evaluate import evaluate_batch
 from repro.assessment.beta_factor import beta_factor, guaranteed_beta_factor, guaranteed_bound_beta_factor
 from repro.assessment.confidence import ConfidenceClaim
 from repro.assessment.sil import SafetyIntegrityLevel, sil_for_pfd

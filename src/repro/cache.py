@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 __all__ = [
@@ -100,6 +99,8 @@ class ResultCache:
 
     def store(self, digest: str, entry: dict) -> None:
         """Atomically write ``entry`` under ``digest``."""
+        import tempfile
+
         from repro import telemetry
 
         with telemetry.span("cache.write", digest=digest[:12]):

@@ -65,16 +65,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.api import default_registry
-from repro.api import evaluate as api_evaluate
-from repro.assessment.report import assess
-from repro.core.bounds import pmax_gain_table
-from repro.core.fault_model import FaultModel
-from repro.core.gain import diversity_gain_summary
-from repro.experiments.scenarios import SCENARIOS, get_scenario, scenario_names
+# Only what building the parser needs is imported here; each handler imports
+# its own command's modules, so one command never compiles another's stack.
+from repro.experiments.scenarios import scenario_names
 from repro.studies.results import TABLE_FORMATS
+
+if TYPE_CHECKING:
+    from repro.core.fault_model import FaultModel
 
 __all__ = ["main", "build_parser"]
 
@@ -670,6 +669,9 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_model(arguments: argparse.Namespace) -> FaultModel:
+    from repro.core.fault_model import FaultModel
+    from repro.experiments.scenarios import get_scenario
+
     if arguments.scenario is not None:
         return get_scenario(arguments.scenario)
     try:
@@ -694,6 +696,8 @@ def _load_model(arguments: argparse.Namespace) -> FaultModel:
 # Command handlers
 # --------------------------------------------------------------------- #
 def _handle_scenarios(arguments: argparse.Namespace) -> int:
+    from repro.experiments.scenarios import SCENARIOS
+
     width = max(len(name) for name in scenario_names())
     for name in scenario_names():
         print(f"{name.ljust(width)}  {SCENARIOS[name].description}")
@@ -701,6 +705,8 @@ def _handle_scenarios(arguments: argparse.Namespace) -> int:
 
 
 def _handle_pmax_table(arguments: argparse.Namespace) -> int:
+    from repro.core.bounds import pmax_gain_table
+
     print(f"{'p_max':>10s}  {'bound reduction':>16s}  {'improvement':>12s}")
     for row in pmax_gain_table(arguments.pmax):
         print(f"{row.p_max:>10.4g}  {row.gain_factor:>16.4f}  {row.improvement_factor:>11.2f}x")
@@ -708,6 +714,8 @@ def _handle_pmax_table(arguments: argparse.Namespace) -> int:
 
 
 def _handle_assess(arguments: argparse.Namespace) -> int:
+    from repro.assessment.report import assess
+
     report = assess(_load_model(arguments), confidence=arguments.confidence)
     if arguments.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -717,6 +725,8 @@ def _handle_assess(arguments: argparse.Namespace) -> int:
 
 
 def _handle_gain(arguments: argparse.Namespace) -> int:
+    from repro.core.gain import diversity_gain_summary
+
     summary = diversity_gain_summary(_load_model(arguments), confidence=arguments.confidence)
     print(json.dumps(summary.as_dict(), indent=2))
     return 0
@@ -745,6 +755,8 @@ def _parse_option_assignments(assignments: Sequence[str]) -> dict:
 
 
 def _handle_evaluate(arguments: argparse.Namespace) -> int:
+    from repro.api.evaluate import evaluate as api_evaluate
+
     model = _load_model(arguments)
     options = _parse_option_assignments(arguments.options)
     # Pass options as a mapping, not **kwargs: an option named like one of
@@ -756,6 +768,8 @@ def _handle_evaluate(arguments: argparse.Namespace) -> int:
 
 
 def _handle_methods(arguments: argparse.Namespace) -> int:
+    from repro.api.registry import default_registry
+
     def render_default(value) -> str:
         return json.dumps(value)
 
@@ -807,7 +821,8 @@ def _handle_simulate(arguments: argparse.Namespace) -> int:
 
 
 def _handle_study(arguments: argparse.Namespace) -> int:
-    from repro.studies import StudySpec, plan_study, run_study
+    from repro.studies.runner import plan_study, run_study
+    from repro.studies.spec import StudySpec
 
     spec = StudySpec.from_file(arguments.spec)
     if arguments.study_command == "show":
@@ -880,7 +895,7 @@ def _handle_study(arguments: argparse.Namespace) -> int:
 def _handle_serve(arguments: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import EvaluationServer
+    from repro.service.server import EvaluationServer
 
     if not 0 < arguments.port < 65536:
         raise ValueError(f"port must be in 1..65535, got {arguments.port}")
@@ -934,7 +949,7 @@ def _handle_serve(arguments: argparse.Namespace) -> int:
 def _handle_route(arguments: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.cluster import ShardRouter
+    from repro.cluster.router import ShardRouter
 
     if not arguments.shard:
         raise ValueError("route needs at least one --shard HOST:PORT")

@@ -36,16 +36,11 @@ The router embeds exactly like the server::
     handle = start_in_background(ShardRouter(["127.0.0.1:8001", "127.0.0.1:8002"]))
 """
 
-from repro.cluster.health import HealthView, ProbeSchedule
-from repro.cluster.ring import ConsistentHashRing, ReplicatedPlacement
-from repro.cluster.router import ShardRouter
-from repro.cluster.transport import ShardTransport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConsistentHashRing",
-    "HealthView",
-    "ProbeSchedule",
-    "ReplicatedPlacement",
-    "ShardRouter",
-    "ShardTransport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cluster.health": ("HealthView", "ProbeSchedule"),
+    "repro.cluster.ring": ("ConsistentHashRing", "ReplicatedPlacement"),
+    "repro.cluster.router": ("ShardRouter",),
+    "repro.cluster.transport": ("ShardTransport",),
+})

@@ -329,7 +329,7 @@ def run_soak(
     """
     from contextlib import suppress
 
-    from repro.api import evaluate
+    from repro.api.evaluate import evaluate
     from repro.cluster.router import ShardRouter
     from repro.core.fault_model import FaultModel
     from repro.service.protocol import parse_evaluate_payload

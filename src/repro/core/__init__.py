@@ -23,90 +23,33 @@ system:
   summaries and high-level system facades.
 """
 
-from repro.core.bounds import (
-    confidence_bound_from_bound,
-    confidence_bound_from_moments,
-    mean_gain_factor,
-    pmax_gain_table,
-    std_gain_factor,
-)
-from repro.core.fault_model import FaultClass, FaultModel
-from repro.core.gain import DiversityGainSummary, diversity_gain_summary
-from repro.core.moments import (
-    PfdMoments,
-    pfd_moments,
-    r_version_mean,
-    r_version_variance,
-    single_version_mean,
-    single_version_std,
-    single_version_variance,
-    two_version_mean,
-    two_version_std,
-    two_version_variance,
-)
-from repro.core.no_common_faults import (
-    fault_count_distribution,
-    prob_any_common_fault,
-    prob_any_fault,
-    prob_fault_free_pair,
-    prob_fault_free_version,
-    risk_ratio,
-    success_ratio,
-)
-from repro.core.normal_approximation import (
-    berry_esseen_error,
-    bound_difference,
-    bound_gain_ratio,
-    normal_approximation,
-)
-from repro.core.pfd_distribution import exact_pfd_distribution, pfd_exceedance_probability
-from repro.core.process_improvement import (
-    proportional_improvement_derivative,
-    risk_ratio_gradient,
-    risk_ratio_partial_derivative,
-    single_fault_reversal_point,
-    two_fault_reversal_point,
-)
-from repro.core.system import OneOutOfTwoSystem, SingleVersionSystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DiversityGainSummary",
-    "FaultClass",
-    "FaultModel",
-    "OneOutOfTwoSystem",
-    "PfdMoments",
-    "SingleVersionSystem",
-    "berry_esseen_error",
-    "bound_difference",
-    "bound_gain_ratio",
-    "confidence_bound_from_bound",
-    "confidence_bound_from_moments",
-    "diversity_gain_summary",
-    "exact_pfd_distribution",
-    "fault_count_distribution",
-    "mean_gain_factor",
-    "normal_approximation",
-    "pfd_exceedance_probability",
-    "pfd_moments",
-    "pmax_gain_table",
-    "prob_any_common_fault",
-    "prob_any_fault",
-    "prob_fault_free_pair",
-    "prob_fault_free_version",
-    "proportional_improvement_derivative",
-    "r_version_mean",
-    "r_version_variance",
-    "risk_ratio",
-    "risk_ratio_gradient",
-    "risk_ratio_partial_derivative",
-    "single_fault_reversal_point",
-    "single_version_mean",
-    "single_version_std",
-    "single_version_variance",
-    "std_gain_factor",
-    "success_ratio",
-    "two_fault_reversal_point",
-    "two_version_mean",
-    "two_version_std",
-    "two_version_variance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.bounds": (
+        "confidence_bound_from_bound", "confidence_bound_from_moments", "mean_gain_factor",
+        "pmax_gain_table", "std_gain_factor",
+    ),
+    "repro.core.fault_model": ("FaultClass", "FaultModel"),
+    "repro.core.gain": ("DiversityGainSummary", "diversity_gain_summary"),
+    "repro.core.moments": (
+        "PfdMoments", "pfd_moments", "r_version_mean", "r_version_variance",
+        "single_version_mean", "single_version_std", "single_version_variance",
+        "two_version_mean", "two_version_std", "two_version_variance",
+    ),
+    "repro.core.no_common_faults": (
+        "fault_count_distribution", "prob_any_common_fault", "prob_any_fault",
+        "prob_fault_free_pair", "prob_fault_free_version", "risk_ratio", "success_ratio",
+    ),
+    "repro.core.normal_approximation": (
+        "berry_esseen_error", "bound_difference", "bound_gain_ratio",
+        "normal_approximation",
+    ),
+    "repro.core.pfd_distribution": ("exact_pfd_distribution", "pfd_exceedance_probability"),
+    "repro.core.process_improvement": (
+        "proportional_improvement_derivative", "risk_ratio_gradient",
+        "risk_ratio_partial_derivative", "single_fault_reversal_point",
+        "two_fault_reversal_point",
+    ),
+    "repro.core.system": ("OneOutOfTwoSystem", "SingleVersionSystem"),
+})

@@ -13,45 +13,19 @@ spaces, and the machinery to compute or estimate ``q_i`` as the profile measure
 of a region.
 """
 
-from repro.demandspace.measure import estimate_region_probability, region_probability
-from repro.demandspace.profiles import (
-    EmpiricalProfile,
-    GridProfile,
-    MixtureProfile,
-    OperationalProfile,
-    ProductProfile,
-    TruncatedNormalMarginal,
-    UniformMarginal,
-)
-from repro.demandspace.regions import (
-    BallRegion,
-    BoxRegion,
-    EmptyRegion,
-    FailureRegion,
-    HalfSpaceRegion,
-    PointSetRegion,
-    UnionRegion,
-)
-from repro.demandspace.space import ContinuousDemandSpace, DemandSpace, DiscreteDemandSpace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BallRegion",
-    "BoxRegion",
-    "ContinuousDemandSpace",
-    "DemandSpace",
-    "DiscreteDemandSpace",
-    "EmptyRegion",
-    "EmpiricalProfile",
-    "FailureRegion",
-    "GridProfile",
-    "HalfSpaceRegion",
-    "MixtureProfile",
-    "OperationalProfile",
-    "PointSetRegion",
-    "ProductProfile",
-    "TruncatedNormalMarginal",
-    "UniformMarginal",
-    "UnionRegion",
-    "estimate_region_probability",
-    "region_probability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.demandspace.measure": ("estimate_region_probability", "region_probability"),
+    "repro.demandspace.profiles": (
+        "EmpiricalProfile", "GridProfile", "MixtureProfile", "OperationalProfile",
+        "ProductProfile", "TruncatedNormalMarginal", "UniformMarginal",
+    ),
+    "repro.demandspace.regions": (
+        "BallRegion", "BoxRegion", "EmptyRegion", "FailureRegion", "HalfSpaceRegion",
+        "PointSetRegion", "UnionRegion",
+    ),
+    "repro.demandspace.space": (
+        "ContinuousDemandSpace", "DemandSpace", "DiscreteDemandSpace",
+    ),
+})

@@ -22,14 +22,11 @@ function arises from the population of potential faults; the
 :mod:`~repro.elm.comparison` module builds that bridge explicitly.
 """
 
-from repro.elm.comparison import difficulty_from_fault_model
-from repro.elm.difficulty import DifficultyFunction
-from repro.elm.eckhardt_lee import EckhardtLeeModel
-from repro.elm.littlewood_miller import LittlewoodMillerModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DifficultyFunction",
-    "EckhardtLeeModel",
-    "LittlewoodMillerModel",
-    "difficulty_from_fault_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.elm.comparison": ("difficulty_from_fault_model",),
+    "repro.elm.difficulty": ("DifficultyFunction",),
+    "repro.elm.eckhardt_lee": ("EckhardtLeeModel",),
+    "repro.elm.littlewood_miller": ("LittlewoodMillerModel",),
+})

@@ -10,31 +10,15 @@
   benchmark harness.
 """
 
-from repro.experiments.knight_leveson import NVersionExperimentResult, SyntheticNVersionExperiment
-from repro.experiments.scenarios import (
-    SCENARIOS,
-    ScenarioEntry,
-    fig2_failure_regions,
-    get_scenario,
-    high_quality_scenario,
-    many_small_faults_scenario,
-    protection_system_model,
-    protection_system_scenario,
-    ProtectionSystemScenario,
-    scenario_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NVersionExperimentResult",
-    "ProtectionSystemScenario",
-    "SCENARIOS",
-    "ScenarioEntry",
-    "SyntheticNVersionExperiment",
-    "fig2_failure_regions",
-    "get_scenario",
-    "high_quality_scenario",
-    "many_small_faults_scenario",
-    "protection_system_model",
-    "protection_system_scenario",
-    "scenario_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.experiments.knight_leveson": (
+        "NVersionExperimentResult", "SyntheticNVersionExperiment",
+    ),
+    "repro.experiments.scenarios": (
+        "ProtectionSystemScenario", "SCENARIOS", "ScenarioEntry", "fig2_failure_regions",
+        "get_scenario", "high_quality_scenario", "many_small_faults_scenario",
+        "protection_system_model", "protection_system_scenario", "scenario_names",
+    ),
+})

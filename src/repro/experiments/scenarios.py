@@ -22,27 +22,17 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.fault_model import FaultModel
-from repro.demandspace.profiles import (
-    MixtureProfile,
-    OperationalProfile,
-    ProductProfile,
-    TruncatedNormalMarginal,
-    UniformMarginal,
-)
-from repro.demandspace.regions import (
-    BallRegion,
-    BoxRegion,
-    FailureRegion,
-    PointSetRegion,
-    UnionRegion,
-)
-from repro.demandspace.space import ContinuousDemandSpace
 from repro.stats.rng import ensure_rng
+
+if TYPE_CHECKING:
+    from repro.demandspace.profiles import OperationalProfile
+    from repro.demandspace.regions import FailureRegion
+    from repro.demandspace.space import ContinuousDemandSpace
 
 __all__ = [
     "ProtectionSystemScenario",
@@ -105,6 +95,9 @@ def fig2_failure_regions(space: ContinuousDemandSpace | None = None) -> list[Fai
     stripe, one box near a corner, and one non-connected array of isolated
     failure points.
     """
+    from repro.demandspace.regions import BallRegion, BoxRegion, PointSetRegion
+    from repro.demandspace.space import ContinuousDemandSpace
+
     space = space or ContinuousDemandSpace.unit_square()
     if space.dimension != 2:
         raise ValueError("the Fig. 2 layout needs a two-dimensional demand space")
@@ -151,6 +144,15 @@ def protection_system_scenario(
     Monte Carlo against the profile, so the resulting fault model is consistent
     with the geometry by construction.
     """
+    from repro.demandspace.profiles import (
+        MixtureProfile,
+        ProductProfile,
+        TruncatedNormalMarginal,
+        UniformMarginal,
+    )
+    from repro.demandspace.regions import BallRegion, BoxRegion, PointSetRegion, UnionRegion
+    from repro.demandspace.space import ContinuousDemandSpace
+
     generator = ensure_rng(rng)
     space = ContinuousDemandSpace(
         lower=np.array([40.0, 200.0]),

@@ -15,6 +15,8 @@ provides a concrete mechanism of that kind:
   process improvement can reduce the gain from diversity.
 """
 
-from repro.improvement.testing import TestingCampaign, TestingTrajectory
+from repro._lazy import lazy_exports
 
-__all__ = ["TestingCampaign", "TestingTrajectory"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.improvement.testing": ("TestingCampaign", "TestingTrajectory"),
+})

@@ -6,20 +6,12 @@ assumptions -- independence, non-overlap -- are relaxed, where no closed form
 exists).
 """
 
-from repro.montecarlo.convergence import ConvergenceDiagnostics, running_mean
-from repro.montecarlo.engine import MonteCarloEngine
-from repro.montecarlo.results import PairSimulationResult, SimulationResult
-from repro.montecarlo.streaming import StreamingPairResult, StreamingSimulationResult
-from repro.montecarlo.sweep import SweepPointResult, simulate_scaled_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConvergenceDiagnostics",
-    "MonteCarloEngine",
-    "PairSimulationResult",
-    "SimulationResult",
-    "StreamingPairResult",
-    "StreamingSimulationResult",
-    "SweepPointResult",
-    "simulate_scaled_sweep",
-    "running_mean",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.montecarlo.convergence": ("ConvergenceDiagnostics", "running_mean"),
+    "repro.montecarlo.engine": ("MonteCarloEngine",),
+    "repro.montecarlo.results": ("PairSimulationResult", "SimulationResult"),
+    "repro.montecarlo.streaming": ("StreamingPairResult", "StreamingSimulationResult"),
+    "repro.montecarlo.sweep": ("SweepPointResult", "simulate_scaled_sweep"),
+})

@@ -16,15 +16,12 @@ the model's practical conclusions.  This subpackage provides the machinery to
 * :mod:`~repro.sensitivity.robustness` -- convenience sweeps combining both.
 """
 
-from repro.sensitivity.correlation import CorrelationSensitivityResult, correlation_sensitivity
-from repro.sensitivity.overlap import OverlappingRegionModel, OverlapSensitivityResult
-from repro.sensitivity.robustness import RobustnessReport, robustness_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CorrelationSensitivityResult",
-    "OverlapSensitivityResult",
-    "OverlappingRegionModel",
-    "RobustnessReport",
-    "correlation_sensitivity",
-    "robustness_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sensitivity.correlation": (
+        "CorrelationSensitivityResult", "correlation_sensitivity",
+    ),
+    "repro.sensitivity.overlap": ("OverlapSensitivityResult", "OverlappingRegionModel"),
+    "repro.sensitivity.robustness": ("RobustnessReport", "robustness_report"),
+})

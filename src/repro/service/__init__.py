@@ -29,14 +29,9 @@ evaluations the sweep kernels make cheap:
   client (per-thread keep-alive connections, typed retries).
 """
 
-from repro.service.client import BackoffPolicy, ServiceClient, ServiceError
-from repro.service.server import EvaluationServer, WorkerCrashError, start_in_background
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackoffPolicy",
-    "EvaluationServer",
-    "ServiceClient",
-    "ServiceError",
-    "WorkerCrashError",
-    "start_in_background",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.service.client": ("BackoffPolicy", "ServiceClient", "ServiceError"),
+    "repro.service.server": ("EvaluationServer", "WorkerCrashError", "start_in_background"),
+})

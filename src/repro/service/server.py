@@ -258,8 +258,12 @@ class EvaluationServer(HttpApp):
             if self._executor_released:
                 raise RuntimeError("the evaluation server has released its executor")
             if self.workers >= 1:
+                from repro.api.methods import import_kernels
                 from repro.service.pool import WorkerPool
 
+                # Forked workers inherit this process's modules: import the
+                # kernels once here rather than once in every worker.
+                import_kernels()
                 self._executor = WorkerPool(self.workers)
             else:
                 from concurrent.futures import ThreadPoolExecutor

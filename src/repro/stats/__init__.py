@@ -27,37 +27,18 @@ normal-theory confidence intervals) import scipy on their first call, so a
 process that never uses them never pays for scipy.
 """
 
-from repro.stats.discrete import DiscreteDistribution, DistributionBracket
-from repro.stats.empirical import (
-    EmpiricalDistribution,
-    bootstrap_confidence_interval,
-    empirical_cdf,
-    empirical_quantile,
-)
-from repro.stats.normal import (
-    NormalApproximation,
-    berry_esseen_bound,
-    normal_cdf,
-    normal_quantile,
-)
-from repro.stats.poisson_binomial import PoissonBinomial
-from repro.stats.rng import default_rng, spawn_rngs
-from repro.stats.streaming import StreamingHistogram, StreamingMoments
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DiscreteDistribution",
-    "DistributionBracket",
-    "EmpiricalDistribution",
-    "NormalApproximation",
-    "PoissonBinomial",
-    "StreamingHistogram",
-    "StreamingMoments",
-    "berry_esseen_bound",
-    "bootstrap_confidence_interval",
-    "default_rng",
-    "empirical_cdf",
-    "empirical_quantile",
-    "normal_cdf",
-    "normal_quantile",
-    "spawn_rngs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.stats.discrete": ("DiscreteDistribution", "DistributionBracket"),
+    "repro.stats.empirical": (
+        "EmpiricalDistribution", "bootstrap_confidence_interval", "empirical_cdf",
+        "empirical_quantile",
+    ),
+    "repro.stats.normal": (
+        "NormalApproximation", "berry_esseen_bound", "normal_cdf", "normal_quantile",
+    ),
+    "repro.stats.poisson_binomial": ("PoissonBinomial",),
+    "repro.stats.rng": ("default_rng", "spawn_rngs"),
+    "repro.stats.streaming": ("StreamingHistogram", "StreamingMoments"),
+})

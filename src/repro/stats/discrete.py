@@ -22,6 +22,7 @@ Two layers are provided:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,12 +342,27 @@ class DistributionBracket:
         """Whether both bounds are the distribution itself (``lo == hi``)."""
         return self.exact is not None
 
-    @property
+    # Whole-lattice passes are memoised: one bracket is often read by several
+    # methods (``exact`` and ``tail-quantile`` of one shared point), and each
+    # pass walks every cell.
+    @functools.cached_property
     def support_size(self) -> int:
         """Number of support points of the upper bound."""
         if self.exact is not None:
             return int(self.exact.support.size)
         return int(np.count_nonzero(self.upper_weights)) + int(self.overflow > 0.0)
+
+    @functools.cached_property
+    def _lower_cumulative(self) -> np.ndarray:
+        return np.cumsum(self.lower_weights)
+
+    @functools.cached_property
+    def _upper_cumulative(self) -> np.ndarray:
+        return np.cumsum(self.upper_weights)
+
+    @functools.cached_property
+    def _last_upper_cell(self) -> int:
+        return int(np.flatnonzero(self.upper_weights)[-1])
 
     def _value(self, cell: int, sign: int) -> float:
         """The value of lattice ``cell``, moved outward (see :func:`_outward`)."""
@@ -375,12 +391,12 @@ class DistributionBracket:
                 raise ValueError(f"level must be in [0, 1], got {level}")
         if self.exact is not None:
             return [(value, value) for value in map(self.exact.quantile, levels)]
-        lower = np.searchsorted(np.cumsum(self.lower_weights), [lv - self.slack for lv in levels])
-        upper = np.searchsorted(np.cumsum(self.upper_weights), [lv + self.slack for lv in levels])
+        lower = np.searchsorted(self._lower_cumulative, [lv - self.slack for lv in levels])
+        upper = np.searchsorted(self._upper_cumulative, [lv + self.slack for lv in levels])
         if self.overflow > 0.0:
             top = self.ceiling
         else:
-            top = self._value(int(np.flatnonzero(self.upper_weights)[-1]), +1)
+            top = self._value(self._last_upper_cell, +1)
         last = self.upper_weights.size - 1
         return [
             (

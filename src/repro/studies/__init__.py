@@ -19,29 +19,19 @@ of model evaluations:
 Exposed on the command line as ``python -m repro study run|show``.
 """
 
-from repro.cache import CACHE_FORMAT_VERSION, ResultCache, canonical_json, payload_digest
-from repro.studies.grid import StudyPoint, expand_points
-from repro.studies.methods import evaluate_study_point, resolve_model, split_point_params
-from repro.studies.results import StudyResult
-from repro.studies.runner import PlannedPoint, plan_study, point_seed_entropy, run_study
-from repro.studies.spec import MethodSpec, StudySpec, SweepAxis
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_FORMAT_VERSION",
-    "MethodSpec",
-    "PlannedPoint",
-    "ResultCache",
-    "StudyPoint",
-    "StudyResult",
-    "StudySpec",
-    "SweepAxis",
-    "canonical_json",
-    "evaluate_study_point",
-    "expand_points",
-    "payload_digest",
-    "plan_study",
-    "point_seed_entropy",
-    "resolve_model",
-    "run_study",
-    "split_point_params",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cache": (
+        "CACHE_FORMAT_VERSION", "ResultCache", "canonical_json", "payload_digest",
+    ),
+    "repro.studies.grid": ("StudyPoint", "expand_points"),
+    "repro.studies.methods": (
+        "evaluate_study_point", "resolve_model", "split_point_params",
+    ),
+    "repro.studies.results": ("StudyResult",),
+    "repro.studies.runner": (
+        "PlannedPoint", "plan_study", "point_seed_entropy", "run_study",
+    ),
+    "repro.studies.spec": ("MethodSpec", "StudySpec", "SweepAxis"),
+})

@@ -27,7 +27,7 @@ import inspect
 from typing import Any, Mapping
 
 from repro import faults
-from repro.api import evaluate as api_evaluate
+from repro.api.evaluate import evaluate as api_evaluate
 from repro.api.registry import default_registry
 from repro.core.fault_model import FaultModel
 from repro.grouping import MODEL_TRANSFORM_DEFAULTS, MODEL_TRANSFORM_PARAMS

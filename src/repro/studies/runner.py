@@ -40,7 +40,6 @@ from typing import Any, Callable
 from repro import telemetry
 from repro.api.registry import default_registry
 from repro.cache import ResultCache, canonical_json, payload_digest
-from repro.core.pfd_distribution import shared_distributions
 from repro.grouping import evaluation_payload, group_digest, group_payload
 from repro.studies.grid import StudyPoint, expand_points
 from repro.studies.methods import (
@@ -173,6 +172,8 @@ def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
     wanted member of that group, so the runner's bookkeeping stays aligned
     and sibling groups still complete.
     """
+    from repro.core.pfd_distribution import shared_distributions
+
     base, groups = arguments
     outcomes: list[tuple[str, Any]] = []
     scope = shared_distributions() if len(groups) > 1 else contextlib.nullcontext()
@@ -472,6 +473,11 @@ def run_study(
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
+            from repro.api.methods import import_kernels
+
+            # Forked workers inherit this process's modules: import the
+            # kernels once here rather than once in every worker.
+            import_kernels()
             executor = ProcessPoolExecutor(max_workers=workers)
             fresh = executor.map(worker, work)
         else:

@@ -18,20 +18,13 @@ this set of possible faults."  This subpackage simulates exactly that:
   as out of scope but motivates studying.
 """
 
-from repro.versions.correlated import (
-    CommonCauseDevelopmentProcess,
-    CopulaDevelopmentProcess,
-)
-from repro.versions.forced_diversity import ForcedDiversityPair
-from repro.versions.generation import DevelopmentProcess, IndependentDevelopmentProcess
-from repro.versions.version import DevelopedVersion, VersionPair
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CommonCauseDevelopmentProcess",
-    "CopulaDevelopmentProcess",
-    "DevelopedVersion",
-    "DevelopmentProcess",
-    "ForcedDiversityPair",
-    "IndependentDevelopmentProcess",
-    "VersionPair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.versions.correlated": (
+        "CommonCauseDevelopmentProcess", "CopulaDevelopmentProcess",
+    ),
+    "repro.versions.forced_diversity": ("ForcedDiversityPair",),
+    "repro.versions.generation": ("DevelopmentProcess", "IndependentDevelopmentProcess"),
+    "repro.versions.version": ("DevelopedVersion", "VersionPair"),
+})

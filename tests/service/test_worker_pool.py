@@ -9,6 +9,7 @@ pinned by ``TestPoolRestart`` in ``test_fault_tolerance.py``.
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import json
 import os
@@ -232,6 +233,58 @@ class TestServerPool:
         for response, scale in ((first, 1.0), (second, 0.5)):
             expected = evaluate(FaultModel.from_dict(MODEL).rescaled(scale, 1.0), "moments")
             assert response["result"]["metrics"] == expected.to_dict()["metrics"]
+
+
+#: Runs in a fresh interpreter, so the server has imported only what its
+#: own start-up and its pool's fork import.
+_WORKER_MODULES_SCRIPT = """
+import asyncio, json, sys
+from repro.service.server import EvaluationServer
+
+def repro_modules(_):
+    return sorted(name for name in sys.modules if name.startswith("repro"))
+
+server = EvaluationServer(workers=1, batch_window_ms=1.0)
+
+async def run():
+    before = await server._run_in_pool(repro_modules, None)
+    for method in ("exact", "tail-quantile", "montecarlo", "moments"):
+        response = await server._serve_evaluate({"model": %r, "method": method})
+        assert "result" in response, response
+    return before, await server._run_in_pool(repro_modules, None)
+
+try:
+    before, after = asyncio.run(run())
+finally:
+    asyncio.run(server.aclose(drain_seconds=0.0))
+print(json.dumps(sorted(set(after) - set(before))))
+""" % (MODEL,)
+
+
+def test_the_pool_forks_with_the_kernels_already_imported():
+    completed = subprocess.run(
+        [sys.executable, "-c", _WORKER_MODULES_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert json.loads(completed.stdout) == []
+
+
+def test_the_kernel_list_covers_every_built_in_methods_imports():
+    from repro.api import methods
+
+    tree = ast.parse(Path(methods.__file__).read_text(encoding="utf-8"))
+    imported = {
+        node.module
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert imported <= set(methods.KERNEL_MODULES)
 
 
 def _get(port: int, path: str, body: bytes | None = None) -> int:

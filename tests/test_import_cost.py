@@ -1,9 +1,13 @@
-"""scipy stays off the import path.
+"""What each entry point imports at start-up.
 
-Only the Section 5 normal-approximation methods (``normal``, ``bounds``) and
-a few optional paths need scipy; every module imports it inside the
-functions that call it.  These checks run in fresh interpreters, because the
-test process itself has scipy loaded by other tests.
+Every entry point -- the package, the CLI, a study, a shard, a router --
+starts a fresh interpreter, which compiles every module it imports.  The
+package namespaces are lazy and the CLI imports each command's modules in
+its handler, so start-up loads only what that entry point runs: no model
+code it does not use, and no scipy.  Only the Section 5 normal-approximation methods
+(``normal``, ``bounds``) and a few optional paths need scipy; every module
+imports it inside the functions that call it.  These checks run in fresh
+interpreters, because the test process itself has loaded everything.
 """
 
 from __future__ import annotations
@@ -18,8 +22,62 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-ENTRY_POINTS = ("repro", "repro.cli", "repro.studies", "repro.service.server",
-                "repro.cluster.router")
+#: A study of the Section 5 scenario, as a study process parses it first.
+_STUDY_SPEC = {
+    "name": "import-probe",
+    "base": {"scenario": "many-small-faults"},
+    "sweep": {"grid": [{"name": "n", "values": [50, 100]},
+                       {"name": "p_scale", "logspace": [0.1, 1.0, 4]}]},
+    "methods": [{"name": "moments"}, {"name": "exact"}, {"name": "tail-quantile"},
+                {"name": "montecarlo", "replications": 2000}],
+}
+
+#: What each entry point runs before its first request or evaluation.
+ENTRY_POINTS = {
+    "repro": "import repro",
+    "repro.cli": "from repro.cli import build_parser; build_parser()",
+    "repro.studies": (
+        "from repro.studies import StudySpec, run_study; "
+        f"StudySpec.from_dict({_STUDY_SPEC!r})"
+    ),
+    "repro.service.server": "import repro.service.server",
+    "repro.cluster.router": "import repro.cluster.router",
+}
+
+#: Model code no entry point's start-up needs.
+_MODEL_STACK = (
+    "repro.adjudication",
+    "repro.assessment",
+    "repro.core.bounds",
+    "repro.core.gain",
+    "repro.demandspace",
+    "repro.elm",
+    "repro.experiments.knight_leveson",
+    "repro.sensitivity",
+)
+
+#: Modules (or whole packages) each entry point's start-up must not load.
+DENIED = {
+    "repro": _MODEL_STACK + ("repro.api", "repro.core.fault_model", "repro.montecarlo.engine"),
+    "repro.cli": _MODEL_STACK + (
+        "repro.api", "repro.cluster", "repro.montecarlo.engine", "repro.service",
+        "repro.studies.runner", "repro.studies.spec",
+    ),
+    "repro.studies": _MODEL_STACK + (
+        "repro.cluster", "repro.core.pfd_distribution", "repro.montecarlo.engine",
+        "repro.montecarlo.sweep", "repro.service", "repro.stats.batched",
+    ),
+    # A shard imports its kernels when it forks its worker pool, not before.
+    "repro.service.server": _MODEL_STACK + (
+        "repro.cluster", "repro.core.pfd_distribution", "repro.montecarlo.engine",
+        "repro.studies.runner",
+    ),
+    # A router never runs a kernel.
+    "repro.cluster.router": _MODEL_STACK + (
+        "repro.api.evaluate", "repro.core.pfd_distribution", "repro.montecarlo.engine",
+        "repro.service.server", "repro.service.worker", "repro.studies",
+    ),
+}
 
 _SCIPY_LOADED = "any(name.split('.')[0] == 'scipy' for name in sys.modules)"
 
@@ -57,9 +115,25 @@ def _records(methods: tuple[str, ...], preload_scipy: bool) -> str:
     return _run(code)
 
 
+def _loaded(entry_point: str) -> set[str]:
+    """Every module in ``sys.modules`` after ``entry_point``'s start-up."""
+    code = f"import json, sys\n{ENTRY_POINTS[entry_point]}\nprint(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(_run(code)))
+
+
 @pytest.mark.parametrize("module", ENTRY_POINTS)
 def test_import_loads_no_scipy(module):
-    assert _run(f"import sys, {module}; print({_SCIPY_LOADED})") == "False"
+    assert not {name for name in _loaded(module) if name.split(".")[0] == "scipy"}
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+def test_start_up_loads_none_of_the_denied_modules(entry_point):
+    loaded = _loaded(entry_point)
+    denied = sorted(
+        name for name in loaded
+        if any(name == banned or name.startswith(banned + ".") for banned in DENIED[entry_point])
+    )
+    assert denied == []
 
 
 def test_numpy_only_methods_load_no_scipy():
