@@ -17,20 +17,24 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table
+from repro.montecarlo import engine as engine_module
 from repro.montecarlo.engine import MonteCarloEngine
 
 REPLICATIONS = 200_000
 CHUNK = 50_000
 
 
-def test_perf_chunked_is_bitwise_identical(many_faults_model, benchmark):
+def test_perf_chunked_is_bitwise_identical(many_faults_model, benchmark, monkeypatch):
     """Chunked == in-memory, bitwise, on the n=200 scenario."""
-    monolithic_engine = MonteCarloEngine(many_faults_model)
-    chunked_engine = MonteCarloEngine(many_faults_model, chunk_size=CHUNK)
+    engine = MonteCarloEngine(many_faults_model)
 
     def workload():
-        monolithic = monolithic_engine.simulate_paired(REPLICATIONS, rng=7)
-        chunked = chunked_engine.simulate_paired(REPLICATIONS, rng=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "CHUNK_ROWS", REPLICATIONS)
+            monolithic = engine.simulate_paired(REPLICATIONS, rng=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "CHUNK_ROWS", CHUNK)
+            chunked = engine.simulate_paired(REPLICATIONS, rng=7)
         return monolithic, chunked
 
     monolithic, chunked = benchmark.pedantic(workload, rounds=1, iterations=1)
@@ -45,7 +49,7 @@ def test_perf_chunked_is_bitwise_identical(many_faults_model, benchmark):
 
 def test_perf_throughput_table(many_faults_model, benchmark):
     """Replications/second for single, paired and 1-out-of-3 streaming runs."""
-    engine = MonteCarloEngine(many_faults_model, chunk_size=CHUNK)
+    engine = MonteCarloEngine(many_faults_model)
 
     def workload():
         rows = []
@@ -74,7 +78,7 @@ def test_perf_throughput_table(many_faults_model, benchmark):
 
 def test_perf_streaming_matches_samples(many_faults_model, benchmark):
     """Streaming accumulators reproduce the sample-based summaries exactly."""
-    engine = MonteCarloEngine(many_faults_model, chunk_size=CHUNK)
+    engine = MonteCarloEngine(many_faults_model)
 
     def workload():
         samples = engine.simulate_paired(REPLICATIONS, rng=11)
@@ -91,8 +95,8 @@ def test_perf_streaming_matches_samples(many_faults_model, benchmark):
 
 def test_perf_parallel_shards_consistent(many_faults_model, benchmark):
     """jobs=2 is reproducible and statistically consistent with sequential."""
-    parallel_engine = MonteCarloEngine(many_faults_model, chunk_size=CHUNK, jobs=2)
-    sequential_engine = MonteCarloEngine(many_faults_model, chunk_size=CHUNK)
+    parallel_engine = MonteCarloEngine(many_faults_model, jobs=2)
+    sequential_engine = MonteCarloEngine(many_faults_model)
 
     def workload():
         start = time.perf_counter()

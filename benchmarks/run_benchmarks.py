@@ -57,17 +57,17 @@ def _peak_rss_mb() -> float:
 def workload_single(quick: bool) -> dict:
     """Streaming single-version throughput on the n=200 scenario."""
     from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import MonteCarloEngine
+    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
 
     replications = 500_000 if quick else 2_000_000
-    engine = MonteCarloEngine(many_small_faults_scenario(n=200), chunk_size=100_000)
+    engine = MonteCarloEngine(many_small_faults_scenario(n=200))
     start = time.perf_counter()
     result = engine.simulate_single_streaming(replications, rng=7)
     elapsed = time.perf_counter() - start
     return {
         "replications": replications,
         "n": 200,
-        "chunk_size": 100_000,
+        "chunk_size": CHUNK_ROWS,
         "seconds": round(elapsed, 3),
         "replications_per_second": round(replications / elapsed),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
@@ -84,17 +84,17 @@ def workload_paired(quick: bool) -> dict:
     once).
     """
     from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import MonteCarloEngine
+    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
 
     replications = 1_000_000 if quick else 10_000_000
-    engine = MonteCarloEngine(many_small_faults_scenario(n=200), chunk_size=25_000)
+    engine = MonteCarloEngine(many_small_faults_scenario(n=200))
     start = time.perf_counter()
     result = engine.simulate_paired(replications, rng=7)
     elapsed = time.perf_counter() - start
     return {
         "replications": replications,
         "n": 200,
-        "chunk_size": 25_000,
+        "chunk_size": CHUNK_ROWS,
         "seconds": round(elapsed, 3),
         "replications_per_second": round(replications / elapsed),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
@@ -105,23 +105,22 @@ def workload_paired(quick: bool) -> dict:
 def workload_paired_streaming(quick: bool) -> dict:
     """Constant-memory streaming variant of the paired workload.
 
-    Runs at the same chunk size as :func:`workload_paired` so the two
-    numbers isolate the streaming-vs-sample-collection difference (the
-    ``--check`` gate compares their throughputs); chunk size itself is a
-    separate memory knob.
+    Runs at the engine's fixed chunk size, like :func:`workload_paired`, so
+    the two numbers isolate the streaming-vs-sample-collection difference
+    (the ``--check`` gate compares their throughputs).
     """
     from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import MonteCarloEngine
+    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
 
     replications = 1_000_000 if quick else 10_000_000
-    engine = MonteCarloEngine(many_small_faults_scenario(n=200), chunk_size=25_000)
+    engine = MonteCarloEngine(many_small_faults_scenario(n=200))
     start = time.perf_counter()
     result = engine.simulate_paired_streaming(replications, rng=7)
     elapsed = time.perf_counter() - start
     return {
         "replications": replications,
         "n": 200,
-        "chunk_size": 25_000,
+        "chunk_size": CHUNK_ROWS,
         "seconds": round(elapsed, 3),
         "replications_per_second": round(replications / elapsed),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
@@ -132,10 +131,10 @@ def workload_paired_streaming(quick: bool) -> dict:
 def workload_one_out_of_r(quick: bool) -> dict:
     """Streaming 1-out-of-3 system throughput on the n=200 scenario."""
     from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import MonteCarloEngine
+    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
 
     replications = 500_000 if quick else 2_000_000
-    engine = MonteCarloEngine(many_small_faults_scenario(n=200), chunk_size=100_000)
+    engine = MonteCarloEngine(many_small_faults_scenario(n=200))
     start = time.perf_counter()
     result = engine.simulate_systems_streaming(replications, versions=3, rng=7)
     elapsed = time.perf_counter() - start
@@ -143,7 +142,7 @@ def workload_one_out_of_r(quick: bool) -> dict:
         "replications": replications,
         "versions": 3,
         "n": 200,
-        "chunk_size": 100_000,
+        "chunk_size": CHUNK_ROWS,
         "seconds": round(elapsed, 3),
         "replications_per_second": round(replications / elapsed),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
@@ -154,12 +153,10 @@ def workload_one_out_of_r(quick: bool) -> dict:
 def workload_parallel(quick: bool) -> dict:
     """Process-parallel streaming paired throughput (jobs=4)."""
     from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import MonteCarloEngine
+    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
 
     replications = 1_000_000 if quick else 4_000_000
-    engine = MonteCarloEngine(
-        many_small_faults_scenario(n=200), chunk_size=100_000, jobs=4
-    )
+    engine = MonteCarloEngine(many_small_faults_scenario(n=200), jobs=4)
     start = time.perf_counter()
     engine.simulate_paired_streaming(replications, rng=7)
     elapsed = time.perf_counter() - start
@@ -167,7 +164,7 @@ def workload_parallel(quick: bool) -> dict:
         "replications": replications,
         "n": 200,
         "jobs": 4,
-        "chunk_size": 100_000,
+        "chunk_size": CHUNK_ROWS,
         "seconds": round(elapsed, 3),
         "replications_per_second": round(replications / elapsed),
         "peak_rss_mb": round(_peak_rss_mb(), 1),

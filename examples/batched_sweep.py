@@ -63,7 +63,6 @@ def main() -> None:
             model.rescaled(variation["p_scale"]),
             "montecarlo",
             replications=REPLICATIONS,
-            chunk_size=100_000,
             seed=(7, index),
         )
         for index, variation in enumerate(variations)

@@ -275,20 +275,6 @@ def _bounds_method(model, options: dict, rng) -> dict:
             "replications", "int", 10_000, minimum=1, help="number of simulated developments"
         ),
         OptionSpec(
-            "chunk_size",
-            "int",
-            None,
-            allow_none=True,
-            minimum=1,
-            help=(
-                "replications per chunk: bounds the per-replication vectors and sets the "
-                "tally granularity (null: one chunk); never changes the sampled values"
-            ),
-        ),
-        OptionSpec(
-            "mc_jobs", "int", 1, minimum=1, help="worker processes inside the engine"
-        ),
-        OptionSpec(
             "correlation", "float", 0.0, help="copula correlation between the versions"
         ),
     ),
@@ -300,35 +286,47 @@ def _montecarlo_method(model, options: dict, rng) -> dict:
 
     versions = int(options["versions"])
     replications = int(options["replications"])
-    chunk_size = options["chunk_size"]
-    chunk_size = None if chunk_size is None else int(chunk_size)
     correlation = float(options["correlation"])
     process = None
     if correlation != 0.0:
         from repro.versions.correlated import CopulaDevelopmentProcess
 
         process = CopulaDevelopmentProcess(model=model, correlation=correlation)
-    engine = MonteCarloEngine(
-        model, process=process, chunk_size=chunk_size, jobs=int(options["mc_jobs"])
-    )
-    record: dict[str, Any] = {
-        "mc_replications": replications,
-        "mc_correlation": correlation,
-    }
+    engine = MonteCarloEngine(model, process=process)
     if versions == 2:
-        summary = engine.simulate_paired_streaming(replications, rng=rng).summary()
+        return _mc_record(options, engine.simulate_paired_streaming(replications, rng=rng))
+    result = engine.simulate_systems_streaming(replications, versions=versions, rng=rng)
+    return _mc_record(
+        options,
+        system=(
+            result.mean_pfd(),
+            result.std_pfd(),
+            result.prob_any_fault(),
+            result.prob_pfd_zero(),
+        ),
+    )
+
+
+_MC_SYSTEM_METRICS = ("mc_mean_system", "mc_std_system", "mc_prob_any_fault", "mc_prob_pfd_zero")
+
+
+def _mc_record(options: dict, pair=None, system: tuple = ()) -> dict:
+    """One ``montecarlo`` record: the run's size and correlation, then its statistics.
+
+    ``pair`` (two versions) contributes its paired ``summary()``; otherwise
+    ``system`` holds the 1-out-of-r system's mean, std, P(any fault) and
+    P(PFD = 0).
+    """
+    record: dict[str, Any] = {
+        "mc_replications": int(options["replications"]),
+        "mc_correlation": float(options["correlation"]),
+    }
+    if pair is None:
+        record.update(zip(_MC_SYSTEM_METRICS, system))
+    else:
+        summary = pair.summary()
         summary.pop("replications", None)
         record.update({f"mc_{key}": value for key, value in summary.items()})
-    else:
-        result = engine.simulate_systems_streaming(replications, versions=versions, rng=rng)
-        record.update(
-            {
-                "mc_mean_system": result.mean_pfd(),
-                "mc_std_system": result.std_pfd(),
-                "mc_prob_any_fault": result.prob_any_fault(),
-                "mc_prob_pfd_zero": result.prob_pfd_zero(),
-            }
-        )
     return record
 
 
@@ -340,11 +338,9 @@ def _montecarlo_batch(model, variations, options: dict, rng) -> list[dict]:
     it (:func:`repro.montecarlo.sweep.simulate_scaled_sweep`), so a point's
     values are *not* the independent-stream values the scalar path produces
     -- they are an equally valid estimate whose noise is shared across the
-    sweep, which makes cross-point comparisons lower-variance.  ``chunk_size``
-    and ``mc_jobs`` do not apply (the kernel bounds its own memory; the
-    study runner parallelises across sweeps).  Correlated developments and
-    sweeps beyond the sparse kernel's memory budget fall back to per-point
-    simulation.
+    sweep, which makes cross-point comparisons lower-variance.  Correlated
+    developments and sweeps beyond the sparse kernel's memory budget fall
+    back to per-point simulation.
     """
     if float(options["correlation"]) != 0.0:
         raise BatchUnsupported("correlated developments sweep point by point")
@@ -362,27 +358,20 @@ def _montecarlo_batch(model, variations, options: dict, rng) -> list[dict]:
     points = simulate_scaled_sweep(
         model, replications, variations, versions=versions, rng=rng
     )
-    records = []
-    for point in points:
-        record: dict[str, Any] = {
-            "mc_replications": replications,
-            "mc_correlation": float(options["correlation"]),
-        }
-        if versions == 2:
-            summary = point.summary()
-            summary.pop("replications", None)
-            record.update({f"mc_{key}": value for key, value in summary.items()})
-        else:
-            record.update(
-                {
-                    "mc_mean_system": point.mean_system,
-                    "mc_std_system": point.std_system,
-                    "mc_prob_any_fault": point.prob_any_fault_system,
-                    "mc_prob_pfd_zero": point.prob_pfd_zero_system,
-                }
-            )
-        records.append(record)
-    return records
+    if versions == 2:
+        return [_mc_record(options, point) for point in points]
+    return [
+        _mc_record(
+            options,
+            system=(
+                point.mean_system,
+                point.std_system,
+                point.prob_any_fault_system,
+                point.prob_pfd_zero_system,
+            ),
+        )
+        for point in points
+    ]
 
 
 @register_method(

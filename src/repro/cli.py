@@ -10,9 +10,6 @@ writing any code:
 * ``simulate`` -- legacy alias (emits a ``DeprecationWarning``; prefer
   ``evaluate --method montecarlo``): run the Monte Carlo engine over a model
   and print the paired single-versus-1-out-of-2 summary as JSON.
-  ``--chunk-size`` bounds
-  the per-replication vectors without changing the sampled values (samples
-  are bitwise-identical for every chunk size at the same ``--seed``);
   ``--jobs`` fans the replications out across worker processes (a distinct,
   statistically equivalent random stream); ``--stream`` switches to the
   constant-memory accumulator summaries recommended for very large
@@ -124,17 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_parser.add_argument(
         "--seed", type=int, default=None, help="random seed (default: the library seed)"
-    )
-    simulate_parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help=(
-            "replications per chunk: bounds the per-replication vectors at O(chunk_size) "
-            "and sets how often --stream tallies update; fault matrices are drawn in "
-            "cache-sized blocks either way, and samples are bitwise-identical for any "
-            "chunk size at the same seed"
-        ),
     )
     simulate_parser.add_argument(
         "--jobs",
@@ -811,7 +797,7 @@ def _handle_simulate(arguments: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     model = _load_model(arguments)
-    engine = MonteCarloEngine(model, chunk_size=arguments.chunk_size, jobs=arguments.jobs)
+    engine = MonteCarloEngine(model, jobs=arguments.jobs)
     if arguments.stream:
         result = engine.simulate_paired_streaming(arguments.replications, rng=arguments.seed)
     else:

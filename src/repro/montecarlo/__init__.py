@@ -9,9 +9,8 @@ exists).
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.montecarlo.convergence": ("ConvergenceDiagnostics", "running_mean"),
     "repro.montecarlo.engine": ("MonteCarloEngine",),
     "repro.montecarlo.results": ("PairSimulationResult", "SimulationResult"),
-    "repro.montecarlo.streaming": ("StreamingPairResult", "StreamingSimulationResult"),
+    "repro.montecarlo.streaming": ("StreamingSimulationResult",),
     "repro.montecarlo.sweep": ("SweepPointResult", "simulate_scaled_sweep"),
 })

@@ -6,21 +6,20 @@ single versions and of 1-out-of-2 (or 1-out-of-r) systems, and packages the
 output for comparison with the analytic results of :mod:`repro.core`.
 
 Every simulation runs through one chunk routine.  Replications are split
-into chunks of ``chunk_size`` rows (one chunk when it is unset), and each
-chunk is drawn in blocks of at most :data:`BLOCK_CELLS` fault indicators per
-version, so the fault matrices stay cache-sized whatever the replication
-count.  Each block writes its rows of the chunk's per-replication PFD and
-fault-count vectors; the sample arrays or the streaming tallies then receive
-those vectors once per chunk.  ``simulate_single_versions`` draws from the
-caller's generator; multi-version simulations (``simulate_paired`` /
-``simulate_systems``) draw each version from a dedicated stream spawned from
-it.  Every block continues each version's stream where the previous block
-stopped, so:
+into chunks of :data:`CHUNK_ROWS` rows, and each chunk is drawn in blocks of
+at most :data:`BLOCK_CELLS` fault indicators per version, so the fault
+matrices stay cache-sized and the per-replication vectors stay bounded
+whatever the replication count.  Each block writes its rows of the chunk's
+per-replication PFD and fault-count vectors; the sample arrays or the
+streaming tallies then receive those vectors once per chunk.
+``simulate_single_versions`` draws from the caller's generator;
+multi-version simulations (``simulate_paired`` / ``simulate_systems``) draw
+each version from a dedicated stream spawned from it.  Every block continues
+each version's stream where the previous block stopped, so:
 
-* **sequential** sample arrays are bitwise-identical for every
-  ``chunk_size``.  The chunk size bounds the per-replication vectors at
-  ``O(chunk_size)`` and sets how many replications each streaming-tally
-  update folds in; it never changes what is drawn;
+* **sequential** sample arrays do not depend on the chunk or block size;
+  the streaming tallies fold in one chunk per update, so runs of at most
+  :data:`CHUNK_ROWS` replications are summarised in one piece;
 * **parallel** (``jobs=...``): replications are sharded over worker processes
   with :func:`repro.stats.rng.spawn_rngs`.  Shard streams are spawned from
   the caller's generator, so results are reproducible for a fixed
@@ -44,7 +43,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.fault_model import FaultModel
 from repro.montecarlo.results import PairSimulationResult, SimulationResult
-from repro.montecarlo.streaming import StreamingPairResult, StreamingSimulationResult
+from repro.montecarlo.streaming import StreamingSimulationResult
 from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.rng import ensure_rng, spawn_rngs
 from repro.stats.streaming import StreamingHistogram, StreamingMoments
@@ -63,6 +62,11 @@ DEFAULT_STREAM_BINS = 4096
 #: uniforms, small enough that a block's matrices stay in cache.
 BLOCK_CELLS = 1 << 17
 
+#: Replications per chunk: bounds the per-replication vectors (and each
+#: parallel shard's) and sets how many replications each streaming-tally
+#: update folds in.
+CHUNK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class MonteCarloEngine:
@@ -75,22 +79,14 @@ class MonteCarloEngine:
     process:
         Development process to sample from; defaults to the paper's
         independent process over ``model``.
-    chunk_size:
-        Replications per chunk: bounds the per-replication PFD and
-        fault-count vectors at ``O(chunk_size)`` and sets how many
-        replications each streaming-tally update folds in (``None``: the
-        whole run is one chunk).  Fault matrices are drawn in blocks of
-        :data:`BLOCK_CELLS` cells either way, and the sampled values do not
-        depend on ``chunk_size``.
     jobs:
         When greater than 1, replications are sharded across this many worker
         processes (see the module docstring for the reproducibility
-        contract).  Worker shards always run in chunks.
+        contract).
     """
 
     model: FaultModel
     process: Optional[DevelopmentProcess] = None
-    chunk_size: Optional[int] = None
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -98,8 +94,6 @@ class MonteCarloEngine:
             object.__setattr__(self, "process", IndependentDevelopmentProcess(self.model))
         elif self.process.model.n != self.model.n:
             raise ValueError("the development process must draw from the engine's fault model")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
 
@@ -175,7 +169,7 @@ class MonteCarloEngine:
     ) -> StreamingSimulationResult:
         """Like :meth:`simulate_single_versions` but summarising into accumulators.
 
-        Memory is ``O(chunk_size + BLOCK_CELLS + bins)`` regardless of
+        Memory is ``O(CHUNK_ROWS + BLOCK_CELLS + bins)`` regardless of
         ``replications``.  Moments and zero-probabilities are exact;
         percentile queries resolve to one histogram bin.
         """
@@ -204,51 +198,17 @@ class MonteCarloEngine:
         replications: int,
         rng: np.random.Generator | int | None = None,
         bins: int = DEFAULT_STREAM_BINS,
-    ) -> StreamingPairResult:
-        """Like :meth:`simulate_paired` but summarising into accumulators."""
+    ) -> PairSimulationResult:
+        """Like :meth:`simulate_paired` but summarising into accumulators.
+
+        Both sides of the returned pair are :class:`StreamingSimulationResult`.
+        """
         self._validate_replications(replications)
         generator = ensure_rng(rng)
         single_tally, system_tally = self._run("paired", True, replications, generator, 2, bins)
-        return StreamingPairResult(
+        return PairSimulationResult(
             single=_streaming_result(single_tally, replications),
             system=_streaming_result(system_tally, replications),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Shared-demand sweeps (common random numbers)
-    # ------------------------------------------------------------------ #
-    def simulate_scaled_sweep(
-        self,
-        replications: int,
-        variations,
-        versions: int = 2,
-        rng: np.random.Generator | int | None = None,
-    ):
-        """Simulate many ``(p_scale, q_scale)`` sweep points against shared demands.
-
-        One development history is sampled and every sweep point is scored
-        against it (common random numbers): faster than per-point simulation
-        and lower-variance for cross-point comparisons, but the points are
-        *dependent* and the sampled values form a distinct stream from the
-        per-point engine paths -- see :mod:`repro.montecarlo.sweep` for the
-        exact semantics and reproducibility contract.  ``chunk_size`` and
-        ``jobs`` do not apply here (memory is bounded internally and the
-        study runner parallelises across sweeps, not within one).
-
-        Only the paper's independent development process supports shared
-        demand streams; engines wrapping a correlated process must sweep
-        point by point.
-        """
-        from repro.montecarlo.sweep import simulate_scaled_sweep
-        from repro.versions.generation import IndependentDevelopmentProcess
-
-        if type(self.process) is not IndependentDevelopmentProcess:
-            raise ValueError(
-                "shared-demand sweeps require the independent development process; "
-                f"got {type(self.process).__name__} (simulate each point separately)"
-            )
-        return simulate_scaled_sweep(
-            self.model, replications, variations, versions=versions, rng=ensure_rng(rng)
         )
 
     # ------------------------------------------------------------------ #
@@ -319,13 +279,12 @@ class MonteCarloEngine:
             kernel = _tally_shard if streaming else _sample_shard
             if self.jobs == 1 or replications < 2 * self.jobs:
                 return kernel(
-                    self.process, replications, generator, self.chunk_size, layout, versions, bins
+                    self.process, replications, generator, CHUNK_ROWS, layout, versions, bins
                 )
             shard_sizes = _shard_sizes(replications, self.jobs)
             shard_rngs = spawn_rngs(generator, len(shard_sizes))
-            chunk = self.chunk_size if self.chunk_size is not None else _DEFAULT_PARALLEL_CHUNK
             arguments = [
-                (kernel, self.process, size, shard_rng, chunk, layout, versions, bins)
+                (kernel, self.process, size, shard_rng, CHUNK_ROWS, layout, versions, bins)
                 for size, shard_rng in zip(shard_sizes, shard_rngs)
             ]
             from concurrent.futures import ProcessPoolExecutor
@@ -334,10 +293,6 @@ class MonteCarloEngine:
                 shards = list(pool.map(_run_shard, arguments))
             return _merge_tallies(shards) if streaming else np.concatenate(shards, axis=1)
 
-
-#: Chunk size used by parallel workers when the engine has no explicit one;
-#: bounds each worker's per-replication vectors and sets its tally granularity.
-_DEFAULT_PARALLEL_CHUNK = 65536
 
 #: Per-replication rows each layout records: PFD and fault count of the
 #: all-versions intersection, preceded for ``"paired"`` by the first version's.
@@ -356,7 +311,7 @@ def _run_shard(arguments):
     return kernel(*rest)
 
 
-def _chunks(process, replications, generator, chunk_size, layout, versions, out=None):
+def _chunks(process, replications, generator, chunk_rows, layout, versions, out=None):
     """Yield each chunk's per-replication rows (see :data:`_ROWS`), block by block.
 
     ``"single"`` develops one version from ``generator`` itself; the other
@@ -370,7 +325,7 @@ def _chunks(process, replications, generator, chunk_size, layout, versions, out=
     """
     model = process.model
     streams = [generator] if layout == "single" else generator.spawn(versions)
-    chunk = replications if chunk_size is None else min(chunk_size, replications)
+    chunk = min(chunk_rows, replications)
     block = max(1, min(chunk, BLOCK_CELLS // max(model.n, 1)))
     # The version iterators advance in lockstep and each compares its draw
     # into its own presence buffer, so one uniforms buffer serves them all.
@@ -409,20 +364,20 @@ def _score(matrix, q, pfds, counts):
     pfds[hit] = matrix_pfds(matrix[hit], q)
 
 
-def _sample_shard(process, replications, generator, chunk_size, layout, versions, bins):
+def _sample_shard(process, replications, generator, chunk_rows, layout, versions, bins):
     out = np.empty((_ROWS[layout], replications))
-    for _ in _chunks(process, replications, generator, chunk_size, layout, versions, out):
+    for _ in _chunks(process, replications, generator, chunk_rows, layout, versions, out):
         pass
     return out
 
 
-def _tally_shard(process, replications, generator, chunk_size, layout, versions, bins):
+def _tally_shard(process, replications, generator, chunk_rows, layout, versions, bins):
     top = max(process.model.total_impact, np.finfo(float).tiny)
     tallies = [
         (StreamingMoments(), StreamingHistogram(0.0, top, bins), StreamingMoments())
         for _ in range(_ROWS[layout] // 2)
     ]
-    for rows in _chunks(process, replications, generator, chunk_size, layout, versions):
+    for rows in _chunks(process, replications, generator, chunk_rows, layout, versions):
         for (pfd_moments, histogram, count_moments), pfds, counts in zip(
             tallies, rows[0::2], rows[1::2]
         ):

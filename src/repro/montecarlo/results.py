@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.montecarlo.streaming import StreamingSimulationResult
 from repro.stats.empirical import EmpiricalDistribution
 
 __all__ = ["SimulationResult", "PairSimulationResult"]
@@ -60,11 +59,13 @@ class PairSimulationResult:
 
     Because both sets of statistics come from the same simulated developments,
     paired comparisons (e.g. the risk ratio of eq. (10)) have lower variance
-    than comparing two independent simulations.
+    than comparing two independent simulations.  The sides are
+    :class:`SimulationResult` samples or, from the streaming engine paths,
+    :class:`~repro.montecarlo.streaming.StreamingSimulationResult` tallies.
     """
 
-    single: SimulationResult
-    system: SimulationResult
+    single: SimulationResult | StreamingSimulationResult
+    system: SimulationResult | StreamingSimulationResult
 
     def mean_ratio(self) -> float:
         """Simulated ``mu_2 / mu_1``."""

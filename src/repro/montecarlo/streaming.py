@@ -1,8 +1,9 @@
-"""Streaming result containers for chunked / parallel Monte Carlo simulation.
+"""Streaming result container for chunked / parallel Monte Carlo simulation.
 
-These mirror the sample-based containers in :mod:`repro.montecarlo.results`
-but are backed by the constant-memory accumulators of
-:mod:`repro.stats.streaming` instead of full sample arrays, so they scale to
+It mirrors :class:`repro.montecarlo.results.SimulationResult` (and pairs the
+same way, in a :class:`~repro.montecarlo.results.PairSimulationResult`) but
+is backed by the constant-memory accumulators of
+:mod:`repro.stats.streaming` instead of full sample arrays, so it scales to
 arbitrarily many replications.  Summary statistics (means, standard
 deviations, zero-probabilities and the gain ratios built from them) are exact;
 CDF, exceedance and percentile queries come from a fixed-bin histogram and are
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.stats.streaming import StreamingHistogram, StreamingMoments
 
-__all__ = ["StreamingSimulationResult", "StreamingPairResult"]
+__all__ = ["StreamingSimulationResult"]
 
 
 @dataclass(frozen=True)
@@ -75,57 +76,3 @@ class StreamingSimulationResult:
         half_width = sps.norm.ppf(0.5 + confidence / 2.0) * self.pfds.standard_error()
         center = self.mean_pfd()
         return (center - half_width, center + half_width)
-
-
-@dataclass(frozen=True)
-class StreamingPairResult:
-    """Joint streaming results for single versions and the 1-out-of-2 system.
-
-    The same simulated developments feed both sides, so the paired ratios have
-    the same lower-variance property as
-    :class:`repro.montecarlo.results.PairSimulationResult`.
-    """
-
-    single: StreamingSimulationResult
-    system: StreamingSimulationResult
-
-    def mean_ratio(self) -> float:
-        """Simulated ``mu_2 / mu_1``."""
-        denominator = self.single.mean_pfd()
-        if denominator == 0.0:
-            return 1.0
-        return self.system.mean_pfd() / denominator
-
-    def std_ratio(self) -> float:
-        """Simulated ``sigma_2 / sigma_1``."""
-        denominator = self.single.std_pfd()
-        if denominator == 0.0:
-            return 1.0
-        return self.system.std_pfd() / denominator
-
-    def risk_ratio(self) -> float:
-        """Simulated ``P(N_2 > 0) / P(N_1 > 0)`` (eq. (10))."""
-        denominator = self.single.prob_any_fault()
-        if denominator == 0.0:
-            return 1.0
-        return self.system.prob_any_fault() / denominator
-
-    def bound_ratio(self, k: float) -> float:
-        """Simulated ``(mu_2 + k sigma_2) / (mu_1 + k sigma_1)``."""
-        denominator = self.single.mean_pfd() + k * self.single.std_pfd()
-        if denominator == 0.0:
-            return 1.0
-        return (self.system.mean_pfd() + k * self.system.std_pfd()) / denominator
-
-    def summary(self) -> dict:
-        """Dictionary of the headline simulated quantities."""
-        return {
-            "replications": self.single.replications,
-            "mean_single": self.single.mean_pfd(),
-            "mean_system": self.system.mean_pfd(),
-            "std_single": self.single.std_pfd(),
-            "std_system": self.system.std_pfd(),
-            "mean_ratio": self.mean_ratio(),
-            "std_ratio": self.std_ratio(),
-            "risk_ratio": self.risk_ratio(),
-        }

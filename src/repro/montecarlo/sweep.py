@@ -27,10 +27,10 @@ p_i))`` entries for the first version -- typically tens of times sparser
 than the dense matrix -- and later versions are sampled *conditionally* on
 the surviving intersection (presence elsewhere cannot reach the system
 statistics), which is smaller still.  Because the envelope is a function of
-the model and the requested
-scales only (not of chunking or process scheduling), a sweep's results are
-reproducible from ``(seed, model, versions, replications, scale set)``
-alone; the engine's ``chunk_size`` and ``jobs`` knobs do not enter.
+the model and the requested scales only (not of chunking or process
+scheduling), a sweep's results are reproducible from ``(seed, model,
+versions, replications, scale set)`` alone; the engine's ``jobs`` does not
+enter.
 
 Results differ from per-point independent-stream simulation: every point is
 an equally valid Monte Carlo estimate (each fault's marginal presence

@@ -73,8 +73,8 @@ class TestEvaluate:
     def test_out_of_range_options_rejected_by_name(self, small_model):
         with pytest.raises(ValueError, match="'replications' must be >= 1"):
             evaluate(small_model, "montecarlo", replications=0)
-        with pytest.raises(ValueError, match="'mc_jobs' must be >= 1"):
-            evaluate(small_model, "montecarlo", mc_jobs=0)
+        with pytest.raises(ValueError, match="'versions' must be >= 1"):
+            evaluate(small_model, "montecarlo", versions=0)
         with pytest.raises(ValueError, match="'max_support' must be >= 2"):
             evaluate(small_model, "exact", max_support=1)
 

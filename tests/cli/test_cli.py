@@ -109,20 +109,24 @@ class TestSimulateCommand:
         assert 0.0 <= data["risk_ratio"] <= 1.0
         assert data["mean_system"] <= data["mean_single"]
 
-    def test_chunk_size_is_bitwise_identical(self, capsys, model_file):
-        assert main(["simulate", "--model", model_file, "--replications", "4000", "--seed", "3"]) == 0
+    def test_chunk_size_is_bitwise_identical(self, capsys, monkeypatch, model_file):
+        from repro.montecarlo import engine
+
+        arguments = ["simulate", "--model", model_file, "--replications", "4000", "--seed", "3"]
+        assert main(arguments) == 0
         monolithic = json.loads(capsys.readouterr().out)
-        assert main([
-            "simulate", "--model", model_file, "--replications", "4000", "--seed", "3",
-            "--chunk-size", "257",
-        ]) == 0
+        monkeypatch.setattr(engine, "CHUNK_ROWS", 257)
+        assert main(arguments) == 0
         chunked = json.loads(capsys.readouterr().out)
         assert monolithic == chunked
 
-    def test_stream_mode(self, capsys):
+    def test_stream_mode(self, capsys, monkeypatch):
+        from repro.montecarlo import engine
+
+        monkeypatch.setattr(engine, "CHUNK_ROWS", 500)
         assert main([
             "simulate", "--scenario", "high-quality", "--replications", "2000",
-            "--seed", "5", "--stream", "--chunk-size", "500",
+            "--seed", "5", "--stream",
         ]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["replications"] == 2000

@@ -19,7 +19,8 @@ from repro.api import evaluate
 from repro.core.fault_model import FaultModel
 from repro.montecarlo import engine as engine_module
 from repro.montecarlo.engine import MonteCarloEngine
-from repro.montecarlo.streaming import StreamingPairResult, StreamingSimulationResult
+from repro.montecarlo.results import PairSimulationResult
+from repro.montecarlo.streaming import StreamingSimulationResult
 from repro.stats.streaming import StreamingHistogram, StreamingMoments
 from repro.versions.correlated import CommonCauseDevelopmentProcess, CopulaDevelopmentProcess
 from repro.versions.generation import IndependentDevelopmentProcess
@@ -28,8 +29,8 @@ REPLICATIONS = 2_000
 BINS = 256
 #: A small block budget: ten rows of the n = 100 model per block.
 SMALL_BLOCK = 1_000
-#: (chunk_size, BLOCK_CELLS override).  A chunk of one row is drawn in
-#: one-row blocks whatever the budget.
+#: (CHUNK_ROWS override, BLOCK_CELLS override).  A chunk of one row is drawn
+#: in one-row blocks whatever the budget.
 CHUNKINGS = [
     (None, None),
     (None, SMALL_BLOCK),
@@ -73,11 +74,11 @@ def _reference_rows(process, seed, layout, versions):
     ]
 
 
-def _reference_tally(process, pfds, counts, chunk_size, bins=BINS):
+def _reference_tally(process, pfds, counts, bins=BINS):
     """Streaming tallies fed the reference vectors one chunk at a time."""
     top = max(process.model.total_impact, np.finfo(float).tiny)
     tally = (StreamingMoments(), StreamingHistogram(0.0, top, bins), StreamingMoments())
-    step = REPLICATIONS if chunk_size is None else chunk_size
+    step = engine_module.CHUNK_ROWS
     for start in range(0, REPLICATIONS, step):
         tally[0].update(pfds[start : start + step])
         tally[1].update(pfds[start : start + step])
@@ -121,19 +122,21 @@ def _streaming_results(engine, layout, versions, seed):
 
 
 def _chunking_id(chunking) -> str:
-    chunk_size, block_cells = chunking
-    return f"chunk{chunk_size}-{'small' if block_cells else 'default'}-block"
+    chunk_rows, block_cells = chunking
+    return f"chunk{chunk_rows}-{'small' if block_cells else 'default'}-block"
 
 
 @pytest.mark.parametrize("process_name", sorted(PROCESSES))
 @pytest.mark.parametrize("layout,versions", LAYOUTS)
 @pytest.mark.parametrize("chunking", CHUNKINGS, ids=_chunking_id)
 def test_kernels_match_dense_reference(monkeypatch, process_name, layout, versions, chunking):
-    chunk_size, block_cells = chunking
+    chunk_rows, block_cells = chunking
+    if chunk_rows is not None:
+        monkeypatch.setattr(engine_module, "CHUNK_ROWS", chunk_rows)
     if block_cells is not None:
         monkeypatch.setattr(engine_module, "BLOCK_CELLS", block_cells)
     process = PROCESSES[process_name]
-    engine = MonteCarloEngine(MODEL, process=process, chunk_size=chunk_size)
+    engine = MonteCarloEngine(MODEL, process=process)
     seed = 1000 + 10 * versions + len(layout)
     reference = _reference_rows(process, seed, layout, versions)
 
@@ -143,7 +146,7 @@ def test_kernels_match_dense_reference(monkeypatch, process_name, layout, versio
 
     streamed = _streaming_results(engine, layout, versions, seed)
     for result, (pfds, counts) in zip(streamed, reference):
-        assert _state(result) == _state(_reference_tally(process, pfds, counts, chunk_size))
+        assert _state(result) == _state(_reference_tally(process, pfds, counts))
 
 
 @pytest.mark.parametrize("block_cells", [None, SMALL_BLOCK])
@@ -157,12 +160,12 @@ def test_evaluate_matches_dense_reference(monkeypatch, block_cells, versions):
     process = PROCESSES["independent"]
     layout = "paired" if versions == 2 else "systems"
     reference = [
-        _reference_tally(process, pfds, counts, None, engine_module.DEFAULT_STREAM_BINS)
+        _reference_tally(process, pfds, counts, engine_module.DEFAULT_STREAM_BINS)
         for pfds, counts in _reference_rows(process, 5, layout, versions)
     ]
     expected = {"mc_replications": REPLICATIONS, "mc_correlation": 0.0}
     if versions == 2:
-        summary = StreamingPairResult(single=reference[0], system=reference[1]).summary()
+        summary = PairSimulationResult(single=reference[0], system=reference[1]).summary()
         summary.pop("replications")
         expected.update({f"mc_{key}": value for key, value in summary.items()})
     else:

@@ -1,0 +1,150 @@
+"""Golden ``montecarlo`` metrics, bit for bit.
+
+The scalar method and the shared-demand sweep build their records through
+one helper, and the engine tallies every ``CHUNK_ROWS`` replications.  These
+pins hold every metric of both paths, written as ``float.hex`` literals, at
+the default replication count and at exactly one chunk (65,536), for
+1-out-of-2 and 1-out-of-3 systems.  A change that moves any bit of a record
+below the chunk size fails here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.api import evaluate, evaluate_sweep
+from repro.core.fault_model import FaultModel
+
+#: The model of the golden digest pins in ``tests/test_digest_stability.py``.
+MODEL = FaultModel.from_dict(
+    {
+        "p": [0.05, 0.02, 0.01],
+        "q": [1e-4, 5e-4, 2e-3],
+        "names": ["alpha", "beta", "gamma"],
+    }
+)
+SEED = 11
+SWEEP = [{"p_scale": 0.5}, {"p_scale": 1.0}]
+
+#: ``(path, versions, replications, sweep point)`` -> metrics besides
+#: ``mc_replications`` and ``mc_correlation``, in ``float.hex`` form.
+GOLDEN = {
+    ("scalar", 2, 10_000, None): {
+        "mc_mean_ratio": "0x1.1e528439a981dp-6",
+        "mc_mean_single": "0x1.2e68c91735a6ap-15",
+        "mc_mean_system": "0x1.523a8a6a7ca09p-21",
+        "mc_risk_ratio": "0x1.43eb1a1f58cfep-5",
+        "mc_std_ratio": "0x1.1af51c4a573a2p-4",
+        "mc_std_single": "0x1.c4f4bce6cebeap-13",
+        "mc_std_system": "0x1.f4a7485d565fbp-17",
+    },
+    ("sweep", 2, 10_000, 0): {
+        "mc_mean_ratio": "0x1.165e7254813e3p-8",
+        "mc_mean_single": "0x1.147d0fa0310d6p-16",
+        "mc_mean_system": "0x1.2ca5d05ea7ab3p-24",
+        "mc_risk_ratio": "0x1.1f7047dc1205fp-6",
+        "mc_std_ratio": "0x1.33e72fddcd40ep-6",
+        "mc_std_single": "0x1.272870309391ap-13",
+        "mc_std_system": "0x1.63000b37a3f4cp-19",
+    },
+    ("sweep", 2, 10_000, 1): {
+        "mc_mean_ratio": "0x1.dedd42ce4be85p-7",
+        "mc_mean_single": "0x1.194520708dda3p-15",
+        "mc_mean_system": "0x1.07111652d2b5cp-21",
+        "mc_risk_ratio": "0x1.2d7b73a7a2716p-5",
+        "mc_std_ratio": "0x1.ec323769c8968p-5",
+        "mc_std_single": "0x1.a9bde6572b9c7p-13",
+        "mc_std_system": "0x1.99463cf71ee70p-17",
+    },
+    ("scalar", 2, 65_536, None): {
+        "mc_mean_ratio": "0x1.2c21b5df8ee83p-6",
+        "mc_mean_single": "0x1.2147ae147ae14p-15",
+        "mc_mean_system": "0x1.532617c1bda51p-21",
+        "mc_risk_ratio": "0x1.358379a83861ap-5",
+        "mc_std_ratio": "0x1.9f1cfdfcdcd43p-4",
+        "mc_std_single": "0x1.b42689454e223p-13",
+        "mc_std_system": "0x1.619deebba088ap-16",
+    },
+    ("sweep", 2, 65_536, 0): {
+        "mc_mean_ratio": "0x1.b967276935db5p-7",
+        "mc_mean_single": "0x1.31f8a0902dd69p-16",
+        "mc_mean_system": "0x1.07c84b5dcc63cp-22",
+        "mc_risk_ratio": "0x1.519e0f210b8bcp-6",
+        "mc_std_ratio": "0x1.b7ac67bf4ea07p-4",
+        "mc_std_single": "0x1.476b21bead7a1p-13",
+        "mc_std_system": "0x1.192a9bc4b7d55p-16",
+    },
+    ("sweep", 2, 65_536, 1): {
+        "mc_mean_ratio": "0x1.0c0500ecb149ap-6",
+        "mc_mean_single": "0x1.2d3f7ced916d0p-15",
+        "mc_mean_system": "0x1.3b645a1cac08ap-21",
+        "mc_risk_ratio": "0x1.298ab91058c86p-5",
+        "mc_std_ratio": "0x1.87b03f9203a65p-4",
+        "mc_std_single": "0x1.c5870e8cfd492p-13",
+        "mc_std_system": "0x1.5af4c25920ed8p-16",
+    },
+    ("scalar", 3, 10_000, None): {
+        "mc_mean_system": "0x1.5798ee2308c3ap-27",
+        "mc_prob_any_fault": "0x1.a36e2eb1c4000p-14",
+        "mc_prob_pfd_zero": "0x1.fff2e48e8a71ep-1",
+        "mc_std_system": "0x1.0c6f7a0b5ed8ep-20",
+    },
+    ("sweep", 3, 10_000, 0): {
+        "mc_mean_system": "0x1.5798ee2308c3ap-26",
+        "mc_prob_any_fault": "0x1.a36e2eb1c4000p-13",
+        "mc_prob_pfd_zero": "0x1.ffe5c91d14e3cp-1",
+        "mc_std_system": "0x1.7b9b27fc216c5p-20",
+    },
+    ("sweep", 3, 10_000, 1): {
+        "mc_mean_system": "0x1.01b2b29a4692cp-25",
+        "mc_prob_any_fault": "0x1.3a92a30553000p-12",
+        "mc_prob_pfd_zero": "0x1.ffd8adab9f55ap-1",
+        "mc_std_system": "0x1.d0e5b88830bdcp-20",
+    },
+    ("scalar", 3, 65_536, None): {
+        "mc_mean_system": "0x1.d7dbf487fcb93p-27",
+        "mc_prob_any_fault": "0x1.2000000000000p-13",
+        "mc_prob_pfd_zero": "0x1.ffee000000000p-1",
+        "mc_std_system": "0x1.3a8db8ac07f16p-20",
+    },
+    ("sweep", 3, 65_536, 0): {
+        "mc_mean_system": "0x1.a36e2eb1c432dp-30",
+        "mc_prob_any_fault": "0x1.0000000000000p-16",
+        "mc_prob_pfd_zero": "0x1.fffe000000000p-1",
+        "mc_std_system": "0x1.a36e2eb1c53a4p-22",
+    },
+    ("sweep", 3, 65_536, 1): {
+        "mc_mean_system": "0x1.3a92a30553262p-27",
+        "mc_prob_any_fault": "0x1.8000000000000p-14",
+        "mc_prob_pfd_zero": "0x1.fff4000000000p-1",
+        "mc_std_system": "0x1.00d67b32c69f1p-20",
+    },
+}
+
+
+def _assert_pinned(result, key):
+    replications = key[2]
+    expected = {"mc_correlation": (0.0).hex(), "mc_replications": replications, **GOLDEN[key]}
+    actual = {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in result.metrics
+    }
+    assert actual == expected
+
+
+@pytest.mark.parametrize("replications", [10_000, 65_536])
+@pytest.mark.parametrize("versions", [2, 3])
+def test_scalar_record(versions, replications):
+    result = evaluate(MODEL, "montecarlo", seed=SEED, versions=versions, replications=replications)
+    _assert_pinned(result, ("scalar", versions, replications, None))
+
+
+@pytest.mark.parametrize("replications", [10_000, 65_536])
+@pytest.mark.parametrize("versions", [2, 3])
+def test_sweep_records(versions, replications):
+    results = evaluate_sweep(
+        MODEL, "montecarlo", SWEEP, seed=SEED, versions=versions, replications=replications
+    )
+    assert len(results) == len(SWEEP)
+    for index, result in enumerate(results):
+        _assert_pinned(result, ("sweep", versions, replications, index))

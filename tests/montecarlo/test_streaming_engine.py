@@ -8,7 +8,8 @@ import pytest
 from repro.core.fault_model import FaultModel
 from repro.core.moments import pfd_moments
 from repro.montecarlo.engine import MonteCarloEngine, _shard_sizes
-from repro.montecarlo.streaming import StreamingPairResult, StreamingSimulationResult
+from repro.montecarlo.results import PairSimulationResult
+from repro.montecarlo.streaming import StreamingSimulationResult
 
 
 @pytest.fixture
@@ -17,10 +18,6 @@ def model() -> FaultModel:
 
 
 class TestConstructionValidation:
-    def test_rejects_bad_chunk_size(self, model):
-        with pytest.raises(ValueError):
-            MonteCarloEngine(model, chunk_size=0)
-
     def test_rejects_bad_jobs(self, model):
         with pytest.raises(ValueError):
             MonteCarloEngine(model, jobs=0)
@@ -35,7 +32,7 @@ class TestConstructionValidation:
 
 class TestStreamingSimulations:
     def test_single_streaming_statistics(self, model):
-        engine = MonteCarloEngine(model, chunk_size=10_000)
+        engine = MonteCarloEngine(model)
         result = engine.simulate_single_streaming(100_000, rng=0)
         assert isinstance(result, StreamingSimulationResult)
         moments = pfd_moments(model, 1)
@@ -47,9 +44,11 @@ class TestStreamingSimulations:
     def test_paired_streaming_ratios(self, model):
         from repro.core.no_common_faults import risk_ratio
 
-        engine = MonteCarloEngine(model, chunk_size=25_000)
+        engine = MonteCarloEngine(model)
         result = engine.simulate_paired_streaming(100_000, rng=3)
-        assert isinstance(result, StreamingPairResult)
+        assert isinstance(result, PairSimulationResult)
+        assert isinstance(result.single, StreamingSimulationResult)
+        assert isinstance(result.system, StreamingSimulationResult)
         assert result.risk_ratio() == pytest.approx(risk_ratio(model), abs=0.02)
         assert result.std_ratio() < 1.0
         summary = result.summary()
@@ -57,7 +56,7 @@ class TestStreamingSimulations:
             assert key in summary
 
     def test_systems_streaming(self, model):
-        engine = MonteCarloEngine(model, chunk_size=10_000)
+        engine = MonteCarloEngine(model)
         result = engine.simulate_systems_streaming(50_000, versions=3, rng=2)
         assert result.mean_pfd() == pytest.approx(pfd_moments(model, 3).mean, rel=0.2)
 
@@ -73,7 +72,7 @@ class TestStreamingSimulations:
         )
 
     def test_confidence_interval_contains_analytic_mean(self, model):
-        engine = MonteCarloEngine(model, chunk_size=10_000)
+        engine = MonteCarloEngine(model)
         result = engine.simulate_single_streaming(200_000, rng=8)
         low, high = result.mean_pfd_confidence_interval(0.999)
         assert low <= pfd_moments(model, 1).mean <= high

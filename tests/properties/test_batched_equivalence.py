@@ -8,9 +8,8 @@ Pins the reproducibility contracts of the sweep paths:
   ``model.rescaled(p_scale, q_scale)``, whichever groupmates share the sweep;
 * the shared-demand Monte Carlo kernel (:mod:`repro.montecarlo.sweep`) is a
   deterministic function of ``(seed, model, versions, replications, scale
-  envelope)``: the engine's ``chunk_size`` / ``jobs`` knobs never enter,
-  repeated calls are identical, and its estimates agree with the analytic
-  moments statistically.
+  envelope)``: repeated calls are identical, and its estimates agree with
+  the analytic moments statistically.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.core.fault_model import FaultModel
 from repro.core.moments import pfd_moments
 from repro.core.no_common_faults import prob_any_common_fault, prob_any_fault
 from repro.core.pfd_distribution import exact_pfd_distribution
-from repro.montecarlo.engine import MonteCarloEngine
 from repro.montecarlo.sweep import simulate_scaled_sweep
 from repro.stats.batched import batched_scaled_pfd
 
@@ -162,18 +160,6 @@ class TestSweepGroupmateIndependence:
 
 
 class TestSharedDemandDeterminism:
-    def test_engine_knobs_do_not_enter(self, small_model):
-        variations = [{"p_scale": scale} for scale in SCALES]
-        reference = MonteCarloEngine(small_model).simulate_scaled_sweep(
-            4000, variations, versions=2, rng=13
-        )
-        for engine in (
-            MonteCarloEngine(small_model, chunk_size=100),
-            MonteCarloEngine(small_model, chunk_size=4000),
-            MonteCarloEngine(small_model, jobs=3),
-        ):
-            assert engine.simulate_scaled_sweep(4000, variations, versions=2, rng=13) == reference
-
     def test_same_seed_is_bitwise_reproducible(self, small_model):
         variations = [{"p_scale": 0.5}, {"p_scale": 1.0, "q_scale": 2.0}]
         first = simulate_scaled_sweep(small_model, 3000, variations, versions=2, rng=7)
@@ -249,11 +235,3 @@ class TestSharedDemandDeterminism:
             simulate_scaled_sweep(small_model, 100, [{"p_scale": 1000.0}])
         with pytest.raises(ValueError, match="replications"):
             simulate_scaled_sweep(small_model, 0, [{"p_scale": 0.5}])
-        from repro.versions.correlated import CopulaDevelopmentProcess
-
-        engine = MonteCarloEngine(
-            small_model,
-            process=CopulaDevelopmentProcess(model=small_model, correlation=0.4),
-        )
-        with pytest.raises(ValueError, match="independent development process"):
-            engine.simulate_scaled_sweep(100, [{"p_scale": 0.5}])

@@ -1,9 +1,10 @@
-"""Chunked-equals-monolithic property: chunking is purely a memory knob.
+"""Chunked-equals-monolithic property: chunking only bounds memory.
 
-The contract of ``MonteCarloEngine(chunk_size=...)`` is that the sequential
-chunked path produces *bitwise-identical* results to the in-memory path for
-the same seed -- across scenarios, chunk sizes (including sizes that do not
-divide the replication count) and simulation kinds.
+The engine splits every run into chunks of ``CHUNK_ROWS`` replications.  Its
+sequential sample arrays must be *bitwise-identical* to a run drawn in one
+chunk for the same seed -- across scenarios, chunk sizes (including sizes
+that do not divide the replication count) and simulation kinds.  The chunk
+size is patched the way the block tests patch ``BLOCK_CELLS``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.experiments.scenarios import (
     many_small_faults_scenario,
     protection_system_scenario,
 )
+from repro.montecarlo import engine as engine_module
 from repro.montecarlo.engine import MonteCarloEngine
 from repro.versions.correlated import CommonCauseDevelopmentProcess, CopulaDevelopmentProcess
 
@@ -32,6 +34,13 @@ def scenario_models() -> dict[str, FaultModel]:
     }
 
 
+def _chunked(monkeypatch, rows: int, run):
+    """``run()`` with the engine chunking every ``rows`` replications."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "CHUNK_ROWS", rows)
+        return run()
+
+
 def _assert_identical_summaries(first, second) -> None:
     assert np.array_equal(first.pfds.samples, second.pfds.samples)
     assert np.array_equal(first.fault_counts.samples, second.fault_counts.samples)
@@ -43,20 +52,24 @@ def _assert_identical_summaries(first, second) -> None:
 
 class TestChunkedEqualsMonolithic:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_single_versions(self, scenario_models, chunk_size):
+    def test_single_versions(self, monkeypatch, scenario_models, chunk_size):
         for name, model in scenario_models.items():
-            monolithic = MonteCarloEngine(model).simulate_single_versions(REPLICATIONS, rng=7)
-            chunked = MonteCarloEngine(model, chunk_size=chunk_size).simulate_single_versions(
-                REPLICATIONS, rng=7
+            engine = MonteCarloEngine(model)
+            monolithic = engine.simulate_single_versions(REPLICATIONS, rng=7)
+            chunked = _chunked(
+                monkeypatch,
+                chunk_size,
+                lambda: engine.simulate_single_versions(REPLICATIONS, rng=7),
             )
             _assert_identical_summaries(monolithic, chunked)
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_paired(self, scenario_models, chunk_size):
+    def test_paired(self, monkeypatch, scenario_models, chunk_size):
         for name, model in scenario_models.items():
-            monolithic = MonteCarloEngine(model).simulate_paired(REPLICATIONS, rng=11)
-            chunked = MonteCarloEngine(model, chunk_size=chunk_size).simulate_paired(
-                REPLICATIONS, rng=11
+            engine = MonteCarloEngine(model)
+            monolithic = engine.simulate_paired(REPLICATIONS, rng=11)
+            chunked = _chunked(
+                monkeypatch, chunk_size, lambda: engine.simulate_paired(REPLICATIONS, rng=11)
             )
             _assert_identical_summaries(monolithic.single, chunked.single)
             _assert_identical_summaries(monolithic.system, chunked.system)
@@ -64,36 +77,37 @@ class TestChunkedEqualsMonolithic:
             assert monolithic.mean_ratio() == chunked.mean_ratio()
 
     @pytest.mark.parametrize("versions", [2, 3])
-    def test_systems(self, scenario_models, versions):
+    def test_systems(self, monkeypatch, scenario_models, versions):
         for name, model in scenario_models.items():
-            monolithic = MonteCarloEngine(model).simulate_systems(
-                REPLICATIONS, versions=versions, rng=13
-            )
-            chunked = MonteCarloEngine(model, chunk_size=137).simulate_systems(
-                REPLICATIONS, versions=versions, rng=13
+            engine = MonteCarloEngine(model)
+            monolithic = engine.simulate_systems(REPLICATIONS, versions=versions, rng=13)
+            chunked = _chunked(
+                monkeypatch,
+                137,
+                lambda: engine.simulate_systems(REPLICATIONS, versions=versions, rng=13),
             )
             _assert_identical_summaries(monolithic, chunked)
 
-    def test_correlated_processes_chunk_identically(self, scenario_models):
+    def test_correlated_processes_chunk_identically(self, monkeypatch, scenario_models):
         """The guarantee holds for any process that draws chunks sequentially."""
         model = scenario_models["random"]
         for process in (
             CommonCauseDevelopmentProcess(model, bad_day_weight=0.1, inflation=2.0),
             CopulaDevelopmentProcess(model, correlation=0.4),
         ):
-            monolithic = MonteCarloEngine(model, process=process).simulate_paired(
-                REPLICATIONS, rng=3
-            )
-            chunked = MonteCarloEngine(model, process=process, chunk_size=73).simulate_paired(
-                REPLICATIONS, rng=3
+            engine = MonteCarloEngine(model, process=process)
+            monolithic = engine.simulate_paired(REPLICATIONS, rng=3)
+            chunked = _chunked(
+                monkeypatch, 73, lambda: engine.simulate_paired(REPLICATIONS, rng=3)
             )
             _assert_identical_summaries(monolithic.single, chunked.single)
             _assert_identical_summaries(monolithic.system, chunked.system)
 
-    def test_streaming_matches_sample_summaries(self, scenario_models):
+    def test_streaming_matches_sample_summaries(self, monkeypatch, scenario_models):
         """Streaming accumulators agree with the sample-based summaries."""
+        monkeypatch.setattr(engine_module, "CHUNK_ROWS", 311)
         for name, model in scenario_models.items():
-            engine = MonteCarloEngine(model, chunk_size=311)
+            engine = MonteCarloEngine(model)
             samples = engine.simulate_paired(REPLICATIONS, rng=19)
             streamed = engine.simulate_paired_streaming(REPLICATIONS, rng=19)
             for side in ("single", "system"):

@@ -76,8 +76,8 @@ class TestParseEvaluate:
             ({"q_scale": "big"}, "'q_scale'"),
             ({"frobs": 1}, "unknown request key"),
             ({"method": "montecarlo", "options": {"replications": 0}}, "'replications' must be >= 1"),
-            ({"method": "montecarlo", "options": {"chunk_size": 0}}, "'chunk_size' must be >= 1"),
-            ({"method": "montecarlo", "options": {"mc_jobs": -1}}, "'mc_jobs' must be >= 1"),
+            ({"method": "montecarlo", "options": {"replications": -1}}, "'replications' must be >= 1"),
+            ({"method": "montecarlo", "options": {"versions": 0}}, "'versions' must be >= 1"),
             ({"options": {"versions": 0}}, "'versions' must be >= 1"),
             ({"method": "exact", "options": {"max_support": 1}}, "'max_support' must be >= 2"),
             ({"method": "exact", "options": {"level": 1.5}}, "'level' must be <= 1"),

@@ -371,9 +371,9 @@ class TestHttpTransport:
     ):
         before = live_client.metrics()
         with pytest.raises(ServiceError) as excinfo:
-            live_client.evaluate(small_model, "montecarlo", options={"mc_jobs": -1}, seed=3)
+            live_client.evaluate(small_model, "montecarlo", options={"replications": -1}, seed=3)
         assert excinfo.value.status == 400
-        assert "'mc_jobs' must be >= 1" in excinfo.value.message
+        assert "'replications' must be >= 1" in excinfo.value.message
         after = live_client.metrics()
         assert after["cache_misses"] == before["cache_misses"]
         assert (

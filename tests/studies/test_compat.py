@@ -36,18 +36,21 @@ COMPAT_SPEC = {
 #: (method, digest) per planned point.  Recorded on the pre-registry
 #: implementation at cache format version 1 and re-pinned when
 #: ``CACHE_FORMAT_VERSION`` went to 2 (bracketed ``exact`` records), which
-#: moved every digest on purpose.  Any other change here silently
+#: moved every digest on purpose.  The two ``montecarlo`` digests were
+#: re-pinned once more when the method dropped its ``chunk_size`` and
+#: ``mc_jobs`` options: resolved options are hashed, so only they moved.
+#: Any other change here silently
 #: invalidates every user's warm study cache -- treat a failure as a
 #: release blocker, not a snapshot bump.
 PRE_REGISTRY_DIGESTS = [
     ("moments", "4c2e5621dd829d2a3bd9327ae1ce4b41d7f65f67d5e9757dc5df2c9b87112093"),
     ("bounds", "ef846d622a0fa93afb73eee68f2988978aecdcae55eb25736f65ddbfff028951"),
     ("exact", "89f4788af035167fdc5db9c5305d82ef832bd9903275f84d979b92beb30b196f"),
-    ("montecarlo", "f19820ce2db184585f2ea8ca502e1e8694fa390436b225f6cec804ad94f12d28"),
+    ("montecarlo", "6dc34cd6764ba33d631c1cf9fcc54c7e5301d1bd2a6dd5d6077d4766bd7ee9c5"),
     ("moments", "229c908495dfbde03b2cf50c672500e52488594363007c996d20d317325039c1"),
     ("bounds", "cbaba34d77a9327c0432e2e53bb7dd204042bd8ba9f4704b74fb81544b1961b5"),
     ("exact", "44f694f6158cee48f10a51489a34ea530ab5a78ed16378242f7292b6910fa4df"),
-    ("montecarlo", "8ea81cb6891c79519ffa2151246841a7b7550dcb7455c39d2823f945c7e98525"),
+    ("montecarlo", "23fbacbd70d47002861defdfd64fc31d4d92115527bf008830ebeb4deadea552"),
 ]
 
 

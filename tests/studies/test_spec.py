@@ -88,8 +88,8 @@ class TestMethodSpec:
             MethodSpec.from_dict({"name": "moments", "replications": 10})
 
     def test_out_of_range_option_rejected(self):
-        with pytest.raises(ValueError, match="'chunk_size' must be >= 1"):
-            MethodSpec.from_dict({"name": "montecarlo", "chunk_size": 0})
+        with pytest.raises(ValueError, match="'replications' must be >= 1"):
+            MethodSpec.from_dict({"name": "montecarlo", "replications": 0})
 
 
 class TestStudySpec:
