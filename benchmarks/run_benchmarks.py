@@ -556,6 +556,34 @@ def workload_pool_handoff(quick: bool) -> dict:
     }
 
 
+#: First port of ``cluster_loadgen``'s shards: the single shard takes the
+#: base, the two routed shards the next two ports.  The ring hashes
+#: ``host:port``, so fixed ports make the key split a function of the seed:
+#: at this base (and at base + 10, the first fallback) both the quick
+#: 8-key and the full 16-key workload split evenly, 4/4 and 8/8.
+CLUSTER_BASE_PORT = 24650
+
+
+def _free_ports(base: int, count: int, attempts: int = 20) -> list[int]:
+    """``count`` consecutive bindable ports from ``base``, stepping by 10 when busy."""
+    import socket
+
+    for attempt in range(attempts):
+        ports = [base + 10 * attempt + offset for offset in range(count)]
+        bindable = True
+        for port in ports:
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+                probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                try:
+                    probe.bind(("127.0.0.1", port))
+                except OSError:
+                    bindable = False
+                    break
+        if bindable:
+            return ports
+    raise RuntimeError(f"no {count} free consecutive ports near {base}")
+
+
 def workload_cluster_loadgen(quick: bool) -> dict:
     """Routed 2-shard cluster versus one shard under the open-loop loadgen.
 
@@ -570,6 +598,10 @@ def workload_cluster_loadgen(quick: bool) -> dict:
     The 1.5x routed-vs-single gate only applies when the machine actually
     has >= 2 CPUs (recorded in the ``cpus`` field); on a single-core runner
     two worker processes time-slice one core and the ratio is meaningless.
+
+    Every shard listens on a fixed port (:data:`CLUSTER_BASE_PORT`), so the
+    routed key split is the same on every run; ``shard_ports`` and
+    ``shard_computed`` record it.
     """
     import os
 
@@ -599,11 +631,14 @@ def workload_cluster_loadgen(quick: bool) -> dict:
     def shard() -> EvaluationServer:
         return EvaluationServer(workers=1, batch_window_ms=0.0, lru_size=4 * distinct)
 
-    with start_in_background(shard()) as handle:
+    single_port, *shard_ports = _free_ports(CLUSTER_BASE_PORT, 3)
+    with start_in_background(shard(), port=single_port) as handle:
         single_cold = drive(handle.port, "cold", payloads)
 
     shard_a, shard_b = shard(), shard()
-    with start_in_background(shard_a) as ha, start_in_background(shard_b) as hb:
+    with start_in_background(shard_a, port=shard_ports[0]) as ha, start_in_background(
+        shard_b, port=shard_ports[1]
+    ) as hb:
         router = ShardRouter(
             [f"127.0.0.1:{ha.port}", f"127.0.0.1:{hb.port}"], lru_size=4 * distinct
         )
@@ -646,6 +681,7 @@ def workload_cluster_loadgen(quick: bool) -> dict:
         "warm_served": routed_warm["served"],
         "duplicates_rps": routed_duplicates["throughput_rps"],
         "duplicates_served": routed_duplicates["served"],
+        "shard_ports": shard_ports,
         "shard_computed": shard_split,
         "cold_latency_ms": routed_cold["latency_ms"],
         "warm_latency_ms": routed_warm["latency_ms"],
@@ -974,9 +1010,16 @@ def workload_telemetry_fleet_overhead(quick: bool) -> dict:
     }
 
 
-#: Entry points timed by ``cold_start``: the numpy floor, then the two repro
-#: entry points every CLI, service and study process starts with.
-COLD_START_IMPORTS = ("numpy", "repro.cli", "repro.studies")
+#: Entry points timed by ``cold_start``: the numpy floor, the two repro
+#: entry points every CLI and study process starts with, then the modules
+#: ``repro serve`` and ``repro route`` start.
+COLD_START_IMPORTS = (
+    "numpy",
+    "repro.cli",
+    "repro.studies",
+    "repro.service.server",
+    "repro.cluster.router",
+)
 
 _COLD_START_PROBE = (
     "import json, resource, sys; sys.path.insert(0, sys.argv[1]); import {module}; "
@@ -1220,6 +1263,16 @@ def check_record(record: dict) -> list[str]:
         (
             "cold_start repro.studies import loads no scipy",
             lambda: value("cold_start", "imports")["repro.studies"]["scipy_loaded"] is False,
+        ),
+        (
+            "cold_start repro.service.server import loads no scipy",
+            lambda: value("cold_start", "imports")["repro.service.server"]["scipy_loaded"]
+            is False,
+        ),
+        (
+            "cold_start repro.cluster.router import loads no scipy",
+            lambda: value("cold_start", "imports")["repro.cluster.router"]["scipy_loaded"]
+            is False,
         ),
         (
             "cold_start repro.cli import CPU <= 4x import numpy",

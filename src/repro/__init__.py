@@ -22,11 +22,11 @@ Quick start -- the unified evaluation API::
     print(result["mean_system"], result["std_system"])
     print(evaluate(model, "tail-quantile", level=0.999)["tail_quantile"])
 
-    # Many methods on one model, optionally process-parallel (jobs=...),
-    # each returning a typed, JSON-round-trippable EvaluationResult.
+    # Many methods on one model, each returning a typed,
+    # JSON-round-trippable EvaluationResult.
     for res in evaluate_batch(model, ["moments", "bounds",
                                       ("montecarlo", {"replications": 50_000})],
-                              seed=7, jobs=2):
+                              seed=7):
         print(res.method, res.metric_dict())
 
 Registering a custom method makes it available everywhere at once -- the

@@ -2,9 +2,8 @@
 
 :func:`evaluate` runs a single registered method against a model and returns
 a typed :class:`~repro.api.results.EvaluationResult`; :func:`evaluate_batch`
-runs many requests against the same model, optionally fanning out across
-worker processes (the same process-parallel pattern as the Monte Carlo
-engine's ``jobs`` and the study runner); :func:`evaluate_sweep` runs *one*
+runs many requests against the same model in the calling process, sharing
+exact PFD distributions between them; :func:`evaluate_sweep` runs *one*
 method across many model variations (``p_scale`` / ``q_scale`` sweep
 points), dispatching to the method's batched kernel when it registered one
 (:func:`~repro.api.registry.register_batch`) and falling back to scalar
@@ -133,22 +132,15 @@ def evaluate(
     return _run_definition(definition, model, resolved, seed)
 
 
-def _evaluate_request_worker(arguments: tuple) -> dict:
-    """Module-level worker (picklable) used by the parallel batch path."""
-    model, method, options, seed = arguments
-    return evaluate(model, method, seed=seed, options=options).to_dict()
-
-
 def evaluate_batch(
     model,
     requests: Sequence,
     *,
-    jobs: int = 1,
     seed=None,
     registry: MethodRegistry | None = None,
     stream_indices: Sequence[int] | None = None,
 ) -> list[EvaluationResult]:
-    """Evaluate many methods on one model, optionally in parallel.
+    """Evaluate many methods on one model, in the calling process.
 
     Parameters
     ----------
@@ -157,29 +149,12 @@ def evaluate_batch(
     requests:
         Any mix of method names, ``(method, options)`` pairs, mappings with
         a ``"method"`` key and :class:`EvaluationRequest` objects.
-    jobs:
-        Worker processes (1 = in-process).  Results are identical for any
-        ``jobs``: each request's random stream is derived from ``(seed,
-        request index)``, never from pool scheduling.  Duplicate requests
-        are coalesced -- identical (method, options, derived stream) work
-        items evaluate once and the result fans out to every requester --
-        which cannot change any value: deterministic methods ignore their
-        stream, and stochastic duplicates only share work when their
-        ``(seed, index)`` streams are equal.  In-process (``jobs=1``) the
-        batch runs inside one
-        :func:`~repro.core.pfd_distribution.shared_distributions` scope, so
-        requests reading the same exact PFD distribution compute it once.
-        ``jobs > 1`` requires
-        the default registry (a custom ``registry`` object cannot be shipped
-        across the process boundary) and, on spawn-start platforms
-        (macOS/Windows), methods registered at *import* time -- a
-        registration made interactively in ``__main__`` is invisible to
-        spawned workers.
     seed:
         Base integer seed for the batch (``None`` = the library default).
+        Each request's random stream is derived from ``(seed, request
+        index)``.
     registry:
-        Registry to dispatch through (default: the library-wide one);
-        incompatible with ``jobs > 1``.
+        Registry to dispatch through (default: the library-wide one).
     stream_indices:
         The per-request stream indices, overriding the default positions
         ``0..len(requests)-1``.  This is how a caller that *split* a batch
@@ -190,15 +165,16 @@ def evaluate_batch(
         indices.  Must match ``requests`` in length; duplicates are legal
         (they coalesce exactly like duplicated requests).
 
+    Duplicate requests are coalesced -- identical (method, options, derived
+    stream) work items evaluate once and the result fans out to every
+    requester -- which cannot change any value: deterministic methods
+    ignore their stream, and stochastic duplicates only share work when
+    their ``(seed, index)`` streams are equal.  The batch runs inside one
+    :func:`~repro.core.pfd_distribution.shared_distributions` scope, so
+    requests reading the same exact PFD distribution compute it once.
+
     Returns the results in request order.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    if jobs > 1 and registry is not None:
-        raise ValueError(
-            "jobs > 1 requires the default registry: a custom registry object "
-            "cannot be shipped to worker processes (run with jobs=1 instead)"
-        )
     target = registry if registry is not None else default_registry()
     coerced = [EvaluationRequest.coerce(request) for request in requests]
     # Validate the whole batch before evaluating anything: one typo must not
@@ -235,8 +211,7 @@ def evaluate_batch(
     # consumes -- for deterministic methods the stream is irrelevant, so any
     # identical (method, options) pair shares one evaluation; stochastic
     # requests additionally need equal derived entropy.  The computed result
-    # object fans out to every position, preserving request order and
-    # jobs-invariance (the per-request streams never depended on scheduling).
+    # object fans out to every position, preserving request order.
     positions: list[int] = []
     unique_work: list[tuple] = []
     slot_by_key: dict[tuple, int] = {}
@@ -248,25 +223,16 @@ def evaluate_batch(
             slot = slot_by_key[key] = len(unique_work)
             unique_work.append(item)
         positions.append(slot)
-    if jobs > 1 and len(unique_work) > 1:
-        # Worker processes re-import the default registry (guaranteed above:
-        # jobs > 1 rejects custom registry objects).
-        from concurrent.futures import ProcessPoolExecutor
+    from repro.core.pfd_distribution import shared_distributions
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(unique_work))) as executor:
-            payloads = list(executor.map(_evaluate_request_worker, unique_work))
-        computed = [EvaluationResult.from_dict(payload) for payload in payloads]
-    else:
-        from repro.core.pfd_distribution import shared_distributions
-
-        # One scope for the batch: requests that read the same exact PFD
-        # distribution (``exact`` at several levels, ``tail-quantile``)
-        # compute it once and read the same object.
-        with shared_distributions():
-            computed = [
-                evaluate(model, method, seed=entropy, registry=target, options=options)
-                for model, method, options, entropy in unique_work
-            ]
+    # One scope for the batch: requests that read the same exact PFD
+    # distribution (``exact`` at several levels, ``tail-quantile``) compute
+    # it once and read the same object.
+    with shared_distributions():
+        computed = [
+            evaluate(model, method, seed=entropy, registry=target, options=options)
+            for model, method, options, entropy in unique_work
+        ]
     return [computed[slot] for slot in positions]
 
 
@@ -324,23 +290,15 @@ def _sweep_outcome_triples(
     seed=None,
     variation_seeds: Sequence | None = None,
     registry: MethodRegistry | None = None,
-    subset: Sequence[int] | None = None,
 ) -> tuple[bool, list[tuple[str, Any, tuple[int, ...] | None]]]:
-    """Core sweep dispatch: ``(status, payload, entropy)`` per requested variation.
+    """Core sweep dispatch: ``(status, payload, entropy)`` per variation.
 
     Returns ``(batched, outcomes)``; ``batched`` says whether the method's
     batched kernel produced the valid points (``False``: no kernel, the
-    kernel declined, or no variation was valid).
-
-    ``subset`` names the variation positions the caller needs (default:
-    all).  A batched kernel always sees the *whole* sweep -- the shared
-    structure it may derive from the scale set (the Monte Carlo demand
-    envelope) must not depend on which points a caller happens to need --
-    while the scalar path (no kernel, or the kernel declined) evaluates only
-    the requested positions.  The third
-    element records the seed entropy the point's result actually came from
-    (the shared sweep entropy on the batched path, the per-variation stream
-    otherwise; ``None`` for deterministic methods and live generators).
+    kernel declined, or no variation was valid).  The third element records
+    the seed entropy the point's result actually came from (the shared
+    sweep entropy on the batched path, the per-variation stream otherwise;
+    ``None`` for deterministic methods and live generators).
     """
     target = registry if registry is not None else default_registry()
     definition = target.get(method)
@@ -350,7 +308,6 @@ def _sweep_outcome_triples(
         raise ValueError(
             f"variation_seeds ({len(variation_seeds)}) must match variations ({len(coerced)})"
         )
-    wanted = list(range(len(coerced))) if subset is None else [int(i) for i in subset]
     outcomes: dict[int, tuple[str, Any, tuple[int, ...] | None]] = {}
     valid: list[int] = []
     for index, variation in enumerate(coerced):
@@ -387,14 +344,13 @@ def _sweep_outcome_triples(
                         f"got {type(metrics).__name__}"
                     )
                 outcomes[index] = ("ok", dict(metrics), shared)
-            return True, [outcomes[index] for index in wanted]
+            return True, [outcomes[index] for index in range(len(coerced))]
     # Scalar path (no batched kernel, or it declined): one transformed model
-    # per *requested* variation -- unrequested points are never evaluated.
+    # per variation.
     entropy = _normalise_entropy(seed) if definition.requires_seed else None
-    for index in wanted:
+    for index, variation in enumerate(coerced):
         if index in outcomes:
             continue
-        variation = coerced[index]
         point_entropy: tuple[int, ...] | None = None
         if definition.requires_seed:
             if variation_seeds is not None:
@@ -414,7 +370,7 @@ def _sweep_outcome_triples(
             outcomes[index] = ("error", f"{type(error).__name__}: {error}", None)
         else:
             outcomes[index] = ("ok", result.metric_dict(), point_entropy)
-    return False, [outcomes[index] for index in wanted]
+    return False, [outcomes[index] for index in range(len(coerced))]
 
 
 def evaluate_sweep_outcomes(
@@ -426,7 +382,6 @@ def evaluate_sweep_outcomes(
     seed=None,
     variation_seeds: Sequence | None = None,
     registry: MethodRegistry | None = None,
-    subset: Sequence[int] | None = None,
 ) -> list[tuple[str, Any]]:
     """Per-variation outcomes of a sweep: ``("ok", metrics)`` or ``("error", message)``.
 
@@ -443,11 +398,6 @@ def evaluate_sweep_outcomes(
     ``variation_seeds[i]`` when given (the study runner passes its
     content-keyed per-point entropies, keeping scalar-mode results bitwise
     reproducible) and from the child streams ``(seed, i)`` otherwise.
-
-    ``subset`` restricts the *returned* (and, on the scalar path, the
-    evaluated) positions; batched kernels still see the whole sweep so
-    their shared structure is independent of the caller's cache state.
-    Outcomes come back in ``subset`` order.
     """
     _, outcomes = _sweep_outcome_triples(
         model,
@@ -457,7 +407,6 @@ def evaluate_sweep_outcomes(
         seed=seed,
         variation_seeds=variation_seeds,
         registry=registry,
-        subset=subset,
     )
     return [(status, payload) for status, payload, _ in outcomes]
 
@@ -495,10 +444,11 @@ def evaluate_sweep(
     seed:
         Randomness for seed-consuming methods.  Batched stochastic methods
         share *one* stream derived from it across the whole sweep (common
-        random numbers: every point scored against the same sampled
-        developments -- faster, and cross-point comparisons have lower
-        variance, but points are dependent and the values differ from
-        per-point independent streams).  The scalar fallback derives one
+        random numbers: every point scored against the same nested sampled
+        world -- faster, and cross-point comparisons have lower variance,
+        but points are dependent and the values differ from per-point
+        independent streams).  A point's value still depends only on the
+        seed and that point: it equals the point's one-point sweep.  The scalar fallback derives one
         child stream per variation from ``(seed, index)``, matching
         :func:`evaluate_batch`.
     options, **kwargs:

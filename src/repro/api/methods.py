@@ -334,11 +334,13 @@ def _mc_record(options: dict, pair=None, system: tuple = ()) -> dict:
 def _montecarlo_batch(model, variations, options: dict, rng) -> list[dict]:
     """Batched ``montecarlo``: shared-demand (common-random-numbers) sweeps.
 
-    One development history is sampled and every sweep point scored against
-    it (:func:`repro.montecarlo.sweep.simulate_scaled_sweep`), so a point's
+    One nested development history is sampled and every sweep point scored
+    against the levels it reaches
+    (:func:`repro.montecarlo.sweep.simulate_scaled_sweep`), so a point's
     values are *not* the independent-stream values the scalar path produces
     -- they are an equally valid estimate whose noise is shared across the
-    sweep, which makes cross-point comparisons lower-variance.  Correlated
+    sweep, which makes cross-point comparisons lower-variance, and they do
+    not depend on the point's siblings.  Correlated
     developments and sweeps beyond the sparse kernel's memory budget fall
     back to per-point simulation.
     """

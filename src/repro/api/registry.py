@@ -160,8 +160,9 @@ class MethodDefinition:
 
     @property
     def shares_work(self) -> bool:
-        """Whether the batched kernel shares work (one random stream) across
-        a sweep's points; a deterministic point depends on that point alone."""
+        """Whether the batched kernel shares work (one sampled world) across
+        a sweep's points, so grouping its points saves work; a deterministic
+        kernel computes each point on its own."""
         return self.supports_batch and self.requires_seed
 
     def __post_init__(self) -> None:
@@ -356,9 +357,13 @@ def register_batch(
     caller fall back to per-variation scalar evaluation.  A deterministic
     kernel must return, per variation, exactly the record the scalar method
     gives ``model.rescaled(p_scale, q_scale)``; the study runner relies on
-    that and splits deterministic groups across workers.  Only a kernel
-    that shares a random stream across its points (``requires_seed``) has
-    its group kept whole.  The simplest valid kernel, for the ``mean-only``
+    that and splits deterministic groups across workers.  Any kernel must
+    give each variation a record that depends on that variation alone (and
+    the stream's seed), never on the rest of the tuple: the study runner
+    sends each group with its cache misses only.  A kernel that shares a
+    random stream across its points (``requires_seed``) runs each group as
+    one task, so the stream is sampled once.  The simplest valid kernel,
+    for the ``mean-only``
     method of :func:`register_method`'s example::
 
         @register_batch("mean-only")

@@ -1,4 +1,4 @@
-"""Shared-demand Monte Carlo sweeps: one sampled world, many sweep points.
+"""Shared-demand Monte Carlo sweeps: one nested world, many sweep points.
 
 A ``p_scale`` sweep asks how the simulated PFD distributions move as every
 fault-introduction probability is multiplied by ``k``.  Simulating each sweep
@@ -17,20 +17,30 @@ point against the same draws -- the common-random-numbers (CRN) device:
 * a ``q_scale`` only rescales the PFD values, so its points share every
   reduction with their ``p_scale`` siblings.
 
-Sampling is *sparse*: instead of materialising a ``(replications, n)``
-uniform matrix per version, the kernel draws only the faults present at the
-**envelope scale** (the smallest power of two covering every requested
-``p_scale``, at least 1) -- per fault, the presence rows follow a Bernoulli
-process sampled through its geometric gaps, and each present entry draws one
-threshold scale.  Expected work is ``replications * sum(min(1, envelope *
-p_i))`` entries for the first version -- typically tens of times sparser
-than the dense matrix -- and later versions are sampled *conditionally* on
-the surviving intersection (presence elsewhere cannot reach the system
-statistics), which is smaller still.  Because the envelope is a function of
-the model and the requested scales only (not of chunking or process
-scheduling), a sweep's results are reproducible from ``(seed, model,
-versions, replications, scale set)`` alone; the engine's ``jobs`` does not
-enter.
+Sampling is *sparse* and *nested by dyadic level*.  Level 0 holds the faults
+present at scale 1; level ``l >= 1`` adds those present at ``2**l`` but not
+below.  With ``c_l = min(1, 2**l * p_i)``, level ``l`` is an increment over
+all rows with per-fault probability ``(c_l - c_{l-1}) / (1 - c_{l-1})`` and
+thresholds uniform on ``(c_{l-1} / p_i, c_l / p_i)``; an increment entry
+whose (fault, row) a lower level already holds is dropped, and a fault
+saturated at a lower level draws nothing more.  Per fault, the presence rows
+of a level follow a Bernoulli process sampled through its geometric gaps.
+Level 0 draws from the version's stream and level ``l`` from the ``l``-th
+child spawned from it, so each level is a function of the seed, the model
+and the replication count alone, and a point at scale ``k`` reads only the
+levels up to ``ceil(log2 k)``.  Later versions draw one uniform per
+first-version entry (presence elsewhere cannot reach the system statistics),
+an entry of level ``l`` from that version's level-``l`` stream.
+
+Each point's per-row PFD and fault count are a bincount over its levels'
+entries in (level, fault, row) order, absent entries adding nothing, and the
+per-row values fold into :class:`~repro.stats.streaming.StreamingMoments`
+once per :data:`~repro.montecarlo.engine.CHUNK_ROWS` rows.  A point's result
+is therefore a function of ``(seed, model, versions, replications, its own
+p_scale and q_scale)``: the same alone, inside any sweep, and whichever
+siblings a caller already had cached.  The one sweep-wide decision left is
+:data:`MAX_SWEEP_ENTRIES`, which sends a sweep whose largest scale needs too
+many entries back to per-point simulation.
 
 Results differ from per-point independent-stream simulation: every point is
 an equally valid Monte Carlo estimate (each fault's marginal presence
@@ -42,6 +52,7 @@ points or when throughput matters.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -49,17 +60,17 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.fault_model import FaultModel
+from repro.montecarlo import engine
 from repro.stats.rng import ensure_rng
+from repro.stats.streaming import StreamingMoments
 
 __all__ = ["SweepPointResult", "simulate_scaled_sweep"]
 
-#: Cap on ``rows * (grid + 1)`` accumulator cells per slab; bounds the
-#: transient memory of the per-row scoring at ~128 MB regardless of the
-#: replication count or the number of sweep points.
-_SLAB_CELLS = 16_000_000
-
 #: Refuse sweeps whose expected sparse-entry count would exceed this (the
 #: entry arrays are materialised); callers fall back to per-point simulation.
+#: The count follows the sweep's largest scale, so this is the one decision
+#: a point's siblings can change: about 80M entries, far past any sweep the
+#: benchmarks or studies run.
 MAX_SWEEP_ENTRIES = 80_000_000
 
 
@@ -113,18 +124,14 @@ class SweepPointResult:
         }
 
 
-def _envelope_scale(p_scales: np.ndarray) -> float:
-    """Smallest power-of-two envelope covering every scale, at least 1.
+def _level(scale: float) -> int:
+    """The deepest nested level a point at ``scale`` reads: ``ceil(log2 k)``, at least 0.
 
-    The sparse sampler draws the world at this scale and thins down; tying
-    the envelope to a coarse bracket (rather than the exact sweep maximum)
-    means extending a sweep within the same bracket replays the identical
-    developments.
+    Computed from the float's exponent, so a scale just above a power of
+    two reaches the next level exactly.
     """
-    top = float(p_scales.max())
-    if top <= 1.0:
-        return 1.0
-    return float(2.0 ** np.ceil(np.log2(top)))
+    mantissa, exponent = math.frexp(scale)
+    return max(0, exponent - 1 if mantissa == 0.5 else exponent)
 
 
 def _continue_bernoulli_rows(
@@ -154,38 +161,31 @@ def _continue_bernoulli_rows(
     return np.concatenate(collected).astype(np.int64, copy=False)
 
 
-def _sample_version_entries(
-    rng: np.random.Generator, model: FaultModel, replications: int, envelope: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One version's sparse development history at the envelope scale.
+def _bernoulli_entries(
+    rng: np.random.Generator, faults: np.ndarray, probabilities: np.ndarray, replications: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a per-fault Bernoulli process over ``replications`` rows.
 
-    Returns ``(rows, faults, thresholds)``: replication index, fault index
-    and threshold scale of every fault present at the envelope, ordered by
-    fault then row (so ``fault * replications + row`` is sorted).  A fault
-    is present at sweep scale ``k`` exactly when its threshold is below
-    ``k``; thresholds are uniform on ``(0, cutoff / p_i)`` conditioned on
-    presence, reproducing ``U < k * p_i`` marginals for every ``k`` up to
-    the envelope.
+    ``faults`` are ascending fault indices and ``probabilities`` their
+    presence probabilities in ``(0, 1]``.  Returns ``(rows, faults)`` of
+    every present entry, ordered by fault then row (so ``fault *
+    replications + row`` is sorted).
 
-    Every fault's presence rows follow a Bernoulli(``cutoff``) process
-    sampled through its geometric gaps; the gaps of *all* faults are drawn
-    in one array-probability call (with a six-sigma per-fault budget and a
-    scalar continuation for the ~1e-9 shortfall tail), so the sampling cost
-    is a handful of numpy calls regardless of the fault count.
+    The gaps of *all* partial faults are drawn in one bulk uniform call
+    (with a six-sigma per-fault budget and a scalar continuation for the
+    ~1e-9 shortfall tail), so the sampling cost is a handful of numpy calls
+    regardless of the fault count; a fault of probability 1 holds every row.
     """
-    empty = np.zeros(0, dtype=np.int64)
-    active = np.flatnonzero(model.p > 0.0)
-    if active.size == 0 or replications == 0:
-        return empty, empty, np.zeros(0)
-    cutoffs = np.minimum(1.0, envelope * model.p[active])
-    partial = cutoffs < 1.0
+    if faults.size == 0:
+        return faults, faults
+    partial = probabilities < 1.0
     rows_parts: list[np.ndarray] = []
     fault_parts: list[np.ndarray] = []
     needs_sort = False
     if np.any(partial):
-        partial_faults = active[partial]
-        partial_cutoffs = cutoffs[partial]
-        expected = replications * partial_cutoffs
+        partial_faults = faults[partial]
+        partial_probabilities = probabilities[partial]
+        expected = replications * partial_probabilities
         sizes = (expected + 6.0 * np.sqrt(expected + 1.0) + 16.0).astype(np.int64)
         ends = np.cumsum(sizes)
         starts = ends - sizes
@@ -199,7 +199,7 @@ def _sample_version_entries(
         # replication range anyway.
         np.fmax(uniforms, 1e-300, out=uniforms)
         np.log(uniforms, out=uniforms)
-        inverse_log = np.repeat(1.0 / np.log1p(-partial_cutoffs), sizes)
+        inverse_log = np.repeat(1.0 / np.log1p(-partial_probabilities), sizes)
         gaps = (uniforms * inverse_log).astype(np.int64) + 1
         cumulative = np.cumsum(gaps)
         offsets = np.concatenate([[0], cumulative[ends[:-1] - 1]])
@@ -213,7 +213,7 @@ def _sample_version_entries(
         for segment in short:
             extra = _continue_bernoulli_rows(
                 rng,
-                float(partial_cutoffs[segment]),
+                float(partial_probabilities[segment]),
                 int(positions[ends[segment] - 1]),
                 replications,
             )
@@ -221,109 +221,98 @@ def _sample_version_entries(
                 rows_parts.append(extra)
                 fault_parts.append(np.full(extra.size, partial_faults[segment], dtype=np.int64))
                 needs_sort = True
-    full_faults = active[~partial]
-    for fault in full_faults:
+    for fault in faults[~partial]:
         rows_parts.append(np.arange(replications, dtype=np.int64))
         fault_parts.append(np.full(replications, fault, dtype=np.int64))
         needs_sort = needs_sort or bool(np.any(partial))
-    if not rows_parts:
-        return empty, empty, np.zeros(0)
     rows = np.concatenate(rows_parts)
     faults = np.concatenate(fault_parts)
     if needs_sort:
         order = np.argsort(faults * np.int64(replications) + rows, kind="stable")
         rows = rows[order]
         faults = faults[order]
-    # One threshold draw for every entry, scaled per fault: uniform on
-    # (0, cutoff / p) conditioned on presence at the cutoff.
-    ratio = np.zeros(model.n)
-    ratio[active] = cutoffs / model.p[active]
-    thresholds = rng.random(rows.size) * ratio[faults]
-    return rows, faults, thresholds
+    return rows, faults
 
 
-class _ColumnMoments:
-    """Pairwise-stable streaming moments, vectorised over sweep columns."""
+def _level_streams(stream: np.random.Generator, top: int) -> list[np.random.Generator]:
+    """The streams of levels ``0..top``: ``stream``, then its first ``top`` children.
 
-    def __init__(self, columns: int) -> None:
-        self.count = 0
-        self.mean = np.zeros(columns)
-        self.m2 = np.zeros(columns)
-        self.zeros = np.zeros(columns, dtype=np.int64)
-
-    def update(self, matrix: np.ndarray) -> None:
-        """Fold a ``(rows, columns)`` slab of per-replication values."""
-        rows = matrix.shape[0]
-        if rows == 0:
-            return
-        batch_mean = matrix.mean(axis=0)
-        batch_m2 = ((matrix - batch_mean) ** 2).sum(axis=0)
-        self.zeros += (matrix == 0.0).sum(axis=0)
-        total = self.count + rows
-        delta = batch_mean - self.mean
-        self.m2 += batch_m2 + delta * delta * (self.count * rows / total)
-        self.mean += delta * (rows / total)
-        self.count = total
-
-    def std(self) -> np.ndarray:
-        """Columnwise sample standard deviation (ddof=1)."""
-        if self.count < 2:
-            return np.zeros_like(self.mean)
-        return np.sqrt(self.m2 / (self.count - 1))
-
-
-def _score_entries(
-    rows: np.ndarray,
-    buckets: np.ndarray,
-    weights: np.ndarray,
-    replications: int,
-    grid_size: int,
-    value_moments: _ColumnMoments,
-    count_moments: _ColumnMoments,
-) -> None:
-    """Accumulate per-replication, per-scale values and counts into moments.
-
-    Each entry contributes ``weights`` (and a count of 1) to every sweep
-    scale at or above its bucket; cumulative sums over the bucket axis turn
-    one weighted and one unweighted bincount per slab into the full
-    ``(rows, scales)`` value and count matrices.  Rows are processed in
-    slabs so the dense matrices stay bounded, and both statistics share one
-    pass (and, in the slab regime, one row sort).
+    A spawned child depends only on its index, so level ``l``'s stream is
+    the same whatever ``top`` is.
     """
-    slab_rows = max(1, _SLAB_CELLS // (grid_size + 1))
-    if replications > slab_rows:
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        buckets = buckets[order]
-        weights = weights[order]
-    for start in range(0, replications, slab_rows):
-        stop = min(start + slab_rows, replications)
-        if replications > slab_rows:
-            lo = int(np.searchsorted(rows, start, side="left"))
-            hi = int(np.searchsorted(rows, stop, side="left"))
-            slab_rows_ids, slab_buckets = rows[lo:hi], buckets[lo:hi]
-            slab_weights = weights[lo:hi]
-        else:
-            slab_rows_ids, slab_buckets, slab_weights = rows, buckets, weights
-        flat = (slab_rows_ids - start) * (grid_size + 1) + slab_buckets
-        cells = (stop - start) * (grid_size + 1)
-        weighted = np.bincount(flat, weights=slab_weights, minlength=cells).reshape(
-            stop - start, grid_size + 1
-        )
-        value_moments.update(np.cumsum(weighted[:, :grid_size], axis=1))
-        counted = np.bincount(flat, minlength=cells).reshape(stop - start, grid_size + 1)
-        count_moments.update(np.cumsum(counted[:, :grid_size], axis=1))
+    return [stream, *stream.spawn(top)]
+
+
+def _nested_world(
+    streams: list[np.random.Generator], model: FaultModel, replications: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The first version's entries, one ``(rows, faults, thresholds)`` triple per level.
+
+    Each triple is in (fault, row) order; a fault is present at scale ``k``
+    exactly when its threshold is below ``k``.  Level ``l`` draws its gaps
+    and then its thresholds from ``streams[l]`` (see the module docstring),
+    so the lower levels do not depend on how many levels are drawn.
+    """
+    p = model.p
+    top = len(streams) - 1
+    previous = np.zeros(model.n)
+    seen = np.zeros(0, dtype=np.int64)
+    levels = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for level in range(top + 1):
+            cutoff = np.minimum(1.0, 2.0**level * p)
+            grows = np.flatnonzero(cutoff > previous)
+            rng = streams[level]
+            rows, faults = _bernoulli_entries(
+                rng,
+                grows,
+                (cutoff[grows] - previous[grows]) / (1.0 - previous[grows]),
+                replications,
+            )
+            low = (previous / p)[faults]
+            width = ((cutoff - previous) / p)[faults]
+            thresholds = low + rng.random(rows.size) * width
+            keys = faults * np.int64(replications) + rows
+            if seen.size:
+                # Drop the increment entries a lower level already holds.
+                found = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
+                fresh = seen[found] != keys
+                rows, faults, thresholds, keys = (
+                    rows[fresh], faults[fresh], thresholds[fresh], keys[fresh]
+                )
+            if level < top:
+                seen = np.sort(np.concatenate([seen, keys]))
+            levels.append((rows, faults, thresholds))
+            previous = cutoff
+    return levels
+
+
+def _tally(
+    rows: np.ndarray, weights: np.ndarray, thresholds: np.ndarray, scale: float, replications: int
+) -> tuple[StreamingMoments, int]:
+    """Per-row PFD moments at ``scale`` and the number of rows with a fault.
+
+    Entries at or above ``scale`` add 0.0, which leaves every row sum
+    bit-identical to the sum over the present entries alone.
+    """
+    present = thresholds < scale
+    pfds = np.bincount(rows, weights=np.where(present, weights, 0.0), minlength=replications)
+    faulty = np.count_nonzero(np.bincount(rows, weights=present, minlength=replications))
+    moments = StreamingMoments()
+    for start in range(0, replications, engine.CHUNK_ROWS):
+        moments.update(pfds[start : start + engine.CHUNK_ROWS])
+    return moments, int(faulty)
 
 
 def expected_entry_count(model: FaultModel, replications: int, versions: int, p_scales) -> float:
     """Expected sparse-entry count of a sweep (for memory guards).
 
-    Dominated by the first (unconditionally sampled) version; the
-    conditional later versions only shrink the surviving set, so the bound
-    does not scale with ``versions``.
+    The first version's entries up to the level of the largest scale; later
+    versions add one uniform per entry, which does not change the order of
+    magnitude, so the bound does not scale with ``versions``.
     """
-    envelope = _envelope_scale(np.atleast_1d(np.asarray(p_scales, dtype=float)))
-    return float(replications * np.sum(np.minimum(1.0, envelope * model.p)))
+    top = _level(float(np.max(np.atleast_1d(np.asarray(p_scales, dtype=float)))))
+    return float(replications * np.sum(np.minimum(1.0, 2.0**top * model.p)))
 
 
 def simulate_scaled_sweep(
@@ -349,10 +338,10 @@ def simulate_scaled_sweep(
         Versions per replication; the system is their 1-out-of-r
         intersection and ``single`` describes the first version.
     rng:
-        Generator or integer seed (``None`` = the library default).  Results
-        are a deterministic function of the seed, the model, ``versions``,
-        ``replications`` and the power-of-two envelope of the ``p_scale``
-        set -- chunking and process scheduling never enter.
+        Generator or integer seed (``None`` = the library default).  Each
+        point's result is a deterministic function of the seed, the model,
+        ``versions``, ``replications`` and that point's own scales -- its
+        siblings, chunking and process scheduling never enter.
 
     Returns one :class:`SweepPointResult` per variation, in order.
     """
@@ -388,82 +377,64 @@ def simulate_scaled_sweep(
     # compute dominates from here on and re-indenting the whole kernel
     # under a ``with`` buys nothing.
     kernel_started = time.perf_counter()
-    envelope = _envelope_scale(p_scales)
-    grid = np.unique(p_scales)
-    grid_size = int(grid.size)
-    column = {float(scale): index for index, scale in enumerate(grid)}
+    grid = sorted(set(p_scales.tolist()))
+    top = _level(grid[-1])
 
-    # One sparse development history per version, from per-version spawned
-    # streams (the engine's convention for multi-version simulation).
+    # One stream per version, spawned as the engine does for multi-version
+    # simulation; the first version's nested world fixes the entries every
+    # later version scores.
     streams = generator.spawn(versions)
-    q = model.q
-    single_moments = _ColumnMoments(grid_size)
-    single_counts = _ColumnMoments(grid_size)
-    system_moments = _ColumnMoments(grid_size)
-    system_counts = _ColumnMoments(grid_size)
-
-    # Version 0 is sampled unconditionally (it carries the single-version
-    # statistics); every further version is sampled *lazily*, only at the
-    # (row, fault) entries still surviving the intersection -- presence
-    # elsewhere can never reach the system statistics, and conditional
-    # Bernoulli(cutoff) presence with a conditional-uniform threshold is
-    # distributionally identical to sampling the version in full.
-    first_rows, first_faults, first_thresholds = _sample_version_entries(
-        streams[0], model, replications, envelope
-    )
-    # Present at scale k exactly when threshold < k (strictly, matching
-    # ``U < k * p``); bucket = number of grid scales <= threshold.
-    first_buckets = np.searchsorted(grid, first_thresholds, side="right").astype(np.int64)
-    cutoffs = np.minimum(1.0, envelope * model.p)
-    common_rows, common_faults, common_buckets = first_rows, first_faults, first_buckets
+    levels = _nested_world(_level_streams(streams[0], top), model, replications)
+    level_ends = np.cumsum([len(rows) for rows, _, _ in levels])
+    rows = np.concatenate([rows for rows, _, _ in levels])
+    faults = np.concatenate([faults for _, faults, _ in levels])
+    first = np.concatenate([thresholds for _, _, thresholds in levels])
+    weights = model.q[faults]
+    system = first
+    entry_p = model.p[faults]
     for stream in streams[1:]:
-        draws = stream.random(common_rows.size)
-        present = draws < cutoffs[common_faults]
-        common_rows = common_rows[present]
-        common_faults = common_faults[present]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thresholds = draws[present] / model.p[common_faults]
-        buckets = np.searchsorted(grid, thresholds, side="right").astype(np.int64)
-        common_buckets = np.maximum(common_buckets[present], buckets)
+        uniforms = np.concatenate(
+            [
+                level_stream.random(len(level_rows))
+                for level_stream, (level_rows, _, _) in zip(_level_streams(stream, top), levels)
+            ]
+        )
+        system = np.maximum(system, uniforms / entry_p)
+    if versions > 1:
+        # Entries absent from the system at every requested scale add
+        # nothing to any point; dropping them once keeps the per-point
+        # system tallies small.
+        kept = system < grid[-1]
+        system_rows, system_weights, system = rows[kept], weights[kept], system[kept]
 
-    _score_entries(
-        first_rows,
-        first_buckets,
-        q[first_faults],
-        replications,
-        grid_size,
-        single_moments,
-        single_counts,
-    )
-    _score_entries(
-        common_rows,
-        common_buckets,
-        q[common_faults],
-        replications,
-        grid_size,
-        system_moments,
-        system_counts,
-    )
+    tallies = {}
+    for scale in grid:
+        end = int(level_ends[_level(scale)])
+        single = _tally(rows[:end], weights[:end], first[:end], scale, replications)
+        tallies[scale] = (
+            single,
+            single
+            if versions == 1
+            else _tally(system_rows, system_weights, system, scale, replications),
+        )
 
     results = []
     for p_scale, q_scale in pairs:
-        t = column[p_scale]
-        zero_single = single_moments.zeros[t] / replications
-        zero_system = system_moments.zeros[t] / replications
+        (single, single_faulty), (common, common_faulty) = tallies[p_scale]
         results.append(
             SweepPointResult(
                 p_scale=p_scale,
                 q_scale=q_scale,
                 versions=versions,
                 replications=replications,
-                mean_single=float(single_moments.mean[t] * q_scale),
-                std_single=float(single_moments.std()[t] * q_scale),
-                mean_system=float(system_moments.mean[t] * q_scale),
-                std_system=float(system_moments.std()[t] * q_scale),
-                prob_any_fault_single=float(1.0 - single_counts.zeros[t] / replications),
-                prob_any_fault_system=float(1.0 - system_counts.zeros[t] / replications),
-                prob_pfd_zero_single=float(1.0 if q_scale == 0.0 else zero_single),
-                prob_pfd_zero_system=float(1.0 if q_scale == 0.0 else zero_system),
+                mean_single=float(single.mean() * q_scale),
+                std_single=float(single.std() * q_scale),
+                mean_system=float(common.mean() * q_scale),
+                std_system=float(common.std() * q_scale),
+                prob_any_fault_single=single_faulty / replications,
+                prob_any_fault_system=common_faulty / replications,
+                prob_pfd_zero_single=1.0 if q_scale == 0.0 else single.fraction_zero(),
+                prob_pfd_zero_system=1.0 if q_scale == 0.0 else common.fraction_zero(),
             )
         )
     telemetry.record(

@@ -14,7 +14,9 @@ depends only on that point, or any request under ``--no-batch`` --
 dispatches at once through the scalar :func:`repro.evaluate` path.  So does
 a lone window, and a group whose kernel declined answers with the same
 bytes.  Grouping never changes *whether* an answer is right, only which
-equally valid estimator produced it (see the README's CRN notes).
+equally valid estimator produced it (see the README's CRN notes): a
+grouped point's record equals its one-point sweep, whichever requests
+shared its window, while a lone request takes the scalar engine path.
 
 Windows never hold duplicates: the server's single-flight table
 (:class:`~repro.service.server.EvaluationServer`) coalesces equal-digest

@@ -87,10 +87,12 @@ def evaluate_single(arguments: tuple) -> dict:
 
 
 def evaluate_group(arguments: tuple) -> tuple[bool, list[dict]]:
-    """One micro-batched group: the batched kernel over the whole variation set.
+    """One micro-batched group: the batched kernel over the group's variations.
 
     Returns ``(used_batch, records)`` with one wire record per variation, in
-    order.  ``used_batch`` is False when the method's kernel declined the
+    order.  Each record is the one a one-point sweep of that variation gives
+    (``evaluate_sweep(model, method, [variation], seed=...)``): which
+    requests shared the window does not move any value.  ``used_batch`` is False when the method's kernel declined the
     sweep and every member was evaluated on the scalar path instead.  A
     point that failed there raises, and the batcher re-dispatches the group
     point by point.

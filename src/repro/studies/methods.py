@@ -162,7 +162,6 @@ def evaluate_study_group(
     variations,
     group_entropy: tuple[int, ...],
     point_entropies,
-    wanted=None,
 ) -> list[tuple[str, Any]]:
     """Run one batchable group of sweep points and return per-point outcomes.
 
@@ -173,24 +172,14 @@ def evaluate_study_group(
     *once* and the whole group dispatches through
     :func:`repro.api.evaluate.evaluate_sweep_outcomes`: methods with a
     batched kernel evaluate every point in vectorised passes (stochastic
-    ones against one shared demand stream seeded from ``group_entropy``);
+    ones against one shared nested world seeded from ``group_entropy``);
     methods without one fall back to per-point evaluation seeded from
     ``point_entropies`` -- bitwise-identical to the ungrouped runner path.
+    Every point's value depends on that point alone, so the runner sends
+    each group with its cache misses only.
 
-    ``wanted`` selects the variation positions whose outcomes the caller
-    needs (default: all).  A batched kernel still sees the *whole* sweep --
-    a shared demand stream's envelope spans the scale set and must not
-    depend on which siblings the runner already had cached -- while the
-    scalar path (no kernel, or the kernel declined) evaluates only the
-    wanted points.  The runner sends deterministic groups with their cache
-    misses only, so exact kernels never recompute a cached sibling, and
-    runs the groups of one point-model bundle back to back inside one
-    :func:`~repro.core.pfd_distribution.shared_distributions` scope, so a
-    distribution an earlier group computed is read, not recomputed.
-
-    Returns ``("ok", metrics)`` / ``("error", message)`` per wanted
-    variation, in ``wanted`` order, so one bad sweep point cannot discard
-    its siblings.
+    Returns ``("ok", metrics)`` / ``("error", message)`` per variation, in
+    order, so one bad sweep point cannot discard its siblings.
     """
     from repro.api.evaluate import evaluate_sweep_outcomes
 
@@ -207,5 +196,4 @@ def evaluate_study_group(
         options={**dict(method.options), **overrides},
         seed=tuple(group_entropy),
         variation_seeds=tuple(point_entropies),
-        subset=wanted,
     )

@@ -167,10 +167,10 @@ def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
     has nothing to share and runs without a scope.
 
     Returns one ``("ok", metrics)`` / ``("error", message)`` outcome per
-    wanted member, group by group.  A failure that escapes a group's
-    per-point handling (e.g. a broken base model) is fanned out to every
-    wanted member of that group, so the runner's bookkeeping stays aligned
-    and sibling groups still complete.
+    variation, group by group.  A failure that escapes a group's per-point
+    handling (e.g. a broken base model) is fanned out to every variation of
+    that group, so the runner's bookkeeping stays aligned and sibling
+    groups still complete.
     """
     from repro.core.pfd_distribution import shared_distributions
 
@@ -181,9 +181,8 @@ def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
         "study.group",
         method=",".join(method.name for _, method, *_ in groups),
         group_size=sum(len(variations) for _, _, variations, *_ in groups),
-        wanted=sum(len(wanted) for *_, wanted in groups),
     ) as span, scope as distributions:
-        for shared_params, method, variations, group_entropy, point_entropies, wanted in groups:
+        for shared_params, method, variations, group_entropy, point_entropies in groups:
             try:
                 outcomes.extend(
                     evaluate_study_group(
@@ -193,11 +192,10 @@ def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
                         variations,
                         group_entropy,
                         point_entropies,
-                        wanted=wanted,
                     )
                 )
             except Exception as error:  # noqa: BLE001 - reported with point context by run_study
-                outcomes.extend([("error", f"{type(error).__name__}: {error}")] * len(wanted))
+                outcomes.extend([("error", f"{type(error).__name__}: {error}")] * len(variations))
         if distributions is not None:
             span.set(
                 distributions_computed=distributions.computed,
@@ -214,29 +212,28 @@ def _scales(entry: PlannedPoint) -> tuple[float, float]:
 def _plan_groups(
     spec: StudySpec, planned: list[PlannedPoint], pending: dict, jobs: int = 1
 ) -> list[tuple]:
-    """Partition the evaluation into worker tasks, heaviest first.
+    """Partition the cache misses into worker tasks, heaviest first.
 
-    Points sharing everything except the ``p_scale`` / ``q_scale``
+    Pending points sharing everything except the ``p_scale`` / ``q_scale``
     transforms form one *group*, evaluated against one resolved base model.
-    A group whose batch kernel shares a demand stream across its points
-    (:attr:`~repro.api.registry.MethodDefinition.shares_work`: the
-    ``montecarlo`` kernel)
-    stays whole, as one task carrying its *full* planned sweep -- cached
-    siblings included -- because the shared stream's demand envelope spans
-    the whole scale set; deriving it from the cache misses alone would make
-    a point's fresh value depend on which siblings happened to be cached.
-    The worker only returns the missing points.
+    Every group carries only its cache misses: a swept point's value
+    depends on that point alone (a ``montecarlo`` point reads only its own
+    levels of the shared nested world, see :mod:`repro.montecarlo.sweep`),
+    so cached siblings are never recomputed.
 
-    Every other group is deterministic (``exact``, whose swept values equal
-    per-point values, and methods without a batch kernel) and keeps only
-    its cache misses.  Deterministic groups that resolve the same point
-    models -- the same base and factory parameters; method options such as
-    ``level`` are not part of the key -- form one *bundle*.  The union of a
-    bundle's pending variations is split into up to ``jobs`` chunks, and
-    one task runs every group of the bundle over its chunk, so a point's
-    ``exact`` and ``tail-quantile`` records (at any level or threshold)
-    read one shared distribution (:func:`_evaluate_group`).  Heaviest tasks
-    are dispatched first so the process pool drains evenly.
+    A group whose batch kernel shares a sampled world across its points
+    (:attr:`~repro.api.registry.MethodDefinition.shares_work`: the
+    ``montecarlo`` kernel) is one task: splitting it would sample the world
+    once per part.  Every other group is deterministic (``exact``, whose
+    swept values equal per-point values, and methods without a batch
+    kernel).  Deterministic groups that resolve the same point models --
+    the same base and factory parameters; method options such as ``level``
+    are not part of the key -- form one *bundle*.  The union of a bundle's
+    variations is split into up to ``jobs`` chunks, and one task runs every
+    group of the bundle over its chunk, so a point's ``exact`` and
+    ``tail-quantile`` records (at any level or threshold) read one shared
+    distribution (:func:`_evaluate_group`).  Heaviest tasks are dispatched
+    first so the process pool drains evenly.
 
     Returns one ``(members, arguments)`` pair per task: ``members`` lists
     the ``(digest, planned index)`` of every point the task computes, in
@@ -244,7 +241,8 @@ def _plan_groups(
     """
     registry = default_registry()
     groups: dict[str, dict] = {}
-    for index, entry in enumerate(planned):
+    for digest, index in pending.items():
+        entry = planned[index]
         key = group_digest(entry.payload)
         group = groups.get(key)
         if group is None:
@@ -256,7 +254,6 @@ def _plan_groups(
                 "shared": shared,
                 "method": entry.point.method,
                 "members": [],
-                "seen": set(),
                 "entropy": group_seed_entropy(spec, key),
                 "weight": int(entry.payload["method"].get("replications", 1)),
                 # The study's one base plus these params build the point models.
@@ -264,26 +261,21 @@ def _plan_groups(
                     group_payload(entry.payload)["params"]
                 ),
             }
-        if entry.digest not in group["seen"]:
-            group["seen"].add(entry.digest)
-            group["members"].append((entry.digest, index))
+        group["members"].append((digest, index))
     # A task is a list of (group, members) pairs.
     tasks: list[list[tuple[dict, list]]] = []
     bundles: dict[str, list[dict]] = {}
     for group in groups.values():
         if group["bundle"] is not None:
             bundles.setdefault(group["bundle"], []).append(group)
-        elif any(digest in pending for digest, _ in group["members"]):
+        else:
             tasks.append([(group, group["members"])])
     for bundle in bundles.values():
-        missing = [
-            [member for member in group["members"] if member[0] in pending] for group in bundle
-        ]
         scales = list(
-            dict.fromkeys(_scales(planned[index]) for members in missing for _, index in members)
+            dict.fromkeys(
+                _scales(planned[index]) for group in bundle for _, index in group["members"]
+            )
         )
-        if not scales:
-            continue
         # Per-point digest seeding makes the split invisible in the results.
         parts = min(jobs, len(scales))
         size, remainder = divmod(len(scales), parts)
@@ -293,8 +285,10 @@ def _plan_groups(
             chunk = set(scales[offset : offset + take])
             offset += take
             task = []
-            for group, members in zip(bundle, missing):
-                chosen = [member for member in members if _scales(planned[member[1]]) in chunk]
+            for group in bundle:
+                chosen = [
+                    member for member in group["members"] if _scales(planned[member[1]]) in chunk
+                ]
                 if chosen:
                     task.append((group, chosen))
             tasks.append(task)
@@ -312,12 +306,9 @@ def _plan_groups(
                 for p_scale, q_scale in (_scales(planned[index]) for _, index in members)
             )
             entropies = tuple(point_seed_entropy(spec, digest) for digest, _ in members)
-            wanted = tuple(
-                position for position, (digest, _) in enumerate(members) if digest in pending
-            )
-            task_members.extend(members[position] for position in wanted)
+            task_members.extend(members)
             arguments.append(
-                (group["shared"], group["method"], variations, group["entropy"], entropies, wanted)
+                (group["shared"], group["method"], variations, group["entropy"], entropies)
             )
         work.append((task_members, (dict(spec.base), tuple(arguments))))
     return work
@@ -366,10 +357,11 @@ def run_study(
     batch:
         When true (the default), cache misses are grouped by batchable axis
         -- points differing only in ``p_scale`` / ``q_scale`` -- and each
-        group resolves its base model once.  Only a group whose batch
-        kernel shares a demand stream (``montecarlo``) is dispatched whole,
-        as *one* task scoring every point against one shared stream (common
-        random numbers; see :mod:`repro.montecarlo.sweep`).  The other,
+        group resolves its base model once.  A ``montecarlo`` group is one
+        task scoring its missing points against one shared nested world
+        (common random numbers; see :mod:`repro.montecarlo.sweep`); each
+        point's value depends on that point alone, so extending a sweep
+        and re-running warm gives the table of a cold run.  The other,
         deterministic groups are bundled by point model and chunked across
         the workers: one task runs every method of a bundle over its chunk
         and computes each exact PFD distribution once, so a point's
@@ -377,7 +369,7 @@ def run_study(
         (:func:`_plan_groups`).  Point digests, cache entries
         and warm-run behaviour are identical in both modes; the only fresh
         values that differ are Monte Carlo points, which sample the shared
-        stream.  ``exact`` / ``tail-quantile`` values (their kernels loop
+        world.  ``exact`` / ``tail-quantile`` values (their kernels loop
         the scalar kernel) and methods without a batched kernel are
         bitwise-identical in either mode.  One caveat: a sweep the Monte
         Carlo kernel *declines at runtime* (e.g. correlated developments)

@@ -118,12 +118,6 @@ class TestEvaluateBatch:
             "moments", "montecarlo", "tail-quantile",
         ]
 
-    def test_parallel_equals_sequential(self, small_model):
-        sequential = evaluate_batch(small_model, self.REQUESTS, seed=5, jobs=1)
-        parallel = evaluate_batch(small_model, self.REQUESTS, seed=5, jobs=3)
-        assert [r.metrics for r in sequential] == [r.metrics for r in parallel]
-        assert [r.options for r in sequential] == [r.options for r in parallel]
-
     def test_streams_are_per_request_index(self, small_model):
         # Two identical montecarlo requests in one batch must not share a stream.
         results = evaluate_batch(
@@ -142,9 +136,13 @@ class TestEvaluateBatch:
                 [("montecarlo", {"replications": 10_000_000}), ("moments", {"bogus": 1})],
             )
 
-    def test_invalid_jobs_and_seed_rejected(self, small_model):
-        with pytest.raises(ValueError, match="jobs"):
-            evaluate_batch(small_model, ["moments"], jobs=0)
+    def test_jobs_is_rejected(self, small_model):
+        # Batches run in the calling process; there is no worker pool.
+        for jobs in (1, 2):
+            with pytest.raises(TypeError, match="jobs"):
+                evaluate_batch(small_model, ["moments"], jobs=jobs)
+
+    def test_live_generator_seed_rejected(self, small_model):
         with pytest.raises(ValueError, match="integer seed"):
             evaluate_batch(small_model, ["moments"], seed=np.random.default_rng(1))
 
@@ -218,13 +216,6 @@ class TestBatchCoalescing:
         assert results[1].seed_entropy == (5, 1)
         assert results[0].metrics != results[1].metrics
 
-    def test_coalescing_is_jobs_invariant(self, small_model):
-        requests = ["moments", "moments", ("montecarlo", {"replications": 500}), "moments"]
-        sequential = evaluate_batch(small_model, requests, seed=5, jobs=1)
-        parallel = evaluate_batch(small_model, requests, seed=5, jobs=3)
-        assert [r.metrics for r in sequential] == [r.metrics for r in parallel]
-        assert [r.seed_entropy for r in sequential] == [r.seed_entropy for r in parallel]
-
 
 class TestOptionSpellings:
     def test_options_mapping_equals_kwargs(self, small_model):
@@ -244,11 +235,6 @@ class TestOptionSpellings:
         # unknown-option ValueError via the mapping spelling, not a TypeError.
         with pytest.raises(ValueError, match="does not accept option 'seed'"):
             evaluate(small_model, "moments", options={"seed": 5})
-
-    def test_custom_registry_with_jobs_rejected(self, small_model):
-        registry = MethodRegistry()
-        with pytest.raises(ValueError, match="default registry"):
-            evaluate_batch(small_model, [], jobs=2, registry=registry)
 
 
 class TestUnregister:

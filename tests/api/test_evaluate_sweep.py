@@ -178,64 +178,6 @@ class TestSubsetEvaluation:
         assert result[0]["tail_prob_zero"] == 1.0
         assert result[1]["tail_prob_zero"] < 1.0
 
-    def test_subset_skips_unrequested_points_on_scalar_path(self, small_model):
-        # A declined batched kernel must not evaluate sweep points the
-        # caller did not ask for (the study runner relies on this to avoid
-        # recomputing cached siblings).
-        calls = []
-        registry = default_registry()
-
-        @register_method("test-counter", options=(), requires_seed=True)
-        def scalar(model, options, rng):
-            calls.append(float(model.p.max()))
-            return {"p_max": float(model.p.max())}
-
-        try:
-
-            @register_batch("test-counter")
-            def batched(model, variations, options, rng):
-                raise BatchUnsupported("count the scalar calls instead")
-
-            outcomes = evaluate_sweep_outcomes(
-                small_model,
-                "test-counter",
-                [{"p_scale": k} for k in (0.25, 0.5, 1.0)],
-                seed=3,
-                subset=(1,),
-            )
-            assert len(outcomes) == 1 and outcomes[0][0] == "ok"
-            assert calls == [pytest.approx(small_model.p_max * 0.5)]
-        finally:
-            registry.unregister("test-counter")
-
-    def test_subset_preserves_batched_full_sweep(self, small_model):
-        # Batched kernels must still see the whole sweep (shared structure),
-        # returning only the requested positions.
-        seen = {}
-        registry = default_registry()
-
-        @register_method("test-full-sweep", options=())
-        def scalar(model, options, rng):
-            return {}
-
-        try:
-
-            @register_batch("test-full-sweep")
-            def batched(model, variations, options, rng):
-                seen["count"] = len(variations)
-                return [{"i": index} for index in range(len(variations))]
-
-            outcomes = evaluate_sweep_outcomes(
-                small_model,
-                "test-full-sweep",
-                [{"p_scale": k} for k in (0.25, 0.5, 1.0)],
-                subset=(2,),
-            )
-            assert seen["count"] == 3
-            assert outcomes == [("ok", {"i": 2})]
-        finally:
-            registry.unregister("test-full-sweep")
-
 
 class TestBatchUnsupportedContract:
     def test_custom_batch_can_decline(self, small_model):

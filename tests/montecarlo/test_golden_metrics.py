@@ -39,22 +39,22 @@ GOLDEN = {
         "mc_std_system": "0x1.f4a7485d565fbp-17",
     },
     ("sweep", 2, 10_000, 0): {
-        "mc_mean_ratio": "0x1.165e7254813e3p-8",
-        "mc_mean_single": "0x1.147d0fa0310d6p-16",
+        "mc_mean_ratio": "0x1.165e7254813e2p-8",
+        "mc_mean_single": "0x1.147d0fa0310d7p-16",
         "mc_mean_system": "0x1.2ca5d05ea7ab3p-24",
-        "mc_risk_ratio": "0x1.1f7047dc1205fp-6",
-        "mc_std_ratio": "0x1.33e72fddcd40ep-6",
-        "mc_std_single": "0x1.272870309391ap-13",
-        "mc_std_system": "0x1.63000b37a3f4cp-19",
+        "mc_risk_ratio": "0x1.1f7047dc11f70p-6",
+        "mc_std_ratio": "0x1.33e72fddcd225p-6",
+        "mc_std_single": "0x1.2728703093a63p-13",
+        "mc_std_system": "0x1.63000b37a3ea4p-19",
     },
     ("sweep", 2, 10_000, 1): {
-        "mc_mean_ratio": "0x1.dedd42ce4be85p-7",
-        "mc_mean_single": "0x1.194520708dda3p-15",
+        "mc_mean_ratio": "0x1.dedd42ce4be41p-7",
+        "mc_mean_single": "0x1.194520708ddcbp-15",
         "mc_mean_system": "0x1.07111652d2b5cp-21",
-        "mc_risk_ratio": "0x1.2d7b73a7a2716p-5",
-        "mc_std_ratio": "0x1.ec323769c8968p-5",
-        "mc_std_single": "0x1.a9bde6572b9c7p-13",
-        "mc_std_system": "0x1.99463cf71ee70p-17",
+        "mc_risk_ratio": "0x1.2d7b73a7a26fcp-5",
+        "mc_std_ratio": "0x1.ec323769c8067p-5",
+        "mc_std_single": "0x1.a9bde6572bb69p-13",
+        "mc_std_system": "0x1.99463cf71e885p-17",
     },
     ("scalar", 2, 65_536, None): {
         "mc_mean_ratio": "0x1.2c21b5df8ee83p-6",
@@ -66,22 +66,22 @@ GOLDEN = {
         "mc_std_system": "0x1.619deebba088ap-16",
     },
     ("sweep", 2, 65_536, 0): {
-        "mc_mean_ratio": "0x1.b967276935db5p-7",
-        "mc_mean_single": "0x1.31f8a0902dd69p-16",
-        "mc_mean_system": "0x1.07c84b5dcc63cp-22",
+        "mc_mean_ratio": "0x1.b967276935cdfp-7",
+        "mc_mean_single": "0x1.31f8a0902de01p-16",
+        "mc_mean_system": "0x1.07c84b5dcc63fp-22",
         "mc_risk_ratio": "0x1.519e0f210b8bcp-6",
-        "mc_std_ratio": "0x1.b7ac67bf4ea07p-4",
-        "mc_std_single": "0x1.476b21bead7a1p-13",
-        "mc_std_system": "0x1.192a9bc4b7d55p-16",
+        "mc_std_ratio": "0x1.b7ac67bf4f720p-4",
+        "mc_std_single": "0x1.476b21beac886p-13",
+        "mc_std_system": "0x1.192a9bc4b78bcp-16",
     },
     ("sweep", 2, 65_536, 1): {
-        "mc_mean_ratio": "0x1.0c0500ecb149ap-6",
-        "mc_mean_single": "0x1.2d3f7ced916d0p-15",
-        "mc_mean_system": "0x1.3b645a1cac08ap-21",
+        "mc_mean_ratio": "0x1.0c0500ecb14d5p-6",
+        "mc_mean_single": "0x1.2d3f7ced91687p-15",
+        "mc_mean_system": "0x1.3b645a1cac084p-21",
         "mc_risk_ratio": "0x1.298ab91058c86p-5",
-        "mc_std_ratio": "0x1.87b03f9203a65p-4",
-        "mc_std_single": "0x1.c5870e8cfd492p-13",
-        "mc_std_system": "0x1.5af4c25920ed8p-16",
+        "mc_std_ratio": "0x1.87b03f920521cp-4",
+        "mc_std_single": "0x1.c5870e8cfcc83p-13",
+        "mc_std_system": "0x1.5af4c25921db0p-16",
     },
     ("scalar", 3, 10_000, None): {
         "mc_mean_system": "0x1.5798ee2308c3ap-27",
@@ -90,16 +90,16 @@ GOLDEN = {
         "mc_std_system": "0x1.0c6f7a0b5ed8ep-20",
     },
     ("sweep", 3, 10_000, 0): {
-        "mc_mean_system": "0x1.5798ee2308c3ap-26",
-        "mc_prob_any_fault": "0x1.a36e2eb1c4000p-13",
-        "mc_prob_pfd_zero": "0x1.ffe5c91d14e3cp-1",
-        "mc_std_system": "0x1.7b9b27fc216c5p-20",
+        "mc_mean_system": "0x0.0p+0",
+        "mc_prob_any_fault": "0x0.0p+0",
+        "mc_prob_pfd_zero": "0x1.0000000000000p+0",
+        "mc_std_system": "0x0.0p+0",
     },
     ("sweep", 3, 10_000, 1): {
-        "mc_mean_system": "0x1.01b2b29a4692cp-25",
-        "mc_prob_any_fault": "0x1.3a92a30553000p-12",
-        "mc_prob_pfd_zero": "0x1.ffd8adab9f55ap-1",
-        "mc_std_system": "0x1.d0e5b88830bdcp-20",
+        "mc_mean_system": "0x0.0p+0",
+        "mc_prob_any_fault": "0x0.0p+0",
+        "mc_prob_pfd_zero": "0x1.0000000000000p+0",
+        "mc_std_system": "0x0.0p+0",
     },
     ("scalar", 3, 65_536, None): {
         "mc_mean_system": "0x1.d7dbf487fcb93p-27",
@@ -108,16 +108,16 @@ GOLDEN = {
         "mc_std_system": "0x1.3a8db8ac07f16p-20",
     },
     ("sweep", 3, 65_536, 0): {
-        "mc_mean_system": "0x1.a36e2eb1c432dp-30",
+        "mc_mean_system": "0x1.0624dd2f1a9fcp-27",
         "mc_prob_any_fault": "0x1.0000000000000p-16",
         "mc_prob_pfd_zero": "0x1.fffe000000000p-1",
-        "mc_std_system": "0x1.a36e2eb1c53a4p-22",
+        "mc_std_system": "0x1.0624dd2f1a9fcp-19",
     },
     ("sweep", 3, 65_536, 1): {
-        "mc_mean_system": "0x1.3a92a30553262p-27",
-        "mc_prob_any_fault": "0x1.8000000000000p-14",
-        "mc_prob_pfd_zero": "0x1.fff4000000000p-1",
-        "mc_std_system": "0x1.00d67b32c69f1p-20",
+        "mc_mean_system": "0x1.d7dbf487fcb93p-27",
+        "mc_prob_any_fault": "0x1.4000000000000p-14",
+        "mc_prob_pfd_zero": "0x1.fff6000000000p-1",
+        "mc_std_system": "0x1.1a55783f89f55p-19",
     },
 }
 

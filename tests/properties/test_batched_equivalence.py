@@ -6,10 +6,11 @@ Pins the reproducibility contracts of the sweep paths:
   (:func:`repro.stats.batched.batched_scaled_pfd`), so every swept
   bracket and record is byte-identical to a lone evaluation of
   ``model.rescaled(p_scale, q_scale)``, whichever groupmates share the sweep;
-* the shared-demand Monte Carlo kernel (:mod:`repro.montecarlo.sweep`) is a
-  deterministic function of ``(seed, model, versions, replications, scale
-  envelope)``: repeated calls are identical, and its estimates agree with
-  the analytic moments statistically.
+* the shared-demand Monte Carlo kernel (:mod:`repro.montecarlo.sweep`)
+  gives each point a deterministic function of ``(seed, model, versions,
+  replications, the point's own scales)``: a point's record is the same
+  alone and inside any sweep, repeated calls are identical, and its
+  estimates agree with the analytic moments statistically.
 """
 
 from __future__ import annotations
@@ -157,6 +158,40 @@ class TestSweepGroupmateIndependence:
         for mate in (0.6, 1.0):
             first, _ = evaluate_sweep(model, "exact", [{"p_scale": 0.5}, {"p_scale": mate}])
             assert first.metric_dict() == alone
+
+
+#: Monte Carlo sweep scales: powers of two, a scale one ulp above one, and
+#: scales that reach nested levels 0-3.
+_MC_SCALES = st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.0000000000000002, 1.5, 2.0, 3.0, 4.5, 8.0])
+
+
+class TestMonteCarloSiblingIndependence:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        versions=st.integers(1, 3),
+        replications=st.integers(1, 3000),
+        variations=st.lists(
+            st.tuples(_MC_SCALES, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_point_record_is_the_same_alone_and_grouped(
+        self, seed, n, versions, replications, variations
+    ):
+        # p_i <= 0.1, so every drawn scale keeps k * p_i <= 1.  The drawn
+        # list may hold duplicates; each point must read its own record.
+        model = FaultModel.random(
+            np.random.default_rng(seed), n=n, p_range=(0.005, 0.1), total_impact=0.4
+        )
+        sweep = [{"p_scale": p_scale, "q_scale": q_scale} for p_scale, q_scale in variations]
+        options = {"versions": versions, "replications": replications}
+        grouped = evaluate_sweep(model, "montecarlo", sweep, seed=seed, options=options)
+        for variation, result in zip(sweep, grouped):
+            [alone] = evaluate_sweep(model, "montecarlo", [variation], seed=seed, options=options)
+            assert result.metric_dict() == alone.metric_dict()
 
 
 class TestSharedDemandDeterminism:

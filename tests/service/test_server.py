@@ -94,6 +94,38 @@ class TestByteIdentity:
         assert server.registry["batched_groups"] == 1
         assert server.registry["batched_group_requests"] == len(scales)
 
+    def test_grouped_point_equals_its_one_point_sweep(self, small_model):
+        # Which requests share a window does not move a grouped answer:
+        # each equals the one-point sweep of its own variation, also for
+        # scales past a power of two and for three versions.
+        variations = [
+            {"p_scale": 0.5},
+            {"p_scale": 1.0, "q_scale": 2.0},
+            {"p_scale": 2.0},
+            {"p_scale": 3.0},
+        ]
+        options = {"replications": 2000, "versions": 3}
+        server = EvaluationServer(batch_window_ms=50.0)
+        responses = _gather_evaluate(
+            server,
+            [
+                {
+                    "model": small_model.to_dict(),
+                    "method": "montecarlo",
+                    "options": options,
+                    "seed": 7,
+                    **variation,
+                }
+                for variation in variations
+            ],
+        )
+        for variation, response in zip(variations, responses):
+            assert response["served"]["group_size"] == len(variations)
+            [alone] = evaluate_sweep(
+                small_model, "montecarlo", [variation], seed=7, options=options
+            )
+            assert _strip_elapsed(response["result"]) == _strip_elapsed(alone.to_dict())
+
     @pytest.mark.parametrize("method", ["exact", "tail-quantile"])
     def test_exact_request_alone_equals_inside_a_group(self, method):
         # A deterministic answer must not depend on concurrent traffic: the

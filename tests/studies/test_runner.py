@@ -143,11 +143,10 @@ class TestBatchedDispatch:
         assert result.summary["dispatched_tasks"] == 8
 
     def test_batched_results_do_not_depend_on_grouping(self, tmp_path):
-        # A point computed alongside cached siblings (singleton group) must
-        # match the same point computed in a full cold group: group streams
-        # are content-keyed (scale *envelope*, not membership), so the same
-        # developments are sampled either way.  Only float summation order
-        # may differ -- agreement is to ~1e-15 relative, not bitwise.
+        # A point computed in a smaller group must equal the same point
+        # computed in a full cold group, bit for bit: group streams are
+        # content-keyed and a point reads only its own levels of the nested
+        # world, in an order fixed by the replication count.
         data = base_spec_dict()
         cold = run_study(StudySpec.from_dict(data), cache_dir=str(tmp_path / "c1"))
         trimmed = copy.deepcopy(data)
@@ -161,22 +160,16 @@ class TestBatchedDispatch:
             sibling = cold_rows[row["point_id"]]
             assert set(row) == set(sibling)
             for key, value in row.items():
-                if isinstance(value, float):
-                    assert value == pytest.approx(sibling[key], rel=1e-12), key
-                else:
-                    assert value == sibling[key], key
+                assert value == sibling[key], key
             compared += 1
         assert compared == 2
 
     def test_partially_cached_group_reproduces_cold_values(self, tmp_path):
-        # The shared structure a batched kernel derives from the sweep (the
-        # Monte Carlo demand envelope) must come from the *planned* group,
-        # not the cache-miss subset: recomputing
-        # one evicted point must reproduce its cold value exactly even when
-        # the scale set spans a power-of-two envelope bracket (p_scale > 1
-        # is where a miss-only envelope would sample a different world).
+        # Recomputing one evicted Monte Carlo point on its own must
+        # reproduce its cold value exactly, also past a power of two
+        # (p_scale 3.0 reads nested levels 0-2, its sibling 1.5 levels 0-1).
         data = base_spec_dict()
-        data["sweep"]["grid"][1]["values"] = [1.5, 3.0]  # envelope bracket 4
+        data["sweep"]["grid"][1]["values"] = [1.5, 3.0]
         spec = StudySpec.from_dict(data)
         cache_dir = tmp_path / "cache"
         cold = run_study(spec, cache_dir=str(cache_dir))
@@ -192,6 +185,52 @@ class TestBatchedDispatch:
         partial = run_study(spec, cache_dir=str(cache_dir))
         assert partial.summary["computed"] == 1
         assert partial.records == cold.records
+
+    def test_evicted_point_is_swept_alone(self, tmp_path, monkeypatch):
+        # A Monte Carlo group carries only its cache misses: the kernel sees
+        # the evicted point and none of its cached siblings.
+        from repro.montecarlo import sweep
+        from repro.studies import ResultCache
+
+        data = base_spec_dict()
+        data["sweep"]["grid"][1]["values"] = [0.5, 1.0, 2.0]
+        spec = StudySpec.from_dict(data)
+        cache_dir = tmp_path / "cache"
+        cold = run_study(spec, cache_dir=str(cache_dir))
+        evicted = next(
+            entry for entry in plan_study(spec)
+            if entry.point.method.name == "montecarlo"
+            and entry.point.param_dict() == {"n": 10, "p_scale": 1.0}
+        )
+        ResultCache(cache_dir).path_for(evicted.digest).unlink()
+        swept = []
+        original = sweep.simulate_scaled_sweep
+
+        def recording(model, replications, variations, *args, **kwargs):
+            swept.append([dict(variation) for variation in variations])
+            return original(model, replications, variations, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "simulate_scaled_sweep", recording)
+        partial = run_study(spec, cache_dir=str(cache_dir))
+        assert partial.summary["computed"] == 1
+        assert swept == [[{"p_scale": 1.0, "q_scale": 1.0}]]
+        assert partial.records == cold.records
+
+    def test_extending_a_warm_sweep_equals_a_cold_run(self, tmp_path):
+        # Extending a warm Monte Carlo axis past a power of two computes
+        # only the new points, and the table equals a cold run of the
+        # extended spec: the cached points do not depend on their siblings.
+        data = base_spec_dict()
+        data["methods"] = [{"name": "montecarlo", "replications": 4000}]
+        data["seed"] = 11
+        cache_dir = str(tmp_path / "cache")
+        run_study(StudySpec.from_dict(data), cache_dir=cache_dir)
+        data["sweep"]["grid"][1]["values"] = [0.5, 1.0, 2.0]
+        extended = StudySpec.from_dict(data)
+        warm = run_study(extended, cache_dir=cache_dir)
+        cold = run_study(extended, cache_dir=str(tmp_path / "cold"))
+        assert warm.summary["computed"] == 2
+        assert warm.records == cold.records
 
     def test_exact_groups_match_per_point_dispatch(self, tmp_path):
         data = base_spec_dict()
