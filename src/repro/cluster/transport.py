@@ -1,21 +1,24 @@
 """Asyncio keep-alive HTTP/1.1 client connections to one backend shard.
 
-The router-side mirror of :class:`repro.service.client.ServiceClient`'s
-per-thread keep-alive: each shard gets a small pool of persistent
-connections multiplexed across concurrent router requests, so a hop costs a
-round trip, not a TCP handshake.  A pooled connection the shard closed
-between uses is detected on reuse (EOF where the status line should be) and
-replaced transparently, counted in ``stats["reconnects"]``.  The idle pool
-is bounded (``max_idle``): a concurrency burst -- a batch fan-out plus
-replica writes landing together -- opens extra connections, but only
-``max_idle`` of them park afterwards; the rest close on release
-(``stats["connections_trimmed"]``), so a long-lived router's descriptor
-count tracks steady-state concurrency, not its historical peak.
+The event loop's HTTP client, mirroring the per-thread keep-alive of the
+blocking :class:`repro.service.client.ServiceClient`: each shard gets a
+small pool of persistent connections multiplexed across concurrent router
+requests, so a hop costs a round trip, not a TCP handshake.  A pooled
+connection the shard closed between uses is detected on reuse (EOF or a
+reset where the response should be) and replaced transparently, counted in
+``stats["reconnects"]``.  The idle pool is bounded (``max_idle``): a
+concurrency burst -- a batch fan-out plus replica writes landing together
+-- opens extra connections, but only ``max_idle`` of them park afterwards;
+the rest close on release (``stats["connections_trimmed"]``), so a
+long-lived router's descriptor count tracks steady-state concurrency, not
+its historical peak.
 
-Transport failures raise ``ConnectionError``/``OSError``/``TimeoutError``
--- the router's signal to eject the shard and spill its keys; HTTP-level
-failures (any parsed status) are returned, not raised, because they are the
-shard *answering*.
+Responses are read by :func:`repro.service.http.read_frame`, within the
+bounds a request has.  Transport failures -- a response that fails framing
+among them, whose connection is closed, never pooled -- raise
+``ConnectionError``/``OSError``/``TimeoutError``: the router's signal to
+eject the shard and spill its keys.  HTTP-level failures (any well-framed
+status) are returned, not raised, because they are the shard *answering*.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
+
+from repro.service.client import _STALE_ERRORS, split_base_url
+from repro.service.http import HttpError, read_frame
 
 __all__ = ["ShardTransport", "TransportResponse"]
 
@@ -41,14 +46,6 @@ class TransportResponse:
             return json.loads(self.body) if self.body else None
         except json.JSONDecodeError:
             return None
-
-
-def split_base_url(base: str) -> tuple[str, int]:
-    """``host, port`` from a shard spelling (``host:port`` or ``http://...``)."""
-    parts = urlsplit(base if "//" in base else f"http://{base}")
-    if not parts.hostname:
-        raise ValueError(f"shard URL {base!r} has no host")
-    return parts.hostname, parts.port or 80
 
 
 class ShardTransport:
@@ -110,38 +107,14 @@ class ShardTransport:
         payload = self._render(verb, path, body, headers)
         reused = bool(self._idle)
         reader, writer = self._idle.pop() if reused else await self._connect()
-        try:
-            writer.write(payload)
-            await writer.drain()
-            status_line = await reader.readline()
-        except (ConnectionError, OSError):
-            self._close_pair(writer)
-            if not reused:
-                raise
-            status_line = b""
-        if not status_line:
-            # EOF where the status line should be: the shard closed this
-            # kept-alive connection between uses.  Retry once on a fresh
-            # connection; a fresh connection going straight to EOF is the
-            # shard actually being down, and raises.
-            self._close_pair(writer)
-            if not reused:
-                raise ConnectionError(f"shard {self.base} closed the connection")
+        response = await self._round_trip(reader, writer, payload, stale_ok=reused)
+        if response is None:
+            # The shard closed this kept-alive connection between uses.
+            # Retry once on a fresh connection, where the same failure is
+            # the shard actually being down, and raises.
             self.stats["reconnects"] += 1
             reader, writer = await self._connect()
-            writer.write(payload)
-            await writer.drain()
-            status_line = await reader.readline()
-            if not status_line:
-                self._close_pair(writer)
-                raise ConnectionError(f"shard {self.base} closed the connection")
-        try:
-            response = await self._read_response(reader, status_line)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as error:
-            self._close_pair(writer)
-            raise ConnectionError(
-                f"shard {self.base} died mid-response: {error}"
-            ) from error
+            response = await self._round_trip(reader, writer, payload, stale_ok=False)
         if self._closed or response.headers.get("connection", "").lower() == "close":
             self._close_pair(writer)
         elif len(self._idle) >= self.max_idle:
@@ -151,24 +124,37 @@ class ShardTransport:
             self._idle.append((reader, writer))
         return response
 
-    @staticmethod
-    async def _read_response(
-        reader: asyncio.StreamReader, status_line: bytes
-    ) -> TransportResponse:
-        parts = status_line.decode("latin-1").strip().split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"malformed status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length > 0 else b""
-        return TransportResponse(status=status, headers=headers, body=body)
+    async def _round_trip(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        payload: bytes,
+        stale_ok: bool,
+    ) -> TransportResponse | None:
+        """Send ``payload`` and read its response; a failure closes the connection.
+
+        Returns ``None`` when ``stale_ok`` and the shard closed the
+        connection before answering; otherwise that raises
+        ``ConnectionError``, as does a response that fails framing.
+        """
+        try:
+            writer.write(payload)
+            await writer.drain()
+            frame = await read_frame(reader)
+            if frame is None:  # EOF where the status line should be
+                raise ConnectionResetError(f"shard {self.base} closed the connection")
+            status_line, headers, body = frame
+            parts = status_line.split(None, 2)
+            if len(parts) < 2 or not parts[1].isdigit():
+                raise ConnectionError(f"shard {self.base} sent the status line {status_line!r}")
+        except BaseException as error:
+            self._close_pair(writer)
+            if stale_ok and isinstance(error, _STALE_ERRORS):
+                return None
+            if isinstance(error, (HttpError, asyncio.IncompleteReadError)):
+                raise ConnectionError(f"shard {self.base} sent a broken response: {error}") from error
+            raise
+        return TransportResponse(status=int(parts[1]), headers=headers, body=body)
 
     async def aclose(self) -> None:
         """Close every pooled connection; in-flight exchanges finish and drop."""

@@ -1,8 +1,8 @@
 """The evaluation service: an async micro-batching server over the batched kernels.
 
-A dependency-free (stdlib ``asyncio`` + ``http.client``) serving layer that
-turns concurrent independent evaluation requests into the batched multi-point
-evaluations the sweep kernels make cheap:
+A dependency-free (stdlib only) serving layer that turns concurrent
+independent evaluation requests into the batched multi-point evaluations the
+sweep kernels make cheap:
 
 * :mod:`~repro.service.protocol` -- the JSON wire protocol: a lossless
   transport of :class:`~repro.api.EvaluationRequest` /
@@ -21,12 +21,14 @@ evaluations the sweep kernels make cheap:
   the shared on-disk :class:`~repro.cache.ResultCache`, and the cluster's
   remote tier (peer shards' ``/v1/cache`` surface);
 * :mod:`~repro.service.http` -- the shared asyncio HTTP/1.1 framing used by
-  both this server and the cluster shard router;
+  both this server and the cluster shard router, and by the router to read
+  shard responses;
 * :mod:`~repro.service.server` -- the asyncio HTTP server
   (``/v1/evaluate``, ``/v1/evaluate/batch``, ``/v1/methods``, ``/v1/cache``,
   ``/healthz``, ``/metrics``) behind ``repro serve``;
 * :mod:`~repro.service.client` -- :class:`ServiceClient`, the stdlib Python
-  client (per-thread keep-alive connections, typed retries).
+  client (per-thread keep-alive connections, typed retries) and the
+  program's one blocking HTTP client.
 """
 
 from repro._lazy import lazy_exports

@@ -26,11 +26,8 @@ that is the documented CRN trade, not drift.
 
 from __future__ import annotations
 
-import http.client
-import json
 from collections import OrderedDict
 from typing import Any, Mapping
-from urllib.parse import urlsplit
 
 from repro.cache import ResultCache
 
@@ -68,50 +65,42 @@ def record_from_entry(entry: Mapping[str, Any]) -> dict | None:
 class RemoteCacheClient:
     """Blocking client for peer shards' ``/v1/cache/<digest>`` surface.
 
-    Runs on the server's I/O thread executor (never the event loop).  A
-    peer that is down, slow or answering garbage is a cache *miss*, not an
-    error -- the remote tier degrades to recomputation, the same contract as
-    a damaged disk entry.  ``timeout`` is deliberately short: a dead peer
-    must cost milliseconds, not a request deadline.
+    Runs on the server's I/O thread executor (never the event loop).  Each
+    peer is a :class:`~repro.service.client.ServiceClient` with
+    ``retries=0``, its address parsed at construction, so a malformed
+    ``--cache-peer`` fails start-up.  A probe opens one connection and
+    closes it afterwards.  A peer that is down, slow or answering garbage
+    is a cache *miss*, not an error -- the remote tier degrades to
+    recomputation, the same contract as a damaged disk entry.  ``timeout``
+    is deliberately short: a dead peer must cost milliseconds, not a
+    request deadline.
     """
 
     def __init__(self, peers: tuple[str, ...], timeout: float = 2.0) -> None:
+        # Lazy: a shard without cache peers never loads the blocking client.
+        from repro.service.client import ServiceClient, split_base_url
+
         self.peers = tuple(peers)
         self.timeout = timeout
-
-    @staticmethod
-    def _split(peer: str) -> tuple[str, int]:
-        parts = urlsplit(peer if "//" in peer else f"http://{peer}")
-        if not parts.hostname:
-            raise ValueError(f"cache peer {peer!r} has no host")
-        return parts.hostname, parts.port or 80
+        self._clients = [
+            ServiceClient(*split_base_url(peer), timeout=timeout, retries=0)
+            for peer in self.peers
+        ]
 
     def get(self, digest: str) -> dict | None:
         """Probe every peer in order; the first hit's entry wins."""
-        for peer in self.peers:
-            entry = self._get_one(peer, digest)
-            if entry is not None:
+        from repro.service.client import ServiceError
+
+        for client in self._clients:
+            try:
+                entry = client.request("GET", f"/v1/cache/{digest}")
+            except (ServiceError, OSError):
+                continue  # a miss (404), a dead peer or a garbage answer
+            finally:
+                client.close()
+            if isinstance(entry, dict) and isinstance(entry.get("metrics"), dict):
                 return entry
         return None
-
-    def _get_one(self, peer: str, digest: str) -> dict | None:
-        try:
-            host, port = self._split(peer)
-            connection = http.client.HTTPConnection(host, port, timeout=self.timeout)
-            try:
-                connection.request("GET", f"/v1/cache/{digest}")
-                response = connection.getresponse()
-                raw = response.read()
-            finally:
-                connection.close()
-            if response.status != 200:
-                return None
-            entry = json.loads(raw)
-        except (OSError, ValueError, http.client.HTTPException):
-            return None
-        if not isinstance(entry, dict) or not isinstance(entry.get("metrics"), dict):
-            return None
-        return entry
 
 
 class ResponseCache:

@@ -11,6 +11,11 @@ server closed it between calls), so one client instance can be shared
 freely across threads (the concurrent-client pattern that triggers
 micro-batching; see ``examples/service_client.py``) without paying a TCP
 handshake per request.
+
+It is the program's one blocking HTTP client: the shard's remote cache
+tier, the span shipper and ``repro top`` call :meth:`ServiceClient.request`
+with ``retries=0``, and :func:`split_base_url` parses every peer address.
+The event loop's counterpart is :class:`repro.cluster.transport.ShardTransport`.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ import random
 import threading
 import time
 from typing import Any, Callable, Mapping, Sequence
+from urllib.parse import urlsplit
 
 from repro.api.results import EvaluationRequest, EvaluationResult
 
-__all__ = ["BackoffPolicy", "RETRYABLE_STATUSES", "ServiceClient", "ServiceError"]
+__all__ = ["BackoffPolicy", "RETRYABLE_STATUSES", "ServiceClient", "ServiceError", "split_base_url"]
 
 #: Statuses worth retrying: transient server-side saturation (429) and
 #: draining/unavailability (503).  Everything else is either the caller's
@@ -32,13 +38,9 @@ __all__ = ["BackoffPolicy", "RETRYABLE_STATUSES", "ServiceClient", "ServiceError
 RETRYABLE_STATUSES = frozenset({429, 503})
 
 #: Failures of a reused keep-alive connection that mean the server closed it
-#: between calls; only these are retried on a fresh connection.
-_STALE_ERRORS = (
-    http.client.RemoteDisconnected,
-    ConnectionResetError,
-    BrokenPipeError,
-    ConnectionAbortedError,
-)
+#: between calls (``http.client.RemoteDisconnected`` is a reset); only these
+#: are retried on a fresh connection.
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
 
 
 class ServiceError(RuntimeError):
@@ -130,6 +132,21 @@ def _parse_retry_after(value: str | None) -> float | None:
     except ValueError:
         return None  # HTTP-date spelling: ignored, backoff still applies
     return parsed if parsed >= 0.0 else None
+
+
+def split_base_url(base: str) -> tuple[str, int]:
+    """``(host, port)`` from ``host:port`` or ``http://host:port``; else ``ValueError``.
+
+    The one parser of every address the program dials: shards, peer
+    routers, cache peers and trace collectors.
+    """
+    parts = urlsplit(base if "//" in base else f"http://{base}")
+    try:
+        if parts.hostname and parts.port:
+            return parts.hostname, parts.port
+    except ValueError:  # a port that is not a number, or out of range
+        pass
+    raise ValueError(f"address {base!r} needs host:port")
 
 
 def _model_payload(model, scenario: str | None) -> dict:
@@ -264,31 +281,37 @@ class ServiceClient:
         ``reconnects``).  Only a server-side close counts as stale; any other
         failure -- a read timeout above all, where the server may still be
         working on the request -- propagates to the retry loop, as does every
-        failure of a *fresh* connection.
+        failure of a *fresh* connection.  An unparseable response raises
+        ``ConnectionError``: every transport failure is an ``OSError``.
         """
         connection, reused = self._connection()
         try:
-            connection.request(verb, path, body=body, headers=headers)
-            response = connection.getresponse()
-            return response, response.read()
+            return self._round_trip(connection, verb, path, body, headers)
         except _STALE_ERRORS:
-            self._drop_connection()
             if not reused:
                 raise
             self._count("reconnects")
-        except (http.client.HTTPException, OSError):
-            self._drop_connection()
-            raise
         connection, _ = self._connection()
+        return self._round_trip(connection, verb, path, body, headers)
+
+    def _round_trip(self, connection, verb: str, path: str, body: bytes | None, headers: dict):
         try:
             connection.request(verb, path, body=body, headers=headers)
             response = connection.getresponse()
             return response, response.read()
-        except (http.client.HTTPException, OSError):
+        except OSError:
             self._drop_connection()
             raise
+        except http.client.HTTPException as error:
+            self._drop_connection()
+            raise ConnectionError(f"malformed response: {error!r}") from error
 
-    def _request(self, verb: str, path: str, payload: dict | None = None) -> dict:
+    def request(self, verb: str, path: str, payload: dict | None = None) -> dict:
+        """One JSON call, retried as the class docstring says; the decoded body.
+
+        A non-2xx answer or a non-JSON body raises :class:`ServiceError`, a
+        transport failure its ``OSError``.
+        """
         last_error: Exception | None = None
         started = self._clock()
         for attempt in range(self.retries + 1):
@@ -383,7 +406,7 @@ class ServiceClient:
             payload["q_scale"] = q_scale
         if timeout_ms is not None:
             payload["timeout_ms"] = timeout_ms
-        data = self._request("POST", "/v1/evaluate", payload)
+        data = self.request("POST", "/v1/evaluate", payload)
         return EvaluationResult.from_dict(data["result"]), data.get("served", {})
 
     def evaluate(self, model=None, method: str = "", **kwargs) -> EvaluationResult:
@@ -412,7 +435,7 @@ class ServiceClient:
             payload["seed"] = seed
         if timeout_ms is not None:
             payload["timeout_ms"] = timeout_ms
-        data = self._request("POST", "/v1/evaluate/batch", payload)
+        data = self.request("POST", "/v1/evaluate/batch", payload)
         return [EvaluationResult.from_dict(record) for record in data["results"]]
 
     # ----------------------------------------------------------------- #
@@ -420,14 +443,14 @@ class ServiceClient:
     # ----------------------------------------------------------------- #
     def methods(self) -> list[dict]:
         """The registry's method schemas (``repro methods`` as JSON)."""
-        return self._request("GET", "/v1/methods")["methods"]
+        return self.request("GET", "/v1/methods")["methods"]
 
     def health(self) -> dict:
-        return self._request("GET", "/healthz")
+        return self.request("GET", "/healthz")
 
     def health_peers(self) -> dict:
         """The shared health view (router eject/readmit table, shard status)."""
-        return self._request("GET", "/v1/health/peers")
+        return self.request("GET", "/v1/health/peers")
 
     def metrics(self) -> dict:
-        return self._request("GET", "/metrics")
+        return self.request("GET", "/metrics")

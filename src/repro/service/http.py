@@ -10,7 +10,9 @@ latency bookkeeping, the route table with its 404/405 answers, the
 400/500 error envelope, ``/metrics`` and the listen/close lifecycle.  It
 lives here so the two fronts cannot drift: a request the server accepts is
 a request the router can terminate, byte for byte, and both answer errors
-in the same shape.
+in the same shape.  The router's client side frames shard responses with
+the same bounded reader (:func:`read_frame`), so a response is held to the
+limits a request is.
 """
 
 from __future__ import annotations
@@ -35,18 +37,19 @@ __all__ = [
     "HttpError",
     "HttpRequest",
     "parse_json_body",
+    "read_frame",
     "read_request",
     "render_response",
     "write_response",
 ]
 
-#: Largest accepted request body.  A 10k-fault inline model is ~0.5 MB of
+#: Largest accepted message body.  A 10k-fault inline model is ~0.5 MB of
 #: JSON; 32 MB leaves two orders of magnitude of headroom while bounding a
-#: misbehaving client's memory impact.
+#: misbehaving peer's memory impact.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-#: Bounds of one request's head (request line plus header lines).  Real
-#: clients send a few hundred bytes in under a dozen lines.
+#: Bounds of one message's head (start line plus header lines), request or
+#: response.  Real peers send a few hundred bytes in under a dozen lines.
 MAX_HEADER_BYTES = 64 * 1024
 MAX_HEADER_LINES = 100
 
@@ -75,62 +78,77 @@ class HttpRequest:
     headers: dict[str, str] | None = None
     body: bytes = b""
     close: bool = False
-    #: ``(status, message)`` when framing failed; the connection handler
-    #: answers it and closes.  ``None`` for a well-formed request.
-    error: tuple[int, str] | None = None
+    #: The framing failure; the connection handler answers it and closes.
+    #: ``None`` for a well-formed request.
+    error: HttpError | None = None
 
 
-def _head_too_large() -> HttpRequest:
-    message = f"request head exceeds {MAX_HEADER_BYTES} bytes or {MAX_HEADER_LINES} header lines"
-    return HttpRequest(error=(431, message), close=True)
+_HEAD_TOO_LARGE = (
+    f"message head exceeds {MAX_HEADER_BYTES} bytes or {MAX_HEADER_LINES} header lines"
+)
 
 
-async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
-    """Read one request off ``reader``; ``None`` at a clean end of stream.
+async def read_frame(reader: asyncio.StreamReader) -> tuple[str, dict[str, str], bytes] | None:
+    """Read one HTTP/1.1 message: ``(start line, headers, body)``.
 
-    Framing failures (malformed request line, a head over
-    :data:`MAX_HEADER_BYTES` or :data:`MAX_HEADER_LINES`, bad
-    Content-Length, oversized body) come back as a request whose ``error``
-    is set -- the caller responds with it and drops the connection, because
-    the stream position is no longer trustworthy.
+    The one frame reader of both sides of the wire: :func:`read_request`
+    frames requests with it, :class:`repro.cluster.transport.ShardTransport`
+    shard responses.  Returns ``None`` at a clean end of stream.  Raises
+    :class:`HttpError` when framing fails -- 431 ``header_too_large`` for a
+    head over :data:`MAX_HEADER_BYTES` or :data:`MAX_HEADER_LINES`, 400
+    ``bad_request`` for a bad Content-Length, 413 ``payload_too_large`` for
+    a body over :data:`MAX_BODY_BYTES` -- after which the stream position is
+    untrustworthy and the caller must drop the connection.
     """
-    try:
-        request_line = await reader.readline()
-    except ValueError:  # one line past the stream's buffer limit
-        return _head_too_large()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").strip().split()
-    if len(parts) != 3:
-        return HttpRequest(error=(400, "malformed request line"), close=True)
-    verb, target, version = parts
     headers: dict[str, str] = {}
-    size = len(request_line)
-    for _ in range(MAX_HEADER_LINES + 1):
-        try:
+    try:
+        start_line = await reader.readline()
+        if not start_line:
+            return None
+        size = len(start_line)
+        for _ in range(MAX_HEADER_LINES + 1):
             line = await reader.readline()
-        except ValueError:
-            return _head_too_large()
-        size += len(line)
-        if size > MAX_HEADER_BYTES:
-            return _head_too_large()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        return _head_too_large()
+            size += len(line)
+            if size > MAX_HEADER_BYTES:
+                raise ValueError
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise ValueError
+    except ValueError:  # over a bound, or one line past the stream's buffer limit
+        raise HttpError(431, _HEAD_TOO_LARGE, "header_too_large") from None
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:
         length = -1  # non-integer: rejected below with negatives
     if length < 0:
-        return HttpRequest(error=(400, "bad Content-Length"), close=True)
+        raise HttpError(400, "bad Content-Length")
     if length > MAX_BODY_BYTES:
-        return HttpRequest(
-            error=(413, f"request body exceeds {MAX_BODY_BYTES} bytes"), close=True
-        )
+        raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes", "payload_too_large")
     body = await reader.readexactly(length) if length else b""
+    return start_line.decode("latin-1").strip(), headers, body
+
+
+async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
+    """Read one request off ``reader``; ``None`` at a clean end of stream.
+
+    A framing failure (see :func:`read_frame`, or a malformed request line)
+    comes back as a request whose ``error`` is set -- the caller responds
+    with it and drops the connection.
+    """
+    try:
+        frame = await read_frame(reader)
+    except HttpError as error:
+        return HttpRequest(error=error, close=True)
+    if frame is None:
+        return None
+    request_line, headers, body = frame
+    parts = request_line.split()
+    if len(parts) != 3:
+        return HttpRequest(error=HttpError(400, "malformed request line"), close=True)
+    verb, target, version = parts
     close = (
         headers.get("connection", "").lower() == "close" or version.upper() == "HTTP/1.0"
     )
@@ -333,8 +351,15 @@ class HttpApp:
                 if request is None:
                     break
                 if request.error is not None:
-                    status, message = request.error
-                    await write(writer, status, {"error": message}, True)
+                    error = request.error
+                    trace_id = telemetry.new_trace_id()
+                    await write(
+                        writer,
+                        error.status,
+                        {"error": error.message, "code": error.code, "trace_id": trace_id},
+                        True,
+                        {"x-repro-trace-id": trace_id},
+                    )
                     break
                 self.registry.inc("requests_total")
                 headers = request.headers or {}

@@ -23,29 +23,23 @@ Workers join automatically: :func:`configure_shipping` exports the
 collector endpoint to ``REPRO_TRACE_COLLECTOR``, and
 ``tracing._load_env`` arms a fresh shipper in every pool worker process.
 
-Everything here is stdlib (``http.client`` for the POSTs) and touches no
-seeded RNG stream, preserving the determinism contract.
+The POSTs go through :class:`repro.service.client.ServiceClient` with
+``retries=0`` -- the flush loop owns the retry -- imported when a shipper
+is built.  Nothing here touches a seeded RNG stream, preserving the
+determinism contract.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import threading
 from collections import deque
-from typing import Callable, Iterable
-from urllib.parse import urlsplit
+from typing import Callable
 
 from repro.telemetry.tracing import ENV_VAR, configure
 
-__all__ = [
-    "ENV_COLLECTOR",
-    "SpanShipper",
-    "TraceCollector",
-    "configure_shipping",
-    "split_endpoint",
-]
+__all__ = ["ENV_COLLECTOR", "SpanShipper", "TraceCollector", "configure_shipping"]
 
 #: Environment variable carrying the collector ``host:port`` to spawned
 #: worker processes (the shipping analogue of ``REPRO_TRACE_FILE``).
@@ -54,16 +48,6 @@ ENV_COLLECTOR = "REPRO_TRACE_COLLECTOR"
 #: Keys an event must carry to be accepted by a collector: the minimum for
 #: ``repro trace summarize`` to place it in a tree.
 _REQUIRED_KEYS = ("name", "trace", "span", "dur_ms")
-
-
-def split_endpoint(endpoint: str) -> tuple[str, int]:
-    """``host:port`` (scheme optional) -> ``(host, port)``."""
-    if "//" not in endpoint:
-        endpoint = f"http://{endpoint}"
-    parts = urlsplit(endpoint)
-    if not parts.hostname or not parts.port:
-        raise ValueError(f"collector endpoint needs host:port, got {endpoint!r}")
-    return parts.hostname, parts.port
 
 
 def _global_registry():
@@ -97,21 +81,23 @@ class SpanShipper:
     ) -> None:
         if capacity <= 0 or batch_size <= 0:
             raise ValueError("capacity and batch_size must be positive")
+        from repro.service.client import ServiceClient, split_base_url
+
         self.endpoint = endpoint
-        self.host, self.port = split_endpoint(endpoint)
+        self.host, self.port = split_base_url(endpoint)
         self.capacity = int(capacity)
         self.batch_size = int(batch_size)
         self.flush_interval = float(flush_interval)
         self.timeout = float(timeout)
         self._registry = registry
-        self._transport = transport if transport is not None else self._post
+        self._client = ServiceClient(self.host, self.port, timeout=self.timeout, retries=0)
+        self._transport = transport
         self._queue: deque = deque()
         self._lock = threading.Lock()
         self._flush_lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._connection: http.client.HTTPConnection | None = None
 
     # ------------------------------------------------------------------ #
     # The hot path: called by tracing._emit for every finished span
@@ -152,15 +138,25 @@ class SpanShipper:
             self._wake.clear()
             self.flush()
         self.flush()
+        self._client.close()
+
+    def _deliver(self, batch: list) -> bool:
+        """One shipment of ``batch``; any failure reads as ``False``."""
+        try:
+            if self._transport is not None:
+                return bool(self._transport(batch))
+            self._client.request("POST", "/v1/traces", {"events": batch})
+            return True
+        except Exception:
+            return False
 
     def flush(self) -> int:
         """Ship the events queued when the call started; returns the number shipped.
 
-        Flushes run one at a time: the drain thread and any other caller
-        share one connection, and two POSTs interleaved on it both fail.
-        Events queued meanwhile wait for the next flush, so a POST that
-        itself emits spans (an in-process collector) cannot keep one flush
-        looping.
+        Flushes run one at a time, so batches reach the collector in queue
+        order.  Events queued meanwhile wait for the next flush, so a POST
+        that itself emits spans (an in-process collector) cannot keep one
+        flush looping.
         """
         shipped = 0
         with self._flush_lock:
@@ -173,59 +169,17 @@ class SpanShipper:
                         for _ in range(min(self.batch_size, remaining))
                     ]
                 remaining -= len(batch)
-                try:
-                    delivered = bool(self._transport(batch))
-                except Exception:
-                    delivered = False
-                if not delivered:
-                    # A torn keep-alive socket (the collector closes idle
-                    # connections between batches) fails exactly once and
-                    # succeeds on the fresh connection: one retry separates
-                    # that from a genuinely dead collector.
-                    try:
-                        delivered = bool(self._transport(batch))
-                    except Exception:
-                        delivered = False
-                if delivered:
+                # One retry separates a transient failure (a reset or a
+                # timeout mid-POST) from a genuinely dead collector.
+                if self._deliver(batch) or self._deliver(batch):
                     self._count("spans_shipped", len(batch))
                     shipped += len(batch)
                 else:
                     # A dead collector degrades to counted loss, never
-                    # blocking or unbounded growth; the next batch retries
-                    # the socket.
+                    # blocking or unbounded growth; the next batch dials
+                    # again.
                     self._count("spans_dropped", len(batch))
-                    self._drop_connection()
         return shipped
-
-    def _post(self, batch: list) -> bool:
-        body = json.dumps({"events": batch}, separators=(",", ":")).encode("utf-8")
-        connection = self._connection
-        if connection is None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            self._connection = connection
-        try:
-            connection.request(
-                "POST",
-                "/v1/traces",
-                body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            response.read()
-        except (OSError, http.client.HTTPException):
-            self._drop_connection()
-            raise
-        return 200 <= response.status < 300
-
-    def _drop_connection(self) -> None:
-        connection, self._connection = self._connection, None
-        if connection is not None:
-            try:
-                connection.close()
-            except OSError:
-                pass
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop the drain thread after a final flush (idempotent)."""
@@ -236,7 +190,7 @@ class SpanShipper:
             thread.join(timeout)
         else:
             self.flush()
-        self._drop_connection()
+        self._client.close()
 
 
 class TraceCollector:

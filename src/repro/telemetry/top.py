@@ -13,40 +13,37 @@ deps -- a dumb pipe gets plain text.
 
 from __future__ import annotations
 
-import http.client
-import json
 import time
 from typing import Any, Callable, Mapping
 
+from repro.service.client import ServiceClient, ServiceError
+
 __all__ = ["fetch_sample", "render_dashboard", "run_top"]
-
-
-def _get_json(host: str, port: int, path: str, timeout: float) -> dict | None:
-    connection = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        connection.request("GET", path)
-        response = connection.getresponse()
-        body = response.read()
-        if response.status != 200:
-            return None
-        return json.loads(body.decode("utf-8"))
-    except (OSError, ValueError, http.client.HTTPException):
-        return None
-    finally:
-        connection.close()
 
 
 def fetch_sample(
     host: str, port: int, *, scope: str = "fleet", timeout: float = 5.0
 ) -> dict:
-    """One poll: the metrics document (+SLO report when served) + a stamp."""
-    metrics = _get_json(host, port, f"/metrics?scope={scope}", timeout)
-    used_scope = scope
-    if metrics is None and scope != "local":
-        # Federation off, or the target is a bare shard: degrade to local.
-        metrics = _get_json(host, port, "/metrics", timeout)
-        used_scope = "local"
-    slo = _get_json(host, port, "/v1/slo", timeout)
+    """One poll: the metrics document (+SLO report when served) + a stamp.
+
+    A failed GET -- an error status, a body that is not JSON, a dead
+    target -- reads as ``None``.
+    """
+    with ServiceClient(host, port, timeout=timeout, retries=0) as client:
+
+        def get(path: str) -> dict | None:
+            try:
+                return client.request("GET", path)
+            except (ServiceError, OSError):
+                return None
+
+        metrics = get(f"/metrics?scope={scope}")
+        used_scope = scope
+        if metrics is None and scope != "local":
+            # Federation off, or the target is a bare shard: degrade to local.
+            metrics = get("/metrics")
+            used_scope = "local"
+        slo = get("/v1/slo")
     return {
         "at": time.time(),
         "scope": used_scope,

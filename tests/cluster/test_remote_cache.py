@@ -187,3 +187,21 @@ class TestPeerReadThrough:
             )
             assert served["cached"] is None
             assert server.registry["evaluations_computed"] == 1
+
+
+class TestPeerSpelling:
+    """A cache peer is parsed when the server is built, like a router's shards."""
+
+    def test_malformed_peer_fails_at_construction(self):
+        with pytest.raises(ValueError, match="'127.0.0.1:80x1' needs host:port"):
+            EvaluationServer(cache_peers=("127.0.0.1:80x1",))
+
+    def test_serve_rejects_a_peer_without_host_and_port(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        async def never(self, host, port):
+            raise AssertionError("a server with a malformed cache peer started")
+
+        monkeypatch.setattr(EvaluationServer, "serve_forever", never)
+        assert main(["serve", "--cache-peer", "http://"]) == 2
+        assert "'http://' needs host:port" in capsys.readouterr().err

@@ -156,3 +156,31 @@ class TestReconnect:
         with pytest.raises(ConnectionError):
             client.health()
         assert client.stats["reconnects"] == 0
+
+
+class _GarbageHandler(http.server.BaseHTTPRequestHandler):
+    """Answers with bytes that are not an HTTP response."""
+
+    def do_GET(self):
+        self.wfile.write(b"SURPRISE\r\n\r\n")
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+def test_an_unparseable_response_is_a_connection_error():
+    """Callers that map transport failures (``OSError``) to a miss or a
+    dropped batch must see a garbage answer as one too."""
+    stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _GarbageHandler)
+    thread = threading.Thread(target=stub.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with ServiceClient(port=stub.server_address[1], retries=0) as client:
+            with pytest.raises(ConnectionError, match="malformed response"):
+                client.health()
+    finally:
+        stub.shutdown()
+        stub.server_close()
+        thread.join(5.0)
+    assert not thread.is_alive()

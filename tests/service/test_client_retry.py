@@ -45,7 +45,7 @@ class TestBackoffSchedule:
                 ConnectionError("refused"),
             ]
         )
-        assert client._request("POST", "/v1/evaluate", {}) == {"ok": True}
+        assert client.request("POST", "/v1/evaluate", {}) == {"ok": True}
         # rng pinned to 1.0: delays are exactly base * 2**attempt, capped.
         assert sleeps == [0.1, 0.2, 0.4]
         assert calls["count"] == 4
@@ -54,7 +54,7 @@ class TestBackoffSchedule:
         client, sleeps, _ = _scripted_client(
             [ServiceError(429, "busy", code="saturated", retry_after=1.5)]
         )
-        assert client._request("GET", "/healthz") == {"ok": True}
+        assert client.request("GET", "/healthz") == {"ok": True}
         assert sleeps == [1.5]
 
     def test_jitter_scales_into_the_half_open_band(self):
@@ -68,7 +68,7 @@ class TestBackoffSchedule:
             [ServiceError(400, "unknown method", code="bad_request")]
         )
         with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/v1/evaluate", {})
+            client.request("POST", "/v1/evaluate", {})
         assert excinfo.value.status == 400
         assert sleeps == []
         assert calls["count"] == 1
@@ -78,7 +78,7 @@ class TestBackoffSchedule:
             [ServiceError(503, "draining", code="draining")] * 5, retries=2
         )
         with pytest.raises(ServiceError) as excinfo:
-            client._request("GET", "/v1/methods")
+            client.request("GET", "/v1/methods")
         assert excinfo.value.status == 503
         assert len(sleeps) == 2
         assert calls["count"] == 3
@@ -86,14 +86,14 @@ class TestBackoffSchedule:
     def test_zero_retries_disables_retrying(self):
         client, sleeps, calls = _scripted_client([ConnectionError("refused")], retries=0)
         with pytest.raises(ConnectionError):
-            client._request("GET", "/healthz")
+            client.request("GET", "/healthz")
         assert sleeps == [] and calls["count"] == 1
 
     def test_connection_errors_are_retried(self):
         client, sleeps, calls = _scripted_client(
             [ConnectionRefusedError("down"), TimeoutError("slow")]
         )
-        assert client._request("GET", "/healthz") == {"ok": True}
+        assert client.request("GET", "/healthz") == {"ok": True}
         assert calls["count"] == 3 and len(sleeps) == 2
 
     def test_rejects_bad_retry_configuration(self):
@@ -169,7 +169,7 @@ class TestRetryBudget:
             max_elapsed_s=0.25,
         )
         with pytest.raises(ServiceError) as excinfo:
-            client._request("GET", "/v1/methods")
+            client.request("GET", "/v1/methods")
         # Delays would be 0.1, 0.2, ...; the second sleep overruns 0.25 s,
         # so the client stops after one sleep and surfaces the typed 503.
         assert excinfo.value.status == 503
@@ -181,7 +181,7 @@ class TestRetryBudget:
             [ConnectionRefusedError("down")] * 10, max_elapsed_s=0.05
         )
         with pytest.raises(ConnectionRefusedError):
-            client._request("GET", "/healthz")
+            client.request("GET", "/healthz")
         assert sleeps == []  # even the first 0.1 s sleep would overrun
         assert calls["count"] == 1
 
@@ -190,7 +190,7 @@ class TestRetryBudget:
             [ServiceError(429, "busy", code="saturated")] * 2,
             max_elapsed_s=60.0,
         )
-        assert client._request("POST", "/v1/evaluate", {}) == {"ok": True}
+        assert client.request("POST", "/v1/evaluate", {}) == {"ok": True}
         assert sleeps == [0.1, 0.2]
         assert calls["count"] == 3
 
@@ -203,7 +203,7 @@ class TestRetryBudget:
             max_elapsed_s=6.0,
         )
         with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/v1/evaluate", {})
+            client.request("POST", "/v1/evaluate", {})
         # One honoured Retry-After (5 s) fits; a second would overrun.
         assert excinfo.value.status == 429
         assert sleeps == [5.0]

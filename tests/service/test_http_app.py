@@ -91,19 +91,20 @@ class TestErrorEnvelope:
         assert payload["trace_id"] == trace
 
 
-def _raw_exchange(port: int, head: bytes) -> bytes:
+def _raw_exchange(port: int, head: bytes, until: bytes = b"\r\n") -> bytes:
     """Send ``head`` from a thread while reading; returns the status line.
 
     The front answers an oversized head before reading all of it and then
     closes, so the tail of the send may meet a reset: only the answer that
-    arrived first matters.
+    arrived first matters.  With ``until=b""`` the whole answer up to the
+    close comes back instead.
     """
     sock = socket.create_connection(("127.0.0.1", port), timeout=30)
     sender = threading.Thread(target=_send_ignoring_reset, args=(sock, head))
     sender.start()
     received = b""
     try:
-        while b"\r\n" not in received:
+        while not until or until not in received:
             chunk = sock.recv(65536)
             if not chunk:
                 break
@@ -113,7 +114,7 @@ def _raw_exchange(port: int, head: bytes) -> bytes:
     finally:
         sender.join()
         sock.close()
-    return received.split(b"\r\n", 1)[0]
+    return received if not until else received.split(until, 1)[0]
 
 
 def _send_ignoring_reset(sock: socket.socket, data: bytes) -> None:
@@ -152,6 +153,32 @@ class TestHeaderBounds:
     def test_bare_lf_line_endings_are_accepted(self, fronts, role):
         head = b"GET /healthz HTTP/1.1\nHost: x\nConnection: close\n\n"
         assert _raw_exchange(fronts[role].port, head) == b"HTTP/1.1 200 OK"
+
+    @pytest.mark.parametrize(
+        "head, status, code",
+        [
+            (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+             431, "header_too_large"),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 200_000 + b"\r\n",
+             431, "header_too_large"),
+            (b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: 40000000\r\n\r\n",
+             413, "payload_too_large"),
+            (b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+             400, "bad_request"),
+        ],
+        ids=["long_line", "many_lines", "large_body", "bad_length"],
+    )
+    def test_framing_errors_answer_the_error_envelope(self, fronts, role, head, status, code):
+        response = _raw_exchange(fronts[role].port, head, until=b"")
+        response_head, _, body = response.partition(b"\r\n\r\n")
+        status_line, *header_lines = response_head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        payload = json.loads(body)
+        assert status_line.split()[1] == str(status)
+        assert set(payload) == {"error", "code", "trace_id"}
+        assert payload["code"] == code
+        assert payload["trace_id"] == headers["x-repro-trace-id"]
+        assert headers["Connection"] == "close"
 
 
 def test_each_front_frames_through_its_module_globals(monkeypatch):

@@ -373,11 +373,11 @@ class TestHttpTransport:
         assert "unknown method" in excinfo.value.message
 
         with pytest.raises(ServiceError) as excinfo:
-            live_client._request("GET", "/nowhere")
+            live_client.request("GET", "/nowhere")
         assert excinfo.value.status == 404
 
         with pytest.raises(ServiceError) as excinfo:
-            live_client._request("GET", "/v1/evaluate")
+            live_client.request("GET", "/v1/evaluate")
         assert excinfo.value.status == 405
 
         import http.client

@@ -8,13 +8,9 @@ import time
 
 import pytest
 
+from repro.service.client import split_base_url
 from repro.telemetry import tracing
-from repro.telemetry.collector import (
-    SpanShipper,
-    TraceCollector,
-    configure_shipping,
-    split_endpoint,
-)
+from repro.telemetry.collector import SpanShipper, TraceCollector, configure_shipping
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.summarize import load_events
 
@@ -32,14 +28,14 @@ def _shipper(transport, **kw):
     return SpanShipper("127.0.0.1:1", transport=transport, **kw)
 
 
-class TestSplitEndpoint:
+class TestSplitBaseUrl:
     def test_host_port_with_and_without_scheme(self):
-        assert split_endpoint("127.0.0.1:8100") == ("127.0.0.1", 8100)
-        assert split_endpoint("http://box:9") == ("box", 9)
+        assert split_base_url("127.0.0.1:8100") == ("127.0.0.1", 8100)
+        assert split_base_url("http://box:9") == ("box", 9)
 
     def test_missing_port_raises(self):
         with pytest.raises(ValueError, match="host:port"):
-            split_endpoint("127.0.0.1")
+            split_base_url("127.0.0.1")
 
 
 class TestSpanShipper:
@@ -170,6 +166,10 @@ class TestSpanShipper:
             assert calls[0] == ["s0"]
         finally:
             shipper.close()
+
+    def test_rejects_an_endpoint_without_a_port(self):
+        with pytest.raises(ValueError, match="host:port"):
+            SpanShipper("127.0.0.1", transport=lambda batch: True)
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError, match="positive"):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.telemetry.top import render_dashboard, run_top
+from repro.telemetry.top import fetch_sample, render_dashboard, run_top
 
 
 def _fleet_metrics():
@@ -121,3 +121,18 @@ class TestRunTop:
         code = run_top("127.0.0.1", 1, once=True, out=emitted.append)
         assert code == 1
         assert "no /metrics response" in emitted[0]
+
+
+class TestFetchSample:
+    def test_a_shard_answers_the_local_scope_and_no_slo(self):
+        """A shard refuses ``scope=fleet`` (400) and has no ``/v1/slo``
+        (404): the poll falls back to the local scope and reads the SLO as
+        missing."""
+        from repro.service import EvaluationServer, start_in_background
+
+        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+            sample = fetch_sample("127.0.0.1", handle.port)
+        assert sample["scope"] == "local"
+        assert "requests_total" in sample["metrics"]
+        assert sample["slo"] is None
+        assert sample["target"] == f"127.0.0.1:{handle.port}"
