@@ -17,11 +17,12 @@ for the template) rather than widening an existing schema.
 from __future__ import annotations
 
 import importlib
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.api.registry import BatchUnsupported, OptionSpec, register_batch, register_method
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__: list[str] = []
 
@@ -49,6 +50,8 @@ def import_kernels() -> None:
 
 def _variation_scales(variations) -> tuple[np.ndarray, np.ndarray]:
     """Split sweep variations into ``(p_scales, q_scales)`` arrays."""
+    import numpy as np
+
     p_scales = np.array([variation["p_scale"] for variation in variations])
     q_scales = np.array([variation["q_scale"] for variation in variations])
     return p_scales, q_scales

@@ -10,10 +10,9 @@ through JSON unchanged.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 __all__ = ["EvaluationRequest", "EvaluationResult"]
 
@@ -29,11 +28,11 @@ def _jsonable(value: Any) -> Any:
 
     Methods are free to return numpy values in their metrics (and callers to
     pass them as options); ``to_dict`` is the wire boundary, so everything
-    that crosses it must survive ``json.dumps`` unchanged.
+    that crosses it must survive ``json.dumps`` unchanged.  Without numpy
+    loaded no value can be a numpy one, so this never imports it.
     """
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]

@@ -17,10 +17,12 @@ The model's assumptions (stated explicitly in the paper, Section 2.2):
 3. statistically independent introduction of faults ("as though the design
    team ... tossed dice to decide whether to insert it or not").
 
-:class:`FaultModel` stores the parameter vectors, validates them, and offers
-constructors for the scenarios used throughout the paper (homogeneous models,
-randomly generated models, and models derived from failure-region geometry via
-:mod:`repro.demandspace`).
+:class:`FaultModel` stores the parameter vectors, validates them with the
+content rules of :mod:`repro.core.model_content` (the numpy-free module the
+service wire parser shares, so both accept and reject the same content with
+the same messages), and offers constructors for the scenarios used throughout
+the paper (homogeneous models, randomly generated models, and models derived
+from failure-region geometry via :mod:`repro.demandspace`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from repro.core.model_content import (
+    check_p_scale,
+    check_q_scale,
+    check_values,
+    fault_names,
+    typed_content,
+)
 
 __all__ = ["FaultClass", "FaultModel"]
 
@@ -78,6 +88,11 @@ class FaultModel:
         requiring ``sum(q) <= 1``.  Passing ``strict=False`` allows
         ``sum(q) > 1``, which the paper discusses as an acceptable pessimistic
         relaxation (Section 6.2); the flag is recorded on the instance.
+
+    Construction applies :func:`~repro.core.model_content.check_values`
+    (equal lengths, at least one fault, finite values in ``[0, 1]``, the
+    strict ``math.fsum(q) <= 1 + 1e-9``) and
+    :func:`~repro.core.model_content.fault_names`.
     """
 
     p: np.ndarray
@@ -91,28 +106,10 @@ class FaultModel:
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         if p.ndim != 1 or q.ndim != 1:
             raise ValueError("p and q must be 1-D arrays")
-        if p.size != q.size:
-            raise ValueError(f"p ({p.size}) and q ({q.size}) must have the same length")
-        if p.size == 0:
-            raise ValueError("a fault model must contain at least one potential fault")
-        if np.any(~np.isfinite(p)) or np.any(~np.isfinite(q)):
-            raise ValueError("p and q must be finite")
-        if np.any((p < 0.0) | (p > 1.0)):
-            raise ValueError("all p_i must lie in [0, 1]")
-        if np.any((q < 0.0) | (q > 1.0)):
-            raise ValueError("all q_i must lie in [0, 1]")
-        if self.strict and q.sum() > 1.0 + 1e-9:
-            raise ValueError(
-                "sum(q) exceeds 1, violating the non-overlapping failure-region "
-                "assumption; pass strict=False to accept the pessimistic relaxation "
-                f"(sum(q) = {q.sum():.6f})"
-            )
-        names = tuple(self.names) if self.names else tuple(f"fault_{i + 1}" for i in range(p.size))
-        if len(names) != p.size:
-            raise ValueError(f"expected {p.size} names, got {len(names)}")
+        check_values(p.tolist(), q.tolist(), self.strict)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", fault_names(self.names, p.size))
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -313,14 +310,8 @@ class FaultModel:
         expresses overall process quality (smaller ``k`` means a better
         process).
         """
-        if k < 0.0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        scaled_p = self.p * k
-        if np.any(scaled_p > 1.0):
-            raise ValueError(
-                f"scaling by k={k} pushes some p_i above 1 (max would be {scaled_p.max():.4f})"
-            )
-        return FaultModel(p=scaled_p, q=self.q.copy(), names=self.names, strict=self.strict)
+        check_p_scale(self.p_max, k)
+        return FaultModel(p=self.p * k, q=self.q.copy(), names=self.names, strict=self.strict)
 
     def rescaled(self, p_scale: float = 1.0, q_scale: float = 1.0) -> "FaultModel":
         """The model with every ``p_i`` times ``p_scale`` and every ``q_i`` times ``q_scale``.
@@ -330,8 +321,7 @@ class FaultModel:
         quality) composed with a uniform failure-region scaling.  Neutral
         scales return ``self`` unchanged, so derived-quantity caches survive.
         """
-        if q_scale < 0.0:
-            raise ValueError(f"q_scale must be non-negative, got {q_scale}")
+        check_q_scale(q_scale)
         if p_scale == 1.0 and q_scale == 1.0:
             return self
         model = self.scaled(p_scale) if p_scale != 1.0 else self
@@ -422,12 +412,18 @@ class FaultModel:
 
     @staticmethod
     def from_dict(data: Mapping) -> "FaultModel":
-        """Reconstruct a model from :meth:`to_dict` output."""
+        """Reconstruct a model from :meth:`to_dict` output (or any JSON model).
+
+        The JSON typing of :func:`~repro.core.model_content.typed_content`
+        applies: ``p`` and ``q`` are arrays of numbers, ``names`` is absent or
+        an array of strings, ``strict`` is absent or a boolean.
+        """
+        content = typed_content(data)
         return FaultModel(
-            p=np.asarray(data["p"], dtype=float),
-            q=np.asarray(data["q"], dtype=float),
-            names=tuple(data.get("names", ())),
-            strict=bool(data.get("strict", True)),
+            p=np.asarray(content["p"], dtype=float),
+            q=np.asarray(content["q"], dtype=float),
+            names=content["names"],
+            strict=content["strict"],
         )
 
     def __len__(self) -> int:

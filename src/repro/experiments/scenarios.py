@@ -15,6 +15,10 @@ failure-region layout of Fig. 2:
   the Fig. 2 reproduction);
 * :func:`fig2_failure_regions` -- the Fig. 2 layout on its own: a handful of
   simple-shaped regions plus a non-connected array of failure points.
+
+numpy and the model code load when a scenario is built, not when this module
+is imported: listing the scenario names (the CLI parser's ``--scenario``
+choices) loads neither.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from repro.core.fault_model import FaultModel
 from repro.stats.rng import ensure_rng
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core.fault_model import FaultModel
     from repro.demandspace.profiles import OperationalProfile
     from repro.demandspace.regions import FailureRegion
     from repro.demandspace.space import ContinuousDemandSpace
@@ -55,6 +59,10 @@ def high_quality_scenario() -> FaultModel:
     and small failure regions; the expected number of faults per version is
     about 0.12, so versions are usually fault-free.
     """
+    import numpy as np
+
+    from repro.core.fault_model import FaultModel
+
     return FaultModel(
         p=np.array([0.05, 0.03, 0.02, 0.01, 0.005]),
         q=np.array([1e-4, 5e-5, 2e-4, 1e-5, 5e-4]),
@@ -77,6 +85,8 @@ def many_small_faults_scenario(
     probabilities are a Dirichlet split of a total impact of 0.3, generated
     reproducibly from the given seed.
     """
+    from repro.core.fault_model import FaultModel
+
     generator = ensure_rng(rng)
     return FaultModel.random(
         generator,
@@ -95,6 +105,8 @@ def fig2_failure_regions(space: ContinuousDemandSpace | None = None) -> list[Fai
     stripe, one box near a corner, and one non-connected array of isolated
     failure points.
     """
+    import numpy as np
+
     from repro.demandspace.regions import BallRegion, BoxRegion, PointSetRegion
     from repro.demandspace.space import ContinuousDemandSpace
 
@@ -144,6 +156,9 @@ def protection_system_scenario(
     Monte Carlo against the profile, so the resulting fault model is consistent
     with the geometry by construction.
     """
+    import numpy as np
+
+    from repro.core.fault_model import FaultModel
     from repro.demandspace.profiles import (
         MixtureProfile,
         ProductProfile,

@@ -17,8 +17,19 @@ requests share one batched-kernel call.
 
 Parsing is strict: unknown keys, unknown methods, unknown options, wrong
 types and transforms the model rejects all raise ``ValueError`` here, which
-the server maps to a 400 response -- nothing invalid ever reaches the worker
-pool.
+the server and the router both map to the same 400 response -- nothing
+invalid ever reaches the worker pool.  Inline model content is typed
+strictly: ``p`` and ``q`` must be arrays of numbers (booleans are not
+numbers), ``names`` absent or an array of strings, ``strict`` absent or a
+boolean, and the message names the offending key.
+
+The model's content rules come from :mod:`repro.core.model_content`, the
+numpy-free module :class:`~repro.core.fault_model.FaultModel` also checks
+itself with: an inline model is parsed straight into its canonical content
+dict (the ``FaultModel.to_dict()`` shape) and its transforms are checked
+without building a model, so the router never loads numpy for inline-model
+traffic.  A ``"scenario"`` request builds its scenario's model, and loads
+numpy, in whichever process parses it.
 
 A parsed request carries its content identity: :meth:`ServiceRequest.digest`
 is the response-cache key (the same canonical-payload scheme as study cache
@@ -37,7 +48,7 @@ from typing import Any, Mapping
 from repro.api.registry import default_registry
 from repro.api.results import EvaluationRequest
 from repro.cache import canonical_json, text_digest
-from repro.core.fault_model import FaultModel
+from repro.core.model_content import check_rescaled, model_content
 from repro.grouping import evaluation_payload, group_payload, payload_text
 from repro.stats.rng import DEFAULT_SEED
 
@@ -175,8 +186,9 @@ def _reject_unknown(payload: Mapping, accepted: set[str], what: str) -> None:
         )
 
 
-def _parse_model(payload: Mapping) -> FaultModel:
-    """Resolve the request's model source (inline content XOR scenario)."""
+def _parse_model(payload: Mapping) -> dict:
+    """Resolve the request's model source (inline content XOR scenario) to
+    its canonical content dict."""
     has_model = payload.get("model") is not None
     has_scenario = payload.get("scenario") is not None
     if has_model == has_scenario:
@@ -187,15 +199,15 @@ def _parse_model(payload: Mapping) -> FaultModel:
         scenario = payload["scenario"]
         if not isinstance(scenario, str):
             raise ValueError(f"'scenario' must be a string, got {scenario!r}")
-        return get_scenario(scenario)
+        return get_scenario(scenario).to_dict()
     data = payload["model"]
     if not isinstance(data, Mapping):
         raise ValueError(f"'model' must be a JSON object, got {type(data).__name__}")
     try:
-        return FaultModel.from_dict(data)
+        return model_content(data)
     except KeyError as error:
         raise ValueError(f"model is missing required key {error}") from error
-    except (TypeError, ValueError) as error:
+    except ValueError as error:
         raise ValueError(f"invalid model: {error}") from error
 
 
@@ -254,9 +266,9 @@ def parse_evaluate_payload(payload) -> ServiceRequest:
     q_scale = _parse_scale(payload, "q_scale")
     # Model-dependent transform constraints (p_i pushed above 1, the strict
     # sum(q) <= 1 invariant) fail here, not in the worker pool.
-    model.rescaled(p_scale, q_scale)
+    check_rescaled(model["p"], model["q"], model["strict"], p_scale, q_scale)
     return ServiceRequest(
-        model_data=model.to_dict(),
+        model_data=model,
         method=method,
         options=resolved,
         seed=seed,
@@ -303,7 +315,7 @@ def parse_batch_payload(
             raise ValueError(f"request {index}: {error}") from error
         requests.append((request.method, request.option_dict()))
     stream_indices = _parse_stream_indices(payload.get("stream_indices"), len(requests))
-    return model.to_dict(), requests, seed, stream_indices
+    return model, requests, seed, stream_indices
 
 
 def _parse_stream_indices(raw, count: int) -> list[int] | None:

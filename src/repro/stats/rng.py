@@ -3,14 +3,17 @@
 All stochastic code in the library takes an explicit
 :class:`numpy.random.Generator`.  These helpers centralise how generators are
 created and split so that every simulation in the test-suite, the examples and
-the benchmark harness is reproducible from a single integer seed.
+the benchmark harness is reproducible from a single integer seed.  numpy is
+imported inside the helpers: a process that needs only :data:`DEFAULT_SEED`
+(the shard router) never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["default_rng", "spawn_rngs", "ensure_rng"]
 
@@ -28,6 +31,8 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
         Integer seed.  When ``None`` the library-wide :data:`DEFAULT_SEED` is
         used, so that "no seed" still means "reproducible".
     """
+    import numpy as np
+
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
@@ -40,6 +45,8 @@ def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     ``None`` (the library default seed).  This is the canonical way for public
     functions to accept a ``rng`` argument.
     """
+    import numpy as np
+
     if isinstance(rng, np.random.Generator):
         return rng
     return default_rng(rng)
@@ -67,4 +74,6 @@ def fixed_seed_sequence(seeds: Sequence[int]) -> list[np.random.Generator]:
     Useful in tests that need several *named* streams whose seeds are written
     out literally, so a failure can be re-run with the exact same stream.
     """
+    import numpy as np
+
     return [np.random.default_rng(int(seed)) for seed in seeds]

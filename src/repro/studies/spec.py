@@ -230,13 +230,12 @@ def _parse_base(data: Mapping, spec_dir: Path | None) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             model_dict = dict(_require_mapping(json.load(handle), f"model file {str(path)!r}"))
     # Validate eagerly so a bad model fails at parse time, not per point.
-    from repro.core.fault_model import FaultModel
+    from repro.core.model_content import model_content
 
     try:
-        model = FaultModel.from_dict(model_dict)
+        return {"model": model_content(model_dict)}
     except KeyError as error:
         raise ValueError(f"the base model is missing required key {error}") from None
-    return {"model": model.to_dict()}
 
 
 @dataclass(frozen=True)

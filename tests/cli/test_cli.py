@@ -158,6 +158,25 @@ class TestErrorPaths:
         assert main(["assess", "--model", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ({"strict": "false"}, "'strict' must be a boolean, got 'false'"),
+            ({"names": "xy"}, "'names' must be an array of strings, got str"),
+            ({"p": ["0.05", 0.02]}, "'p' must be an array of numbers, got element '0.05'"),
+        ],
+    )
+    def test_wrong_typed_model_content(self, tmp_path, capsys, command, mutation, message):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"p": [0.05, 0.02], "q": [0.1, 0.1], **mutation}),
+                        encoding="utf-8")
+        arguments = [command, "--model", str(path)]
+        if command == "evaluate":
+            arguments += ["--method", "moments"]
+        assert main(arguments) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
     def test_model_missing_required_key(self, tmp_path, capsys):
         path = tmp_path / "incomplete.json"
         path.write_text(json.dumps({"p": [0.05]}), encoding="utf-8")  # no "q"

@@ -513,3 +513,32 @@ class TestShutdown:
         logged = caplog.text + capfd.readouterr().err
         assert "CancelledError" not in logged
         assert "Exception in callback" not in logged
+
+
+class TestBadRequests:
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/v1/evaluate", {"model": {**MODEL, "strict": "false"}, "method": "moments"}),
+            ("/v1/evaluate", {"model": {**MODEL, "names": "xyz"}, "method": "moments"}),
+            ("/v1/evaluate", {"model": {**MODEL, "p": 0.1}, "method": "moments"}),
+            ("/v1/evaluate", {"model": MODEL, "method": "moments", "p_scale": 100.0}),
+            ("/v1/evaluate/batch", {"model": {**MODEL, "names": [1, 2, 3]},
+                                    "requests": ["moments"]}),
+            ("/v1/evaluate/batch", {"model": {**MODEL, "p": [True, False, 0.1]},
+                                    "requests": ["moments"]}),
+        ],
+    )
+    def test_router_and_shard_answer_the_same_400(self, path, payload):
+        """Wrong-typed or out-of-range model content: the router rejects it
+        itself with exactly the shard's status, code and message."""
+        with cluster(shards=1) as (servers, handles, _router, front):
+            answers = []
+            for port in (front.port, handles[0].port):
+                with pytest.raises(ServiceError) as excinfo:
+                    ServiceClient(port=port, retries=0).request("POST", path, payload)
+                error = excinfo.value
+                answers.append((error.status, error.code, error.detail))
+            assert answers[0] == answers[1]
+            assert answers[0][:2] == (400, "bad_request")
+            assert _computed(servers) == [0]

@@ -111,6 +111,51 @@ class TestParseEvaluate:
             parse_evaluate_payload([1, 2, 3])
 
 
+#: Wrong-typed inline model content and the key each rejection must name.
+WRONG_TYPED_MODELS = [
+    ({"strict": "false"}, "'strict' must be a boolean, got 'false'"),
+    ({"strict": None}, "'strict' must be a boolean, got None"),
+    ({"strict": 1}, "'strict' must be a boolean, got 1"),
+    ({"names": "xyz"}, "'names' must be an array of strings, got str"),
+    ({"names": [1, 2, 3]}, "'names' must be an array of strings, got element 1"),
+    ({"names": None}, "'names' must be an array of strings, got null"),
+    ({"p": ["0.1", "0.2", "0.3"]}, "'p' must be an array of numbers, got element '0.1'"),
+    ({"p": [True, False, 0.1]}, "'p' must be an array of numbers, got element True"),
+    ({"p": 0.1}, "'p' must be an array of numbers, got float"),
+    ({"q": [[0.1], [0.1], [0.1]]}, "'q' must be an array of numbers, got element [0.1]"),
+    ({"q": {"0": 0.1}}, "'q' must be an array of numbers, got dict"),
+]
+
+
+class TestStrictModelTyping:
+    """Wrong-typed model content is a 400, never a silent coercion."""
+
+    @pytest.mark.parametrize("mutation, message", WRONG_TYPED_MODELS)
+    def test_evaluate_rejects_wrong_types(self, small_model, mutation, message):
+        payload = _payload(small_model)
+        payload["model"].update(mutation)
+        with pytest.raises(ValueError) as excinfo:
+            parse_evaluate_payload(payload)
+        assert str(excinfo.value) == f"invalid model: {message}"
+
+    @pytest.mark.parametrize("mutation, message", WRONG_TYPED_MODELS)
+    def test_batch_rejects_wrong_types(self, small_model, mutation, message):
+        payload = {"model": {**small_model.to_dict(), **mutation}, "requests": ["moments"]}
+        with pytest.raises(ValueError) as excinfo:
+            parse_batch_payload(payload)
+        assert str(excinfo.value) == f"invalid model: {message}"
+
+    @pytest.mark.parametrize("mutation, message", WRONG_TYPED_MODELS)
+    def test_from_dict_rejects_wrong_types(self, small_model, mutation, message):
+        with pytest.raises(ValueError) as excinfo:
+            FaultModel.from_dict({**small_model.to_dict(), **mutation})
+        assert str(excinfo.value) == message
+
+    def test_integer_past_the_float_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="invalid model: p and q must be finite"):
+            parse_evaluate_payload({"model": {"p": [10**400], "q": [0.1]}, "method": "moments"})
+
+
 class TestStudyKeySharing:
     """Service digests deliberately share the study cache key space."""
 

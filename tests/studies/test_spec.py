@@ -180,6 +180,20 @@ class TestStudySpec:
         with pytest.raises(ValueError):
             StudySpec.from_dict(minimal_spec(base={"model": {"p": [2.0], "q": [0.1]}}))
 
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ({"strict": "false"}, "'strict' must be a boolean, got 'false'"),
+            ({"names": "x"}, "'names' must be an array of strings, got str"),
+            ({"p": [True]}, "'p' must be an array of numbers, got element True"),
+        ],
+    )
+    def test_wrong_typed_inline_model_rejected(self, mutation, message):
+        model = {"p": [0.1], "q": [0.1], **mutation}
+        with pytest.raises(ValueError) as excinfo:
+            StudySpec.from_dict(minimal_spec(base={"model": model}))
+        assert str(excinfo.value) == message
+
     def test_needs_at_least_one_method(self):
         with pytest.raises(ValueError, match="at least one method"):
             StudySpec.from_dict(minimal_spec(methods=[]))

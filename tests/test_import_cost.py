@@ -4,10 +4,13 @@ Every entry point -- the package, the CLI, a study, a shard, a router --
 starts a fresh interpreter, which compiles every module it imports.  The
 package namespaces are lazy and the CLI imports each command's modules in
 its handler, so start-up loads only what that entry point runs: no model
-code it does not use, and no scipy.  Only the Section 5 normal-approximation methods
-(``normal``, ``bounds``) and a few optional paths need scipy; every module
-imports it inside the functions that call it.  These checks run in fresh
-interpreters, because the test process itself has loaded everything.
+code it does not use, and no scipy.  Only the Section 5 normal-approximation
+methods (``normal``, ``bounds``) and a few optional paths need scipy; every
+module imports it inside the functions that call it.  The router (and the
+CLI parser that starts it) loads no numpy either: it checks inline model
+content with the numpy-free rules of :mod:`repro.core.model_content`.  These
+checks run in fresh interpreters, because the test process itself has loaded
+everything.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ _MODEL_STACK = (
 DENIED = {
     "repro": _MODEL_STACK + ("repro.api", "repro.core.fault_model", "repro.montecarlo.engine"),
     "repro.cli": _MODEL_STACK + (
-        "repro.api", "repro.cluster", "repro.montecarlo.engine", "repro.service",
-        "repro.studies.runner", "repro.studies.spec",
+        "numpy", "repro.api", "repro.cluster", "repro.core.fault_model",
+        "repro.montecarlo.engine", "repro.service", "repro.studies.runner",
+        "repro.studies.spec",
     ),
     "repro.studies": _MODEL_STACK + (
         "repro.cluster", "repro.core.pfd_distribution", "repro.montecarlo.engine",
@@ -72,9 +76,10 @@ DENIED = {
         "repro.cluster", "repro.core.pfd_distribution", "repro.montecarlo.engine",
         "repro.studies.runner",
     ),
-    # A router never runs a kernel.
+    # A router never runs a kernel, and checks model content without numpy.
     "repro.cluster.router": _MODEL_STACK + (
-        "repro.api.evaluate", "repro.core.pfd_distribution", "repro.montecarlo.engine",
+        "numpy", "repro.api.evaluate", "repro.core.fault_model",
+        "repro.core.pfd_distribution", "repro.montecarlo.engine",
         "repro.service.server", "repro.service.worker", "repro.studies",
     ),
 }
@@ -160,3 +165,29 @@ def test_normal_and_bounds_records_match_preloaded_scipy():
     eager = json.loads(_records(("normal", "bounds"), True))
     assert lazy["scipy"] is True
     assert lazy["records"] == eager["records"]
+
+
+def test_router_parses_inline_models_without_numpy():
+    """A router's whole request path for inline models -- parse, digest, group
+    key, batch route key -- loads no numpy; naming a scenario does."""
+    code = (
+        "import json, sys\n"
+        "from repro.cli import build_parser\n"
+        "build_parser()\n"
+        "from repro.cluster.router import ShardRouter\n"
+        "from repro.service.protocol import parse_batch_payload, parse_evaluate_payload\n"
+        "model = {'p': [0.05, 0.02, 1], 'q': [1e-4, 5e-4, 0], 'names': ['a', 'b', 'c']}\n"
+        "request = parse_evaluate_payload({'model': model, 'method': 'montecarlo', 'seed': 3,\n"
+        "                                  'p_scale': 0.5, 'q_scale': 2})\n"
+        "keys = [request.digest(), request.group_key(), request.payload_text()]\n"
+        "model_data, requests, _, _ = parse_batch_payload(\n"
+        "    {'model': model, 'requests': ['moments', {'method': 'exact', 'level': 0.9}]})\n"
+        "router = ShardRouter(['127.0.0.1:9'])\n"
+        "keys += [router._batch_route_key(model_data, *element) for element in requests]\n"
+        "inline = 'numpy' in sys.modules\n"
+        "parse_evaluate_payload({'scenario': 'high-quality', 'method': 'moments'})\n"
+        "print(json.dumps({'inline': inline, 'scenario': 'numpy' in sys.modules,\n"
+        "                  'keys': len(set(keys))}))\n"
+    )
+    output = json.loads(_run(code))
+    assert output == {"inline": False, "scenario": True, "keys": 5}
