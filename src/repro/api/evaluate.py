@@ -3,13 +3,14 @@
 :func:`evaluate` runs a single registered method against a model and returns
 a typed :class:`~repro.api.results.EvaluationResult`; :func:`evaluate_batch`
 runs many requests against the same model in the calling process, sharing
-exact PFD distributions between them; :func:`evaluate_sweep` runs *one*
+exact PFD distributions between them; :func:`sweep_outcomes` runs *one*
 method across many model variations (``p_scale`` / ``q_scale`` sweep
 points), dispatching to the method's batched kernel when it registered one
 (:func:`~repro.api.registry.register_batch`) and falling back to scalar
-per-variation evaluation otherwise.  The CLI's ``evaluate`` subcommand and
-the study runner are thin layers over these functions, so a method
-registered once behaves identically everywhere.
+per-variation evaluation otherwise; :func:`evaluate_sweep` wraps it.  The
+CLI's ``evaluate`` subcommand, the study runner and the service worker are
+thin layers over these functions, so a method registered once behaves
+identically everywhere.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from repro.api.registry import (
     default_registry,
 )
 from repro.api.results import EvaluationRequest, EvaluationResult
+from repro.core.model_content import parse_transform
 from repro.stats.rng import DEFAULT_SEED
 
-__all__ = ["evaluate", "evaluate_batch", "evaluate_sweep"]
+__all__ = ["evaluate", "evaluate_batch", "evaluate_sweep", "sweep_outcomes"]
 
 
 def _normalise_entropy(seed) -> tuple[int, ...] | None:
@@ -239,49 +241,7 @@ def evaluate_batch(
 # --------------------------------------------------------------------- #
 # Sweeps: one method, many model variations
 # --------------------------------------------------------------------- #
-def _coerce_variation(variation) -> dict:
-    """Normalise one sweep variation into ``{"p_scale", "q_scale"}`` floats."""
-    if not isinstance(variation, Mapping):
-        raise ValueError(
-            f"a sweep variation must be a mapping with p_scale/q_scale, got {variation!r}"
-        )
-    unknown = sorted(set(variation) - {"p_scale", "q_scale"})
-    if unknown:
-        raise ValueError(
-            f"sweep variations accept only p_scale/q_scale, got {', '.join(unknown)}"
-        )
-    return {
-        "p_scale": float(variation.get("p_scale", 1.0)),
-        "q_scale": float(variation.get("q_scale", 1.0)),
-    }
-
-
-def _variation_error(model, variation: Mapping) -> str | None:
-    """The error a variation would raise when applied to ``model``, if any.
-
-    Mirrors :meth:`FaultModel.rescaled` so batched kernels can report
-    per-variation failures without giving up the whole sweep.
-    """
-    p_scale, q_scale = variation["p_scale"], variation["q_scale"]
-    if not np.isfinite(p_scale) or p_scale < 0.0:
-        return f"k must be non-negative, got {p_scale}"
-    if not np.isfinite(q_scale) or q_scale < 0.0:
-        return f"q_scale must be non-negative, got {q_scale}"
-    scaled_max = p_scale * model.p_max
-    if scaled_max > 1.0:
-        return (
-            f"scaling by k={p_scale} pushes some p_i above 1 "
-            f"(max would be {scaled_max:.4f})"
-        )
-    if model.strict and q_scale * model.total_impact > 1.0 + 1e-9:
-        return (
-            f"sum(q) exceeds 1 after q_scale={q_scale}, violating the "
-            "non-overlapping failure-region assumption"
-        )
-    return None
-
-
-def _sweep_outcome_triples(
+def sweep_outcomes(
     model,
     method: str,
     variations: Sequence,
@@ -290,32 +250,68 @@ def _sweep_outcome_triples(
     seed=None,
     variation_seeds: Sequence | None = None,
     registry: MethodRegistry | None = None,
-) -> tuple[bool, list[tuple[str, Any, tuple[int, ...] | None]]]:
-    """Core sweep dispatch: ``(status, payload, entropy)`` per variation.
+) -> tuple[bool, list[tuple[str, Any]]]:
+    """The one sweep core: ``method`` at every variation of ``model``, one outcome per point.
 
-    Returns ``(batched, outcomes)``; ``batched`` says whether the method's
-    batched kernel produced the valid points (``False``: no kernel, the
-    kernel declined, or no variation was valid).  The third element records
-    the seed entropy the point's result actually came from (the shared
-    sweep entropy on the batched path, the per-variation stream otherwise;
-    ``None`` for deterministic methods and live generators).
+    :func:`evaluate_sweep`, the study runner's group tasks and the service's
+    micro-batched groups all dispatch through here.  Returns ``(batched,
+    outcomes)``: ``outcomes[i]`` is ``("ok", EvaluationResult)`` or
+    ``("error", "ValueError: ...")`` for variation ``i``, and ``batched``
+    says whether the method's batched kernel produced the valid points
+    (``False``: no kernel, the kernel declined, or no point was valid).
+
+    Each variation is a mapping with optional ``p_scale`` / ``q_scale`` keys
+    (1.0 when absent); any other key raises ``ValueError`` before anything
+    runs.  Every point is checked by
+    :func:`repro.core.model_content.parse_transform` -- typed as the service
+    wire types it, then held to the rules of :meth:`FaultModel.rescaled`
+    with the same messages -- before any kernel runs.  An invalid point
+    becomes its own error outcome and its siblings are still computed, so
+    a sweep gives every point the outcome its one-point sweep gives.
+
+    When the method registered a batched kernel, the valid points are
+    evaluated in one kernel call sharing a single random stream derived
+    from ``seed`` -- for stochastic methods this is the common-random-numbers
+    mode: every point scored against the same sampled developments (see
+    :mod:`repro.montecarlo.sweep`).  Otherwise each point is evaluated on
+    its own rescaled model; stochastic methods then draw from
+    ``variation_seeds[i]`` when given (the study runner passes its
+    content-keyed per-point entropies) and from the child streams ``(seed,
+    i)`` otherwise.  A result's ``seed_entropy`` is the entropy its stream
+    actually came from (``None`` for deterministic methods and live
+    generators), and its ``elapsed_seconds`` the sweep time amortised over
+    the points.
     """
     target = registry if registry is not None else default_registry()
     definition = target.get(method)
     resolved = target.resolve_options(method, options)
-    coerced = [_coerce_variation(variation) for variation in variations]
-    if variation_seeds is not None and len(variation_seeds) != len(coerced):
+    variations = tuple(variations)
+    if variation_seeds is not None and len(variation_seeds) != len(variations):
         raise ValueError(
-            f"variation_seeds ({len(variation_seeds)}) must match variations ({len(coerced)})"
+            f"variation_seeds ({len(variation_seeds)}) must match variations ({len(variations)})"
         )
-    outcomes: dict[int, tuple[str, Any, tuple[int, ...] | None]] = {}
-    valid: list[int] = []
-    for index, variation in enumerate(coerced):
-        error = _variation_error(model, variation)
-        if error is None:
-            valid.append(index)
-        else:
+    start = time.perf_counter()
+    # The model's float lists, taken once: each point's check builds no model.
+    p, q = model.p.tolist(), model.q.tolist()
+    outcomes: list[tuple[str, Any, tuple[int, ...] | None]] = [None] * len(variations)
+    valid: dict[int, dict] = {}
+    for index, variation in enumerate(variations):
+        if not isinstance(variation, Mapping):
+            raise ValueError(
+                f"a sweep variation must be a mapping with p_scale/q_scale, got {variation!r}"
+            )
+        unknown = sorted(set(variation) - {"p_scale", "q_scale"})
+        if unknown:
+            raise ValueError(
+                f"sweep variations accept only p_scale/q_scale, got {', '.join(unknown)}"
+            )
+        try:
+            p_scale, q_scale = parse_transform(variation, p, q, model.strict)
+        except ValueError as error:
             outcomes[index] = ("error", f"ValueError: {error}", None)
+        else:
+            valid[index] = {"p_scale": p_scale, "q_scale": q_scale}
+    batched = False
     if valid and definition.supports_batch:
         entropy = _normalise_entropy(seed)
         rng = None
@@ -325,7 +321,7 @@ def _sweep_outcome_triples(
             )
         try:
             metric_rows = definition.evaluate_batch(
-                model, tuple(coerced[index] for index in valid), resolved, rng
+                model, tuple(valid.values()), resolved, rng
             )
         except BatchUnsupported:
             metric_rows = None
@@ -343,72 +339,48 @@ def _sweep_outcome_triples(
                         f"batched evaluator of {method!r} must yield metric mappings, "
                         f"got {type(metrics).__name__}"
                     )
-                outcomes[index] = ("ok", dict(metrics), shared)
-            return True, [outcomes[index] for index in range(len(coerced))]
-    # Scalar path (no batched kernel, or it declined): one transformed model
-    # per variation.
-    entropy = _normalise_entropy(seed) if definition.requires_seed else None
-    for index, variation in enumerate(coerced):
-        if index in outcomes:
-            continue
-        point_entropy: tuple[int, ...] | None = None
-        if definition.requires_seed:
-            if variation_seeds is not None:
-                point_seed = tuple(int(part) for part in variation_seeds[index])
-                point_entropy = point_seed
-            elif entropy is None:
-                point_seed = seed  # a live Generator, consumed sequentially
+                outcomes[index] = ("ok", metrics, shared)
+            batched = True
+    if not batched:
+        # Scalar path (no batched kernel, or it declined): one rescaled
+        # model per point.
+        entropy = _normalise_entropy(seed) if definition.requires_seed else None
+        for index, variation in valid.items():
+            point_entropy: tuple[int, ...] | None = None
+            if definition.requires_seed:
+                if variation_seeds is not None:
+                    point_seed = tuple(int(part) for part in variation_seeds[index])
+                    point_entropy = point_seed
+                elif entropy is None:
+                    point_seed = seed  # a live Generator, consumed sequentially
+                else:
+                    point_seed = (*entropy, index)
+                    point_entropy = point_seed
             else:
-                point_seed = (*entropy, index)
-                point_entropy = point_seed
-        else:
-            point_seed = None
-        try:
-            transformed = model.rescaled(variation["p_scale"], variation["q_scale"])
-            result = _run_definition(definition, transformed, resolved, point_seed)
-        except Exception as error:  # noqa: BLE001 - reported per variation
-            outcomes[index] = ("error", f"{type(error).__name__}: {error}", None)
-        else:
-            outcomes[index] = ("ok", result.metric_dict(), point_entropy)
-    return False, [outcomes[index] for index in range(len(coerced))]
-
-
-def evaluate_sweep_outcomes(
-    model,
-    method: str,
-    variations: Sequence,
-    *,
-    options: Mapping[str, Any] | None = None,
-    seed=None,
-    variation_seeds: Sequence | None = None,
-    registry: MethodRegistry | None = None,
-) -> list[tuple[str, Any]]:
-    """Per-variation outcomes of a sweep: ``("ok", metrics)`` or ``("error", message)``.
-
-    The salvage-friendly core behind :func:`evaluate_sweep` (which raises on
-    the first error) and the study runner's group dispatch (which must
-    report one bad sweep point without discarding its siblings).
-
-    When the method registered a batched kernel, the *valid* variations are
-    evaluated in one batched call sharing a single random stream derived
-    from ``seed`` -- for stochastic methods this is the common-random-numbers
-    mode: every point scored against the same sampled developments (see
-    :mod:`repro.montecarlo.sweep`).  Otherwise each variation is evaluated
-    on its own transformed model; stochastic methods then draw from
-    ``variation_seeds[i]`` when given (the study runner passes its
-    content-keyed per-point entropies, keeping scalar-mode results bitwise
-    reproducible) and from the child streams ``(seed, i)`` otherwise.
-    """
-    _, outcomes = _sweep_outcome_triples(
-        model,
-        method,
-        variations,
-        options=options,
-        seed=seed,
-        variation_seeds=variation_seeds,
-        registry=registry,
-    )
-    return [(status, payload) for status, payload, _ in outcomes]
+                point_seed = None
+            try:
+                transformed = model.rescaled(variation["p_scale"], variation["q_scale"])
+                result = _run_definition(definition, transformed, resolved, point_seed)
+            except Exception as error:  # noqa: BLE001 - reported per variation
+                outcomes[index] = ("error", f"{type(error).__name__}: {error}", None)
+            else:
+                outcomes[index] = ("ok", result.metrics, point_entropy)
+    elapsed = (time.perf_counter() - start) / max(len(variations), 1)
+    return batched, [
+        (
+            status,
+            EvaluationResult(
+                method=method,
+                options=resolved,
+                metrics=payload,
+                seed_entropy=entropy,
+                elapsed_seconds=elapsed,
+            )
+            if status == "ok"
+            else payload,
+        )
+        for status, payload, entropy in outcomes
+    ]
 
 
 def evaluate_sweep(
@@ -422,6 +394,9 @@ def evaluate_sweep(
     **kwargs,
 ) -> list[EvaluationResult]:
     """Evaluate one method across many model variations, batched when possible.
+
+    A wrapper of :func:`sweep_outcomes` that raises on the first failed
+    point instead of returning it.
 
     Parameters
     ----------
@@ -440,7 +415,9 @@ def evaluate_sweep(
     variations:
         Sweep points: mappings with optional ``p_scale`` (every ``p_i``
         multiplied, the Appendix B process-quality knob) and ``q_scale``
-        (every ``q_i`` multiplied) keys, both defaulting to 1.0.
+        (every ``q_i`` multiplied) keys, both defaulting to 1.0.  A scale
+        is a number (not a string or a boolean), finite and non-negative,
+        and the rescaled model must be valid (:meth:`FaultModel.rescaled`).
     seed:
         Randomness for seed-consuming methods.  Batched stochastic methods
         share *one* stream derived from it across the whole sweep (common
@@ -448,16 +425,17 @@ def evaluate_sweep(
         world -- faster, and cross-point comparisons have lower variance,
         but points are dependent and the values differ from per-point
         independent streams).  A point's value still depends only on the
-        seed and that point: it equals the point's one-point sweep.  The scalar fallback derives one
-        child stream per variation from ``(seed, index)``, matching
-        :func:`evaluate_batch`.
+        seed and that point: it equals the point's one-point sweep.  The
+        scalar fallback derives one child stream per variation from
+        ``(seed, index)``, matching :func:`evaluate_batch`.
     options, **kwargs:
         Method options, shared by every variation (same spelling rules as
         :func:`evaluate`).
 
     Returns one :class:`EvaluationResult` per variation, in input order;
-    ``elapsed_seconds`` is amortised (total sweep time / points) on the
-    batched path.  Raises on the first invalid variation.
+    ``elapsed_seconds`` is amortised (total sweep time / points).  Raises
+    ``ValueError("sweep variation i: ...")`` on the first invalid or failed
+    point.
 
     Examples
     --------
@@ -467,36 +445,10 @@ def evaluate_sweep(
     """
     target = registry if registry is not None else default_registry()
     resolved = target.resolve_options(method, {**dict(options or {}), **kwargs})
-    start = time.perf_counter()
-    _, outcomes = _sweep_outcome_triples(
+    _, outcomes = sweep_outcomes(
         model, method, variations, options=resolved, seed=seed, registry=target
     )
-    return _sweep_results(method, resolved, outcomes, time.perf_counter() - start)
-
-
-def _sweep_results(
-    method: str, resolved: dict, outcomes: Sequence, elapsed: float
-) -> list[EvaluationResult]:
-    """Wrap sweep outcomes as results; raises on the first failed variation.
-
-    ``elapsed_seconds`` is amortised over the points.
-    """
-    results: list[EvaluationResult] = []
-    for index, (status, payload, entropy) in enumerate(outcomes):
+    for index, (status, outcome) in enumerate(outcomes):
         if status == "error":
-            raise ValueError(f"sweep variation {index}: {payload}")
-        results.append(
-            EvaluationResult(
-                method=method,
-                options=resolved,
-                metrics=dict(payload),
-                # The entropy the point's stream was actually derived from:
-                # the shared sweep entropy on the batched path, the (seed,
-                # index) child on the scalar fallback -- either reproduces
-                # the point via ``evaluate(..., seed=result.seed_entropy)``
-                # or the batched sweep via ``evaluate_sweep(..., seed=...)``.
-                seed_entropy=entropy,
-                elapsed_seconds=elapsed / max(len(outcomes), 1),
-            )
-        )
-    return results
+            raise ValueError(f"sweep variation {index}: {outcome}")
+    return [result for _, result in outcomes]

@@ -350,11 +350,15 @@ def register_batch(
 
     The decorated function is called as ``evaluate_batch(model, variations,
     options, rng)`` with the *base* (untransformed) model, a tuple of
-    ``{"p_scale", "q_scale"}`` variations, the fully resolved options shared
-    by every variation, and one shared random stream (``None`` for
-    deterministic methods).  It must return one metric mapping per
-    variation, in order, or raise :class:`BatchUnsupported` to make the
-    caller fall back to per-variation scalar evaluation.  A deterministic
+    ``{"p_scale", "q_scale"}`` float variations, the fully resolved options
+    shared by every variation, and one shared random stream (``None`` for
+    deterministic methods).  Kernels receive only valid variations: the
+    sweep core (:func:`repro.api.evaluate.sweep_outcomes`) has already
+    checked each against :meth:`FaultModel.rescaled`'s rules and reports
+    the invalid ones as per-point errors without calling the kernel.  It
+    must return one metric mapping per variation, in order, or raise
+    :class:`BatchUnsupported` to make the caller fall back to per-variation
+    scalar evaluation.  A deterministic
     kernel must return, per variation, exactly the record the scalar method
     gives ``model.rescaled(p_scale, q_scale)``; the study runner relies on
     that and splits deterministic groups across workers.  Any kernel must

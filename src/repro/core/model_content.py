@@ -10,19 +10,24 @@ model content -- the shard router -- never loads numpy:
 * :func:`check_values` and :func:`fault_names` -- equal lengths, at least one
   fault, finite values, ``p_i`` and ``q_i`` in ``[0, 1]``, the strict
   ``sum(q) <= 1`` check and the per-fault labels;
-* :func:`check_p_scale`, :func:`check_q_scale` and :func:`check_rescaled` --
-  the ``p_scale``/``q_scale`` sweep transforms;
+* :func:`parse_scale`, :func:`check_p_scale`, :func:`check_q_scale`,
+  :func:`check_rescaled` and :func:`parse_transform` -- the
+  ``p_scale``/``q_scale`` sweep transforms: the typing of a scale and the
+  rules of applying it to a model;
 * :func:`model_content` -- all of the above, returning the canonical content
   dict (the :meth:`FaultModel.to_dict` shape) that request digests hash.
 
 :class:`~repro.core.fault_model.FaultModel` calls these rules for its own
 checks, so a model and the wire parser accept and reject exactly the same
-content, with the same messages.
+content, with the same messages.  Every surface that takes a sweep transform
+-- the wire parser, :func:`repro.api.evaluate.sweep_outcomes`, study specs
+and the Monte Carlo sweep kernel -- checks it here and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -32,6 +37,8 @@ __all__ = [
     "check_values",
     "fault_names",
     "model_content",
+    "parse_scale",
+    "parse_transform",
     "typed_content",
 ]
 
@@ -120,7 +127,8 @@ def check_p_scale(p_max: float, k: float) -> None:
     """Rules of scaling every ``p_i`` by ``k``, given ``p_max = max(p_i)``.
 
     Rounding a product by ``k >= 0`` is monotone, so ``p_max * k`` is the
-    largest scaled ``p_i`` exactly.
+    largest scaled ``p_i`` exactly, and it is not finite exactly when some
+    scaled ``p_i`` is not (a NaN ``k``, or an infinite one on all-zero ``p``).
     """
     if k < 0.0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -128,6 +136,8 @@ def check_p_scale(p_max: float, k: float) -> None:
         raise ValueError(
             f"scaling by k={k} pushes some p_i above 1 (max would be {p_max * k:.4f})"
         )
+    if not math.isfinite(p_max * k):
+        raise ValueError("p and q must be finite")
 
 
 def check_q_scale(q_scale: float) -> None:
@@ -139,18 +149,51 @@ def check_q_scale(q_scale: float) -> None:
 def check_rescaled(
     p: Sequence[float], q: Sequence[float], strict: bool, p_scale: float, q_scale: float
 ) -> None:
-    """Reject exactly the transforms :meth:`FaultModel.rescaled` rejects.
+    """Reject exactly the transforms :meth:`FaultModel.rescaled` rejects, with its messages.
 
-    ``p`` and ``q`` must already satisfy :func:`check_values`.  Scaling
-    ``p`` cannot break a ``q`` rule, and a scaled ``p`` that passes
-    :func:`check_p_scale` still lies in ``[0, 1]``, so the scaled ``q`` is
-    checked against the unscaled ``p``.
+    ``p`` and ``q`` must already satisfy :func:`check_values`.  The steps
+    are those of ``rescaled``: the ``q_scale`` sign, then ``p`` scaled by
+    ``p_scale``, then ``q`` by ``q_scale``.  A NaN or infinite scale fails
+    as the model it would build does.  A scaled ``p`` that passes
+    :func:`check_p_scale` is finite and lies in ``[0, 1]``, and scaling
+    ``p`` cannot break a ``q`` rule, so the scaled ``q`` is checked against
+    the unscaled ``p``.
     """
     check_q_scale(q_scale)
     if p_scale != 1.0:
         check_p_scale(max(p), p_scale)
     if q_scale != 1.0:
         check_values(p, [value * q_scale for value in q], strict)
+
+
+def parse_scale(value: Any, name: str) -> float:
+    """A transform value given under key ``name``, typed as the service wire types it.
+
+    A scale is a number (booleans are not numbers), finite and non-negative;
+    the messages name the key.  Returns the value as a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"'{name}' must be a number, got {value!r}")
+    scale = _float(value)
+    if not math.isfinite(scale) or scale < 0.0:
+        raise ValueError(f"'{name}' must be a finite non-negative number, got {value!r}")
+    return scale
+
+
+def parse_transform(
+    data: Mapping, p: Sequence[float], q: Sequence[float], strict: bool
+) -> tuple[float, float]:
+    """The ``(p_scale, q_scale)`` of ``data`` (absent keys are 1.0), checked against a model.
+
+    Types both scales with :func:`parse_scale`, then applies
+    :func:`check_rescaled` to the model's float lists ``p`` and ``q``: what
+    passes is exactly what :meth:`FaultModel.rescaled` accepts.  Callers
+    checking many transforms of one model take its lists once.
+    """
+    p_scale = parse_scale(data.get("p_scale", 1.0), "p_scale")
+    q_scale = parse_scale(data.get("q_scale", 1.0), "q_scale")
+    check_rescaled(p, q, strict, p_scale, q_scale)
+    return p_scale, q_scale
 
 
 def model_content(data: Mapping) -> dict:

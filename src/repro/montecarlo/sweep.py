@@ -55,11 +55,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from repro import telemetry
 from repro.core.fault_model import FaultModel
+from repro.core.model_content import parse_transform
 from repro.montecarlo import engine
 from repro.stats.rng import ensure_rng
 from repro.stats.streaming import StreamingMoments
@@ -332,8 +334,10 @@ def simulate_scaled_sweep(
         Number of simulated developments, shared by every point.
     variations:
         Sequence of ``(p_scale, q_scale)`` pairs or mappings with those keys
-        (missing keys default to 1.0).  Every ``p_scale * max(p)`` must stay
-        within ``[0, 1]``.
+        (missing keys default to 1.0).  Each is checked by
+        :func:`repro.core.model_content.parse_transform`: a variation
+        :meth:`FaultModel.rescaled` would reject raises its ``ValueError``
+        before anything is sampled.
     versions:
         Versions per replication; the system is their 1-out-of-r
         intersection and ``single`` describes the first version.
@@ -349,35 +353,21 @@ def simulate_scaled_sweep(
         raise ValueError(f"replications must be positive, got {replications}")
     if versions < 1:
         raise ValueError(f"versions must be a positive integer, got {versions}")
+    p, q = model.p.tolist(), model.q.tolist()
     pairs = []
     for variation in variations:
-        if isinstance(variation, dict):
-            p_scale = float(variation.get("p_scale", 1.0))
-            q_scale = float(variation.get("q_scale", 1.0))
-        else:
-            p_scale, q_scale = (float(part) for part in variation)
-        pairs.append((p_scale, q_scale))
+        if not isinstance(variation, Mapping):
+            p_scale, q_scale = variation
+            variation = {"p_scale": p_scale, "q_scale": q_scale}
+        pairs.append(parse_transform(variation, p, q, model.strict))
     if not pairs:
         return []
-    p_scales = np.array([pair[0] for pair in pairs])
-    q_scales = np.array([pair[1] for pair in pairs])
-    if np.any(~np.isfinite(p_scales)) or np.any(p_scales < 0.0):
-        raise ValueError("p_scale values must be finite and non-negative")
-    if np.any(~np.isfinite(q_scales)) or np.any(q_scales < 0.0):
-        raise ValueError("q_scale values must be finite and non-negative")
-    scaled_max = p_scales * model.p_max
-    if np.any(scaled_max > 1.0):
-        worst = float(p_scales[np.argmax(scaled_max)])
-        raise ValueError(
-            f"scaling by p_scale={worst} pushes some p_i above 1 "
-            f"(max would be {float(scaled_max.max()):.4f})"
-        )
     generator = ensure_rng(rng)
     # Coarse kernel span, emitted via record() at the end: the sampled
     # compute dominates from here on and re-indenting the whole kernel
     # under a ``with`` buys nothing.
     kernel_started = time.perf_counter()
-    grid = sorted(set(p_scales.tolist()))
+    grid = sorted({p_scale for p_scale, _ in pairs})
     top = _level(grid[-1])
 
     # One stream per version, spawned as the engine does for multi-version

@@ -48,7 +48,7 @@ from typing import Any, Mapping
 from repro.api.registry import default_registry
 from repro.api.results import EvaluationRequest
 from repro.cache import canonical_json, text_digest
-from repro.core.model_content import check_rescaled, model_content
+from repro.core.model_content import model_content, parse_transform
 from repro.grouping import evaluation_payload, group_payload, payload_text
 from repro.stats.rng import DEFAULT_SEED
 
@@ -233,16 +233,6 @@ def parse_timeout_ms(value) -> float | None:
     return timeout
 
 
-def _parse_scale(payload: Mapping, name: str) -> float:
-    value = payload.get(name, 1.0)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"'{name}' must be a number, got {value!r}")
-    scale = float(value)
-    if not math.isfinite(scale) or scale < 0.0:
-        raise ValueError(f"'{name}' must be a finite non-negative number, got {value!r}")
-    return scale
-
-
 def parse_evaluate_payload(payload) -> ServiceRequest:
     """Validate a ``/v1/evaluate`` body into a :class:`ServiceRequest`.
 
@@ -262,11 +252,9 @@ def parse_evaluate_payload(payload) -> ServiceRequest:
         raise ValueError(f"'options' must be a JSON object, got {type(options).__name__}")
     resolved = registry.resolve_options(method, options)
     seed = _parse_seed(payload.get("seed"))
-    p_scale = _parse_scale(payload, "p_scale")
-    q_scale = _parse_scale(payload, "q_scale")
-    # Model-dependent transform constraints (p_i pushed above 1, the strict
-    # sum(q) <= 1 invariant) fail here, not in the worker pool.
-    check_rescaled(model["p"], model["q"], model["strict"], p_scale, q_scale)
+    # Transform typing and the model-dependent constraints (p_i pushed above
+    # 1, the strict sum(q) <= 1 invariant) fail here, not in the worker pool.
+    p_scale, q_scale = parse_transform(payload, model["p"], model["q"], model["strict"])
     return ServiceRequest(
         model_data=model,
         method=method,

@@ -10,14 +10,14 @@ is **byte-identical** to what the public API returns for the same inputs --
 
 * :func:`evaluate_single` is ``repro.evaluate(model.rescaled(p, q), method,
   seed=seed, options=options)``, nothing more;
-* :func:`evaluate_group` runs the same sweep dispatch as
-  :func:`repro.evaluate_sweep` for one window of ``montecarlo`` sweep
-  points ``(model, method, variations, seed)``: the batched kernel sees the
-  whole variation set with one shared stream seeded from the request seed
-  (common-random-numbers semantics), and when the kernel declines every
-  member is evaluated on its own rescaled model with the lone request's
-  ``seed`` stream, so an unbatchable group is indistinguishable from never
-  having been grouped.
+* :func:`evaluate_group` runs the one sweep core,
+  :func:`repro.api.evaluate.sweep_outcomes`, for one window of
+  ``montecarlo`` sweep points ``(model, method, variations, seed)``: the
+  batched kernel sees the whole variation set with one shared stream seeded
+  from the request seed (common-random-numbers semantics), and when the
+  kernel declines every member is evaluated on its own rescaled model with
+  the lone request's ``seed`` stream, so an unbatchable group is
+  indistinguishable from never having been grouped.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from __future__ import annotations
 import time
 
 from repro import faults, telemetry
-from repro.api.evaluate import _sweep_outcome_triples, _sweep_results
 from repro.api.evaluate import evaluate as api_evaluate
 from repro.api.evaluate import evaluate_batch as api_evaluate_batch
-from repro.api.registry import default_registry
+from repro.api.evaluate import sweep_outcomes
 from repro.core.fault_model import FaultModel
 from repro.telemetry.metrics import subtract_snapshots
 
@@ -92,26 +91,26 @@ def evaluate_group(arguments: tuple) -> tuple[bool, list[dict]]:
     Returns ``(used_batch, records)`` with one wire record per variation, in
     order.  Each record is the one a one-point sweep of that variation gives
     (``evaluate_sweep(model, method, [variation], seed=...)``): which
-    requests shared the window does not move any value.  ``used_batch`` is False when the method's kernel declined the
-    sweep and every member was evaluated on the scalar path instead.  A
-    point that failed there raises, and the batcher re-dispatches the group
-    point by point.
+    requests shared the window does not move any value.  ``used_batch`` is
+    False when the method's kernel declined the sweep and every member was
+    evaluated on the scalar path instead.  A failed point raises, and the
+    batcher re-dispatches the group point by point.
     """
     faults.hit("worker.crash")
     faults.hit("worker.group")
     model_data, method, options, variations, seed = arguments
-    resolved = default_registry().resolve_options(method, options)
-    start = time.perf_counter()
-    used_batch, outcomes = _sweep_outcome_triples(
+    used_batch, outcomes = sweep_outcomes(
         FaultModel.from_dict(model_data),
         method,
         variations,
-        options=resolved,
+        options=options,
         seed=seed,
         variation_seeds=[(seed,)] * len(variations),
     )
-    results = _sweep_results(method, resolved, outcomes, time.perf_counter() - start)
-    return used_batch, [result.to_dict() for result in results]
+    for index, (status, outcome) in enumerate(outcomes):
+        if status == "error":
+            raise ValueError(f"sweep variation {index}: {outcome}")
+    return used_batch, [result.to_dict() for _, result in outcomes]
 
 
 def evaluate_batch_endpoint(arguments: tuple) -> list[dict]:

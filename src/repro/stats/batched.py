@@ -36,8 +36,11 @@ def batched_scaled_pfd(
     Point ``j`` is ``exact_pfd_distribution(model.rescaled(p_scales[j],
     q_scales[j]), versions, max_support)``: every ``p_i`` multiplied by
     ``p_scales[j]`` and every ``q_i`` by ``q_scales[j]`` (``q_scales``
-    defaults to all ones), combined 1-out-of-``versions``.  Invalid scales
-    raise the same ``ValueError`` as :meth:`FaultModel.rescaled`.
+    defaults to all ones), combined 1-out-of-``versions``.  The scales are
+    applied by :meth:`FaultModel.rescaled` itself, so an invalid point
+    raises its ``ValueError`` and no bracket is returned; the sweep core
+    (:func:`repro.api.evaluate.sweep_outcomes`) checks every point first and
+    sends only valid ones here, so one bad point never sinks its siblings.
     """
     from repro.core import pfd_distribution
 

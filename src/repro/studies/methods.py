@@ -34,16 +34,12 @@ from repro.grouping import MODEL_TRANSFORM_DEFAULTS, MODEL_TRANSFORM_PARAMS
 from repro.studies.spec import MethodSpec
 
 __all__ = [
-    "MODEL_TRANSFORM_PARAMS",
     "canonical_model_params",
     "evaluate_study_group",
     "evaluate_study_point",
     "resolve_model",
     "split_point_params",
 ]
-
-# MODEL_TRANSFORM_DEFAULTS / MODEL_TRANSFORM_PARAMS moved to repro.grouping
-# (shared with the evaluation service's micro-batcher); re-exported above.
 
 
 def _base_factory_parameters(base: Mapping) -> tuple[str, ...]:
@@ -169,8 +165,8 @@ def evaluate_study_group(
     are the non-transform axis assignments (factory parameters and method
     option overrides, identical across the group) and ``variations`` the
     per-point ``p_scale`` / ``q_scale`` values.  The base model is resolved
-    *once* and the whole group dispatches through
-    :func:`repro.api.evaluate.evaluate_sweep_outcomes`: methods with a
+    *once* and the whole group dispatches through the sweep core
+    :func:`repro.api.evaluate.sweep_outcomes`: methods with a
     batched kernel evaluate every point in vectorised passes (stochastic
     ones against one shared nested world seeded from ``group_entropy``);
     methods without one fall back to per-point evaluation seeded from
@@ -181,7 +177,7 @@ def evaluate_study_group(
     Returns ``("ok", metrics)`` / ``("error", message)`` per variation, in
     order, so one bad sweep point cannot discard its siblings.
     """
-    from repro.api.evaluate import evaluate_sweep_outcomes
+    from repro.api.evaluate import sweep_outcomes
 
     factory_kwargs, transforms, overrides, _ = split_point_params(base, shared_params, method)
     if transforms:
@@ -189,7 +185,7 @@ def evaluate_study_group(
             f"group parameters must not contain model transforms, got {sorted(transforms)}"
         )
     model = resolve_model(base, factory_kwargs, {})
-    return evaluate_sweep_outcomes(
+    _, outcomes = sweep_outcomes(
         model,
         method.name,
         variations,
@@ -197,3 +193,7 @@ def evaluate_study_group(
         seed=tuple(group_entropy),
         variation_seeds=tuple(point_entropies),
     )
+    return [
+        (status, outcome.metric_dict() if status == "ok" else outcome)
+        for status, outcome in outcomes
+    ]

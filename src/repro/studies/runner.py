@@ -40,10 +40,14 @@ from typing import Any, Callable
 from repro import telemetry
 from repro.api.registry import default_registry
 from repro.cache import ResultCache, canonical_json, payload_digest
-from repro.grouping import evaluation_payload, group_digest, group_payload
+from repro.grouping import (
+    MODEL_TRANSFORM_PARAMS,
+    evaluation_payload,
+    group_digest,
+    group_payload,
+)
 from repro.studies.grid import StudyPoint, expand_points
 from repro.studies.methods import (
-    MODEL_TRANSFORM_PARAMS,
     canonical_model_params,
     evaluate_study_group,
     evaluate_study_point,

@@ -57,6 +57,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.api.registry import default_registry
+from repro.core.model_content import parse_scale
+from repro.grouping import MODEL_TRANSFORM_PARAMS
 from repro.stats.rng import DEFAULT_SEED
 
 __all__ = ["MethodSpec", "StudySpec", "SweepAxis"]
@@ -78,6 +80,10 @@ def _axis_int(axis_name: str, label: str, value: Any) -> int:
 
 
 def _check_scalar(axis_name: str, value: Any) -> Any:
+    if axis_name in MODEL_TRANSFORM_PARAMS:
+        # Typed as the service wire types a scale; the value keeps its JSON
+        # spelling, which the point's cache key hashes.
+        parse_scale(value, axis_name)
     if isinstance(value, bool) or isinstance(value, str):
         return value
     if isinstance(value, int):

@@ -14,7 +14,7 @@ from repro.api import (
     register_batch,
     register_method,
 )
-from repro.api.evaluate import evaluate_sweep_outcomes
+from repro.api.evaluate import sweep_outcomes
 
 VARIATIONS = [{"p_scale": 0.25}, {"p_scale": 0.5}, {"p_scale": 1.0, "q_scale": 2.0}]
 
@@ -114,15 +114,17 @@ class TestEvaluateSweep:
             evaluate_sweep(small_model, "exact", [{"bogus": 1.0}])
 
     def test_outcomes_salvage_bad_points(self, small_model):
-        outcomes = evaluate_sweep_outcomes(
+        batched, outcomes = sweep_outcomes(
             small_model,
             "exact",
             [{"p_scale": 0.5}, {"p_scale": 1e6}, {"p_scale": 1.0}],
             options={"max_support": 256},
         )
+        assert batched
         statuses = [status for status, _ in outcomes]
         assert statuses == ["ok", "error", "ok"]
         assert "pushes some p_i above 1" in outcomes[1][1]
+        assert outcomes[0][1].method == "exact"
 
     def test_empty_sweep(self, small_model):
         assert evaluate_sweep(small_model, "exact", []) == []

@@ -7,7 +7,9 @@ exactly 0 and 1, names present or absent, strict both ways, ``sum(q)`` a few
 ulps either side of ``1 + 1e-9`` and scales that push a ``p_i`` above 1 --
 the parsed content must equal ``FaultModel(p=np.asarray(...), ...).to_dict()``,
 and the parser must reject exactly what ``FaultModel(...)`` and
-``.rescaled(...)`` reject, with the same message.
+``.rescaled(...)`` reject, with the same message.  ``check_rescaled`` is held
+to ``.rescaled(...)`` directly as well, NaN, infinite and negative-zero
+scales included.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fault_model import FaultModel
+from repro.core.model_content import check_rescaled
 from repro.service.protocol import parse_batch_payload, parse_evaluate_payload
 
 _FLOATS = {"allow_nan": False, "allow_infinity": False}
@@ -129,3 +133,44 @@ def test_push_above_one_message_matches_the_scaled_vector(p, k):
         )
     else:
         assert not np.any(scaled > 1.0)
+
+
+#: Scales past what the wire lets through: NaN, infinities and a negative zero.
+_odd_scales = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1.0])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_check_rescaled_rejects_exactly_what_rescaled_rejects(data):
+    """``check_rescaled`` mirrors ``FaultModel.rescaled`` for every float, not only wire ones."""
+    model = data.draw(_models())
+    p = [float(value) for value in model["p"]]
+    q = [float(value) for value in model["q"]]
+    strict = model.get("strict", True)
+    try:
+        built = FaultModel(p=np.asarray(p), q=np.asarray(q), strict=strict)
+    except ValueError:
+        return
+    p_scale = data.draw(_p_scales(p) | _odd_scales)
+    q_scale = data.draw(_q_scales | _odd_scales)
+    try:
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and rejected as such
+            built.rescaled(p_scale, q_scale)
+    except ValueError as error:
+        expected = str(error)
+    else:
+        expected = None
+    try:
+        check_rescaled(p, q, strict, p_scale, q_scale)
+    except ValueError as error:
+        assert str(error) == expected
+    else:
+        assert expected is None
+
+
+def test_check_rescaled_closes_the_non_finite_hole():
+    with pytest.raises(ValueError, match="^p and q must be finite$"):
+        check_rescaled([0.3, 0.2], [0.1, 0.1], True, math.nan, 1.0)
+    with pytest.raises(ValueError, match="^p and q must be finite$"):
+        check_rescaled([0.0, 0.0], [0.1, 0.1], True, math.inf, 1.0)
+    check_rescaled([0.3, 0.2], [0.1, 0.1], True, -0.0, 1.0)
