@@ -1,4 +1,4 @@
-"""PERF -- chunked / streaming / parallel Monte Carlo throughput.
+"""PERF -- chunked / streaming Monte Carlo throughput.
 
 Bench for the high-throughput simulation kernel: the chunked path must be
 bitwise-identical to the in-memory path (chunking is a memory knob, not a
@@ -91,35 +91,3 @@ def test_perf_streaming_matches_samples(many_faults_model, benchmark):
     assert streamed.single.mean_pfd() == pytest.approx(samples.single.mean_pfd(), rel=1e-12)
     assert streamed.single.std_pfd() == pytest.approx(samples.single.std_pfd(), rel=1e-10)
     assert streamed.system.prob_any_fault() == samples.system.prob_any_fault()
-
-
-def test_perf_parallel_shards_consistent(many_faults_model, benchmark):
-    """jobs=2 is reproducible and statistically consistent with sequential."""
-    parallel_engine = MonteCarloEngine(many_faults_model, jobs=2)
-    sequential_engine = MonteCarloEngine(many_faults_model)
-
-    def workload():
-        start = time.perf_counter()
-        parallel = parallel_engine.simulate_paired_streaming(REPLICATIONS, rng=13)
-        parallel_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        sequential = sequential_engine.simulate_paired_streaming(REPLICATIONS, rng=13)
-        sequential_elapsed = time.perf_counter() - start
-        return parallel, sequential, parallel_elapsed, sequential_elapsed
-
-    parallel, sequential, parallel_elapsed, sequential_elapsed = benchmark.pedantic(
-        workload, rounds=1, iterations=1
-    )
-    print_table(
-        "PERF: parallel versus sequential paired streaming",
-        ["mode", "seconds", "mean PFD"],
-        [
-            ["jobs=2", parallel_elapsed, parallel.single.mean_pfd()],
-            ["sequential", sequential_elapsed, sequential.single.mean_pfd()],
-        ],
-    )
-    repeat = parallel_engine.simulate_paired_streaming(REPLICATIONS, rng=13)
-    assert repeat.single.mean_pfd() == parallel.single.mean_pfd()
-    # Distinct streams, same distribution: means agree within ~6 standard errors.
-    tolerance = 6 * sequential.single.pfds.standard_error()
-    assert abs(parallel.single.mean_pfd() - sequential.single.mean_pfd()) < tolerance

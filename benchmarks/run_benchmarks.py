@@ -8,7 +8,9 @@ changes have a perf trajectory to regress against.
 
 Each workload runs in its *own subprocess*: peak RSS (``ru_maxrss``) is a
 process-wide high-water mark, so isolating workloads is the only way to
-attribute memory honestly.
+attribute memory honestly.  The two sides of each engine ratio gate (see
+:data:`ALTERNATED`) run in :data:`ROUNDS` alternated rounds, still one
+subprocess per run, and the gate reads the median of the per-round ratios.
 
 Usage::
 
@@ -27,6 +29,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -147,27 +150,6 @@ def workload_one_out_of_r(quick: bool) -> dict:
         "replications_per_second": round(replications / elapsed),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
         "mean_pfd": result.mean_pfd(),
-    }
-
-
-def workload_parallel(quick: bool) -> dict:
-    """Process-parallel streaming paired throughput (jobs=4)."""
-    from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
-
-    replications = 1_000_000 if quick else 4_000_000
-    engine = MonteCarloEngine(many_small_faults_scenario(n=200), jobs=4)
-    start = time.perf_counter()
-    engine.simulate_paired_streaming(replications, rng=7)
-    elapsed = time.perf_counter() - start
-    return {
-        "replications": replications,
-        "n": 200,
-        "jobs": 4,
-        "chunk_size": CHUNK_ROWS,
-        "seconds": round(elapsed, 3),
-        "replications_per_second": round(replications / elapsed),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
 
@@ -1070,7 +1052,6 @@ WORKLOADS = {
     "paired": workload_paired,
     "paired_streaming": workload_paired_streaming,
     "one_out_of_r": workload_one_out_of_r,
-    "parallel": workload_parallel,
     "convolution": workload_convolution,
     "study": workload_study,
     "sweep1000": workload_sweep1000,
@@ -1105,18 +1086,17 @@ def check_record(record: dict) -> list[str]:
 
     checks = [
         # The streaming paired path must not regress behind the
-        # sample-collecting one again (it does strictly less work).
+        # sample-collecting one again (it does strictly less work).  Both
+        # engine gates read the median ratio of the alternated rounds.
         (
             "paired_streaming >= 85% of paired throughput",
-            lambda: value("paired_streaming", "replications_per_second")
-            >= 0.85 * value("paired", "replications_per_second"),
+            lambda: value("paired_streaming", "median_ratio") >= 0.85,
         ),
         # 1-out-of-3 does ~3x the per-replication work of a single version;
         # below a quarter of the single rate the kernel has regressed.
         (
             "one_out_of_r >= 25% of single throughput",
-            lambda: value("one_out_of_r", "replications_per_second")
-            >= 0.25 * value("single", "replications_per_second"),
+            lambda: value("one_out_of_r", "median_ratio") >= 0.25,
         ),
         # Shared-demand Monte Carlo sweeps must stay well ahead of per-point
         # dispatch; exact sweeps run the scalar kernel per point either
@@ -1293,6 +1273,53 @@ def check_record(record: dict) -> list[str]:
 # --------------------------------------------------------------------- #
 # Orchestration
 # --------------------------------------------------------------------- #
+#: Engine ratio gates whose two sides are timed in alternated rounds: gated
+#: workload -> the workload its throughput is divided by.  Run once each, one
+#: after the other, a ratio carries whatever the host drifted by between the
+#: two runs; alternating which side goes first spreads that drift over both.
+ALTERNATED = {"paired_streaming": "paired", "one_out_of_r": "single"}
+ROUNDS = 3
+
+
+def _run_alternated(gated: str, reference: str, quick: bool) -> dict:
+    """Both sides' records after :data:`ROUNDS` alternated rounds.
+
+    Each run is its own subprocess, so each ``peak_rss_mb`` measures one
+    side.  A side's record is its first run's, with the median
+    ``seconds`` and ``replications_per_second``, the largest
+    ``peak_rss_mb`` and every round's seconds; the gated side also records
+    the per-round throughput ratios and their median.
+    """
+    runs = {gated: [], reference: []}
+    for index in range(ROUNDS):
+        for name in (gated, reference) if index % 2 == 0 else (reference, gated):
+            runs[name].append(_run_in_subprocess(name, quick))
+    failed = [run for side in runs.values() for run in side if "error" in run]
+    if failed:
+        return {gated: failed[0], reference: failed[0]}
+    records = {}
+    for name, side in runs.items():
+        records[name] = {
+            **side[0],
+            "seconds": statistics.median(run["seconds"] for run in side),
+            "replications_per_second": round(
+                statistics.median(run["replications_per_second"] for run in side)
+            ),
+            "peak_rss_mb": max(run["peak_rss_mb"] for run in side),
+            "round_seconds": [run["seconds"] for run in side],
+        }
+    ratios = [
+        ours["replications_per_second"] / theirs["replications_per_second"]
+        for ours, theirs in zip(runs[gated], runs[reference])
+    ]
+    records[gated].update(
+        ratio_to=reference,
+        round_ratios=[round(ratio, 3) for ratio in ratios],
+        median_ratio=round(statistics.median(ratios), 3),
+    )
+    return records
+
+
 def _run_in_subprocess(name: str, quick: bool) -> dict:
     command = [sys.executable, str(Path(__file__).resolve()), "--workload", name, "--json"]
     if quick:
@@ -1335,9 +1362,17 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for name in WORKLOADS:
-        print(f"running {name} ...", flush=True)
-        record["workloads"][name] = _run_in_subprocess(name, arguments.quick)
-        print(f"  -> {json.dumps(record['workloads'][name])[:200]}", flush=True)
+        if name in ALTERNATED.values():
+            continue  # runs in its gated side's rounds
+        if name in ALTERNATED:
+            print(f"running {name} / {ALTERNATED[name]} x {ROUNDS} rounds ...", flush=True)
+            runs = _run_alternated(name, ALTERNATED[name], arguments.quick)
+        else:
+            print(f"running {name} ...", flush=True)
+            runs = {name: _run_in_subprocess(name, arguments.quick)}
+        for run_name, run in runs.items():
+            record["workloads"][run_name] = run
+            print(f"  {run_name} -> {json.dumps(run)[:200]}", flush=True)
     fast = {
         row["n"]: row["seconds"]
         for row in record["workloads"]["convolution"].get("pair", [])

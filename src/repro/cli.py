@@ -7,18 +7,12 @@ writing any code:
   scenario) and print the full assessment report;
 * ``gain`` -- print the diversity-gain summary as JSON;
 * ``pmax-table`` -- print the Section 5.1 table for arbitrary ``p_max`` values;
-* ``simulate`` -- legacy alias (emits a ``DeprecationWarning``; prefer
-  ``evaluate --method montecarlo``): run the Monte Carlo engine over a model
-  and print the paired single-versus-1-out-of-2 summary as JSON.
-  ``--jobs`` fans the replications out across worker processes (a distinct,
-  statistically equivalent random stream); ``--stream`` switches to the
-  constant-memory accumulator summaries recommended for very large
-  ``--replications``;
 * ``evaluate`` -- run any registered evaluation method (``repro methods``
   lists them) on a model and print the typed result as JSON; methods and
   their options resolve through the :class:`repro.api.MethodRegistry`, so a
   method registered via :func:`repro.api.register_method` is immediately
-  available here with no CLI changes;
+  available here with no CLI changes (``--method montecarlo`` runs the Monte
+  Carlo engine);
 * ``methods`` -- list the registered evaluation methods with their typed
   option schemas;
 * ``study run`` / ``study show`` -- execute (or preview) a declarative
@@ -106,38 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table_parser.add_argument(
         "pmax", type=float, nargs="*", default=[0.5, 0.1, 0.01], help="p_max values (default: the paper's)"
-    )
-
-    simulate_parser = subparsers.add_parser(
-        "simulate",
-        help="run the Monte Carlo engine and print the paired simulation summary as JSON",
-    )
-    _add_model_arguments(simulate_parser)
-    simulate_parser.add_argument(
-        "--replications",
-        type=int,
-        default=100_000,
-        help="number of simulated developments (default 100000)",
-    )
-    simulate_parser.add_argument(
-        "--seed", type=int, default=None, help="random seed (default: the library seed)"
-    )
-    simulate_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "shard replications across this many worker processes (reproducible per "
-            "(seed, jobs), but a distinct stream from the sequential path)"
-        ),
-    )
-    simulate_parser.add_argument(
-        "--stream",
-        action="store_true",
-        help=(
-            "summarise into constant-memory streaming accumulators instead of retaining "
-            "every sample (recommended for 10^7+ replications)"
-        ),
     )
 
     evaluate_parser = subparsers.add_parser(
@@ -777,35 +739,6 @@ def _handle_methods(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _handle_simulate(arguments: argparse.Namespace) -> int:
-    import warnings
-
-    from repro.montecarlo.engine import MonteCarloEngine
-
-    warnings.warn(
-        "'repro simulate' is a legacy alias; prefer "
-        "'repro evaluate --method montecarlo' (registry-dispatched)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Default warning filters hide DeprecationWarning outside __main__, so
-    # real CLI users would never see the migration hint; say it on stderr
-    # too (stdout stays untouched for JSON consumers).
-    print(
-        "note: 'repro simulate' is a legacy alias; prefer "
-        "'repro evaluate --method montecarlo'",
-        file=sys.stderr,
-    )
-    model = _load_model(arguments)
-    engine = MonteCarloEngine(model, jobs=arguments.jobs)
-    if arguments.stream:
-        result = engine.simulate_paired_streaming(arguments.replications, rng=arguments.seed)
-    else:
-        result = engine.simulate_paired(arguments.replications, rng=arguments.seed)
-    print(json.dumps(result.summary(), indent=2))
-    return 0
-
-
 def _handle_study(arguments: argparse.Namespace) -> int:
     from repro.studies.runner import plan_study, run_study
     from repro.studies.spec import StudySpec
@@ -1132,7 +1065,6 @@ _HANDLERS = {
     "gain": _handle_gain,
     "evaluate": _handle_evaluate,
     "methods": _handle_methods,
-    "simulate": _handle_simulate,
     "study": _handle_study,
     "serve": _handle_serve,
     "route": _handle_route,

@@ -15,22 +15,19 @@ streaming tallies then receive those vectors once per chunk.
 ``simulate_single_versions`` draws from the caller's generator;
 multi-version simulations (``simulate_paired`` / ``simulate_systems``) draw
 each version from a dedicated stream spawned from it.  Every block continues
-each version's stream where the previous block stopped, so:
+each version's stream where the previous block stopped.
 
-* **sequential** sample arrays do not depend on the chunk or block size;
-  the streaming tallies fold in one chunk per update, so runs of at most
-  :data:`CHUNK_ROWS` replications are summarised in one piece;
-* **parallel** (``jobs=...``): replications are sharded over worker processes
-  with :func:`repro.stats.rng.spawn_rngs`.  Shard streams are spawned from
-  the caller's generator, so results are reproducible for a fixed
-  ``(seed, jobs)`` pair but form a *distinct* random stream from the
-  sequential path (statistically equivalent, not bitwise-identical).
+The sample arrays do not depend on the chunk or block size; the streaming
+tallies fold in one chunk per update, so runs of at most :data:`CHUNK_ROWS`
+replications are summarised in one piece.  The engine runs in the calling
+process: the evaluation service spreads requests over its worker pool and a
+study spreads its tasks over worker processes, so one simulation is never
+split across processes.
 
 The ``simulate_*_streaming`` variants summarise chunks into the
 constant-memory accumulators of :mod:`repro.stats.streaming` instead of
 retaining every sample, which is the recommended mode for ``10**7`` and more
-replications (and what the parallel path uses to keep inter-process traffic
-small).
+replications.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from repro.core.fault_model import FaultModel
 from repro.montecarlo.results import PairSimulationResult, SimulationResult
 from repro.montecarlo.streaming import StreamingSimulationResult
 from repro.stats.empirical import EmpiricalDistribution
-from repro.stats.rng import ensure_rng, spawn_rngs
+from repro.stats.rng import ensure_rng
 from repro.stats.streaming import StreamingHistogram, StreamingMoments
 from repro.versions.generation import (
     DevelopmentProcess,
@@ -55,16 +52,15 @@ from repro.versions.generation import (
 
 __all__ = ["MonteCarloEngine"]
 
-#: Default number of histogram bins for the streaming PFD summaries.
+#: Histogram bins of the streaming PFD summaries.
 DEFAULT_STREAM_BINS = 4096
 
 #: Fault indicators drawn per version per block: about 1 MB of float64
 #: uniforms, small enough that a block's matrices stay in cache.
 BLOCK_CELLS = 1 << 17
 
-#: Replications per chunk: bounds the per-replication vectors (and each
-#: parallel shard's) and sets how many replications each streaming-tally
-#: update folds in.
+#: Replications per chunk: bounds the per-replication vectors and sets how
+#: many replications each streaming-tally update folds in.
 CHUNK_ROWS = 1 << 16
 
 
@@ -79,23 +75,16 @@ class MonteCarloEngine:
     process:
         Development process to sample from; defaults to the paper's
         independent process over ``model``.
-    jobs:
-        When greater than 1, replications are sharded across this many worker
-        processes (see the module docstring for the reproducibility
-        contract).
     """
 
     model: FaultModel
     process: Optional[DevelopmentProcess] = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.process is None:
             object.__setattr__(self, "process", IndependentDevelopmentProcess(self.model))
         elif self.process.model.n != self.model.n:
             raise ValueError("the development process must draw from the engine's fault model")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
 
     # ------------------------------------------------------------------ #
     # Single-system simulations
@@ -165,17 +154,16 @@ class MonteCarloEngine:
         self,
         replications: int,
         rng: np.random.Generator | int | None = None,
-        bins: int = DEFAULT_STREAM_BINS,
     ) -> StreamingSimulationResult:
         """Like :meth:`simulate_single_versions` but summarising into accumulators.
 
-        Memory is ``O(CHUNK_ROWS + BLOCK_CELLS + bins)`` regardless of
+        Memory is ``O(CHUNK_ROWS + BLOCK_CELLS + DEFAULT_STREAM_BINS)`` whatever
         ``replications``.  Moments and zero-probabilities are exact;
         percentile queries resolve to one histogram bin.
         """
         self._validate_replications(replications)
         generator = ensure_rng(rng)
-        (tally,) = self._run("single", True, replications, generator, 1, bins)
+        (tally,) = self._run("single", True, replications, generator, 1)
         return _streaming_result(tally, replications)
 
     def simulate_systems_streaming(
@@ -183,21 +171,19 @@ class MonteCarloEngine:
         replications: int,
         versions: int = 2,
         rng: np.random.Generator | int | None = None,
-        bins: int = DEFAULT_STREAM_BINS,
     ) -> StreamingSimulationResult:
         """Like :meth:`simulate_systems` but summarising into accumulators."""
         if versions < 1:
             raise ValueError(f"versions must be a positive integer, got {versions}")
         self._validate_replications(replications)
         generator = ensure_rng(rng)
-        (tally,) = self._run("systems", True, replications, generator, versions, bins)
+        (tally,) = self._run("systems", True, replications, generator, versions)
         return _streaming_result(tally, replications)
 
     def simulate_paired_streaming(
         self,
         replications: int,
         rng: np.random.Generator | int | None = None,
-        bins: int = DEFAULT_STREAM_BINS,
     ) -> PairSimulationResult:
         """Like :meth:`simulate_paired` but summarising into accumulators.
 
@@ -205,7 +191,7 @@ class MonteCarloEngine:
         """
         self._validate_replications(replications)
         generator = ensure_rng(rng)
-        single_tally, system_tally = self._run("paired", True, replications, generator, 2, bins)
+        single_tally, system_tally = self._run("paired", True, replications, generator, 2)
         return PairSimulationResult(
             single=_streaming_result(single_tally, replications),
             system=_streaming_result(system_tally, replications),
@@ -268,30 +254,11 @@ class MonteCarloEngine:
         if replications < 1:
             raise ValueError(f"replications must be positive, got {replications}")
 
-    def _run(self, layout, streaming, replications, generator, versions, bins=None):
-        """Run the ``layout`` kernel sequentially or across worker processes."""
-        with telemetry.span(
-            "kernel.montecarlo",
-            replications=replications,
-            versions=versions,
-            jobs=self.jobs,
-        ):
-            kernel = _tally_shard if streaming else _sample_shard
-            if self.jobs == 1 or replications < 2 * self.jobs:
-                return kernel(
-                    self.process, replications, generator, CHUNK_ROWS, layout, versions, bins
-                )
-            shard_sizes = _shard_sizes(replications, self.jobs)
-            shard_rngs = spawn_rngs(generator, len(shard_sizes))
-            arguments = [
-                (kernel, self.process, size, shard_rng, CHUNK_ROWS, layout, versions, bins)
-                for size, shard_rng in zip(shard_sizes, shard_rngs)
-            ]
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=len(arguments)) as pool:
-                shards = list(pool.map(_run_shard, arguments))
-            return _merge_tallies(shards) if streaming else np.concatenate(shards, axis=1)
+    def _run(self, layout, streaming, replications, generator, versions):
+        """Run the ``layout`` kernel, tallying or collecting every sample."""
+        with telemetry.span("kernel.montecarlo", replications=replications, versions=versions):
+            kernel = _tally_rows if streaming else _sample_rows
+            return kernel(self.process, replications, generator, layout, versions)
 
 
 #: Per-replication rows each layout records: PFD and fault count of the
@@ -299,19 +266,7 @@ class MonteCarloEngine:
 _ROWS = {"single": 2, "systems": 2, "paired": 4}
 
 
-def _shard_sizes(replications: int, jobs: int) -> list[int]:
-    """Split ``replications`` into at most ``jobs`` near-equal positive shards."""
-    jobs = min(jobs, replications)
-    base, remainder = divmod(replications, jobs)
-    return [base + (1 if index < remainder else 0) for index in range(jobs)]
-
-
-def _run_shard(arguments):
-    kernel, *rest = arguments
-    return kernel(*rest)
-
-
-def _chunks(process, replications, generator, chunk_rows, layout, versions, out=None):
+def _chunks(process, replications, generator, layout, versions, out=None):
     """Yield each chunk's per-replication rows (see :data:`_ROWS`), block by block.
 
     ``"single"`` develops one version from ``generator`` itself; the other
@@ -325,7 +280,7 @@ def _chunks(process, replications, generator, chunk_rows, layout, versions, out=
     """
     model = process.model
     streams = [generator] if layout == "single" else generator.spawn(versions)
-    chunk = min(chunk_rows, replications)
+    chunk = min(CHUNK_ROWS, replications)
     block = max(1, min(chunk, BLOCK_CELLS // max(model.n, 1)))
     # The version iterators advance in lockstep and each compares its draw
     # into its own presence buffer, so one uniforms buffer serves them all.
@@ -364,20 +319,20 @@ def _score(matrix, q, pfds, counts):
     pfds[hit] = matrix_pfds(matrix[hit], q)
 
 
-def _sample_shard(process, replications, generator, chunk_rows, layout, versions, bins):
+def _sample_rows(process, replications, generator, layout, versions):
     out = np.empty((_ROWS[layout], replications))
-    for _ in _chunks(process, replications, generator, chunk_rows, layout, versions, out):
+    for _ in _chunks(process, replications, generator, layout, versions, out):
         pass
     return out
 
 
-def _tally_shard(process, replications, generator, chunk_rows, layout, versions, bins):
+def _tally_rows(process, replications, generator, layout, versions):
     top = max(process.model.total_impact, np.finfo(float).tiny)
     tallies = [
-        (StreamingMoments(), StreamingHistogram(0.0, top, bins), StreamingMoments())
+        (StreamingMoments(), StreamingHistogram(0.0, top, DEFAULT_STREAM_BINS), StreamingMoments())
         for _ in range(_ROWS[layout] // 2)
     ]
-    for rows in _chunks(process, replications, generator, chunk_rows, layout, versions):
+    for rows in _chunks(process, replications, generator, layout, versions):
         for (pfd_moments, histogram, count_moments), pfds, counts in zip(
             tallies, rows[0::2], rows[1::2]
         ):
@@ -385,15 +340,6 @@ def _tally_shard(process, replications, generator, chunk_rows, layout, versions,
             histogram.update(pfds)
             count_moments.update(counts)
     return tallies
-
-
-def _merge_tallies(shards):
-    merged = shards[0]
-    for shard in shards[1:]:
-        for tally, other in zip(merged, shard):
-            for accumulator, part in zip(tally, other):
-                accumulator.merge(part)
-    return merged
 
 
 def _streaming_result(tally, replications) -> StreamingSimulationResult:

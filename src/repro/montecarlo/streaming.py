@@ -1,4 +1,4 @@
-"""Streaming result container for chunked / parallel Monte Carlo simulation.
+"""Streaming result container for chunked Monte Carlo simulation.
 
 It mirrors :class:`repro.montecarlo.results.SimulationResult` (and pairs the
 same way, in a :class:`~repro.montecarlo.results.PairSimulationResult`) but

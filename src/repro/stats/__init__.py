@@ -16,9 +16,9 @@ This subpackage provides the probability machinery that the core model in
   Berry-Esseen error bound for judging the approximation quality.
 * :mod:`~repro.stats.empirical` -- empirical CDFs, quantiles and bootstrap
   confidence intervals for Monte Carlo output.
-* :mod:`~repro.stats.streaming` -- single-pass, mergeable accumulators
-  (moments and histograms) for chunked / parallel Monte Carlo at replication
-  counts where storing every sample is impractical.
+* :mod:`~repro.stats.streaming` -- single-pass accumulators (moments and
+  histograms) for chunked Monte Carlo at replication counts where storing
+  every sample is impractical.
 * :mod:`~repro.stats.rng` -- reproducible random-generator management.
 
 Importing this package loads numpy only.  The scipy-backed helpers (the
@@ -39,6 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "NormalApproximation", "berry_esseen_bound", "normal_cdf", "normal_quantile",
     ),
     "repro.stats.poisson_binomial": ("PoissonBinomial",),
-    "repro.stats.rng": ("default_rng", "spawn_rngs"),
+    "repro.stats.rng": ("default_rng",),
     "repro.stats.streaming": ("StreamingHistogram", "StreamingMoments"),
 })

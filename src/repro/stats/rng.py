@@ -2,10 +2,12 @@
 
 All stochastic code in the library takes an explicit
 :class:`numpy.random.Generator`.  These helpers centralise how generators are
-created and split so that every simulation in the test-suite, the examples and
-the benchmark harness is reproducible from a single integer seed.  numpy is
-imported inside the helpers: a process that needs only :data:`DEFAULT_SEED`
-(the shard router) never loads it.
+created so that every simulation in the test-suite, the examples and the
+benchmark harness is reproducible from a single integer seed; a simulation
+that needs independent child streams spawns them with
+:meth:`numpy.random.Generator.spawn`.  numpy is imported inside the
+helpers: a process that needs only :data:`DEFAULT_SEED` (the shard router)
+never loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["default_rng", "spawn_rngs", "ensure_rng"]
+__all__ = ["default_rng", "ensure_rng"]
 
 #: Seed used throughout the examples and benchmarks when the caller does not
 #: provide one.  Chosen arbitrarily; fixed for reproducibility.
@@ -50,22 +52,6 @@ def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return default_rng(rng)
-
-
-def spawn_rngs(rng: np.random.Generator | int | None, count: int) -> list[np.random.Generator]:
-    """Split a generator into ``count`` independent child generators.
-
-    Child generators are created via :meth:`numpy.random.Generator.spawn`, so
-    streams do not overlap.  Used when a simulation fans out over independent
-    replications (e.g. the Monte Carlo engine or the synthetic Knight-Leveson
-    experiment) and each replication must be independently reproducible.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    generator = ensure_rng(rng)
-    if count == 0:
-        return []
-    return list(generator.spawn(count))
 
 
 def fixed_seed_sequence(seeds: Sequence[int]) -> list[np.random.Generator]:

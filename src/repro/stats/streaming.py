@@ -1,4 +1,4 @@
-"""Streaming (single-pass, mergeable) summary statistics.
+"""Streaming (single-pass) summary statistics.
 
 The chunked Monte Carlo path of :mod:`repro.montecarlo` needs summary
 statistics of simulation output whose memory footprint does not grow with the
@@ -7,18 +7,16 @@ that purpose:
 
 * :class:`StreamingMoments` -- count, mean, variance, min/max and exact-zero
   counting via the numerically stable Chan et al. pairwise-update formulas
-  (batched Welford).  Accumulators can be merged, so independent workers can
-  each summarise their own shard of replications and the shards can be
-  combined exactly afterwards.
+  (batched Welford): each batch is summarised on its own and combined
+  exactly with the running totals.
 * :class:`StreamingHistogram` -- a fixed-bin histogram over a known value
   range, with exact tracking of the probability mass at zero and of
   out-of-range values, supporting approximate CDF / quantile / exceedance
-  queries.  Also mergeable (bin edges must match).
+  queries.
 
 Both accumulators are plain mutable objects (unlike the frozen value types in
 the rest of :mod:`repro.stats`) because their whole purpose is in-place
-accumulation; they are cheaply picklable so they can cross process boundaries
-when the engine fans out across workers.
+accumulation.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ class StreamingMoments:
     """Single-pass mean/variance/extrema accumulator (batched Welford).
 
     Updates use the Chan-Golub-LeVeque pairwise combination formula, which is
-    numerically stable for both long streams of small batches and merges of
-    large shards.  ``zeros`` counts observations exactly equal to zero, which
+    numerically stable for long streams of batches of any size.  ``zeros`` counts observations exactly equal to zero, which
     for PFD samples is the empirical probability of a fault-free product.
     """
 
@@ -63,12 +60,6 @@ class StreamingMoments:
             float(np.max(array)),
             int(np.count_nonzero(array == 0.0)),
         )
-
-    def merge(self, other: "StreamingMoments") -> None:
-        """Fold another accumulator into this one (exact shard combination)."""
-        if other.count == 0:
-            return
-        self._combine(other.count, other._mean, other._m2, other._min, other._max, other.zeros)
 
     def _combine(
         self,
@@ -231,16 +222,6 @@ class StreamingHistogram:
             self.overflow += overflow
             binned[bins - 1] -= overflow
         self.counts += binned
-
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Fold another histogram into this one (bin edges must match)."""
-        if other.edges.size != self.edges.size or not np.array_equal(other.edges, self.edges):
-            raise ValueError("cannot merge histograms with different bin edges")
-        self.counts += other.counts
-        self.zero_count += other.zero_count
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        self.total += other.total
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -101,42 +101,6 @@ class TestParser:
         assert "0.1005" in completed.stdout
 
 
-class TestSimulateCommand:
-    def test_simulate_json_summary(self, capsys, model_file):
-        assert main(["simulate", "--model", model_file, "--replications", "5000", "--seed", "7"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["replications"] == 5000
-        assert 0.0 <= data["risk_ratio"] <= 1.0
-        assert data["mean_system"] <= data["mean_single"]
-
-    def test_chunk_size_is_bitwise_identical(self, capsys, monkeypatch, model_file):
-        from repro.montecarlo import engine
-
-        arguments = ["simulate", "--model", model_file, "--replications", "4000", "--seed", "3"]
-        assert main(arguments) == 0
-        monolithic = json.loads(capsys.readouterr().out)
-        monkeypatch.setattr(engine, "CHUNK_ROWS", 257)
-        assert main(arguments) == 0
-        chunked = json.loads(capsys.readouterr().out)
-        assert monolithic == chunked
-
-    def test_stream_mode(self, capsys, monkeypatch):
-        from repro.montecarlo import engine
-
-        monkeypatch.setattr(engine, "CHUNK_ROWS", 500)
-        assert main([
-            "simulate", "--scenario", "high-quality", "--replications", "2000",
-            "--seed", "5", "--stream",
-        ]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["replications"] == 2000
-        assert 0.0 <= data["risk_ratio"] <= 1.0
-
-    def test_rejects_bad_replications_with_exit_code(self, model_file, capsys):
-        assert main(["simulate", "--model", model_file, "--replications", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestErrorPaths:
     """Bad input must exit 2 with a one-line message, not a traceback."""
 
@@ -361,6 +325,74 @@ class TestEvaluateCommand:
         assert first["metrics"] == second["metrics"]
         assert first["seed_entropy"] == [7]
 
+    def test_montecarlo_json_summary(self, capsys, model_file):
+        assert main([
+            "evaluate", "--model", model_file, "--method", "montecarlo",
+            "--set", "replications=5000", "--seed", "7",
+        ]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics["mc_replications"] == 5000
+        assert metrics["mc_correlation"] == 0.0
+        assert 0.0 <= metrics["mc_risk_ratio"] <= 1.0
+        assert metrics["mc_mean_system"] <= metrics["mc_mean_single"]
+
+    def test_montecarlo_chunk_size_changes_only_rounding(self, capsys, monkeypatch, model_file):
+        # The chunks draw the same replications; only the order in which the
+        # streaming moments add them up depends on the chunk size.
+        from repro.montecarlo import engine
+
+        arguments = [
+            "evaluate", "--model", model_file, "--method", "montecarlo",
+            "--set", "replications=4000", "--seed", "3",
+        ]
+        assert main(arguments) == 0
+        monolithic = json.loads(capsys.readouterr().out)["metrics"]
+        monkeypatch.setattr(engine, "CHUNK_ROWS", 257)
+        assert main(arguments) == 0
+        chunked = json.loads(capsys.readouterr().out)["metrics"]
+        assert chunked.keys() == monolithic.keys()
+        for key, value in monolithic.items():
+            assert chunked[key] == pytest.approx(value, rel=1e-12), key
+
+    def test_montecarlo_matches_the_engine(self, capsys, small_model, model_file):
+        from repro.montecarlo.engine import MonteCarloEngine
+
+        assert main([
+            "evaluate", "--model", model_file, "--method", "montecarlo",
+            "--set", "replications=3000", "--seed", "9",
+        ]) == 0
+        printed = json.loads(capsys.readouterr().out)["metrics"]
+        rng = np.random.default_rng(np.random.SeedSequence([9]))
+        summary = MonteCarloEngine(small_model).simulate_paired_streaming(3000, rng=rng).summary()
+        assert summary.pop("replications") == printed["mc_replications"]
+        for key, value in summary.items():
+            assert printed[f"mc_{key}"] == value
+
+    def test_montecarlo_systems_of_three_versions(self, capsys):
+        assert main([
+            "evaluate", "--scenario", "high-quality", "--method", "montecarlo",
+            "--set", "replications=2000", "--set", "versions=3", "--seed", "5",
+        ]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["options"]["versions"] == 3
+        metrics = data["metrics"]
+        assert metrics["mc_replications"] == 2000
+        assert 0.0 <= metrics["mc_prob_pfd_zero"] <= 1.0
+        assert metrics["mc_prob_any_fault"] == pytest.approx(1.0 - metrics["mc_prob_pfd_zero"])
+
+    def test_montecarlo_warns_nothing_and_prints_pure_json(self, capsys, model_file):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "evaluate", "--model", model_file, "--method", "montecarlo",
+                "--set", "replications=1000", "--seed", "7",
+            ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        json.loads(captured.out)
+
     def test_null_option_value_parses(self, capsys):
         assert main([
             "evaluate", "--scenario", "high-quality", "--method", "exact",
@@ -423,18 +455,6 @@ class TestEvaluateCommand:
             "evaluate", "--model", model_file, "--method", "moments", "--set", "seed=5",
         ]) == 2
         assert "does not accept option 'seed'" in capsys.readouterr().err
-
-
-class TestSimulateDeprecationShim:
-    def test_emits_deprecation_warning_and_stderr_note(self, capsys, model_file):
-        with pytest.warns(DeprecationWarning, match="legacy alias"):
-            assert main([
-                "simulate", "--model", model_file, "--replications", "1000", "--seed", "7",
-            ]) == 0
-        captured = capsys.readouterr()
-        assert "legacy alias" in captured.err
-        assert "evaluate --method montecarlo" in captured.err
-        json.loads(captured.out)  # stdout stays pure JSON for consumers
 
 
 class TestCacheCommand:

@@ -26,7 +26,6 @@ from repro.versions.correlated import CommonCauseDevelopmentProcess, CopulaDevel
 from repro.versions.generation import IndependentDevelopmentProcess
 
 REPLICATIONS = 2_000
-BINS = 256
 #: A small block budget: ten rows of the n = 100 model per block.
 SMALL_BLOCK = 1_000
 #: (CHUNK_ROWS override, BLOCK_CELLS override).  A chunk of one row is drawn
@@ -74,9 +73,10 @@ def _reference_rows(process, seed, layout, versions):
     ]
 
 
-def _reference_tally(process, pfds, counts, bins=BINS):
+def _reference_tally(process, pfds, counts):
     """Streaming tallies fed the reference vectors one chunk at a time."""
     top = max(process.model.total_impact, np.finfo(float).tiny)
+    bins = engine_module.DEFAULT_STREAM_BINS
     tally = (StreamingMoments(), StreamingHistogram(0.0, top, bins), StreamingMoments())
     step = engine_module.CHUNK_ROWS
     for start in range(0, REPLICATIONS, step):
@@ -112,12 +112,10 @@ def _sample_results(engine, layout, versions, seed):
 
 def _streaming_results(engine, layout, versions, seed):
     if layout == "single":
-        return [engine.simulate_single_streaming(REPLICATIONS, rng=seed, bins=BINS)]
+        return [engine.simulate_single_streaming(REPLICATIONS, rng=seed)]
     if layout == "systems":
-        return [
-            engine.simulate_systems_streaming(REPLICATIONS, versions=versions, rng=seed, bins=BINS)
-        ]
-    paired = engine.simulate_paired_streaming(REPLICATIONS, rng=seed, bins=BINS)
+        return [engine.simulate_systems_streaming(REPLICATIONS, versions=versions, rng=seed)]
+    paired = engine.simulate_paired_streaming(REPLICATIONS, rng=seed)
     return [paired.single, paired.system]
 
 
@@ -160,7 +158,7 @@ def test_evaluate_matches_dense_reference(monkeypatch, block_cells, versions):
     process = PROCESSES["independent"]
     layout = "paired" if versions == 2 else "systems"
     reference = [
-        _reference_tally(process, pfds, counts, engine_module.DEFAULT_STREAM_BINS)
+        _reference_tally(process, pfds, counts)
         for pfds, counts in _reference_rows(process, 5, layout, versions)
     ]
     expected = {"mc_replications": REPLICATIONS, "mc_correlation": 0.0}

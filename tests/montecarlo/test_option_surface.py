@@ -5,7 +5,8 @@ runs in the calling process, so the method takes ``versions``,
 ``replications`` and ``correlation`` only.  A per-call chunk size or process
 count is an unknown option wherever an evaluation can be requested: the
 Python API, the service protocol and its HTTP endpoint, study specs and the
-CLI.
+CLI.  The engine has no process count or histogram size either, and
+``repro evaluate --method montecarlo`` is the one command that runs it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import pytest
 
 import repro.montecarlo
+import repro.stats.rng
 from repro.api import default_registry, evaluate
 from repro.cli import main
 from repro.montecarlo.engine import MonteCarloEngine
@@ -58,20 +60,29 @@ def test_engine_fields():
     assert [field.name for field in dataclasses.fields(MonteCarloEngine)] == [
         "model",
         "process",
-        "jobs",
     ]
 
 
-def test_simulate_has_no_chunk_size_flag(capsys):
+def test_evaluate_has_no_chunk_size_flag(capsys):
     with pytest.raises(SystemExit):
-        main(["simulate", "--help"])
+        main(["evaluate", "--help"])
     assert "--chunk-size" not in capsys.readouterr().out
 
 
-def test_removed_names_are_gone():
+def test_removed_names_are_gone(capsys, small_model):
     assert not hasattr(repro.montecarlo, "StreamingPairResult")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.montecarlo.convergence")
+    assert not hasattr(repro.stats.rng, "spawn_rngs")
+    assert not hasattr(repro.stats, "spawn_rngs")
+    with pytest.raises(TypeError):
+        MonteCarloEngine(small_model, jobs=2)
+    with pytest.raises(TypeError):
+        MonteCarloEngine(small_model).simulate_paired_streaming(100, rng=1, bins=8)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--replications", "100"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'simulate'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", REMOVED)

@@ -1,4 +1,4 @@
-"""Tests for the streaming and parallel execution paths of the engine."""
+"""Tests for the streaming execution path of the engine."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.fault_model import FaultModel
 from repro.core.moments import pfd_moments
-from repro.montecarlo.engine import MonteCarloEngine, _shard_sizes
+from repro.montecarlo.engine import MonteCarloEngine
 from repro.montecarlo.results import PairSimulationResult
 from repro.montecarlo.streaming import StreamingSimulationResult
 
@@ -18,16 +18,19 @@ def model() -> FaultModel:
 
 
 class TestConstructionValidation:
-    def test_rejects_bad_jobs(self, model):
-        with pytest.raises(ValueError):
-            MonteCarloEngine(model, jobs=0)
-
     def test_process_defaults_without_type_ignore(self, model):
         # ``process`` is a genuine Optional field now; passing None explicitly
         # behaves exactly like omitting it.
         engine = MonteCarloEngine(model, process=None)
         assert engine.process is not None
         assert engine.process.model is model
+
+    def test_rejects_a_process_on_another_model(self, model):
+        from repro.versions.generation import IndependentDevelopmentProcess
+
+        other = FaultModel(p=np.array([0.1, 0.2]), q=np.array([0.1, 0.1]))
+        with pytest.raises(ValueError, match="engine's fault model"):
+            MonteCarloEngine(model, process=IndependentDevelopmentProcess(other))
 
 
 class TestStreamingSimulations:
@@ -85,14 +88,9 @@ class TestStreamingSimulations:
             engine.simulate_systems_streaming(100, versions=0)
 
 
-class TestParallelExecution:
-    def test_shard_sizes_cover_replications(self):
-        assert _shard_sizes(10, 3) == [4, 3, 3]
-        assert _shard_sizes(2, 8) == [1, 1]
-        assert sum(_shard_sizes(1_000_003, 7)) == 1_000_003
-
-    def test_parallel_deterministic_and_statistically_consistent(self, model):
-        engine = MonteCarloEngine(model, jobs=2)
+class TestSequentialExecution:
+    def test_deterministic_and_statistically_consistent(self, model):
+        engine = MonteCarloEngine(model)
         first = engine.simulate_paired(30_000, rng=4)
         second = engine.simulate_paired(30_000, rng=4)
         assert np.array_equal(first.single.pfds.samples, second.single.pfds.samples)
@@ -100,15 +98,28 @@ class TestParallelExecution:
         moments = pfd_moments(model, 1)
         assert first.single.mean_pfd() == pytest.approx(moments.mean, rel=0.05)
 
-    def test_parallel_streaming_merges_all_shards(self, model):
-        engine = MonteCarloEngine(model, jobs=2)
-        result = engine.simulate_single_streaming(30_001, rng=6)
+    def test_streaming_counts_every_chunk(self, model, monkeypatch):
+        from repro.montecarlo import engine as engine_module
+
+        # 30_001 rows in chunks of 4_096 leave a short last chunk.
+        monkeypatch.setattr(engine_module, "CHUNK_ROWS", 4_096)
+        result = MonteCarloEngine(model).simulate_single_streaming(30_001, rng=6)
         assert result.pfds.count == 30_001
         assert result.mean_pfd() == pytest.approx(pfd_moments(model, 1).mean, rel=0.05)
 
-    def test_parallel_falls_back_to_sequential_for_tiny_runs(self, model):
-        # Fewer replications than 2*jobs run in-process (and bitwise match the
-        # sequential path).
-        parallel = MonteCarloEngine(model, jobs=8).simulate_single_versions(10, rng=9)
-        sequential = MonteCarloEngine(model).simulate_single_versions(10, rng=9)
-        assert np.array_equal(parallel.pfds.samples, sequential.pfds.samples)
+    def test_tiny_runs_stream_the_sampled_draws(self, model):
+        engine = MonteCarloEngine(model)
+        sampled = engine.simulate_single_versions(10, rng=9)
+        streamed = engine.simulate_single_streaming(10, rng=9)
+        assert streamed.pfds.count == 10
+        assert streamed.mean_pfd() == pytest.approx(sampled.mean_pfd(), rel=1e-12)
+        assert streamed.pfds.minimum == float(np.min(sampled.pfds.samples))
+        assert streamed.pfds.maximum == float(np.max(sampled.pfds.samples))
+
+    def test_paired_streaming_matches_sampled_means(self, model):
+        engine = MonteCarloEngine(model)
+        sampled = engine.simulate_paired(20_000, rng=11)
+        streamed = engine.simulate_paired_streaming(20_000, rng=11)
+        assert streamed.single.mean_pfd() == pytest.approx(sampled.single.mean_pfd(), rel=1e-12)
+        assert streamed.system.mean_pfd() == pytest.approx(sampled.system.mean_pfd(), rel=1e-12)
+        assert streamed.risk_ratio() == pytest.approx(sampled.risk_ratio(), rel=1e-12)

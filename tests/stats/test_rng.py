@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import subprocess
+import sys
 
-from repro.stats.rng import default_rng, ensure_rng, fixed_seed_sequence, spawn_rngs
+import numpy as np
+
+from repro.stats.rng import DEFAULT_SEED, default_rng, ensure_rng, fixed_seed_sequence
 
 
 class TestDefaultRng:
@@ -17,6 +19,14 @@ class TestDefaultRng:
 
     def test_different_seeds_differ(self):
         assert default_rng(1).random() != default_rng(2).random()
+
+    def test_no_seed_means_the_library_seed(self):
+        assert default_rng().random() == np.random.default_rng(DEFAULT_SEED).random()
+
+    def test_each_call_starts_a_fresh_stream(self):
+        first, second = default_rng(3), default_rng(3)
+        assert first is not second
+        assert [first.random() for _ in range(3)] == [second.random() for _ in range(3)]
 
 
 class TestEnsureRng:
@@ -30,27 +40,12 @@ class TestEnsureRng:
     def test_accepts_none(self):
         assert ensure_rng(None).random() == default_rng().random()
 
-
-class TestSpawn:
-    def test_spawn_count(self):
-        children = spawn_rngs(0, 4)
-        assert len(children) == 4
-
-    def test_spawn_streams_differ(self):
-        children = spawn_rngs(0, 2)
-        assert children[0].random() != children[1].random()
-
-    def test_spawn_zero(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_spawn_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_is_reproducible(self):
-        first = [g.random() for g in spawn_rngs(7, 3)]
-        second = [g.random() for g in spawn_rngs(7, 3)]
-        assert first == second
+    def test_passed_generator_keeps_its_position(self):
+        generator = np.random.default_rng(4)
+        generator.random()
+        expected = np.random.default_rng(4)
+        expected.random()
+        assert ensure_rng(generator).random() == expected.random()
 
 
 class TestFixedSeeds:
@@ -58,3 +53,23 @@ class TestFixedSeeds:
         generators = fixed_seed_sequence([1, 2])
         assert generators[0].random() == np.random.default_rng(1).random()
         assert generators[1].random() == np.random.default_rng(2).random()
+
+    def test_empty_seed_list(self):
+        assert fixed_seed_sequence([]) == []
+
+    def test_equal_seeds_give_equal_but_separate_streams(self):
+        first, second = fixed_seed_sequence([6, 6])
+        assert first is not second
+        assert first.random() == second.random()
+
+    def test_numpy_integer_seeds(self):
+        (generator,) = fixed_seed_sequence(np.array([8], dtype=np.int64))
+        assert generator.random() == np.random.default_rng(8).random()
+
+
+def test_importing_the_module_does_not_load_numpy():
+    code = "import sys, repro.stats.rng; print('numpy' in sys.modules)"
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "False"

@@ -22,18 +22,21 @@ class TestStreamingMoments:
         assert moments.minimum == float(np.min(samples))
         assert moments.maximum == float(np.max(samples))
 
-    def test_merge_equals_single_pass(self):
+    def test_two_batch_update_equals_single_pass(self):
+        # The second update folds a whole batch into the running totals with
+        # the Chan combination; it must agree with one pass over everything.
         rng = np.random.default_rng(1)
-        samples = rng.normal(size=5000)
+        samples = np.concatenate([rng.normal(size=5000), np.zeros(7)])
         whole = StreamingMoments()
         whole.update(samples)
-        left, right = StreamingMoments(), StreamingMoments()
-        left.update(samples[:1234])
-        right.update(samples[1234:])
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean() == pytest.approx(whole.mean(), rel=1e-12)
-        assert left.variance() == pytest.approx(whole.variance(), rel=1e-10)
+        batched = StreamingMoments()
+        batched.update(samples[:1234])
+        batched.update(samples[1234:])
+        assert batched.count == whole.count
+        assert batched.mean() == pytest.approx(whole.mean(), rel=1e-12)
+        assert batched.variance() == pytest.approx(whole.variance(), rel=1e-10)
+        assert (batched.minimum, batched.maximum) == (whole.minimum, whole.maximum)
+        assert batched.zeros == whole.zeros == 7
 
     def test_zero_tracking(self):
         moments = StreamingMoments()
@@ -57,11 +60,12 @@ class TestStreamingMoments:
         moments.update(np.array([]))
         assert moments.count == 0
 
-    def test_merge_empty_is_noop(self):
+    def test_empty_update_after_data_is_noop(self):
         moments = StreamingMoments()
-        moments.update(np.array([1.0, 2.0]))
-        moments.merge(StreamingMoments())
-        assert moments.count == 2
+        moments.update(np.array([1.0, 2.0, 0.0]))
+        before = (moments.count, moments.mean(), moments.variance(), moments.zeros)
+        moments.update(np.array([]))
+        assert (moments.count, moments.mean(), moments.variance(), moments.zeros) == before
 
 
 class TestStreamingHistogram:
@@ -90,24 +94,29 @@ class TestStreamingHistogram:
         for level, value in zip(levels, quantiles):
             assert value == pytest.approx(level, abs=0.01)
 
-    def test_merge_matches_single_pass(self):
+    def test_two_batch_update_equals_single_pass(self):
         rng = np.random.default_rng(3)
-        samples = rng.random(2000)
+        samples = np.concatenate([rng.random(2000), np.zeros(5), [-0.25, 1.5]])
         whole = StreamingHistogram(0.0, 1.0, bins=64)
         whole.update(samples)
-        left = StreamingHistogram(0.0, 1.0, bins=64)
-        right = StreamingHistogram(0.0, 1.0, bins=64)
-        left.update(samples[:777])
-        right.update(samples[777:])
-        left.merge(right)
-        np.testing.assert_array_equal(left.counts, whole.counts)
-        assert left.total == whole.total
+        batched = StreamingHistogram(0.0, 1.0, bins=64)
+        batched.update(samples[:777])
+        batched.update(samples[777:])
+        np.testing.assert_array_equal(batched.counts, whole.counts)
+        assert batched.total == whole.total == samples.size
+        assert (batched.zero_count, batched.underflow, batched.overflow) == (
+            whole.zero_count,
+            whole.underflow,
+            whole.overflow,
+        )
 
-    def test_merge_rejects_mismatched_edges(self):
-        left = StreamingHistogram(0.0, 1.0, bins=8)
-        right = StreamingHistogram(0.0, 2.0, bins=8)
-        with pytest.raises(ValueError):
-            left.merge(right)
+    def test_empty_update_is_noop(self):
+        histogram = StreamingHistogram(0.0, 1.0, bins=8)
+        histogram.update(np.array([0.2, 0.7]))
+        counts = histogram.counts.copy()
+        histogram.update(np.array([]))
+        np.testing.assert_array_equal(histogram.counts, counts)
+        assert histogram.total == 2
 
     def test_out_of_range_counted(self):
         histogram = StreamingHistogram(0.0, 1.0, bins=4)

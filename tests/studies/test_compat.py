@@ -1,22 +1,14 @@
-"""Old -> new dispatch compatibility: deprecated shims and warm-cache identity.
+"""Old -> new dispatch compatibility: warm-cache identity.
 
 The unified-API refactor moved method dispatch from per-consumer tables into
-:class:`repro.api.MethodRegistry`.  Two things must survive it byte for byte:
-
-* the deprecated ``repro simulate`` subcommand keeps producing identical
-  output, now with a ``DeprecationWarning``;
-* study cache digests: the digests below were recorded by running
-  ``plan_study`` on the *pre-registry* implementation (commit f421fea) and
-  re-pinned once for the deliberate cache format bump to version 2, so a
-  warm cache written by the old dispatch must be served untouched by the new
-  one.
+:class:`repro.api.MethodRegistry`.  Study cache digests must survive it byte
+for byte: the digests below were recorded by running ``plan_study`` on the
+*pre-registry* implementation (commit f421fea) and re-pinned once for the
+deliberate cache format bump to version 2, so a warm cache written by the
+old dispatch must be served untouched by the new one.
 """
 
 from __future__ import annotations
-
-import json
-
-import pytest
 
 from repro.studies import ResultCache, StudySpec, plan_study, run_study
 
@@ -144,17 +136,3 @@ class TestBatchedDispatchCompat:
         assert len(outcomes) == len(members)
         assert all(status == "ok" for status, _ in outcomes)
 
-
-class TestDeprecatedShims:
-    def test_simulate_cli_warns_and_output_is_unchanged(self, tmp_path, capsys, small_model):
-        from repro.cli import main
-        from repro.montecarlo.engine import MonteCarloEngine
-
-        model_file = tmp_path / "model.json"
-        model_file.write_text(json.dumps(small_model.to_dict()), encoding="utf-8")
-        arguments = ["simulate", "--model", str(model_file), "--replications", "3000", "--seed", "9"]
-        with pytest.warns(DeprecationWarning, match="repro simulate"):
-            assert main(arguments) == 0
-        printed = json.loads(capsys.readouterr().out)
-        expected = MonteCarloEngine(small_model).simulate_paired(3000, rng=9).summary()
-        assert printed == expected
