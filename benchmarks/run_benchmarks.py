@@ -263,18 +263,70 @@ def workload_study(quick: bool) -> dict:
     }
 
 
+def _evaluate_point(arguments: tuple) -> dict:
+    """One study point through ``repro.evaluate`` (module-level for the pool)."""
+    from repro import evaluate
+    from repro.studies.methods import resolve_model, split_point_params
+
+    base, params, method, seed = arguments
+    factory_kwargs, transforms, overrides, _ = split_point_params(base, params, method)
+    model = resolve_model(base, factory_kwargs, transforms)
+    options = {**dict(method.options), **overrides}
+    return evaluate(model, method.name, seed=seed, **options).metric_dict()
+
+
+def _run_per_point(spec, cache_dir: str, jobs: int) -> tuple[int, dict]:
+    """A study dispatched one task per point: the per-point reference side.
+
+    Plans the study, evaluates every pending point as its own pool task
+    through ``repro.evaluate`` on the rescaled model with the point's digest
+    seed, and stores one cache entry per record -- the work a study did
+    before groups were its one dispatch path.  The pool has ``jobs``
+    workers capped at the CPU count, as :func:`repro.studies.run_study`
+    caps its own.  Returns ``(tasks, metrics by digest)``.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.api.methods import import_kernels
+    from repro.cache import ResultCache
+    from repro.studies import plan_study, point_seed_entropy
+
+    cache = ResultCache(cache_dir)
+    pending = {}
+    for entry in plan_study(spec):
+        if cache.load(entry.digest) is None:
+            pending.setdefault(entry.digest, entry)
+    work = [
+        (dict(spec.base), dict(entry.consumed_params), entry.point.method,
+         point_seed_entropy(spec, digest))
+        for digest, entry in pending.items()
+    ]
+    import_kernels()
+    fresh = {}
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        # Stored as they arrive, while the workers compute the rest.
+        for (digest, entry), metrics in zip(pending.items(), pool.map(_evaluate_point, work)):
+            cache.store(digest, {"digest": digest, "payload": entry.payload, "metrics": metrics})
+            fresh[digest] = metrics
+    return len(work), fresh
+
+
 def workload_sweep1000(quick: bool) -> dict:
-    """1000-point sweep: batched (grouped) versus per-point dispatch, per method.
+    """1000-point sweep: grouped study dispatch versus per-point tasks, per method.
 
     One ``p_scale`` axis with 500 values evaluated by ``exact`` and
     ``montecarlo`` (2 x 500 = 1000 points, 100 in quick mode).  Each method
-    runs as its own study, twice over fresh caches (jobs=4): grouped
-    (``batch=True``) and one task per point (``batch=False``).  Monte Carlo
-    gains from grouping -- every point is scored against one shared demand
-    stream -- so ``montecarlo_speedup`` is large.  Exact sweeps run the
-    scalar kernel per point either way, so ``exact_speedup`` only says that
-    grouping is no slower than per-point dispatch.  ``speedup`` is the
-    combined figure over both methods.
+    runs as its own study over fresh caches (jobs=4): once through
+    ``run_study`` (grouped) and once one task per point
+    (:func:`_run_per_point`), in :data:`ROUNDS` rounds that alternate which
+    side goes first.  ``{method}_speedup`` is the median over the rounds of
+    per-point seconds / grouped seconds (``{method}_round_ratios`` beside
+    it).  Monte Carlo gains from grouping -- every point is scored against
+    one shared demand stream -- so ``montecarlo_speedup`` is large.  Exact
+    sweeps run the scalar kernel per point either way (the records are
+    checked equal), so ``exact_speedup`` only says that grouping is no
+    slower than per-point dispatch.  ``speedup`` is the combined figure
+    over both methods' median times.
 
     ``exact_tail_shared_speedup`` compares one ``exact`` + ``tail-quantile``
     study over 50 of the sweep's ``p_scale`` points with the two
@@ -284,12 +336,14 @@ def workload_sweep1000(quick: bool) -> dict:
     read it.  Both sides run in-process, best of three, so the ratio
     measures the kernel work saved rather than pool start-up.
     """
+    import shutil
     import tempfile
 
-    from repro.studies import StudySpec, run_study
+    from repro.studies import StudySpec, plan_study, run_study
 
     points = 50 if quick else 500
     replications = 2_000 if quick else 10_000
+    jobs = 4
     methods = {
         "exact": {"name": "exact", "max_support": 256},
         "montecarlo": {"name": "montecarlo", "replications": replications},
@@ -307,23 +361,41 @@ def workload_sweep1000(quick: bool) -> dict:
 
     # Untimed, so the first timed pass does not pay the process's first-run
     # costs (about half a second, as much as a whole quick exact pass).
-    run_study(spec("bench-sweep1000-warmup", {"values": [0.5, 1.0]}, list(methods.values())), jobs=4)
-    seconds: dict[tuple[str, bool], float] = {}
-    tasks: dict[bool, int] = {True: 0, False: 0}
+    warmup = spec("bench-sweep1000-warmup", {"values": [0.5, 1.0]}, list(methods.values()))
+    run_study(warmup, jobs=jobs)
+    seconds: dict[tuple[str, str], list[float]] = {}
+    tasks = {"grouped": 0, "per_point": 0}
     with tempfile.TemporaryDirectory() as tmp:
+        _run_per_point(warmup, f"{tmp}/warmup", jobs)
         for name, method in methods.items():
             sweep = spec(f"bench-sweep1000-{name}", {"logspace": [0.05, 1.0, points]}, [method])
-            computed = set()
-            for batch in (True, False):
-                start = time.perf_counter()
-                result = run_study(
-                    sweep, cache_dir=f"{tmp}/{name}-{batch}", jobs=4, batch=batch
-                )
-                seconds[name, batch] = time.perf_counter() - start
-                tasks[batch] += result.summary["dispatched_tasks"]
-                computed.add(result.summary["computed"])
-            if len(computed) != 1:
-                raise RuntimeError(f"{name}: batched and scalar passes evaluated different point counts")
+            for index in range(ROUNDS):
+                sides = ("grouped", "per_point") if index % 2 == 0 else ("per_point", "grouped")
+                for side in sides:
+                    cache_dir = f"{tmp}/{name}-{side}-{index}"
+                    start = time.perf_counter()
+                    if side == "grouped":
+                        result = run_study(sweep, cache_dir=cache_dir, jobs=jobs)
+                        count, computed = result.summary["dispatched_tasks"], result.summary["computed"]
+                    else:
+                        count, fresh = _run_per_point(sweep, cache_dir, jobs)
+                        computed = len(fresh)
+                    seconds.setdefault((name, side), []).append(time.perf_counter() - start)
+                    # Entries pile up in the file system otherwise, and each
+                    # round's stores would run slower than the last.
+                    shutil.rmtree(cache_dir)
+                    if index == 0:
+                        tasks[side] += count
+                    if computed != points:
+                        raise RuntimeError(f"{name} {side}: computed {computed} of {points} points")
+                if name == "exact":
+                    grouped = {
+                        entry.digest: row
+                        for entry, row in zip(plan_study(sweep), result.records)
+                    }
+                    for digest, metrics in fresh.items():
+                        if {key: grouped[digest][key] for key in metrics} != metrics:
+                            raise RuntimeError("exact: a grouped record differs from its per-point record")
         axis = {"logspace": [0.05, 1.0, 50]}
         pair = [{"name": "exact"}, {"name": "tail-quantile"}]
         studies = {
@@ -340,24 +412,37 @@ def workload_sweep1000(quick: bool) -> dict:
                     run_study(sweep, cache_dir=f"{tmp}/{label}-{repeat}-{position}")
                 elapsed = time.perf_counter() - start
                 best[label] = min(best.get(label, elapsed), elapsed)
-    batched_elapsed = sum(seconds[name, True] for name in methods)
-    scalar_elapsed = sum(seconds[name, False] for name in methods)
+    ratios = {
+        name: [
+            per_point / grouped
+            for per_point, grouped in zip(seconds[name, "per_point"], seconds[name, "grouped"])
+        ]
+        for name in methods
+    }
+    median = {key: statistics.median(values) for key, values in seconds.items()}
+    grouped_elapsed = sum(median[name, "grouped"] for name in methods)
+    per_point_elapsed = sum(median[name, "per_point"] for name in methods)
     total_points = points * len(methods)
     return {
         "points": total_points,
         "replications": replications,
-        "jobs": 4,
-        "batched_seconds": round(batched_elapsed, 3),
-        "scalar_seconds": round(scalar_elapsed, 3),
-        "batched_points_per_second": round(total_points / batched_elapsed, 1),
-        "scalar_points_per_second": round(total_points / scalar_elapsed, 1),
-        "speedup": round(scalar_elapsed / batched_elapsed, 1),
+        "jobs": jobs,
+        "rounds": ROUNDS,
+        "grouped_seconds": round(grouped_elapsed, 3),
+        "per_point_seconds": round(per_point_elapsed, 3),
+        "grouped_points_per_second": round(total_points / grouped_elapsed, 1),
+        "per_point_points_per_second": round(total_points / per_point_elapsed, 1),
+        "speedup": round(per_point_elapsed / grouped_elapsed, 1),
         **{
-            f"{name}_speedup": round(seconds[name, False] / seconds[name, True], 2)
+            key: value
             for name in methods
+            for key, value in (
+                (f"{name}_speedup", round(statistics.median(ratios[name]), 2)),
+                (f"{name}_round_ratios", [round(ratio, 2) for ratio in ratios[name]]),
+            )
         },
-        "dispatched_tasks_batched": tasks[True],
-        "dispatched_tasks_scalar": tasks[False],
+        "dispatched_tasks_grouped": tasks["grouped"],
+        "dispatched_tasks_per_point": tasks["per_point"],
         "exact_tail_shared_seconds": round(best["shared"], 3),
         "exact_tail_separate_seconds": round(best["separate"], 3),
         "exact_tail_shared_speedup": round(best["separate"] / best["shared"], 2),
@@ -1102,11 +1187,11 @@ def check_record(record: dict) -> list[str]:
         # dispatch; exact sweeps run the scalar kernel per point either
         # way, so grouping them must merely not be slower.
         (
-            "sweep1000 montecarlo batched >= 3x scalar",
+            "sweep1000 montecarlo grouped >= 3x per-point",
             lambda: value("sweep1000", "montecarlo_speedup") >= 3.0,
         ),
         (
-            "sweep1000 exact batched >= 0.8x scalar",
+            "sweep1000 exact grouped >= 0.8x per-point",
             lambda: value("sweep1000", "exact_speedup") >= 0.8,
         ),
         # One exact + tail-quantile study convolves each point once; the

@@ -258,7 +258,8 @@ def sweep_outcomes(
     outcomes)``: ``outcomes[i]`` is ``("ok", EvaluationResult)`` or
     ``("error", "ValueError: ...")`` for variation ``i``, and ``batched``
     says whether the method's batched kernel produced the valid points
-    (``False``: no kernel, the kernel declined, or no point was valid).
+    (``False``: no kernel serves these options, the kernel declined, or no
+    point was valid).
 
     Each variation is a mapping with optional ``p_scale`` / ``q_scale`` keys
     (1.0 when absent); any other key raises ``ValueError`` before anything
@@ -269,8 +270,9 @@ def sweep_outcomes(
     becomes its own error outcome and its siblings are still computed, so
     a sweep gives every point the outcome its one-point sweep gives.
 
-    When the method registered a batched kernel, the valid points are
-    evaluated in one kernel call sharing a single random stream derived
+    When the method's batched kernel serves the resolved options
+    (:meth:`~repro.api.registry.MethodDefinition.batches`), the valid points
+    are evaluated in one kernel call sharing a single random stream derived
     from ``seed`` -- for stochastic methods this is the common-random-numbers
     mode: every point scored against the same sampled developments (see
     :mod:`repro.montecarlo.sweep`).  Otherwise each point is evaluated on
@@ -312,7 +314,7 @@ def sweep_outcomes(
         else:
             valid[index] = {"p_scale": p_scale, "q_scale": q_scale}
     batched = False
-    if valid and definition.supports_batch:
+    if valid and definition.batches(resolved):
         entropy = _normalise_entropy(seed)
         rng = None
         if definition.requires_seed:
@@ -406,9 +408,10 @@ def evaluate_sweep(
     method:
         A registered method name.  Methods whose definition carries a
         batched kernel (``supports_batch``; currently ``exact``,
-        ``tail-quantile`` and ``montecarlo``) evaluate the whole sweep in
-        one kernel call; any other method falls back to per-variation
-        scalar evaluation with no semantic difference.  The ``exact`` and
+        ``tail-quantile`` and ``montecarlo``, the last for uncorrelated
+        developments only) evaluate the whole sweep in one kernel call;
+        any other sweep falls back to per-variation scalar evaluation with
+        no semantic difference.  The ``exact`` and
         ``tail-quantile`` kernels loop the scalar kernel, so their records
         equal per-point :func:`evaluate` records byte for byte; only the
         stochastic ``montecarlo`` kernel changes values (shared stream).

@@ -333,7 +333,9 @@ def _mc_record(options: dict, pair=None, system: tuple = ()) -> dict:
     return record
 
 
-@register_batch("montecarlo")
+@register_batch(
+    "montecarlo", applies=lambda options: float(options["correlation"]) == 0.0
+)
 def _montecarlo_batch(model, variations, options: dict, rng) -> list[dict]:
     """Batched ``montecarlo``: shared-demand (common-random-numbers) sweeps.
 
@@ -343,12 +345,11 @@ def _montecarlo_batch(model, variations, options: dict, rng) -> list[dict]:
     values are *not* the independent-stream values the scalar path produces
     -- they are an equally valid estimate whose noise is shared across the
     sweep, which makes cross-point comparisons lower-variance, and they do
-    not depend on the point's siblings.  Correlated
-    developments and sweeps beyond the sparse kernel's memory budget fall
-    back to per-point simulation.
+    not depend on the point's siblings.  The kernel serves the independent
+    development process only (its declared ``applies`` rule): correlated
+    sweeps run point by point, and so do sweeps beyond the sparse kernel's
+    memory budget.
     """
-    if float(options["correlation"]) != 0.0:
-        raise BatchUnsupported("correlated developments sweep point by point")
     from repro.montecarlo.sweep import (
         MAX_SWEEP_ENTRIES,
         expected_entry_count,

@@ -34,13 +34,13 @@ __all__ = [
 
 
 class BatchUnsupported(Exception):
-    """Raised by a batched evaluator to decline a particular sweep.
+    """Raised by a batched evaluator to decline a particular sweep at runtime.
 
-    A method can support batching in general but not for every option
-    combination (e.g. Monte Carlo sweeps require the independent development
-    process, and very large sweeps may exceed the kernel's memory budget).
-    Raising this from ``evaluate_batch`` makes :func:`repro.evaluate_sweep`
-    fall back to the scalar per-variation path transparently.
+    Which option combinations a kernel serves is declared up front
+    (:func:`register_batch`'s ``applies``); this is for what only the
+    kernel can tell, e.g. a sweep exceeding its memory budget.  Raising it
+    from ``evaluate_batch`` makes :func:`repro.evaluate_sweep` fall back to
+    the scalar per-variation path transparently.
     """
 
 #: Accepted option value types, by schema name.
@@ -152,18 +152,26 @@ class MethodDefinition:
     #: ``{"p_scale": float, "q_scale": float}`` model transforms.  Methods
     #: opt in via :func:`register_batch`; see :func:`repro.evaluate_sweep`.
     evaluate_batch: Callable[..., Any] | None = None
+    #: Which resolved options the batched kernel serves (``None``: all);
+    #: declared through :func:`register_batch`'s ``applies``.
+    batch_applies: Callable[[Mapping[str, Any]], bool] | None = None
 
     @property
     def supports_batch(self) -> bool:
         """Whether the method opted into batched sweep evaluation."""
         return self.evaluate_batch is not None
 
-    @property
-    def shares_work(self) -> bool:
-        """Whether the batched kernel shares work (one sampled world) across
-        a sweep's points, so grouping its points saves work; a deterministic
-        kernel computes each point on its own."""
-        return self.supports_batch and self.requires_seed
+    def batches(self, options: Mapping[str, Any]) -> bool:
+        """Whether the batched kernel serves a sweep with these resolved options."""
+        return self.supports_batch and (
+            self.batch_applies is None or self.batch_applies(options)
+        )
+
+    def shares_work(self, options: Mapping[str, Any]) -> bool:
+        """Whether a sweep with these resolved options shares work (one
+        sampled world) across its points, so its points are grouped; a
+        deterministic kernel computes each point on its own."""
+        return self.requires_seed and self.batches(options)
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -228,16 +236,20 @@ class MethodRegistry:
         del self._methods[name]
         return definition
 
-    def attach_batch(self, name: str, evaluate_batch: Callable) -> MethodDefinition:
+    def attach_batch(
+        self, name: str, evaluate_batch: Callable, applies: Callable | None = None
+    ) -> MethodDefinition:
         """Attach (or replace) the batched sweep evaluator of a registered method.
 
         The stored :class:`MethodDefinition` is frozen, so attaching swaps in
-        a copy with ``evaluate_batch`` set; everything else (options, seed
-        requirement, the scalar evaluator) is untouched.
+        a copy with ``evaluate_batch`` and ``batch_applies`` set; everything
+        else (options, seed requirement, the scalar evaluator) is untouched.
         """
         import dataclasses
 
-        definition = dataclasses.replace(self.get(name), evaluate_batch=evaluate_batch)
+        definition = dataclasses.replace(
+            self.get(name), evaluate_batch=evaluate_batch, batch_applies=applies
+        )
         self._methods[name] = definition
         return definition
 
@@ -344,7 +356,10 @@ def register_method(
 
 
 def register_batch(
-    name: str, *, registry: MethodRegistry | None = None
+    name: str,
+    *,
+    applies: Callable[[Mapping[str, Any]], bool] | None = None,
+    registry: MethodRegistry | None = None,
 ) -> Callable[[Callable], Callable]:
     """Decorator: attach a batched sweep evaluator to a registered method.
 
@@ -358,17 +373,24 @@ def register_batch(
     the invalid ones as per-point errors without calling the kernel.  It
     must return one metric mapping per variation, in order, or raise
     :class:`BatchUnsupported` to make the caller fall back to per-variation
-    scalar evaluation.  A deterministic
-    kernel must return, per variation, exactly the record the scalar method
-    gives ``model.rescaled(p_scale, q_scale)``; the study runner relies on
-    that and splits deterministic groups across workers.  Any kernel must
-    give each variation a record that depends on that variation alone (and
-    the stream's seed), never on the rest of the tuple: the study runner
-    sends each group with its cache misses only.  A kernel that shares a
-    random stream across its points (``requires_seed``) runs each group as
-    one task, so the stream is sampled once.  The simplest valid kernel,
-    for the ``mean-only``
-    method of :func:`register_method`'s example::
+    scalar evaluation.
+
+    ``applies(options)`` declares which resolved options the kernel serves
+    (default: all).  A sweep outside it runs point by point, and the study
+    planner and the service read the same rule
+    (:meth:`MethodDefinition.shares_work`) to decide whether its points
+    share work, before any kernel runs.
+
+    A deterministic kernel must return, per variation, exactly the record
+    the scalar method gives ``model.rescaled(p_scale, q_scale)``; the study
+    runner relies on that and splits deterministic groups across workers.
+    Any kernel must give each variation a record that depends on that
+    variation alone (and the stream's seed), never on the rest of the
+    tuple: the study runner sends each group with its cache misses only.
+    A kernel that shares a random stream across its points
+    (``requires_seed``) runs each group as one task, so the stream is
+    sampled once.  The simplest valid kernel, for the ``mean-only`` method
+    of :func:`register_method`'s example::
 
         @register_batch("mean-only")
         def _mean_only_batch(model, variations, options, rng):
@@ -380,7 +402,7 @@ def register_batch(
     target = registry if registry is not None else _DEFAULT_REGISTRY
 
     def decorator(function: Callable) -> Callable:
-        target.attach_batch(name, function)
+        target.attach_batch(name, function, applies)
         return function
 
     return decorator

@@ -168,15 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="recompute every point even on a cache hit"
     )
     study_run.add_argument(
-        "--no-batch",
-        action="store_true",
-        help=(
-            "dispatch one task per point with per-point independent random streams "
-            "instead of the batched fast path (grouped p_scale/q_scale sweeps sharing "
-            "one demand stream); digests and cache behaviour are identical either way"
-        ),
-    )
-    study_run.add_argument(
         "--keep-going",
         action="store_true",
         help=(
@@ -228,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "micro-batching window: how long the first montecarlo sweep point of a "
             "group waits for companions sharing its demand stream (added latency "
-            "ceiling; default 5); other methods never wait"
+            "ceiling; default 5); other methods and correlated montecarlo never "
+            "wait, and 0 dispatches every request at once"
         ),
     )
     serve_parser.add_argument(
@@ -244,15 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="in-process response cache capacity in entries (default 1024)",
-    )
-    serve_parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help=(
-            "disable micro-batching: every request takes the scalar repro.evaluate "
-            "path (montecarlo points draw independent streams instead of a shared "
-            "one); identical concurrent requests still compute once"
-        ),
     )
     serve_parser.add_argument(
         "--max-inflight",
@@ -799,7 +782,6 @@ def _handle_study(arguments: argparse.Namespace) -> int:
         jobs=arguments.jobs,
         force=arguments.force,
         progress=progress,
-        batch=not arguments.no_batch,
         keep_going=arguments.keep_going,
     )
     if not arguments.quiet:
@@ -847,7 +829,6 @@ def _handle_serve(arguments: argparse.Namespace) -> int:
     server = EvaluationServer(
         workers=arguments.workers,
         batch_window_ms=arguments.batch_window_ms,
-        batch=not arguments.no_batch,
         cache_dir=cache_dir,
         lru_size=arguments.lru_size,
         max_inflight=arguments.max_inflight,

@@ -55,6 +55,9 @@ class TestingCampaign:
         whole development process".
     """
 
+    #: Not a test class, whatever its name: keeps pytest from collecting it.
+    __test__ = False
+
     model: FaultModel
     effectiveness: np.ndarray | float = 1.0
     repair_probability: float = 1.0

@@ -2,18 +2,21 @@
 
 Only a kernel that *shares work* across a sweep's points gains from
 grouping them: the Monte Carlo common-random-numbers sweep scores every
-point against one shared demand stream
-(:attr:`~repro.api.registry.MethodDefinition.shares_work`).  Such a request
-waits a short window (``--batch-window-ms``) keyed by its batch-group
-digest -- the same (model content, method, options, seed) grouping the study
-runner uses for cache-miss sweep points -- and every group dispatches as
-*one* :func:`repro.service.worker.evaluate_group` call.
+point against one shared demand stream.  The registry decides from the
+request's resolved options
+(:meth:`~repro.api.registry.MethodDefinition.shares_work`: ``montecarlo``
+with ``correlation`` 0), once, when the wire parser builds the request.
+Such a request waits a short window (``--batch-window-ms``) keyed by its
+batch-group digest -- the same (model content, method, options, seed)
+grouping the study runner uses for cache-miss sweep points -- and every
+group dispatches as *one* :func:`repro.service.worker.evaluate_group` call.
 
 Every other request -- a deterministic method, whose per-point answer
-depends only on that point, or any request under ``--no-batch`` --
-dispatches at once through the scalar :func:`repro.evaluate` path.  So does
-a lone window, and a group whose kernel declined answers with the same
-bytes.  Grouping never changes *whether* an answer is right, only which
+depends only on that point, a correlated ``montecarlo`` request, or any
+request under ``--batch-window-ms 0`` -- dispatches at once through the
+scalar :func:`repro.evaluate` path.  So does a lone window, and a group
+whose kernel declined at runtime (past its memory budget) answers with the
+same bytes.  Grouping never changes *whether* an answer is right, only which
 equally valid estimator produced it (see the README's CRN notes): a
 grouped point's record equals its one-point sweep, whichever requests
 shared its window, while a lone request takes the scalar engine path.
@@ -67,9 +70,7 @@ class MicroBatcher:
     window_seconds:
         How long the *first* request of a shared-work group waits for
         companions.  The window bounds added latency; requests whose kernel
-        shares no work never wait in it.
-    batch:
-        ``False`` disables windows entirely (``repro serve --no-batch``):
+        shares no work never wait in it.  ``0`` disables windows entirely:
         every request takes the scalar path, byte-identical to
         :func:`repro.evaluate`, so ``montecarlo`` requests draw independent
         streams instead of a shared one.
@@ -91,7 +92,6 @@ class MicroBatcher:
         run_in_pool: Callable[..., Awaitable[Any]],
         *,
         window_seconds: float = 0.005,
-        batch: bool = True,
         on_group: Callable[[int, bool], None] | None = None,
         on_fallback: Callable[[], None] | None = None,
         metrics: MetricsRegistry | None = None,
@@ -100,7 +100,6 @@ class MicroBatcher:
             raise ValueError(f"window_seconds must be non-negative, got {window_seconds}")
         self._run = run_in_pool
         self.window_seconds = window_seconds
-        self.batch = batch
         self._on_group = on_group
         self._on_fallback = on_fallback
         self._metrics = metrics
@@ -115,11 +114,11 @@ class MicroBatcher:
     async def submit(self, request: ServiceRequest) -> tuple[dict, dict]:
         """Serve one request; returns ``(wire record, served metadata)``.
 
-        A request whose kernel shares work (with batching enabled) waits up
-        to the window for groupmates; everything else dispatches
-        immediately on the scalar path.
+        A request whose kernel shares work waits up to a non-zero window
+        for groupmates; everything else dispatches immediately on the
+        scalar path.
         """
-        if not (self.batch and request.shares_work):
+        if not (request.shares_work and self.window_seconds > 0.0):
             return await self._dispatch_single(request)
         loop = asyncio.get_running_loop()
         job = _Job(

@@ -18,9 +18,9 @@ Three tiers, probed in order:
   disk, so a warm shard answers for a cold one exactly once per key.
 
 The digest covers everything a response depends on *except* how it was
-computed -- batched-kernel and scalar values share a key, exactly like study
-cache entries across ``batch=True``/``batch=False`` runs.  A warm hit
-therefore returns whichever equally valid estimate was computed first;
+computed -- a ``montecarlo`` value from a shared-world group and one from a
+lone scalar request share a key, and so does a study-warmed entry.  A warm
+hit therefore returns whichever equally valid estimate was computed first;
 that is the documented CRN trade, not drift.
 """
 

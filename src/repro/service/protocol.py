@@ -76,7 +76,8 @@ class ServiceRequest:
     p_scale: float = 1.0
     q_scale: float = 1.0
     requires_seed: bool = False
-    #: Only requests whose kernel shares work wait in a batching window.
+    #: Only requests whose resolved options make the kernel share work
+    #: wait in a batching window.
     shares_work: bool = False
     #: Per-request deadline in milliseconds (``None``: the server default).
     #: Delivery metadata, not content: it never enters the digest, the group
@@ -263,7 +264,7 @@ def parse_evaluate_payload(payload) -> ServiceRequest:
         p_scale=p_scale,
         q_scale=q_scale,
         requires_seed=definition.requires_seed,
-        shares_work=definition.shares_work,
+        shares_work=definition.shares_work(resolved),
         timeout_ms=parse_timeout_ms(payload.get("timeout_ms")),
     )
 

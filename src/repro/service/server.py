@@ -130,12 +130,11 @@ class EvaluationServer(HttpApp):
         threads (no pickling, fine for tests and small deployments).
     batch_window_ms:
         Micro-batching window: how long the first request of a shared-work
-        group (``montecarlo`` sweep points) waits for companions (the added
-        latency ceiling).  Every other method dispatches at once.
-    batch:
-        ``False`` disables micro-batching; every request takes the scalar
-        :func:`repro.evaluate` path (``montecarlo`` points draw independent
-        streams).  Equal-digest requests coalesce either way.
+        group (uncorrelated ``montecarlo`` sweep points) waits for
+        companions (the added latency ceiling).  Every other request
+        dispatches at once; ``0`` dispatches every request at once on the
+        scalar :func:`repro.evaluate` path.  Equal-digest requests coalesce
+        either way.
     cache_dir:
         Optional disk tier for the response cache (the shared
         content-addressed :class:`~repro.cache.ResultCache` format).
@@ -179,7 +178,6 @@ class EvaluationServer(HttpApp):
         *,
         workers: int = 0,
         batch_window_ms: float = 5.0,
-        batch: bool = True,
         cache_dir: str | None = None,
         lru_size: int = 1024,
         cache_peers: Sequence[str] = (),
@@ -207,7 +205,6 @@ class EvaluationServer(HttpApp):
         super().__init__()
         self.workers = workers
         self.batch_window_ms = batch_window_ms
-        self.batch = batch
         self.cache_dir = cache_dir
         self.cache_peers = tuple(cache_peers)
         self.max_inflight = max_inflight
@@ -244,7 +241,6 @@ class EvaluationServer(HttpApp):
         self.batcher = MicroBatcher(
             self._run_in_pool,
             window_seconds=batch_window_ms / 1000.0,
-            batch=batch,
             on_group=self._record_group,
             on_fallback=self._record_fallback,
             metrics=self.registry,
@@ -526,7 +522,6 @@ class EvaluationServer(HttpApp):
         self.registry.set_gauge("queued_requests", self._queued)
         self.registry.set_gauge("draining", self._draining)
         self.registry.set_gauge("lru_entries", len(self.cache))
-        self.registry.set_gauge("batch_enabled", self.batch)
         self.registry.set_gauge("batch_window_ms", self.batch_window_ms)
         self.registry.set_gauge("workers", self.workers)
         self.registry.set_gauge("max_inflight", self.max_inflight)

@@ -12,7 +12,7 @@ never loads it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,13 +53,3 @@ def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
         return rng
     return default_rng(rng)
 
-
-def fixed_seed_sequence(seeds: Sequence[int]) -> list[np.random.Generator]:
-    """Build one generator per explicit seed.
-
-    Useful in tests that need several *named* streams whose seeds are written
-    out literally, so a failure can be re-run with the exact same stream.
-    """
-    import numpy as np
-
-    return [np.random.default_rng(int(seed)) for seed in seeds]

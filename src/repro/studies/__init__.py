@@ -6,7 +6,7 @@ of model evaluations:
 * :mod:`~repro.studies.spec` -- :class:`StudySpec`: base scenario/model,
   sweep axes (grid, zipped, lin/log ranges) and the methods to run per point;
 * :mod:`~repro.studies.grid` -- expansion into concrete evaluation points;
-* :mod:`~repro.studies.methods` -- per-point model resolution and dispatch
+* :mod:`~repro.studies.methods` -- point model resolution and group dispatch
   through the unified evaluation API (:mod:`repro.api`), so any method in
   the :class:`~repro.api.registry.MethodRegistry` is usable in a spec;
 * :mod:`repro.cache` -- the content-addressed on-disk result cache
@@ -27,7 +27,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.studies.grid": ("StudyPoint", "expand_points"),
     "repro.studies.methods": (
-        "evaluate_study_point", "resolve_model", "split_point_params",
+        "resolve_model", "split_point_params",
     ),
     "repro.studies.results": ("StudyResult",),
     "repro.studies.runner": (

@@ -1,4 +1,4 @@
-"""Per-point evaluation: resolve the model, dispatch one method via the API.
+"""Sweep-group evaluation: resolve the model, dispatch one method via the API.
 
 A study point carries axis assignments (``params``) and a method.  Each
 parameter is consumed by exactly one of three layers:
@@ -16,9 +16,9 @@ parameter is consumed by exactly one of three layers:
 Anything else is rejected up front by :func:`split_point_params`, so a typo
 in a sweep axis fails before any evaluation starts.
 
-The evaluation itself is one :func:`repro.api.evaluate` call -- the study
-subsystem owns *which* points to run and how to cache them, not how any
-method works.
+The evaluation itself is one :func:`repro.api.evaluate.sweep_outcomes`
+call per group -- the study subsystem owns *which* points to run and how
+to cache them, not how any method works.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import inspect
 from typing import Any, Mapping
 
 from repro import faults
-from repro.api.evaluate import evaluate as api_evaluate
+from repro.api.evaluate import sweep_outcomes
 from repro.api.registry import default_registry
 from repro.core.fault_model import FaultModel
 from repro.grouping import MODEL_TRANSFORM_DEFAULTS, MODEL_TRANSFORM_PARAMS
@@ -36,7 +36,6 @@ from repro.studies.spec import MethodSpec
 __all__ = [
     "canonical_model_params",
     "evaluate_study_group",
-    "evaluate_study_point",
     "resolve_model",
     "split_point_params",
 ]
@@ -130,27 +129,6 @@ def resolve_model(base: Mapping, factory_kwargs: Mapping, transforms: Mapping) -
     )
 
 
-def evaluate_study_point(
-    base: Mapping,
-    params: Mapping[str, Any],
-    method: MethodSpec,
-    seed_entropy: tuple[int, ...],
-) -> dict[str, Any]:
-    """Run one method at one sweep point and return its flat metric record.
-
-    ``params`` must contain only parameters this point consumes (the runner
-    strips other methods' axes before calling).  Dispatch goes through
-    :func:`repro.api.evaluate`; the metric record is the result's metrics,
-    exactly what the content-addressed cache stores.
-    """
-    faults.hit("studies.point")
-    factory_kwargs, transforms, overrides, _ = split_point_params(base, params, method)
-    model = resolve_model(base, factory_kwargs, transforms)
-    options = {**dict(method.options), **overrides}
-    result = api_evaluate(model, method.name, seed=tuple(seed_entropy), **options)
-    return result.metric_dict()
-
-
 def evaluate_study_group(
     base: Mapping,
     shared_params: Mapping[str, Any],
@@ -166,34 +144,43 @@ def evaluate_study_group(
     option overrides, identical across the group) and ``variations`` the
     per-point ``p_scale`` / ``q_scale`` values.  The base model is resolved
     *once* and the whole group dispatches through the sweep core
-    :func:`repro.api.evaluate.sweep_outcomes`: methods with a
-    batched kernel evaluate every point in vectorised passes (stochastic
-    ones against one shared nested world seeded from ``group_entropy``);
-    methods without one fall back to per-point evaluation seeded from
-    ``point_entropies`` -- bitwise-identical to the ungrouped runner path.
-    Every point's value depends on that point alone, so the runner sends
-    each group with its cache misses only.
+    :func:`repro.api.evaluate.sweep_outcomes`: a batched kernel serving
+    the resolved options evaluates every point in one call (a stochastic
+    one against one shared nested world seeded from ``group_entropy``);
+    every other group evaluates point by point, each stochastic point
+    seeded from its ``point_entropies`` entry -- bitwise-identical to
+    :func:`repro.evaluate` of the rescaled model with that seed.  Every
+    point's value depends on that point alone, so the runner sends each
+    group with its cache misses only.
 
     Returns ``("ok", metrics)`` / ``("error", message)`` per variation, in
-    order, so one bad sweep point cannot discard its siblings.
+    order, so one bad sweep point cannot discard its siblings.  The
+    ``studies.point`` fault site is hit once per point before anything
+    runs; a point it fails is left out of the sweep.
     """
-    from repro.api.evaluate import sweep_outcomes
-
     factory_kwargs, transforms, overrides, _ = split_point_params(base, shared_params, method)
     if transforms:
         raise ValueError(
             f"group parameters must not contain model transforms, got {sorted(transforms)}"
         )
+    outcomes: list[tuple[str, Any]] = [None] * len(variations)
+    live = []
+    for index in range(len(variations)):
+        try:
+            faults.hit("studies.point")
+        except Exception as error:  # noqa: BLE001 - an injected failure of this point
+            outcomes[index] = ("error", f"{type(error).__name__}: {error}")
+        else:
+            live.append(index)
     model = resolve_model(base, factory_kwargs, {})
-    _, outcomes = sweep_outcomes(
+    _, results = sweep_outcomes(
         model,
         method.name,
-        variations,
+        [variations[index] for index in live],
         options={**dict(method.options), **overrides},
         seed=tuple(group_entropy),
-        variation_seeds=tuple(point_entropies),
+        variation_seeds=[tuple(point_entropies[index]) for index in live],
     )
-    return [
-        (status, outcome.metric_dict() if status == "ok" else outcome)
-        for status, outcome in outcomes
-    ]
+    for index, (status, outcome) in zip(live, results):
+        outcomes[index] = (status, outcome.metric_dict() if status == "ok" else outcome)
+    return outcomes

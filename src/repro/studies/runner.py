@@ -7,8 +7,10 @@ The runner turns a :class:`~repro.studies.spec.StudySpec` into a
    axis parameter against the base and methods up front;
 2. compute each point's content-addressed digest and probe the cache --
    hits are served without any computation;
-3. evaluate the misses, sequentially or across worker processes, each point
-   with its own reproducible random stream;
+3. evaluate the misses as group tasks (points differing only in
+   ``p_scale`` / ``q_scale``, see :func:`_plan_groups`), sequentially or
+   across worker processes, each point with its own reproducible random
+   stream;
 4. store fresh metric records in the cache and assemble the tidy result
    table in canonical point order.
 
@@ -50,7 +52,6 @@ from repro.studies.grid import StudyPoint, expand_points
 from repro.studies.methods import (
     canonical_model_params,
     evaluate_study_group,
-    evaluate_study_point,
     split_point_params,
 )
 from repro.studies.results import StudyResult
@@ -140,24 +141,6 @@ def plan_study(spec: StudySpec) -> list[PlannedPoint]:
     return planned
 
 
-def _evaluate_planned(arguments: tuple) -> tuple[str, Any]:
-    """Worker entry point (module-level for picklability).
-
-    Failures are returned as values rather than raised, so one bad point
-    neither aborts the pool mid-stream nor discards completed evaluations
-    queued behind it.
-    """
-    base, consumed_params, method, seed_entropy = arguments
-    try:
-        with telemetry.span("study.point", method=method.name):
-            return (
-                "ok",
-                evaluate_study_point(base, dict(consumed_params), method, seed_entropy),
-            )
-    except Exception as error:  # noqa: BLE001 - reported with point context by run_study
-        return ("error", f"{type(error).__name__}: {error}")
-
-
 def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
     """Group worker entry point: one pickle per task of one or more groups.
 
@@ -171,7 +154,9 @@ def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
     has nothing to share and runs without a scope.
 
     Returns one ``("ok", metrics)`` / ``("error", message)`` outcome per
-    variation, group by group.  A failure that escapes a group's per-point
+    variation, group by group: failures are values rather than raised, so
+    one bad point neither aborts the pool mid-stream nor discards completed
+    evaluations queued behind it.  A failure that escapes a group's per-point
     handling (e.g. a broken base model) is fanned out to every variation of
     that group, so the runner's bookkeeping stays aligned and sibling
     groups still complete.
@@ -225,18 +210,21 @@ def _plan_groups(
     levels of the shared nested world, see :mod:`repro.montecarlo.sweep`),
     so cached siblings are never recomputed.
 
-    A group whose batch kernel shares a sampled world across its points
-    (:attr:`~repro.api.registry.MethodDefinition.shares_work`: the
-    ``montecarlo`` kernel) is one task: splitting it would sample the world
-    once per part.  Every other group is deterministic (``exact``, whose
-    swept values equal per-point values, and methods without a batch
-    kernel).  Deterministic groups that resolve the same point models --
-    the same base and factory parameters; method options such as ``level``
-    are not part of the key -- form one *bundle*.  The union of a bundle's
-    variations is split into up to ``jobs`` chunks, and one task runs every
-    group of the bundle over its chunk, so a point's ``exact`` and
-    ``tail-quantile`` records (at any level or threshold) read one shared
-    distribution (:func:`_evaluate_group`).  Heaviest tasks are dispatched
+    A group whose resolved options make its batch kernel share a sampled
+    world across its points
+    (:meth:`~repro.api.registry.MethodDefinition.shares_work`: an
+    uncorrelated ``montecarlo`` group) is one task: splitting it would
+    sample the world once per part.  Every other group computes each point
+    on its own (``exact``, whose swept values equal per-point values,
+    methods without a batch kernel, and a correlated ``montecarlo`` group,
+    each point on its digest-keyed stream).  Such groups that resolve the
+    same point models -- the same base and factory parameters; method
+    options such as ``level`` are not part of the key -- form one
+    *bundle*.  The union of a bundle's variations is split into up to
+    ``jobs`` chunks, and one task runs every group of the bundle over its
+    chunk, so a point's ``exact`` and ``tail-quantile`` records (at any
+    level or threshold) read one shared distribution
+    (:func:`_evaluate_group`).  Heaviest tasks are dispatched
     first so the process pool drains evenly.
 
     Returns one ``(members, arguments)`` pair per task: ``members`` lists
@@ -250,7 +238,9 @@ def _plan_groups(
         key = group_digest(entry.payload)
         group = groups.get(key)
         if group is None:
-            shared_stream = registry.get(entry.point.method.name).shares_work
+            shared_stream = registry.get(entry.point.method.name).shares_work(
+                entry.payload["method"]
+            )
             shared = tuple(
                 item for item in entry.consumed_params if item[0] not in MODEL_TRANSFORM_PARAMS
             )
@@ -334,10 +324,27 @@ def run_study(
     jobs: int = 1,
     force: bool = False,
     progress: Callable[[int, int, int], None] | None = None,
-    batch: bool = True,
     keep_going: bool = False,
 ) -> StudyResult:
     """Execute the study and return its result table.
+
+    Cache misses are grouped by batchable axis -- points differing only in
+    ``p_scale`` / ``q_scale`` -- and each group resolves its base model
+    once (:func:`_plan_groups`).  An uncorrelated ``montecarlo`` group is
+    one task scoring its missing points against one shared nested world
+    (common random numbers; see :mod:`repro.montecarlo.sweep`); each
+    point's value depends on that point alone, so extending a sweep and
+    re-running warm gives the table of a cold run.  Every other group
+    computes each point on its own and is bundled by point model and
+    chunked across the workers: one task runs every method of a bundle
+    over its chunk and computes each exact PFD distribution once, so a
+    point's ``exact`` and ``tail-quantile`` records share one kernel run.
+    ``exact`` / ``tail-quantile`` records (their kernels loop the scalar
+    kernel), methods without a batched kernel and correlated
+    ``montecarlo`` points (each on its digest-keyed stream) equal the
+    per-point :func:`repro.evaluate` records of their rescaled models.
+    A shared-world group the kernel declines at runtime (past its memory
+    budget) runs point by point inside its single task.
 
     Parameters
     ----------
@@ -358,29 +365,6 @@ def run_study(
         resolved evaluation (``total`` counts distinct evaluations, which is
         fewer than the point count when points differ only in axes their
         method ignores).
-    batch:
-        When true (the default), cache misses are grouped by batchable axis
-        -- points differing only in ``p_scale`` / ``q_scale`` -- and each
-        group resolves its base model once.  A ``montecarlo`` group is one
-        task scoring its missing points against one shared nested world
-        (common random numbers; see :mod:`repro.montecarlo.sweep`); each
-        point's value depends on that point alone, so extending a sweep
-        and re-running warm gives the table of a cold run.  The other,
-        deterministic groups are bundled by point model and chunked across
-        the workers: one task runs every method of a bundle over its chunk
-        and computes each exact PFD distribution once, so a point's
-        ``exact`` and ``tail-quantile`` records share one kernel run
-        (:func:`_plan_groups`).  Point digests, cache entries
-        and warm-run behaviour are identical in both modes; the only fresh
-        values that differ are Monte Carlo points, which sample the shared
-        world.  ``exact`` / ``tail-quantile`` values (their kernels loop
-        the scalar kernel) and methods without a batched kernel are
-        bitwise-identical in either mode.  One caveat: a sweep the Monte
-        Carlo kernel *declines at runtime* (e.g. correlated developments)
-        runs point by point inside its single group task; pass
-        ``batch=False`` to spread such sweeps across workers.  ``batch=
-        False`` restores the one-task-per-point dispatch with per-point
-        independent streams everywhere.
     keep_going:
         When true, a failing point does not abort the study: the run
         completes, the failed points become typed error rows in the result
@@ -433,39 +417,14 @@ def run_study(
     effective_jobs = min(jobs, max(1, os.cpu_count() or 1))
     # Grouping is only planned when there is work: a fully warm run must not
     # pay the per-point group hashing.
-    groups = (
-        _plan_groups(spec, planned, pending, effective_jobs) if batch and pending else None
-    )
+    groups = _plan_groups(spec, planned, pending, effective_jobs) if pending else []
     if pending:
-        if groups is not None:
-            tasks = len(groups)
-            work = [arguments for _, arguments in groups]
-            worker = _evaluate_group
-            # One (members, outcomes) pair per finished group.
-            def bind(results):
-                for (members, _), outcomes in zip(groups, results):
-                    yield from zip(members, outcomes)
-        else:
-            tasks = len(pending)
-            work = [
-                (
-                    dict(spec.base),
-                    planned[index].consumed_params,
-                    planned[index].point.method,
-                    point_seed_entropy(spec, digest),
-                )
-                for digest, index in pending.items()
-            ]
-            worker = _evaluate_planned
-
-            def bind(results):
-                yield from zip(pending.items(), results)
-
         executor = None
         dispatch_started = time.perf_counter()
         # On a single-core machine (or with one task) the run stays
         # in-process.
-        workers = min(effective_jobs, tasks)
+        workers = min(effective_jobs, len(groups))
+        work = [arguments for _, arguments in groups]
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -475,12 +434,16 @@ def run_study(
             # kernels once here rather than once in every worker.
             import_kernels()
             executor = ProcessPoolExecutor(max_workers=workers)
-            fresh = executor.map(worker, work)
+            fresh = executor.map(_evaluate_group, work)
         else:
-            fresh = map(worker, work)
+            fresh = map(_evaluate_group, work)
+        # ((digest, planned index), outcome) per point, task by task.
+        finished = (
+            pair for (members, _), outcomes in zip(groups, fresh) for pair in zip(members, outcomes)
+        )
         failures: list[tuple[str, int, str]] = []
         try:
-            for (digest, index), (status, outcome) in bind(fresh):
+            for (digest, index), (status, outcome) in finished:
                 if status == "error":
                     failures.append((digest, index, outcome))
                     continue
@@ -503,9 +466,8 @@ def run_study(
             telemetry.record(
                 "study.dispatch",
                 time.perf_counter() - dispatch_started,
-                tasks=tasks,
+                tasks=len(groups),
                 workers=workers,
-                batch=groups is not None,
             )
         if failures and not keep_going:
             _, index, message = failures[0]
@@ -537,10 +499,9 @@ def run_study(
         "computed": len(pending),
         "cached": cached_count,
         "jobs": jobs,
-        "batch": batch,
         "keep_going": keep_going,
         "failed": len(errors_by_digest),
-        "dispatched_tasks": (len(groups) if groups is not None else len(pending)) if pending else 0,
+        "dispatched_tasks": len(groups),
         "seed": spec.seed,
         "methods": [method.name for method in spec.methods],
         "axes": axis_sizes,

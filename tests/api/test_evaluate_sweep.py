@@ -52,6 +52,48 @@ class TestRegistryFlag:
         finally:
             registry.unregister("test-batchable")
 
+    def test_shares_work_follows_the_resolved_options(self):
+        registry = default_registry()
+        montecarlo = registry.get("montecarlo")
+        independent = registry.resolve_options("montecarlo", {})
+        correlated = registry.resolve_options("montecarlo", {"correlation": 0.3})
+        assert montecarlo.batches(independent) and montecarlo.shares_work(independent)
+        assert not montecarlo.batches(correlated)
+        assert not montecarlo.shares_work(correlated)
+        exact = registry.get("exact")
+        options = registry.resolve_options("exact", {})
+        assert exact.batches(options) and not exact.shares_work(options)
+        assert not registry.get("moments").shares_work(registry.resolve_options("moments", {}))
+
+    def test_applies_rule_keeps_the_kernel_off_other_options(self, small_model):
+        registry = default_registry()
+        calls = []
+
+        @register_method("test-gated", options=(OptionSpec("mode", "int", 0),))
+        def scalar(model, options, rng):
+            return {"value": float(model.p.sum())}
+
+        try:
+
+            @register_batch("test-gated", applies=lambda options: options["mode"] == 0)
+            def batched(model, variations, options, rng):
+                calls.append(len(variations))
+                return [{"value": float(model.p.sum() * v["p_scale"])} for v in variations]
+
+            served = evaluate_sweep(small_model, "test-gated", VARIATIONS)
+            outside = evaluate_sweep(small_model, "test-gated", VARIATIONS, mode=1)
+            assert calls == [len(VARIATIONS)]
+            for variation, result in zip(VARIATIONS, outside):
+                transformed = small_model.rescaled(
+                    variation.get("p_scale", 1.0), variation.get("q_scale", 1.0)
+                )
+                assert result.metrics == evaluate(transformed, "test-gated", mode=1).metrics
+            assert [result["value"] for result in served] == [
+                float(small_model.p.sum() * v.get("p_scale", 1.0)) for v in VARIATIONS
+            ]
+        finally:
+            registry.unregister("test-gated")
+
     def test_register_batch_unknown_method_fails(self):
         with pytest.raises(ValueError, match="unknown method"):
             register_batch("no-such-method")(lambda *a: [])
@@ -87,8 +129,8 @@ class TestEvaluateSweep:
         assert "mc_risk_ratio" in first[0].metric_dict()
 
     def test_batch_unsupported_falls_back(self, small_model):
-        # correlation != 0 declines the batched kernel; the per-point
-        # fallback must produce exactly what scalar evaluation produces for
+        # correlation != 0 is outside the kernel's declared rule; the
+        # per-point fallback must produce exactly what scalar evaluation produces for
         # the derived (seed, index) streams.
         results = evaluate_sweep(
             small_model,

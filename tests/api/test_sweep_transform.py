@@ -1,8 +1,8 @@
 """The sweep transform is checked point by point, before any batched kernel runs.
 
 On a non-strict model a ``q_scale`` can push some ``q_i`` above 1 while its
-sibling points stay valid.  Every sweep surface -- the sweep core, studies in
-batched and per-point mode, ``evaluate_sweep`` -- must give such a point the
+sibling points stay valid.  Every sweep surface -- the sweep core, studies,
+``evaluate_sweep`` -- must give such a point the
 error :meth:`FaultModel.rescaled` raises and still compute its siblings, and
 must type a scale as the service wire does.
 """
@@ -101,31 +101,29 @@ def _motivation_spec(model: FaultModel) -> StudySpec:
     )
 
 
-def test_studies_give_the_same_table_batched_and_point_by_point(loose_model, tmp_path):
+def test_studies_give_invalid_points_uncached_error_rows(loose_model, tmp_path):
+    from repro import evaluate
+
     spec = _motivation_spec(loose_model)
-    tables = {}
-    for batch in (True, False):
-        cache_dir = str(tmp_path / f"cache-{batch}")
-        result = run_study(spec, cache_dir=cache_dir, batch=batch, keep_going=True)
-        tables[batch] = result.records
-        cache = ResultCache(cache_dir)
-        for entry, record in zip(plan_study(spec), result.records):
-            assert cache.path_for(entry.digest).exists() == (record.get("status") != "error")
-    for batched_row, scalar_row in zip(tables[True], tables[False]):
-        assert batched_row.get("status") == scalar_row.get("status")
-        assert batched_row.get("error") == scalar_row.get("error")
-        if batched_row["method"] == "exact":
-            assert batched_row == scalar_row
-    statuses = {
-        (row["method"], row["q_scale"]): row.get("status", "ok") for row in tables[True]
-    }
+    cache_dir = str(tmp_path / "cache")
+    result = run_study(spec, cache_dir=cache_dir, keep_going=True)
+    cache = ResultCache(cache_dir)
+    for entry, record in zip(plan_study(spec), result.records):
+        assert cache.path_for(entry.digest).exists() == (record.get("status") != "error")
+    for row in result.records:
+        if row["method"] == "exact" and "status" not in row:
+            lone = evaluate(
+                loose_model.rescaled(q_scale=row["q_scale"]), "exact", max_support=256
+            ).metric_dict()
+            assert {key: row[key] for key in lone} == lone
+    statuses = {(row["method"], row["q_scale"]): row.get("status", "ok") for row in result.records}
     assert statuses == {
         ("exact", 1): "ok",
         ("exact", 2): "error",
         ("montecarlo", 1): "ok",
         ("montecarlo", 2): "error",
     }
-    errors = {row["error"] for row in tables[True] if "error" in row}
+    errors = {row["error"] for row in result.records if "error" in row}
     assert errors == {"all q_i must lie in [0, 1]"}
 
 

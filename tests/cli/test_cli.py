@@ -534,6 +534,14 @@ class TestServeCommand:
         assert main(["serve", "--port", "18099", "--batch-window-ms", "-5"]) == 2
         assert "batch_window_ms" in capsys.readouterr().err
 
+    def test_no_batch_flag_is_gone(self, capsys):
+        # --batch-window-ms 0 is the way to dispatch every request at once.
+        # The invalid port keeps a tree that still took the flag from serving.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--no-batch"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-batch" in capsys.readouterr().err
+
     def test_bad_lru_size_exits_2(self, capsys):
         assert main(["serve", "--port", "18099", "--lru-size", "0"]) == 2
         assert "max_entries" in capsys.readouterr().err

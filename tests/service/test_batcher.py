@@ -176,7 +176,7 @@ class TestGrouping:
             return windowed, await asyncio.gather(*tasks)
 
         windowed, outcomes = asyncio.run(run())
-        if default_registry().get(method).shares_work:
+        if default_registry().get(method).shares_work(requests[0].options):
             assert windowed == 3
             assert dispatched == ["evaluate_group"]
             assert metrics.histogram("batch_window_wait_seconds").count == 3
@@ -186,17 +186,43 @@ class TestGrouping:
             assert metrics.histogram("batch_window_wait_seconds").count == 0
             assert [meta for _, meta in outcomes] == [{"batched": False, "group_size": 1}] * 3
 
-    def test_batch_disabled_is_all_scalar(self, small_model):
+    def test_zero_window_is_all_scalar(self, small_model):
         recorder = Recorder()
-        batcher = MicroBatcher(
-            recorder.run, window_seconds=0.01, batch=False, on_group=recorder.on_group
-        )
+        batcher = MicroBatcher(recorder.run, window_seconds=0.0, on_group=recorder.on_group)
         requests = [_request(small_model, p_scale=scale) for scale in (0.25, 0.5)]
         outcomes = _submit_all(batcher, requests)
         assert [name for name, _ in recorder.calls] == ["evaluate_single"] * 2
         for (record, _), scale in zip(outcomes, (0.25, 0.5)):
             expected = _direct(small_model, scale)
             assert record["metrics"] == expected.to_dict()["metrics"]
+
+    def test_correlated_requests_never_wait(self, small_model):
+        # The registry rules correlated montecarlo out of the shared-world
+        # kernel, so such requests skip the window, each on its own stream.
+        recorder = Recorder()
+        metrics = MetricsRegistry()
+        batcher = MicroBatcher(
+            recorder.run, window_seconds=0.05, on_group=recorder.on_group, metrics=metrics
+        )
+        scales = (0.25, 0.5)
+        requests = [_request(small_model, p_scale=scale, correlation=0.3) for scale in scales]
+        outcomes = _submit_all(batcher, requests)
+        assert [name for name, _ in recorder.calls] == ["evaluate_single"] * 2
+        assert metrics.histogram("batch_window_wait_seconds").count == 0
+        for (record, meta), scale in zip(outcomes, scales):
+            expected = evaluate(
+                small_model.rescaled(scale, 1.0),
+                "montecarlo",
+                seed=SEED,
+                replications=REPLICATIONS,
+                correlation=0.3,
+            )
+            assert record["metrics"] == expected.to_dict()["metrics"]
+            assert meta == {"batched": False, "group_size": 1}
+
+    def test_batch_switch_is_gone(self):
+        with pytest.raises(TypeError):
+            MicroBatcher(Recorder().run, batch=False)
 
     def test_lone_request_takes_the_scalar_path(self, small_model):
         recorder = Recorder()

@@ -44,7 +44,6 @@ LEGACY_COUNTERS = (
 LEGACY_GAUGES = (
     "max_group_size",
     "uptime_seconds",
-    "batch_enabled",
     "batch_window_ms",
     "workers",
     "pending_requests",

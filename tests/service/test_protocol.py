@@ -59,6 +59,12 @@ class TestParseEvaluate:
         assert request.entropy == [9]
         assert request.requires_seed and request.shares_work
 
+    def test_correlated_request_shares_no_work(self, small_model):
+        payload = _payload(small_model, method="montecarlo")
+        payload["options"] = {"correlation": 0.3}
+        request = parse_evaluate_payload(payload)
+        assert request.requires_seed and not request.shares_work
+
     @pytest.mark.parametrize(
         "mutation, fragment",
         [

@@ -172,9 +172,9 @@ class TestByteIdentity:
         assert server.registry.histogram("batch_window_wait_seconds").count == 0
         assert server.registry["batched_groups"] == 0
 
-    def test_no_batch_mode_equals_direct_evaluate_everywhere(self, small_model):
+    def test_zero_window_equals_direct_evaluate_everywhere(self, small_model):
         scales = (0.25, 0.5, 0.75)
-        server = EvaluationServer(batch_window_ms=50.0, batch=False)
+        server = EvaluationServer(batch_window_ms=0.0)
         responses = _gather_evaluate(
             server,
             [
@@ -196,9 +196,10 @@ class TestByteIdentity:
             assert _strip_elapsed(response["result"]) == _strip_elapsed(direct.to_dict())
         assert server.registry["batched_groups"] == 0
 
-    def test_unbatchable_sweep_falls_back_to_scalar_values(self, small_model):
-        # correlation != 0 makes the montecarlo kernel decline the sweep;
-        # every member must then match the direct scalar evaluation.
+    def test_correlated_requests_never_wait_and_equal_direct_evaluate(self, small_model):
+        # correlation != 0 is outside the montecarlo kernel's declared rule:
+        # the requests share no work, so they dispatch at once, and every
+        # one matches the direct scalar evaluation.
         scales = (0.5, 1.0)
         server = EvaluationServer(batch_window_ms=50.0)
         responses = _gather_evaluate(
@@ -222,8 +223,14 @@ class TestByteIdentity:
                 replications=500,
                 correlation=0.3,
             )
-            assert response["served"]["batched"] is False
+            assert response["served"] == {"cached": None, "batched": False, "group_size": 1}
             assert _strip_elapsed(response["result"]) == _strip_elapsed(direct.to_dict())
+        assert server.registry.histogram("batch_window_wait_seconds").count == 0
+        assert server.registry["dispatched_groups"] == len(scales)
+
+    def test_batch_switch_is_gone(self):
+        with pytest.raises(TypeError):
+            EvaluationServer(batch=False)
 
 
 class TestCaching:
@@ -450,7 +457,7 @@ class TestHttpTransport:
         ):
             assert key in metrics
         assert metrics["requests_total"] > 0
-        assert metrics["batch_enabled"] is True
+        assert "batch_enabled" not in metrics
 
     def test_client_rejects_bad_model_spelling(self, live_client):
         with pytest.raises(ValueError, match="exactly one of"):

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from repro.stats.rng import DEFAULT_SEED, default_rng, ensure_rng, fixed_seed_sequence
+from repro.stats.rng import DEFAULT_SEED, default_rng, ensure_rng
 
 
 class TestDefaultRng:
@@ -46,25 +46,6 @@ class TestEnsureRng:
         expected = np.random.default_rng(4)
         expected.random()
         assert ensure_rng(generator).random() == expected.random()
-
-
-class TestFixedSeeds:
-    def test_streams_match_seeds(self):
-        generators = fixed_seed_sequence([1, 2])
-        assert generators[0].random() == np.random.default_rng(1).random()
-        assert generators[1].random() == np.random.default_rng(2).random()
-
-    def test_empty_seed_list(self):
-        assert fixed_seed_sequence([]) == []
-
-    def test_equal_seeds_give_equal_but_separate_streams(self):
-        first, second = fixed_seed_sequence([6, 6])
-        assert first is not second
-        assert first.random() == second.random()
-
-    def test_numpy_integer_seeds(self):
-        (generator,) = fixed_seed_sequence(np.array([8], dtype=np.int64))
-        assert generator.random() == np.random.default_rng(8).random()
 
 
 def test_importing_the_module_does_not_load_numpy():

@@ -10,7 +10,11 @@ old dispatch must be served untouched by the new one.
 
 from __future__ import annotations
 
-from repro.studies import ResultCache, StudySpec, plan_study, run_study
+import json
+
+from repro import evaluate
+from repro.experiments.scenarios import get_scenario
+from repro.studies import ResultCache, StudySpec, plan_study, point_seed_entropy, run_study
 
 COMPAT_SPEC = {
     "name": "compat-study",
@@ -76,48 +80,58 @@ class TestWarmCacheIdentity:
 
 
 class TestBatchedDispatchCompat:
-    """The batched (grouped) fast path must not disturb cache identity.
+    """The grouped dispatch path must not disturb cache identity.
 
     Digests are computed by ``plan_study`` before any dispatch decision, so
-    batch mode cannot change them; these tests pin the consequences -- a
-    warm cache written by either mode is served untouched by the other, and
-    methods without a batched kernel produce byte-identical records in both
-    modes.
+    grouping cannot change them; these tests pin the consequences -- a
+    warm cache written point by point (as earlier releases could) is served
+    untouched, and methods without a batched kernel produce the records of
+    per-point :func:`repro.evaluate`.
     """
 
-    def test_plan_digests_do_not_depend_on_batch_mode(self):
+    def test_plan_digests_do_not_depend_on_dispatch(self):
         # plan_study is dispatch-agnostic; the recorded pre-registry digests
-        # above are therefore also the batched-mode digests.
+        # above are therefore also the grouped-dispatch digests.
         planned = plan_study(StudySpec.from_dict(COMPAT_SPEC))
         assert [entry.digest for entry in planned] == [
             digest for _, digest in PRE_REGISTRY_DIGESTS
         ]
 
-    def test_cache_written_by_scalar_mode_served_by_batched_mode(self, tmp_path):
+    def test_cache_written_point_by_point_is_served(self, tmp_path):
         spec = StudySpec.from_dict(COMPAT_SPEC)
-        cache_dir = str(tmp_path / "cache")
-        scalar_cold = run_study(spec, cache_dir=cache_dir, batch=False)
-        batched_warm = run_study(spec, cache_dir=cache_dir, batch=True)
-        assert batched_warm.summary["computed"] == 0
-        assert batched_warm.records == scalar_cold.records
+        cache = ResultCache(tmp_path / "cache")
+        model = get_scenario("high-quality")
+        for entry in plan_study(spec):
+            options = dict(entry.point.method.options)
+            lone = evaluate(
+                model.rescaled(p_scale=entry.point.param_dict()["p_scale"]),
+                entry.point.method.name,
+                seed=point_seed_entropy(spec, entry.digest),
+                **options,
+            ).metric_dict()
+            cache.store(
+                entry.digest,
+                {"digest": entry.digest, "payload": entry.payload, "metrics": lone},
+            )
+        warm = run_study(spec, cache_dir=str(tmp_path / "cache"))
+        assert warm.summary["computed"] == 0
+        for entry, row in zip(plan_study(spec), warm.records):
+            assert cache.load(entry.digest)["metrics"].items() <= row.items()
 
-    def test_cache_written_by_batched_mode_served_by_scalar_mode(self, tmp_path):
-        spec = StudySpec.from_dict(COMPAT_SPEC)
-        cache_dir = str(tmp_path / "cache")
-        batched_cold = run_study(spec, cache_dir=cache_dir, batch=True)
-        scalar_warm = run_study(spec, cache_dir=cache_dir, batch=False)
-        assert scalar_warm.summary["computed"] == 0
-        assert scalar_warm.records == batched_cold.records
-
-    def test_methods_without_batched_kernel_are_bitwise_identical(self, tmp_path):
+    def test_methods_without_batched_kernel_equal_per_point_evaluate(self, tmp_path):
         # moments/bounds have no batched kernel: the grouped dispatch runs
-        # the same per-point evaluation with the same content-keyed seeds,
-        # so fresh records must match the scalar mode byte for byte.
+        # the per-point evaluation of each rescaled model.
         spec_dict = {**COMPAT_SPEC, "methods": [{"name": "moments"}, {"name": "bounds"}]}
         spec = StudySpec.from_dict(spec_dict)
-        scalar = run_study(spec, cache_dir=str(tmp_path / "scalar"), batch=False)
-        batched = run_study(spec, cache_dir=str(tmp_path / "batched"), batch=True)
-        assert batched.records == scalar.records
+        grouped = run_study(spec, cache_dir=str(tmp_path / "grouped"), jobs=2)
+        model = get_scenario("high-quality")
+        for entry, row in zip(plan_study(spec), grouped.records):
+            lone = evaluate(
+                model.rescaled(p_scale=row["p_scale"]),
+                row["method"],
+                **dict(entry.point.method.options),
+            ).metric_dict()
+            assert json.dumps({key: row[key] for key in lone}) == json.dumps(lone)
 
     def test_group_worker_arguments_survive_pickling(self):
         # jobs > 1 ships one pickle per group; on single-core machines the

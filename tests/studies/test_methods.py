@@ -1,4 +1,4 @@
-"""Tests for per-point model resolution and method evaluation."""
+"""Tests for point model resolution and method evaluation in a study group."""
 
 from __future__ import annotations
 
@@ -9,13 +9,23 @@ from repro.core.fault_model import FaultModel
 from repro.core.moments import pfd_moments
 from repro.core.pfd_distribution import exact_pfd_distribution
 from repro.experiments.scenarios import many_small_faults_scenario
-from repro.studies import MethodSpec, evaluate_study_point, resolve_model, split_point_params
+from repro.studies import MethodSpec, resolve_model, split_point_params
+from repro.studies.methods import evaluate_study_group
 
 SCENARIO_BASE = {"scenario": "many-small-faults"}
 
 
 def inline_base(model: FaultModel) -> dict:
     return {"model": model.to_dict()}
+
+
+def evaluate_point(base, params, method, entropy) -> dict:
+    """One point's record: a one-point group at neutral transforms."""
+    [(status, record)] = evaluate_study_group(
+        base, params, method, ({"p_scale": 1.0, "q_scale": 1.0},), entropy, (entropy,)
+    )
+    assert status == "ok", record
+    return record
 
 
 class TestSplitPointParams:
@@ -69,13 +79,13 @@ class TestResolveModel:
 
 class TestMethods:
     def test_moments_agrees_with_library(self, small_model):
-        record = evaluate_study_point(inline_base(small_model), {}, MethodSpec(name="moments"), (0, 1))
+        record = evaluate_point(inline_base(small_model), {}, MethodSpec(name="moments"), (0, 1))
         assert record["mean_single"] == pfd_moments(small_model, 1).mean
         assert record["mean_system"] == pfd_moments(small_model, 2).mean
         assert record["std_system"] == pfd_moments(small_model, 2).std
 
     def test_exact_agrees_with_distribution(self, small_model):
-        record = evaluate_study_point(
+        record = evaluate_point(
             inline_base(small_model),
             {"max_support": 256},
             MethodSpec(name="exact", options=(("level", 0.95),)),
@@ -87,9 +97,9 @@ class TestMethods:
         assert record["exact_percentile_lo"] == bracket.quantile(0.95)[0]
 
     def test_exact_threshold_metric_is_optional(self, small_model):
-        without = evaluate_study_point(inline_base(small_model), {}, MethodSpec(name="exact"), (0, 1))
+        without = evaluate_point(inline_base(small_model), {}, MethodSpec(name="exact"), (0, 1))
         assert "exact_exceedance" not in without
-        with_threshold = evaluate_study_point(
+        with_threshold = evaluate_point(
             inline_base(small_model),
             {},
             MethodSpec(name="exact", options=(("threshold", 1e-4),)),
@@ -98,8 +108,8 @@ class TestMethods:
         assert 0.0 <= with_threshold["exact_exceedance"] <= 1.0
 
     def test_normal_and_bounds_are_consistent(self, small_model):
-        normal = evaluate_study_point(inline_base(small_model), {}, MethodSpec(name="normal"), (0, 1))
-        bounds = evaluate_study_point(inline_base(small_model), {}, MethodSpec(name="bounds"), (0, 1))
+        normal = evaluate_point(inline_base(small_model), {}, MethodSpec(name="normal"), (0, 1))
+        bounds = evaluate_point(inline_base(small_model), {}, MethodSpec(name="bounds"), (0, 1))
         assert normal["k_factor"] == pytest.approx(2.326, abs=5e-3)
         # The guaranteed (p_max) bound must dominate the direct system bound.
         assert bounds["guaranteed_bound_system"] >= normal["normal_bound_system"] - 1e-15
@@ -107,14 +117,14 @@ class TestMethods:
 
     def test_montecarlo_is_reproducible_per_entropy(self, small_model):
         method = MethodSpec(name="montecarlo", options=(("replications", 2000),))
-        first = evaluate_study_point(inline_base(small_model), {}, method, (7, 123))
-        second = evaluate_study_point(inline_base(small_model), {}, method, (7, 123))
-        different = evaluate_study_point(inline_base(small_model), {}, method, (7, 124))
+        first = evaluate_point(inline_base(small_model), {}, method, (7, 123))
+        second = evaluate_point(inline_base(small_model), {}, method, (7, 123))
+        different = evaluate_point(inline_base(small_model), {}, method, (7, 124))
         assert first == second
         assert first != different
 
     def test_montecarlo_correlation_and_versions(self, small_model):
-        record = evaluate_study_point(
+        record = evaluate_point(
             inline_base(small_model),
             {"correlation": 0.5, "replications": 2000},
             MethodSpec(name="montecarlo"),
@@ -122,7 +132,7 @@ class TestMethods:
         )
         assert record["mc_correlation"] == 0.5
         assert "mc_risk_ratio" in record
-        triple = evaluate_study_point(
+        triple = evaluate_point(
             inline_base(small_model),
             {"versions": 3, "replications": 2000},
             MethodSpec(name="montecarlo"),
@@ -168,7 +178,7 @@ class TestRegistryExtensibility:
             return {"mean": pfd_moments(model, int(options["versions"])).mean}
 
         try:
-            record = evaluate_study_point(
+            record = evaluate_point(
                 inline_base(small_model), {}, MethodSpec(name="test-mean-only"), (0, 1)
             )
             assert record == {"mean": pfd_moments(small_model, 2).mean}

@@ -133,14 +133,46 @@ class TestBatchedDispatch:
     def test_groups_points_by_batchable_axis(self, spec, tmp_path):
         # 2 n-values x 2 methods = 4 groups; the p_scale axis batches away.
         result = run_study(spec, cache_dir=str(tmp_path / "cache"))
-        assert result.summary["batch"] is True
+        assert "batch" not in result.summary
         assert result.summary["dispatched_tasks"] == 4
         assert result.summary["computed"] == 8
 
-    def test_no_batch_dispatches_per_point(self, spec, tmp_path):
-        result = run_study(spec, cache_dir=str(tmp_path / "cache"), batch=False)
-        assert result.summary["batch"] is False
-        assert result.summary["dispatched_tasks"] == 8
+    def test_batch_switch_is_gone(self, spec, tmp_path):
+        # One dispatch path: there is no per-point mode to select.
+        with pytest.raises(TypeError):
+            run_study(spec, batch=False)
+        with pytest.raises(TypeError):
+            run_study(spec, batch=True)
+
+    def test_correlated_montecarlo_spreads_over_jobs(self, tmp_path, monkeypatch):
+        # A correlated sweep shares no sampled world, so its group is chunked
+        # across the workers like a deterministic bundle; every point keeps
+        # its digest-keyed stream, so it equals a lone evaluation.
+        import os
+
+        from repro import evaluate
+        from repro.experiments.scenarios import get_scenario
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        data = base_spec_dict()
+        data["sweep"]["grid"] = [
+            {"name": "p_scale", "values": [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0]}
+        ]
+        data["methods"] = [{"name": "montecarlo", "replications": 500, "correlation": 0.3}]
+        spec = StudySpec.from_dict(data)
+        result = run_study(spec, cache_dir=str(tmp_path / "cache"), jobs=2)
+        assert result.summary["computed"] == 8
+        assert result.summary["dispatched_tasks"] >= 2
+        model = get_scenario("many-small-faults")
+        for entry, row in zip(plan_study(spec), result.records):
+            lone = evaluate(
+                model.rescaled(p_scale=row["p_scale"]),
+                "montecarlo",
+                seed=point_seed_entropy(spec, entry.digest),
+                replications=500,
+                correlation=0.3,
+            ).metric_dict()
+            assert {key: row[key] for key in lone} == lone
 
     def test_batched_results_do_not_depend_on_grouping(self, tmp_path):
         # A point computed in a smaller group must equal the same point
@@ -232,13 +264,19 @@ class TestBatchedDispatch:
         assert warm.summary["computed"] == 2
         assert warm.records == cold.records
 
-    def test_exact_groups_match_per_point_dispatch(self, tmp_path):
+    def test_exact_groups_match_per_point_evaluate(self, tmp_path):
+        from repro import evaluate
+        from repro.experiments.scenarios import get_scenario
+
         data = base_spec_dict()
         data["methods"] = [{"name": "exact"}, {"name": "tail-quantile"}]
         spec = StudySpec.from_dict(data)
         grouped = run_study(spec, cache_dir=str(tmp_path / "grouped"), jobs=2)
-        per_point = run_study(spec, cache_dir=str(tmp_path / "per-point"), batch=False)
-        assert grouped.records == per_point.records
+        for row in grouped.records:
+            model = get_scenario("many-small-faults", n=row["n"]).rescaled(p_scale=row["p_scale"])
+            lone = evaluate(model, row["method"]).metric_dict()
+            assert {key: row[key] for key in lone} == lone
+            assert set(row) == {"point_id", "method", "n", "p_scale", *lone}
 
     def test_partially_cached_exact_group_computes_only_misses(self, tmp_path, monkeypatch):
         # Exact groups carry only their cache misses: a swept exact record
@@ -267,29 +305,22 @@ class TestBatchedDispatch:
         assert swept == [evicted.point.param_dict()["p_scale"]]
         assert partial.records == cold.records
 
-    def test_warm_cache_identical_across_modes(self, spec, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        batched = run_study(spec, cache_dir=cache_dir)
-        scalar_warm = run_study(spec, cache_dir=cache_dir, batch=False)
-        assert scalar_warm.summary["computed"] == 0
-        assert scalar_warm.records == batched.records
-
-    def test_cli_no_batch_flag(self, tmp_path, capsys):
-        import json as json_module
-
+    def test_cli_no_batch_flag_is_gone(self, tmp_path, capsys):
         from repro.cli import main
 
         spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json_module.dumps(base_spec_dict()), encoding="utf-8")
+        spec_file.write_text(json.dumps(base_spec_dict()), encoding="utf-8")
         arguments = [
             "study", "run", str(spec_file),
             "--cache-dir", str(tmp_path / "cache"),
             "--output-dir", str(tmp_path / "out"),
             "--quiet", "--no-batch",
         ]
-        assert main(arguments) == 0
-        summary = json_module.loads(capsys.readouterr().out)
-        assert summary["batch"] is False
+        with pytest.raises(SystemExit) as excinfo:
+            main(arguments)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-batch" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 
@@ -336,17 +367,12 @@ class TestSharedDistributions:
         runs = convolutions()
         assert len(runs) == len(set(runs)) == 4
 
-    def test_records_equal_scalar_dispatch_and_lone_evaluate(self, tmp_path):
+    def test_records_equal_lone_evaluate(self, tmp_path):
         from repro import evaluate
         from repro.experiments.scenarios import get_scenario
 
         spec = StudySpec.from_dict(shared_spec_dict())
         shared = run_study(spec, cache_dir=str(tmp_path / "shared"), jobs=2)
-        scalar = run_study(spec, cache_dir=str(tmp_path / "scalar"), batch=False)
-        # sort_keys: the two dispatch paths order metric keys differently.
-        assert json.dumps(shared.records, sort_keys=True) == json.dumps(
-            scalar.records, sort_keys=True
-        )
         metric_names = {
             "exact": lambda name: name.startswith("exact_"),
             "tail-quantile": lambda name: name.startswith("tail_"),
@@ -492,8 +518,9 @@ class TestKeepGoing:
     def _arm_second_point_failure(self):
         from repro import faults
 
-        # Sequential in-process evaluation (batch=False, jobs=1): the second
-        # evaluated point -- and only it -- raises.
+        # Sequential in-process evaluation (jobs=1, one group of three
+        # points, one hit per point): the second point -- and only it --
+        # raises.
         faults.inject(
             "studies.point", error=RuntimeError, message="boom", every=2, times=1,
             export_env=False,
@@ -502,12 +529,12 @@ class TestKeepGoing:
     def test_strict_mode_still_raises(self, flaky_spec):
         self._arm_second_point_failure()
         with pytest.raises(ValueError, match="1 of 3 evaluation\\(s\\) failed"):
-            run_study(flaky_spec, batch=False)
+            run_study(flaky_spec)
 
     def test_failures_become_typed_error_rows(self, flaky_spec, tmp_path):
         self._arm_second_point_failure()
         result = run_study(
-            flaky_spec, cache_dir=str(tmp_path / "cache"), batch=False, keep_going=True
+            flaky_spec, cache_dir=str(tmp_path / "cache"), keep_going=True
         )
         assert result.summary["keep_going"] is True
         assert result.summary["failed"] == 1
@@ -524,7 +551,7 @@ class TestKeepGoing:
 
     def test_error_rows_round_trip_through_the_table_writers(self, flaky_spec, tmp_path):
         self._arm_second_point_failure()
-        result = run_study(flaky_spec, batch=False, keep_going=True)
+        result = run_study(flaky_spec, keep_going=True)
         paths = result.save(tmp_path / "out")
         rows = json.loads(paths["json"].read_text(encoding="utf-8"))
         assert sum(1 for row in rows if row.get("status") == "error") == 1
@@ -545,12 +572,12 @@ class TestKeepGoing:
 
         cache_dir = str(tmp_path / "cache")
         self._arm_second_point_failure()
-        broken = run_study(flaky_spec, cache_dir=cache_dir, batch=False, keep_going=True)
+        broken = run_study(flaky_spec, cache_dir=cache_dir, keep_going=True)
         assert broken.summary["failed"] == 1
         faults.clear()
-        repaired = run_study(flaky_spec, cache_dir=cache_dir, batch=False, keep_going=True)
+        repaired = run_study(flaky_spec, cache_dir=cache_dir, keep_going=True)
         assert repaired.summary["failed"] == 0
         assert repaired.summary["cached"] == 2
         assert repaired.summary["computed"] == 1
-        reference = run_study(flaky_spec, batch=False)
+        reference = run_study(flaky_spec)
         assert repaired.records == reference.records
