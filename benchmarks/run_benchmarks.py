@@ -306,7 +306,7 @@ def _run_per_point(spec, cache_dir: str, jobs: int) -> tuple[int, dict]:
     with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         # Stored as they arrive, while the workers compute the rest.
         for (digest, entry), metrics in zip(pending.items(), pool.map(_evaluate_point, work)):
-            cache.store(digest, {"digest": digest, "payload": entry.payload, "metrics": metrics})
+            cache.store(digest, entry.payload, metrics)
             fresh[digest] = metrics
     return len(work), fresh
 
@@ -818,9 +818,7 @@ def workload_chaos_soak(quick: bool) -> dict:
              for row in rows),
             default=0.0,
         ),
-        "fleet_rollup_matches": report["fleet"]["rollup_matches_targets"]
-        if report.get("fleet")
-        else None,
+        "fleet_rollup_matches": report["fleet"]["rollup_matches_targets"],
         "latency_degradation": report["latency_degradation"],
         "phase_latency_ms": {
             phase["phase"]: phase["latency_ms"] for phase in report["phases"]

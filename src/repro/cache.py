@@ -15,6 +15,15 @@ call) they came from, so
   this format, so deterministic-method entries warmed by a study are served
   to service traffic without recomputation.
 
+An entry is ``{"digest", "payload", "metrics"}``: the key, the canonical
+payload it hashes and the evaluation's metric mapping.  This module is the
+one place that knows that shape.  :meth:`ResultCache.store` builds every
+entry (the study runner, the service's disk tier, its ``PUT
+/v1/cache/<digest>`` surface and the benchmarks' per-point side all call
+it), :func:`is_entry` decides what a read may accept (the disk tier and a
+peer shard's answer alike), and :func:`result_record` turns a payload plus
+metrics back into the wire result record a cache hit serves.
+
 Entries are one JSON file per digest, sharded by the first two hex digits,
 written atomically (temp file + ``os.replace``) so parallel writers and
 crashed runs never leave a corrupt entry behind.
@@ -29,12 +38,15 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import Any, Mapping
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "ResultCache",
     "canonical_json",
+    "is_entry",
     "payload_digest",
+    "result_record",
     "text_digest",
 ]
 
@@ -61,6 +73,40 @@ def payload_digest(payload) -> str:
 def text_digest(text: str) -> str:
     """SHA-256 hex digest of an already canonical payload text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def is_entry(value) -> bool:
+    """Whether ``value`` can be served as a cache entry: an object whose
+    ``metrics`` is an object.
+
+    Anything else -- a truncated or foreign JSON document, a peer's garbage
+    answer -- is a miss, so a damaged tier degrades to recomputation.
+    """
+    return isinstance(value, dict) and isinstance(value.get("metrics"), dict)
+
+
+def result_record(payload: Mapping[str, Any], metrics: Mapping[str, Any]) -> dict | None:
+    """The wire result record of an evaluation, rebuilt from its canonical
+    payload and cached ``metrics``.
+
+    The payload carries the method name, its resolved options and the seed
+    entropy (``payload["method"]`` is ``{"name": ..., **options}``), so the
+    record needs nothing else.  Options are listed in sorted order, as
+    :meth:`~repro.api.results.EvaluationResult.to_dict` lists a computed
+    record's, so a hit serves the computed record's bytes.
+    ``elapsed_seconds`` is 0.0 -- nothing was evaluated.  Returns ``None``
+    for a payload without a method (a legacy or foreign entry).
+    """
+    method = payload.get("method") if isinstance(payload, Mapping) else None
+    if not isinstance(method, Mapping) or "name" not in method:
+        return None
+    return {
+        "method": method["name"],
+        "options": {key: method[key] for key in sorted(method) if key != "name"},
+        "metrics": dict(metrics),
+        "seed_entropy": payload.get("entropy"),
+        "elapsed_seconds": 0.0,
+    }
 
 
 class ResultCache:
@@ -91,14 +137,13 @@ class ResultCache:
             except (OSError, json.JSONDecodeError):
                 read_span.set(hit=False)
                 return None
-            if not isinstance(entry, dict) or not isinstance(entry.get("metrics"), dict):
-                read_span.set(hit=False)
-                return None
-            read_span.set(hit=True)
-            return entry
+            hit = is_entry(entry)
+            read_span.set(hit=hit)
+            return entry if hit else None
 
-    def store(self, digest: str, entry: dict) -> None:
-        """Atomically write ``entry`` under ``digest``."""
+    def store(self, digest: str, payload: Mapping[str, Any], metrics: Mapping[str, Any]) -> None:
+        """Atomically write the entry of ``payload`` and its ``metrics`` under
+        ``digest``: ``json.dumps({"digest", "payload", "metrics"}, sort_keys=True)``."""
         import tempfile
 
         from repro import telemetry
@@ -111,7 +156,10 @@ class ResultCache:
             )
             try:
                 with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    handle.write(json.dumps(entry, sort_keys=True))
+                    handle.write(json.dumps(
+                        {"digest": digest, "payload": payload, "metrics": metrics},
+                        sort_keys=True,
+                    ))
                 os.replace(temp_name, path)
             except BaseException:
                 try:

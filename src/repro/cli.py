@@ -398,15 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
             "built-in 99.9%% availability + 99%% of requests under 500 ms)"
         ),
     )
-    route_parser.add_argument(
-        "--no-federation",
-        action="store_true",
-        help=(
-            "do not scrape shard/peer /metrics after health probes; "
-            "/metrics?scope=fleet answers 400 and /v1/slo sees only the "
-            "router's own metrics"
-        ),
-    )
 
     loadgen_parser = subparsers.add_parser(
         "loadgen",
@@ -893,7 +884,6 @@ def _handle_route(arguments: argparse.Namespace) -> int:
         lru_size=arguments.lru_size,
         retries=arguments.retries,
         peer_routers=tuple(arguments.peer_router or ()),
-        federate=not arguments.no_federation,
         collector=collector,
         slo_objectives=slo_objectives,
     )

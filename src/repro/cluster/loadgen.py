@@ -641,27 +641,25 @@ def run_soak(
         # counter columns of the fleet document reproduces the flat rollup
         # exactly (fixed bucket bounds make histogram merges exact too; the
         # integration tests cover those -- the soak spot-checks counters).
-        fleet_section = None
-        if router.federation is not None:
-            fleet_document = router.federation.document(
-                router._metrics_snapshot(), self_role="router"
+        fleet_document = router.federation.document(
+            router._metrics_snapshot(), self_role="router"
+        )
+        fleet_targets = fleet_document.get("targets") or {}
+        checked = {}
+        for counter in ("requests_total", "errors_total", "spans_dropped"):
+            rollup = fleet_document.get(counter, 0)
+            summed = sum(
+                (entry.get("counters") or {}).get(counter, 0)
+                for entry in fleet_targets.values()
             )
-            fleet_targets = fleet_document.get("targets") or {}
-            checked = {}
-            for counter in ("requests_total", "errors_total", "spans_dropped"):
-                rollup = fleet_document.get(counter, 0)
-                summed = sum(
-                    (entry.get("counters") or {}).get(counter, 0)
-                    for entry in fleet_targets.values()
-                )
-                checked[counter] = {"rollup": rollup, "summed": summed}
-            fleet_section = {
-                "targets": sorted(fleet_targets),
-                "rollup_matches_targets": all(
-                    column["rollup"] == column["summed"] for column in checked.values()
-                ),
-                "counters": checked,
-            }
+            checked[counter] = {"rollup": rollup, "summed": summed}
+        fleet_section = {
+            "targets": sorted(fleet_targets),
+            "rollup_matches_targets": all(
+                column["rollup"] == column["summed"] for column in checked.values()
+            ),
+            "counters": checked,
+        }
 
         # ---- placement snapback: the victim owns its keys again ------- #
         placement_restored = None

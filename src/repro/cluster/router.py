@@ -27,9 +27,12 @@ same endpoints, same error bodies) and forwards each request to a backend
   (:class:`~repro.cluster.ring.ReplicatedPlacement`).  Writes are
   **write-all** -- a freshly computed result is asynchronously ``PUT`` to
   the other replicas' ``/v1/cache/<digest>`` surface (``replica_writes``,
-  failpoint ``router.replica_write``) -- and reads are **read-any**: the
-  forward walk's fallback shard is exactly the next replica, which already
-  holds the warm entry, so a shard death loses no warm cache
+  failpoint ``router.replica_write``) as the bytes of a cache entry
+  (:func:`_replica_entry`), which the receiving shard checks and writes
+  through :mod:`repro.cache` like any other entry -- and reads are
+  **read-any**: the forward walk's fallback shard is exactly the next
+  replica, which already holds the warm entry, so a shard death loses no
+  warm cache
   (``replica_read_fallbacks`` counts requests a non-primary answered);
 * a **shared health view**: the eject/readmit table is served over
   ``GET /v1/health/peers`` and, when peer routers are configured
@@ -50,7 +53,7 @@ Per-hop retries reuse :class:`repro.service.client.BackoffPolicy`, and
 
 The router is also the fleet's **observability plane**:
 
-* **metrics federation** (``federate=True``): each successful ``/healthz``
+* **metrics federation** (always on): each successful ``/healthz``
   probe is followed by a ``/metrics?format=prom`` scrape, parsed back into
   snapshot form and folded into a :class:`MetricsFederation`; peer routers
   are scraped on the merge cadence.  ``GET /metrics?scope=fleet`` serves
@@ -85,7 +88,6 @@ from repro.service.cache import ResponseCache
 from repro.service.client import BackoffPolicy, _parse_retry_after
 from repro.service.http import (
     HttpApp,
-    HttpError,
     HttpRequest,
     parse_json_body,
     read_request,
@@ -169,11 +171,6 @@ class ShardRouter(HttpApp):
     peer_routers:
         Other routers' base URLs; their ``GET /v1/health/peers`` views are
         merged (last-writer-wins) once per probe interval.
-    federate:
-        Scrape shard (and peer-router) metrics on the probe schedule and
-        serve ``/metrics?scope=fleet``.  Off, the fleet scope answers 400
-        and probing is exactly PR-8 behaviour (the overhead benchmark's
-        baseline).
     collector:
         The :class:`TraceCollector` behind ``POST /v1/traces``; a bounded
         in-memory one is created when omitted (pass one with a ``path`` to
@@ -210,7 +207,6 @@ class ShardRouter(HttpApp):
         timeout: float = 120.0,
         backoff: BackoffPolicy | None = None,
         peer_routers: Sequence[str] = (),
-        federate: bool = True,
         collector: TraceCollector | None = None,
         slo_objectives=None,
     ) -> None:
@@ -241,7 +237,7 @@ class ShardRouter(HttpApp):
         self.registry.register_counters(_COUNTER_NAMES)
         self.registry.histogram("request_seconds")
         self.registry.histogram("hop_seconds")
-        self.federation = MetricsFederation() if federate else None
+        self.federation = MetricsFederation()
         self.collector = collector if collector is not None else TraceCollector()
         self.slo = SLOEngine(slo_objectives or DEFAULT_OBJECTIVES)
         self._probe_task: asyncio.Task | None = None
@@ -278,7 +274,7 @@ class ShardRouter(HttpApp):
             # No transition, but a fresh observation: recency is what the
             # peer-view merge's last-writer-wins trades on.
             self.health.touch(shard)
-        if alive and self.federation is not None:
+        if alive:
             await self._scrape_target(shard, self.transports[shard], role="shard")
 
     async def _scrape_target(
@@ -347,8 +343,7 @@ class ShardRouter(HttpApp):
                 if time.monotonic() >= next_beat:
                     if self.peer_transports:
                         await self._merge_peer_views()
-                        if self.federation is not None:
-                            await self._scrape_peers()
+                        await self._scrape_peers()
                     self.slo.observe(self._fleet_snapshot())
                     next_beat = time.monotonic() + self.probe_interval
             except asyncio.CancelledError:
@@ -478,9 +473,9 @@ class ShardRouter(HttpApp):
 
         The entry is study-shaped -- digest, canonical payload, metrics --
         so the receiving shard's ``PUT /v1/cache/<digest>`` fills its LRU
-        (``record_from_entry`` rebuilds the wire record from the payload),
-        not just its disk tier.  The computing shard already holds the
-        entry; known-ejected replicas are skipped (a probe readmits them
+        (:func:`repro.cache.result_record` rebuilds the wire record from the
+        payload), not just its disk tier.  The computing shard already holds
+        the entry; known-ejected replicas are skipped (a probe readmits them
         before they could answer reads anyway).  Fire-and-forget: replica
         writes never add latency to the response that triggered them.
         """
@@ -658,19 +653,12 @@ class ShardRouter(HttpApp):
 
     def _fleet_snapshot(self) -> dict:
         """The roll-up the SLO engine and fleet endpoints evaluate."""
-        local = self._metrics_snapshot()
-        if self.federation is None:
-            return local
-        return self.federation.fleet_snapshot(local)
+        return self.federation.fleet_snapshot(self._metrics_snapshot())
 
     def _render_metrics(self, scope: str, wanted: str) -> dict | str:
         """``scope=fleet`` is the federated roll-up; ``local`` is the base's."""
         if scope == "local":
             return super()._render_metrics(scope, wanted)
-        if self.federation is None:
-            raise HttpError(
-                400, "metrics federation is disabled on this router", "federation_disabled"
-            )
         if wanted == "prom":
             return self.federation.prometheus(self._metrics_snapshot())
         document = self.federation.document(self._metrics_snapshot())

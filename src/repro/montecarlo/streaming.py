@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.stats.normal import normal_quantile
 from repro.stats.streaming import StreamingHistogram, StreamingMoments
 
 __all__ = ["StreamingSimulationResult"]
@@ -69,10 +70,8 @@ class StreamingSimulationResult:
 
     def mean_pfd_confidence_interval(self, confidence: float = 0.95) -> tuple[float, float]:
         """Normal-theory confidence interval for the mean PFD."""
-        from scipy import stats as sps
-
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-        half_width = sps.norm.ppf(0.5 + confidence / 2.0) * self.pfds.standard_error()
+        half_width = normal_quantile(0.5 + confidence / 2.0) * self.pfds.standard_error()
         center = self.mean_pfd()
         return (center - half_width, center + half_width)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.api.registry import default_registry
 from repro.api.results import EvaluationRequest
@@ -139,22 +139,6 @@ class ServiceRequest:
         if base is None:
             base = self._digests["base"] = canonical_json(payload["base"])
         return payload_text(payload, base)
-
-    def result_record(self, metrics: Mapping[str, Any]) -> dict:
-        """Rebuild the wire result record around cached ``metrics``.
-
-        Disk-cache entries store only the metrics (the study-compatible
-        entry shape); method, options and the seed entropy are implied by
-        the request that hashed to the entry's digest.  ``elapsed_seconds``
-        is 0.0 -- nothing was evaluated.
-        """
-        return {
-            "method": self.method,
-            "options": dict(self.options),
-            "metrics": dict(metrics),
-            "seed_entropy": self.entropy,
-            "elapsed_seconds": 0.0,
-        }
 
     def single_arguments(self) -> tuple:
         """Arguments for :func:`repro.service.worker.evaluate_single`."""

@@ -48,9 +48,9 @@ from typing import Any, Sequence
 
 from repro import telemetry
 from repro.api.registry import default_registry
-from repro.cache import ResultCache
+from repro.cache import ResultCache, is_entry, result_record
 from repro.service.batcher import MicroBatcher
-from repro.service.cache import RemoteCacheClient, ResponseCache, record_from_entry
+from repro.service.cache import RemoteCacheClient, ResponseCache
 from repro.service.http import (
     HttpApp,
     HttpError,
@@ -211,11 +211,9 @@ class EvaluationServer(HttpApp):
         self.max_queue = max_queue
         self.request_timeout_ms = request_timeout_ms
         self.slow_request_ms = slow_request_ms
-        self.cache = ResponseCache(
-            max_entries=lru_size,
-            disk=ResultCache(cache_dir) if cache_dir is not None else None,
-            remote=RemoteCacheClient(self.cache_peers) if self.cache_peers else None,
-        )
+        self.cache = ResponseCache(max_entries=lru_size)
+        self.disk = ResultCache(cache_dir) if cache_dir is not None else None
+        self.remote = RemoteCacheClient(self.cache_peers) if self.cache_peers else None
         self._executor = None
         # Set when aclose tears the executor down: a flight kept past the
         # drain must then fail rather than fork a pool nothing would close.
@@ -366,27 +364,28 @@ class EvaluationServer(HttpApp):
         # The disk tier, then peer shards' /v1/cache surface: file and
         # network I/O, both on the default thread executor -- the event loop
         # (accept loop, /healthz, in-flight responses) must never wait on it.
-        metrics = cached = None
+        entry = cached = None
         with telemetry.span("server.shared_tier_probe") as probe:
-            if self.cache.disk is not None:
-                metrics = await self._in_io_thread(self.cache.get_disk, digest)
-                cached = "disk" if metrics is not None else None
-            if cached is None and self.cache.remote is not None:
+            if self.disk is not None:
+                entry = await self._in_io_thread(self.disk.load, digest)
+                cached = "disk" if entry is not None else None
+            if cached is None and self.remote is not None:
                 self.registry.inc("remote_cache_probes")
-                metrics = await self._in_io_thread(self.cache.get_remote, digest)
-                cached = "remote" if metrics is not None else None
+                entry = await self._in_io_thread(self.remote.get, digest)
+                cached = "remote" if entry is not None else None
             probe.set(tier=cached or "miss")
         if cached is None:
             self.registry.inc("cache_misses")
             record, meta = await self.batcher.submit(request)
         else:
             self.registry.inc(f"cache_hits_{cached}")
-            record, meta = request.result_record(metrics), {"batched": False, "group_size": 0}
+            record = result_record(request.payload(), entry["metrics"])
+            meta = {"batched": False, "group_size": 0}
         # A remote hit back-fills LRU and disk like a fresh record, so each
         # key is fetched from a peer at most once.
         self.cache.put_local(digest, record)
-        if self.cache.disk is not None and cached != "disk":
-            await self._in_io_thread(self.cache.store_disk, digest, record, request.payload())
+        if self.disk is not None and cached != "disk":
+            await self._in_io_thread(self.disk.store, digest, request.payload(), record["metrics"])
         return {"result": record, "served": {"cached": cached, **meta}}
 
     async def _serve_batch(self, payload) -> dict:
@@ -469,8 +468,8 @@ class EvaluationServer(HttpApp):
         if record is not None:
             self.registry.inc("cache_endpoint_hits")
             return {"digest": digest, "metrics": dict(record["metrics"])}
-        if self.cache.disk is not None:
-            entry = await self._in_io_thread(self.cache.disk.load, digest)
+        if self.disk is not None:
+            entry = await self._in_io_thread(self.disk.load, digest)
             if entry is not None:
                 self.registry.inc("cache_endpoint_hits")
                 return {"digest": digest, **entry}
@@ -481,25 +480,22 @@ class EvaluationServer(HttpApp):
         """``PUT /v1/cache/<digest>``: accept a pushed study-shaped entry.
 
         The LRU fills when the entry's payload is rich enough to rebuild a
-        wire record (:func:`record_from_entry`); the disk tier fills when it
-        exists and the entry carries its payload.  The pushed bytes are
+        wire record (:func:`~repro.cache.result_record`); the disk tier
+        fills when it exists and the entry carries its payload.  The pushed bytes are
         trusted exactly as far as a disk entry would be -- the digest keys
         them, the content-addressed scheme makes collisions a non-concern.
         """
         entry = parse_json_body(body, "cache entry")
-        if not isinstance(entry, dict) or not isinstance(entry.get("metrics"), dict):
+        if not is_entry(entry):
             raise HttpError(400, "a cache entry needs a 'metrics' object (study entry shape)")
         stored = False
-        record = record_from_entry(entry)
+        payload, metrics = entry.get("payload"), entry["metrics"]
+        record = result_record(payload, metrics)
         if record is not None:
             self.cache.put_local(digest, record)
             stored = True
-        if self.cache.disk is not None and isinstance(entry.get("payload"), dict):
-            await self._in_io_thread(
-                self.cache.disk.store,
-                digest,
-                {"digest": digest, "payload": dict(entry["payload"]), "metrics": dict(entry["metrics"])},
-            )
+        if self.disk is not None and isinstance(payload, dict):
+            await self._in_io_thread(self.disk.store, digest, payload, metrics)
             stored = True
         if stored:
             self.registry.inc("cache_endpoint_stores")

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.stats.normal import normal_quantile
+
 __all__ = [
     "EmpiricalDistribution",
     "empirical_cdf",
@@ -149,10 +151,8 @@ class EmpiricalDistribution:
 
     def mean_confidence_interval(self, confidence: float = 0.95) -> tuple[float, float]:
         """Normal-theory confidence interval for the mean."""
-        from scipy import stats as sps
-
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-        half_width = sps.norm.ppf(0.5 + confidence / 2.0) * self.mean_standard_error()
+        half_width = normal_quantile(0.5 + confidence / 2.0) * self.mean_standard_error()
         center = self.mean()
         return (center - half_width, center + half_width)

@@ -5,7 +5,9 @@ two-point variables) with a normal distribution and expresses reliability
 claims as confidence bounds of the form ``mu + k * sigma``.  This module
 provides:
 
-* thin wrappers over the normal CDF and quantile function with the vocabulary
+* the package's one home of the standard-normal CDF and quantile function
+  (scalars or arrays, through ``scipy.special`` -- never ``scipy.stats``,
+  whose import costs several times more), and wrappers with the vocabulary
   used in the paper ("confidence level", "k factor");
 * :class:`NormalApproximation`, a small value object bundling a mean and a
   standard deviation with bound / confidence queries;
@@ -35,20 +37,32 @@ __all__ = [
 BERRY_ESSEEN_CONSTANT = 0.5600
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal cumulative distribution function."""
-    from scipy import stats as sps
+def normal_cdf(x):
+    """Standard normal cumulative distribution function.
 
-    return float(sps.norm.cdf(x))
+    A float for a scalar ``x``, an array for an array; equal to
+    ``scipy.stats.norm.cdf``, which is ``scipy.special.ndtr`` underneath.
+    """
+    from scipy.special import ndtr
+
+    value = ndtr(x)
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def normal_quantile(level: float) -> float:
-    """Standard normal quantile (inverse CDF) at probability ``level``."""
-    from scipy import stats as sps
+def normal_quantile(level):
+    """Standard normal quantile (inverse CDF) at probability ``level``.
 
-    if not 0.0 < level < 1.0:
+    A float for a scalar ``level``, an array for an array; every level must
+    lie in (0, 1).  Equal to ``scipy.stats.norm.ppf``, which is
+    ``scipy.special.ndtri`` underneath.
+    """
+    from scipy.special import ndtri
+
+    levels = np.asarray(level, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"level must be in (0, 1), got {level}")
-    return float(sps.norm.ppf(level))
+    value = ndtri(levels)
+    return float(value) if value.ndim == 0 else value
 
 
 def k_factor_for_confidence(confidence: float) -> float:

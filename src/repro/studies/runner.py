@@ -59,7 +59,6 @@ from repro.studies.spec import StudySpec
 
 __all__ = [
     "PlannedPoint",
-    "group_seed_entropy",
     "plan_study",
     "point_seed_entropy",
     "run_study",
@@ -77,16 +76,12 @@ class PlannedPoint:
 
 
 def point_seed_entropy(spec: StudySpec, digest: str) -> tuple[int, int]:
-    """Entropy for the point's ``SeedSequence``: (study seed, content key)."""
-    return (spec.seed, int(digest[:16], 16))
+    """``SeedSequence`` entropy keyed by a content digest: (study seed, key).
 
-
-def group_seed_entropy(spec: StudySpec, digest: str) -> tuple[int, int]:
-    """Entropy of a batch group's shared demand stream: (study seed, group key).
-
-    Keyed by the group's *content* (not its membership), so a sweep point's
-    shared-demand stream does not depend on which sibling points happened to
-    be cache misses alongside it.
+    The digest may be a point's (its own stream) or a batch group's (the
+    group's shared demand stream).  Either is keyed by *content*, not by
+    membership, so a sweep point's stream does not depend on which sibling
+    points happened to be cache misses alongside it.
     """
     return (spec.seed, int(digest[:16], 16))
 
@@ -248,7 +243,7 @@ def _plan_groups(
                 "shared": shared,
                 "method": entry.point.method,
                 "members": [],
-                "entropy": group_seed_entropy(spec, key),
+                "entropy": point_seed_entropy(spec, key),
                 "weight": int(entry.payload["method"].get("replications", 1)),
                 # The study's one base plus these params build the point models.
                 "bundle": None if shared_stream else canonical_json(
@@ -450,14 +445,7 @@ def run_study(
                 metrics_by_digest[digest] = outcome
                 resolved += 1
                 if cache is not None:
-                    cache.store(
-                        digest,
-                        {
-                            "digest": digest,
-                            "payload": planned[index].payload,
-                            "metrics": outcome,
-                        },
-                    )
+                    cache.store(digest, planned[index].payload, outcome)
                 if progress is not None:
                     progress(resolved, distinct, resolved - cached_count)
         finally:

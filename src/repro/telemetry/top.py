@@ -1,7 +1,7 @@
 """``repro top``: a stdlib-only live terminal view of the fleet.
 
 Polls a router's ``/metrics?scope=fleet`` (falling back to the local scope
-when federation is off or the target is a plain shard) and ``/v1/slo``,
+when the target is a plain shard) and ``/v1/slo``,
 and renders one screenful: throughput and error rate over the last poll
 interval, fleet latency quantiles with the slowest-trace exemplar, the
 cache-tier mix, admission state, per-shard rows and SLO burn.  Rendering

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fault_model import FaultModel
+from repro.stats.normal import normal_quantile
 from repro.versions.generation import DevelopmentProcess
 from repro.versions.version import DevelopedVersion, VersionPair
 
@@ -159,9 +160,7 @@ class CopulaDevelopmentProcess(DevelopmentProcess):
             raise ValueError(f"count must be non-negative, got {count}")
         if count == 0:
             return np.zeros((0, self.model.n), dtype=bool)
-        from scipy import stats as sps
-
-        thresholds = sps.norm.ppf(np.clip(self.model.p, 1e-15, 1.0 - 1e-15))
+        thresholds = normal_quantile(np.clip(self.model.p, 1e-15, 1.0 - 1e-15))
         loading = np.sqrt(abs(self.correlation))
         residual_scale = np.sqrt(1.0 - abs(self.correlation))
         # One draw per call, consumed row-by-row (column 0 is the shared

@@ -465,7 +465,7 @@ class TestCacheCommand:
         cache = ResultCache(tmp_path / "cache")
         for index in range(3):
             digest = f"{index:02x}" + "ab" * 31
-            cache.store(digest, {"digest": digest, "payload": {}, "metrics": {"v": index}})
+            cache.store(digest, {}, {"v": index})
         return str(tmp_path / "cache")
 
     def test_info_reports_entries_bytes_and_path(self, warm_cache, capsys):

@@ -141,12 +141,6 @@ class TestFleetScope:
             status, document = _get_json(front.port, "/metrics?scope=bogus")
             assert status == 400
             assert "scope" in document["error"]
-
-    def test_fleet_scope_with_federation_disabled_is_a_400(self):
-        with fleet(router_kw={"federate": False}) as (servers, handles, router, front):
-            assert router.federation is None
-            status, _ = _get_json(front.port, "/metrics?scope=fleet")
-            assert status == 400
             # The local scope still serves.
             status, document = _get_json(front.port, "/metrics")
             assert status == 200

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import result_record
 from repro.core.fault_model import FaultModel
 from repro.experiments.scenarios import get_scenario
 from repro.service.protocol import (
@@ -209,7 +210,7 @@ class TestStudyKeySharing:
 class TestResultRecord:
     def test_rebuilds_the_wire_record_around_cached_metrics(self, small_model):
         request = parse_evaluate_payload(_payload(small_model, method="montecarlo", seed=3))
-        record = request.result_record({"mc_mean_system": 1e-6})
+        record = result_record(request.payload(), {"mc_mean_system": 1e-6})
         assert record == {
             "method": "montecarlo",
             "options": request.options,
@@ -217,6 +218,13 @@ class TestResultRecord:
             "seed_entropy": [3],
             "elapsed_seconds": 0.0,
         }
+        # Served bytes depend on key order: options are sorted, as in a
+        # computed record.
+        assert list(record["options"]) == sorted(request.options)
+
+    @pytest.mark.parametrize("payload", [None, {}, {"method": "moments"}, {"method": {}}])
+    def test_a_payload_without_a_method_rebuilds_nothing(self, payload):
+        assert result_record(payload, {"x": 1.0}) is None
 
 
 class TestParseBatch:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.cache import is_entry
 from repro.studies import ResultCache, canonical_json, payload_digest
 
 
@@ -41,7 +42,7 @@ class TestResultCache:
         digest = payload_digest({"x": 1})
         assert cache.load(digest) is None
         assert digest not in cache
-        cache.store(digest, {"digest": digest, "metrics": {"mean": 0.25}})
+        cache.store(digest, {}, {"mean": 0.25})
         assert digest in cache
         assert cache.load(digest)["metrics"] == {"mean": 0.25}
         assert len(cache) == 1
@@ -49,13 +50,13 @@ class TestResultCache:
     def test_entries_sharded_by_prefix(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"y": 2})
-        cache.store(digest, {"metrics": {}})
+        cache.store(digest, {}, {})
         assert cache.path_for(digest).parent.name == digest[:2]
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"z": 3})
-        cache.store(digest, {"metrics": {}})
+        cache.store(digest, {}, {})
         cache.path_for(digest).write_text("{not json", encoding="utf-8")
         assert cache.load(digest) is None
 
@@ -64,7 +65,7 @@ class TestResultCache:
         # must degrade to recomputation, not crash the runner.
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"z": 4})
-        cache.store(digest, {"metrics": {}})
+        cache.store(digest, {}, {})
         cache.path_for(digest).write_text('["oops"]', encoding="utf-8")
         assert cache.load(digest) is None
         cache.path_for(digest).write_text('{"payload": {}}', encoding="utf-8")  # no metrics
@@ -73,8 +74,8 @@ class TestResultCache:
     def test_store_is_atomic_no_temp_left_behind(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"w": 4})
-        cache.store(digest, {"metrics": {"a": 1}})
-        cache.store(digest, {"metrics": {"a": 2}})  # overwrite
+        cache.store(digest, {}, {"a": 1})
+        cache.store(digest, {}, {"a": 2})  # overwrite
         assert cache.load(digest)["metrics"] == {"a": 2}
         leftovers = [p for p in cache.path_for(digest).parent.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
@@ -82,7 +83,7 @@ class TestResultCache:
     def test_stored_entries_are_valid_json(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"v": 5})
-        cache.store(digest, {"metrics": {"x": 1.5}})
+        cache.store(digest, {}, {"x": 1.5})
         raw = cache.path_for(digest).read_text(encoding="utf-8")
         assert json.loads(raw)["metrics"]["x"] == 1.5
 
@@ -90,11 +91,25 @@ class TestResultCache:
         # The on-disk format: exactly json.dumps(entry, sort_keys=True).
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"u": 6})
-        entry = {
-            "metrics": {"mean": 0.1 + 0.2, "tiny": 5e-324, "missing": None},
-            "payload": {"model": {"names": ["Ärger", "故障"], "p": [0.5, 1e-17]}},
+        payload = {
+            "model": {"names": ["Ärger", "故障"], "p": [0.5, 1e-17]},
             "options": {"level": 0.99, "nested": {"b": 1, "a": [None, -0.0]}},
         }
-        cache.store(digest, entry)
+        metrics = {"mean": 0.1 + 0.2, "tiny": 5e-324, "missing": None}
+        cache.store(digest, payload, metrics)
         raw = cache.path_for(digest).read_bytes()
+        entry = {"metrics": metrics, "payload": payload, "digest": digest}
         assert raw == json.dumps(entry, sort_keys=True).encode("utf-8")
+        assert cache.load(digest) == entry
+
+
+class TestIsEntry:
+    def test_an_entry_is_an_object_with_a_metrics_object(self):
+        assert is_entry({"metrics": {}})
+        assert is_entry({"digest": "ab", "payload": {}, "metrics": {"x": 1.0}})
+
+    @pytest.mark.parametrize(
+        "value", [None, [], ["oops"], {}, {"payload": {}}, {"metrics": None}, {"metrics": [1]}]
+    )
+    def test_anything_else_is_not(self, value):
+        assert not is_entry(value)

@@ -109,10 +109,7 @@ class TestBatchedDispatchCompat:
                 seed=point_seed_entropy(spec, entry.digest),
                 **options,
             ).metric_dict()
-            cache.store(
-                entry.digest,
-                {"digest": entry.digest, "payload": entry.payload, "metrics": lone},
-            )
+            cache.store(entry.digest, entry.payload, lone)
         warm = run_study(spec, cache_dir=str(tmp_path / "cache"))
         assert warm.summary["computed"] == 0
         for entry, row in zip(plan_study(spec), warm.records):

@@ -10,7 +10,10 @@ module imports it inside the functions that call it.  The router (and the
 CLI parser that starts it) loads no numpy either: it checks inline model
 content with the numpy-free rules of :mod:`repro.core.model_content`.  These
 checks run in fresh interpreters, because the test process itself has loaded
-everything.
+everything.  The normal-theory paths (``normal``, ``bounds``, correlated
+``montecarlo``) take the standard-normal CDF and quantile from
+:mod:`repro.stats.normal`, which loads ``scipy.special`` and never the much
+heavier ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -86,6 +89,13 @@ DENIED = {
 
 _SCIPY_LOADED = "any(name.split('.')[0] == 'scipy' for name in sys.modules)"
 
+#: The normal-theory paths: a label, then the method and its options.
+_NORMAL_THEORY = {
+    "normal": ("normal", {}),
+    "bounds": ("bounds", {}),
+    "correlated montecarlo": ("montecarlo", {"correlation": 0.3, "replications": 2000}),
+}
+
 _MODEL = (
     "import numpy as np\n"
     "from repro.core.fault_model import FaultModel\n"
@@ -103,19 +113,21 @@ def _run(code: str) -> str:
     return completed.stdout.strip()
 
 
-def _records(methods: tuple[str, ...], preload_scipy: bool) -> str:
-    """JSON of each method's wire record at default options (timing dropped)."""
+def _records(calls: dict, preload_scipy: bool) -> str:
+    """JSON of each call's wire record (timing dropped) and of which scipy
+    modules the run loaded; ``calls`` maps a label to ``(method, options)``."""
     code = (
         ("import scipy.stats\n" if preload_scipy else "")
         + "import json, sys\n"
         + _MODEL
         + "from repro import evaluate\n"
         "records = {}\n"
-        f"for method in {methods!r}:\n"
-        "    record = evaluate(model, method).to_dict()\n"
+        f"for label, (method, options) in {calls!r}.items():\n"
+        "    record = evaluate(model, method, **options).to_dict()\n"
         "    record.pop('elapsed_seconds')\n"
-        "    records[method] = record\n"
-        f"print(json.dumps({{'records': records, 'scipy': {_SCIPY_LOADED}}}))\n"
+        "    records[label] = record\n"
+        f"print(json.dumps({{'records': records, 'scipy': {_SCIPY_LOADED},\n"
+        "                  'scipy.stats': 'scipy.stats' in sys.modules}))\n"
     )
     return _run(code)
 
@@ -142,7 +154,8 @@ def test_start_up_loads_none_of_the_denied_modules(entry_point):
 
 
 def test_numpy_only_methods_load_no_scipy():
-    output = json.loads(_records(("moments", "exact", "tail-quantile", "montecarlo"), False))
+    methods = ("moments", "exact", "tail-quantile", "montecarlo")
+    output = json.loads(_records({method: (method, {}) for method in methods}, False))
     assert output["scipy"] is False
     assert set(output["records"]) == {"moments", "exact", "tail-quantile", "montecarlo"}
 
@@ -160,10 +173,12 @@ def test_numpy_only_sweeps_load_no_scipy():
     assert _run(code) == "False"
 
 
-def test_normal_and_bounds_records_match_preloaded_scipy():
-    lazy = json.loads(_records(("normal", "bounds"), False))
-    eager = json.loads(_records(("normal", "bounds"), True))
+def test_normal_theory_paths_load_no_scipy_stats():
+    lazy = json.loads(_records(_NORMAL_THEORY, False))
+    eager = json.loads(_records(_NORMAL_THEORY, True))
     assert lazy["scipy"] is True
+    assert lazy["scipy.stats"] is False
+    assert set(lazy["records"]) == set(_NORMAL_THEORY)
     assert lazy["records"] == eager["records"]
 
 
