@@ -333,8 +333,11 @@ def workload_sweep1000(quick: bool) -> dict:
     single-method studies over the same points, each on a fresh cache, at
     the default ``max_support`` where the kernel dominates: the combined
     study computes each point's exact distribution once and both methods
-    read it.  Both sides run in-process, best of three, so the ratio
-    measures the kernel work saved rather than pool start-up.
+    read it.  Both sides run in-process, so the ratio measures the kernel
+    work saved rather than pool start-up, in :data:`ROUNDS` rounds that
+    alternate which side goes first; ``exact_tail_shared_speedup`` is the
+    median of ``exact_tail_shared_round_ratios`` (separate seconds / shared
+    seconds), with both sides' per-round seconds beside it.
     """
     import shutil
     import tempfile
@@ -404,14 +407,18 @@ def workload_sweep1000(quick: bool) -> dict:
                 spec(f"bench-sweep1000-{method['name']}-alone", axis, [method]) for method in pair
             ],
         }
-        best: dict[str, float] = {}
-        for repeat in range(3):
-            for label, sweeps in studies.items():
+        pair_seconds: dict[str, list[float]] = {label: [] for label in studies}
+        for index in range(ROUNDS):
+            for label in ("shared", "separate") if index % 2 == 0 else ("separate", "shared"):
+                cache_dirs = [
+                    f"{tmp}/{label}-{index}-{position}" for position in range(len(studies[label]))
+                ]
                 start = time.perf_counter()
-                for position, sweep in enumerate(sweeps):
-                    run_study(sweep, cache_dir=f"{tmp}/{label}-{repeat}-{position}")
-                elapsed = time.perf_counter() - start
-                best[label] = min(best.get(label, elapsed), elapsed)
+                for sweep, cache_dir in zip(studies[label], cache_dirs):
+                    run_study(sweep, cache_dir=cache_dir)
+                pair_seconds[label].append(time.perf_counter() - start)
+                for cache_dir in cache_dirs:
+                    shutil.rmtree(cache_dir)
     ratios = {
         name: [
             per_point / grouped
@@ -419,6 +426,10 @@ def workload_sweep1000(quick: bool) -> dict:
         ]
         for name in methods
     }
+    pair_ratios = [
+        separate / shared
+        for separate, shared in zip(pair_seconds["separate"], pair_seconds["shared"])
+    ]
     median = {key: statistics.median(values) for key, values in seconds.items()}
     grouped_elapsed = sum(median[name, "grouped"] for name in methods)
     per_point_elapsed = sum(median[name, "per_point"] for name in methods)
@@ -443,9 +454,16 @@ def workload_sweep1000(quick: bool) -> dict:
         },
         "dispatched_tasks_grouped": tasks["grouped"],
         "dispatched_tasks_per_point": tasks["per_point"],
-        "exact_tail_shared_seconds": round(best["shared"], 3),
-        "exact_tail_separate_seconds": round(best["separate"], 3),
-        "exact_tail_shared_speedup": round(best["separate"] / best["shared"], 2),
+        **{
+            key: value
+            for label in pair_seconds
+            for key, value in (
+                (f"exact_tail_{label}_seconds", round(statistics.median(pair_seconds[label]), 3)),
+                (f"exact_tail_{label}_round_seconds", [round(s, 3) for s in pair_seconds[label]]),
+            )
+        },
+        "exact_tail_shared_speedup": round(statistics.median(pair_ratios), 2),
+        "exact_tail_shared_round_ratios": [round(ratio, 2) for ratio in pair_ratios],
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 

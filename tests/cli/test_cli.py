@@ -498,6 +498,22 @@ class TestCacheCommand:
         assert main(["cache", "info", "--cache-dir", warm_cache]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0
 
+    def test_clear_empties_a_directory_of_the_old_layout(self, tmp_path, capsys):
+        # One JSON file per entry in two-character shards: read as misses,
+        # but counted and removed.
+        root = tmp_path / "old-cache"
+        for index in range(2):
+            digest = f"{index:02x}" + "cd" * 31
+            (root / digest[:2]).mkdir(parents=True)
+            (root / digest[:2] / f"{digest}.json").write_text(
+                json.dumps({"digest": digest, "metrics": {"v": index}, "payload": {}})
+            )
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 2
+        assert main(["cache", "clear", "--cache-dir", str(root), "--yes"]) == 0
+        assert json.loads(capsys.readouterr().out)["removed"] == 2
+        assert list(root.iterdir()) == []
+
     def test_clear_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["cache", "clear", "--cache-dir", str(tmp_path / "nope"), "--yes"]) == 2
         assert "does not exist" in capsys.readouterr().err

@@ -36,29 +36,48 @@ class TestPayloadDigest:
         assert payload_digest(base) != payload_digest({**base, "params": {"n": 11}})
 
 
+def _segment_lines(root) -> list[bytes]:
+    """Every line of every segment under ``root``, newline included."""
+    return [
+        line
+        for path in sorted(root.glob("segment-*.log"))
+        for line in path.read_bytes().splitlines(keepends=True)
+    ]
+
+
+def _overwrite_entry(root, digest: str, text: str) -> None:
+    """Make the one segment under ``root`` hold ``text`` as ``digest``'s entry."""
+    [segment] = root.glob("segment-*.log")
+    segment.write_text(f"{digest} {text}\n", encoding="utf-8")
+
+
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"x": 1})
         assert cache.load(digest) is None
-        assert digest not in cache
+        assert cache.info()["entries"] == 0
         cache.store(digest, {}, {"mean": 0.25})
-        assert digest in cache
         assert cache.load(digest)["metrics"] == {"mean": 0.25}
-        assert len(cache) == 1
+        assert ResultCache(tmp_path / "cache").load(digest)["metrics"] == {"mean": 0.25}
+        assert cache.info()["entries"] == 1
 
-    def test_entries_sharded_by_prefix(self, tmp_path):
+    def test_entries_are_lines_of_one_segment_per_process(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        digest = payload_digest({"y": 2})
-        cache.store(digest, {}, {})
-        assert cache.path_for(digest).parent.name == digest[:2]
+        digests = [payload_digest({"y": index}) for index in range(3)]
+        for digest in digests:
+            cache.store(digest, {}, {})
+        assert [path.name for path in (tmp_path / "cache").iterdir()] == ["segment-0.log"]
+        lines = _segment_lines(tmp_path / "cache")
+        assert [line.split(b" ", 1)[0].decode() for line in lines] == digests
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"z": 3})
         cache.store(digest, {}, {})
-        cache.path_for(digest).write_text("{not json", encoding="utf-8")
+        _overwrite_entry(tmp_path / "cache", digest, "{not json")
         assert cache.load(digest) is None
+        assert ResultCache(tmp_path / "cache").load(digest) is None
 
     def test_wrong_shaped_entry_is_a_miss(self, tmp_path):
         # Valid JSON that is not an entry (foreign file, truncated write)
@@ -66,29 +85,31 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"z": 4})
         cache.store(digest, {}, {})
-        cache.path_for(digest).write_text('["oops"]', encoding="utf-8")
-        assert cache.load(digest) is None
-        cache.path_for(digest).write_text('{"payload": {}}', encoding="utf-8")  # no metrics
-        assert cache.load(digest) is None
+        for text in ('["oops"]', '{"payload": {}}'):  # the second has no metrics
+            _overwrite_entry(tmp_path / "cache", digest, text)
+            assert cache.load(digest) is None
+            assert ResultCache(tmp_path / "cache").load(digest) is None
 
-    def test_store_is_atomic_no_temp_left_behind(self, tmp_path):
+    def test_store_appends_and_leaves_no_temp_file(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"w": 4})
         cache.store(digest, {}, {"a": 1})
         cache.store(digest, {}, {"a": 2})  # overwrite
         assert cache.load(digest)["metrics"] == {"a": 2}
-        leftovers = [p for p in cache.path_for(digest).parent.iterdir() if p.suffix == ".tmp"]
+        leftovers = [p for p in (tmp_path / "cache").rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
+        assert len(_segment_lines(tmp_path / "cache")) == 2
 
     def test_stored_entries_are_valid_json(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"v": 5})
         cache.store(digest, {}, {"x": 1.5})
-        raw = cache.path_for(digest).read_text(encoding="utf-8")
-        assert json.loads(raw)["metrics"]["x"] == 1.5
+        [line] = _segment_lines(tmp_path / "cache")
+        assert json.loads(line.split(b" ", 1)[1])["metrics"]["x"] == 1.5
 
     def test_stored_bytes_are_sorted_key_json(self, tmp_path):
-        # The on-disk format: exactly json.dumps(entry, sort_keys=True).
+        # The on-disk format: the digest, a space, exactly
+        # json.dumps(entry, sort_keys=True) and a newline.
         cache = ResultCache(tmp_path / "cache")
         digest = payload_digest({"u": 6})
         payload = {
@@ -97,10 +118,11 @@ class TestResultCache:
         }
         metrics = {"mean": 0.1 + 0.2, "tiny": 5e-324, "missing": None}
         cache.store(digest, payload, metrics)
-        raw = cache.path_for(digest).read_bytes()
+        [line] = _segment_lines(tmp_path / "cache")
         entry = {"metrics": metrics, "payload": payload, "digest": digest}
-        assert raw == json.dumps(entry, sort_keys=True).encode("utf-8")
+        assert line == f"{digest} {json.dumps(entry, sort_keys=True)}\n".encode("utf-8")
         assert cache.load(digest) == entry
+        assert ResultCache(tmp_path / "cache").load(digest) == entry
 
 
 class TestIsEntry:

@@ -63,18 +63,22 @@ class TestWarmCacheIdentity:
         spec = StudySpec.from_dict(COMPAT_SPEC)
         cold = run_study(spec, cache_dir=str(cache_dir))
         assert cold.summary["computed"] == len(PRE_REGISTRY_DIGESTS)
-        stored = sorted(path.stem for path in cache_dir.glob("*/*.json"))
+        stored = sorted(
+            line.split(" ", 1)[0]
+            for segment in cache_dir.glob("segment-*.log")
+            for line in segment.read_text(encoding="utf-8").splitlines()
+        )
         assert stored == sorted(digest for _, digest in PRE_REGISTRY_DIGESTS)
         warm = run_study(spec, cache_dir=str(cache_dir))
         assert warm.summary["computed"] == 0
         assert warm.records == cold.records
 
     def test_corrupt_old_entry_degrades_to_recomputation(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
         digest = PRE_REGISTRY_DIGESTS[0][1]
-        path = cache.path_for(digest)
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json", encoding="utf-8")
+        (cache_dir / "segment-1.log").write_text(f"{digest} {{not json\n", encoding="utf-8")
+        assert ResultCache(cache_dir).load(digest) is None
         result = run_study(StudySpec.from_dict(COMPAT_SPEC), cache_dir=str(tmp_path / "cache"))
         assert result.summary["computed"] == len(PRE_REGISTRY_DIGESTS)
 

@@ -39,6 +39,18 @@ def table_bytes(result, tmp_path, label):
     return {fmt: paths[fmt].read_bytes() for fmt in ("json", "jsonl", "csv")}
 
 
+def evicted_copy(spec, cache_dir, evicted, target) -> str:
+    """``target`` holding ``cache_dir``'s entries for ``spec`` but the ``evicted``
+    digests, copied through ``load`` and ``store``."""
+    from repro.studies import ResultCache
+
+    source, kept = ResultCache(cache_dir), ResultCache(target)
+    for digest in {entry.digest for entry in plan_study(spec)} - set(evicted):
+        entry = source.load(digest)
+        kept.store(digest, entry["payload"], entry["metrics"])
+    return str(target)
+
+
 class TestRunStudy:
     def test_produces_one_record_per_point(self, spec, tmp_path):
         result = run_study(spec, cache_dir=str(tmp_path / "cache"))
@@ -211,9 +223,7 @@ class TestBatchedDispatch:
             if entry.point.method.name == "montecarlo"
             and entry.point.param_dict()["p_scale"] == 3.0
         )
-        from repro.studies import ResultCache
-
-        ResultCache(cache_dir).path_for(evicted.digest).unlink()
+        cache_dir = evicted_copy(spec, cache_dir, [evicted.digest], tmp_path / "evicted")
         partial = run_study(spec, cache_dir=str(cache_dir))
         assert partial.summary["computed"] == 1
         assert partial.records == cold.records
@@ -222,7 +232,6 @@ class TestBatchedDispatch:
         # A Monte Carlo group carries only its cache misses: the kernel sees
         # the evicted point and none of its cached siblings.
         from repro.montecarlo import sweep
-        from repro.studies import ResultCache
 
         data = base_spec_dict()
         data["sweep"]["grid"][1]["values"] = [0.5, 1.0, 2.0]
@@ -234,7 +243,7 @@ class TestBatchedDispatch:
             if entry.point.method.name == "montecarlo"
             and entry.point.param_dict() == {"n": 10, "p_scale": 1.0}
         )
-        ResultCache(cache_dir).path_for(evicted.digest).unlink()
+        cache_dir = evicted_copy(spec, cache_dir, [evicted.digest], tmp_path / "evicted")
         swept = []
         original = sweep.simulate_scaled_sweep
 
@@ -282,7 +291,6 @@ class TestBatchedDispatch:
         # Exact groups carry only their cache misses: a swept exact record
         # is its per-point record, so cached siblings are never recomputed.
         from repro.stats import batched
-        from repro.studies import ResultCache
 
         data = base_spec_dict()
         data["methods"] = [{"name": "exact"}]
@@ -290,7 +298,7 @@ class TestBatchedDispatch:
         cache_dir = tmp_path / "cache"
         cold = run_study(spec, cache_dir=str(cache_dir))
         evicted = plan_study(spec)[0]
-        ResultCache(cache_dir).path_for(evicted.digest).unlink()
+        cache_dir = evicted_copy(spec, cache_dir, [evicted.digest], tmp_path / "evicted")
         swept = []
         original = batched.batched_scaled_pfd
 
@@ -386,8 +394,6 @@ class TestSharedDistributions:
     def test_partly_warm_cache_computes_each_missing_distribution_once(
         self, tmp_path, convolutions
     ):
-        from repro.studies import ResultCache
-
         spec = StudySpec.from_dict(shared_spec_dict())
         cache_dir = tmp_path / "cache"
         cold = run_study(spec, cache_dir=str(cache_dir))
@@ -402,8 +408,9 @@ class TestSharedDistributions:
 
         evicted = [entry("exact", 10, 0.99), entry("tail-quantile", 10, 0.999),
                    entry("tail-quantile", 20, 0.99)]
-        for item in evicted:
-            ResultCache(cache_dir).path_for(item.digest).unlink()
+        cache_dir = evicted_copy(
+            spec, cache_dir, [item.digest for item in evicted], tmp_path / "evicted"
+        )
         before = len(convolutions())
         partial = run_study(spec, cache_dir=str(cache_dir), jobs=2)
         assert partial.summary["computed"] == 3

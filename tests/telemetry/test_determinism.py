@@ -98,8 +98,13 @@ class TestCacheDigests:
         tracing.disable()
 
         assert traced.records == plain.records
-        digests = lambda root: sorted(p.name for p in root.rglob("*.json"))
+        digests = lambda root: sorted(
+            line.split(" ", 1)[0]
+            for segment in root.glob("segment-*.log")
+            for line in segment.read_text(encoding="utf-8").splitlines()
+        )
         assert digests(tmp_path / "traced") == digests(tmp_path / "plain")
+        assert len(digests(tmp_path / "plain")) == len(plain.records)
 
         events = [
             json.loads(line)

@@ -75,9 +75,15 @@ def _record_bytes(document: dict) -> bytes:
 
 
 def _entry_file(root: pathlib.Path) -> bytes:
-    files = [path for path in root.rglob("*") if path.is_file()]
-    assert files == [ResultCache(root).path_for(DIGEST)]
-    return files[0].read_bytes()
+    """The entry bytes of the one line of the one segment under ``root``."""
+    [segment] = [path for path in root.rglob("*") if path.is_file()]
+    assert segment.parent == root and segment.name.startswith("segment-")
+    [line] = segment.read_bytes().splitlines(keepends=True)
+    assert line.endswith(b"\n")
+    key, entry = line[:-1].split(b" ", 1)
+    assert key.decode() == DIGEST
+    assert ResultCache(root).load(DIGEST) == json.loads(entry)
+    return entry
 
 
 def test_every_writer_leaves_the_same_entry_bytes(tmp_path):
