@@ -24,29 +24,32 @@ it), :func:`is_entry` decides what a read may accept (the disk tier and a
 peer shard's answer alike), and :func:`result_record` turns a payload plus
 metrics back into the wire result record a cache hit serves.
 
-Entries live in append-only *segments*, a log-structured store after
-Bitcask (Sheehy & Smith, Basho, 2010).  Each writing process appends to one
-segment, ``segment-<n>.log`` under the cache root, which it opens on its
-first :meth:`ResultCache.store` and holds with an exclusive ``flock``: the
-lowest-numbered segment no live writer holds, so sequential runs append to
-one segment and a directory has as many as it had writers at once.  A
-forked child opens its own.  An entry is one line, ``<digest>
-<json.dumps(entry, sort_keys=True)>`` and a newline.
+Entries live in one append-only log per cache directory, ``segment-0.log``
+under the cache root, after Bitcask (Sheehy & Smith, Basho, 2010).  An
+entry is one line, ``<digest> <json.dumps(entry, sort_keys=True)>`` and a
+newline.  Every writer appends to the same log: a process opens it once
+(a forked child opens its own), and each :meth:`ResultCache.store` takes an
+exclusive ``flock``, reopens the log if a ``clear`` elsewhere unlinked it,
+ends a line torn by a writer killed in mid-write, writes its line in one
+``os.write`` and lets go.
 
-A reader keeps an in-memory index from digest to (segment, offset, length)
-and refreshes it only on a miss: one ``scandir`` of the root and one
-``stat`` per segment, reading only what a segment gained since, in blocks
-of :data:`_BLOCK` bytes.  It holds no descriptor: a hit opens, reads and
-closes its segment, and a hit whose line no longer reads (a ``clear``
+A reader keeps an in-memory index from digest to (offset, length) and
+refreshes it only on a miss, with one ``stat`` of the log: a missing log
+empties the index, a new inode or a shorter file is indexed again from the
+start, and a longer one has only its new bytes read, in blocks of
+:data:`_BLOCK` bytes.  It holds no descriptor: a hit opens, reads and
+closes the log, and a hit whose line no longer reads (a ``clear``
 elsewhere) refreshes like a miss.  So a study and ``repro serve
 --cache-dir`` sharing a directory each serve the other's entries after a
-miss.  A line without its newline (a writer killed in
-mid-write) is not indexed, and a line that does not parse, fails
-:func:`is_entry` or names another digest is a miss, so a damaged cache
-degrades to recomputation.  The later of two lines for a digest wins.
-Directories of the earlier one-file-per-entry layout (``xx/<digest>.json``)
-read as misses; :meth:`ResultCache.info` counts those files and
-:meth:`ResultCache.clear` removes them.
+miss.  A line without its newline (a writer killed in mid-write) is not
+indexed, and a line that does not parse, fails :func:`is_entry` or names
+another digest is a miss, so a damaged cache degrades to recomputation.
+The later of two lines for a digest wins.
+
+Two earlier layouts read as misses: the other ``segment-<n>.log`` files of
+the one-segment-per-live-writer layout, and the one-file-per-entry layout
+(``xx/<digest>.json``).  :meth:`ResultCache.info` counts their bytes (and
+the entry files) and :meth:`ResultCache.clear` removes them.
 
 The study runner and the evaluation service both use this module;
 :mod:`repro.studies` re-exports its public names.
@@ -130,28 +133,16 @@ def result_record(payload: Mapping[str, Any], metrics: Mapping[str, Any]) -> dic
     }
 
 
-#: A segment is ``segment-<n>.log`` under the cache root.
-_SEGMENT_PREFIX = "segment-"
-_SEGMENT_SUFFIX = ".log"
-#: A refresh reads a segment in blocks of this many bytes.
+#: Every writer appends to this one log under the cache root.
+_LOG = "segment-0.log"
+#: A refresh reads the log in blocks of this many bytes.
 _BLOCK = 1 << 20
 #: Bytes of a line's start kept across blocks: its digest and the space after.
 _HEAD = 128
 
 
-class _Segment:
-    """One segment file: its inode and how many of its bytes are indexed."""
-
-    __slots__ = ("name", "inode", "indexed")
-
-    def __init__(self, name: str, inode: int) -> None:
-        self.name = name
-        self.inode = inode
-        self.indexed = 0
-
-
 class ResultCache:
-    """A directory of content-addressed evaluation entries in append-only segments.
+    """A directory of content-addressed evaluation entries in one append-only log.
 
     One instance may be shared by threads (the service's I/O threads share
     its disk tier): a lock covers the index and the writer.
@@ -160,13 +151,15 @@ class ResultCache:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._directory = os.fspath(self.root)
+        self._path = os.path.join(os.fspath(self.root), _LOG)
         self._lock = threading.Lock()
-        #: digest -> (segment name, offset, length) of its entry's JSON text.
-        self._index: dict[str, tuple[str, int, int]] = {}
-        self._segments: dict[str, _Segment] = {}
-        #: (pid, descriptor, segment) of this process's append handle.
-        self._writer: tuple[int, int, _Segment] | None = None
+        #: digest -> (offset, length) of its entry's JSON text in the log.
+        self._index: dict[str, tuple[int, int]] = {}
+        #: The indexed log's inode and how many of its bytes are indexed.
+        self._inode: int | None = None
+        self._indexed = 0
+        #: (pid, descriptor) of this process's append handle.
+        self._writer: tuple[int, int] | None = None
 
     def load(self, digest: str) -> dict | None:
         """Return the cached entry, or ``None`` on a miss or unreadable entry.
@@ -194,7 +187,9 @@ class ResultCache:
     def store(self, digest: str, payload: Mapping[str, Any], metrics: Mapping[str, Any]) -> None:
         """Append the entry of ``payload`` and its ``metrics`` under ``digest``:
         ``json.dumps({"digest", "payload", "metrics"}, sort_keys=True)``, after
-        the digest and a space, as one line of this process's segment."""
+        the digest and a space, as one line of the log, under its ``flock``."""
+        import fcntl
+
         from repro import telemetry
 
         with telemetry.span("cache.write", digest=digest[:12]):
@@ -203,37 +198,56 @@ class ResultCache:
             ).encode("utf-8")
             line = b"%s %s\n" % (digest.encode("utf-8"), text)
             with self._lock:
-                descriptor, segment = self._append_handle()
                 try:
+                    while True:
+                        descriptor = self._append_handle()
+                        fcntl.flock(descriptor, fcntl.LOCK_EX)
+                        status = os.fstat(descriptor)
+                        if status.st_nlink:
+                            break
+                        # Unlinked by a ``clear`` elsewhere: append to a new log.
+                        self._drop_writer()
+                    size = status.st_size
+                    if not size:
+                        # Nothing indexed can point into an empty log.
+                        self._index, self._inode, self._indexed = {}, status.st_ino, 0
+                    # The indexed mark sits after a newline; anywhere else a
+                    # writer may have died in mid-line: end that line so
+                    # this one starts on its own.
+                    caught_up = self._inode == status.st_ino and self._indexed == size
+                    if not caught_up and os.pread(descriptor, 1, size - 1) != b"\n":
+                        os.write(descriptor, b"\n")
                     if os.write(descriptor, line) != len(line):
-                        raise OSError(f"short write to {segment.name}")
+                        raise OSError(f"short write to {_LOG}")
                     end = os.lseek(descriptor, 0, os.SEEK_CUR)
+                    fcntl.flock(descriptor, fcntl.LOCK_UN)
                 except BaseException:
-                    # The next store starts on a fresh handle, after a newline.
+                    # Closing lets go of the lock; the next store reopens.
                     self._drop_writer()
                     raise
-                if segment.indexed == end - len(line):
-                    segment.indexed = end
-                self._index[digest] = (segment.name, end - len(text) - 1, len(text))
+                if caught_up:
+                    self._indexed = end
+                self._index[digest] = (end - len(text) - 1, len(text))
 
     def info(self) -> dict:
         """Inspect the cache: entry count, total bytes and resolved path.
 
-        Entries are the distinct digests in the segments plus any files of
-        the earlier one-file-per-entry layout (never served, but
-        :meth:`clear` removes them).  Bytes include stray files in those
+        Entries are the distinct digests in the log plus any files of the
+        one-file-per-entry layout (never served, but :meth:`clear` removes
+        them).  Bytes include the other segments of the
+        one-segment-per-writer layout and stray files in the entry files'
         shard directories, which occupy the directory either way.
         """
         with self._lock:
             total_bytes = self._refresh()
             entries = len(self._index)
-        for shard in self._legacy_shards():
-            for path in shard.iterdir():
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                entries += path.suffix == ".json"
+        shard_files = [path for shard in self._legacy_shards() for path in shard.iterdir()]
+        for path in self._old_segments() + shard_files:
+            try:
+                total_bytes += path.stat().st_size
+            except OSError:
+                continue
+            entries += path.suffix == ".json"
         return {
             "path": str(self.root.resolve()),
             "entries": entries,
@@ -243,22 +257,22 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every cache entry; returns the number of entries removed.
 
-        Only segments and the entry files of the earlier layout, with their
-        (then empty) shard directories, are removed -- the cache root itself
-        and any foreign files in it are left alone, so pointing the CLI at
-        the wrong directory cannot destroy anything but cache entries.
+        Only the log, the other segments of the one-segment-per-writer
+        layout and the entry files of the one-file-per-entry layout, with
+        their (then empty) shard directories, are removed -- the cache root
+        itself and any foreign files in it are left alone, so pointing the
+        CLI at the wrong directory cannot destroy anything but cache entries.
         """
         with self._lock:
             self._refresh()
             removed = len(self._index)
-            for name in self._segments:
+            for path in [self._path, *self._old_segments()]:
                 try:
-                    os.unlink(os.path.join(self._directory, name))
+                    os.unlink(path)
                 except OSError:
                     continue
             self._drop_writer()
-            self._segments = {}
-            self._index = {}
+            self._index, self._inode, self._indexed = {}, None, 0
         for shard in self._legacy_shards():
             for path in shard.glob("*.json"):
                 try:
@@ -282,16 +296,20 @@ class ResultCache:
         if hasattr(self, "_writer"):
             self._drop_writer()
 
+    def _old_segments(self) -> list[Path]:
+        """The segments of the one-segment-per-writer layout other than the log."""
+        return [path for path in self.root.glob("segment-*.log") if path.name != _LOG]
+
     def _legacy_shards(self) -> list[Path]:
         """The two-character shard directories of the one-file-per-entry layout."""
         return [path for path in sorted(self.root.iterdir())
                 if len(path.name) == 2 and path.is_dir()]
 
-    def _read(self, digest: str, location: tuple[str, int, int]) -> dict | None:
+    def _read(self, digest: str, location: tuple[int, int]) -> dict | None:
         """The entry at ``location`` if it parses, is entry-shaped and names ``digest``."""
-        name, offset, length = location
+        offset, length = location
         try:
-            descriptor = os.open(os.path.join(self._directory, name), os.O_RDONLY)
+            descriptor = os.open(self._path, os.O_RDONLY)
             try:
                 text = os.pread(descriptor, length, offset)
             finally:
@@ -301,51 +319,18 @@ class ResultCache:
             return None
         return entry if is_entry(entry) and entry.get("digest") == digest else None
 
-    def _append_handle(self) -> tuple[int, _Segment]:
-        """This process's append descriptor and its segment, opened on first use.
+    def _append_handle(self) -> int:
+        """This process's append descriptor on the log, opened on first use.
 
-        A writer holds an exclusive ``flock`` on its segment and takes the
-        lowest-numbered one no live writer holds, so sequential runs append
-        to one segment and a directory has as many segments as it had
-        writers at once.  A handle inherited from another pid (a forked
-        parent's) or whose file was unlinked (a ``clear`` elsewhere) is
-        replaced by a fresh one.
+        A descriptor inherited from another pid (a forked parent's) is
+        replaced by the child's own, so the two lock the log apart.
         """
         pid = os.getpid()
-        if self._writer is not None and self._writer[0] == pid:
-            if os.fstat(self._writer[1]).st_nlink:
-                return self._writer[1], self._writer[2]
-        self._drop_writer()
-        import fcntl
-
-        number = 0
-        while True:
-            name = f"{_SEGMENT_PREFIX}{number}{_SEGMENT_SUFFIX}"
-            descriptor = os.open(
-                os.path.join(self._directory, name), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                try:
-                    fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except BlockingIOError:
-                    os.close(descriptor)
-                    number += 1
-                    continue
-                status = os.fstat(descriptor)
-                if not status.st_nlink:
-                    # Unlinked by a ``clear`` between the open and the lock.
-                    os.close(descriptor)
-                    continue
-                # A writer that held this segment may have died in mid-line:
-                # end that line so this process's first one starts on its own.
-                if status.st_size and os.pread(descriptor, 1, status.st_size - 1) != b"\n":
-                    os.write(descriptor, b"\n")
-                segment = self._track(name, status.st_ino)
-            except BaseException:
-                os.close(descriptor)
-                raise
-            self._writer = (pid, descriptor, segment)
-            return descriptor, segment
+        if self._writer is None or self._writer[0] != pid:
+            self._drop_writer()
+            descriptor = os.open(self._path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+            self._writer = (pid, descriptor)
+        return self._writer[1]
 
     def _drop_writer(self) -> None:
         if self._writer is not None:
@@ -355,73 +340,39 @@ class ResultCache:
             except OSError:
                 pass
 
-    def _track(self, name: str, inode: int) -> _Segment:
-        """The state of segment ``name``, started afresh if the file was replaced."""
-        segment = self._segments.get(name)
-        if segment is not None and segment.inode != inode:
-            self._forget(segment)
-            segment = None
-        if segment is None:
-            segment = self._segments[name] = _Segment(name, inode)
-        return segment
-
-    def _forget(self, segment: _Segment) -> None:
-        """Drop a segment that vanished or was replaced, and unindex its lines."""
-        del self._segments[segment.name]
-        self._index = {
-            digest: location for digest, location in self._index.items()
-            if location[0] != segment.name
-        }
-
     def _refresh(self) -> int:
-        """Index the lines the segments gained since the last refresh.
+        """Index the lines the log gained since the last refresh, after one
+        ``stat``; returns the log's size."""
+        try:
+            status = os.stat(self._path)
+        except OSError:
+            self._index, self._inode, self._indexed = {}, None, 0
+            return 0
+        if status.st_ino != self._inode or status.st_size < self._indexed:
+            # A new log, or one truncated in place: index it from the start.
+            self._index, self._inode, self._indexed = {}, status.st_ino, 0
+        if status.st_size > self._indexed:
+            try:
+                self._scan(status.st_size)
+            except OSError:
+                pass
+        return status.st_size
 
-        One ``scandir`` of the root and one ``stat`` per segment; a segment
-        that vanished is forgotten.  Returns the segments' total bytes.
-        """
-        seen = set()
-        total_bytes = 0
-        with os.scandir(self._directory) as items:
-            for item in items:
-                name = item.name
-                if not (name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)):
-                    continue
-                try:
-                    status = item.stat()
-                except OSError:
-                    continue
-                seen.add(name)
-                total_bytes += status.st_size
-                segment = self._track(name, status.st_ino)
-                if status.st_size < segment.indexed:
-                    # Truncated in place: index it again from the start.
-                    self._forget(segment)
-                    segment = self._track(name, status.st_ino)
-                if status.st_size > segment.indexed:
-                    try:
-                        self._scan(segment, status.st_size)
-                    except OSError:
-                        continue
-        for name in self._segments.keys() - seen:
-            self._forget(self._segments[name])
-        return total_bytes
-
-    def _scan(self, segment: _Segment, size: int) -> None:
-        """Index ``segment``'s complete lines between its indexed mark and ``size``.
+    def _scan(self, size: int) -> None:
+        """Index the log's complete lines between its indexed mark and ``size``.
 
         The file is read in blocks of :data:`_BLOCK` bytes, and only the
         first :data:`_HEAD` bytes of a line that spans blocks are carried, so
-        a refresh holds one block however large the segment or its lines.  A
+        a refresh holds one block however large the log or its lines.  A
         last line without its newline -- torn, or still being written --
         stays unindexed until a later refresh finds it complete.
         """
-        descriptor = os.open(os.path.join(self._directory, segment.name), os.O_RDONLY)
+        descriptor = os.open(self._path, os.O_RDONLY)
         try:
-            if os.fstat(descriptor).st_ino != segment.inode:
+            if os.fstat(descriptor).st_ino != self._inode:
                 return  # replaced since the stat: the next refresh sees it
             index = self._index
-            name = segment.name
-            line_start = position = segment.indexed
+            line_start = position = self._indexed
             head = b""  # the start of a line begun in an earlier block
             while position < size:
                 block = os.pread(descriptor, min(_BLOCK, size - position), position)
@@ -436,7 +387,7 @@ class ResultCache:
                     if space > 0:
                         value = line_start + space + 1
                         index[head[:space].decode("utf-8", "replace")] = (
-                            name, value, position + end - value
+                            value, position + end - value
                         )
                     start = end + 1
                     end = block.find(b"\n", start)
@@ -444,7 +395,7 @@ class ResultCache:
                     space = block.find(b" ", start, start + _HEAD)
                     if start < space < end:
                         index[block[start:space].decode("utf-8", "replace")] = (
-                            name, position + space + 1, end - space - 1
+                            position + space + 1, end - space - 1
                         )
                     start = end + 1
                     end = block.find(b"\n", start)
@@ -454,6 +405,6 @@ class ResultCache:
                 else:
                     head += block[:max(0, _HEAD - len(head))]
                 position += len(block)
-            segment.indexed = line_start
+            self._indexed = line_start
         finally:
             os.close(descriptor)

@@ -205,7 +205,6 @@ class ShardRouter(HttpApp):
         lru_size: int = 1024,
         retries: int = 2,
         timeout: float = 120.0,
-        backoff: BackoffPolicy | None = None,
         peer_routers: Sequence[str] = (),
         collector: TraceCollector | None = None,
         slo_objectives=None,
@@ -231,7 +230,7 @@ class ShardRouter(HttpApp):
         self.probe_interval = probe_interval_ms / 1000.0
         self.probe_timeout = min(2.0, max(0.25, self.probe_interval * 4.0))
         self.retries = retries
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
+        self.backoff = BackoffPolicy()
         self.cache = ResponseCache(max_entries=lru_size) if lru_size > 0 else None
         self.registry = MetricsRegistry()
         self.registry.register_counters(_COUNTER_NAMES)

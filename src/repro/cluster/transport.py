@@ -6,9 +6,9 @@ small pool of persistent connections multiplexed across concurrent router
 requests, so a hop costs a round trip, not a TCP handshake.  A pooled
 connection the shard closed between uses is detected on reuse (EOF or a
 reset where the response should be) and replaced transparently, counted in
-``stats["reconnects"]``.  The idle pool is bounded (``max_idle``): a
+``stats["reconnects"]``.  The idle pool is bounded (:data:`MAX_IDLE`): a
 concurrency burst -- a batch fan-out plus replica writes landing together
--- opens extra connections, but only ``max_idle`` of them park afterwards;
+-- opens extra connections, but only :data:`MAX_IDLE` of them park afterwards;
 the rest close on release (``stats["connections_trimmed"]``), so a
 long-lived router's descriptor count tracks steady-state concurrency, not
 its historical peak.
@@ -32,6 +32,9 @@ from repro.service.http import HttpError, read_frame
 
 __all__ = ["ShardTransport", "TransportResponse"]
 
+#: Idle connections a transport parks per shard; the rest close on release.
+MAX_IDLE = 8
+
 
 @dataclass
 class TransportResponse:
@@ -51,13 +54,10 @@ class TransportResponse:
 class ShardTransport:
     """A keep-alive connection pool to one shard."""
 
-    def __init__(self, base: str, timeout: float = 120.0, max_idle: int = 8) -> None:
-        if max_idle < 1:
-            raise ValueError(f"max_idle must be >= 1, got {max_idle}")
+    def __init__(self, base: str, timeout: float = 120.0) -> None:
         self.base = base
         self.host, self.port = split_base_url(base)
         self.timeout = timeout
-        self.max_idle = max_idle
         self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         self._closed = False
         self.stats = {"connections_opened": 0, "reconnects": 0, "connections_trimmed": 0}
@@ -117,7 +117,7 @@ class ShardTransport:
             response = await self._round_trip(reader, writer, payload, stale_ok=False)
         if self._closed or response.headers.get("connection", "").lower() == "close":
             self._close_pair(writer)
-        elif len(self._idle) >= self.max_idle:
+        elif len(self._idle) >= MAX_IDLE:
             self.stats["connections_trimmed"] += 1
             self._close_pair(writer)
         else:

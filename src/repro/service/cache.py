@@ -39,6 +39,10 @@ from repro.cache import is_entry
 
 __all__ = ["RemoteCacheClient", "ResponseCache"]
 
+#: Seconds a peer probe may take.  Deliberately short: a dead peer must cost
+#: milliseconds, not a request deadline.
+PEER_TIMEOUT = 2.0
+
 
 class RemoteCacheClient:
     """Blocking client for peer shards' ``/v1/cache/<digest>`` surface.
@@ -49,19 +53,16 @@ class RemoteCacheClient:
     ``--cache-peer`` fails start-up.  A probe opens one connection and
     closes it afterwards.  A peer that is down, slow or answering garbage
     is a cache *miss*, not an error -- the remote tier degrades to
-    recomputation, the same contract as a damaged disk entry.  ``timeout``
-    is deliberately short: a dead peer must cost milliseconds, not a
-    request deadline.
+    recomputation, the same contract as a damaged disk entry.
     """
 
-    def __init__(self, peers: tuple[str, ...], timeout: float = 2.0) -> None:
+    def __init__(self, peers: tuple[str, ...]) -> None:
         # Lazy: a shard without cache peers never loads the blocking client.
         from repro.service.client import ServiceClient, split_base_url
 
         self.peers = tuple(peers)
-        self.timeout = timeout
         self._clients = [
-            ServiceClient(*split_base_url(peer), timeout=timeout, retries=0)
+            ServiceClient(*split_base_url(peer), timeout=PEER_TIMEOUT, retries=0)
             for peer in self.peers
         ]
 

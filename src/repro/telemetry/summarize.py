@@ -42,7 +42,6 @@ __all__ = [
     "format_summary",
     "load_events",
     "summarize_events",
-    "summarize_file",
     "summarize_files",
 ]
 
@@ -171,10 +170,6 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict:
         "requests": requests,
         "counters": counters,
     }
-
-
-def summarize_file(path: str | os.PathLike) -> dict:
-    return summarize_events(load_events(path))
 
 
 def summarize_files(paths: Iterable[str | os.PathLike]) -> dict:

@@ -77,7 +77,7 @@ class TestWarmCacheIdentity:
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         digest = PRE_REGISTRY_DIGESTS[0][1]
-        (cache_dir / "segment-1.log").write_text(f"{digest} {{not json\n", encoding="utf-8")
+        (cache_dir / "segment-0.log").write_text(f"{digest} {{not json\n", encoding="utf-8")
         assert ResultCache(cache_dir).load(digest) is None
         result = run_study(StudySpec.from_dict(COMPAT_SPEC), cache_dir=str(tmp_path / "cache"))
         assert result.summary["computed"] == len(PRE_REGISTRY_DIGESTS)

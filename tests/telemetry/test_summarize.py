@@ -11,7 +11,6 @@ from repro.telemetry.summarize import (
     format_summary,
     load_events,
     summarize_events,
-    summarize_file,
     summarize_files,
 )
 
@@ -101,7 +100,7 @@ class TestLoadEvents:
         )
         events = load_events(path)
         assert [event["name"] for event in events] == ["server.request", "worker.kernel"]
-        summary = summarize_file(path)
+        summary = summarize_files([path])
         assert summary["events"] == 2
         assert summary["requests"][0]["kernel_ms"] == 2.0
 

@@ -1,12 +1,13 @@
-"""What the result cache's append-only segments promise.
+"""What the result cache's append-only log promises.
 
-Each writing process appends entry lines to a segment no other live writer
-holds, and a reader refreshes its index on a miss.  So two processes sharing
-a directory serve each other's entries, sequential writers share one
-segment, a writer killed in mid-line leaves a readable cache, the later of
-two stores wins, a reader holds no descriptor per segment and reads a
-segment in bounded blocks, and ``info``/``clear`` see both segments and the
-files of the earlier one-file-per-entry layout.
+Every writing process appends entry lines to one log, ``segment-0.log``,
+each line under an exclusive ``flock``, and a reader refreshes its index on
+a miss.  So two processes sharing a directory serve each other's entries,
+live and sequential writers alike leave one log of whole lines, a writer
+killed in mid-line leaves a readable cache, the later of two stores wins, a
+reader reads the log in bounded blocks, and ``info``/``clear`` see the log
+and the files of the earlier layouts (a segment per live writer, a file per
+entry).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def test_a_study_and_a_server_serve_each_others_entries(tmp_path):
     async def run():
         try:
             # The server computes one point; the study, in another process,
-            # serves it from the server's segment and computes the other.
+            # serves it from the log and computes the other.
             assert (await evaluate(half))["served"]["cached"] is None
             summary = await asyncio.to_thread(_study_in_child, cache_dir)
             assert (summary["cached"], summary["computed"]) == (1, 1)
@@ -85,8 +86,7 @@ def test_a_study_and_a_server_serve_each_others_entries(tmp_path):
             await server.aclose(drain_seconds=0.0)
 
     asyncio.run(run())
-    segments = sorted(path.name for path in cache_dir.iterdir())
-    assert len(segments) == 2 and all(name.startswith("segment-") for name in segments)
+    assert [path.name for path in cache_dir.iterdir()] == ["segment-0.log"]
 
 
 def _store_three(root: pathlib.Path) -> list[str]:
@@ -127,17 +127,18 @@ def test_a_writer_reusing_a_torn_segment_starts_on_a_new_line(tmp_path):
     assert ResultCache(root).load("0123") is None
 
 
-def test_sequential_writers_share_a_segment_and_live_ones_do_not(tmp_path):
+def test_sequential_and_live_writers_share_the_log(tmp_path):
     root = tmp_path / "cache"
     for index in range(3):
-        # Each cache is collected after its store, releasing its segment.
         ResultCache(root).store(payload_digest({"run": index}), {}, {"value": index})
     assert [path.name for path in root.iterdir()] == ["segment-0.log"]
     first, second = ResultCache(root), ResultCache(root)
     first.store(payload_digest({"live": 1}), {}, {"value": 1.0})
     second.store(payload_digest({"live": 2}), {}, {"value": 2.0})
-    assert sorted(path.name for path in root.iterdir()) == ["segment-0.log", "segment-1.log"]
-    assert ResultCache(root).info()["entries"] == 5
+    first.store(payload_digest({"live": 3}), {}, {"value": 3.0})
+    assert [path.name for path in root.iterdir()] == ["segment-0.log"]
+    assert second.load(payload_digest({"live": 3}))["metrics"] == {"value": 3.0}
+    assert ResultCache(root).info()["entries"] == 6
 
 
 #: Stores three entries, then dies in the write of a large fourth: its
@@ -275,39 +276,27 @@ def test_segments_are_read_in_blocks_smaller_than_their_lines(tmp_path, monkeypa
         assert reader.info()["entries"] == len(sizes)
 
 
-#: Lowers the soft descriptor limit, then loads every segment's entry and
-#: stores one more: a reader that held a descriptor per segment would run
-#: out of them.
-_MANY_SEGMENTS = """
-import resource, sys
-from repro.cache import ResultCache, payload_digest
-resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
-cache = ResultCache(sys.argv[1])
-count = int(sys.argv[2])
-hits = [cache.load(payload_digest({"segment": index})) for index in range(count)]
-assert [entry["metrics"] for entry in hits] == [{"value": index} for index in range(count)]
-cache.store(payload_digest({"after": "many"}), {}, {"value": -1})
-assert cache.info()["entries"] == count + 1
-print("ok")
-"""
+def _entry_line(digest: str, metrics: dict) -> str:
+    entry = {"digest": digest, "metrics": metrics, "payload": {}}
+    return f"{digest} {json.dumps(entry, sort_keys=True)}\n"
 
 
-def test_a_reader_holds_no_descriptor_per_segment(tmp_path):
+def test_other_segments_of_the_per_writer_layout_are_misses(tmp_path):
+    # A directory written by live writers that each took a segment: only
+    # the log, segment-0.log, is served, and clear removes every segment.
     root = tmp_path / "cache"
     root.mkdir()
-    count = 200
-    for index in range(count):
-        digest = payload_digest({"segment": index})
-        entry = {"digest": digest, "metrics": {"value": index}, "payload": {"segment": index}}
-        (root / f"segment-{index}.log").write_text(
-            f"{digest} {json.dumps(entry, sort_keys=True)}\n", encoding="utf-8"
-        )
-    child = _python(_MANY_SEGMENTS, str(root), str(count), stdout=subprocess.PIPE, text=True)
-    out, _ = child.communicate(timeout=300)
-    assert (child.returncode, out) == (0, "ok\n")
-    # No live writer held the first segment, so the child appended to it.
-    assert len(list(root.glob("segment-*.log"))) == count
-    assert ResultCache(root).load(payload_digest({"after": "many"}))["metrics"] == {"value": -1}
+    digests = [payload_digest({"segment": index}) for index in range(4)]
+    for index, digest in enumerate(digests):
+        (root / f"segment-{index}.log").write_text(_entry_line(digest, {"value": index}))
+    (root / "notes.txt").write_text("not a cache file")
+    cache = ResultCache(root)
+    assert cache.load(digests[0])["metrics"] == {"value": 0}
+    assert [cache.load(digest) for digest in digests[1:]] == [None, None, None]
+    sizes = sum((root / f"segment-{index}.log").stat().st_size for index in range(4))
+    assert (cache.info()["entries"], cache.info()["bytes"]) == (1, sizes)
+    assert cache.clear() == 1
+    assert [path.name for path in root.iterdir()] == ["notes.txt"]
 
 
 def test_a_refresh_holds_one_block_not_the_segment(tmp_path):
@@ -370,26 +359,74 @@ _CONCURRENT_WRITER = """
 import sys
 from repro.cache import ResultCache, payload_digest
 cache = ResultCache(sys.argv[1])
+writer = int(sys.argv[2])
 for index in range(50):
-    digest = payload_digest({"writer": int(sys.argv[2]), "index": index})
-    cache.store(digest, {}, {"value": index})
+    digest = payload_digest({"writer": writer, "index": index})
+    cache.store(digest, {"writer": writer, "index": index}, {"value": index})
 """
 
 
-def test_concurrent_writers_take_a_segment_each(tmp_path):
+def _lines_by_writer(log: pathlib.Path) -> dict[int, list[int]]:
+    """The store order of each writer's lines in ``log``; every line must parse whole."""
+    order: dict[int, list[int]] = {}
+    for line in log.read_bytes().splitlines():
+        digest, text = line.split(b" ", 1)
+        entry = json.loads(text)
+        assert entry["digest"] == digest.decode()
+        order.setdefault(entry["payload"]["writer"], []).append(entry["payload"]["index"])
+    return order
+
+
+def test_concurrent_writers_share_one_log(tmp_path):
     root = tmp_path / "cache"
     root.mkdir()
     writers = 6
     children = [_python(_CONCURRENT_WRITER, str(root), str(writer)) for writer in range(writers)]
     assert [child.wait(timeout=300) for child in children] == [0] * writers
-    segments = sorted(path.name for path in root.iterdir())
-    assert 1 <= len(segments) <= writers
-    assert all(name.startswith("segment-") and name.endswith(".log") for name in segments)
-    for segment in segments:
-        # No two writers appended to one segment at once: its lines come
-        # from one writer, each run of lines in store order.
-        lines = (root / segment).read_bytes().splitlines()
-        entries = [json.loads(line.split(b" ", 1)[1]) for line in lines]
-        assert all(entry["metrics"] == {"value": index % 50} for index, entry in enumerate(entries))
-    reader = ResultCache(root)
-    assert reader.info()["entries"] == writers * 50
+    assert [path.name for path in root.iterdir()] == ["segment-0.log"]
+    assert _lines_by_writer(root / "segment-0.log") == {
+        writer: list(range(50)) for writer in range(writers)
+    }
+    assert ResultCache(root).info()["entries"] == writers * 50
+
+
+def test_a_forked_child_appends_on_its_own_descriptor(tmp_path):
+    import fcntl
+    import select
+
+    root = tmp_path / "cache"
+    cache = ResultCache(root)
+    cache.store(payload_digest({"writer": 0, "index": 0}), {"writer": 0, "index": 0}, {})
+    parent_descriptor = cache._writer[1]
+    # The parent holds the log's lock on its own descriptor.  A child that
+    # appended on the inherited one would share that lock and not wait.
+    fcntl.flock(parent_descriptor, fcntl.LOCK_EX)
+    readable, writable = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.alarm(120)  # a child stuck on the lock dies, not the suite
+            os.close(readable)
+            for index in range(200):
+                cache.store(payload_digest({"writer": 1, "index": index}),
+                            {"writer": 1, "index": index}, {"value": index})
+                if index == 0:
+                    os.write(writable, b"stored")
+            status = 0 if cache._writer[0] == os.getpid() else 2
+        finally:
+            os._exit(status)
+    os.close(writable)
+    try:
+        assert select.select([readable], [], [], 0.5)[0] == []
+    finally:
+        fcntl.flock(parent_descriptor, fcntl.LOCK_UN)
+    for index in range(1, 200):
+        cache.store(payload_digest({"writer": 0, "index": index}),
+                    {"writer": 0, "index": index}, {"value": index})
+    assert os.waitpid(pid, 0)[1] == 0
+    assert os.read(readable, 16) == b"stored"
+    os.close(readable)
+    assert cache._writer[1] == parent_descriptor
+    assert _lines_by_writer(root / "segment-0.log") == {0: list(range(200)), 1: list(range(200))}
+    assert ResultCache(root).info()["entries"] == 400
