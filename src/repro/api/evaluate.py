@@ -140,7 +140,6 @@ def evaluate_batch(
     *,
     seed=None,
     registry: MethodRegistry | None = None,
-    stream_indices: Sequence[int] | None = None,
 ) -> list[EvaluationResult]:
     """Evaluate many methods on one model, in the calling process.
 
@@ -152,28 +151,18 @@ def evaluate_batch(
         Any mix of method names, ``(method, options)`` pairs, mappings with
         a ``"method"`` key and :class:`EvaluationRequest` objects.
     seed:
-        Base integer seed for the batch (``None`` = the library default).
-        Each request's random stream is derived from ``(seed, request
-        index)``.
+        Integer seed (or sequence of integers) for the batch (``None`` =
+        the library default).  Every request is seeded from it exactly as
+        ``evaluate(model, method, seed=seed, options=...)`` is, so an
+        element's result does not depend on its position or its siblings.
     registry:
         Registry to dispatch through (default: the library-wide one).
-    stream_indices:
-        The per-request stream indices, overriding the default positions
-        ``0..len(requests)-1``.  This is how a caller that *split* a batch
-        (the cluster router fanning one ``evaluate_batch`` out across
-        shards) keeps every request's ``(seed, index)`` stream -- and
-        therefore its result, byte for byte -- identical to the unsplit
-        call: each sub-batch is sent with its requests' original global
-        indices.  Must match ``requests`` in length; duplicates are legal
-        (they coalesce exactly like duplicated requests).
 
-    Duplicate requests are coalesced -- identical (method, options, derived
-    stream) work items evaluate once and the result fans out to every
-    requester -- which cannot change any value: deterministic methods
-    ignore their stream, and stochastic duplicates only share work when
-    their ``(seed, index)`` streams are equal.  The batch runs inside one
-    :func:`~repro.core.pfd_distribution.shared_distributions` scope, so
-    requests reading the same exact PFD distribution compute it once.
+    Identical requests evaluate once and the result fans out to each of
+    them: same method, options and seed means the same result.  The batch
+    runs inside one :func:`~repro.core.pfd_distribution.shared_distributions`
+    scope, so requests reading the same exact PFD distribution compute it
+    once.
 
     Returns the results in request order.
     """
@@ -183,59 +172,19 @@ def evaluate_batch(
     # waste the expensive requests queued ahead of it.
     for request in coerced:
         target.resolve_options(request.method, request.option_dict())
-    base_seed = DEFAULT_SEED if seed is None else seed
-    if _normalise_entropy(base_seed) is None:
-        raise ValueError("evaluate_batch needs an integer seed (per-request streams are derived from it)")
-    if stream_indices is None:
-        indices = list(range(len(coerced)))
-    else:
-        if len(stream_indices) != len(coerced):
-            raise ValueError(
-                f"stream_indices ({len(stream_indices)}) must match requests ({len(coerced)})"
-            )
-        indices = []
-        for position in stream_indices:
-            if isinstance(position, bool) or not isinstance(position, (int, np.integer)):
-                raise ValueError(
-                    f"stream_indices must be non-negative integers, got {position!r}"
-                )
-            if position < 0:
-                raise ValueError(
-                    f"stream_indices must be non-negative integers, got {position!r}"
-                )
-            indices.append(int(position))
-    work = [
-        (model, request.method, request.option_dict(), (*_normalise_entropy(base_seed), index))
-        for index, request in zip(indices, coerced)
-    ]
-    # Coalesce duplicates: two requests produce the same result exactly when
-    # they agree on method, options and the random stream their evaluation
-    # consumes -- for deterministic methods the stream is irrelevant, so any
-    # identical (method, options) pair shares one evaluation; stochastic
-    # requests additionally need equal derived entropy.  The computed result
-    # object fans out to every position, preserving request order.
-    positions: list[int] = []
-    unique_work: list[tuple] = []
-    slot_by_key: dict[tuple, int] = {}
-    for request, item in zip(coerced, work):
-        entropy = item[3] if target.get(request.method).requires_seed else None
-        key = (request.method, request.options, entropy)
-        slot = slot_by_key.get(key)
-        if slot is None:
-            slot = slot_by_key[key] = len(unique_work)
-            unique_work.append(item)
-        positions.append(slot)
+    if _normalise_entropy(seed) is None:
+        raise ValueError("evaluate_batch needs an integer seed (a live Generator cannot be shared)")
     from repro.core.pfd_distribution import shared_distributions
 
-    # One scope for the batch: requests that read the same exact PFD
-    # distribution (``exact`` at several levels, ``tail-quantile``) compute
-    # it once and read the same object.
+    computed: dict[EvaluationRequest, EvaluationResult] = {}
     with shared_distributions():
-        computed = [
-            evaluate(model, method, seed=entropy, registry=target, options=options)
-            for model, method, options, entropy in unique_work
-        ]
-    return [computed[slot] for slot in positions]
+        for request in coerced:
+            if request not in computed:
+                computed[request] = evaluate(
+                    model, request.method, seed=seed, registry=target,
+                    options=request.option_dict(),
+                )
+    return [computed[request] for request in coerced]
 
 
 # --------------------------------------------------------------------- #
@@ -278,8 +227,9 @@ def sweep_outcomes(
     :mod:`repro.montecarlo.sweep`).  Otherwise each point is evaluated on
     its own rescaled model; stochastic methods then draw from
     ``variation_seeds[i]`` when given (the study runner passes its
-    content-keyed per-point entropies) and from the child streams ``(seed,
-    i)`` otherwise.  A result's ``seed_entropy`` is the entropy its stream
+    content-keyed per-point entropies) and from ``seed`` itself otherwise,
+    so each point equals ``evaluate(model.rescaled(...), method,
+    seed=seed)``.  A result's ``seed_entropy`` is the entropy its stream
     actually came from (``None`` for deterministic methods and live
     generators), and its ``elapsed_seconds`` the sweep time amortised over
     the points.
@@ -348,18 +298,14 @@ def sweep_outcomes(
         # model per point.
         entropy = _normalise_entropy(seed) if definition.requires_seed else None
         for index, variation in valid.items():
-            point_entropy: tuple[int, ...] | None = None
+            point_seed = point_entropy = None
             if definition.requires_seed:
                 if variation_seeds is not None:
-                    point_seed = tuple(int(part) for part in variation_seeds[index])
-                    point_entropy = point_seed
+                    point_seed = point_entropy = tuple(int(part) for part in variation_seeds[index])
                 elif entropy is None:
                     point_seed = seed  # a live Generator, consumed sequentially
                 else:
-                    point_seed = (*entropy, index)
-                    point_entropy = point_seed
-            else:
-                point_seed = None
+                    point_seed = point_entropy = entropy
             try:
                 transformed = model.rescaled(variation["p_scale"], variation["q_scale"])
                 result = _run_definition(definition, transformed, resolved, point_seed)
@@ -429,8 +375,9 @@ def evaluate_sweep(
         but points are dependent and the values differ from per-point
         independent streams).  A point's value still depends only on the
         seed and that point: it equals the point's one-point sweep.  The
-        scalar fallback derives one child stream per variation from
-        ``(seed, index)``, matching :func:`evaluate_batch`.
+        scalar fallback seeds every variation from ``seed`` itself, so a
+        point equals ``evaluate(model.rescaled(...), method, seed=seed)``,
+        as :func:`evaluate_batch` seeds each of its requests.
     options, **kwargs:
         Method options, shared by every variation (same spelling rules as
         :func:`evaluate`).

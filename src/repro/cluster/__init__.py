@@ -15,7 +15,8 @@ A dependency-free scale-out tier over :mod:`repro.service`:
   each shard, reconnect-on-stale;
 * :mod:`~repro.cluster.router` -- :class:`ShardRouter` behind
   ``repro route``: terminates the service protocol, routes ``/v1/evaluate``
-  by batch-group digest, fans ``/v1/evaluate/batch`` out per shard with
+  by batch-group digest, fans ``/v1/evaluate/batch`` out per shard (each
+  element keeps its own ``/v1/evaluate`` record and route key) with
   order-preserving reassembly, carries a read-through LRU, replicates
   computed results write-all/read-any across each key's R-shard replica
   set (:class:`~repro.cluster.ring.ReplicatedPlacement`), and propagates

@@ -13,11 +13,13 @@ same endpoints, same error bodies) and forwards each request to a backend
   forwarded untouched -- the router parses only to validate and route --
   so shard-side digests, and therefore cache keys and results, are
   byte-identical to a direct call;
-* ``POST /v1/evaluate/batch`` fans out per-shard: elements are grouped by
-  their own route key, each sub-batch ships with its elements' original
-  positions as ``stream_indices`` (keeping every ``(seed, index)`` random
-  stream, and so every byte of every result, identical to the unsplit
-  call), and responses reassemble in request order;
+* ``POST /v1/evaluate/batch``: each element is the ``/v1/evaluate``
+  request with the batch's model and seed.  The router LRU answers the
+  elements it holds; the rest go to their route key's owner as one
+  ``/v1/evaluate/batch`` sub-batch per shard (one admission there, not one
+  per element), whose shard serves each element as that request, so every
+  record is that request's; records are kept in the router LRU and
+  replicated like ``/v1/evaluate`` ones, and reassemble in request order;
 * a router-side **read-through LRU** answers repeat ``/v1/evaluate``
   traffic without a hop (``served.cached == "router"``; ``lru_size=0``
   disables it -- soak harnesses do, so cache behaviour under failure is
@@ -83,7 +85,6 @@ from repro.cluster.ring import (
     parse_shard_specs,
 )
 from repro.cluster.transport import ShardTransport
-from repro.grouping import evaluation_payload, group_digest
 from repro.service.cache import ResponseCache
 from repro.service.client import BackoffPolicy, _parse_retry_after
 from repro.service.http import (
@@ -94,6 +95,7 @@ from repro.service.http import (
     write_response,
 )
 from repro.service.protocol import (
+    batch_requests,
     parse_batch_payload,
     parse_evaluate_payload,
 )
@@ -103,6 +105,9 @@ from repro.telemetry.metrics import MetricsRegistry, parse_prometheus
 from repro.telemetry.slo import DEFAULT_OBJECTIVES, SLOEngine
 
 __all__ = ["ShardRouter"]
+
+#: The ``served`` object of a record the router LRU answered.
+_ROUTER_SERVED = {"cached": "router", "batched": False, "group_size": 0}
 
 _COUNTER_NAMES = (
     "requests_total",
@@ -522,119 +527,88 @@ class ShardRouter(HttpApp):
         # Invalid requests die here (ValueError: a 400 with the shard's
         # exact error text); nothing malformed crosses a hop.
         request = parse_evaluate_payload(parse_json_body(body))
-        digest = request.digest()
-        record = self.cache.get_local(digest) if self.cache is not None else None
+        record = self._lru_hit(request)
         if record is not None:
-            self.registry.inc("router_cache_hits")
-            return (
-                200,
-                {
-                    "result": record,
-                    "served": {"cached": "router", "batched": False, "group_size": 0},
-                },
-                {},
-            )
+            return 200, {"result": record, "served": dict(_ROUTER_SERVED)}, {}
         self.registry.inc("routed_requests")
         # Forward the ORIGINAL bytes: the shard re-derives the same digest
         # from the same payload, so caching and results are exactly those of
         # a direct call.
-        key = request.group_key()
         status, data, extra_headers, shard = await self._forward(
-            key, "POST", "/v1/evaluate", bytes(body)
+            request.group_key(), "POST", "/v1/evaluate", bytes(body)
         )
         if status == 200 and isinstance(data.get("result"), dict):
-            if self.cache is not None:
-                self.cache.put_local(digest, data["result"])
-            served = data.get("served")
-            # Write-all: only *freshly computed* results fan out -- a cache
-            # tier answering means every surviving replica was already
-            # warmed when the entry was first computed.
-            computed = isinstance(served, dict) and served.get("cached") is None
-            if computed and shard is not None and self.placement.replication > 1:
-                self._spawn_replica_writes(
-                    key, digest, request.payload_text(), data["result"], source=shard
-                )
+            self._remember(request, data["result"], data.get("served"), shard)
         return status, data, extra_headers
 
-    def _batch_route_key(self, model_data: dict, method: str, options: dict) -> str:
-        """The ring key of one batch element: its batch-group identity.
+    def _lru_hit(self, request) -> dict | None:
+        record = self.cache.get_local(request.digest()) if self.cache is not None else None
+        if record is not None:
+            self.registry.inc("router_cache_hits")
+        return record
 
-        Entropy is left out (batch streams derive from positions, which
-        must not affect placement), transforms are neutral -- elements of
-        one method+options family stay together, distinct families spread.
-        """
-        return group_digest(
-            evaluation_payload({"model": model_data}, {}, method, options, None)
-        )
+    def _remember(self, request, record: dict, served, shard: str | None) -> None:
+        """Keep a shard's record for ``request``: the router LRU and, for a
+        freshly computed one, the write-all replica fan-out."""
+        if self.cache is not None:
+            self.cache.put_local(request.digest(), record)
+        # Write-all: only *freshly computed* results fan out -- a cache tier
+        # answering means every surviving replica was already warmed when
+        # the entry was first computed.
+        computed = isinstance(served, dict) and served.get("cached") is None
+        if computed and shard is not None and self.placement.replication > 1:
+            self._spawn_replica_writes(
+                request.group_key(),
+                request.digest(),
+                request.payload_text(),
+                record,
+                source=shard,
+            )
 
     async def _route_batch(self, http_request: HttpRequest) -> tuple[int, dict, dict]:
+        """Each element as its ``/v1/evaluate`` request: a router LRU hit is
+        answered here, the rest go to their key's shard as one sub-batch per
+        shard, and the first failed sub-batch fails the whole batch."""
         payload = parse_json_body(http_request.body)
-        model_data, requests, seed, stream_indices = parse_batch_payload(payload)
+        model_data, pairs, seed = parse_batch_payload(payload)
+        requests = batch_requests(model_data, pairs, seed)
         self.registry.inc("fanout_requests")
-        positions = (
-            stream_indices
-            if stream_indices is not None
-            else list(range(len(requests)))
-        )
-        # Group element positions by their owner shard's *key* (not the
-        # shard itself: _forward re-resolves owners per sub-batch, so a
-        # mid-flight ejection spills the whole sub-batch consistently).
+        results: list[Any] = [None] * len(requests)
+        served: list[Any] = [dict(_ROUTER_SERVED) for _ in requests]
+        # Elements grouped by their owner shard (a sub-batch is forwarded by
+        # its first element's key, so a mid-flight ejection spills the whole
+        # sub-batch consistently).
         groups: dict[str, list[int]] = {}
-        keys = [
-            self._batch_route_key(model_data, method, options)
-            for method, options in requests
-        ]
-        owner_keys: dict[str, str] = {}
-        for index, key in enumerate(keys):
-            owner = self.ring.candidates(key)[0]
-            owner_keys.setdefault(owner, key)
-            groups.setdefault(owner, []).append(index)
-        timeout_ms = payload.get("timeout_ms")
+        for index, request in enumerate(requests):
+            results[index] = self._lru_hit(request)
+            if results[index] is None:
+                owner = self.ring.candidates(request.group_key())[0]
+                groups.setdefault(owner, []).append(index)
 
-        async def send(owner: str, members: list[int]) -> tuple[int, Any, dict, str | None]:
+        async def send(members: list[int]) -> tuple[int, Any, dict, str | None]:
             sub: dict[str, Any] = {
                 "model": model_data,
-                "requests": [
-                    {"method": requests[i][0], **requests[i][1]} for i in members
-                ],
+                "requests": [payload["requests"][index] for index in members],
                 "seed": seed,
-                "stream_indices": [positions[i] for i in members],
             }
-            if timeout_ms is not None:
-                sub["timeout_ms"] = timeout_ms
+            if payload.get("timeout_ms") is not None:
+                sub["timeout_ms"] = payload["timeout_ms"]
             self.registry.inc("fanout_subrequests")
             return await self._forward(
-                owner_keys[owner],
+                requests[members[0]].group_key(),
                 "POST",
                 "/v1/evaluate/batch",
                 json.dumps(sub).encode("utf-8"),
             )
-        members_by_owner = list(groups.items())
-        outcomes = await asyncio.gather(
-            *(send(owner, members) for owner, members in members_by_owner)
-        )
-        records: list[Any] = [None] * len(requests)
-        for (owner, members), (status, data, extra_headers, _shard) in zip(
-            members_by_owner, outcomes
-        ):
-            if status != 200 or "results" not in data:
-                # One failed sub-batch fails the whole request, typed: a
-                # partial batch response would be a new protocol.
+
+        outcomes = await asyncio.gather(*(send(members) for members in groups.values()))
+        for members, (status, data, extra_headers, shard) in zip(groups.values(), outcomes):
+            if status != 200 or len(data.get("results") or ()) != len(members):
                 return status, data, extra_headers
-            for index, record in zip(members, data["results"]):
-                records[index] = record
-        return (
-            200,
-            {
-                "results": records,
-                "served": {
-                    "cached": None,
-                    "requests": len(requests),
-                    "shards": len(members_by_owner),
-                },
-            },
-            {},
-        )
+            for index, record, element_served in zip(members, data["results"], data["served"]):
+                results[index], served[index] = record, element_served
+                self._remember(requests[index], record, element_served, shard)
+        return 200, {"results": results, "served": served}, {}
 
     def _metrics_snapshot(self) -> dict:
         """Refresh the operational gauges and cut one registry snapshot."""

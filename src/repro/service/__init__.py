@@ -25,7 +25,8 @@ sweep kernels make cheap:
   shard responses;
 * :mod:`~repro.service.server` -- the asyncio HTTP server
   (``/v1/evaluate``, ``/v1/evaluate/batch``, ``/v1/methods``, ``/v1/cache``,
-  ``/healthz``, ``/metrics``) behind ``repro serve``;
+  ``/healthz``, ``/metrics``) behind ``repro serve``; a batch element is
+  served exactly as its own ``/v1/evaluate`` request;
 * :mod:`~repro.service.client` -- :class:`ServiceClient`, the stdlib Python
   client (per-thread keep-alive connections, typed retries) and the
   program's one blocking HTTP client.

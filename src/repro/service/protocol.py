@@ -54,6 +54,7 @@ from repro.stats.rng import DEFAULT_SEED
 
 __all__ = [
     "ServiceRequest",
+    "batch_requests",
     "parse_batch_payload",
     "parse_evaluate_payload",
     "parse_timeout_ms",
@@ -62,7 +63,7 @@ __all__ = [
 _EVALUATE_KEYS = {
     "model", "scenario", "method", "options", "seed", "p_scale", "q_scale", "timeout_ms",
 }
-_BATCH_KEYS = {"model", "scenario", "requests", "seed", "timeout_ms", "stream_indices"}
+_BATCH_KEYS = {"model", "scenario", "requests", "seed", "timeout_ms"}
 
 
 @dataclass(frozen=True)
@@ -253,22 +254,17 @@ def parse_evaluate_payload(payload) -> ServiceRequest:
     )
 
 
-def parse_batch_payload(
-    payload,
-) -> tuple[dict, list[tuple[str, dict]], int, list[int] | None]:
+def parse_batch_payload(payload) -> tuple[dict, list[tuple[str, dict]], int]:
     """Validate a ``/v1/evaluate/batch`` body.
 
-    Returns ``(model_data, requests, seed, stream_indices)`` where
-    ``requests`` is a list of ``(method, options)`` pairs in request order --
-    exactly what :func:`repro.evaluate_batch` accepts, so the endpoint is a
-    lossless transport of its argument list.  Request elements accept the
-    same spellings as the Python API: a method name or a mapping with a
-    ``"method"`` key and the options flattened alongside it.
-
-    ``stream_indices`` (optional) carries each request's *global* position
-    when the batch is a slice of a larger one -- the cluster router sends it
-    so a fanned-out sub-batch derives the same ``(seed, index)`` streams,
-    and therefore the same bytes, as the unsplit call.
+    Returns ``(model_data, requests, seed)`` where ``requests`` is a list of
+    ``(method, options)`` pairs in request order -- exactly what
+    :func:`repro.evaluate_batch` accepts, so the endpoint is a lossless
+    transport of its argument list.  Request elements accept the same
+    spellings as the Python API: a method name or a mapping with a
+    ``"method"`` key and the options flattened alongside it.  Element ``i``
+    is the ``/v1/evaluate`` request ``{"model": model_data, "method": ...,
+    "options": ..., "seed": seed}``, which :func:`batch_requests` builds.
     """
     payload = _require_mapping(payload, "a batch request")
     _reject_unknown(payload, _BATCH_KEYS, "batch request")
@@ -287,26 +283,33 @@ def parse_batch_payload(
         except ValueError as error:
             raise ValueError(f"request {index}: {error}") from error
         requests.append((request.method, request.option_dict()))
-    stream_indices = _parse_stream_indices(payload.get("stream_indices"), len(requests))
-    return model, requests, seed, stream_indices
+    return model, requests, seed
 
 
-def _parse_stream_indices(raw, count: int) -> list[int] | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, list):
-        raise ValueError(
-            f"'stream_indices' must be a list of non-negative integers, got {type(raw).__name__}"
-        )
-    if len(raw) != count:
-        raise ValueError(
-            f"'stream_indices' ({len(raw)}) must match 'requests' ({count})"
-        )
-    indices: list[int] = []
-    for position in raw:
-        if isinstance(position, bool) or not isinstance(position, int) or position < 0:
-            raise ValueError(
-                f"'stream_indices' must be non-negative integers, got {position!r}"
+def batch_requests(
+    model_data: dict, requests: list[tuple[str, dict]], seed: int
+) -> list[ServiceRequest]:
+    """The ``/v1/evaluate`` request of each element of a parsed batch.
+
+    Takes :func:`parse_batch_payload`'s result.  The elements share the
+    model's canonical text, encoded once for the whole batch, so each one's
+    digest costs its own small keys and one hash, not the model again.
+    """
+    registry = default_registry()
+    base = canonical_json({"model": model_data})
+    parsed = []
+    for method, options in requests:
+        definition = registry.get(method)
+        resolved = registry.resolve_options(method, options)
+        parsed.append(
+            ServiceRequest(
+                model_data=model_data,
+                method=method,
+                options=resolved,
+                seed=seed,
+                requires_seed=definition.requires_seed,
+                shares_work=definition.shares_work(resolved),
+                _digests={"base": base},
             )
-        indices.append(position)
-    return indices
+        )
+    return parsed

@@ -7,7 +7,8 @@ framework, no third-party packages -- exposing:
 Endpoint                     Meaning
 ===========================  ========================================================
 ``POST /v1/evaluate``        one evaluation (micro-batched with concurrent traffic)
-``POST /v1/evaluate/batch``  one ``repro.evaluate_batch`` call, shipped as one job
+``POST /v1/evaluate/batch``  many methods on one model: each element served as
+                             its own ``/v1/evaluate`` request
 ``GET /v1/methods``          the method registry's schemas (``repro methods`` as JSON)
 ``GET /v1/cache/<digest>``   the shared cache surface: this shard's cached entry
                              for a digest (local tiers only), or 404
@@ -31,6 +32,12 @@ micro-batcher and stores the record), and every evaluation runs on an
 executor (forked workers on direct pipes with ``workers >= 1``, see
 :mod:`repro.service.pool`; a thread pool in-process otherwise), so slow
 evaluations never stall the accept loop, ``/healthz`` or ``/metrics``.
+A ``/v1/evaluate/batch`` element is served as the ``/v1/evaluate`` request
+with the batch's model and seed -- same record, same cache entry, same
+single flight -- and its ``served`` object is that request's.  The
+elements no tier holds are computed together in one pool job (one
+``repro.evaluate_batch`` call, so ``exact`` and ``tail-quantile`` elements
+share one exact PFD distribution).
 
 Responses are JSON; invalid input is HTTP 400 with a one-line ``error``
 message (the same messages the CLI prints), unknown paths 404, wrong verbs
@@ -60,6 +67,7 @@ from repro.service.http import (
     write_response,
 )
 from repro.service.protocol import (
+    batch_requests,
     parse_batch_payload,
     parse_evaluate_payload,
     parse_timeout_ms,
@@ -343,27 +351,45 @@ class EvaluationServer(HttpApp):
     async def _serve_evaluate(self, payload) -> dict:
         request = parse_evaluate_payload(payload)
         self.registry.inc("evaluate_requests")
+        return await self._reply(self._answer(request, self._resolve))
+
+    def _answer(self, request, start) -> dict | asyncio.Future:
+        """The request's LRU response, else the single flight to await: the
+        one in flight for its digest, or ``start(request, digest)``."""
         digest = request.digest()
         flight = self._flights.get(digest)
         if flight is not None:
             self.registry.inc("coalesced_requests")
-        else:
-            with telemetry.span("server.cache_probe") as probe:
-                record = self.cache.get_local(digest)
-                probe.set(tier="miss" if record is None else "lru")
-            if record is not None:
-                self.registry.inc("cache_hits_lru")
-                return {"result": record, "served": {"cached": "lru", "batched": False, "group_size": 0}}
-            flight = self._flights[digest] = asyncio.ensure_future(self._resolve(request, digest))
-            flight.add_done_callback(lambda _: self._flights.pop(digest))
+            return flight
+        with telemetry.span("server.cache_probe") as probe:
+            record = self.cache.get_local(digest)
+            probe.set(tier="miss" if record is None else "lru")
+        if record is not None:
+            self.registry.inc("cache_hits_lru")
+            return {"result": record, "served": {"cached": "lru", "batched": False, "group_size": 0}}
+        flight = self._flights[digest] = asyncio.ensure_future(start(request, digest))
+        flight.add_done_callback(lambda _: self._flights.pop(digest))
+        return flight
+
+    @staticmethod
+    async def _reply(answer: dict | asyncio.Future) -> dict:
         # A waiter's cancellation must not cancel a flight other waiters share.
-        return await asyncio.shield(flight)
+        return answer if isinstance(answer, dict) else await asyncio.shield(answer)
 
     async def _resolve(self, request, digest: str) -> dict:
         """One digest's single flight: the shared tiers, else compute; then store."""
-        # The disk tier, then peer shards' /v1/cache surface: file and
-        # network I/O, both on the default thread executor -- the event loop
-        # (accept loop, /healthz, in-flight responses) must never wait on it.
+        record, cached = await self._probe_shared(request, digest)
+        meta = {"batched": False, "group_size": 0}
+        if cached is None:
+            record, meta = await self.batcher.submit(request)
+        return await self._keep(request, digest, record, cached, meta)
+
+    async def _probe_shared(self, request, digest: str) -> tuple[dict | None, str | None]:
+        """The disk tier, then peer shards' ``/v1/cache`` surface: ``(record,
+        tier)``, or ``(None, None)`` on a miss."""
+        # File and network I/O, both on the default thread executor -- the
+        # event loop (accept loop, /healthz, in-flight responses) must never
+        # wait on it.
         entry = cached = None
         with telemetry.span("server.shared_tier_probe") as probe:
             if self.disk is not None:
@@ -376,11 +402,12 @@ class EvaluationServer(HttpApp):
             probe.set(tier=cached or "miss")
         if cached is None:
             self.registry.inc("cache_misses")
-            record, meta = await self.batcher.submit(request)
-        else:
-            self.registry.inc(f"cache_hits_{cached}")
-            record = result_record(request.payload(), entry["metrics"])
-            meta = {"batched": False, "group_size": 0}
+            return None, None
+        self.registry.inc(f"cache_hits_{cached}")
+        return result_record(request.payload(), entry["metrics"]), cached
+
+    async def _keep(self, request, digest: str, record: dict, cached, meta: dict) -> dict:
+        """Store a flight's record in the LRU and the disk tier; its response."""
         # A remote hit back-fills LRU and disk like a fresh record, so each
         # key is fetched from a peer at most once.
         self.cache.put_local(digest, record)
@@ -389,13 +416,72 @@ class EvaluationServer(HttpApp):
         return {"result": record, "served": {"cached": cached, **meta}}
 
     async def _serve_batch(self, payload) -> dict:
-        model_data, requests, seed, stream_indices = parse_batch_payload(payload)
+        """Each element is answered as the ``/v1/evaluate`` request with the
+        batch's model and seed -- its LRU entry, a flight already computing
+        it, or a flight this batch starts -- so it gets that request's
+        record and cache entry."""
+        model_data, pairs, seed = parse_batch_payload(payload)
+        requests = batch_requests(model_data, pairs, seed)
         self.registry.inc("batch_endpoint_requests")
         self.registry.inc("batch_endpoint_evaluations", len(requests))
-        records = await self._run_in_pool(
-            worker.evaluate_batch_endpoint, (model_data, requests, seed, stream_indices)
-        )
-        return {"results": records, "served": {"cached": None, "requests": len(requests)}}
+        loop = asyncio.get_running_loop()
+        started: list[tuple] = []
+
+        def start(request, digest: str) -> asyncio.Future:
+            started.append((request, digest, loop.create_future()))
+            return started[-1][2]
+
+        answers = [self._answer(request, start) for request in requests]
+        if started:
+            await self._resolve_batch(model_data, seed, started)
+        responses = await asyncio.gather(*(self._reply(answer) for answer in answers))
+        return {
+            "results": [response["result"] for response in responses],
+            "served": [response["served"] for response in responses],
+        }
+
+    async def _resolve_batch(self, model_data: dict, seed: int, started: list[tuple]) -> None:
+        """Settle the flights a batch started: the shared tiers, then every
+        miss in one pool job, then store."""
+        try:
+            probes = await asyncio.gather(
+                *(self._probe_shared(request, digest) for request, digest, _ in started)
+            )
+            misses = [item[0] for item, (_, cached) in zip(started, probes) if cached is None]
+            computed = iter(await self._compute_batch(model_data, seed, misses) if misses else ())
+            for (request, digest, future), (record, cached) in zip(started, probes):
+                outcome = (record, {"batched": False, "group_size": 0}) if cached else next(computed)
+                if isinstance(outcome, BaseException):
+                    future.set_exception(outcome)
+                else:
+                    future.set_result(await self._keep(request, digest, outcome[0], cached, outcome[1]))
+        except asyncio.CancelledError:
+            for *_, future in started:
+                future.cancel()
+            raise
+        except Exception as error:  # noqa: BLE001 - every waiter gets it
+            for *_, future in started:
+                if not future.done():
+                    future.set_exception(error)
+
+    async def _compute_batch(self, model_data: dict, seed: int, misses: list) -> list:
+        """``(record, meta)``, or the error, for each of a batch's misses.
+
+        One ``repro.evaluate_batch`` pool job: each record is the scalar
+        record ``/v1/evaluate`` computes, and an exact PFD distribution read
+        by several elements is computed once.  If the job fails, each miss
+        is computed on its own, so only the failing elements fail.
+        """
+        arguments = (model_data, [(request.method, request.options) for request in misses], seed)
+        try:
+            records = await self._run_in_pool(worker.evaluate_batch, arguments)
+        except Exception:  # noqa: BLE001 - isolated below, element by element
+            return await asyncio.gather(
+                *(self.batcher.submit(request) for request in misses), return_exceptions=True
+            )
+        self.registry.inc("evaluations_computed", len(misses))
+        meta = {"batched": False, "group_size": len(misses)}
+        return [(record, meta) for record in records]
 
     async def _serve_admitted(self, request: HttpRequest) -> tuple[int, dict, dict]:
         """``/v1/evaluate`` and ``/v1/evaluate/batch``: evaluation work."""
@@ -407,9 +493,7 @@ class EvaluationServer(HttpApp):
         timeout_ms = parse_timeout_ms(
             payload.get("timeout_ms") if isinstance(payload, dict) else None
         )
-        # An evaluation outlives its deadline (its record is stored for the
-        # retry); batch work is cancelled with it.
-        return await self._admit(serve(payload), timeout_ms, serve == self._serve_evaluate)
+        return await self._admit(serve(payload), timeout_ms)
 
     def _serve_methods(self, request: HttpRequest) -> dict:
         return {"methods": [definition.schema() for definition in default_registry()]}
@@ -534,20 +618,17 @@ class EvaluationServer(HttpApp):
     # ----------------------------------------------------------------- #
     # Admission control and deadlines
     # ----------------------------------------------------------------- #
-    async def _admit(
-        self, coroutine, timeout_ms: float | None, keep_past_deadline: bool = False
-    ) -> tuple[int, dict, dict]:
+    async def _admit(self, coroutine, timeout_ms: float | None) -> tuple[int, dict, dict]:
         """Run an evaluation coroutine under admission control and a deadline.
 
         Saturation (the wait queue is full) answers 429, draining answers
         503 -- both with ``Retry-After``, both *before* any work starts, so
         an overloaded server stays responsive instead of building an
         unbounded backlog.  A deadline overrun answers 504.  A request still
-        queued is cancelled; a running one is cancelled too unless
-        ``keep_past_deadline`` (``/v1/evaluate``: the single flight it waits
-        on keeps computing, so the other waiters and a retry still get its
-        record).  Such work keeps its running slot until it ends, so a 504
-        never frees capacity the executor is still using.
+        queued is cancelled; a running one keeps computing (the single
+        flights it waits on store their records for the other waiters and a
+        retry) and keeps its running slot until it ends, so a 504 never
+        frees capacity the executor is still using.
 
         Admission accounting is *atomic with the saturation check*: the
         queued counter (and its gauge) is bumped here, synchronously, before
@@ -593,9 +674,7 @@ class EvaluationServer(HttpApp):
         effective = timeout_ms if timeout_ms is not None else self.request_timeout_ms
         timeout = None if effective is None else effective / 1000.0
         try:
-            payload = await asyncio.wait_for(
-                self._with_slot(coroutine, keep_past_deadline), timeout
-            )
+            payload = await asyncio.wait_for(self._with_slot(coroutine), timeout)
         except asyncio.TimeoutError:
             self.registry.inc("deadline_timeouts")
             return (
@@ -618,7 +697,7 @@ class EvaluationServer(HttpApp):
         self.registry.set_gauge("queued_requests", self._queued)
         self.registry.set_gauge("running_requests", self._running)
 
-    async def _with_slot(self, coroutine, keep_past_deadline: bool):
+    async def _with_slot(self, coroutine):
         # The caller (_admit) already took the queued reservation; this
         # coroutine releases it once a running slot is acquired.  A deadline
         # cancellation lands inside acquire() -- after this task's first
@@ -646,7 +725,7 @@ class EvaluationServer(HttpApp):
         # outlives its deadline stays counted by admission and aclose's drain.
         work = asyncio.ensure_future(coroutine)
         work.add_done_callback(lambda _: self._release_slot(semaphore))
-        return await (asyncio.shield(work) if keep_past_deadline else work)
+        return await asyncio.shield(work)
 
     def _release_slot(self, semaphore: asyncio.Semaphore) -> None:
         self._running -= 1

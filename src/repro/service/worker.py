@@ -16,8 +16,10 @@ is **byte-identical** to what the public API returns for the same inputs --
   batched kernel sees the whole variation set with one shared stream seeded
   from the request seed (common-random-numbers semantics), and when the
   kernel declines every member is evaluated on its own rescaled model with
-  the lone request's ``seed`` stream, so an unbatchable group is
-  indistinguishable from never having been grouped.
+  the lone request's ``seed`` stream (the sweep core's own default), so an
+  unbatchable group is indistinguishable from never having been grouped;
+* :func:`evaluate_batch` is ``repro.evaluate_batch(model, requests,
+  seed=seed)`` over a ``/v1/evaluate/batch``'s uncached elements.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.api.evaluate import sweep_outcomes
 from repro.core.fault_model import FaultModel
 from repro.telemetry.metrics import subtract_snapshots
 
-__all__ = ["evaluate_batch_endpoint", "evaluate_group", "evaluate_single", "run_job"]
+__all__ = ["evaluate_batch", "evaluate_group", "evaluate_single", "run_job"]
 
 
 def run_job(arguments: tuple) -> tuple:
@@ -105,7 +107,6 @@ def evaluate_group(arguments: tuple) -> tuple[bool, list[dict]]:
         variations,
         options=options,
         seed=seed,
-        variation_seeds=[(seed,)] * len(variations),
     )
     for index, (status, outcome) in enumerate(outcomes):
         if status == "error":
@@ -113,19 +114,12 @@ def evaluate_group(arguments: tuple) -> tuple[bool, list[dict]]:
     return used_batch, [result.to_dict() for _, result in outcomes]
 
 
-def evaluate_batch_endpoint(arguments: tuple) -> list[dict]:
-    """The ``/v1/evaluate/batch`` job: one ``repro.evaluate_batch`` call.
 
-    Per-request ``(seed, index)`` streams and duplicate-request coalescing
-    are ``evaluate_batch``'s own semantics; the service adds nothing, so the
-    endpoint is byte-identical to calling the function directly.
-    ``stream_indices`` (sent by the cluster router for fanned-out
-    sub-batches) passes straight through, keeping each request's stream tied
-    to its position in the *original* batch.
-    """
-    model_data, requests, seed, stream_indices = arguments
-    model = FaultModel.from_dict(model_data)
-    results = api_evaluate_batch(
-        model, requests, seed=seed, stream_indices=stream_indices
-    )
+def evaluate_batch(arguments: tuple) -> list[dict]:
+    """The uncached elements of one ``/v1/evaluate/batch``: one
+    ``repro.evaluate_batch`` call, so each record is ``repro.evaluate(model,
+    method, seed=seed, options=options)``'s and elements that read one exact
+    PFD distribution share it."""
+    model_data, requests, seed = arguments
+    results = api_evaluate_batch(FaultModel.from_dict(model_data), requests, seed=seed)
     return [result.to_dict() for result in results]

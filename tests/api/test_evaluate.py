@@ -118,16 +118,28 @@ class TestEvaluateBatch:
             "moments", "montecarlo", "tail-quantile",
         ]
 
-    def test_streams_are_per_request_index(self, small_model):
-        # Two identical montecarlo requests in one batch must not share a stream.
-        results = evaluate_batch(
-            small_model,
-            [("montecarlo", {"replications": 1000}), ("montecarlo", {"replications": 1000})],
-            seed=5,
-        )
-        assert results[0].metrics != results[1].metrics
-        assert results[0].seed_entropy == (5, 0)
-        assert results[1].seed_entropy == (5, 1)
+    @pytest.mark.parametrize(
+        "method, options",
+        [
+            ("bounds", {}),
+            ("exact", {}),
+            ("moments", {}),
+            ("montecarlo", {"replications": 1000}),
+            ("montecarlo", {"replications": 1000, "correlation": 0.3}),
+            ("normal", {}),
+            ("tail-quantile", {"level": 0.999}),
+        ],
+        ids=["bounds", "exact", "moments", "montecarlo", "correlated-montecarlo",
+             "normal", "tail-quantile"],
+    )
+    def test_every_request_is_seeded_from_the_batch_seed(self, small_model, method, options):
+        # One rule for every method: an element is evaluate() with the batch
+        # seed, whatever shares the batch and wherever it sits in it.
+        element = evaluate_batch(small_model, ["moments", (method, options)], seed=5)[1]
+        alone = evaluate(small_model, method, seed=5, options=options)
+        assert json.dumps(element.metrics) == json.dumps(alone.metrics)
+        assert element.seed_entropy == alone.seed_entropy
+        assert element.seed_entropy == ((5,) if method == "montecarlo" else None)
 
     def test_whole_batch_validated_before_any_evaluation(self, small_model):
         with pytest.raises(ValueError, match="does not accept option"):
@@ -205,16 +217,18 @@ class TestBatchCoalescing:
         assert results[3].option_dict()["level"] == 0.99
         assert results[1].metrics != results[3].metrics
 
-    def test_stochastic_duplicates_keep_their_own_streams(self, small_model):
-        # (seed, index) streams differ, so coalescing must never merge them.
+    def test_stochastic_duplicates_share_one_result(self, small_model):
+        # Same method, options and seed: one evaluation, one result -- as two
+        # identical evaluate() calls give.
         results = evaluate_batch(
             small_model,
             [("montecarlo", {"replications": 500})] * 2,
             seed=5,
         )
-        assert results[0].seed_entropy == (5, 0)
-        assert results[1].seed_entropy == (5, 1)
-        assert results[0].metrics != results[1].metrics
+        assert results[0] is results[1]
+        assert results[0].seed_entropy == (5,)
+        alone = evaluate(small_model, "montecarlo", seed=5, replications=500)
+        assert results[0].metrics == alone.metrics
 
 
 class TestOptionSpellings:
@@ -250,59 +264,3 @@ class TestUnregister:
         assert "temp" not in registry
         with pytest.raises(ValueError, match="unknown method 'temp'"):
             registry.unregister("temp")
-
-
-class TestStreamIndices:
-    """``stream_indices``: a sub-batch reproduces its slice of a full batch.
-
-    This is the router's fan-out contract -- a batch split across shards,
-    each sub-batch carrying its members' original positions, must be
-    byte-identical to the unsplit call.
-    """
-
-    REQUESTS = [
-        ("montecarlo", {"replications": 1000}),
-        "moments",
-        ("montecarlo", {"replications": 1000}),
-        ("tail-quantile", {"level": 0.999}),
-    ]
-
-    def test_split_batch_equals_unsplit(self, small_model):
-        whole = evaluate_batch(small_model, self.REQUESTS, seed=5)
-        left = evaluate_batch(
-            small_model, [self.REQUESTS[0], self.REQUESTS[3]], seed=5,
-            stream_indices=[0, 3],
-        )
-        right = evaluate_batch(
-            small_model, [self.REQUESTS[1], self.REQUESTS[2]], seed=5,
-            stream_indices=[1, 2],
-        )
-        def strip(result):
-            return {
-                key: value
-                for key, value in result.to_dict().items()
-                if key != "elapsed_seconds"
-            }
-
-        reassembled = [left[0], right[0], right[1], left[1]]
-        assert [strip(r) for r in reassembled] == [strip(r) for r in whole]
-
-    def test_default_indices_are_positions(self, small_model):
-        explicit = evaluate_batch(
-            small_model, self.REQUESTS, seed=5, stream_indices=[0, 1, 2, 3]
-        )
-        implicit = evaluate_batch(small_model, self.REQUESTS, seed=5)
-        assert [r.metrics for r in explicit] == [r.metrics for r in implicit]
-        assert [r.seed_entropy for r in explicit] == [r.seed_entropy for r in implicit]
-
-    def test_validation(self, small_model):
-        with pytest.raises(ValueError, match="match"):
-            evaluate_batch(small_model, self.REQUESTS, seed=5, stream_indices=[0])
-        with pytest.raises(ValueError, match="non-negative"):
-            evaluate_batch(
-                small_model, self.REQUESTS, seed=5, stream_indices=[0, 1, 2, -1]
-            )
-        with pytest.raises(ValueError, match="non-negative"):
-            evaluate_batch(
-                small_model, self.REQUESTS, seed=5, stream_indices=[0, 1, 2, True]
-            )

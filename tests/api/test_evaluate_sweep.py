@@ -130,8 +130,8 @@ class TestEvaluateSweep:
 
     def test_batch_unsupported_falls_back(self, small_model):
         # correlation != 0 is outside the kernel's declared rule; the
-        # per-point fallback must produce exactly what scalar evaluation produces for
-        # the derived (seed, index) streams.
+        # per-point fallback must produce exactly what scalar evaluation
+        # produces for the sweep's own seed.
         results = evaluate_sweep(
             small_model,
             "montecarlo",
@@ -140,10 +140,10 @@ class TestEvaluateSweep:
             correlation=0.4,
             seed=11,
         )
-        for index, (variation, result) in enumerate(zip(VARIATIONS[:2], results)):
+        for variation, result in zip(VARIATIONS[:2], results):
             transformed = small_model.rescaled(variation.get("p_scale", 1.0))
             scalar = evaluate(
-                transformed, "montecarlo", replications=500, correlation=0.4, seed=(11, index)
+                transformed, "montecarlo", replications=500, correlation=0.4, seed=11
             )
             assert result.metric_dict() == scalar.metric_dict()
 
@@ -196,7 +196,7 @@ class TestSweepSeedEntropy:
             correlation=0.3,
             seed=11,
         )
-        assert [r.seed_entropy for r in results] == [(11, 0), (11, 1)]
+        assert [r.seed_entropy for r in results] == [(11,), (11,)]
         for variation, result in zip(VARIATIONS[:2], results):
             again = evaluate(
                 small_model.rescaled(variation.get("p_scale", 1.0)),

@@ -138,6 +138,74 @@ class TestFailover:
             assert excinfo.value.retry_after is not None
 
 
+#: A batch with a duplicated and a correlated ``montecarlo`` element.
+BATCH_REQUESTS = [
+    {"method": "moments"},
+    {"method": "montecarlo", "replications": 500},
+    {"method": "montecarlo", "replications": 500},
+    {"method": "montecarlo", "replications": 500, "correlation": 0.3},
+    {"method": "exact", "max_support": 256},
+    {"method": "tail-quantile", "level": 0.999},
+]
+
+
+def _element_payload(element: dict, seed: int) -> dict:
+    """The ``/v1/evaluate`` body a batch element stands for."""
+    options = {key: value for key, value in element.items() if key != "method"}
+    return {"model": MODEL, "method": element["method"], "options": options, "seed": seed}
+
+
+class TestBatchFanOut:
+    """A routed batch element is its own routed ``/v1/evaluate``."""
+
+    @pytest.mark.parametrize("lru_size", [1024, 0])
+    def test_elements_equal_their_evaluate_records_byte_for_byte(self, lru_size):
+        batch_payload = {"model": MODEL, "requests": BATCH_REQUESTS, "seed": 11}
+        with cluster(2, router_kw={"lru_size": lru_size}) as (servers, handles, router, front):
+            client = ServiceClient(port=front.port)
+            batch = client.request("POST", "/v1/evaluate/batch", batch_payload)
+            singles = [
+                client.request("POST", "/v1/evaluate", _element_payload(element, 11))
+                for element in BATCH_REQUESTS
+            ]
+            # One sub-batch per shard that owns an element.
+            assert 1 <= router.registry["fanout_subrequests"] <= len(servers)
+        assert [json.dumps(record) for record in batch["results"]] == [
+            json.dumps(single["result"]) for single in singles
+        ]
+
+    @pytest.mark.parametrize("lru_size", [1024, 0])
+    def test_a_repeated_batch_computes_nothing(self, lru_size):
+        batch_payload = {"model": MODEL, "requests": BATCH_REQUESTS, "seed": 11}
+        with cluster(2, router_kw={"lru_size": lru_size}) as (servers, handles, router, front):
+            client = ServiceClient(port=front.port)
+            cold = client.request("POST", "/v1/evaluate/batch", batch_payload)
+            computed = sum(_computed(servers))
+            warm = client.request("POST", "/v1/evaluate/batch", batch_payload)
+            assert sum(_computed(servers)) == computed
+        assert computed >= 5
+        tier = "router" if lru_size else "lru"
+        assert [served["cached"] for served in warm["served"]] == [tier] * len(BATCH_REQUESTS)
+        assert warm["results"] == cold["results"]
+
+    def test_a_batch_larger_than_a_shards_admission_capacity(self):
+        # Each shard admits one request at a time and queues none: the batch
+        # must reach it as one admitted sub-batch, not one request per
+        # element, or the shard answers 429 and is ejected.
+        elements = [{"method": "montecarlo", "replications": 500 + index} for index in range(8)]
+        batch_payload = {"model": MODEL, "requests": elements, "seed": 11}
+        with cluster(2, max_inflight=1, max_queue=0) as (servers, handles, router, front):
+            client = ServiceClient(port=front.port)
+            batch = client.request("POST", "/v1/evaluate/batch", batch_payload)
+            assert router.registry["shard_ejects"] == 0
+            assert sum(server.registry["rejected_saturated"] for server in servers) == 0
+            singles = [
+                client.request("POST", "/v1/evaluate", _element_payload(element, 11))
+                for element in elements
+            ]
+        assert batch["results"] == [single["result"] for single in singles]
+
+
 class TestRebalance:
     def test_eject_spills_and_readmit_snaps_back(self):
         """An ejected shard's keys spill to its neighbour; readmission puts

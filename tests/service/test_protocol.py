@@ -229,7 +229,7 @@ class TestResultRecord:
 
 class TestParseBatch:
     def test_request_spellings(self, small_model):
-        model_data, requests, seed, stream_indices = parse_batch_payload(
+        model_data, requests, seed = parse_batch_payload(
             {
                 "model": small_model.to_dict(),
                 "requests": ["moments", {"method": "exact", "max_support": 512}],
@@ -240,17 +240,6 @@ class TestParseBatch:
         assert requests[0] == ("moments", {})
         assert requests[1] == ("exact", {"max_support": 512})
         assert seed == 11
-        assert stream_indices is None
-
-    def test_stream_indices_round_trip(self, small_model):
-        *_, stream_indices = parse_batch_payload(
-            {
-                "model": small_model.to_dict(),
-                "requests": ["montecarlo", "montecarlo"],
-                "stream_indices": [4, 7],
-            }
-        )
-        assert stream_indices == [4, 7]
 
     @pytest.mark.parametrize(
         "mutation, fragment",
@@ -260,9 +249,7 @@ class TestParseBatch:
             ({"requests": [{"no_method": 1}]}, "request 0"),
             ({"requests": ["moments", {"method": "exact", "bogus": 1}]}, "request 1"),
             ({"jobs": 4}, "unknown batch request key"),
-            ({"stream_indices": [0, 1]}, "must match 'requests'"),
-            ({"stream_indices": [-1]}, "non-negative"),
-            ({"stream_indices": "01"}, "must be a list"),
+            ({"stream_indices": [0]}, "unknown batch request key(s): stream_indices"),
         ],
     )
     def test_invalid_batches_rejected(self, small_model, mutation, fragment):

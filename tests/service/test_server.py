@@ -466,6 +466,130 @@ class TestHttpTransport:
             live_client.evaluate({"p": [0.1], "q": [0.1]}, "moments", scenario="high-quality")
 
 
+#: A batch with a duplicated and a correlated ``montecarlo`` element.
+BATCH_REQUESTS = [
+    {"method": "moments"},
+    {"method": "montecarlo", "replications": 500},
+    {"method": "montecarlo", "replications": 500},
+    {"method": "montecarlo", "replications": 500, "correlation": 0.3},
+    {"method": "exact", "max_support": 256},
+    {"method": "tail-quantile", "level": 0.999},
+]
+
+
+def _element_payload(model: FaultModel, element: dict, seed: int) -> dict:
+    """The ``/v1/evaluate`` body a batch element stands for."""
+    options = {key: value for key, value in element.items() if key != "method"}
+    return {"model": model.to_dict(), "method": element["method"], "options": options, "seed": seed}
+
+
+class TestBatchEndpoint:
+    """A batch element is the ``/v1/evaluate`` request with the batch's model and seed."""
+
+    def test_elements_equal_their_evaluate_records_byte_for_byte(self, small_model):
+        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+            client = ServiceClient(port=handle.port)
+            batch = client.request(
+                "POST",
+                "/v1/evaluate/batch",
+                {"model": small_model.to_dict(), "requests": BATCH_REQUESTS, "seed": 11},
+            )
+            singles = [
+                client.request("POST", "/v1/evaluate", _element_payload(small_model, element, 11))
+                for element in BATCH_REQUESTS
+            ]
+        assert [json.dumps(record) for record in batch["results"]] == [
+            json.dumps(single["result"]) for single in singles
+        ]
+        for element, record in zip(BATCH_REQUESTS, batch["results"]):
+            payload = _element_payload(small_model, element, 11)
+            direct = evaluate(small_model, payload["method"], seed=11, options=payload["options"])
+            assert _strip_elapsed(record) == _strip_elapsed(json.loads(json.dumps(direct.to_dict())))
+
+    def test_a_repeated_batch_computes_nothing(self, small_model):
+        payload = {"model": small_model.to_dict(), "requests": BATCH_REQUESTS, "seed": 11}
+        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+            client = ServiceClient(port=handle.port)
+            cold = client.request("POST", "/v1/evaluate/batch", payload)
+            computed = handle.server.registry["evaluations_computed"]
+            warm = client.request("POST", "/v1/evaluate/batch", payload)
+            assert handle.server.registry["evaluations_computed"] == computed
+        # Six elements, one duplicate: five evaluations, the duplicate joins
+        # its twin's single flight.
+        assert computed == 5
+        assert cold["served"][2]["cached"] is None
+        assert [served["cached"] for served in warm["served"]] == ["lru"] * len(BATCH_REQUESTS)
+        assert warm["results"] == cold["results"]
+
+    def test_a_cold_batch_is_one_pool_job(self, small_model, monkeypatch):
+        from repro.service import worker
+
+        jobs = []
+        for name in ("evaluate_batch", "evaluate_group", "evaluate_single"):
+            function = getattr(worker, name)
+            monkeypatch.setattr(
+                worker, name, lambda arguments, f=function, n=name: jobs.append(n) or f(arguments)
+            )
+        payload = {"model": small_model.to_dict(), "requests": BATCH_REQUESTS, "seed": 11}
+        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+            batch = ServiceClient(port=handle.port).request("POST", "/v1/evaluate/batch", payload)
+        # The five distinct elements share one job, so exact and
+        # tail-quantile compute one exact PFD distribution.
+        assert jobs == ["evaluate_batch"]
+        assert [served["group_size"] for served in batch["served"]] == [5] * len(BATCH_REQUESTS)
+
+    def test_a_failed_batch_job_computes_each_element_alone(self, small_model, monkeypatch):
+        from repro.service import worker
+
+        def fail(arguments):
+            raise RuntimeError("batch job lost")
+
+        monkeypatch.setattr(worker, "evaluate_batch", fail)
+        payload = {"model": small_model.to_dict(), "requests": BATCH_REQUESTS, "seed": 11}
+        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+            batch = ServiceClient(port=handle.port).request("POST", "/v1/evaluate/batch", payload)
+            assert handle.server.registry["evaluations_computed"] == 5
+        for element, record in zip(BATCH_REQUESTS, batch["results"]):
+            options = _element_payload(small_model, element, 11)["options"]
+            direct = evaluate(small_model, element["method"], seed=11, options=options)
+            assert _strip_elapsed(record) == _strip_elapsed(json.loads(json.dumps(direct.to_dict())))
+
+    def test_a_batch_past_its_deadline_still_stores_its_records(self, small_model, monkeypatch):
+        # The job outlasts the 1 ms deadline: the batch answers 504, but its
+        # flight keeps computing, so the retry is a cache hit.
+        import time
+
+        from repro.service import worker
+
+        evaluate_batch_job = worker.evaluate_batch
+        monkeypatch.setattr(
+            worker,
+            "evaluate_batch",
+            lambda arguments: time.sleep(0.05) or evaluate_batch_job(arguments),
+        )
+        server = EvaluationServer(batch_window_ms=1.0)
+        payload = {
+            "model": small_model.to_dict(),
+            "requests": [{"method": "montecarlo", "replications": 500}],
+            "seed": 3,
+        }
+
+        async def run():
+            late = await server._route(
+                "POST", "/v1/evaluate/batch", json.dumps({**payload, "timeout_ms": 1}).encode()
+            )
+            while server._running:
+                await asyncio.sleep(0.01)
+            retry = await server._route("POST", "/v1/evaluate/batch", json.dumps(payload).encode())
+            return late, retry
+
+        late, retry = asyncio.run(run())
+        assert late[0] == 504
+        assert retry[0] == 200
+        assert retry[1]["served"] == [{"cached": "lru", "batched": False, "group_size": 0}]
+        assert server.registry["evaluations_computed"] == 1
+
+
 class TestSingleFlight:
     def test_identical_concurrent_requests_run_one_pool_job(self, small_model, monkeypatch):
         from repro.service import worker

@@ -184,7 +184,7 @@ def test_normal_theory_paths_load_no_scipy_stats():
 
 def test_router_parses_inline_models_without_numpy():
     """A router's whole request path for inline models -- parse, digest, group
-    key, batch route key -- loads no numpy; naming a scenario does."""
+    key, a batch element's route key -- loads no numpy; naming a scenario does."""
     code = (
         "import json, sys\n"
         "from repro.cli import build_parser\n"
@@ -195,10 +195,12 @@ def test_router_parses_inline_models_without_numpy():
         "request = parse_evaluate_payload({'model': model, 'method': 'montecarlo', 'seed': 3,\n"
         "                                  'p_scale': 0.5, 'q_scale': 2})\n"
         "keys = [request.digest(), request.group_key(), request.payload_text()]\n"
-        "model_data, requests, _, _ = parse_batch_payload(\n"
+        "model_data, requests, seed = parse_batch_payload(\n"
         "    {'model': model, 'requests': ['moments', {'method': 'exact', 'level': 0.9}]})\n"
-        "router = ShardRouter(['127.0.0.1:9'])\n"
-        "keys += [router._batch_route_key(model_data, *element) for element in requests]\n"
+        "ShardRouter(['127.0.0.1:9'])\n"
+        "keys += [parse_evaluate_payload({'model': model_data, 'method': method,\n"
+        "                                 'options': options, 'seed': seed}).group_key()\n"
+        "         for method, options in requests]\n"
         "inline = 'numpy' in sys.modules\n"
         "parse_evaluate_payload({'scenario': 'high-quality', 'method': 'moments'})\n"
         "print(json.dumps({'inline': inline, 'scenario': 'numpy' in sys.modules,\n"
