@@ -17,6 +17,7 @@ for the template) rather than widening an existing schema.
 from __future__ import annotations
 
 import importlib
+import math
 from typing import TYPE_CHECKING, Any
 
 from repro.api.registry import BatchUnsupported, OptionSpec, register_batch, register_method
@@ -285,11 +286,30 @@ def _bounds_method(model, options: dict, rng) -> dict:
     description="Monte Carlo simulation of the development process (streaming summaries)",
 )
 def _montecarlo_method(model, options: dict, rng) -> dict:
-    from repro.montecarlo.engine import MonteCarloEngine
+    """A lone ``montecarlo``: its one-point sweep within the memory budget, else the dense engine.
+
+    An independent-process request whose one-point sweep expects at most
+    :data:`~repro.montecarlo.engine.BLOCK_CELLS` sparse entries returns the
+    record of that sweep at ``p_scale = q_scale = 1``, bit for bit what the
+    batched kernel gives the point.  The sparse kernel holds every entry at
+    once (about 91 bytes each) where the dense engine holds one block, so a
+    larger request, and every correlated one, runs
+    :class:`~repro.montecarlo.engine.MonteCarloEngine`.
+    """
+    from repro.montecarlo.engine import BLOCK_CELLS, MonteCarloEngine
+    from repro.montecarlo.sweep import expected_entry_count, simulate_scaled_sweep
 
     versions = int(options["versions"])
     replications = int(options["replications"])
     correlation = float(options["correlation"])
+    if (
+        correlation == 0.0
+        and expected_entry_count(model, replications, versions, [1.0]) <= BLOCK_CELLS
+    ):
+        (point,) = simulate_scaled_sweep(
+            model, replications, [(1.0, 1.0)], versions=versions, rng=rng
+        )
+        return _sweep_record(options, point)
     process = None
     if correlation != 0.0:
         from repro.versions.correlated import CopulaDevelopmentProcess
@@ -297,40 +317,78 @@ def _montecarlo_method(model, options: dict, rng) -> dict:
         process = CopulaDevelopmentProcess(model=model, correlation=correlation)
     engine = MonteCarloEngine(model, process=process)
     if versions == 2:
-        return _mc_record(options, engine.simulate_paired_streaming(replications, rng=rng))
+        pair = engine.simulate_paired_streaming(replications, rng=rng)
+        return _mc_record(
+            options,
+            pair.summary(),
+            {
+                "single": pair.single.pfds.standard_error(),
+                "system": pair.system.pfds.standard_error(),
+            },
+        )
     result = engine.simulate_systems_streaming(replications, versions=versions, rng=rng)
     return _mc_record(
         options,
-        system=(
-            result.mean_pfd(),
-            result.std_pfd(),
-            result.prob_any_fault(),
-            result.prob_pfd_zero(),
+        _system_statistics(
+            result.mean_pfd(), result.std_pfd(), result.prob_any_fault(), result.prob_pfd_zero()
         ),
+        {"system": result.pfds.standard_error()},
     )
 
 
-_MC_SYSTEM_METRICS = ("mc_mean_system", "mc_std_system", "mc_prob_any_fault", "mc_prob_pfd_zero")
+def _mc_record(options: dict, statistics: dict, standard_errors: dict) -> dict:
+    """One ``montecarlo`` record: the run's size and correlation, its statistics, its means' SEs.
 
-
-def _mc_record(options: dict, pair=None, system: tuple = ()) -> dict:
-    """One ``montecarlo`` record: the run's size and correlation, then its statistics.
-
-    ``pair`` (two versions) contributes its paired ``summary()``; otherwise
-    ``system`` holds the 1-out-of-r system's mean, std, P(any fault) and
-    P(PFD = 0).
+    ``statistics`` is a paired ``summary()`` (its ``replications`` dropped)
+    or :func:`_system_statistics`; ``standard_errors`` maps ``single`` /
+    ``system`` to the standard error of that mean, ``mc_mean_<name>_se``.
+    One replication gives an infinite standard error, which JSON cannot
+    hold, so it is recorded as null.
     """
     record: dict[str, Any] = {
         "mc_replications": int(options["replications"]),
         "mc_correlation": float(options["correlation"]),
     }
-    if pair is None:
-        record.update(zip(_MC_SYSTEM_METRICS, system))
-    else:
-        summary = pair.summary()
-        summary.pop("replications", None)
-        record.update({f"mc_{key}": value for key, value in summary.items()})
+    record.update(
+        {f"mc_{key}": value for key, value in statistics.items() if key != "replications"}
+    )
+    record.update(
+        {
+            f"mc_mean_{name}_se": value if math.isfinite(value) else None
+            for name, value in standard_errors.items()
+        }
+    )
     return record
+
+
+def _system_statistics(mean: float, std: float, any_fault: float, pfd_zero: float) -> dict:
+    """The 1-out-of-r system's mean, std, P(any fault) and P(PFD = 0)."""
+    return {
+        "mean_system": mean,
+        "std_system": std,
+        "prob_any_fault": any_fault,
+        "prob_pfd_zero": pfd_zero,
+    }
+
+
+def _sweep_record(options: dict, point) -> dict:
+    """The record of one sweep point: paired for two versions, the system's otherwise."""
+    if point.versions == 2:
+        return _mc_record(
+            options,
+            point.summary(),
+            {"single": point.mean_single_se, "system": point.mean_system_se},
+        )
+    return _mc_record(
+        options,
+        _system_statistics(
+            point.mean_system,
+            point.std_system,
+            point.prob_any_fault_system,
+            point.prob_pfd_zero_system,
+        ),
+        {"system": point.mean_system_se},
+    )
 
 
 @register_batch(
@@ -341,11 +399,14 @@ def _montecarlo_batch(model, variations, options: dict, rng) -> list[dict]:
 
     One nested development history is sampled and every sweep point scored
     against the levels it reaches
-    (:func:`repro.montecarlo.sweep.simulate_scaled_sweep`), so a point's
-    values are *not* the independent-stream values the scalar path produces
-    -- they are an equally valid estimate whose noise is shared across the
-    sweep, which makes cross-point comparisons lower-variance, and they do
-    not depend on the point's siblings.  The kernel serves the independent
+    (:func:`repro.montecarlo.sweep.simulate_scaled_sweep`); a point's record
+    does not depend on its siblings, and noise is shared across the sweep,
+    which makes cross-point comparisons lower-variance.  A lone request
+    that takes the sparse kernel is its one-point sweep at scale 1, so the
+    point at ``p_scale = q_scale = 1`` equals the lone request for the
+    model.  A point at another scale still differs from the lone request
+    for the rescaled model: the nested draws are not invariant under
+    :meth:`FaultModel.rescaled`.  The kernel serves the independent
     development process only (its declared ``applies`` rule): correlated
     sweeps run point by point, and so do sweeps beyond the sparse kernel's
     memory budget.
@@ -364,20 +425,7 @@ def _montecarlo_batch(model, variations, options: dict, rng) -> list[dict]:
     points = simulate_scaled_sweep(
         model, replications, variations, versions=versions, rng=rng
     )
-    if versions == 2:
-        return [_mc_record(options, point) for point in points]
-    return [
-        _mc_record(
-            options,
-            system=(
-                point.mean_system,
-                point.std_system,
-                point.prob_any_fault_system,
-                point.prob_pfd_zero_system,
-            ),
-        )
-        for point in points
-    ]
+    return [_sweep_record(options, point) for point in points]
 
 
 @register_method(

@@ -77,7 +77,10 @@ __all__ = [
 #: Bump to invalidate every existing cache entry (e.g. when a method's
 #: numerical meaning changes without its options changing).  Version 2:
 #: ``exact`` / ``tail-quantile`` report bracketed quantiles and exceedances.
-CACHE_FORMAT_VERSION = 2
+#: Version 3: a lone ``montecarlo`` within the sparse kernel's memory budget
+#: is its one-point sweep, and every ``montecarlo`` record carries the
+#: standard errors of its means.
+CACHE_FORMAT_VERSION = 3
 
 
 def canonical_json(payload) -> str:

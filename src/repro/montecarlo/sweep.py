@@ -42,12 +42,18 @@ siblings a caller already had cached.  The one sweep-wide decision left is
 :data:`MAX_SWEEP_ENTRIES`, which sends a sweep whose largest scale needs too
 many entries back to per-point simulation.
 
-Results differ from per-point independent-stream simulation: every point is
-an equally valid Monte Carlo estimate (each fault's marginal presence
-probability is exactly ``k * p_i``), but the points are dependent by
-construction.  Use independent per-point streams (the default engine paths)
-when cross-point independence matters; use the sweep kernel when comparing
-points or when throughput matters.
+A lone ``montecarlo`` request of the independent process whose expected
+entry count is within the dense engine's memory budget
+(``repro.api.methods``: at most :data:`~repro.montecarlo.engine.BLOCK_CELLS`)
+runs this kernel as its one-point sweep at ``p_scale = q_scale = 1``, so it equals
+that point bit for bit.  A point at another scale still differs from the
+lone request for the rescaled model: the nested draws follow the base
+model's probabilities, and are not invariant under
+:meth:`FaultModel.rescaled`.  Correlated and over-budget lone requests run
+the dense engine, whose independent per-request streams give another
+equally valid estimate.  Sweep points are dependent by construction (each
+fault's marginal presence probability is exactly ``k * p_i``), which makes
+comparisons between points lower-variance.
 """
 
 from __future__ import annotations
@@ -83,6 +89,8 @@ class SweepPointResult:
     ``single`` statistics describe the first version, ``system`` the
     1-out-of-``versions`` intersection, from the same developments -- the
     same pairing as :meth:`MonteCarloEngine.simulate_paired_streaming`.
+    ``mean_*_se`` are the standard errors of the two means
+    (:meth:`~repro.stats.streaming.StreamingMoments.standard_error`).
     """
 
     p_scale: float
@@ -97,6 +105,8 @@ class SweepPointResult:
     prob_any_fault_system: float
     prob_pfd_zero_single: float
     prob_pfd_zero_system: float
+    mean_single_se: float
+    mean_system_se: float
 
     def mean_ratio(self) -> float:
         """Simulated ``mu_r / mu_1``."""
@@ -306,6 +316,11 @@ def _tally(
     return moments, int(faulty)
 
 
+def _scaled_standard_error(moments: StreamingMoments, q_scale: float) -> float:
+    """The standard error of ``q_scale`` times the tallied mean (0 when ``q_scale`` is 0)."""
+    return 0.0 if q_scale == 0.0 else float(moments.standard_error() * q_scale)
+
+
 def expected_entry_count(model: FaultModel, replications: int, versions: int, p_scales) -> float:
     """Expected sparse-entry count of a sweep (for memory guards).
 
@@ -425,6 +440,8 @@ def simulate_scaled_sweep(
                 prob_any_fault_system=common_faulty / replications,
                 prob_pfd_zero_single=1.0 if q_scale == 0.0 else single.fraction_zero(),
                 prob_pfd_zero_system=1.0 if q_scale == 0.0 else common.fraction_zero(),
+                mean_single_se=_scaled_standard_error(single, q_scale),
+                mean_system_se=_scaled_standard_error(common, q_scale),
             )
         )
     telemetry.record(

@@ -19,7 +19,11 @@ whose kernel declined at runtime (past its memory budget) answers with the
 same bytes.  Grouping never changes *whether* an answer is right, only which
 equally valid estimator produced it (see the README's CRN notes): a
 grouped point's record equals its one-point sweep, whichever requests
-shared its window, while a lone request takes the scalar engine path.
+shared its window.  A lone request within the sparse kernel's memory
+budget is its one-point sweep at scale 1, so the grouped point at
+``p_scale = q_scale = 1`` equals it; a grouped point at another scale still
+differs from the lone request for the rescaled model, and an over-budget
+lone request runs the dense engine.
 
 Windows never hold duplicates: the server's single-flight table
 (:class:`~repro.service.server.EvaluationServer`) coalesces equal-digest

@@ -25,9 +25,14 @@ What counts as an entry and how a hit becomes a wire record are decided in
 
 The digest covers everything a response depends on *except* how it was
 computed -- a ``montecarlo`` value from a shared-world group and one from a
-lone scalar request share a key, and so does a study-warmed entry.  A warm
-hit therefore returns whichever equally valid estimate was computed first;
-that is the documented CRN trade, not drift.
+lone request share a key, and so does a study-warmed entry.  A lone
+request within the sparse kernel's memory budget is its one-point sweep at
+scale 1, so it equals the grouped point at ``p_scale = q_scale = 1``; a
+grouped point at another scale still differs from the lone request for the
+rescaled model, and a correlated or over-budget lone request runs the
+dense engine.  For those, a warm hit
+returns whichever equally valid estimate was computed first; that is the
+documented CRN trade, not drift.
 """
 
 from __future__ import annotations

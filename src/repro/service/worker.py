@@ -17,7 +17,12 @@ is **byte-identical** to what the public API returns for the same inputs --
   from the request seed (common-random-numbers semantics), and when the
   kernel declines every member is evaluated on its own rescaled model with
   the lone request's ``seed`` stream (the sweep core's own default), so an
-  unbatchable group is indistinguishable from never having been grouped;
+  unbatchable group is indistinguishable from never having been grouped.
+  A lone ``montecarlo`` within the sparse kernel's memory budget is itself
+  its one-point sweep at scale 1, so
+  a grouped point at ``p_scale = q_scale = 1`` equals the lone request; a
+  point at another scale still differs from the lone request for the
+  rescaled model;
 * :func:`evaluate_batch` is ``repro.evaluate_batch(model, requests,
   seed=seed)`` over a ``/v1/evaluate/batch``'s uncached elements.
 """

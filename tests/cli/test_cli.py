@@ -354,8 +354,8 @@ class TestEvaluateCommand:
         for key, value in monolithic.items():
             assert chunked[key] == pytest.approx(value, rel=1e-12), key
 
-    def test_montecarlo_matches_the_engine(self, capsys, small_model, model_file):
-        from repro.montecarlo.engine import MonteCarloEngine
+    def test_montecarlo_matches_the_one_point_sweep(self, capsys, small_model, model_file):
+        from repro.montecarlo.sweep import simulate_scaled_sweep
 
         assert main([
             "evaluate", "--model", model_file, "--method", "montecarlo",
@@ -363,10 +363,13 @@ class TestEvaluateCommand:
         ]) == 0
         printed = json.loads(capsys.readouterr().out)["metrics"]
         rng = np.random.default_rng(np.random.SeedSequence([9]))
-        summary = MonteCarloEngine(small_model).simulate_paired_streaming(3000, rng=rng).summary()
+        (point,) = simulate_scaled_sweep(small_model, 3000, [(1.0, 1.0)], rng=rng)
+        summary = point.summary()
         assert summary.pop("replications") == printed["mc_replications"]
         for key, value in summary.items():
             assert printed[f"mc_{key}"] == value
+        assert printed["mc_mean_single_se"] == point.mean_single_se
+        assert printed["mc_mean_system_se"] == point.mean_system_se
 
     def test_montecarlo_systems_of_three_versions(self, capsys):
         assert main([

@@ -6,6 +6,10 @@ per version stream (uniforms compared against ``p``), ``einsum`` row scores
 and a row sum.  Sample arrays must equal it bit for bit, and the streaming
 tallies must equal tallies fed the reference's vectors one chunk at a time,
 for every chunk size, block size and development process.
+
+A lone ``montecarlo`` request runs this engine only when it is correlated or
+its one-point sweep would hold more than ``BLOCK_CELLS`` sparse entries;
+otherwise it is that one-point sweep.  Both rules are pinned here.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import evaluate
+from repro.api import evaluate, evaluate_sweep
 from repro.core.fault_model import FaultModel
 from repro.montecarlo import engine as engine_module
 from repro.montecarlo.engine import MonteCarloEngine
@@ -147,11 +151,45 @@ def test_kernels_match_dense_reference(monkeypatch, process_name, layout, versio
         assert _state(result) == _state(_reference_tally(process, pfds, counts))
 
 
-@pytest.mark.parametrize("block_cells", [None, SMALL_BLOCK])
 @pytest.mark.parametrize("versions", [1, 2, 3])
-def test_evaluate_matches_dense_reference(monkeypatch, block_cells, versions):
-    if block_cells is not None:
-        monkeypatch.setattr(engine_module, "BLOCK_CELLS", block_cells)
+def test_evaluate_matches_one_point_sweep(versions):
+    """``MODEL`` is sparse enough at this size, so a lone request is its
+    one-point sweep at scale 1."""
+    options = {"versions": versions, "replications": REPLICATIONS}
+    lone = evaluate(MODEL, "montecarlo", seed=5, options=options)
+    (point,) = evaluate_sweep(MODEL, "montecarlo", [{"p_scale": 1.0}], seed=5, options=options)
+    assert json.dumps(lone.metric_dict()) == json.dumps(point.metric_dict())
+
+
+def _expected_record(replications: int, correlation: float, tallies) -> dict:
+    """A lone request's record from its tallies: ``(single, system)`` when
+    paired, ``(system,)`` otherwise."""
+    record = {"mc_replications": replications, "mc_correlation": correlation}
+    if len(tallies) == 2:
+        single, system = tallies
+        summary = PairSimulationResult(single=single, system=system).summary()
+        summary.pop("replications")
+        record.update({f"mc_{key}": value for key, value in summary.items()})
+        record["mc_mean_single_se"] = single.pfds.standard_error()
+    else:
+        (system,) = tallies
+        record.update(
+            {
+                "mc_mean_system": system.mean_pfd(),
+                "mc_std_system": system.std_pfd(),
+                "mc_prob_any_fault": system.prob_any_fault(),
+                "mc_prob_pfd_zero": system.prob_pfd_zero(),
+            }
+        )
+    record["mc_mean_system_se"] = system.pfds.standard_error()
+    return record
+
+
+@pytest.mark.parametrize("versions", [1, 2, 3])
+def test_evaluate_matches_dense_reference(monkeypatch, versions):
+    """A ``BLOCK_CELLS`` budget below the sparse kernel's expected entries
+    sends a lone request to the dense engine, which equals the reference."""
+    monkeypatch.setattr(engine_module, "BLOCK_CELLS", SMALL_BLOCK)
     options = {"versions": versions, "replications": REPLICATIONS}
     metrics = evaluate(MODEL, "montecarlo", seed=np.random.default_rng(5), options=options).metrics
 
@@ -161,23 +199,37 @@ def test_evaluate_matches_dense_reference(monkeypatch, block_cells, versions):
         _reference_tally(process, pfds, counts)
         for pfds, counts in _reference_rows(process, 5, layout, versions)
     ]
-    expected = {"mc_replications": REPLICATIONS, "mc_correlation": 0.0}
-    if versions == 2:
-        summary = PairSimulationResult(single=reference[0], system=reference[1]).summary()
-        summary.pop("replications")
-        expected.update({f"mc_{key}": value for key, value in summary.items()})
-    else:
-        (system,) = reference
-        expected.update(
-            {
-                "mc_mean_system": system.mean_pfd(),
-                "mc_std_system": system.std_pfd(),
-                "mc_prob_any_fault": system.prob_any_fault(),
-                "mc_prob_pfd_zero": system.prob_pfd_zero(),
-            }
-        )
+    expected = _expected_record(REPLICATIONS, 0.0, reference)
     assert json.dumps(dict(metrics), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
+
+#: Lone requests that keep the dense engine: the 100,000-replication model
+#: of :func:`test_working_set_is_bounded` (more expected entries than
+#: ``BLOCK_CELLS``) and a correlated request on ``MODEL``.
+DENSE_CASES = {
+    "over-budget": (FaultModel.random(np.random.default_rng(3), n=100), 100_000, 0.0),
+    "correlated": (MODEL, REPLICATIONS, 0.4),
+}
+
+
+@pytest.mark.parametrize("versions", [2, 3])
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_dense_requests_keep_the_dense_engine(case, versions):
+    model, replications, correlation = DENSE_CASES[case]
+    metrics = evaluate(
+        model, "montecarlo", seed=9, versions=versions, replications=replications,
+        correlation=correlation,
+    ).metric_dict()
+    process = CopulaDevelopmentProcess(model, correlation=correlation) if correlation else None
+    engine = MonteCarloEngine(model, process=process)
+    rng = np.random.default_rng(np.random.SeedSequence([9]))
+    if versions == 2:
+        pair = engine.simulate_paired_streaming(replications, rng=rng)
+        tallies = (pair.single, pair.system)
+    else:
+        tallies = (engine.simulate_systems_streaming(replications, versions=versions, rng=rng),)
+    expected = _expected_record(replications, correlation, tallies)
+    assert json.dumps(metrics, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 @pytest.mark.parametrize("kernel", ["evaluate", "simulate_paired"])

@@ -3,8 +3,8 @@
 The unified-API refactor moved method dispatch from per-consumer tables into
 :class:`repro.api.MethodRegistry`.  Study cache digests must survive it byte
 for byte: the digests below were recorded by running ``plan_study`` on the
-*pre-registry* implementation (commit f421fea) and re-pinned once for the
-deliberate cache format bump to version 2, so a warm cache written by the
+*pre-registry* implementation (commit f421fea) and re-pinned for the
+deliberate cache format bumps to versions 2 and 3, so a warm cache written by the
 old dispatch must be served untouched by the new one.
 """
 
@@ -35,18 +35,20 @@ COMPAT_SPEC = {
 #: moved every digest on purpose.  The two ``montecarlo`` digests were
 #: re-pinned once more when the method dropped its ``chunk_size`` and
 #: ``mc_jobs`` options: resolved options are hashed, so only they moved.
-#: Any other change here silently
+#: Every digest moved again, on purpose, when ``CACHE_FORMAT_VERSION`` went
+#: to 3 (a sparse lone ``montecarlo`` is its one-point sweep, and its
+#: records carry standard errors).  Any other change here silently
 #: invalidates every user's warm study cache -- treat a failure as a
 #: release blocker, not a snapshot bump.
 PRE_REGISTRY_DIGESTS = [
-    ("moments", "4c2e5621dd829d2a3bd9327ae1ce4b41d7f65f67d5e9757dc5df2c9b87112093"),
-    ("bounds", "ef846d622a0fa93afb73eee68f2988978aecdcae55eb25736f65ddbfff028951"),
-    ("exact", "89f4788af035167fdc5db9c5305d82ef832bd9903275f84d979b92beb30b196f"),
-    ("montecarlo", "6dc34cd6764ba33d631c1cf9fcc54c7e5301d1bd2a6dd5d6077d4766bd7ee9c5"),
-    ("moments", "229c908495dfbde03b2cf50c672500e52488594363007c996d20d317325039c1"),
-    ("bounds", "cbaba34d77a9327c0432e2e53bb7dd204042bd8ba9f4704b74fb81544b1961b5"),
-    ("exact", "44f694f6158cee48f10a51489a34ea530ab5a78ed16378242f7292b6910fa4df"),
-    ("montecarlo", "23fbacbd70d47002861defdfd64fc31d4d92115527bf008830ebeb4deadea552"),
+    ("moments", "2523d29a4805326533093ed6deb98f7298076df5457d552833646ccebb347497"),
+    ("bounds", "bd57130159b59642e97776961f256a514bbade0fee99c2e5dacacecdbfcc8cd9"),
+    ("exact", "0bffb356666fc2b542134d98f861dad601a0effa3db0719112af4569716a8176"),
+    ("montecarlo", "83a22ca2fecf1b2dc4fd2812f1ae06851c4c361060de1a342bdecba634f297bc"),
+    ("moments", "4b64f13f3a05ceebad187f395742ee312fc7e4313b601ce2dc43a7266c7a505d"),
+    ("bounds", "610139088ab935f5f83c6300c652032b659435fcac0f04a23ddf805a70bb59a1"),
+    ("exact", "53cea29e8c25131a076b05512d140b36e8b59963a19feb1dfcd339b8fb7d7516"),
+    ("montecarlo", "a0d00eb577fc0eb039c51fbc962fcedc7e2c19836ff64820c1fb4ad2d1f066fc"),
 ]
 
 

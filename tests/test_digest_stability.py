@@ -9,11 +9,13 @@ directory and reshuffles every router ring assignment, so the exact
 SHA-256 values are pinned here: if one of these tests fails, the digest
 scheme changed, and that is a breaking-change decision, not a refactor.
 
-The pinned hexes must never be *updated* casually.  They were last
-re-pinned on purpose when ``CACHE_FORMAT_VERSION`` went from 1 to 2 (the
-``exact`` / ``tail-quantile`` records became bracketed); the version is part
-of every payload, so the bump moved every digest, and the ring layout pin
-below did not move.
+The pinned hexes must never be *updated* casually.  They were re-pinned
+on purpose when ``CACHE_FORMAT_VERSION`` went from 1 to 2 (the ``exact`` /
+``tail-quantile`` records became bracketed) and again from 2 to 3 (a sparse
+lone ``montecarlo`` became its one-point sweep, and ``montecarlo`` records
+gained the standard errors of their means); the version is part of every
+payload, so each bump moved every digest, and the ring layout pin below did
+not move.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class TestGoldenDigests:
         payload = evaluation_payload({"model": _MODEL}, {}, "moments", {}, None)
         assert (
             payload_digest(payload)
-            == "296fb0c6206a9b73344d347847e03e7f55e25837894e19cf6c0fe27b5d273f0f"
+            == "d738ab7a281bb1a2ec56480d169cfcd09fe93f1da2508b5ea4943526db520d5e"
         )
         # Neutral transforms and no entropy: the group digest collapses to
         # the payload digest.
@@ -56,11 +58,11 @@ class TestGoldenDigests:
         )
         assert (
             payload_digest(payload)
-            == "a476d75dcede3ce399c2caf3513c12ad919867966c3bc28b7604a138e97440c2"
+            == "9b0f2f8b6231566c78036389d6d9a9998dc33f5bde522616838ce73e4fccb734"
         )
         assert (
             group_digest(payload)
-            == "cf90c28a42a99ceed715500487105acd512a32aa24d993ff2390efe5ada63282"
+            == "b5a1a9f1ad8e29ba7a5c2d17af80d4c4f21613f98ca0f4597f6335fec4ebb4a9"
         )
 
     def test_scenario_payload(self):
@@ -69,7 +71,7 @@ class TestGoldenDigests:
         )
         assert (
             payload_digest(payload)
-            == "15fe958211228d7bf8084346644a29667535d1be0b79805c8bed35e761a8a527"
+            == "887142cf1d0af0aaaf35ab4cc506b8ff7697cf7a222e78c8e7e8f48483e6de64"
         )
 
 
