@@ -1,16 +1,18 @@
 """Throughput benchmark entry point: emits a ``BENCH_perf.json`` record.
 
-Runs the performance-critical workloads (chunked/streaming Monte Carlo for
-single versions, paired 1-out-of-2 systems and 1-out-of-r systems, plus the
-exact-PFD kernel with its bracket widths) and writes one JSON record with
-replications-per-second, wall time and peak RSS per workload, so future
-changes have a perf trajectory to regress against.
+Runs the performance-critical workloads (Monte Carlo engines, the exact-PFD
+kernel, studies, serving, the cluster, telemetry and start-up) and writes one
+JSON record with wall time, throughput and peak RSS per workload, so future
+changes have a perf trajectory to regress against.  Each workload runs in its
+*own subprocess*: peak RSS (``ru_maxrss``) is a process-wide high-water mark.
 
-Each workload runs in its *own subprocess*: peak RSS (``ru_maxrss``) is a
-process-wide high-water mark, so isolating workloads is the only way to
-attribute memory honestly.  The two sides of each engine ratio gate (see
-:data:`ALTERNATED`) run in :data:`ROUNDS` alternated rounds, still one
-subprocess per run, and the gate reads the median of the per-round ratios.
+Every ratio that ``--check`` gates is timed one way, by :func:`alternate`:
+its sides run in :data:`ROUNDS` rounds (``dispatch``: five), in reverse order
+on every other round, and the gate reads the median per-round ratio.  Its
+:func:`speedup` summary (per-round ratios, each side's per-round and median
+seconds and spread) sits in the workload's ``gate_rounds`` under the gated
+key, and a failed check prints it.  The engine gates (:data:`ALTERNATED`)
+run one subprocess per side per round.
 
 Usage::
 
@@ -25,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -54,102 +57,92 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+#: Rounds of every alternated ratio gate (see :func:`alternate`).
+ROUNDS = 3
+
+
+def alternate(sides: dict, rounds: int = ROUNDS) -> dict[str, list[dict]]:
+    """Each side's measurements after ``rounds`` rounds, in reverse order on odd rounds.
+
+    ``sides`` maps a name to a callable of the round index that runs that
+    side once and returns its measurement, a dict with its ``seconds``.
+    Run once each, in one order, a ratio carries whatever the host drifted
+    by between its sides; reversing the order every other round spreads
+    that drift over both, and a median of per-round ratios
+    (:func:`speedup`) ignores one disturbed round.
+    """
+    runs = {name: [] for name in sides}
+    for index in range(rounds):
+        for name in list(sides) if index % 2 == 0 else list(sides)[::-1]:
+            runs[name].append(sides[name](index))
+    return runs
+
+
+def speedup(runs: dict[str, list[dict]], side: str, reference: str) -> dict:
+    """``reference`` seconds / ``side`` seconds in each of :func:`alternate`'s rounds.
+
+    The per-round ratios and their median, and under ``seconds`` each
+    side's per-round and median seconds and their spread, (slowest -
+    fastest) / median.
+    """
+    seconds = {name: [run["seconds"] for run in runs[name]] for name in (side, reference)}
+    ratios = [theirs / ours for ours, theirs in zip(seconds[side], seconds[reference])]
+    return {
+        "side": side,
+        "reference": reference,
+        "round_ratios": [round(ratio, 4) for ratio in ratios],
+        "median_ratio": round(statistics.median(ratios), 4),
+        "seconds": {
+            name: {
+                "rounds": [round(value, 6) for value in values],
+                "median": round(statistics.median(values), 6),
+                "spread": round((max(values) - min(values)) / statistics.median(values), 3),
+            }
+            for name, values in seconds.items()
+        },
+    }
+
+
 # --------------------------------------------------------------------- #
 # Workloads (each runs in a fresh subprocess)
 # --------------------------------------------------------------------- #
-def workload_single(quick: bool) -> dict:
-    """Streaming single-version throughput on the n=200 scenario."""
+#: The engine workloads on the n=200 scenario: name -> (engine method, its
+#: extra arguments, quick and full replications, the result figure kept).
+#: Both sides of each engine gate (:data:`ALTERNATED`) run the same
+#: replications, so their seconds divide as their throughputs do.  Full
+#: ``paired`` is the acceptance workload: 10M replications at n=200 within
+#: a ~500 MB peak RSS, where a dense draw would need three ``(10M, 200)``
+#: float64 uniform matrices.
+ENGINE_WORKLOADS = {
+    "single": ("simulate_single_streaming", {}, (500_000, 2_000_000), "mean_pfd"),
+    "paired": ("simulate_paired", {}, (1_000_000, 10_000_000), "risk_ratio"),
+    "paired_streaming": ("simulate_paired_streaming", {}, (1_000_000, 10_000_000), "risk_ratio"),
+    "one_out_of_r": (
+        "simulate_systems_streaming", {"versions": 3}, (500_000, 2_000_000), "mean_pfd"
+    ),
+}
+
+
+def workload_engine(name: str, quick: bool) -> dict:
+    """Monte Carlo engine throughput: one :data:`ENGINE_WORKLOADS` entry."""
     from repro.experiments.scenarios import many_small_faults_scenario
     from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
 
-    replications = 500_000 if quick else 2_000_000
+    method, options, (quick_size, full_size), figure = ENGINE_WORKLOADS[name]
+    replications = quick_size if quick else full_size
     engine = MonteCarloEngine(many_small_faults_scenario(n=200))
     start = time.perf_counter()
-    result = engine.simulate_single_streaming(replications, rng=7)
+    result = getattr(engine, method)(replications, rng=7, **options)
     elapsed = time.perf_counter() - start
     return {
         "replications": replications,
+        **options,
         "n": 200,
         "chunk_size": CHUNK_ROWS,
-        "seconds": round(elapsed, 3),
+        "seconds": round(elapsed, 4),
         "replications_per_second": round(replications / elapsed),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
-        "mean_pfd": result.mean_pfd(),
-    }
-
-
-def workload_paired(quick: bool) -> dict:
-    """Chunked ``simulate_paired`` (full sample collection) on the n=200 scenario.
-
-    The full (non-quick) size is the acceptance workload: 10M replications at
-    n=200 must fit a ~500 MB peak-RSS budget; a dense draw would need three
-    ``(10M, 200)`` float64 uniform matrices (~48 GB transient, >30 GB at
-    once).
-    """
-    from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
-
-    replications = 1_000_000 if quick else 10_000_000
-    engine = MonteCarloEngine(many_small_faults_scenario(n=200))
-    start = time.perf_counter()
-    result = engine.simulate_paired(replications, rng=7)
-    elapsed = time.perf_counter() - start
-    return {
-        "replications": replications,
-        "n": 200,
-        "chunk_size": CHUNK_ROWS,
-        "seconds": round(elapsed, 3),
-        "replications_per_second": round(replications / elapsed),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
-        "risk_ratio": result.risk_ratio(),
-    }
-
-
-def workload_paired_streaming(quick: bool) -> dict:
-    """Constant-memory streaming variant of the paired workload.
-
-    Runs at the engine's fixed chunk size, like :func:`workload_paired`, so
-    the two numbers isolate the streaming-vs-sample-collection difference
-    (the ``--check`` gate compares their throughputs).
-    """
-    from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
-
-    replications = 1_000_000 if quick else 10_000_000
-    engine = MonteCarloEngine(many_small_faults_scenario(n=200))
-    start = time.perf_counter()
-    result = engine.simulate_paired_streaming(replications, rng=7)
-    elapsed = time.perf_counter() - start
-    return {
-        "replications": replications,
-        "n": 200,
-        "chunk_size": CHUNK_ROWS,
-        "seconds": round(elapsed, 3),
-        "replications_per_second": round(replications / elapsed),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
-        "risk_ratio": result.risk_ratio(),
-    }
-
-
-def workload_one_out_of_r(quick: bool) -> dict:
-    """Streaming 1-out-of-3 system throughput on the n=200 scenario."""
-    from repro.experiments.scenarios import many_small_faults_scenario
-    from repro.montecarlo.engine import CHUNK_ROWS, MonteCarloEngine
-
-    replications = 500_000 if quick else 2_000_000
-    engine = MonteCarloEngine(many_small_faults_scenario(n=200))
-    start = time.perf_counter()
-    result = engine.simulate_systems_streaming(replications, versions=3, rng=7)
-    elapsed = time.perf_counter() - start
-    return {
-        "replications": replications,
-        "versions": 3,
-        "n": 200,
-        "chunk_size": CHUNK_ROWS,
-        "seconds": round(elapsed, 3),
-        "replications_per_second": round(replications / elapsed),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
-        "mean_pfd": result.mean_pfd(),
+        figure: getattr(result, figure)(),
     }
 
 
@@ -341,39 +334,30 @@ def _run_per_point(
 def workload_sweep1000(quick: bool) -> dict:
     """1000-point sweep: grouped study dispatch versus per-point tasks, per method.
 
-    One ``p_scale`` axis with 500 values evaluated by ``exact`` and
-    ``montecarlo`` (2 x 500 = 1000 points, 100 in quick mode).  Each method
-    runs as its own study over fresh caches (jobs=4): once through
-    ``run_study`` (grouped) and once one task per point
-    (:func:`_run_per_point`), in :data:`ROUNDS` rounds that alternate which
-    side goes first.  ``{method}_speedup`` is the median over the rounds of
-    reference seconds / grouped seconds (``{method}_round_ratios`` beside
-    it, and every side's per-round seconds under
-    ``{method}_{side}_round_seconds``).  Exact sweeps run the scalar kernel
-    per point either way (the records are checked equal), so
-    ``exact_speedup``, against the ``per_point`` side, only says that
-    grouping is no slower than per-point dispatch.  A lone ``montecarlo``
-    within the sparse kernel's budget is its own one-point sweep, so the
-    ``per_point`` side
-    runs the sweep kernel too; ``montecarlo_speedup`` is read against a
-    third side that does not move with it, ``dense_per_point``
-    (:func:`_dense_point`: the dense engine per point, a retired path that
-    serving no longer takes for these points), and
-    ``montecarlo_lone_speedup`` (ungated) against ``per_point``, the path
-    serving does take.
-    ``speedup`` is the combined grouped / ``per_point`` figure over both
-    methods' median times.
+    One ``p_scale`` axis with 500 values (50 quick) evaluated by ``exact``
+    and ``montecarlo``.  Each method runs as its own study over fresh
+    caches (jobs=4), once through ``run_study`` (grouped) and once one task
+    per point (:func:`_run_per_point`), in :func:`alternate` rounds;
+    ``{method}_speedup`` is the median per-round ratio of reference to
+    grouped seconds.  Exact sweeps run the scalar kernel per point either
+    way (the records are checked equal), so ``exact_speedup``, against the
+    ``per_point`` side, only says that grouping is no slower.  A lone
+    ``montecarlo`` within the sparse kernel's budget is its own one-point
+    sweep, so the ``per_point`` side runs the sweep kernel too;
+    ``montecarlo_speedup`` is read against a third side that does not move
+    with it, ``dense_per_point`` (:func:`_dense_point`: the dense engine per
+    point, a retired path that serving no longer takes for these points),
+    and ``montecarlo_lone_speedup`` (ungated) against ``per_point``, the
+    path serving does take.  ``speedup`` is the combined grouped /
+    ``per_point`` figure over both methods' median times.
 
     ``exact_tail_shared_speedup`` compares one ``exact`` + ``tail-quantile``
     study over 50 of the sweep's ``p_scale`` points with the two
-    single-method studies over the same points, each on a fresh cache, at
-    the default ``max_support`` where the kernel dominates: the combined
-    study computes each point's exact distribution once and both methods
-    read it.  Both sides run in-process, so the ratio measures the kernel
-    work saved rather than pool start-up, in :data:`ROUNDS` rounds that
-    alternate which side goes first; ``exact_tail_shared_speedup`` is the
-    median of ``exact_tail_shared_round_ratios`` (separate seconds / shared
-    seconds), with both sides' per-round seconds beside it.
+    single-method studies over the same points, at the default
+    ``max_support`` where the kernel dominates: the combined study computes
+    each point's exact distribution once and both methods read it.  Both
+    sides run in-process, so the ratio measures the kernel work saved
+    rather than pool start-up.
     """
     import shutil
     import tempfile
@@ -407,75 +391,81 @@ def workload_sweep1000(quick: bool) -> dict:
     # costs (about half a second, as much as a whole quick exact pass).
     warmup = spec("bench-sweep1000-warmup", {"values": [0.5, 1.0]}, list(methods.values()))
     run_study(warmup, jobs=jobs)
-    seconds: dict[tuple[str, str], list[float]] = {}
-    tasks = {"grouped": 0, "per_point": 0}
     with tempfile.TemporaryDirectory() as tmp:
         _run_per_point(warmup, f"{tmp}/warmup", jobs)
-        for name, method in methods.items():
-            sweep = spec(f"bench-sweep1000-{name}", {"logspace": [0.05, 1.0, points]}, [method])
-            for index in range(ROUNDS):
-                sides = sides_of[name] if index % 2 == 0 else sides_of[name][::-1]
-                for side in sides:
-                    cache_dir = f"{tmp}/{name}-{side}-{index}"
-                    start = time.perf_counter()
-                    if side == "grouped":
-                        result = run_study(sweep, cache_dir=cache_dir, jobs=jobs)
-                        count, computed = result.summary["dispatched_tasks"], result.summary["computed"]
-                    else:
-                        point = _dense_point if side == "dense_per_point" else _evaluate_point
-                        count, fresh = _run_per_point(sweep, cache_dir, jobs, point)
-                        computed = len(fresh)
-                    seconds.setdefault((name, side), []).append(time.perf_counter() - start)
-                    # Entries pile up in the file system otherwise, and each
-                    # round's stores would run slower than the last.
-                    shutil.rmtree(cache_dir)
-                    if index == 0 and side in tasks:
-                        tasks[side] += count
-                    if computed != points:
-                        raise RuntimeError(f"{name} {side}: computed {computed} of {points} points")
-                if name == "exact":
-                    grouped = {
-                        entry.digest: row
-                        for entry, row in zip(plan_study(sweep), result.records)
-                    }
-                    for digest, metrics in fresh.items():
-                        if {key: grouped[digest][key] for key in metrics} != metrics:
-                            raise RuntimeError("exact: a grouped record differs from its per-point record")
+
+        # A side: ``run(cache_dir)`` timed on a fresh cache, removed after:
+        # entries pile up otherwise, and each round's stores run slower.
+        def timed(label: str, run):
+            def one_round(index: int) -> dict:
+                cache_dir = f"{tmp}/{label}-{index}"
+                start = time.perf_counter()
+                result = run(cache_dir)
+                seconds = time.perf_counter() - start
+                shutil.rmtree(cache_dir)
+                return {"seconds": seconds, "result": result}
+
+            return one_round
+
+        def method_side(name: str, side: str):
+            def run(cache_dir: str) -> tuple[int, object]:
+                """``(dispatched tasks, records)``."""
+                if side == "grouped":
+                    result = run_study(sweeps[name], cache_dir=cache_dir, jobs=jobs)
+                    tasks, computed = result.summary["dispatched_tasks"], result.summary["computed"]
+                    records = result.records
+                else:
+                    point = _dense_point if side == "dense_per_point" else _evaluate_point
+                    tasks, records = _run_per_point(sweeps[name], cache_dir, jobs, point)
+                    computed = len(records)
+                if computed != points:
+                    raise RuntimeError(f"{name} {side}: computed {computed} of {points} points")
+                return tasks, records
+
+            return timed(f"{name}-{side}", run)
+
+        sweeps = {
+            name: spec(f"bench-sweep1000-{name}", {"logspace": [0.05, 1.0, points]}, [method])
+            for name, method in methods.items()
+        }
+        runs = {
+            name: alternate({side: method_side(name, side) for side in sides_of[name]})
+            for name in methods
+        }
+        digests = [entry.digest for entry in plan_study(sweeps["exact"])]
+        for grouped, per_point in zip(runs["exact"]["grouped"], runs["exact"]["per_point"]):
+            records = dict(zip(digests, grouped["result"][1]))
+            for digest, metrics in per_point["result"][1].items():
+                if {key: records[digest][key] for key in metrics} != metrics:
+                    raise RuntimeError("exact: a grouped record differs from its per-point record")
         axis = {"logspace": [0.05, 1.0, 50]}
         pair = [{"name": "exact"}, {"name": "tail-quantile"}]
-        studies = {
-            "shared": [spec("bench-sweep1000-shared", axis, pair)],
-            "separate": [
-                spec(f"bench-sweep1000-{method['name']}-alone", axis, [method]) for method in pair
-            ],
-        }
-        pair_seconds: dict[str, list[float]] = {label: [] for label in studies}
-        for index in range(ROUNDS):
-            for label in ("shared", "separate") if index % 2 == 0 else ("separate", "shared"):
-                cache_dirs = [
-                    f"{tmp}/{label}-{index}-{position}" for position in range(len(studies[label]))
-                ]
-                start = time.perf_counter()
-                for sweep, cache_dir in zip(studies[label], cache_dirs):
-                    run_study(sweep, cache_dir=cache_dir)
-                pair_seconds[label].append(time.perf_counter() - start)
-                for cache_dir in cache_dirs:
-                    shutil.rmtree(cache_dir)
-    def round_ratios(name: str, reference: str) -> list[float]:
-        return [
-            slow / grouped
-            for slow, grouped in zip(seconds[name, reference], seconds[name, "grouped"])
-        ]
 
-    ratios = {name: round_ratios(name, sides_of[name][1]) for name in methods}
-    lone_ratios = round_ratios("montecarlo", "per_point")
-    pair_ratios = [
-        separate / shared
-        for separate, shared in zip(pair_seconds["separate"], pair_seconds["shared"])
-    ]
-    median = {key: statistics.median(values) for key, values in seconds.items()}
-    grouped_elapsed = sum(median[name, "grouped"] for name in methods)
-    per_point_elapsed = sum(median[name, "per_point"] for name in methods)
+        def studies(label: str, sweeps: list):
+            def run(cache_dir: str) -> None:
+                for position, sweep in enumerate(sweeps):
+                    run_study(sweep, cache_dir=f"{cache_dir}/{position}")
+
+            return timed(label, run)
+
+        shared = alternate(
+            {
+                "shared": studies("shared", [spec("bench-sweep1000-shared", axis, pair)]),
+                "separate": studies(
+                    "separate",
+                    [spec(f"bench-sweep1000-{m['name']}-alone", axis, [m]) for m in pair],
+                ),
+            }
+        )
+    summaries = {
+        f"{name}_speedup": speedup(runs[name], "grouped", sides_of[name][1]) for name in methods
+    }
+    summaries["montecarlo_lone_speedup"] = speedup(runs["montecarlo"], "grouped", "per_point")
+    summaries["exact_tail_shared_speedup"] = speedup(shared, "shared", "separate")
+    grouped_elapsed, per_point_elapsed = (
+        sum(statistics.median(run["seconds"] for run in runs[name][side]) for name in methods)
+        for side in ("grouped", "per_point")
+    )
     total_points = points * len(methods)
     return {
         "points": total_points,
@@ -487,34 +477,17 @@ def workload_sweep1000(quick: bool) -> dict:
         "grouped_points_per_second": round(total_points / grouped_elapsed, 1),
         "per_point_points_per_second": round(total_points / per_point_elapsed, 1),
         "speedup": round(per_point_elapsed / grouped_elapsed, 1),
+        **{key: round(summary["median_ratio"], 2) for key, summary in summaries.items()},
+        **{f"{name}_speedup_reference": sides_of[name][1] for name in methods},
         **{
-            key: value
-            for name in methods
-            for key, value in (
-                (f"{name}_speedup", round(statistics.median(ratios[name]), 2)),
-                (f"{name}_speedup_reference", sides_of[name][1]),
-                (f"{name}_round_ratios", [round(ratio, 2) for ratio in ratios[name]]),
-            )
+            f"dispatched_tasks_{side}": sum(runs[name][side][0]["result"][0] for name in methods)
+            for side in ("grouped", "per_point")
         },
-        "montecarlo_lone_speedup": round(statistics.median(lone_ratios), 2),
-        "montecarlo_lone_round_ratios": [round(ratio, 2) for ratio in lone_ratios],
         **{
-            f"{name}_{side}_round_seconds": [round(s, 3) for s in seconds[name, side]]
-            for name in methods
-            for side in sides_of[name]
+            f"exact_tail_{label}_seconds": round(seconds["median"], 3)
+            for label, seconds in summaries["exact_tail_shared_speedup"]["seconds"].items()
         },
-        "dispatched_tasks_grouped": tasks["grouped"],
-        "dispatched_tasks_per_point": tasks["per_point"],
-        **{
-            key: value
-            for label in pair_seconds
-            for key, value in (
-                (f"exact_tail_{label}_seconds", round(statistics.median(pair_seconds[label]), 3)),
-                (f"exact_tail_{label}_round_seconds", [round(s, 3) for s in pair_seconds[label]]),
-            )
-        },
-        "exact_tail_shared_speedup": round(statistics.median(pair_ratios), 2),
-        "exact_tail_shared_round_ratios": [round(ratio, 2) for ratio in pair_ratios],
+        "gate_rounds": summaries,
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
@@ -523,24 +496,29 @@ def workload_service_throughput(quick: bool) -> dict:
     """Evaluation service: micro-batched concurrent serving versus serial references.
 
     A sweep-style workload (one montecarlo point per request across a
-    ``p_scale`` axis) fired at a live server three ways: N concurrent
-    clients (grouped by the micro-batcher into shared-demand kernel calls),
-    the same N requests one at a time (each a lone request, which on this
-    sparse model is its own one-point sweep), and the concurrent burst again
-    (warm: answered from the LRU with zero recomputation, enforced here).
+    ``p_scale`` axis) run three ways in each of :func:`alternate`'s rounds:
+    ``burst``, N concurrent clients against a fresh server (grouped by the
+    micro-batcher into shared-demand kernel calls), then the burst again,
+    warm (answered from the LRU with zero recomputation, enforced here);
+    ``dense_serial``, the dense engine in-process on each point's rescaled
+    model in turn; and ``serial``, the N requests one at a time against a
+    fresh server (each a lone request, which on this sparse model is its
+    own one-point sweep).
 
-    ``speedup``, the gated ratio, reads the burst against a fixed reference
-    that the lone path does not move: the dense engine run in-process on
-    each point's rescaled model, one after another (``dense_serial_seconds``,
-    ``speedup_reference``).  That is a retired path: the server no longer
-    runs it for these requests.  ``lone_speedup`` (ungated) reads the burst
-    against the serial requests, the path the server does run; at quick
-    sizes it is below 1, so this gate no longer shows that micro-batching
-    beats serial serving.
+    ``speedup``, the gated ratio, reads the burst against ``dense_serial``:
+    a fixed reference that the lone path does not move, though a retired
+    one (the server no longer runs it for these requests).
+    ``lone_speedup`` (ungated) reads it against ``serial``, the path the
+    server does run; at quick sizes it is below 1, so this gate no longer
+    shows that micro-batching beats serial serving.  The server counters
+    are the last round's.
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    import numpy as np
+
     from repro.experiments.scenarios import many_small_faults_scenario
+    from repro.montecarlo.engine import MonteCarloEngine
     from repro.service import EvaluationServer, ServiceClient, start_in_background
 
     points = 16 if quick else 32
@@ -549,83 +527,84 @@ def workload_service_throughput(quick: bool) -> dict:
     model = many_small_faults_scenario(n=100)
     scales = [0.1 + 0.9 * index / (points - 1) for index in range(points)]
 
-    def burst(client: ServiceClient, seed: int) -> float:
-        def one(scale: float):
-            return client.evaluate(
-                model,
-                "montecarlo",
-                options={"replications": replications},
-                seed=seed,
-                p_scale=scale,
-            )
+    def request(client: ServiceClient, scale: float):
+        options = {"replications": replications}
+        return client.evaluate(model, "montecarlo", options=options, seed=7, p_scale=scale)
 
+    def concurrent(client: ServiceClient) -> float:
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=points) as pool:
-            list(pool.map(one, scales))
+            list(pool.map(lambda scale: request(client, scale), scales))
         return time.perf_counter() - start
 
-    server = EvaluationServer(batch_window_ms=window_ms, lru_size=4 * points)
-    with start_in_background(server) as handle:
-        client = ServiceClient(port=handle.port)
-        batched_elapsed = burst(client, seed=7)
-        after_cold = client.metrics()
-        warm_elapsed = burst(client, seed=7)
-        after_warm = client.metrics()
-    recomputed = after_warm["evaluations_computed"] - after_cold["evaluations_computed"]
-    if recomputed != 0:
-        raise RuntimeError(f"warm burst recomputed {recomputed} evaluations")
-    if after_cold["batched_groups"] < 1:
-        raise RuntimeError("concurrent burst produced no batched group")
+    def burst(_) -> dict:
+        server = EvaluationServer(batch_window_ms=window_ms, lru_size=4 * points)
+        with start_in_background(server) as handle:
+            client = ServiceClient(port=handle.port)
+            seconds = concurrent(client)
+            after_cold = client.metrics()
+            warm_seconds = concurrent(client)
+            after_warm = client.metrics()
+        recomputed = after_warm["evaluations_computed"] - after_cold["evaluations_computed"]
+        if recomputed != 0:
+            raise RuntimeError(f"warm burst recomputed {recomputed} evaluations")
+        if after_cold["batched_groups"] < 1:
+            raise RuntimeError("concurrent burst produced no batched group")
+        return {
+            "seconds": seconds,
+            "warm_seconds": warm_seconds,
+            "batched_groups": after_cold["batched_groups"],
+            "max_group_size": after_cold["max_group_size"],
+            "warm_recomputed": recomputed,
+            "warm_cache_hits": after_warm["cache_hits_lru"] - after_cold["cache_hits_lru"],
+        }
 
-    # Serial baseline against a fresh server: same requests, one at a time,
-    # no cache or grouping carry-over.  Window 0 so lone requests dispatch
-    # immediately -- the baseline measures scalar evaluation throughput, not
-    # batching-window latency.
-    serial_server = EvaluationServer(batch_window_ms=0.0, lru_size=4 * points)
-    with start_in_background(serial_server) as handle:
-        client = ServiceClient(port=handle.port)
+    def dense_serial(_) -> dict:
+        # What each serial request computed before a lone montecarlo within
+        # the sparse kernel's budget became its one-point sweep, without the
+        # wire.
         start = time.perf_counter()
         for scale in scales:
-            client.evaluate(
-                model,
-                "montecarlo",
-                options={"replications": replications},
-                seed=7,
-                p_scale=scale,
-            )
-        serial_elapsed = time.perf_counter() - start
+            rng = np.random.default_rng(np.random.SeedSequence([7]))
+            MonteCarloEngine(model.rescaled(scale)).simulate_paired_streaming(replications, rng=rng)
+        return {"seconds": time.perf_counter() - start}
 
-    # The gate's reference, a retired path: what each serial request
-    # computed before a lone montecarlo within the sparse kernel's budget
-    # became its one-point sweep, without the wire.
-    import numpy as np
+    def serial(_) -> dict:
+        # Window 0 so lone requests dispatch immediately: the reference
+        # measures scalar evaluation throughput, not batching-window latency.
+        server = EvaluationServer(batch_window_ms=0.0, lru_size=4 * points)
+        with start_in_background(server) as handle:
+            client = ServiceClient(port=handle.port)
+            start = time.perf_counter()
+            for scale in scales:
+                request(client, scale)
+            return {"seconds": time.perf_counter() - start}
 
-    from repro.montecarlo.engine import MonteCarloEngine
-
-    start = time.perf_counter()
-    for scale in scales:
-        rng = np.random.default_rng(np.random.SeedSequence([7]))
-        MonteCarloEngine(model.rescaled(scale)).simulate_paired_streaming(replications, rng=rng)
-    dense_elapsed = time.perf_counter() - start
-
+    runs = alternate({"burst": burst, "dense_serial": dense_serial, "serial": serial})
+    summaries = {
+        "speedup": speedup(runs, "burst", "dense_serial"),
+        "lone_speedup": speedup(runs, "burst", "serial"),
+    }
+    median = {side: statistics.median(run["seconds"] for run in runs[side]) for side in runs}
+    warm_seconds = statistics.median(run["warm_seconds"] for run in runs["burst"])
     return {
         "points": points,
         "replications": replications,
         "batch_window_ms": window_ms,
-        "batched_seconds": round(batched_elapsed, 3),
-        "serial_seconds": round(serial_elapsed, 3),
-        "dense_serial_seconds": round(dense_elapsed, 3),
-        "warm_seconds": round(warm_elapsed, 4),
-        "speedup": round(dense_elapsed / batched_elapsed, 1),
+        "batched_seconds": round(median["burst"], 3),
+        "serial_seconds": round(median["serial"], 3),
+        "dense_serial_seconds": round(median["dense_serial"], 3),
+        "warm_seconds": round(warm_seconds, 4),
+        **{key: round(summary["median_ratio"], 1) for key, summary in summaries.items()},
         "speedup_reference": "dense_serial",
-        "lone_speedup": round(serial_elapsed / batched_elapsed, 1),
-        "warm_speedup": round(serial_elapsed / warm_elapsed, 1),
-        "batched_requests_per_second": round(points / batched_elapsed, 1),
-        "serial_requests_per_second": round(points / serial_elapsed, 1),
-        "batched_groups": after_cold["batched_groups"],
-        "max_group_size": after_cold["max_group_size"],
-        "warm_recomputed": recomputed,
-        "warm_cache_hits": after_warm["cache_hits_lru"] - after_cold["cache_hits_lru"],
+        "warm_speedup": round(median["serial"] / warm_seconds, 1),
+        "batched_requests_per_second": round(points / median["burst"], 1),
+        "serial_requests_per_second": round(points / median["serial"], 1),
+        **{
+            key: runs["burst"][-1][key]
+            for key in ("batched_groups", "max_group_size", "warm_recomputed", "warm_cache_hits")
+        },
+        "gate_rounds": summaries,
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
@@ -775,11 +754,9 @@ def workload_cluster_loadgen(quick: bool) -> dict:
     Every shard gets a single-process worker pool (``workers=1``), so two
     shards behind the router are two real worker processes and the routed
     cold phase measures scale-out compute throughput.  The two cold sides
-    run in :data:`ROUNDS` rounds that alternate which side goes first, each
-    side on freshly started servers, and ``routed_speedup`` is the median
-    of the rounds' routed / single throughput ratios (``round_ratios``,
-    with both sides' per-round rates beside it).  The single shard no
-    longer always runs first, in the coldest process.
+    run in :func:`alternate` rounds, each on freshly started servers, and
+    serve the same requests, so ``routed_speedup`` is the median per-round
+    ratio of single to routed seconds.
 
     Each payload owns its batch-group key on one routed shard, and
     :func:`_even_split` gives each shard half of them, so the two worker
@@ -836,11 +813,13 @@ def workload_cluster_loadgen(quick: bool) -> dict:
     def shard() -> EvaluationServer:
         return EvaluationServer(workers=1, batch_window_ms=0.0, lru_size=4 * distinct)
 
-    def single_side() -> dict:
+    def single_side(_) -> dict:
         with start_in_background(shard(), port=single_port) as handle:
             return drive(handle.port, "cold", payloads)
 
-    def routed_side(last: bool) -> tuple[dict, dict]:
+    after = {}
+
+    def routed_side(index: int) -> dict:
         """The routed cold phase; in the last round, the warm and duplicate phases too."""
         shards = shard(), shard()
 
@@ -854,8 +833,8 @@ def workload_cluster_loadgen(quick: bool) -> dict:
             split = computed()
             if split != [distinct // 2] * 2:
                 raise RuntimeError(f"routing did not split the keys evenly: {split}")
-            if not last:
-                return cold, {}
+            if index < ROUNDS - 1:
+                return cold
             warm = drive(routed.port, "warm", payloads)
             warm_recomputed = sum(computed()) - sum(split)
             duplicates_report = drive(routed.port, "duplicates", duplicates)
@@ -864,34 +843,21 @@ def workload_cluster_loadgen(quick: bool) -> dict:
             raise RuntimeError(f"warm phase recomputed {warm_recomputed} evaluations")
         if any(not state["healthy"] for state in health["shards"].values()):
             raise RuntimeError(f"router ejected a shard during the run: {health}")
-        return cold, {
-            "warm": warm,
-            "warm_recomputed": warm_recomputed,
-            "duplicates": duplicates_report,
-            "shard_computed": split,
-        }
+        after.update(
+            warm=warm,
+            warm_recomputed=warm_recomputed,
+            duplicates=duplicates_report,
+            shard_computed=split,
+        )
+        return cold
 
-    single_cold, routed_cold, after = [], [], {}
-    for index in range(ROUNDS):
-        for side in ("single", "routed") if index % 2 == 0 else ("routed", "single"):
-            if side == "single":
-                single_cold.append(single_side())
-            else:
-                cold, phases = routed_side(last=index == ROUNDS - 1)
-                routed_cold.append(cold)
-                after.update(phases)
-    ratios = [
-        routed["throughput_rps"] / single["throughput_rps"]
-        for routed, single in zip(routed_cold, single_cold)
-    ]
+    runs = alternate({"single": single_side, "routed": routed_side})
+    summary = speedup(runs, "routed", "single")
     return {
         "distinct": distinct,
         "replications": replications,
         "cpus": os.cpu_count(),
-        "routed_speedup": round(statistics.median(ratios), 2),
-        "round_ratios": [round(ratio, 2) for ratio in ratios],
-        "single_cold_round_rps": [report["throughput_rps"] for report in single_cold],
-        "routed_cold_round_rps": [report["throughput_rps"] for report in routed_cold],
+        "routed_speedup": round(summary["median_ratio"], 2),
         "warm_rps": after["warm"]["throughput_rps"],
         "warm_recomputed": after["warm_recomputed"],
         "warm_served": after["warm"]["served"],
@@ -899,8 +865,9 @@ def workload_cluster_loadgen(quick: bool) -> dict:
         "duplicates_served": after["duplicates"]["served"],
         "shard_ports": shard_ports,
         "shard_computed": after["shard_computed"],
-        "cold_latency_ms": routed_cold[-1]["latency_ms"],
+        "cold_latency_ms": runs["routed"][-1]["latency_ms"],
         "warm_latency_ms": after["warm"]["latency_ms"],
+        "gate_rounds": {"routed_speedup": summary},
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
@@ -979,12 +946,14 @@ def workload_chaos_soak(quick: bool) -> dict:
 def workload_dispatch(quick: bool) -> dict:
     """Registry-dispatch overhead of ``repro.evaluate`` versus a direct call.
 
-    Times the same resolved ``exact`` evaluation twice: calling the
+    Times the same resolved ``exact`` evaluation two ways: calling the
     registered function directly, and going through the full dispatch path
-    (registry lookup, option resolution, typed-result wrapping).  The
-    unified-API acceptance target is <5% overhead; the measured number is
-    recorded so regressions in the dispatch layer show up in the perf
-    trajectory.
+    (registry lookup, option resolution, typed-result wrapping).  Each of
+    ``repeats`` :func:`alternate` rounds times one block of ``calls`` calls
+    per path, and ``overhead_percent`` is (median per-round dispatched /
+    direct ratio - 1) x 100.  The unified-API acceptance target is <5%
+    overhead; the measured number is recorded so regressions in the
+    dispatch layer show up in the perf trajectory.
     """
     from repro.api import default_registry, evaluate
     from repro.experiments.scenarios import many_small_faults_scenario
@@ -999,28 +968,33 @@ def workload_dispatch(quick: bool) -> dict:
     definition.evaluate(model, resolved, None)
     evaluate(model, "exact", max_support=1024)
 
-    def time_block(run) -> float:
+    def time_block(run) -> dict:
         start = time.perf_counter()
         for _ in range(calls):
             run()
-        return time.perf_counter() - start
+        return {"seconds": time.perf_counter() - start}
 
-    # Alternate the two paths and keep each path's best block: back-to-back
-    # single blocks confound the comparison with CPU-frequency drift.
-    direct = dispatched = float("inf")
-    for _ in range(repeats):
-        direct = min(direct, time_block(lambda: definition.evaluate(model, resolved, None)))
-        dispatched = min(dispatched, time_block(lambda: evaluate(model, "exact", max_support=1024)))
+    runs = alternate(
+        {
+            "direct": lambda _: time_block(lambda: definition.evaluate(model, resolved, None)),
+            "dispatched": lambda _: time_block(lambda: evaluate(model, "exact", max_support=1024)),
+        },
+        rounds=repeats,
+    )
+    summary = speedup(runs, "direct", "dispatched")
     return {
         "method": "exact",
         "n": 200,
         "max_support": 1024,
         "calls": calls,
         "repeats": repeats,
-        "direct_us_per_call": round(direct / calls * 1e6, 1),
-        "dispatched_us_per_call": round(dispatched / calls * 1e6, 1),
-        "overhead_percent": round((dispatched - direct) / direct * 100.0, 2),
+        **{
+            f"{side}_us_per_call": round(summary["seconds"][side]["median"] / calls * 1e6, 1)
+            for side in ("direct", "dispatched")
+        },
+        "overhead_percent": round((summary["median_ratio"] - 1.0) * 100.0, 2),
         "overhead_budget_percent": 5.0,
+        "gate_rounds": {"overhead_percent": summary},
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
@@ -1249,41 +1223,45 @@ def workload_cold_start(quick: bool) -> dict:
 
     Every CLI call, shard, router, pool worker and study process pays this
     before its first evaluation.  Each import runs in its own fresh
-    subprocess, three times; the record keeps the best CPU and RSS of the
-    three and whether any run loaded scipy (only the normal-approximation
-    methods need it, and they import it on first use).
+    subprocess, once in each of :func:`alternate`'s rounds; the record keeps
+    the best CPU and RSS of the rounds and whether any run loaded scipy
+    (only the normal-approximation methods need it, and they import it on
+    first use).  ``cli_vs_numpy_cpu_ratio`` is the median per-round ratio
+    of ``repro.cli``'s CPU seconds to ``numpy``'s.
     """
-    runs = 3
     src = str(REPO_ROOT / "src")
-    imports = {}
-    for module in COLD_START_IMPORTS:
-        samples = []
-        for _ in range(runs):
-            completed = subprocess.run(
-                [sys.executable, "-c", _COLD_START_PROBE.format(module=module), src],
-                capture_output=True, text=True, check=True, timeout=300,
-            )
-            samples.append(json.loads(completed.stdout))
-        imports[module] = {
-            "cpu_s": round(min(sample["cpu_s"] for sample in samples), 3),
-            "max_rss_mb": round(min(sample["max_rss_mb"] for sample in samples), 1),
-            "scipy_loaded": any(sample["scipy_loaded"] for sample in samples),
+
+    def probe(module: str) -> dict:
+        completed = subprocess.run(
+            [sys.executable, "-c", _COLD_START_PROBE.format(module=module), src],
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        sample = json.loads(completed.stdout)
+        return {**sample, "seconds": sample["cpu_s"]}
+
+    samples = alternate(
+        {module: lambda _, module=module: probe(module) for module in COLD_START_IMPORTS}
+    )
+    summary = speedup(samples, "numpy", "repro.cli")
+    imports = {
+        module: {
+            "cpu_s": round(min(sample["cpu_s"] for sample in runs), 3),
+            "max_rss_mb": round(min(sample["max_rss_mb"] for sample in runs), 1),
+            "scipy_loaded": any(sample["scipy_loaded"] for sample in runs),
         }
+        for module, runs in samples.items()
+    }
     return {
-        "runs": runs,
+        "runs": ROUNDS,
         "imports": imports,
-        "cli_vs_numpy_cpu_ratio": round(
-            imports["repro.cli"]["cpu_s"] / imports["numpy"]["cpu_s"], 2
-        ),
+        "cli_vs_numpy_cpu_ratio": round(summary["median_ratio"], 2),
+        "gate_rounds": {"cli_vs_numpy_cpu_ratio": summary},
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 
 
 WORKLOADS = {
-    "single": workload_single,
-    "paired": workload_paired,
-    "paired_streaming": workload_paired_streaming,
-    "one_out_of_r": workload_one_out_of_r,
+    **{name: functools.partial(workload_engine, name) for name in ENGINE_WORKLOADS},
     "convolution": workload_convolution,
     "study": workload_study,
     "sweep1000": workload_sweep1000,
@@ -1301,16 +1279,22 @@ WORKLOADS = {
 # --------------------------------------------------------------------- #
 # Regression gate (--check)
 # --------------------------------------------------------------------- #
-def check_record(record: dict) -> list[str]:
+def check_record(record: dict) -> dict[str, list[str]]:
     """Machine-independent throughput invariants for the CI gate.
 
     Absolute wall-times vary wildly across runners, so every check is a
     *ratio* within one record: a failure means a relative regression (one
-    path got slower than its sibling), not a slow machine.
+    path got slower than its sibling), not a slow machine.  Returns each
+    failed check's label with the lines that explain it: every value its
+    predicate read and, for a ratio gate, the per-round ratios and both
+    sides' per-round seconds (the workload's ``gate_rounds``), so a failed
+    run shows whether the host or the code moved.
     """
     workloads = record.get("workloads", {})
+    reads: list[tuple[str, str]] = []
 
     def value(workload: str, key: str):
+        reads.append((workload, key))
         entry = workloads.get(workload, {})
         if "error" in entry:
             return None
@@ -1428,11 +1412,12 @@ def check_record(record: dict) -> list[str]:
         # that dominates the now-fast quick-size cold runs.
         ("study warm_speedup >= 5x", lambda: value("study", "warm_speedup") >= 5.0),
         # Dispatch overhead sanity: the registry layer adds microseconds to
-        # a ~3 ms evaluation, so the measured percentage is dominated by
-        # scheduler noise (observed spread: roughly -5%..+5% on shared
-        # runners).  The gate therefore only catches a *broken* dispatch
-        # layer -- per-call overhead comparable to the evaluation itself --
-        # while the recorded overhead_percent tracks the fine trajectory.
+        # a ~3 ms evaluation, so the measured percentage is host noise: the
+        # median of 5 alternated rounds read -9.9%..+5.3% over 20 quick runs
+        # on a 2-vCPU container (single rounds -34%..+42%).  The gate
+        # therefore only catches a *broken* dispatch layer -- per-call
+        # overhead comparable to the evaluation itself (a 2x dispatched side
+        # reads ~+105%) -- while overhead_percent tracks the trajectory.
         (
             "dispatch overhead sane (< 25%)",
             lambda: value("dispatch", "overhead_percent") < 25.0,
@@ -1497,63 +1482,74 @@ def check_record(record: dict) -> list[str]:
             lambda: value("cold_start", "cli_vs_numpy_cpu_ratio") <= 4.0,
         ),
     ]
-    failures = []
+    failures = {}
     for label, predicate in checks:
+        reads.clear()
         try:
             ok = bool(predicate())
         except TypeError:  # a workload errored out; report it as a failure
             ok = False
         if not ok:
-            failures.append(label)
+            failures[label] = [
+                line for workload, key in dict.fromkeys(reads)
+                for line in _explain(workloads.get(workload, {}), workload, key)
+            ]
     return failures
+
+
+def _explain(entry: dict, workload: str, key: str) -> list[str]:
+    """The value a check read and, for a ratio gate, its rounds."""
+    if "error" in entry:
+        return [f"{workload}: error: {entry['error'][-500:]}"]
+    summary = entry.get("gate_rounds", {}).get(key, {})
+    return [f"{workload}.{key} = {json.dumps(entry.get(key))[:300]}"] + [
+        f"  {label}: {json.dumps(summary[label])}"
+        for label in ("round_ratios", "seconds")
+        if label in summary
+    ]
 
 
 # --------------------------------------------------------------------- #
 # Orchestration
 # --------------------------------------------------------------------- #
-#: Engine ratio gates whose two sides are timed in alternated rounds: gated
-#: workload -> the workload its throughput is divided by.  Run once each, one
-#: after the other, a ratio carries whatever the host drifted by between the
-#: two runs; alternating which side goes first spreads that drift over both.
+#: Engine ratio gates: gated workload -> the workload its throughput is
+#: divided by.  Their sides run in :func:`alternate` rounds, one subprocess
+#: per run, so each ``peak_rss_mb`` still measures one side.
 ALTERNATED = {"paired_streaming": "paired", "one_out_of_r": "single"}
-ROUNDS = 3
 
 
 def _run_alternated(gated: str, reference: str, quick: bool) -> dict:
     """Both sides' records after :data:`ROUNDS` alternated rounds.
 
-    Each run is its own subprocess, so each ``peak_rss_mb`` measures one
-    side.  A side's record is its first run's, with the median
-    ``seconds`` and ``replications_per_second``, the largest
-    ``peak_rss_mb`` and every round's seconds; the gated side also records
-    the per-round throughput ratios and their median.
+    A side's record is its first run's, with the median ``seconds`` and
+    ``replications_per_second``, the largest ``peak_rss_mb`` and every
+    round's seconds; the gated side also records the per-round throughput
+    ratios, their median and, under ``rounds``, the full speedup summary.
     """
-    runs = {gated: [], reference: []}
-    for index in range(ROUNDS):
-        for name in (gated, reference) if index % 2 == 0 else (reference, gated):
-            runs[name].append(_run_in_subprocess(name, quick))
+    runs = alternate(
+        {name: lambda _, name=name: _run_in_subprocess(name, quick) for name in (gated, reference)}
+    )
     failed = [run for side in runs.values() for run in side if "error" in run]
     if failed:
         return {gated: failed[0], reference: failed[0]}
-    records = {}
-    for name, side in runs.items():
-        records[name] = {
+    summary = speedup(runs, gated, reference)
+    records = {
+        name: {
             **side[0],
-            "seconds": statistics.median(run["seconds"] for run in side),
+            "seconds": summary["seconds"][name]["median"],
             "replications_per_second": round(
                 statistics.median(run["replications_per_second"] for run in side)
             ),
             "peak_rss_mb": max(run["peak_rss_mb"] for run in side),
             "round_seconds": [run["seconds"] for run in side],
         }
-    ratios = [
-        ours["replications_per_second"] / theirs["replications_per_second"]
-        for ours, theirs in zip(runs[gated], runs[reference])
-    ]
+        for name, side in runs.items()
+    }
     records[gated].update(
         ratio_to=reference,
-        round_ratios=[round(ratio, 3) for ratio in ratios],
-        median_ratio=round(statistics.median(ratios), 3),
+        round_ratios=[round(ratio, 3) for ratio in summary["round_ratios"]],
+        median_ratio=round(summary["median_ratio"], 3),
+        gate_rounds={"median_ratio": summary},
     )
     return records
 
@@ -1633,8 +1629,10 @@ def main(argv=None) -> int:
     print(f"wrote {output}")
     if arguments.check:
         failures = check_record(record)
-        for failure in failures:
+        for failure, lines in failures.items():
             print(f"CHECK FAILED: {failure}")
+            for line in lines:
+                print(f"  {line}")
         if failures:
             return 1
         print("all throughput checks passed")

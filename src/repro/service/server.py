@@ -479,7 +479,7 @@ class EvaluationServer(HttpApp):
             return await asyncio.gather(
                 *(self.batcher.submit(request) for request in misses), return_exceptions=True
             )
-        self.registry.inc("evaluations_computed", len(misses))
+        self._record_group(len(misses), False)
         meta = {"batched": False, "group_size": len(misses)}
         return [(record, meta) for record in records]
 

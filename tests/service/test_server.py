@@ -521,6 +521,24 @@ class TestBatchEndpoint:
         assert [served["cached"] for served in warm["served"]] == ["lru"] * len(BATCH_REQUESTS)
         assert warm["results"] == cold["results"]
 
+    def test_a_batch_job_counts_as_one_dispatched_group(self, small_model):
+        requests = [{"method": "moments"}, {"method": "exact"}, {"method": "tail-quantile"}]
+        payload = {"model": small_model.to_dict(), "requests": requests, "seed": 11}
+        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+            client = ServiceClient(port=handle.port)
+            registry = handle.server.registry
+            counters = ("dispatched_groups", "evaluations_computed")
+            before = {name: registry[name] for name in counters}
+            client.request("POST", "/v1/evaluate/batch", payload)
+            cold = {name: registry[name] for name in counters}
+            client.request("POST", "/v1/evaluate/batch", payload)
+            warm = {name: registry[name] for name in counters}
+            max_group_size = registry["max_group_size"]
+        assert cold["dispatched_groups"] - before["dispatched_groups"] == 1
+        assert cold["evaluations_computed"] - before["evaluations_computed"] == 3
+        assert max_group_size >= 3
+        assert warm == cold
+
     def test_a_cold_batch_is_one_pool_job(self, small_model, monkeypatch):
         from repro.service import worker
 
