@@ -27,7 +27,7 @@ A dependency-free scale-out tier over :mod:`repro.service`:
 Shards share a cache tier among themselves (``repro serve --cache-peer``):
 on a local LRU + disk miss a shard asks its peers' ``GET /v1/cache/<digest>``
 surface, so a shard warmed by studies or earlier traffic answers for a cold
-one (see :mod:`repro.service.cache`).
+one (see :mod:`repro.service.server`).
 
 The router embeds exactly like the server::
 

@@ -272,8 +272,7 @@ class ShardRouter(HttpApp):
             if self.health.readmit(shard):
                 self.registry.inc("shard_readmits")
         elif not alive and not self.health.is_excluded(shard):
-            self.health.eject(shard)
-            self.registry.inc("shard_ejects")
+            self._eject(shard)
         elif alive:
             # No transition, but a fresh observation: recency is what the
             # peer-view merge's last-writer-wins trades on.
@@ -358,6 +357,18 @@ class ShardRouter(HttpApp):
     # ----------------------------------------------------------------- #
     # Forwarding with failover
     # ----------------------------------------------------------------- #
+    def _eject(
+        self, shard: str, cooldown: float | None = None, excluded: set | None = None
+    ) -> None:
+        """Eject ``shard`` until a probe sees it alive (or for ``cooldown``
+        seconds); during a ring walk, also fail over past it: count the
+        failover and add it to the walk's ``excluded``."""
+        self.health.eject(shard, cooldown)
+        self.registry.inc("shard_ejects")
+        if excluded is not None:
+            self.registry.inc("failovers")
+            excluded.add(shard)
+
     async def _forward(
         self, key: str, verb: str, path: str, body: bytes
     ) -> tuple[int, Any, dict, str | None]:
@@ -402,10 +413,7 @@ class ShardRouter(HttpApp):
                 except (ConnectionError, OSError, asyncio.TimeoutError):
                     # The shard is unreachable: out until a probe sees it
                     # alive, its key range spills to the next candidate.
-                    self.health.eject(shard)
-                    self.registry.inc("shard_ejects")
-                    self.registry.inc("failovers")
-                    excluded.add(shard)
+                    self._eject(shard, excluded=excluded)
                     continue
                 finally:
                     self.registry.observe(
@@ -418,10 +426,7 @@ class ShardRouter(HttpApp):
                     cooldown = (
                         retry_after if retry_after is not None else self.probe_interval
                     )
-                    self.health.eject(shard, cooldown)
-                    self.registry.inc("shard_ejects")
-                    self.registry.inc("failovers")
-                    excluded.add(shard)
+                    self._eject(shard, cooldown, excluded)
                     last_retryable = (
                         response.status,
                         response.json(),
@@ -431,10 +436,7 @@ class ShardRouter(HttpApp):
                 data = response.json()
                 if data is None and response.body:
                     # Garbage where JSON should be: treat like a dead shard.
-                    self.health.eject(shard)
-                    self.registry.inc("shard_ejects")
-                    self.registry.inc("failovers")
-                    excluded.add(shard)
+                    self._eject(shard, excluded=excluded)
                     continue
                 if shard != primary:
                     self.registry.inc("replica_read_fallbacks")

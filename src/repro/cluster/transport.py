@@ -2,8 +2,9 @@
 
 The event loop's HTTP client, mirroring the per-thread keep-alive of the
 blocking :class:`repro.service.client.ServiceClient`: each shard gets a
-small pool of persistent connections multiplexed across concurrent router
-requests, so a hop costs a round trip, not a TCP handshake.  A pooled
+small pool of persistent connections multiplexed across concurrent
+requests (a router's shard hops, a shard's cache-peer probes), so a hop
+costs a round trip, not a TCP handshake.  A pooled
 connection the shard closed between uses is detected on reuse (EOF or a
 reset where the response should be) and replaced transparently, counted in
 ``stats["reconnects"]``.  The idle pool is bounded (:data:`MAX_IDLE`): a

@@ -17,9 +17,9 @@ sweep kernels make cheap:
 * :mod:`~repro.service.worker` -- the picklable execution functions the
   process worker pool runs, byte-identical to :func:`repro.evaluate` /
   :func:`repro.evaluate_sweep`;
-* :mod:`~repro.service.cache` -- the response cache tiers: in-process LRU,
-  the shared on-disk :class:`~repro.cache.ResultCache`, and the cluster's
-  remote tier (peer shards' ``/v1/cache`` surface);
+* :mod:`~repro.service.cache` -- :class:`~repro.service.cache.ResponseCache`,
+  the in-process LRU tier (a shard's disk and peer tiers live in
+  :mod:`~repro.service.server`);
 * :mod:`~repro.service.http` -- the shared asyncio HTTP/1.1 framing used by
   both this server and the cluster shard router, and by the router to read
   shard responses;

@@ -1,23 +1,10 @@
-"""The service's response cache tiers: the in-process LRU and the remote client.
+"""The service's in-process response cache: the LRU tier.
 
-A shard probes three tiers, in order:
-
-* **LRU** (:class:`ResponseCache`) -- a bounded in-process mapping from
-  request digest to the exact wire record previously served.  Warm traffic
-  is answered without touching the executor, the disk or even a JSON
-  re-encode of the metrics;
-* **disk** -- the shared content-addressed :class:`repro.cache.ResultCache`
-  (``repro serve --cache-dir``), the same format and key scheme the study
-  runner uses.  The server holds it and calls it directly; its
-  ``store`` writes every entry, study-warmed or served.  Deterministic-method
-  entries warmed by a study over the same inline model are served to
-  service traffic directly, and survive server restarts;
-* **remote** (:class:`RemoteCacheClient`) -- the shared cluster tier
-  (``repro serve --cache-peer URL``): on a local miss, peer shards are asked
-  over their ``GET /v1/cache/<digest>`` surface.  Peers answer from their
-  *local* tiers only (never their own peers), so probes cannot recurse; a
-  hit back-fills this shard's LRU and disk, so a warm shard answers for a
-  cold one exactly once per key.
+:class:`ResponseCache` is a bounded in-process mapping from request digest
+to the exact wire record previously served, so warm traffic is answered
+without touching the executor, the disk or even a JSON re-encode of the
+metrics.  It is a shard's first tier and a router's read-through cache; a
+shard's disk and peer tiers live in :mod:`repro.service.server`.
 
 What counts as an entry and how a hit becomes a wire record are decided in
 :mod:`repro.cache` (:func:`~repro.cache.is_entry`,
@@ -40,51 +27,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Mapping
 
-from repro.cache import is_entry
-
-__all__ = ["RemoteCacheClient", "ResponseCache"]
-
-#: Seconds a peer probe may take.  Deliberately short: a dead peer must cost
-#: milliseconds, not a request deadline.
-PEER_TIMEOUT = 2.0
-
-
-class RemoteCacheClient:
-    """Blocking client for peer shards' ``/v1/cache/<digest>`` surface.
-
-    Runs on the server's I/O thread executor (never the event loop).  Each
-    peer is a :class:`~repro.service.client.ServiceClient` with
-    ``retries=0``, its address parsed at construction, so a malformed
-    ``--cache-peer`` fails start-up.  A probe opens one connection and
-    closes it afterwards.  A peer that is down, slow or answering garbage
-    is a cache *miss*, not an error -- the remote tier degrades to
-    recomputation, the same contract as a damaged disk entry.
-    """
-
-    def __init__(self, peers: tuple[str, ...]) -> None:
-        # Lazy: a shard without cache peers never loads the blocking client.
-        from repro.service.client import ServiceClient, split_base_url
-
-        self.peers = tuple(peers)
-        self._clients = [
-            ServiceClient(*split_base_url(peer), timeout=PEER_TIMEOUT, retries=0)
-            for peer in self.peers
-        ]
-
-    def get(self, digest: str) -> dict | None:
-        """Probe every peer in order; the first hit's entry wins."""
-        from repro.service.client import ServiceError
-
-        for client in self._clients:
-            try:
-                entry = client.request("GET", f"/v1/cache/{digest}")
-            except (ServiceError, OSError):
-                continue  # a miss (404), a dead peer or a garbage answer
-            finally:
-                client.close()
-            if is_entry(entry):
-                return entry
-        return None
+__all__ = ["ResponseCache"]
 
 
 class ResponseCache:

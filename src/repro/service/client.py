@@ -12,10 +12,11 @@ freely across threads (the concurrent-client pattern that triggers
 micro-batching; see ``examples/service_client.py``) without paying a TCP
 handshake per request.
 
-It is the program's one blocking HTTP client: the shard's remote cache
-tier, the span shipper and ``repro top`` call :meth:`ServiceClient.request`
-with ``retries=0``, and :func:`split_base_url` parses every peer address.
-The event loop's counterpart is :class:`repro.cluster.transport.ShardTransport`.
+It is the program's one blocking HTTP client: the span shipper and
+``repro top`` call :meth:`ServiceClient.request` with ``retries=0``, and
+:func:`split_base_url` parses every peer address.  The event loop's
+counterpart -- the router's shard hops and a shard's cache-peer probes --
+is :class:`repro.cluster.transport.ShardTransport`.
 """
 
 from __future__ import annotations

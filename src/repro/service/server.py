@@ -20,10 +20,18 @@ Endpoint                     Meaning
                              Prometheus text exposition via ``?format=prom``)
 ===========================  ========================================================
 
-The ``/v1/cache`` surface is the cluster's shared cache tier
-(:mod:`repro.cluster`): shards started with ``--cache-peer URL`` probe each
-other's entries after a local LRU + disk miss, so a shard warmed by studies
-or earlier traffic answers for a cold one without recomputation.
+A shard's response cache has three tiers, probed in order: the in-process
+LRU (:class:`~repro.service.cache.ResponseCache`), the disk
+(:class:`repro.cache.ResultCache`, ``--cache-dir``) and its peers'
+``/v1/cache`` surface (``--cache-peer URL``), the cluster's shared tier.
+After a local miss the peers are asked in order on the event loop, each
+through one keep-alive :class:`~repro.cluster.transport.ShardTransport`
+within :data:`PEER_TIMEOUT`.  A peer answers from its *local* tiers only,
+so probes cannot recurse.  Only an entry naming the requested digest is a
+hit; a refused connection, a timeout, another status or any other body is
+a miss, so a dead, frozen or confused peer degrades to recomputation.  A
+hit back-fills the LRU and the disk, so a warm shard answers for a cold
+one once per key.
 
 Request handling is fully asynchronous: each connection is a task, each
 ``/v1/evaluate`` cache miss joins the single-flight task for its digest (one
@@ -57,7 +65,7 @@ from repro import telemetry
 from repro.api.registry import default_registry
 from repro.cache import ResultCache, is_entry, result_record
 from repro.service.batcher import MicroBatcher
-from repro.service.cache import RemoteCacheClient, ResponseCache
+from repro.service.cache import ResponseCache
 from repro.service.http import (
     HttpApp,
     HttpError,
@@ -118,6 +126,10 @@ _HISTOGRAM_NAMES = (
 
 _HEX_DIGITS = frozenset(string.hexdigits.lower())
 
+#: Seconds a peer probe may take.  Deliberately short: a dead or frozen
+#: peer must cost a fraction of a request deadline.
+PEER_TIMEOUT = 2.0
+
 
 class WorkerCrashError(RuntimeError):
     """A request that crashed the worker pool on its retry too.
@@ -150,9 +162,12 @@ class EvaluationServer(HttpApp):
         In-process response-cache capacity (entries).
     cache_peers:
         Base URLs of peer shards whose ``/v1/cache/<digest>`` surface is
-        probed after a local LRU + disk miss (``repro serve --cache-peer``).
-        A hit back-fills the local tiers, so a warm peer answers for this
-        shard exactly once per key; a dead or slow peer is just a miss.
+        probed after a local LRU + disk miss (``repro serve --cache-peer``),
+        in order, on the event loop, over one keep-alive
+        :class:`~repro.cluster.transport.ShardTransport` each, within
+        :data:`PEER_TIMEOUT`.  A hit back-fills the local tiers, so a warm
+        peer answers for this shard exactly once per key; a dead, frozen or
+        slow peer is just a miss.  A malformed address fails here.
     max_inflight:
         Admission control: how many evaluation requests may be *running*
         concurrently.  Further requests queue.
@@ -221,7 +236,12 @@ class EvaluationServer(HttpApp):
         self.slow_request_ms = slow_request_ms
         self.cache = ResponseCache(max_entries=lru_size)
         self.disk = ResultCache(cache_dir) if cache_dir is not None else None
-        self.remote = RemoteCacheClient(self.cache_peers) if self.cache_peers else None
+        self.peer_transports = ()
+        if self.cache_peers:
+            # Lazy: a shard without cache peers never loads repro.cluster.
+            from repro.cluster.transport import ShardTransport
+
+            self.peer_transports = tuple(ShardTransport(peer) for peer in self.cache_peers)
         self._executor = None
         # Set when aclose tears the executor down: a flight kept past the
         # drain must then fail rather than fork a pool nothing would close.
@@ -387,17 +407,16 @@ class EvaluationServer(HttpApp):
     async def _probe_shared(self, request, digest: str) -> tuple[dict | None, str | None]:
         """The disk tier, then peer shards' ``/v1/cache`` surface: ``(record,
         tier)``, or ``(None, None)`` on a miss."""
-        # File and network I/O, both on the default thread executor -- the
-        # event loop (accept loop, /healthz, in-flight responses) must never
-        # wait on it.
         entry = cached = None
         with telemetry.span("server.shared_tier_probe") as probe:
             if self.disk is not None:
+                # File I/O on the default thread executor: the event loop
+                # (accept loop, /healthz, in-flight responses) never waits on it.
                 entry = await self._in_io_thread(self.disk.load, digest)
                 cached = "disk" if entry is not None else None
-            if cached is None and self.remote is not None:
+            if cached is None and self.peer_transports:
                 self.registry.inc("remote_cache_probes")
-                entry = await self._in_io_thread(self.remote.get, digest)
+                entry = await self._probe_peers(digest)
                 cached = "remote" if entry is not None else None
             probe.set(tier=cached or "miss")
         if cached is None:
@@ -405,6 +424,20 @@ class EvaluationServer(HttpApp):
             return None, None
         self.registry.inc(f"cache_hits_{cached}")
         return result_record(request.payload(), entry["metrics"]), cached
+
+    async def _probe_peers(self, digest: str) -> dict | None:
+        """The first peer's entry for ``digest``; every failure is a miss."""
+        for transport in self.peer_transports:
+            try:
+                response = await transport.request(
+                    "GET", f"/v1/cache/{digest}", timeout=PEER_TIMEOUT
+                )
+            except (ConnectionError, OSError, asyncio.TimeoutError):
+                continue
+            entry = response.json() if response.status == 200 else None
+            if is_entry(entry) and entry.get("digest") == digest:
+                return entry
+        return None
 
     async def _keep(self, request, digest: str, record: dict, cached, meta: dict) -> dict:
         """Store a flight's record in the LRU and the disk tier; its response."""
@@ -774,6 +807,9 @@ class EvaluationServer(HttpApp):
         while self._running > 0 and loop.time() < deadline:
             await asyncio.sleep(0.02)
         await self._close_connections(deadline + 1.0 - loop.time())
+        # Pooled peer connections belong to this loop; a later one reconnects.
+        for transport in self.peer_transports:
+            await transport.aclose()
         self._executor_released = True
         executor, self._executor = self._executor, None
         if executor is None:

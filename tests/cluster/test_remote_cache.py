@@ -3,18 +3,24 @@
 The contract under test: a shard warmed by earlier traffic answers for a
 cold peer (``repro serve --cache-peer``), byte-identically, with zero
 recomputation -- and every failure mode of the remote tier (cold peer,
-dead peer, garbage digest) degrades to an ordinary cache miss.
+dead peer, frozen peer, garbage digest, another digest's entry) degrades to
+an ordinary cache miss.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.server
 import json
+import socket
+import threading
 
 import pytest
 
+from repro.api import evaluate
 from repro.core.fault_model import FaultModel
 from repro.service import EvaluationServer, ServiceClient, start_in_background
+from repro.service import server as server_module
 from repro.service.protocol import parse_evaluate_payload
 
 MODEL = {"p": [0.05, 0.02, 0.01], "q": [1e-4, 5e-4, 2e-3]}
@@ -187,6 +193,114 @@ class TestPeerReadThrough:
             )
             assert served["cached"] is None
             assert server.registry["evaluations_computed"] == 1
+
+
+def _moments_payloads(count: int) -> list[bytes]:
+    """``count`` distinct cold ``moments`` requests (one model each)."""
+    return [
+        json.dumps({"model": {"p": [0.05, 0.02 + 1e-4 * i], "q": [1e-4, 5e-4]},
+                    "method": "moments"}).encode()
+        for i in range(count)
+    ]
+
+
+class _ForeignEntryPeer(http.server.BaseHTTPRequestHandler):
+    """A peer that answers every ``GET /v1/cache/<d>`` with one fixed entry
+    of another digest (``PAYLOAD``'s ``montecarlo`` metrics)."""
+
+    protocol_version = "HTTP/1.1"
+    entry = b""
+
+    def do_GET(self):
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.entry)))
+        self.end_headers()
+        self.wfile.write(self.entry)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestPeerOnTheEventLoop:
+    """Peer probes run on the event loop over one keep-alive transport per
+    peer: a frozen peer costs each miss its own probe budget, not a wave of
+    probes queued on the I/O threads, and a healthy one costs one connection."""
+
+    def test_frozen_peer_delays_each_miss_by_one_probe_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "PEER_TIMEOUT", 0.5)
+        evaluate(FaultModel.from_dict(MODEL), "moments")  # import the kernel up front
+        with socket.socket() as frozen:  # accepts TCP, never reads a byte
+            frozen.bind(("127.0.0.1", 0))
+            frozen.listen(64)
+            server = EvaluationServer(
+                batch_window_ms=1.0,
+                cache_dir=str(tmp_path),
+                cache_peers=(f"127.0.0.1:{frozen.getsockname()[1]}",),
+            )
+
+            async def run():
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+
+                async def one(body):
+                    status, document, _ = await server._route("POST", "/v1/evaluate", body)
+                    return status, document["served"]["cached"], loop.time() - started
+
+                try:
+                    return await asyncio.gather(*(one(body) for body in _moments_payloads(24)))
+                finally:
+                    await server.aclose(drain_seconds=0.0)
+
+            answers = asyncio.run(run())
+        assert [(status, cached) for status, cached, _ in answers] == [(200, None)] * 24
+        slowest = max(seconds for *_, seconds in answers)
+        assert slowest < 2 * 0.5, slowest
+        assert server.registry["remote_cache_probes"] == 24
+        assert server.registry["evaluations_computed"] == 24
+
+    def test_sequential_misses_share_one_peer_connection(self):
+        peer = EvaluationServer(batch_window_ms=1.0)  # cold: every probe is a 404
+        with start_in_background(peer) as peer_handle:
+            front = EvaluationServer(
+                batch_window_ms=1.0, cache_peers=(f"127.0.0.1:{peer_handle.port}",)
+            )
+            statuses = _routes(
+                front, [("POST", "/v1/evaluate", body) for body in _moments_payloads(40)]
+            )
+        assert [status for status, *_ in statuses] == [200] * 40
+        assert front.registry["remote_cache_probes"] == 40
+        assert front.registry["cache_hits_remote"] == 0
+        (transport,) = front.peer_transports
+        assert transport.stats["connections_opened"] == 1
+        assert peer.registry["cache_endpoint_misses"] == 40
+
+    def test_an_entry_for_another_digest_is_a_miss(self):
+        model = FaultModel.from_dict(MODEL)
+        foreign = evaluate(model, "montecarlo", seed=11, replications=1000)
+        handler = type("Handler", (_ForeignEntryPeer,), {"entry": json.dumps(
+            {"digest": DIGEST, "metrics": foreign.to_dict()["metrics"]}
+        ).encode()})
+        stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            server = EvaluationServer(
+                batch_window_ms=1.0, cache_peers=(f"127.0.0.1:{stub.server_address[1]}",)
+            )
+            with start_in_background(server) as handle:
+                client = ServiceClient(port=handle.port)
+                result, served = client.evaluate_detail(model, "moments")
+                client.close()
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(5.0)
+        assert served["cached"] is None
+        assert result.metric_dict() == evaluate(model, "moments").to_dict()["metrics"]
+        assert server.registry["remote_cache_probes"] == 1
+        assert server.registry["cache_hits_remote"] == 0
+        assert server.registry["evaluations_computed"] == 1
 
 
 class TestPeerSpelling:

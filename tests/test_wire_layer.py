@@ -1,8 +1,9 @@
 """One HTTP client per side of the wire.
 
-Every blocking hop (the remote cache tier, the span shipper, ``repro top``,
-library callers) goes through :class:`repro.service.client.ServiceClient`,
-every event-loop hop through :class:`repro.cluster.transport.ShardTransport`,
+Every blocking hop (the span shipper, ``repro top``, library callers) goes
+through :class:`repro.service.client.ServiceClient`, every event-loop hop
+(the router's shard hops, a shard's cache-peer probes) through
+:class:`repro.cluster.transport.ShardTransport`,
 and every peer address through :func:`repro.service.client.split_base_url`.
 A second hand-written HTTP path or address parser drifts from the first;
 this scan of ``src/repro`` keeps there from being one.
