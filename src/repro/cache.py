@@ -2,9 +2,11 @@
 
 Every evaluation has a *canonical payload* (base model, resolved parameters,
 normalised method options, seed entropy, cache format version).  Its SHA-256
-digest is the cache key: two requests that mean the same evaluation hash the
-same no matter which surface (a study spec, the evaluation service, a Python
-call) they came from, so
+digest, :func:`payload_digest` (an inline model's floats hashed as bytes),
+is the cache key and the one content digest that studies, shards and the
+router use: two requests that mean the same evaluation hash the same no
+matter which surface (a study spec, the evaluation service, a Python call)
+they came from, so
 
 * re-running a study against the same cache directory recomputes nothing;
 * editing one sweep axis leaves every unchanged point's key (and cached
@@ -59,8 +61,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import sys
 import threading
+from array import array
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -71,7 +77,6 @@ __all__ = [
     "is_entry",
     "payload_digest",
     "result_record",
-    "text_digest",
 ]
 
 #: Bump to invalidate every existing cache entry (e.g. when a method's
@@ -83,23 +88,49 @@ __all__ = [
 CACHE_FORMAT_VERSION = 3
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+#: Leads an inline model's digest preimage: 0xff never occurs in UTF-8 text.
+_FLOAT_FRAME = b"\xffrepro-f64\n"
+
+
 def canonical_json(payload) -> str:
     """Serialise ``payload`` into the canonical (hashable) JSON form.
 
     Keys are sorted, separators are minimal and NaN/Infinity are rejected, so
     equal payloads always produce equal bytes.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(payload)
 
 
 def payload_digest(payload) -> str:
-    """SHA-256 hex digest of the canonical form of ``payload``."""
-    return text_digest(canonical_json(payload))
+    """SHA-256 hex digest of ``payload``'s content: the cache key.
 
-
-def text_digest(text: str) -> str:
-    """SHA-256 hex digest of an already canonical payload text."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    A payload whose base is ``{"model": m}``, with only ``float`` entries in
+    ``m["p"]`` and ``m["q"]``, hashes :data:`_FLOAT_FRAME`, then ``p`` and
+    ``q`` as length-prefixed little-endian float64 arrays, then the
+    canonical text of the payload without them; any other payload hashes
+    its canonical text.  So two payloads share a digest exactly when their
+    canonical texts are equal, and a non-finite value raises ``ValueError``.
+    """
+    base = payload.get("base") if isinstance(payload, dict) else None
+    model = base.get("model") if isinstance(base, dict) and len(base) == 1 else None
+    arrays = [model.get(key) for key in ("p", "q")] if isinstance(model, dict) else ()
+    if not arrays or not all(
+        isinstance(values, (list, tuple)) and all(map(isinstance, values, repeat(float)))
+        for values in arrays
+    ):
+        return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    state = hashlib.sha256(_FLOAT_FRAME)
+    for values in arrays:
+        if not all(map(math.isfinite, values)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        floats = array("d", values)
+        if sys.byteorder == "big":
+            floats.byteswap()
+        state.update(len(floats).to_bytes(8, "little") + floats.tobytes())
+    rest = {key: value for key, value in model.items() if key not in ("p", "q")}
+    state.update(canonical_json({**payload, "base": {"model": rest}}).encode("utf-8"))
+    return state.hexdigest()
 
 
 def is_entry(value) -> bool:

@@ -101,7 +101,7 @@ from repro.service.protocol import (
 )
 from repro.telemetry.collector import TraceCollector
 from repro.telemetry.federation import MetricsFederation
-from repro.telemetry.metrics import MetricsRegistry, parse_prometheus
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slo import DEFAULT_OBJECTIVES, SLOEngine
 
 __all__ = ["ShardRouter"]
@@ -136,8 +136,8 @@ _COUNTER_NAMES = (
 def _replica_entry(digest: str, payload_text: str, metrics: dict) -> bytes:
     """The body of a replica ``PUT /v1/cache/<digest>``: a study-shaped entry.
 
-    The payload goes out as the request's canonical text, which its digest
-    already encoded, so the model is not encoded again; the body decodes to
+    The payload goes out as the request's canonical text
+    (:meth:`ServiceRequest.payload_text`); the body decodes to
     ``{"digest": digest, "payload": payload, "metrics": metrics}``.
     """
     return (
@@ -295,11 +295,12 @@ class ShardRouter(HttpApp):
             )
             if response.status != 200:
                 raise ValueError(f"scrape returned {response.status}")
-            snapshot = parse_prometheus(response.body.decode("utf-8"))
+            self.federation.update_from_prometheus(
+                target, response.body.decode("utf-8"), role=role
+            )
         except (ConnectionError, OSError, asyncio.TimeoutError, ValueError, UnicodeDecodeError):
             self.registry.inc("fleet_scrape_failures")
             return
-        self.federation.update(target, snapshot, role=role)
         self.registry.inc("fleet_scrapes")
 
     async def _scrape_peers(self) -> None:
@@ -472,9 +473,7 @@ class ShardRouter(HttpApp):
     # ----------------------------------------------------------------- #
     # Write-all replication fan-out
     # ----------------------------------------------------------------- #
-    def _spawn_replica_writes(
-        self, key: str, digest: str, payload_text: str, record: dict, source: str
-    ) -> None:
+    def _spawn_replica_writes(self, request, record: dict, source: str) -> None:
         """Asynchronously push a freshly computed result to the other replicas.
 
         The entry is study-shaped -- digest, canonical payload, metrics --
@@ -482,26 +481,26 @@ class ShardRouter(HttpApp):
         (:func:`repro.cache.result_record` rebuilds the wire record from the
         payload), not just its disk tier.  The computing shard already holds
         the entry; known-ejected replicas are skipped (a probe readmits them
-        before they could answer reads anyway).  Fire-and-forget: replica
+        before they could answer reads anyway).  Fire-and-forget: the entry
+        is encoded inside the task, only when it has a target, so replica
         writes never add latency to the response that triggered them.
         """
         targets = [
             shard
-            for shard in self.placement.replica_set(key)
+            for shard in self.placement.replica_set(request.group_key())
             if shard != source and not self.health.is_excluded(shard)
         ]
         if not targets:
             return
-        entry = _replica_entry(digest, payload_text, record.get("metrics", {}))
         task = asyncio.get_running_loop().create_task(
-            self._write_replicas(digest, entry, targets)
+            self._write_replicas(request, record.get("metrics", {}), targets)
         )
         self._replica_tasks.add(task)
         task.add_done_callback(self._replica_tasks.discard)
 
-    async def _write_replicas(
-        self, digest: str, entry: bytes, targets: Sequence[str]
-    ) -> None:
+    async def _write_replicas(self, request, metrics: dict, targets: Sequence[str]) -> None:
+        digest = request.digest()
+        entry = _replica_entry(digest, request.payload_text(), metrics)
         for shard in targets:
             try:
                 faults.hit("router.replica_write")
@@ -559,13 +558,7 @@ class ShardRouter(HttpApp):
         # the entry was first computed.
         computed = isinstance(served, dict) and served.get("cached") is None
         if computed and shard is not None and self.placement.replication > 1:
-            self._spawn_replica_writes(
-                request.group_key(),
-                request.digest(),
-                request.payload_text(),
-                record,
-                source=shard,
-            )
+            self._spawn_replica_writes(request, record, source=shard)
 
     async def _route_batch(self, http_request: HttpRequest) -> tuple[int, dict, dict]:
         """Each element as its ``/v1/evaluate`` request: a router LRU hit is

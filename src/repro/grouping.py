@@ -11,21 +11,22 @@ here so they cannot drift:
   base model content, resolved model-level parameters, the method with its
   canonical resolved options, and the seed entropy (``None`` for
   deterministic methods).  Equal payloads mean byte-equal cache keys no
-  matter which surface produced them;
+  matter which surface produced them: studies, shards and the router all
+  hash them with that one function;
 * the **batch group** of a payload -- the payload with the batchable model
   transforms (``p_scale``, ``q_scale``) replaced by their neutral defaults.
   Evaluations that differ only in those transforms share a group and can be
   dispatched as *one* batched-kernel call (one shared demand stream for
   Monte Carlo, one per-point loop for exact methods); everything else -- base model, other parameters,
-  options, seed -- stays in the group key, so group identity is as
-  content-addressed as the evaluation digests themselves.
+  options, seed -- stays in the group key (:func:`group_digest`), so group
+  identity is as content-addressed as the evaluation digests themselves.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.cache import CACHE_FORMAT_VERSION, canonical_json, payload_digest
+from repro.cache import CACHE_FORMAT_VERSION, payload_digest
 
 __all__ = [
     "MODEL_TRANSFORM_DEFAULTS",
@@ -33,7 +34,6 @@ __all__ = [
     "evaluation_payload",
     "group_digest",
     "group_payload",
-    "payload_text",
 ]
 
 #: Parameters applied to the resolved model rather than to its construction,
@@ -82,19 +82,6 @@ def evaluation_payload(
         "method": {"name": method, **dict(resolved_options)},
         "entropy": entropy,
     }
-
-
-def payload_text(payload: Mapping[str, Any], base_text: str) -> str:
-    """``canonical_json(payload)``, given ``base_text = canonical_json(payload["base"])``.
-
-    The base (a whole model's content) is nearly all of a payload's bytes: a
-    caller that keeps its canonical text encodes the payload, and the group
-    payload of the same base, without encoding the base again.
-    """
-    rest = canonical_json({key: value for key, value in payload.items() if key != "base"})
-    # Canonical JSON sorts keys: "base" leads an evaluation payload, and the
-    # other keys of evaluation_payload always follow it.
-    return '{"base":' + base_text + "," + rest[1:]
 
 
 def group_payload(payload: Mapping[str, Any]) -> dict:

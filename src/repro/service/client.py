@@ -208,8 +208,6 @@ class ServiceClient:
         self.max_elapsed_s = max_elapsed_s
         self._clock = clock
         self.backoff = BackoffPolicy(backoff_base, backoff_max, rng=rng)
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         # Injection seams for the retry tests: a recorded fake clock and a
         # pinned jitter make the whole backoff schedule assertable.
         self._sleep = sleep

@@ -31,12 +31,12 @@ without building a model, so the router never loads numpy for inline-model
 traffic.  A ``"scenario"`` request builds its scenario's model, and loads
 numpy, in whichever process parses it.
 
-A parsed request carries its content identity: :meth:`ServiceRequest.digest`
-is the response-cache key (the same canonical-payload scheme as study cache
-keys -- a deterministic-method entry warmed by a study over the same inline
-model is served to service traffic as-is), and :meth:`ServiceRequest.group_key`
-is the micro-batcher's grouping key (the digest with neutral transforms,
-exactly the study runner's group digest).
+A parsed request carries its content identity, computed on first use:
+:meth:`ServiceRequest.digest` is the response-cache key
+(:func:`repro.cache.payload_digest`, which keys studies too -- a
+deterministic-method entry a study warmed over the same inline model is
+served to service traffic as-is), and :meth:`ServiceRequest.group_key` is
+the micro-batcher's grouping key (the study runner's group digest).
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from typing import Mapping
 
 from repro.api.registry import default_registry
 from repro.api.results import EvaluationRequest
-from repro.cache import canonical_json, text_digest
+from repro.cache import canonical_json, payload_digest
 from repro.core.model_content import model_content, parse_transform
-from repro.grouping import evaluation_payload, group_payload, payload_text
+from repro.grouping import evaluation_payload, group_digest
 from repro.stats.rng import DEFAULT_SEED
 
 __all__ = [
@@ -85,8 +85,7 @@ class ServiceRequest:
     #: key or the cache payload, so a request with a deadline hits the same
     #: cache entry as one without.
     timeout_ms: float | None = field(default=None, compare=False)
-    #: Computed lazily and memoised: the base model's canonical text (encoded
-    #: at most once per request), the payload text and the two digests.
+    #: The two digests, computed lazily and memoised.
     _digests: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -113,33 +112,22 @@ class ServiceRequest:
         )
 
     def payload_text(self) -> str:
-        """``canonical_json(self.payload())``, the bytes the digest hashes."""
-        text = self._digests.get("payload")
-        if text is None:
-            text = self._digests["payload"] = self._text(self.payload())
-        return text
+        """``canonical_json(self.payload())``: the payload of a replica entry."""
+        return canonical_json(self.payload())
 
     def digest(self) -> str:
         """Content digest of this request: the response-cache key."""
         digest = self._digests.get("digest")
         if digest is None:
-            digest = self._digests["digest"] = text_digest(self.payload_text())
+            digest = self._digests["digest"] = payload_digest(self.payload())
         return digest
 
     def group_key(self) -> str:
         """Batch-group digest: the payload with neutral transforms."""
         key = self._digests.get("group")
         if key is None:
-            key = self._digests["group"] = text_digest(self._text(group_payload(self.payload())))
+            key = self._digests["group"] = group_digest(self.payload())
         return key
-
-    def _text(self, payload: dict) -> str:
-        """``canonical_json(payload)`` for a payload of this request's model,
-        whose base is encoded once per request."""
-        base = self._digests.get("base")
-        if base is None:
-            base = self._digests["base"] = canonical_json(payload["base"])
-        return payload_text(payload, base)
 
     def single_arguments(self) -> tuple:
         """Arguments for :func:`repro.service.worker.evaluate_single`."""
@@ -291,12 +279,10 @@ def batch_requests(
 ) -> list[ServiceRequest]:
     """The ``/v1/evaluate`` request of each element of a parsed batch.
 
-    Takes :func:`parse_batch_payload`'s result.  The elements share the
-    model's canonical text, encoded once for the whole batch, so each one's
-    digest costs its own small keys and one hash, not the model again.
+    Takes :func:`parse_batch_payload`'s result.  Each element's digest and
+    group key are its own request's, computed on first use.
     """
     registry = default_registry()
-    base = canonical_json({"model": model_data})
     parsed = []
     for method, options in requests:
         definition = registry.get(method)
@@ -309,7 +295,6 @@ def batch_requests(
                 seed=seed,
                 requires_seed=definition.requires_seed,
                 shares_work=definition.shares_work(resolved),
-                _digests={"base": base},
             )
         )
     return parsed

@@ -29,9 +29,9 @@ through one keep-alive :class:`~repro.cluster.transport.ShardTransport`
 within :data:`PEER_TIMEOUT`.  A peer answers from its *local* tiers only,
 so probes cannot recurse.  Only an entry naming the requested digest is a
 hit; a refused connection, a timeout, another status or any other body is
-a miss, so a dead, frozen or confused peer degrades to recomputation.  A
-hit back-fills the LRU and the disk, so a warm shard answers for a cold
-one once per key.
+a miss, so a dead, frozen or confused peer degrades to recomputation; one
+whose probe raised sits out :data:`PEER_COOLDOWN`.  A hit back-fills the
+LRU and the disk, so a warm shard answers for a cold one once per key.
 
 Request handling is fully asynchronous: each connection is a task, each
 ``/v1/evaluate`` cache miss joins the single-flight task for its digest (one
@@ -129,6 +129,8 @@ _HEX_DIGITS = frozenset(string.hexdigits.lower())
 #: Seconds a peer probe may take.  Deliberately short: a dead or frozen
 #: peer must cost a fraction of a request deadline.
 PEER_TIMEOUT = 2.0
+#: Seconds a peer whose probe raised is skipped before it is asked again.
+PEER_COOLDOWN = 10.0
 
 
 class WorkerCrashError(RuntimeError):
@@ -167,7 +169,8 @@ class EvaluationServer(HttpApp):
         :class:`~repro.cluster.transport.ShardTransport` each, within
         :data:`PEER_TIMEOUT`.  A hit back-fills the local tiers, so a warm
         peer answers for this shard exactly once per key; a dead, frozen or
-        slow peer is just a miss.  A malformed address fails here.
+        slow peer is just a miss, and sits out :data:`PEER_COOLDOWN`.  A
+        malformed address fails here.
     max_inflight:
         Admission control: how many evaluation requests may be *running*
         concurrently.  Further requests queue.
@@ -239,9 +242,11 @@ class EvaluationServer(HttpApp):
         self.peer_transports = ()
         if self.cache_peers:
             # Lazy: a shard without cache peers never loads repro.cluster.
+            from repro.cluster.health import HealthView
             from repro.cluster.transport import ShardTransport
 
             self.peer_transports = tuple(ShardTransport(peer) for peer in self.cache_peers)
+            self.peer_health = HealthView(self.cache_peers)
         self._executor = None
         # Set when aclose tears the executor down: a flight kept past the
         # drain must then fail rather than fork a pool nothing would close.
@@ -415,7 +420,6 @@ class EvaluationServer(HttpApp):
                 entry = await self._in_io_thread(self.disk.load, digest)
                 cached = "disk" if entry is not None else None
             if cached is None and self.peer_transports:
-                self.registry.inc("remote_cache_probes")
                 entry = await self._probe_peers(digest)
                 cached = "remote" if entry is not None else None
             probe.set(tier=cached or "miss")
@@ -426,13 +430,22 @@ class EvaluationServer(HttpApp):
         return result_record(request.payload(), entry["metrics"]), cached
 
     async def _probe_peers(self, digest: str) -> dict | None:
-        """The first peer's entry for ``digest``; every failure is a miss."""
-        for transport in self.peer_transports:
+        """The first peer's entry for ``digest``; every failure is a miss.
+
+        A probe that raises (refused, timed out, badly framed) ejects its
+        peer for :data:`PEER_COOLDOWN`; a well-framed answer ejects nothing.
+        """
+        excluded = self.peer_health.excluded()
+        live = [peer for peer in self.peer_transports if peer.base not in excluded]
+        if live:  # a miss that asks no peer is not a probe
+            self.registry.inc("remote_cache_probes")
+        for transport in live:
             try:
                 response = await transport.request(
                     "GET", f"/v1/cache/{digest}", timeout=PEER_TIMEOUT
                 )
             except (ConnectionError, OSError, asyncio.TimeoutError):
+                self.peer_health.eject(transport.base, cooldown=PEER_COOLDOWN)
                 continue
             entry = response.json() if response.status == 200 else None
             if is_entry(entry) and entry.get("digest") == digest:

@@ -72,10 +72,6 @@ class MetricsFederation:
         """Adopt a raw ``/metrics?format=prom`` body scraped from ``target``."""
         self.update(target, parse_prometheus(text), role=role)
 
-    def forget(self, target: str) -> None:
-        with self._lock:
-            self._targets.pop(target, None)
-
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #

@@ -252,11 +252,6 @@ class MetricsRegistry:
         with self._lock:
             instrument.value = value
 
-    def add_gauge(self, name: str, amount: int) -> None:
-        instrument = self._gauges.get(name) or self.gauge(name)
-        with self._lock:
-            instrument.value += amount
-
     def set_max(self, name: str, value) -> None:
         """Raise a gauge to ``value`` if it is below it (high-water mark)."""
         instrument = self._gauges.get(name) or self.gauge(name)

@@ -259,6 +259,46 @@ class TestPeerOnTheEventLoop:
         assert server.registry["remote_cache_probes"] == 24
         assert server.registry["evaluations_computed"] == 24
 
+    def test_a_frozen_peer_sits_out_its_cooldown(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "PEER_TIMEOUT", 0.5)
+        monkeypatch.setattr(server_module, "PEER_COOLDOWN", 1.5)  # lapses within the test
+        evaluate(FaultModel.from_dict(MODEL), "moments")  # import the kernel up front
+        bodies = _moments_payloads(12)
+        with socket.socket() as frozen:  # accepts TCP, never reads a byte
+            frozen.bind(("127.0.0.1", 0))
+            frozen.listen(64)
+            server = EvaluationServer(
+                batch_window_ms=1.0,
+                cache_dir=str(tmp_path),
+                cache_peers=(f"127.0.0.1:{frozen.getsockname()[1]}",),
+            )
+
+            async def timed(body):
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                status, document, _ = await server._route("POST", "/v1/evaluate", body)
+                return status, document["served"]["cached"], loop.time() - started
+
+            async def run():
+                try:
+                    first = await timed(bodies[0])
+                    inside = [await timed(body) for body in bodies[1:11]]
+                    probes_inside = server.registry["remote_cache_probes"]
+                    await asyncio.sleep(1.5)  # the cooldown lapses: ask the peer again
+                    lapsed = await timed(bodies[11])
+                    return first, inside, probes_inside, lapsed
+                finally:
+                    await server.aclose(drain_seconds=0.0)
+
+            first, inside, probes_inside, lapsed = asyncio.run(run())
+        assert first[:2] == (200, None) and 0.5 <= first[2] < 1.0, first
+        assert [answer[:2] for answer in inside] == [(200, None)] * 10
+        assert max(answer[2] for answer in inside) < 0.25, inside
+        assert probes_inside == 1
+        assert lapsed[:2] == (200, None) and lapsed[2] >= 0.5, lapsed
+        assert server.registry["remote_cache_probes"] == 2
+        assert server.registry["evaluations_computed"] == 12
+
     def test_sequential_misses_share_one_peer_connection(self):
         peer = EvaluationServer(batch_window_ms=1.0)  # cold: every probe is a 404
         with start_in_background(peer) as peer_handle:

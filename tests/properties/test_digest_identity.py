@@ -1,12 +1,12 @@
-"""Property: encoding the model once leaves every request identity unchanged.
+"""Property: a wire request's identities are those of its plain payload.
 
-:class:`ServiceRequest` splices its model's canonical text into the digest
-payload, the group-key payload and the payload text the router ships to
-replicas.  Hypothesis varies every input that reaches those payloads --
-inline and scenario models (with and without ``names`` and ``strict``),
-every registered method with non-default options, seeds and transforms --
-and each identity must equal the one computed from ``payload()`` the plain
-way, byte for byte.
+:class:`ServiceRequest` memoises its digest and group key, and the router
+ships its payload text to replicas.  Hypothesis varies every input that
+reaches those payloads -- inline and scenario models (with and without
+``names`` and ``strict``), every registered method with non-default
+options, seeds and transforms -- and each identity must equal the one
+computed from ``payload()`` with :mod:`repro.cache` and
+:mod:`repro.grouping`, byte for byte.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _each_scenario_built_once():
     st.dictionaries(st.text(max_size=6), st.floats(allow_nan=False), max_size=4),
 )
 @settings(max_examples=200, deadline=None)
-def test_spliced_identities_equal_the_plain_encodings(
+def test_request_identities_equal_the_plain_encodings(
     source, method, seed, p_scale, q_scale, metrics
 ):
     name, options = method

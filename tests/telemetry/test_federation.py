@@ -105,13 +105,6 @@ class TestFleetDocument:
             )
             assert document[counter] == summed
 
-    def test_forget_drops_a_target(self):
-        federation = self._federation()
-        federation.forget("127.0.0.1:2")
-        document = federation.document()
-        assert set(document["targets"]) == {"127.0.0.1:1"}
-        assert document["requests_total"] == 5
-
 
 class TestFleetPrometheus:
     def test_fleet_prom_round_trips_like_a_local_scrape(self):

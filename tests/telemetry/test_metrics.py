@@ -25,9 +25,8 @@ class TestInstruments:
         registry.inc("requests", 3)
         registry.inc("requests")
         registry.set_gauge("depth", 7)
-        registry.add_gauge("depth", -2)
         assert registry["requests"] == 4
-        assert registry["depth"] == 5
+        assert registry["depth"] == 7
         assert "requests" in registry
         with pytest.raises(KeyError):
             registry["nonexistent"]

@@ -2,7 +2,7 @@
 
 Every cache tier in the system -- the study disk cache, the service LRU,
 the shared ``/v1/cache`` surface, the router's read-through LRU and its
-routing decisions -- keys on :func:`repro.grouping.payload_digest` /
+routing decisions -- keys on :func:`repro.cache.payload_digest` /
 :func:`repro.grouping.group_digest`.  A change to the canonical payload
 shape or its serialisation silently invalidates every existing cache
 directory and reshuffles every router ring assignment, so the exact
@@ -15,7 +15,9 @@ on purpose when ``CACHE_FORMAT_VERSION`` went from 1 to 2 (the ``exact`` /
 lone ``montecarlo`` became its one-point sweep, and ``montecarlo`` records
 gained the standard errors of their means); the version is part of every
 payload, so each bump moved every digest, and the ring layout pin below did
-not move.
+not move.  The two inline-model pins were re-pinned once more, with the
+version unchanged, when an inline model's ``p`` and ``q`` began to hash as
+float64 bytes instead of as canonical text; the scenario pin did not move.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class TestGoldenDigests:
         payload = evaluation_payload({"model": _MODEL}, {}, "moments", {}, None)
         assert (
             payload_digest(payload)
-            == "d738ab7a281bb1a2ec56480d169cfcd09fe93f1da2508b5ea4943526db520d5e"
+            == "b16eab8963bf9774bfde8f825d941b325a06b08fb317cee98f933795270ffc80"
         )
         # Neutral transforms and no entropy: the group digest collapses to
         # the payload digest.
@@ -58,11 +60,11 @@ class TestGoldenDigests:
         )
         assert (
             payload_digest(payload)
-            == "9b0f2f8b6231566c78036389d6d9a9998dc33f5bde522616838ce73e4fccb734"
+            == "a0687f36c549c3faf662036652a30ed3091f3296b186d4703fefba0438c442c0"
         )
         assert (
             group_digest(payload)
-            == "b5a1a9f1ad8e29ba7a5c2d17af80d4c4f21613f98ca0f4597f6335fec4ebb4a9"
+            == "64648f63a74861a5a72f47682fe6a9cec20303481851443739248222c7496972"
         )
 
     def test_scenario_payload(self):
