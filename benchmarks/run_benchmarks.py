@@ -493,25 +493,23 @@ def workload_sweep1000(quick: bool) -> dict:
 
 
 def workload_service_throughput(quick: bool) -> dict:
-    """Evaluation service: micro-batched concurrent serving versus serial references.
+    """Evaluation service: a concurrent burst versus serial references.
 
     A sweep-style workload (one montecarlo point per request across a
-    ``p_scale`` axis) run three ways in each of :func:`alternate`'s rounds:
-    ``burst``, N concurrent clients against a fresh server (grouped by the
-    micro-batcher into shared-demand kernel calls), then the burst again,
-    warm (answered from the LRU with zero recomputation, enforced here);
-    ``dense_serial``, the dense engine in-process on each point's rescaled
-    model in turn; and ``serial``, the N requests one at a time against a
-    fresh server (each a lone request, which on this sparse model is its
-    own one-point sweep).
+    ``p_scale`` axis, one model and one seed) run three ways in each of
+    :func:`alternate`'s rounds: ``burst``, N concurrent clients against a
+    fresh server, each request computed on arrival in the server's worker
+    threads, then the burst again, warm (answered from the LRU with zero
+    recomputation, enforced here); ``dense_serial``, the dense engine
+    in-process on each point's rescaled model in turn; and ``serial``, the N
+    requests one at a time against a fresh server.
 
     ``speedup``, the gated ratio, reads the burst against ``dense_serial``:
-    a fixed reference that the lone path does not move, though a retired
-    one (the server no longer runs it for these requests).
-    ``lone_speedup`` (ungated) reads it against ``serial``, the path the
-    server does run; at quick sizes it is below 1, so this gate no longer
-    shows that micro-batching beats serial serving.  The server counters
-    are the last round's.
+    a fixed reference that the sparse lone path does not move, though the
+    server no longer runs it for these requests.  ``lone_speedup``
+    (ungated) reads the burst against ``serial``, the same requests with no
+    concurrency, so it shows what the worker threads overlap.  The server
+    counters are the last round's.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -523,7 +521,6 @@ def workload_service_throughput(quick: bool) -> dict:
 
     points = 16 if quick else 32
     replications = 20_000 if quick else 50_000
-    window_ms = 25.0
     model = many_small_faults_scenario(n=100)
     scales = [0.1 + 0.9 * index / (points - 1) for index in range(points)]
 
@@ -538,7 +535,7 @@ def workload_service_throughput(quick: bool) -> dict:
         return time.perf_counter() - start
 
     def burst(_) -> dict:
-        server = EvaluationServer(batch_window_ms=window_ms, lru_size=4 * points)
+        server = EvaluationServer(lru_size=4 * points)
         with start_in_background(server) as handle:
             client = ServiceClient(port=handle.port)
             seconds = concurrent(client)
@@ -548,13 +545,9 @@ def workload_service_throughput(quick: bool) -> dict:
         recomputed = after_warm["evaluations_computed"] - after_cold["evaluations_computed"]
         if recomputed != 0:
             raise RuntimeError(f"warm burst recomputed {recomputed} evaluations")
-        if after_cold["batched_groups"] < 1:
-            raise RuntimeError("concurrent burst produced no batched group")
         return {
             "seconds": seconds,
             "warm_seconds": warm_seconds,
-            "batched_groups": after_cold["batched_groups"],
-            "max_group_size": after_cold["max_group_size"],
             "warm_recomputed": recomputed,
             "warm_cache_hits": after_warm["cache_hits_lru"] - after_cold["cache_hits_lru"],
         }
@@ -570,9 +563,7 @@ def workload_service_throughput(quick: bool) -> dict:
         return {"seconds": time.perf_counter() - start}
 
     def serial(_) -> dict:
-        # Window 0 so lone requests dispatch immediately: the reference
-        # measures scalar evaluation throughput, not batching-window latency.
-        server = EvaluationServer(batch_window_ms=0.0, lru_size=4 * points)
+        server = EvaluationServer(lru_size=4 * points)
         with start_in_background(server) as handle:
             client = ServiceClient(port=handle.port)
             start = time.perf_counter()
@@ -590,20 +581,16 @@ def workload_service_throughput(quick: bool) -> dict:
     return {
         "points": points,
         "replications": replications,
-        "batch_window_ms": window_ms,
-        "batched_seconds": round(median["burst"], 3),
+        "burst_seconds": round(median["burst"], 3),
         "serial_seconds": round(median["serial"], 3),
         "dense_serial_seconds": round(median["dense_serial"], 3),
         "warm_seconds": round(warm_seconds, 4),
         **{key: round(summary["median_ratio"], 1) for key, summary in summaries.items()},
         "speedup_reference": "dense_serial",
         "warm_speedup": round(median["serial"] / warm_seconds, 1),
-        "batched_requests_per_second": round(points / median["burst"], 1),
+        "burst_requests_per_second": round(points / median["burst"], 1),
         "serial_requests_per_second": round(points / median["serial"], 1),
-        **{
-            key: runs["burst"][-1][key]
-            for key in ("batched_groups", "max_group_size", "warm_recomputed", "warm_cache_hits")
-        },
+        **{key: runs["burst"][-1][key] for key in ("warm_recomputed", "warm_cache_hits")},
         "gate_rounds": summaries,
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
@@ -811,7 +798,7 @@ def workload_cluster_loadgen(quick: bool) -> dict:
         return report
 
     def shard() -> EvaluationServer:
-        return EvaluationServer(workers=1, batch_window_ms=0.0, lru_size=4 * distinct)
+        return EvaluationServer(workers=1, lru_size=4 * distinct)
 
     def single_side(_) -> dict:
         with start_in_background(shard(), port=single_port) as handle:
@@ -1130,7 +1117,7 @@ def workload_telemetry_fleet_overhead(quick: bool) -> dict:
     spans_shipped = registry["spans_shipped"]
     spans_dropped = registry["spans_dropped"] if "spans_dropped" in registry else 0
 
-    shard = EvaluationServer(batch_window_ms=0.0)
+    shard = EvaluationServer()
     with start_in_background(shard) as handle:
         router = ShardRouter([f"127.0.0.1:{handle.port}"])
         with start_in_background(router) as front:
@@ -1334,15 +1321,13 @@ def check_record(record: dict) -> dict[str, list[str]]:
             "sweep1000 exact+tail-quantile shared >= 1.5x separate",
             lambda: value("sweep1000", "exact_tail_shared_speedup") >= 1.5,
         ),
-        # Micro-batched concurrent serving must beat the dense engine run
-        # serially on the sweep-style workload (a retired path kept as a
-        # fixed reference; against serial lone requests, ``lone_speedup``,
-        # batching no longer wins at quick sizes and is not gated); the
-        # workload itself already enforces that
-        # the warm burst recomputed nothing and that at least one batched
-        # group formed.
+        # A concurrent burst of served requests must beat the dense engine
+        # run serially on the sweep-style workload (a retired path kept as a
+        # fixed reference; ``lone_speedup``, against the same requests sent
+        # one at a time, is not gated); the workload itself already
+        # enforces that the warm burst recomputed nothing.
         (
-            "service_throughput batched >= 2x dense serial",
+            "service_throughput burst >= 2x dense serial",
             lambda: value("service_throughput", "speedup") >= 2.0,
         ),
         (

@@ -6,9 +6,8 @@ the scale-out contract end to end:
 
 * **shard-affine routing** -- the router places each request by
   consistent hash of its batch-group digest, so a concurrent sweep over
-  one model still lands on a single shard and micro-batches into one
-  shared-demand kernel call, while distinct workloads spread across
-  shards;
+  one model lands on a single shard, while distinct workloads spread
+  across shards;
 * **byte-identity through the router** -- every answer matches the
   in-process ``repro.evaluate`` result exactly: routing never changes a
   byte;
@@ -50,7 +49,7 @@ SEED = 7
 
 
 def build_workload():
-    """Distinct (model, seed) pairs: each is its own batch group, so the
+    """Distinct (model, seed) pairs: each has its own route key, so the
     ring can spread them; identical requests would all share one shard."""
     return [
         (many_small_faults_scenario(n=40 + 5 * index), SEED + index)
@@ -71,8 +70,8 @@ def fire(client: ServiceClient, workload):
 
 def main() -> None:
     workload = build_workload()
-    shard_a = EvaluationServer(batch_window_ms=25.0)
-    shard_b = EvaluationServer(batch_window_ms=25.0)
+    shard_a = EvaluationServer()
+    shard_b = EvaluationServer()
 
     with start_in_background(shard_a) as handle_a:
         handle_b = start_in_background(shard_b)
@@ -99,8 +98,8 @@ def main() -> None:
                 assert result.metric_dict() == direct.to_dict()["metrics"]
             print("all routed answers byte-identical to repro.evaluate\n")
 
-            # A concurrent sweep shares one batch group -> one shard, one
-            # micro-batched kernel call, even through the router.
+            # A concurrent sweep shares one route key -> one shard, and
+            # each point is still its own rescaled model's evaluation.
             sweep_model = many_small_faults_scenario(n=100)
             scales = [0.25, 0.5, 0.75, 1.0]
 
@@ -113,10 +112,15 @@ def main() -> None:
 
             with ThreadPoolExecutor(max_workers=len(scales)) as pool:
                 sweep = list(pool.map(sweep_point, scales))
-            group_sizes = {served["group_size"] for _, served in sweep}
-            print(f"sweep over {len(scales)} p_scale points: "
-                  f"group sizes seen {sorted(group_sizes)} "
-                  "(one shard batched the whole group)\n")
+            for (result, _), scale in zip(sweep, scales):
+                direct = evaluate(sweep_model.rescaled(scale, 1.0), "montecarlo",
+                                  seed=SEED, replications=REPLICATIONS)
+                assert result.metric_dict() == direct.to_dict()["metrics"]
+            after = (shard_a.registry["evaluations_computed"],
+                     shard_b.registry["evaluations_computed"])
+            print(f"sweep over {len(scales)} p_scale points: shard split "
+                  f"{after[0] - split[0]}/{after[1] - split[1]}, each point "
+                  "equal to repro.evaluate on its rescaled model\n")
 
             # Failover drill: kill shard B, then offer *fresh* work (new
             # seeds, so the router LRU cannot answer).  Keys the ring owns
@@ -144,17 +148,14 @@ def main() -> None:
 
     # The remote cache tier: a shard warmed by earlier traffic answers a
     # cold peer that names it with --cache-peer.
-    warm = EvaluationServer(batch_window_ms=25.0)
+    warm = EvaluationServer()
     with start_in_background(warm) as warm_handle:
         model = many_small_faults_scenario(n=60)
         warm_client = ServiceClient(port=warm_handle.port)
         warm_client.evaluate(model, "montecarlo",
                              options={"replications": REPLICATIONS}, seed=3)
 
-        cold = EvaluationServer(
-            batch_window_ms=25.0,
-            cache_peers=(f"127.0.0.1:{warm_handle.port}",),
-        )
+        cold = EvaluationServer(cache_peers=(f"127.0.0.1:{warm_handle.port}",))
         with start_in_background(cold) as cold_handle:
             cold_client = ServiceClient(port=cold_handle.port)
             _, served = cold_client.evaluate_detail(
@@ -181,7 +182,7 @@ def replication_drill() -> None:
     computing a single evaluation again.
     """
     workload = build_workload()
-    shards = [EvaluationServer(batch_window_ms=25.0) for _ in range(3)]
+    shards = [EvaluationServer() for _ in range(3)]
     handles = [start_in_background(shard) for shard in shards]
     addresses = [f"127.0.0.1:{handle.port}" for handle in handles]
     router = ShardRouter(addresses, replication=2, lru_size=0,

@@ -67,7 +67,7 @@ Subpackage                      Paper sections
 :mod:`repro.assessment`         Sections 5, 7 (assessor-facing outputs)
 :mod:`repro.experiments`        Section 7 (synthetic Knight-Leveson check), scenarios
 :mod:`repro.studies`            declarative parameter-sweep studies (cached, parallel)
-:mod:`repro.service`            evaluation service (async micro-batching HTTP server)
+:mod:`repro.service`            evaluation service (async HTTP server)
 ==============================  =====================================================
 """
 

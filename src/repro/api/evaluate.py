@@ -202,8 +202,8 @@ def sweep_outcomes(
 ) -> tuple[bool, list[tuple[str, Any]]]:
     """The one sweep core: ``method`` at every variation of ``model``, one outcome per point.
 
-    :func:`evaluate_sweep`, the study runner's group tasks and the service's
-    micro-batched groups all dispatch through here.  Returns ``(batched,
+    :func:`evaluate_sweep` and the study runner's group tasks both dispatch
+    through here.  Returns ``(batched,
     outcomes)``: ``outcomes[i]`` is ``("ok", EvaluationResult)`` or
     ``("error", "ValueError: ...")`` for variation ``i``, and ``batched``
     says whether the method's batched kernel produced the valid points

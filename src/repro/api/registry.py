@@ -377,9 +377,8 @@ def register_batch(
 
     ``applies(options)`` declares which resolved options the kernel serves
     (default: all).  A sweep outside it runs point by point, and the study
-    planner and the service read the same rule
-    (:meth:`MethodDefinition.shares_work`) to decide whether its points
-    share work, before any kernel runs.
+    planner reads the same rule (:meth:`MethodDefinition.shares_work`) to
+    decide whether its points share work, before any kernel runs.
 
     A deterministic kernel must return, per variation, exactly the record
     the scalar method gives ``model.rescaled(p_scale, q_scale)``; the study

@@ -21,8 +21,8 @@ writing any code:
   in parallel against a content-addressed result cache and writes the tidy
   result table as JSON/JSONL/CSV;
 * ``serve`` -- run the evaluation service (:mod:`repro.service`): an asyncio
-  HTTP server that micro-batches concurrent Monte Carlo sweep points into
-  shared-stream kernel calls, with an LRU response cache optionally layered
+  HTTP server that computes each request on arrival in a worker pool, with
+  an LRU response cache optionally layered
   on a disk cache (``--cache-dir``) and on other shards' caches
   (``--cache-peer``);
 * ``route`` -- run the shard router (:mod:`repro.cluster`): a consistent-hash
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="run the evaluation service (async micro-batching HTTP server)",
+        help="run the evaluation service (async HTTP server)",
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve_parser.add_argument("--port", type=int, default=8000, help="TCP port (default 8000)")
@@ -210,17 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "evaluation worker processes; 0 (the default) evaluates in server-side "
             "threads instead of a process pool"
-        ),
-    )
-    serve_parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help=(
-            "micro-batching window: how long the first montecarlo sweep point of a "
-            "group waits for companions sharing its demand stream (added latency "
-            "ceiling; default 5); other methods and correlated montecarlo never "
-            "wait, and 0 dispatches every request at once"
         ),
     )
     serve_parser.add_argument(
@@ -410,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--distinct",
         type=int,
         default=16,
-        help="distinct payloads (each its own batch group; default 16)",
+        help="distinct payloads (each its own route key; default 16)",
     )
     loadgen_parser.add_argument(
         "--duplicate-factor",
@@ -819,7 +808,6 @@ def _handle_serve(arguments: argparse.Namespace) -> int:
         configure_shipping(arguments.ship_traces)
     server = EvaluationServer(
         workers=arguments.workers,
-        batch_window_ms=arguments.batch_window_ms,
         cache_dir=cache_dir,
         lru_size=arguments.lru_size,
         max_inflight=arguments.max_inflight,

@@ -3,7 +3,7 @@
 A dependency-free scale-out tier over :mod:`repro.service`:
 
 * :mod:`~repro.cluster.ring` -- consistent hashing with virtual nodes:
-  batch-group digests map to shards, groupmates stay together, ejection
+  batch-group digests map to shards, equal digests stay together, ejection
   spills a key range to the next shard without rehashing anything else;
 * :mod:`~repro.cluster.health` -- ejection/readmission state: dead shards
   stay out until a ``/healthz`` probe succeeds, saturated ones (429/503)

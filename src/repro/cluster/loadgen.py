@@ -8,7 +8,7 @@ histograms.
 Three phases, matching how the cluster is exercised in practice:
 
 * **cold** -- every distinct payload once; on a router this spreads across
-  shards by batch-group digest, so it measures scale-out compute throughput;
+  shards by route key, so it measures scale-out compute throughput;
 * **warm** -- the same payloads again; every answer must come from a cache
   tier (router LRU, shard LRU/disk, or a peer via the remote tier), which
   the benchmark gate checks by diffing ``evaluations_computed``;
@@ -74,8 +74,8 @@ def build_workload(
     """``distinct`` evaluation payloads, reproducible from ``seed``.
 
     Each payload gets its own model (a fresh ``many-small-faults`` draw) and
-    its own evaluation seed, so every payload lands in its own batch group
-    -- the shard-parallel regime a router spreads across the ring.  Options
+    its own evaluation seed, so every payload has its own route key -- the
+    shard-parallel regime a router spreads across the ring.  Options
     are small on purpose: the generator measures serving behaviour, not
     kernel throughput.
     """
@@ -381,7 +381,6 @@ def run_soak(
 
     def make_shard(index: int) -> "EvaluationServer":
         return EvaluationServer(
-            batch_window_ms=1.0,
             cache_peers=tuple(
                 address for peer, address in enumerate(addresses) if peer != index
             ),

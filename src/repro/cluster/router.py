@@ -5,11 +5,10 @@ same endpoints, same error bodies) and forwards each request to a backend
 ``repro serve`` shard:
 
 * ``POST /v1/evaluate`` routes by consistent hash of the request's
-  **batch-group digest** (:meth:`ServiceRequest.group_key`).  Only a
-  shared-work method (``montecarlo``) needs that: its sweep points land on
-  one shard, whose micro-batcher windows them into one kernel call.  Every
-  other method's equal-digest requests co-locate under any key, which is
-  all the shard's single flight needs.  The original body bytes are
+  **batch-group digest** (:meth:`ServiceRequest.group_key`), the study
+  runner's grouping of (model, method, options, seed) without its
+  ``p_scale`` / ``q_scale``: equal-digest requests co-locate on one shard,
+  which is all the shard's single flight needs.  The original body bytes are
   forwarded untouched -- the router parses only to validate and route --
   so shard-side digests, and therefore cache keys and results, are
   byte-identical to a direct call;
@@ -107,7 +106,7 @@ from repro.telemetry.slo import DEFAULT_OBJECTIVES, SLOEngine
 __all__ = ["ShardRouter"]
 
 #: The ``served`` object of a record the router LRU answered.
-_ROUTER_SERVED = {"cached": "router", "batched": False, "group_size": 0}
+_ROUTER_SERVED = {"cached": "router", "group_size": 0}
 
 _COUNTER_NAMES = (
     "requests_total",

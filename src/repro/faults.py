@@ -39,7 +39,6 @@ Failpoints in the tree (grep for ``faults.hit`` to refresh this list):
 
 ========================  =====================================================
 ``worker.evaluate``       one evaluation inside a service/pool worker
-``worker.group``          one coalesced batch group inside a worker
 ``worker.crash``          worker-process entry (arm with ``crash`` to kill it)
 ``studies.point``         one study point of a group task, hit before the
                           group runs -- firing it fails that point alone

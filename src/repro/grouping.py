@@ -1,10 +1,9 @@
 """Shared evaluation identity and batch grouping.
 
-Two subsystems dispatch families of related evaluations through the batched
-kernels: the study runner (:mod:`repro.studies.runner`) groups cache-miss
-sweep points, and the evaluation service (:mod:`repro.service`) groups
-concurrently in-flight requests.  Both need the same two notions, extracted
-here so they cannot drift:
+The study runner (:mod:`repro.studies.runner`) dispatches families of
+cache-miss sweep points through the batched kernels, and the evaluation
+service (:mod:`repro.service`) and shard router key and place single
+requests.  They share two notions, extracted here so they cannot drift:
 
 * the **canonical evaluation payload** -- the JSON object whose SHA-256
   digest (:func:`repro.cache.payload_digest`) is an evaluation's identity:
@@ -20,6 +19,7 @@ here so they cannot drift:
   Monte Carlo, one per-point loop for exact methods); everything else -- base model, other parameters,
   options, seed -- stays in the group key (:func:`group_digest`), so group
   identity is as content-addressed as the evaluation digests themselves.
+  The router places requests on its ring by this key.
 """
 
 from __future__ import annotations

@@ -1,22 +1,19 @@
-"""The evaluation service: an async micro-batching server over the batched kernels.
+"""The evaluation service: an async HTTP server over the method registry.
 
-A dependency-free (stdlib only) serving layer that turns concurrent
-independent evaluation requests into the batched multi-point evaluations the
-sweep kernels make cheap:
+A dependency-free (stdlib only) serving layer that answers each evaluation
+request from its cache tiers or computes it on arrival in a worker pool,
+byte-identical to :func:`repro.evaluate` on the rescaled model:
 
 * :mod:`~repro.service.protocol` -- the JSON wire protocol: a lossless
   transport of :class:`~repro.api.EvaluationRequest` /
   :class:`~repro.api.EvaluationResult` plus the content-addressed request
-  identity (digest and batch-group key, shared with the study runner via
+  identity (digest and route key, shared with the study runner via
   :mod:`repro.grouping`);
-* :mod:`~repro.service.batcher` -- the micro-batcher: shared-work
-  (``montecarlo``) requests in flight during a short window that share
-  (model digest, method, options, seed) and differ only in the batchable
-  ``p_scale`` / ``q_scale`` axis are dispatched as *one* batched-kernel
-  call; every other request dispatches at once;
+* :mod:`~repro.service.batcher` -- the dispatcher: each computed request
+  goes to the pool on arrival as one job;
 * :mod:`~repro.service.worker` -- the picklable execution functions the
   process worker pool runs, byte-identical to :func:`repro.evaluate` /
-  :func:`repro.evaluate_sweep`;
+  :func:`repro.evaluate_batch`;
 * :mod:`~repro.service.cache` -- :class:`~repro.service.cache.ResponseCache`,
   the in-process LRU tier (a shard's disk and peer tiers live in
   :mod:`~repro.service.server`);

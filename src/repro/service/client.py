@@ -8,9 +8,9 @@ produces -- swapping ``repro.evaluate(model, ...)`` for
 back.  Connections are kept alive *per thread*: each thread reuses one
 ``http.client`` connection across calls (reconnecting transparently when the
 server closed it between calls), so one client instance can be shared
-freely across threads (the concurrent-client pattern that triggers
-micro-batching; see ``examples/service_client.py``) without paying a TCP
-handshake per request.
+freely across threads (the concurrent-client pattern of
+``examples/service_client.py``) without paying a TCP handshake per
+request.
 
 It is the program's one blocking HTTP client: the span shipper and
 ``repro top`` call :meth:`ServiceClient.request` with ``retries=0``, and
@@ -389,8 +389,10 @@ class ServiceClient:
         """One evaluation, returning ``(result, served)``.
 
         ``served`` is the server's provenance record: ``cached`` (``None``,
-        ``"lru"`` or ``"disk"``), ``batched`` and ``group_size`` -- how the
-        response was produced, useful for tests and capacity work.
+        ``"lru"``, ``"disk"``, ``"remote"`` or ``"router"``) and
+        ``group_size`` (the evaluations the computing pool job ran; 0 when
+        cached) -- how the response was produced, useful for tests and
+        capacity work.
         ``timeout_ms`` is the per-request server-side deadline (a 504 with
         code ``deadline_exceeded`` when overrun).
         """

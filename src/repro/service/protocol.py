@@ -8,12 +8,12 @@
 
 ``"scenario": "<name>"`` may replace ``"model"``; the scenario is resolved
 to its concrete model content immediately, so a scenario-spelled request and
-its inline-model equivalent are the *same* request (same digest, same batch
-group, same cache entry).  ``options`` resolve through the method registry
+its inline-model equivalent are the *same* request (same digest, same route
+key, same cache entry).  ``options`` resolve through the method registry
 exactly like every other surface; ``seed`` defaults to the library seed so
 "no seed" still means "reproducible"; ``p_scale`` / ``q_scale`` are the
-batchable model transforms (:mod:`repro.grouping`) that let concurrent
-requests share one batched-kernel call.
+model transforms (:mod:`repro.grouping`): the request evaluates
+``model.rescaled(p_scale, q_scale)``.
 
 Parsing is strict: unknown keys, unknown methods, unknown options, wrong
 types and transforms the model rejects all raise ``ValueError`` here, which
@@ -36,7 +36,7 @@ A parsed request carries its content identity, computed on first use:
 (:func:`repro.cache.payload_digest`, which keys studies too -- a
 deterministic-method entry a study warmed over the same inline model is
 served to service traffic as-is), and :meth:`ServiceRequest.group_key` is
-the micro-batcher's grouping key (the study runner's group digest).
+the router's placement key (the study runner's group digest).
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ class ServiceRequest:
     p_scale: float = 1.0
     q_scale: float = 1.0
     requires_seed: bool = False
-    #: Only requests whose resolved options make the kernel share work
-    #: wait in a batching window.
-    shares_work: bool = False
     #: Per-request deadline in milliseconds (``None``: the server default).
     #: Delivery metadata, not content: it never enters the digest, the group
     #: key or the cache payload, so a request with a deadline hits the same
@@ -123,7 +120,7 @@ class ServiceRequest:
         return digest
 
     def group_key(self) -> str:
-        """Batch-group digest: the payload with neutral transforms."""
+        """Route key: the batch-group digest (the payload with neutral transforms)."""
         key = self._digests.get("group")
         if key is None:
             key = self._digests["group"] = group_digest(self.payload())
@@ -139,10 +136,6 @@ class ServiceRequest:
             self.p_scale,
             self.q_scale,
         )
-
-    def group_arguments(self, variations: tuple) -> tuple:
-        """Arguments for :func:`repro.service.worker.evaluate_group`."""
-        return (self.model_data, self.method, self.options, variations, self.seed)
 
 
 def _require_mapping(payload, what: str) -> Mapping:
@@ -237,7 +230,6 @@ def parse_evaluate_payload(payload) -> ServiceRequest:
         p_scale=p_scale,
         q_scale=q_scale,
         requires_seed=definition.requires_seed,
-        shares_work=definition.shares_work(resolved),
         timeout_ms=parse_timeout_ms(payload.get("timeout_ms")),
     )
 
@@ -294,7 +286,6 @@ def batch_requests(
                 options=resolved,
                 seed=seed,
                 requires_seed=definition.requires_seed,
-                shares_work=definition.shares_work(resolved),
             )
         )
     return parsed

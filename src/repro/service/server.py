@@ -6,7 +6,7 @@ framework, no third-party packages -- exposing:
 ===========================  ========================================================
 Endpoint                     Meaning
 ===========================  ========================================================
-``POST /v1/evaluate``        one evaluation (micro-batched with concurrent traffic)
+``POST /v1/evaluate``        one evaluation, computed on arrival
 ``POST /v1/evaluate/batch``  many methods on one model: each element served as
                              its own ``/v1/evaluate`` request
 ``GET /v1/methods``          the method registry's schemas (``repro methods`` as JSON)
@@ -36,7 +36,7 @@ LRU and the disk, so a warm shard answers for a cold one once per key.
 Request handling is fully asynchronous: each connection is a task, each
 ``/v1/evaluate`` cache miss joins the single-flight task for its digest (one
 per digest: it probes the disk and remote tiers, computes through the
-micro-batcher and stores the record), and every evaluation runs on an
+dispatcher and stores the record), and every evaluation runs on an
 executor (forked workers on direct pipes with ``workers >= 1``, see
 :mod:`repro.service.pool`; a thread pool in-process otherwise), so slow
 evaluations never stall the accept loop, ``/healthz`` or ``/metrics``.
@@ -85,9 +85,9 @@ from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 
 __all__ = ["EvaluationServer", "ServerHandle", "WorkerCrashError", "start_in_background"]
 
-#: Every PR-6 counter, pre-registered so ``/metrics`` always exposes the
-#: full catalogue (at zero) from the first scrape -- the schema test pins
-#: these names; removals are breaking, additions are not.
+#: Every counter, pre-registered so ``/metrics`` always exposes the full
+#: catalogue (at zero) from the first scrape -- the schema test pins these
+#: names; a name leaves only with the behaviour it counted.
 _COUNTER_NAMES = (
     "requests_total",
     "errors_total",
@@ -96,13 +96,10 @@ _COUNTER_NAMES = (
     "batch_endpoint_evaluations",
     "evaluations_computed",
     "dispatched_groups",
-    "batched_groups",
-    "batched_group_requests",
     "coalesced_requests",
     "cache_hits_lru",
     "cache_hits_disk",
     "cache_misses",
-    "group_fallbacks",
     "pool_restarts",
     "retried_jobs",
     "poison_jobs",
@@ -121,7 +118,6 @@ _COUNTER_NAMES = (
 _HISTOGRAM_NAMES = (
     "request_seconds",
     "queue_wait_seconds",
-    "batch_window_wait_seconds",
 )
 
 _HEX_DIGITS = frozenset(string.hexdigits.lower())
@@ -143,20 +139,13 @@ class WorkerCrashError(RuntimeError):
 
 
 class EvaluationServer(HttpApp):
-    """The evaluation service: batcher + cache + executor + HTTP front.
+    """The evaluation service: dispatcher + cache + executor + HTTP front.
 
     Parameters
     ----------
     workers:
         Process-pool size for evaluations; ``0`` evaluates in server-side
         threads (no pickling, fine for tests and small deployments).
-    batch_window_ms:
-        Micro-batching window: how long the first request of a shared-work
-        group (uncorrelated ``montecarlo`` sweep points) waits for
-        companions (the added latency ceiling).  Every other request
-        dispatches at once; ``0`` dispatches every request at once on the
-        scalar :func:`repro.evaluate` path.  Equal-digest requests coalesce
-        either way.
     cache_dir:
         Optional disk tier for the response cache (the shared
         content-addressed :class:`~repro.cache.ResultCache` format).
@@ -203,7 +192,6 @@ class EvaluationServer(HttpApp):
         self,
         *,
         workers: int = 0,
-        batch_window_ms: float = 5.0,
         cache_dir: str | None = None,
         lru_size: int = 1024,
         cache_peers: Sequence[str] = (),
@@ -214,8 +202,6 @@ class EvaluationServer(HttpApp):
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if batch_window_ms < 0.0:
-            raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue < 0:
@@ -230,7 +216,6 @@ class EvaluationServer(HttpApp):
             )
         super().__init__()
         self.workers = workers
-        self.batch_window_ms = batch_window_ms
         self.cache_dir = cache_dir
         self.cache_peers = tuple(cache_peers)
         self.max_inflight = max_inflight
@@ -269,13 +254,7 @@ class EvaluationServer(HttpApp):
         self._worker_metrics = MetricsRegistry()
         # Single flight: one task per digest in flight, joined by its duplicates.
         self._flights: dict[str, asyncio.Task] = {}
-        self.batcher = MicroBatcher(
-            self._run_in_pool,
-            window_seconds=batch_window_ms / 1000.0,
-            on_group=self._record_group,
-            on_fallback=self._record_fallback,
-            metrics=self.registry,
-        )
+        self.batcher = MicroBatcher(self._run_in_pool, on_group=self._record_group)
 
     # ----------------------------------------------------------------- #
     # Executor plumbing
@@ -348,16 +327,11 @@ class EvaluationServer(HttpApp):
             self._slots_loop = loop
         return self._slots
 
-    def _record_group(self, group_size: int, batched: bool) -> None:
+    def _record_group(self, group_size: int) -> None:
+        """Count one pool job computing ``group_size`` evaluations."""
         self.registry.inc("dispatched_groups")
         self.registry.inc("evaluations_computed", group_size)
         self.registry.set_max("max_group_size", group_size)
-        if batched and group_size >= 2:
-            self.registry.inc("batched_groups")
-            self.registry.inc("batched_group_requests", group_size)
-
-    def _record_fallback(self) -> None:
-        self.registry.inc("group_fallbacks")
 
     # ----------------------------------------------------------------- #
     # Endpoint logic
@@ -391,7 +365,7 @@ class EvaluationServer(HttpApp):
             probe.set(tier="miss" if record is None else "lru")
         if record is not None:
             self.registry.inc("cache_hits_lru")
-            return {"result": record, "served": {"cached": "lru", "batched": False, "group_size": 0}}
+            return {"result": record, "served": {"cached": "lru", "group_size": 0}}
         flight = self._flights[digest] = asyncio.ensure_future(start(request, digest))
         flight.add_done_callback(lambda _: self._flights.pop(digest))
         return flight
@@ -404,7 +378,7 @@ class EvaluationServer(HttpApp):
     async def _resolve(self, request, digest: str) -> dict:
         """One digest's single flight: the shared tiers, else compute; then store."""
         record, cached = await self._probe_shared(request, digest)
-        meta = {"batched": False, "group_size": 0}
+        meta = {"group_size": 0}
         if cached is None:
             record, meta = await self.batcher.submit(request)
         return await self._keep(request, digest, record, cached, meta)
@@ -496,7 +470,7 @@ class EvaluationServer(HttpApp):
             misses = [item[0] for item, (_, cached) in zip(started, probes) if cached is None]
             computed = iter(await self._compute_batch(model_data, seed, misses) if misses else ())
             for (request, digest, future), (record, cached) in zip(started, probes):
-                outcome = (record, {"batched": False, "group_size": 0}) if cached else next(computed)
+                outcome = (record, {"group_size": 0}) if cached else next(computed)
                 if isinstance(outcome, BaseException):
                     future.set_exception(outcome)
                 else:
@@ -525,8 +499,8 @@ class EvaluationServer(HttpApp):
             return await asyncio.gather(
                 *(self.batcher.submit(request) for request in misses), return_exceptions=True
             )
-        self._record_group(len(misses), False)
-        meta = {"batched": False, "group_size": len(misses)}
+        self._record_group(len(misses))
+        meta = {"group_size": len(misses)}
         return [(record, meta) for record in records]
 
     async def _serve_admitted(self, request: HttpRequest) -> tuple[int, dict, dict]:
@@ -643,12 +617,10 @@ class EvaluationServer(HttpApp):
         and the accumulated deltas pool workers shipped back.
         """
         self.registry.set_gauge("uptime_seconds", round(time.time() - self._started, 3))
-        self.registry.set_gauge("pending_requests", self.batcher.pending_requests)
         self.registry.set_gauge("running_requests", self._running)
         self.registry.set_gauge("queued_requests", self._queued)
         self.registry.set_gauge("draining", self._draining)
         self.registry.set_gauge("lru_entries", len(self.cache))
-        self.registry.set_gauge("batch_window_ms", self.batch_window_ms)
         self.registry.set_gauge("workers", self.workers)
         self.registry.set_gauge("max_inflight", self.max_inflight)
         self.registry.set_gauge("max_queue", self.max_queue)
@@ -806,15 +778,14 @@ class EvaluationServer(HttpApp):
         """Graceful shutdown: stop admitting, drain, then release the executor.
 
         New evaluation requests answer 503 (``Retry-After``) from here on;
-        every open batching window is flushed and already-admitted requests
-        (including evaluations whose waiters timed out) get up to
-        ``drain_seconds`` to finish before the executor is torn down, so a
-        routine shutdown never truncates accepted work.  Pool workers get
+        already-admitted requests (including evaluations whose waiters
+        timed out) get up to ``drain_seconds`` to finish before the
+        executor is torn down, so a routine shutdown never truncates
+        accepted work.  Pool workers get
         what is left of that budget to exit on their stop message; a flight
         kept past the drain that reaches the executor afterwards fails.
         """
         self._draining = True
-        await self.batcher.flush_all()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + drain_seconds
         while self._running > 0 and loop.time() < deadline:
@@ -886,7 +857,7 @@ def start_in_background(
             box["port"] = asyncio_server.sockets[0].getsockname()[1]
             started.set()
             loop.run_forever()
-            # loop.stop() landed: drain the batcher and close sockets.
+            # loop.stop() landed: drain admitted work and close sockets.
             asyncio_server.close()
             loop.run_until_complete(asyncio_server.wait_closed())
             loop.run_until_complete(server.aclose())

@@ -9,20 +9,7 @@ The contract that makes the service trustworthy: every record produced here
 is **byte-identical** to what the public API returns for the same inputs --
 
 * :func:`evaluate_single` is ``repro.evaluate(model.rescaled(p, q), method,
-  seed=seed, options=options)``, nothing more;
-* :func:`evaluate_group` runs the one sweep core,
-  :func:`repro.api.evaluate.sweep_outcomes`, for one window of
-  ``montecarlo`` sweep points ``(model, method, variations, seed)``: the
-  batched kernel sees the whole variation set with one shared stream seeded
-  from the request seed (common-random-numbers semantics), and when the
-  kernel declines every member is evaluated on its own rescaled model with
-  the lone request's ``seed`` stream (the sweep core's own default), so an
-  unbatchable group is indistinguishable from never having been grouped.
-  A lone ``montecarlo`` within the sparse kernel's memory budget is itself
-  its one-point sweep at scale 1, so
-  a grouped point at ``p_scale = q_scale = 1`` equals the lone request; a
-  point at another scale still differs from the lone request for the
-  rescaled model;
+  seed=seed, options=options)``, nothing more: every ``/v1/evaluate`` record;
 * :func:`evaluate_batch` is ``repro.evaluate_batch(model, requests,
   seed=seed)`` over a ``/v1/evaluate/batch``'s uncached elements.
 """
@@ -34,11 +21,10 @@ import time
 from repro import faults, telemetry
 from repro.api.evaluate import evaluate as api_evaluate
 from repro.api.evaluate import evaluate_batch as api_evaluate_batch
-from repro.api.evaluate import sweep_outcomes
 from repro.core.fault_model import FaultModel
 from repro.telemetry.metrics import subtract_snapshots
 
-__all__ = ["evaluate_batch", "evaluate_group", "evaluate_single", "run_job"]
+__all__ = ["evaluate_batch", "evaluate_single", "run_job"]
 
 
 def run_job(arguments: tuple) -> tuple:
@@ -90,34 +76,6 @@ def evaluate_single(arguments: tuple) -> dict:
     model_data, method, options, seed, p_scale, q_scale = arguments
     model = FaultModel.from_dict(model_data).rescaled(p_scale, q_scale)
     return api_evaluate(model, method, seed=seed, options=options).to_dict()
-
-
-def evaluate_group(arguments: tuple) -> tuple[bool, list[dict]]:
-    """One micro-batched group: the batched kernel over the group's variations.
-
-    Returns ``(used_batch, records)`` with one wire record per variation, in
-    order.  Each record is the one a one-point sweep of that variation gives
-    (``evaluate_sweep(model, method, [variation], seed=...)``): which
-    requests shared the window does not move any value.  ``used_batch`` is
-    False when the method's kernel declined the sweep and every member was
-    evaluated on the scalar path instead.  A failed point raises, and the
-    batcher re-dispatches the group point by point.
-    """
-    faults.hit("worker.crash")
-    faults.hit("worker.group")
-    model_data, method, options, variations, seed = arguments
-    used_batch, outcomes = sweep_outcomes(
-        FaultModel.from_dict(model_data),
-        method,
-        variations,
-        options=options,
-        seed=seed,
-    )
-    for index, (status, outcome) in enumerate(outcomes):
-        if status == "error":
-            raise ValueError(f"sweep variation {index}: {outcome}")
-    return used_batch, [result.to_dict() for _, result in outcomes]
-
 
 
 def evaluate_batch(arguments: tuple) -> list[dict]:

@@ -8,8 +8,8 @@ renders two views:
   duration for every span name in the capture (exact percentiles: the
   raw durations are all on disk, no bucketing needed offline);
 * a **per-request breakdown** -- for each trace that contains a root
-  ``server.request`` span, where its wall-clock went: queue wait,
-  batch-window wait, worker kernel time, cache probes and writes;
+  ``server.request`` span, where its wall-clock went: queue wait, worker
+  kernel time, cache probes and writes;
 * **counters** -- count attributes summed over every span that carries
   them (the study runner's ``distributions_computed`` /
   ``distributions_shared``).
@@ -49,7 +49,6 @@ __all__ = [
 #: sums every matching span within the request's trace.
 _REQUEST_COMPONENTS = {
     "queue_wait_ms": ("server.queue_wait",),
-    "window_wait_ms": ("batcher.window_wait",),
     "kernel_ms": ("worker.kernel",),
     "cache_ms": (
         "server.cache_probe",
@@ -261,10 +260,9 @@ def format_summary(summary: Mapping[str, Any], *, top: int = 10) -> str:
         lines.append(f"slowest requests (top {min(top, len(requests))} of {len(requests)}):")
         stitched = bool(summary.get("stitched"))
         header = (
-            "trace", "dur_ms", "queue_wait_ms", "window_wait_ms", "kernel_ms",
-            "cache_ms",
+            "trace", "dur_ms", "queue_wait_ms", "kernel_ms", "cache_ms",
         )
-        widths: tuple[int, ...] = (16, 9, 13, 14, 9, 9)
+        widths: tuple[int, ...] = (16, 9, 13, 9, 9)
         if stitched:
             header += ("router_ms", "shard_ms", "network_ms")
             widths += (10, 9, 11)
@@ -276,7 +274,6 @@ def format_summary(summary: Mapping[str, Any], *, top: int = 10) -> str:
                 entry["trace"],
                 entry["dur_ms"],
                 entry["queue_wait_ms"],
-                entry["window_wait_ms"],
                 entry["kernel_ms"],
                 entry["cache_ms"],
             ]

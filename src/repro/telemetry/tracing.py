@@ -3,7 +3,7 @@
 Production code is sprinkled with cheap, named spans::
 
     from repro import telemetry
-    with telemetry.span("batcher.dispatch", group_size=4):
+    with telemetry.span("server.cache_probe", tier="lru"):
         ...
 
 A span does nothing until tracing is configured -- the disabled path is one
@@ -26,7 +26,7 @@ Every event carries a **trace id** -- propagated from the enclosing request
 (the server stamps one per HTTP request, honouring an incoming
 ``x-repro-trace-id`` header) -- and a span id / parent span id, so
 ``repro trace summarize`` can reassemble the tree: HTTP parse, admission,
-batch-window wait, group dispatch, worker kernel, cache write, response.
+cache probes, worker kernel, cache write, response.
 Ids come from :func:`os.urandom`, never from a seeded RNG stream, so
 tracing cannot perturb a reproducible result.
 
@@ -203,8 +203,8 @@ def record(
 ) -> None:
     """Emit a span event for an interval measured elsewhere.
 
-    For durations that cannot wrap a ``with`` block -- the batcher stamps
-    each job at submit and only learns the window wait at flush time.
+    For durations that cannot wrap a ``with`` block -- the server learns a
+    request's admission-queue wait only once a running slot is acquired.
     """
     if _writer is None:
         return

@@ -549,17 +549,24 @@ class TestServeCommand:
         assert main(["serve", "--port", "18099", "--workers", "-1"]) == 2
         assert "workers" in capsys.readouterr().err
 
-    def test_negative_window_exits_2(self, capsys):
-        assert main(["serve", "--port", "18099", "--batch-window-ms", "-5"]) == 2
-        assert "batch_window_ms" in capsys.readouterr().err
-
     def test_no_batch_flag_is_gone(self, capsys):
-        # --batch-window-ms 0 is the way to dispatch every request at once.
+        # Every request dispatches at once; no flag turns grouping off.
         # The invalid port keeps a tree that still took the flag from serving.
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--port", "0", "--no-batch"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --no-batch" in capsys.readouterr().err
+
+    def test_batch_window_flag_is_gone(self, capsys):
+        from repro.service import EvaluationServer
+
+        # The invalid port keeps a tree that still took the flag from serving.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--batch-window-ms", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batch-window-ms" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            EvaluationServer(batch_window_ms=1.0)
 
     def test_bad_lru_size_exits_2(self, capsys):
         assert main(["serve", "--port", "18099", "--lru-size", "0"]) == 2

@@ -23,7 +23,6 @@ MODEL = {"p": [0.05, 0.02, 0.01], "q": [1e-4, 5e-4, 2e-3]}
 @contextmanager
 def fleet(shards: int = 2, probe_interval_ms: float = 50.0, router_kw: dict | None = None, **server_kw):
     """Live shards behind a live router, probing (and scraping) fast."""
-    server_kw.setdefault("batch_window_ms", 1.0)
     servers = [EvaluationServer(**server_kw) for _ in range(shards)]
     handles = [start_in_background(server) for server in servers]
     router = ShardRouter(

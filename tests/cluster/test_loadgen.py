@@ -79,7 +79,7 @@ class TestDeterminism:
 
 class TestAgainstLiveServer:
     def test_standard_run_report_shape_and_cache_accounting(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         with start_in_background(server) as handle:
             record = run_loadgen(
                 port=handle.port,
@@ -111,7 +111,7 @@ class TestAgainstLiveServer:
         assert server.registry["evaluations_computed"] == 4
 
     def test_phase_subset_and_unknown_phase(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         with start_in_background(server) as handle:
             record = run_loadgen(
                 port=handle.port,
@@ -129,7 +129,7 @@ class TestAgainstLiveServer:
     def test_errors_are_counted_not_raised(self):
         """A saturated or failing endpoint shows up in the report, the
         generator itself keeps going (open loop)."""
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         with start_in_background(server) as handle:
             generator = LoadGenerator(port=handle.port, rate=500.0, workers=2)
             bad = [

@@ -59,7 +59,7 @@ def _routes(server: EvaluationServer, calls):
 
 class TestCacheEndpoints:
     def test_computed_entry_is_served_and_missing_is_404(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         (evaluated, cache_hit, cache_miss) = _routes(
             server,
             [
@@ -78,7 +78,7 @@ class TestCacheEndpoints:
         assert server.registry["cache_endpoint_misses"] == 1
 
     def test_invalid_digest_is_404_and_wrong_verb_is_405(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         short, hexless, deleted = _routes(
             server,
             [
@@ -97,7 +97,7 @@ class TestCacheEndpoints:
             "payload": request.payload(),
             "metrics": {"pfd_single": 0.5, "replications": 1000},
         }
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         put, get, evaluated = _routes(
             server,
             [
@@ -117,7 +117,7 @@ class TestCacheEndpoints:
         assert server.registry["evaluations_computed"] == 0
 
     def test_put_rejects_garbage(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         not_json, no_metrics = _routes(
             server,
             [
@@ -131,7 +131,7 @@ class TestCacheEndpoints:
 
 class TestPeerReadThrough:
     def test_cold_shard_answers_from_warm_peer(self):
-        warm = EvaluationServer(batch_window_ms=1.0)
+        warm = EvaluationServer()
         with start_in_background(warm) as warm_handle:
             warm_client = ServiceClient(port=warm_handle.port)
             model = FaultModel.from_dict(MODEL)
@@ -141,7 +141,6 @@ class TestPeerReadThrough:
             assert warm_served["cached"] is None
 
             cold = EvaluationServer(
-                batch_window_ms=1.0,
                 cache_peers=(f"127.0.0.1:{warm_handle.port}",),
             )
             with start_in_background(cold) as cold_handle:
@@ -163,10 +162,9 @@ class TestPeerReadThrough:
                 assert cold.registry["cache_hits_remote"] == 1
 
     def test_cold_peer_is_a_miss_not_an_error(self):
-        backer = EvaluationServer(batch_window_ms=1.0)  # cold: nothing cached
+        backer = EvaluationServer()  # cold: nothing cached
         with start_in_background(backer) as backer_handle:
             front = EvaluationServer(
-                batch_window_ms=1.0,
                 cache_peers=(f"127.0.0.1:{backer_handle.port}",),
             )
             with start_in_background(front) as front_handle:
@@ -184,7 +182,7 @@ class TestPeerReadThrough:
 
     def test_dead_peer_degrades_to_recomputation(self):
         server = EvaluationServer(
-            batch_window_ms=1.0, cache_peers=("127.0.0.1:1",)  # nothing listens
+            cache_peers=("127.0.0.1:1",)  # nothing listens
         )
         with start_in_background(server) as handle:
             client = ServiceClient(port=handle.port)
@@ -234,7 +232,6 @@ class TestPeerOnTheEventLoop:
             frozen.bind(("127.0.0.1", 0))
             frozen.listen(64)
             server = EvaluationServer(
-                batch_window_ms=1.0,
                 cache_dir=str(tmp_path),
                 cache_peers=(f"127.0.0.1:{frozen.getsockname()[1]}",),
             )
@@ -268,7 +265,6 @@ class TestPeerOnTheEventLoop:
             frozen.bind(("127.0.0.1", 0))
             frozen.listen(64)
             server = EvaluationServer(
-                batch_window_ms=1.0,
                 cache_dir=str(tmp_path),
                 cache_peers=(f"127.0.0.1:{frozen.getsockname()[1]}",),
             )
@@ -300,10 +296,10 @@ class TestPeerOnTheEventLoop:
         assert server.registry["evaluations_computed"] == 12
 
     def test_sequential_misses_share_one_peer_connection(self):
-        peer = EvaluationServer(batch_window_ms=1.0)  # cold: every probe is a 404
+        peer = EvaluationServer()  # cold: every probe is a 404
         with start_in_background(peer) as peer_handle:
             front = EvaluationServer(
-                batch_window_ms=1.0, cache_peers=(f"127.0.0.1:{peer_handle.port}",)
+                cache_peers=(f"127.0.0.1:{peer_handle.port}",)
             )
             statuses = _routes(
                 front, [("POST", "/v1/evaluate", body) for body in _moments_payloads(40)]
@@ -326,7 +322,7 @@ class TestPeerOnTheEventLoop:
         thread.start()
         try:
             server = EvaluationServer(
-                batch_window_ms=1.0, cache_peers=(f"127.0.0.1:{stub.server_address[1]}",)
+                cache_peers=(f"127.0.0.1:{stub.server_address[1]}",)
             )
             with start_in_background(server) as handle:
                 client = ServiceClient(port=handle.port)

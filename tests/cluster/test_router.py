@@ -39,7 +39,6 @@ def cluster(
     deterministically instead of racing the probe loop.  ``router_kw``
     reaches the :class:`ShardRouter` constructor (replication, lru_size...).
     """
-    server_kw.setdefault("batch_window_ms", 1.0)
     servers = [EvaluationServer(**server_kw) for _ in range(shards)]
     handles = [start_in_background(server) for server in servers]
     router = ShardRouter(
@@ -259,11 +258,11 @@ class TestDuplicateRace:
         """Two clients race the same request through the router: one compute
         total across the cluster, identical answers for both.
 
-        The shard window is widened so both arrivals land inside one
-        batching window even on a loaded machine -- the coalescing
-        contract, not scheduler luck, is what's under test.
+        Both arrivals route to one shard, whose single flight makes the
+        compute happen once: the later arrival joins the flight in
+        progress, or, if that flight has ended, reads its LRU entry.
         """
-        with cluster(2, batch_window_ms=250.0) as (servers, handles, router, front):
+        with cluster(2) as (servers, handles, router, front):
             results = []
             errors = []
             barrier = threading.Barrier(2)
@@ -479,7 +478,7 @@ class TestSharedHealthView:
             assert body["view"][victim]["ejected"] is True
 
     def test_shard_serves_an_empty_view(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         handle = start_in_background(server)
         try:
             client = ServiceClient(port=handle.port)
@@ -554,7 +553,7 @@ class TestShutdown:
             return evaluate_single(arguments)
 
         monkeypatch.setattr(worker, "evaluate_single", held)
-        shard = start_in_background(EvaluationServer(workers=0, batch_window_ms=1.0))
+        shard = start_in_background(EvaluationServer(workers=0))
         front = start_in_background(
             ShardRouter([f"127.0.0.1:{shard.port}"], probe_interval_ms=10_000.0)
         )

@@ -112,7 +112,7 @@ class TestMalformedShardResponse:
             assert asyncio.run(run()) == []
 
     def test_router_ejects_and_spills_to_the_healthy_shard(self, case):
-        healthy = start_in_background(EvaluationServer(batch_window_ms=1.0))
+        healthy = start_in_background(EvaluationServer())
         try:
             with fake_shard(MALFORMED[case]) as bad:
                 router = ShardRouter(

@@ -34,7 +34,7 @@ UNKNOWN = "method 'montecarlo' does not accept option"
 
 @pytest.fixture(scope="module")
 def live_client():
-    with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+    with start_in_background(EvaluationServer()) as handle:
         yield ServiceClient(port=handle.port)
 
 

@@ -20,7 +20,7 @@ from repro.service import EvaluationServer, ServiceClient, start_in_background
 
 class TestConnectionReuse:
     def test_sequential_requests_share_one_connection(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         with start_in_background(server) as handle:
             client = ServiceClient(port=handle.port)
             for _ in range(3):
@@ -31,7 +31,7 @@ class TestConnectionReuse:
     def test_threads_get_their_own_connections(self):
         """One connection per thread: http.client connections are not
         thread-safe, so sharing would corrupt interleaved exchanges."""
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         with start_in_background(server) as handle:
             client = ServiceClient(port=handle.port)
             barrier = threading.Barrier(2)
@@ -48,7 +48,7 @@ class TestConnectionReuse:
             client.close()
 
     def test_close_drops_the_calling_threads_connection(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         with start_in_background(server) as handle:
             with ServiceClient(port=handle.port) as client:
                 client.health()

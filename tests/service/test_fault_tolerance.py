@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro import faults
-from repro.api import evaluate, evaluate_sweep
+from repro.api import evaluate
 from repro.service import (
     EvaluationServer,
     ServiceClient,
@@ -40,7 +40,7 @@ class TestPoolRestart:
         # so request A succeeds, request B crashes the worker once and its
         # retry (a fresh process, counting from zero) succeeds.
         faults.inject("worker.crash", crash=True, every=2)
-        server = EvaluationServer(workers=1, batch_window_ms=1.0)
+        server = EvaluationServer(workers=1)
         try:
 
             async def run():
@@ -70,7 +70,7 @@ class TestPoolRestart:
         # pool on its retry, and must then fail as WorkerCrashError instead
         # of restart-looping.
         faults.inject("worker.crash", crash=True)
-        server = EvaluationServer(workers=1, batch_window_ms=1.0)
+        server = EvaluationServer(workers=1)
         try:
             with pytest.raises(WorkerCrashError, match="not retried again"):
                 asyncio.run(
@@ -86,7 +86,7 @@ class TestPoolRestart:
 
     def test_worker_crash_maps_to_a_typed_500(self, small_model):
         faults.inject("worker.crash", crash=True)
-        server = EvaluationServer(workers=1, batch_window_ms=1.0)
+        server = EvaluationServer(workers=1)
         try:
             body = json.dumps({"model": small_model.to_dict(), "method": "moments"})
             status, payload, _ = asyncio.run(
@@ -100,7 +100,7 @@ class TestPoolRestart:
 
 class TestAdmissionControl:
     def test_saturation_answers_429_with_retry_after(self):
-        server = EvaluationServer(batch_window_ms=1.0, max_inflight=1, max_queue=0)
+        server = EvaluationServer(max_inflight=1, max_queue=0)
 
         async def run():
             release = asyncio.Event()
@@ -126,7 +126,7 @@ class TestAdmissionControl:
         assert (first_status, first_payload) == (200, {"ok": True})
 
     def test_queue_headroom_admits_before_rejecting(self):
-        server = EvaluationServer(batch_window_ms=1.0, max_inflight=1, max_queue=1)
+        server = EvaluationServer(max_inflight=1, max_queue=1)
 
         async def run():
             release = asyncio.Event()
@@ -153,7 +153,7 @@ class TestAdmissionControl:
         assert server.registry["rejected_saturated"] == 1
 
     def test_draining_answers_503(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
 
         async def run():
             await server.aclose(drain_seconds=0.0)
@@ -172,7 +172,7 @@ class TestAdmissionControl:
 
 class TestDeadlines:
     def test_overrun_answers_504(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
 
         async def hang():
             await asyncio.sleep(60)
@@ -184,7 +184,7 @@ class TestDeadlines:
         assert server.registry["deadline_timeouts"] == 1
 
     def test_server_default_applies_and_request_overrides(self):
-        server = EvaluationServer(batch_window_ms=1.0, request_timeout_ms=20.0)
+        server = EvaluationServer(request_timeout_ms=20.0)
 
         async def hang():
             await asyncio.sleep(60)
@@ -199,7 +199,7 @@ class TestDeadlines:
         assert (status, payload) == (200, {"ok": True})
 
     def test_bad_timeout_spelling_is_400_not_admitted(self, small_model):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         body = json.dumps(
             {"model": small_model.to_dict(), "method": "moments", "timeout_ms": -5}
         )
@@ -208,11 +208,23 @@ class TestDeadlines:
         assert payload["code"] == "bad_request"
         assert "timeout_ms" in payload["error"]
 
-    def test_timed_out_waiter_does_not_poison_its_group(self, small_model):
-        # Two batchable requests share a window; one carries a 1 ms deadline
-        # that fires long before the 60 ms window closes.  The survivor must
-        # still get the full-group batched result.
-        server = EvaluationServer(batch_window_ms=60.0)
+    def test_timed_out_waiter_does_not_poison_a_concurrent_request(
+        self, small_model, monkeypatch
+    ):
+        # Two concurrent requests; one carries a 1 ms deadline that fires
+        # long before its 50 ms evaluation ends.  The other still gets the
+        # direct record of its own rescaled model.
+        import time
+
+        from repro.service import worker
+
+        evaluate_single = worker.evaluate_single
+        monkeypatch.setattr(
+            worker,
+            "evaluate_single",
+            lambda arguments: time.sleep(0.05) or evaluate_single(arguments),
+        )
+        server = EvaluationServer()
 
         def body(scale, timeout_ms=None):
             payload = {
@@ -229,22 +241,17 @@ class TestDeadlines:
         async def run():
             return await asyncio.gather(
                 server._route("POST", "/v1/evaluate", body(0.5, timeout_ms=1)),
-                server._route("POST", "/v1/evaluate", body(1.0)),
+                server._route("POST", "/v1/evaluate", body(0.75)),
             )
 
         (timed_out, survived) = asyncio.run(run())
         assert timed_out[0] == 504
         assert survived[0] == 200
-        assert survived[1]["served"]["batched"] is True
-        assert survived[1]["served"]["group_size"] == 2
-        reference = evaluate_sweep(
-            small_model,
-            "montecarlo",
-            [{"p_scale": 0.5}, {"p_scale": 1.0}],
-            seed=7,
-            replications=500,
+        assert survived[1]["served"] == {"cached": None, "group_size": 1}
+        direct = evaluate(
+            small_model.rescaled(0.75, 1.0), "montecarlo", seed=7, replications=500
         )
-        assert survived[1]["result"]["metrics"] == reference[1].to_dict()["metrics"]
+        assert survived[1]["result"]["metrics"] == direct.to_dict()["metrics"]
         assert server.registry["deadline_timeouts"] == 1
 
     def test_duplicate_deadline_fails_alone(self, small_model, monkeypatch):
@@ -264,7 +271,7 @@ class TestDeadlines:
             return evaluate_single(arguments)
 
         monkeypatch.setattr(worker, "evaluate_single", held)
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         payload = {"model": small_model.to_dict(), "method": "moments"}
 
         async def run():
@@ -302,7 +309,7 @@ class TestDeadlines:
             return evaluate_single(arguments)
 
         monkeypatch.setattr(worker, "evaluate_single", held)
-        server = EvaluationServer(workers=0, batch_window_ms=1.0)
+        server = EvaluationServer(workers=0)
         with start_in_background(server) as handle:
             client = ServiceClient(port=handle.port, retries=0, timeout=30.0)
             with pytest.raises(ServiceError) as excinfo:
@@ -335,7 +342,7 @@ class TestDeadlines:
             return evaluate_single(arguments)
 
         monkeypatch.setattr(worker, "evaluate_single", held)
-        server = EvaluationServer(workers=0, batch_window_ms=1.0, max_inflight=2, max_queue=0)
+        server = EvaluationServer(workers=0, max_inflight=2, max_queue=0)
 
         def body(scale, timeout_ms=None):
             payload = {"model": small_model.to_dict(), "method": "exact", "p_scale": scale}
@@ -365,7 +372,7 @@ class TestDeadlines:
 
 class TestWireRobustness:
     def test_draining_and_errors_are_typed_on_the_wire(self, small_model):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         with start_in_background(server) as handle:
             client = ServiceClient(port=handle.port, retries=0)
             assert client.health()["draining"] is False
@@ -387,7 +394,7 @@ class TestWireRobustness:
             assert result.metric_dict() == evaluate(small_model, "moments").to_dict()["metrics"]
 
     def test_startup_timeout_raises_instead_of_half_starting(self):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
 
         async def stalled(host, port):
             await asyncio.sleep(60)
@@ -409,7 +416,7 @@ class TestAdmissionAtomicity:
     """
 
     def test_same_tick_burst_admits_exactly_capacity(self):
-        server = EvaluationServer(batch_window_ms=1.0, max_inflight=2, max_queue=2)
+        server = EvaluationServer(max_inflight=2, max_queue=2)
 
         async def run():
             release = asyncio.Event()
@@ -444,7 +451,7 @@ class TestAdmissionAtomicity:
         assert after == (0, 0)
 
     def test_gauges_return_to_zero_after_deadline_cancellation(self):
-        server = EvaluationServer(batch_window_ms=1.0, max_inflight=1, max_queue=1)
+        server = EvaluationServer(max_inflight=1, max_queue=1)
 
         async def run():
             release = asyncio.Event()

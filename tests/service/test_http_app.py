@@ -30,7 +30,7 @@ MODEL = {"p": [0.05, 0.02, 0.01], "q": [1e-4, 5e-4, 2e-3]}
 
 @contextmanager
 def _shard_and_router():
-    shard = start_in_background(EvaluationServer(batch_window_ms=1.0))
+    shard = start_in_background(EvaluationServer())
     try:
         router = start_in_background(
             ShardRouter([f"127.0.0.1:{shard.port}"], probe_interval_ms=10_000.0)

@@ -3,7 +3,9 @@
 The JSON document is a *superset* contract: every counter the previous
 release exposed must stay present under the same name, and histograms are
 additive-only fields.  Dashboards built against an older server keep
-working against a newer one.
+working against a newer one.  A name leaves these lists only together with
+the behaviour it counted: the batch window's counters, gauges and
+histogram left with the window.
 """
 
 from __future__ import annotations
@@ -26,13 +28,10 @@ LEGACY_COUNTERS = (
     "batch_endpoint_evaluations",
     "evaluations_computed",
     "dispatched_groups",
-    "batched_groups",
-    "batched_group_requests",
     "coalesced_requests",
     "cache_hits_lru",
     "cache_hits_disk",
     "cache_misses",
-    "group_fallbacks",
     "pool_restarts",
     "retried_jobs",
     "poison_jobs",
@@ -44,19 +43,17 @@ LEGACY_COUNTERS = (
 LEGACY_GAUGES = (
     "max_group_size",
     "uptime_seconds",
-    "batch_window_ms",
     "workers",
-    "pending_requests",
     "draining",
     "lru_entries",
 )
 
-HISTOGRAMS = ("request_seconds", "queue_wait_seconds", "batch_window_wait_seconds")
+HISTOGRAMS = ("request_seconds", "queue_wait_seconds")
 
 
 @pytest.fixture(scope="module")
 def live_server():
-    server = EvaluationServer(batch_window_ms=20.0)
+    server = EvaluationServer()
     with start_in_background(server) as handle:
         yield handle
 
@@ -98,12 +95,12 @@ class TestJsonSchema:
 
     def test_queue_gauges_come_from_one_consistent_pass(self, live_client):
         metrics = live_client.metrics()
-        for gauge in ("pending_requests", "running_requests", "queued_requests"):
+        for gauge in ("running_requests", "queued_requests"):
             assert gauge in metrics
             assert metrics[gauge] >= 0
         # Nothing in flight between requests: a torn multi-read would let
         # these disagree transiently even on an idle server.
-        assert metrics["running_requests"] <= metrics["pending_requests"] + metrics["queued_requests"] + 1
+        assert metrics["running_requests"] <= metrics["queued_requests"] + 1
 
     def test_unknown_format_is_a_400(self, live_client):
         status, _, body = _raw_get(live_client, "/metrics?format=xml")

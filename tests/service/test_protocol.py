@@ -58,13 +58,7 @@ class TestParseEvaluate:
     def test_stochastic_entropy_is_a_list(self, small_model):
         request = parse_evaluate_payload(_payload(small_model, method="montecarlo", seed=9))
         assert request.entropy == [9]
-        assert request.requires_seed and request.shares_work
-
-    def test_correlated_request_shares_no_work(self, small_model):
-        payload = _payload(small_model, method="montecarlo")
-        payload["options"] = {"correlation": 0.3}
-        request = parse_evaluate_payload(payload)
-        assert request.requires_seed and not request.shares_work
+        assert request.requires_seed
 
     @pytest.mark.parametrize(
         "mutation, fragment",

@@ -1,9 +1,9 @@
 """End-to-end service tests: HTTP wire, byte-identity, caching, metrics.
 
 The byte-identity pins are the contract the whole subsystem hangs on:
-whatever the transport, batching mode or cache state, a response's metrics
-are exactly what :func:`repro.evaluate` / :func:`repro.evaluate_sweep`
-return for the same ``(model, method, options, seed)``.
+whatever the transport, concurrent traffic or cache state, a response's
+metrics are exactly what :func:`repro.evaluate` returns for the same
+``(model.rescaled(p_scale, q_scale), method, options, seed)``.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.api import evaluate, evaluate_batch, evaluate_sweep
+from repro.api import default_registry, evaluate, evaluate_batch, evaluate_sweep
 from repro.core.fault_model import FaultModel
 from repro.service import EvaluationServer, ServiceClient, ServiceError, start_in_background
 
@@ -37,7 +38,7 @@ def _strip_elapsed(record: dict) -> dict:
 
 class TestByteIdentity:
     def test_single_request_equals_direct_evaluate(self, small_model):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         [response] = _gather_evaluate(
             server, [{"model": small_model.to_dict(), "method": "moments"}]
         )
@@ -46,7 +47,7 @@ class TestByteIdentity:
         )
 
     def test_transformed_request_equals_rescaled_evaluate(self, small_model):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         [response] = _gather_evaluate(
             server,
             [
@@ -64,144 +65,11 @@ class TestByteIdentity:
         )
         assert _strip_elapsed(response["result"]) == _strip_elapsed(direct.to_dict())
 
-    def test_concurrent_group_equals_evaluate_sweep(self, small_model):
-        scales = (0.25, 0.5, 0.75, 1.0)
-        server = EvaluationServer(batch_window_ms=50.0)
-        responses = _gather_evaluate(
-            server,
-            [
-                {
-                    "model": small_model.to_dict(),
-                    "method": "montecarlo",
-                    "options": {"replications": 2000},
-                    "seed": 7,
-                    "p_scale": scale,
-                }
-                for scale in scales
-            ],
-        )
-        reference = evaluate_sweep(
-            small_model,
-            "montecarlo",
-            [{"p_scale": scale} for scale in scales],
-            seed=7,
-            replications=2000,
-        )
-        for response, expected in zip(responses, reference):
-            assert response["served"]["batched"] is True
-            assert response["served"]["group_size"] == len(scales)
-            assert _strip_elapsed(response["result"]) == _strip_elapsed(expected.to_dict())
-        assert server.registry["batched_groups"] == 1
-        assert server.registry["batched_group_requests"] == len(scales)
-
-    def test_grouped_point_equals_its_one_point_sweep(self, small_model):
-        # Which requests share a window does not move a grouped answer:
-        # each equals the one-point sweep of its own variation, also for
-        # scales past a power of two and for three versions.
-        variations = [
-            {"p_scale": 0.5},
-            {"p_scale": 1.0, "q_scale": 2.0},
-            {"p_scale": 2.0},
-            {"p_scale": 3.0},
-        ]
-        options = {"replications": 2000, "versions": 3}
-        server = EvaluationServer(batch_window_ms=50.0)
-        responses = _gather_evaluate(
-            server,
-            [
-                {
-                    "model": small_model.to_dict(),
-                    "method": "montecarlo",
-                    "options": options,
-                    "seed": 7,
-                    **variation,
-                }
-                for variation in variations
-            ],
-        )
-        for variation, response in zip(variations, responses):
-            assert response["served"]["group_size"] == len(variations)
-            [alone] = evaluate_sweep(
-                small_model, "montecarlo", [variation], seed=7, options=options
-            )
-            assert _strip_elapsed(response["result"]) == _strip_elapsed(alone.to_dict())
-
-    @pytest.mark.parametrize("method", ["exact", "tail-quantile"])
-    def test_exact_request_alone_equals_inside_a_group(self, method):
-        # A deterministic answer must not depend on concurrent traffic: the
-        # same request, alone or micro-batched with other sweep points, gets
-        # the same record (the LRU keys it without a seed, so whichever
-        # answer arrives first is what later callers read).
-        model = FaultModel.random(
-            np.random.default_rng(8), n=120, p_range=(0.005, 0.2), total_impact=0.4
-        )
-        payload = {"model": model.to_dict(), "method": method, "p_scale": 0.5}
-        [alone] = _gather_evaluate(EvaluationServer(batch_window_ms=1.0), [payload])
-        server = EvaluationServer(batch_window_ms=50.0)
-        grouped = _gather_evaluate(
-            server, [payload, *(dict(payload, p_scale=scale) for scale in (0.6, 1.0))]
-        )
-        assert alone["served"]["batched"] is False
-        assert grouped[0]["served"]["batched"] is False
-        assert grouped[0]["served"]["group_size"] == 1
-        assert _strip_elapsed(grouped[0]["result"]) == _strip_elapsed(alone["result"])
-        assert json.dumps(grouped[0]["result"]["metrics"]) == json.dumps(
-            alone["result"]["metrics"]
-        )
-
-    def test_deterministic_sweep_siblings_skip_the_window(self, small_model):
-        # exact and tail-quantile points of one sweep, concurrent: no window
-        # opens (their kernels share no work), and every record is the lone
-        # request's, byte for byte.
-        scales = (0.25, 0.5, 1.0)
-        server = EvaluationServer(batch_window_ms=50.0)
-        payloads = [
-            {"model": small_model.to_dict(), "method": method, "p_scale": scale}
-            for method in ("exact", "tail-quantile")
-            for scale in scales
-        ]
-        responses = _gather_evaluate(server, payloads)
-        for payload, response in zip(payloads, responses):
-            assert response["served"] == {"cached": None, "batched": False, "group_size": 1}
-            direct = evaluate(
-                small_model.rescaled(payload["p_scale"], 1.0), payload["method"]
-            ).to_dict()
-            assert json.dumps(_strip_elapsed(response["result"])) == json.dumps(
-                _strip_elapsed(direct)
-            )
-        assert server.registry.histogram("batch_window_wait_seconds").count == 0
-        assert server.registry["batched_groups"] == 0
-
-    def test_zero_window_equals_direct_evaluate_everywhere(self, small_model):
-        scales = (0.25, 0.5, 0.75)
-        server = EvaluationServer(batch_window_ms=0.0)
-        responses = _gather_evaluate(
-            server,
-            [
-                {
-                    "model": small_model.to_dict(),
-                    "method": "montecarlo",
-                    "options": {"replications": 1000},
-                    "seed": 5,
-                    "p_scale": scale,
-                }
-                for scale in scales
-            ],
-        )
-        for response, scale in zip(responses, scales):
-            direct = evaluate(
-                small_model.rescaled(scale, 1.0), "montecarlo", seed=5, replications=1000
-            )
-            assert response["served"]["batched"] is False
-            assert _strip_elapsed(response["result"]) == _strip_elapsed(direct.to_dict())
-        assert server.registry["batched_groups"] == 0
-
     def test_correlated_requests_never_wait_and_equal_direct_evaluate(self, small_model):
-        # correlation != 0 is outside the montecarlo kernel's declared rule:
-        # the requests share no work, so they dispatch at once, and every
-        # one matches the direct scalar evaluation.
+        # Correlated montecarlo requests dispatch at once, and every one
+        # matches the direct scalar evaluation.
         scales = (0.5, 1.0)
-        server = EvaluationServer(batch_window_ms=50.0)
+        server = EvaluationServer()
         responses = _gather_evaluate(
             server,
             [
@@ -223,19 +91,52 @@ class TestByteIdentity:
                 replications=500,
                 correlation=0.3,
             )
-            assert response["served"] == {"cached": None, "batched": False, "group_size": 1}
+            assert response["served"] == {"cached": None, "group_size": 1}
             assert _strip_elapsed(response["result"]) == _strip_elapsed(direct.to_dict())
-        assert server.registry.histogram("batch_window_wait_seconds").count == 0
         assert server.registry["dispatched_groups"] == len(scales)
 
     def test_batch_switch_is_gone(self):
         with pytest.raises(TypeError):
             EvaluationServer(batch=False)
 
+    @pytest.mark.parametrize("method", [d.name for d in default_registry()])
+    def test_record_does_not_depend_on_its_groupmates(self, method):
+        # One model, one seed, four p_scale points in flight at once: each
+        # record is the direct evaluation of its own rescaled model, byte
+        # for byte, and equals the record the same request gets alone.
+        model = FaultModel.random(
+            np.random.default_rng(8), n=60, p_range=(0.005, 0.2), total_impact=0.4
+        )
+        scales = (0.25, 0.5, 0.75, 1.0)
+        payloads = [
+            {"model": model.to_dict(), "method": method, "seed": 23, "p_scale": scale}
+            for scale in scales
+        ]
+        with start_in_background(EvaluationServer()) as handle:
+            client = ServiceClient(port=handle.port)
+            start = threading.Barrier(len(payloads))
+
+            def send(payload):
+                start.wait(30.0)
+                with client:
+                    return client.request("POST", "/v1/evaluate", payload)
+
+            with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
+                burst = list(pool.map(send, payloads))
+        with start_in_background(EvaluationServer()) as handle:
+            with ServiceClient(port=handle.port) as client:
+                alone = [client.request("POST", "/v1/evaluate", p) for p in payloads]
+        for scale, inside, lone in zip(scales, burst, alone):
+            direct = evaluate(model.rescaled(scale, 1.0), method, seed=23).to_dict()
+            expected = json.dumps(_strip_elapsed(json.loads(json.dumps(direct))))
+            assert json.dumps(_strip_elapsed(inside["result"])) == expected, scale
+            assert json.dumps(_strip_elapsed(lone["result"])) == expected, scale
+            assert inside["served"] == {"cached": None, "group_size": 1}
+
 
 class TestCaching:
     def test_lru_serves_warm_traffic(self, small_model):
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         payload = {
             "model": small_model.to_dict(),
             "method": "montecarlo",
@@ -257,9 +158,9 @@ class TestCaching:
             "options": {"replications": 500},
             "seed": 2,
         }
-        first = EvaluationServer(batch_window_ms=1.0, cache_dir=str(tmp_path / "cache"))
+        first = EvaluationServer(cache_dir=str(tmp_path / "cache"))
         [cold] = _gather_evaluate(first, [payload])
-        second = EvaluationServer(batch_window_ms=1.0, cache_dir=str(tmp_path / "cache"))
+        second = EvaluationServer(cache_dir=str(tmp_path / "cache"))
         [warm] = _gather_evaluate(second, [payload])
         assert warm["served"]["cached"] == "disk"
         assert warm["result"]["metrics"] == cold["result"]["metrics"]
@@ -280,7 +181,7 @@ class TestCaching:
             }
         )
         result = run_study(spec, cache_dir=str(tmp_path / "cache"))
-        server = EvaluationServer(batch_window_ms=1.0, cache_dir=str(tmp_path / "cache"))
+        server = EvaluationServer(cache_dir=str(tmp_path / "cache"))
         [response] = _gather_evaluate(
             server,
             [
@@ -300,7 +201,7 @@ class TestCaching:
 
 @pytest.fixture(scope="module")
 def live_server():
-    server = EvaluationServer(batch_window_ms=40.0)
+    server = EvaluationServer()
     with start_in_background(server) as handle:
         yield handle
 
@@ -327,42 +228,6 @@ class TestHttpTransport:
         assert result.metric_dict() == direct.to_dict()["metrics"]
         assert result.option_dict() == direct.option_dict()
         assert served["cached"] is None
-
-    def test_concurrent_clients_get_batched(self, live_client, small_model):
-        scales = [0.2, 0.4, 0.6, 0.8]
-        outcomes: list = [None] * len(scales)
-
-        def fire(index: int, scale: float) -> None:
-            outcomes[index] = live_client.evaluate_detail(
-                small_model,
-                "montecarlo",
-                options={"replications": 2000},
-                seed=17,
-                p_scale=scale,
-            )
-
-        threads = [
-            threading.Thread(target=fire, args=(index, scale))
-            for index, scale in enumerate(scales)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        reference = evaluate_sweep(
-            small_model,
-            "montecarlo",
-            [{"p_scale": scale} for scale in scales],
-            seed=17,
-            replications=2000,
-        )
-        served_all = [served for _, served in outcomes]
-        assert any(served["batched"] for served in served_all)
-        if all(served["group_size"] == len(scales) for served in served_all):
-            # The usual case: one window caught all four requests; then the
-            # wire values are exactly the shared-stream sweep's.
-            for (result, _), expected in zip(outcomes, reference):
-                assert result.metric_dict() == expected.to_dict()["metrics"]
 
     def test_batch_endpoint_equals_evaluate_batch(self, live_client, small_model):
         requests = ["moments", ("montecarlo", {"replications": 500}), "moments"]
@@ -415,10 +280,7 @@ class TestHttpTransport:
         assert "'replications' must be >= 1" in excinfo.value.message
         after = live_client.metrics()
         assert after["cache_misses"] == before["cache_misses"]
-        assert (
-            after["histograms"]["batch_window_wait_seconds"]["count"]
-            == before["histograms"]["batch_window_wait_seconds"]["count"]
-        )
+        assert after["dispatched_groups"] == before["dispatched_groups"]
 
     def test_out_of_range_level_is_400_before_any_cache_or_pool(self, live_client, small_model):
         before = live_client.metrics()
@@ -449,15 +311,15 @@ class TestHttpTransport:
         metrics = live_client.metrics()
         for key in (
             "requests_total",
-            "batched_groups",
+            "dispatched_groups",
             "cache_hits_lru",
             "evaluations_computed",
-            "batch_window_ms",
             "uptime_seconds",
         ):
             assert key in metrics
         assert metrics["requests_total"] > 0
         assert "batch_enabled" not in metrics
+        assert "batch_window_ms" not in metrics
 
     def test_client_rejects_bad_model_spelling(self, live_client):
         with pytest.raises(ValueError, match="exactly one of"):
@@ -487,7 +349,7 @@ class TestBatchEndpoint:
     """A batch element is the ``/v1/evaluate`` request with the batch's model and seed."""
 
     def test_elements_equal_their_evaluate_records_byte_for_byte(self, small_model):
-        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+        with start_in_background(EvaluationServer()) as handle:
             client = ServiceClient(port=handle.port)
             batch = client.request(
                 "POST",
@@ -508,7 +370,7 @@ class TestBatchEndpoint:
 
     def test_a_repeated_batch_computes_nothing(self, small_model):
         payload = {"model": small_model.to_dict(), "requests": BATCH_REQUESTS, "seed": 11}
-        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+        with start_in_background(EvaluationServer()) as handle:
             client = ServiceClient(port=handle.port)
             cold = client.request("POST", "/v1/evaluate/batch", payload)
             computed = handle.server.registry["evaluations_computed"]
@@ -524,7 +386,7 @@ class TestBatchEndpoint:
     def test_a_batch_job_counts_as_one_dispatched_group(self, small_model):
         requests = [{"method": "moments"}, {"method": "exact"}, {"method": "tail-quantile"}]
         payload = {"model": small_model.to_dict(), "requests": requests, "seed": 11}
-        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+        with start_in_background(EvaluationServer()) as handle:
             client = ServiceClient(port=handle.port)
             registry = handle.server.registry
             counters = ("dispatched_groups", "evaluations_computed")
@@ -543,13 +405,13 @@ class TestBatchEndpoint:
         from repro.service import worker
 
         jobs = []
-        for name in ("evaluate_batch", "evaluate_group", "evaluate_single"):
+        for name in ("evaluate_batch", "evaluate_single"):
             function = getattr(worker, name)
             monkeypatch.setattr(
                 worker, name, lambda arguments, f=function, n=name: jobs.append(n) or f(arguments)
             )
         payload = {"model": small_model.to_dict(), "requests": BATCH_REQUESTS, "seed": 11}
-        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+        with start_in_background(EvaluationServer()) as handle:
             batch = ServiceClient(port=handle.port).request("POST", "/v1/evaluate/batch", payload)
         # The five distinct elements share one job, so exact and
         # tail-quantile compute one exact PFD distribution.
@@ -564,7 +426,7 @@ class TestBatchEndpoint:
 
         monkeypatch.setattr(worker, "evaluate_batch", fail)
         payload = {"model": small_model.to_dict(), "requests": BATCH_REQUESTS, "seed": 11}
-        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+        with start_in_background(EvaluationServer()) as handle:
             batch = ServiceClient(port=handle.port).request("POST", "/v1/evaluate/batch", payload)
             assert handle.server.registry["evaluations_computed"] == 5
         for element, record in zip(BATCH_REQUESTS, batch["results"]):
@@ -585,7 +447,7 @@ class TestBatchEndpoint:
             "evaluate_batch",
             lambda arguments: time.sleep(0.05) or evaluate_batch_job(arguments),
         )
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         payload = {
             "model": small_model.to_dict(),
             "requests": [{"method": "montecarlo", "replications": 500}],
@@ -604,7 +466,7 @@ class TestBatchEndpoint:
         late, retry = asyncio.run(run())
         assert late[0] == 504
         assert retry[0] == 200
-        assert retry[1]["served"] == [{"cached": "lru", "batched": False, "group_size": 0}]
+        assert retry[1]["served"] == [{"cached": "lru", "group_size": 0}]
         assert server.registry["evaluations_computed"] == 1
 
 
@@ -620,7 +482,7 @@ class TestSingleFlight:
             return evaluate_single(arguments)
 
         monkeypatch.setattr(worker, "evaluate_single", counted)
-        server = EvaluationServer(batch_window_ms=50.0)
+        server = EvaluationServer()
         payload = {"model": small_model.to_dict(), "method": "moments", "p_scale": 0.5}
         responses = _gather_evaluate(server, [payload] * 5)
         assert len(runs) == 1
@@ -634,7 +496,7 @@ class TestSingleFlight:
 
 class TestProcessPool:
     def test_process_workers_serve_identical_results(self, small_model):
-        server = EvaluationServer(workers=2, batch_window_ms=30.0)
+        server = EvaluationServer(workers=2)
         try:
             scales = (0.5, 1.0)
             responses = _gather_evaluate(
@@ -667,7 +529,7 @@ class TestScenarioSpelling:
     def test_scenario_requests_share_the_cache_with_inline_models(self):
         from repro.experiments.scenarios import get_scenario
 
-        server = EvaluationServer(batch_window_ms=1.0)
+        server = EvaluationServer()
         model = get_scenario("high-quality")
         [cold] = _gather_evaluate(server, [{"scenario": "high-quality", "method": "moments"}])
         [warm] = _gather_evaluate(server, [{"model": model.to_dict(), "method": "moments"}])

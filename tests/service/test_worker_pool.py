@@ -169,7 +169,7 @@ class TestServerPool:
         body = json.dumps({"model": MODEL, "method": "moments"}).encode()
         answers = []
         for workers in (0, 1):
-            server = EvaluationServer(workers=workers, batch_window_ms=1.0)
+            server = EvaluationServer(workers=workers)
             try:
                 answers.append(asyncio.run(server._route("POST", "/v1/evaluate", body))[:2])
             finally:
@@ -180,7 +180,7 @@ class TestServerPool:
         assert "rejected in the worker" in pool_payload["error"]
 
     def test_a_job_cancelled_while_running_leaves_the_server_serving(self):
-        server = EvaluationServer(workers=1, batch_window_ms=1.0)
+        server = EvaluationServer(workers=1)
 
         async def run():
             with pytest.raises(asyncio.TimeoutError):
@@ -221,7 +221,7 @@ class TestServerPool:
         assert server._executor is None
 
     def test_one_server_works_across_event_loops(self):
-        server = EvaluationServer(workers=1, batch_window_ms=1.0)
+        server = EvaluationServer(workers=1)
         try:
             first = asyncio.run(server._serve_evaluate({"model": MODEL, "method": "moments"}))
             second = asyncio.run(
@@ -244,7 +244,7 @@ from repro.service.server import EvaluationServer
 def repro_modules(_):
     return sorted(name for name in sys.modules if name.startswith("repro"))
 
-server = EvaluationServer(workers=1, batch_window_ms=1.0)
+server = EvaluationServer(workers=1)
 
 async def run():
     before = await server._run_in_pool(repro_modules, None)

@@ -30,10 +30,9 @@ def _event(name, trace, dur_ms, attrs=None, **overrides):
     return event
 
 
-def _request_events(trace, total, queue, window, kernel, cache, path="/v1/evaluate"):
+def _request_events(trace, total, queue, kernel, cache, path="/v1/evaluate"):
     return [
         _event("server.queue_wait", trace, queue),
-        _event("batcher.window_wait", trace, window),
         _event("worker.kernel", trace, kernel),
         _event("cache.write", trace, cache),
         _event("server.request", trace, total, attrs={"path": path, "status": 200}),
@@ -53,13 +52,12 @@ class TestSummarize:
         assert stats["max_ms"] == 100.0
 
     def test_request_breakdown_reports_waits_and_kernel_time(self):
-        events = _request_events("aaa", 20.0, queue=2.0, window=5.0, kernel=10.0, cache=1.0)
+        events = _request_events("aaa", 20.0, queue=2.0, kernel=10.0, cache=1.0)
         summary = summarize_events(events)
         [request] = summary["requests"]
         assert request["trace"] == "aaa"
         assert request["dur_ms"] == 20.0
         assert request["queue_wait_ms"] == 2.0
-        assert request["window_wait_ms"] == 5.0
         assert request["kernel_ms"] == 10.0
         assert request["cache_ms"] == 1.0
         assert request["path"] == "/v1/evaluate"
@@ -67,8 +65,8 @@ class TestSummarize:
 
     def test_requests_sort_slowest_first_and_ignore_rootless_traces(self):
         events = (
-            _request_events("fast", 5.0, queue=0.0, window=1.0, kernel=3.0, cache=0.0)
-            + _request_events("slow", 50.0, queue=4.0, window=9.0, kernel=30.0, cache=2.0)
+            _request_events("fast", 5.0, queue=0.0, kernel=3.0, cache=0.0)
+            + _request_events("slow", 50.0, queue=4.0, kernel=30.0, cache=2.0)
             + [_event("study.point", "rootless", 8.0)]
         )
         summary = summarize_events(events)
@@ -107,19 +105,20 @@ class TestLoadEvents:
 
 class TestFormatSummary:
     def test_report_lists_spans_and_slowest_requests(self):
-        events = _request_events("abcd1234", 20.0, queue=2.0, window=5.0, kernel=10.0, cache=1.0)
+        events = _request_events("abcd1234", 20.0, queue=2.0, kernel=10.0, cache=1.0)
         text = format_summary(summarize_events(events), top=5)
-        assert "events: 5" in text
+        assert "events: 4" in text
         assert "server.request" in text
         assert "worker.kernel" in text
         assert "slowest requests (top 1 of 1):" in text
-        assert "window_wait_ms" in text
+        assert "queue_wait_ms" in text
+        assert "window_wait_ms" not in text
         assert "abcd1234" in text
 
     def test_top_limits_the_request_table(self):
         events = []
         for index in range(8):
-            events += _request_events(f"trace{index}", float(index + 1), 0.0, 0.0, 0.0, 0.0)
+            events += _request_events(f"trace{index}", float(index + 1), 0.0, 0.0, 0.0)
         text = format_summary(summarize_events(events), top=3)
         assert "slowest requests (top 3 of 8):" in text
         # Only the three slowest traces appear.

@@ -130,7 +130,7 @@ class TestFetchSample:
         missing."""
         from repro.service import EvaluationServer, start_in_background
 
-        with start_in_background(EvaluationServer(batch_window_ms=1.0)) as handle:
+        with start_in_background(EvaluationServer()) as handle:
             sample = fetch_sample("127.0.0.1", handle.port)
         assert sample["scope"] == "local"
         assert "requests_total" in sample["metrics"]

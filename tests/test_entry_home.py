@@ -93,12 +93,12 @@ def test_every_writer_leaves_the_same_entry_bytes(tmp_path):
     run_study(spec, cache_dir=str(tmp_path / "study"))
     by_study = _entry_file(tmp_path / "study")
 
-    computed = _evaluate(EvaluationServer(batch_window_ms=1.0, cache_dir=str(tmp_path / "shard")))
+    computed = _evaluate(EvaluationServer(cache_dir=str(tmp_path / "shard")))
     assert computed["served"]["cached"] is None
     by_shard = _entry_file(tmp_path / "shard")
 
     body = _replica_entry(DIGEST, REQUEST.payload_text(), computed["result"]["metrics"])
-    receiver = EvaluationServer(batch_window_ms=1.0, cache_dir=str(tmp_path / "put"))
+    receiver = EvaluationServer(cache_dir=str(tmp_path / "put"))
     [(status, answer)] = _routes(receiver, [("PUT", f"/v1/cache/{DIGEST}", body)])
     assert (status, answer) == (200, {"digest": DIGEST, "stored": True})
     by_put = _entry_file(tmp_path / "put")
@@ -108,18 +108,17 @@ def test_every_writer_leaves_the_same_entry_bytes(tmp_path):
 
 
 def test_disk_and_peer_hits_serve_the_computed_record(tmp_path):
-    computed = _evaluate(EvaluationServer(batch_window_ms=1.0, cache_dir=str(tmp_path / "warm")))
+    computed = _evaluate(EvaluationServer(cache_dir=str(tmp_path / "warm")))
     assert computed["served"]["cached"] is None
 
-    disk = EvaluationServer(batch_window_ms=1.0, cache_dir=str(tmp_path / "warm"))
+    disk = EvaluationServer(cache_dir=str(tmp_path / "warm"))
     from_disk = _evaluate(disk)
     assert from_disk["served"]["cached"] == "disk"
     assert disk.registry["evaluations_computed"] == 0
 
-    peer = EvaluationServer(batch_window_ms=1.0, cache_dir=str(tmp_path / "warm"))
+    peer = EvaluationServer(cache_dir=str(tmp_path / "warm"))
     with start_in_background(peer) as handle:
         cold = EvaluationServer(
-            batch_window_ms=1.0,
             cache_dir=str(tmp_path / "cold"),
             cache_peers=(f"127.0.0.1:{handle.port}",),
         )

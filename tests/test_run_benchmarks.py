@@ -199,9 +199,9 @@ class TestCheckRecord:
         record["workloads"]["service_throughput"] = {"error": "Traceback: boom"}
         failures = bench.check_record(record)
         assert set(failures) == {
-            "service_throughput batched >= 2x dense serial",
+            "service_throughput burst >= 2x dense serial",
             "service_throughput warm pass recomputes nothing",
         }
-        assert failures["service_throughput batched >= 2x dense serial"] == [
+        assert failures["service_throughput burst >= 2x dense serial"] == [
             "service_throughput: error: Traceback: boom"
         ]

@@ -57,7 +57,7 @@ def _study_in_child(cache_dir: pathlib.Path) -> dict:
 
 def test_a_study_and_a_server_serve_each_others_entries(tmp_path):
     cache_dir = tmp_path / "cache"
-    server = EvaluationServer(batch_window_ms=1.0, cache_dir=str(cache_dir))
+    server = EvaluationServer(cache_dir=str(cache_dir))
     half, whole = ({"model": MODEL, "method": "exact", "p_scale": 0.5},
                    {"model": MODEL, "method": "exact"})
     assert [parse_evaluate_payload(body).digest() for body in (half, whole)] == [
