@@ -714,7 +714,7 @@ def _even_split(seed: int, distinct: int, shards: list[str], **workload) -> list
 
     Walks a longer seeded :func:`~repro.cluster.loadgen.build_workload`
     draw and keeps, in draw order, the first ``distinct / len(shards)``
-    payloads whose batch-group key each shard owns on the router's ring.
+    payloads whose digest each shard owns on the router's ring.
     The split is even by construction, whatever the digests are.
     """
     from repro.cluster.loadgen import build_workload
@@ -726,7 +726,7 @@ def _even_split(seed: int, distinct: int, shards: list[str], **workload) -> list
     share = distinct // len(shards)
     owned = {shard: [] for shard in shards}
     for item in build_workload(seed, 8 * distinct, **workload):
-        key = parse_evaluate_payload({**item, "model": item["model"].to_dict()}).group_key()
+        key = parse_evaluate_payload({**item, "model": item["model"].to_dict()}).digest()
         items = owned[ring.owner(key)]
         if len(items) < share:
             items.append(item)
@@ -745,7 +745,7 @@ def workload_cluster_loadgen(quick: bool) -> dict:
     serve the same requests, so ``routed_speedup`` is the median per-round
     ratio of single to routed seconds.
 
-    Each payload owns its batch-group key on one routed shard, and
+    Each payload's digest is owned by one routed shard, and
     :func:`_even_split` gives each shard half of them, so the two worker
     processes get equal work.  At these replication counts every drawn
     payload's one-point sweep expects more sparse entries than the engine's

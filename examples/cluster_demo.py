@@ -4,10 +4,10 @@ Runs the whole cluster topology in-process (the same objects
 ``repro serve`` / ``repro route`` run behind a port), then demonstrates
 the scale-out contract end to end:
 
-* **shard-affine routing** -- the router places each request by
-  consistent hash of its batch-group digest, so a concurrent sweep over
-  one model lands on a single shard, while distinct workloads spread
-  across shards;
+* **digest routing** -- the router places each request by consistent
+  hash of its content digest (the key every cache tier uses), so the
+  points of a concurrent sweep over one model, like distinct workloads,
+  spread over the shards that own their digests;
 * **byte-identity through the router** -- every answer matches the
   in-process ``repro.evaluate`` result exactly: routing never changes a
   byte;
@@ -49,8 +49,8 @@ SEED = 7
 
 
 def build_workload():
-    """Distinct (model, seed) pairs: each has its own route key, so the
-    ring can spread them; identical requests would all share one shard."""
+    """Distinct (model, seed) pairs: each has its own digest, so the ring
+    can spread them; identical requests would all share one shard."""
     return [
         (many_small_faults_scenario(n=40 + 5 * index), SEED + index)
         for index in range(DISTINCT)
@@ -98,8 +98,9 @@ def main() -> None:
                 assert result.metric_dict() == direct.to_dict()["metrics"]
             print("all routed answers byte-identical to repro.evaluate\n")
 
-            # A concurrent sweep shares one route key -> one shard, and
-            # each point is still its own rescaled model's evaluation.
+            # Each point of a concurrent sweep has its own digest, so the
+            # points spread over the shards, and each is still its own
+            # rescaled model's evaluation.
             sweep_model = many_small_faults_scenario(n=100)
             scales = [0.25, 0.5, 0.75, 1.0]
 
@@ -118,9 +119,9 @@ def main() -> None:
                 assert result.metric_dict() == direct.to_dict()["metrics"]
             after = (shard_a.registry["evaluations_computed"],
                      shard_b.registry["evaluations_computed"])
-            print(f"sweep over {len(scales)} p_scale points: shard split "
-                  f"{after[0] - split[0]}/{after[1] - split[1]}, each point "
-                  "equal to repro.evaluate on its rescaled model\n")
+            print(f"sweep over {len(scales)} p_scale points, placed by digest: "
+                  f"shard split {after[0] - split[0]}/{after[1] - split[1]}, "
+                  "each point equal to repro.evaluate on its rescaled model\n")
 
             # Failover drill: kill shard B, then offer *fresh* work (new
             # seeds, so the router LRU cannot answer).  Keys the ring owns

@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="R",
         help=(
-            "replicate each batch-group key across the first R distinct "
+            "replicate each request digest across the first R distinct "
             "healthy shards: computed results fan out (write-all) to every "
             "replica's cache, and reads fail over to the next replica that "
             "already holds the warm entry (default 1: no replication)"
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--distinct",
         type=int,
         default=16,
-        help="distinct payloads (each its own route key; default 16)",
+        help="distinct payloads (each its own digest; default 16)",
     )
     loadgen_parser.add_argument(
         "--duplicate-factor",

@@ -3,7 +3,7 @@
 A dependency-free scale-out tier over :mod:`repro.service`:
 
 * :mod:`~repro.cluster.ring` -- consistent hashing with virtual nodes:
-  batch-group digests map to shards, equal digests stay together, ejection
+  content digests map to shards, equal digests stay together, ejection
   spills a key range to the next shard without rehashing anything else;
 * :mod:`~repro.cluster.health` -- ejection/readmission state: dead shards
   stay out until a ``/healthz`` probe succeeds, saturated ones (429/503)
@@ -15,10 +15,10 @@ A dependency-free scale-out tier over :mod:`repro.service`:
   each shard, reconnect-on-stale;
 * :mod:`~repro.cluster.router` -- :class:`ShardRouter` behind
   ``repro route``: terminates the service protocol, routes ``/v1/evaluate``
-  by batch-group digest, fans ``/v1/evaluate/batch`` out per shard (each
-  element keeps its own ``/v1/evaluate`` record and route key) with
+  by content digest, fans ``/v1/evaluate/batch`` out per shard (each
+  element keeps its own ``/v1/evaluate`` record and digest) with
   order-preserving reassembly, carries a read-through LRU, replicates
-  computed results write-all/read-any across each key's R-shard replica
+  computed results write-all/read-any across each digest's R-shard replica
   set (:class:`~repro.cluster.ring.ReplicatedPlacement`), and propagates
   ``x-repro-trace-id`` and ``Retry-After`` end to end;
 * :mod:`~repro.cluster.loadgen` -- the deterministic open-loop load

@@ -8,7 +8,7 @@ histograms.
 Three phases, matching how the cluster is exercised in practice:
 
 * **cold** -- every distinct payload once; on a router this spreads across
-  shards by route key, so it measures scale-out compute throughput;
+  shards by digest, so it measures scale-out compute throughput;
 * **warm** -- the same payloads again; every answer must come from a cache
   tier (router LRU, shard LRU/disk, or a peer via the remote tier), which
   the benchmark gate checks by diffing ``evaluations_computed``;
@@ -74,7 +74,7 @@ def build_workload(
     """``distinct`` evaluation payloads, reproducible from ``seed``.
 
     Each payload gets its own model (a fresh ``many-small-faults`` draw) and
-    its own evaluation seed, so every payload has its own route key -- the
+    its own evaluation seed, so every payload has its own digest -- the
     shard-parallel regime a router spreads across the ring.  Options
     are small on purpose: the generator measures serving behaviour, not
     kernel throughput.
@@ -373,7 +373,7 @@ def run_soak(
         )
         expected.append(_strip_elapsed(result.to_dict()))
         keys.append(
-            parse_evaluate_payload({**item, "model": model.to_dict()}).group_key()
+            parse_evaluate_payload({**item, "model": model.to_dict()}).digest()
         )
 
     ports = _free_ports(shards)

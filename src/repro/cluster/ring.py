@@ -1,12 +1,12 @@
-"""The consistent-hash ring that assigns route keys to shards.
+"""The consistent-hash ring that assigns request digests to shards.
 
 Each shard contributes virtual nodes -- SHA-256 points derived from
 ``"{shard}#{i}"`` -- interleaved around a 64-bit ring, so load spreads
 evenly even with two or three shards and adding a shard moves only ~1/N of
-the key space.  Keys are the service's batch-group digests
-(:func:`repro.grouping.group_digest`): equal-digest requests hash to the
-same key, land on the same shard, and coalesce in that shard's single
-flight.
+the key space.  Keys are the service's content digests
+(:meth:`repro.service.protocol.ServiceRequest.digest`, the cache key):
+equal-digest requests land on the same shard and coalesce in that shard's
+single flight.
 
 Heterogeneous shards get **weights**: a shard with weight ``w`` contributes
 ``round(replicas * w)`` virtual nodes (at least one), so a box with twice

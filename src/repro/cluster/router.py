@@ -5,16 +5,16 @@ same endpoints, same error bodies) and forwards each request to a backend
 ``repro serve`` shard:
 
 * ``POST /v1/evaluate`` routes by consistent hash of the request's
-  **batch-group digest** (:meth:`ServiceRequest.group_key`), the study
-  runner's grouping of (model, method, options, seed) without its
-  ``p_scale`` / ``q_scale``: equal-digest requests co-locate on one shard,
-  which is all the shard's single flight needs.  The original body bytes are
+  **content digest** (:meth:`ServiceRequest.digest`), the key every cache
+  tier uses: equal-digest requests co-locate on one shard, which is all the
+  shard's single flight needs, and the points of a ``p_scale`` sweep spread
+  over the shards that own their digests.  The original body bytes are
   forwarded untouched -- the router parses only to validate and route --
   so shard-side digests, and therefore cache keys and results, are
   byte-identical to a direct call;
 * ``POST /v1/evaluate/batch``: each element is the ``/v1/evaluate``
   request with the batch's model and seed.  The router LRU answers the
-  elements it holds; the rest go to their route key's owner as one
+  elements it holds; the rest go to their digest's owner as one
   ``/v1/evaluate/batch`` sub-batch per shard (one admission there, not one
   per element), whose shard serves each element as that request, so every
   record is that request's; records are kept in the router LRU and
@@ -23,7 +23,7 @@ same endpoints, same error bodies) and forwards each request to a backend
   traffic without a hop (``served.cached == "router"``; ``lru_size=0``
   disables it -- soak harnesses do, so cache behaviour under failure is
   the *shards'* behaviour, not the router's);
-* **R-way replication** (``--replication R``): each key's home set is the
+* **R-way replication** (``--replication R``): each digest's home set is the
   first R shards of the ring's candidate walk
   (:class:`~repro.cluster.ring.ReplicatedPlacement`).  Writes are
   **write-all** -- a freshly computed result is asynchronously ``PUT`` to
@@ -486,7 +486,7 @@ class ShardRouter(HttpApp):
         """
         targets = [
             shard
-            for shard in self.placement.replica_set(request.group_key())
+            for shard in self.placement.replica_set(request.digest())
             if shard != source and not self.health.is_excluded(shard)
         ]
         if not targets:
@@ -535,7 +535,7 @@ class ShardRouter(HttpApp):
         # from the same payload, so caching and results are exactly those of
         # a direct call.
         status, data, extra_headers, shard = await self._forward(
-            request.group_key(), "POST", "/v1/evaluate", bytes(body)
+            request.digest(), "POST", "/v1/evaluate", bytes(body)
         )
         if status == 200 and isinstance(data.get("result"), dict):
             self._remember(request, data["result"], data.get("served"), shard)
@@ -570,13 +570,13 @@ class ShardRouter(HttpApp):
         results: list[Any] = [None] * len(requests)
         served: list[Any] = [dict(_ROUTER_SERVED) for _ in requests]
         # Elements grouped by their owner shard (a sub-batch is forwarded by
-        # its first element's key, so a mid-flight ejection spills the whole
+        # its first element's digest, so a mid-flight ejection spills the whole
         # sub-batch consistently).
         groups: dict[str, list[int]] = {}
         for index, request in enumerate(requests):
             results[index] = self._lru_hit(request)
             if results[index] is None:
-                owner = self.ring.candidates(request.group_key())[0]
+                owner = self.ring.candidates(request.digest())[0]
                 groups.setdefault(owner, []).append(index)
 
         async def send(members: list[int]) -> tuple[int, Any, dict, str | None]:
@@ -589,7 +589,7 @@ class ShardRouter(HttpApp):
                 sub["timeout_ms"] = payload["timeout_ms"]
             self.registry.inc("fanout_subrequests")
             return await self._forward(
-                requests[members[0]].group_key(),
+                requests[members[0]].digest(),
                 "POST",
                 "/v1/evaluate/batch",
                 json.dumps(sub).encode("utf-8"),

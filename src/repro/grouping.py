@@ -19,7 +19,8 @@ requests.  They share two notions, extracted here so they cannot drift:
   Monte Carlo, one per-point loop for exact methods); everything else -- base model, other parameters,
   options, seed -- stays in the group key (:func:`group_digest`), so group
   identity is as content-addressed as the evaluation digests themselves.
-  The router places requests on its ring by this key.
+  The study planner groups by this key; the service and router key every
+  request by its evaluation digest alone.
 """
 
 from __future__ import annotations

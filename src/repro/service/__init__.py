@@ -7,8 +7,8 @@ byte-identical to :func:`repro.evaluate` on the rescaled model:
 * :mod:`~repro.service.protocol` -- the JSON wire protocol: a lossless
   transport of :class:`~repro.api.EvaluationRequest` /
   :class:`~repro.api.EvaluationResult` plus the content-addressed request
-  identity (digest and route key, shared with the study runner via
-  :mod:`repro.grouping`);
+  identity (one content digest: the cache key and the router's placement
+  key);
 * :mod:`~repro.service.batcher` -- the dispatcher: each computed request
   goes to the pool on arrival as one job;
 * :mod:`~repro.service.worker` -- the picklable execution functions the

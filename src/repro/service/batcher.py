@@ -45,36 +45,21 @@ class _PendingGroup:
 class MicroBatcher:
     """Dispatches each request to the pool at once, as a group of one.
 
-    Parameters
-    ----------
-    run_in_pool:
-        ``async (function, arguments) -> result``: how work reaches the
-        executor (the server's ``_run_in_pool``).
-    on_group:
-        Optional ``(group_size)`` callback invoked per dispatch, feeding the
-        server's ``/metrics`` counters.
+    ``run_in_pool`` is ``async (function, arguments) -> result``: how work
+    reaches the executor (the server's ``_run_in_pool``).
     """
 
-    def __init__(
-        self,
-        run_in_pool: Callable[..., Awaitable[Any]],
-        *,
-        on_group: Callable[[int], None] | None = None,
-    ) -> None:
+    def __init__(self, run_in_pool: Callable[..., Awaitable[Any]]) -> None:
         self._run = run_in_pool
-        self._on_group = on_group
         self._pending: dict[str, _PendingGroup] = {}
 
-    async def submit(self, request: ServiceRequest) -> tuple[dict, dict]:
-        """Serve one request; returns ``(wire record, served metadata)``."""
+    async def submit(self, request: ServiceRequest) -> dict:
+        """Serve one request; returns its wire record."""
         key = request.digest()
         job = _Job(request, time.perf_counter(), telemetry.current_trace_id())
         self._pending[key] = _PendingGroup([job])
         return await self._flush(key)
 
-    async def _flush(self, key: str) -> tuple[dict, dict]:
+    async def _flush(self, key: str) -> dict:
         request = self._pending.pop(key).jobs[0].request
-        record = await self._run(worker.evaluate_single, request.single_arguments())
-        if self._on_group is not None:
-            self._on_group(1)
-        return record, {"group_size": 1}
+        return await self._run(worker.evaluate_single, request.single_arguments())

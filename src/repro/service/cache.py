@@ -10,16 +10,11 @@ What counts as an entry and how a hit becomes a wire record are decided in
 :mod:`repro.cache` (:func:`~repro.cache.is_entry`,
 :func:`~repro.cache.result_record`).
 
-The digest covers everything a response depends on *except* how it was
-computed -- a ``montecarlo`` value from a shared-world group and one from a
-lone request share a key, and so does a study-warmed entry.  A lone
-request within the sparse kernel's memory budget is its one-point sweep at
-scale 1, so it equals the grouped point at ``p_scale = q_scale = 1``; a
-grouped point at another scale still differs from the lone request for the
-rescaled model, and a correlated or over-budget lone request runs the
-dense engine.  For those, a warm hit
-returns whichever equally valid estimate was computed first; that is the
-documented CRN trade, not drift.
+The digest covers everything a response depends on, so one key maps to
+one record: a served record is ``repro.evaluate`` on the rescaled model,
+whatever else is in flight.  A study-warmed entry shares a key only for a
+deterministic method; a seeded service request's entropy is a list and a
+study's is an int, so their ``montecarlo`` estimates never share one.
 """
 
 from __future__ import annotations

@@ -35,8 +35,9 @@ A parsed request carries its content identity, computed on first use:
 :meth:`ServiceRequest.digest` is the response-cache key
 (:func:`repro.cache.payload_digest`, which keys studies too -- a
 deterministic-method entry a study warmed over the same inline model is
-served to service traffic as-is), and :meth:`ServiceRequest.group_key` is
-the router's placement key (the study runner's group digest).
+served to service traffic as-is) and the router's placement key.
+:meth:`ServiceRequest.group_key` is the study planner's group digest, which
+the service does not call.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class ServiceRequest:
         return digest
 
     def group_key(self) -> str:
-        """Route key: the batch-group digest (the payload with neutral transforms)."""
+        """The payload's batch-group digest; the serving path does not call it."""
         key = self._digests.get("group")
         if key is None:
             key = self._digests["group"] = group_digest(self.payload())
@@ -271,8 +272,8 @@ def batch_requests(
 ) -> list[ServiceRequest]:
     """The ``/v1/evaluate`` request of each element of a parsed batch.
 
-    Takes :func:`parse_batch_payload`'s result.  Each element's digest and
-    group key are its own request's, computed on first use.
+    Takes :func:`parse_batch_payload`'s result.  Each element's digest is
+    its own request's, computed on first use.
     """
     registry = default_registry()
     parsed = []

@@ -254,7 +254,7 @@ class EvaluationServer(HttpApp):
         self._worker_metrics = MetricsRegistry()
         # Single flight: one task per digest in flight, joined by its duplicates.
         self._flights: dict[str, asyncio.Task] = {}
-        self.batcher = MicroBatcher(self._run_in_pool, on_group=self._record_group)
+        self.batcher = MicroBatcher(self._run_in_pool)
 
     # ----------------------------------------------------------------- #
     # Executor plumbing
@@ -333,6 +333,12 @@ class EvaluationServer(HttpApp):
         self.registry.inc("evaluations_computed", group_size)
         self.registry.set_max("max_group_size", group_size)
 
+    async def _compute(self, request) -> tuple[dict, dict]:
+        """One request's own pool job, counted once it returns: ``(record, meta)``."""
+        record = await self.batcher.submit(request)
+        self._record_group(1)
+        return record, {"group_size": 1}
+
     # ----------------------------------------------------------------- #
     # Endpoint logic
     # ----------------------------------------------------------------- #
@@ -380,7 +386,7 @@ class EvaluationServer(HttpApp):
         record, cached = await self._probe_shared(request, digest)
         meta = {"group_size": 0}
         if cached is None:
-            record, meta = await self.batcher.submit(request)
+            record, meta = await self._compute(request)
         return await self._keep(request, digest, record, cached, meta)
 
     async def _probe_shared(self, request, digest: str) -> tuple[dict | None, str | None]:
@@ -497,7 +503,7 @@ class EvaluationServer(HttpApp):
             records = await self._run_in_pool(worker.evaluate_batch, arguments)
         except Exception:  # noqa: BLE001 - isolated below, element by element
             return await asyncio.gather(
-                *(self.batcher.submit(request) for request in misses), return_exceptions=True
+                *(self._compute(request) for request in misses), return_exceptions=True
             )
         self._record_group(len(misses))
         meta = {"group_size": len(misses)}

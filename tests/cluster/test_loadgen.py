@@ -41,7 +41,7 @@ class TestDeterminism:
         )
 
     def test_payloads_are_distinct_groups(self):
-        """Every payload its own batch group: the shard-parallel guarantee."""
+        """Every payload its own digest: the shard-parallel guarantee."""
         payloads = build_workload(seed=3, distinct=8)
         keys = {
             parse_evaluate_payload(
@@ -51,7 +51,7 @@ class TestDeterminism:
                     "options": item["options"],
                     "seed": item["seed"],
                 }
-            ).group_key()
+            ).digest()
             for item in payloads
         }
         assert len(keys) == 8

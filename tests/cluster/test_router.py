@@ -13,15 +13,16 @@ from __future__ import annotations
 import http.server
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 
 import pytest
 
-from repro.api import evaluate_batch
+from repro.api import evaluate, evaluate_batch
 from repro.cluster import ShardRouter
 from repro.core.fault_model import FaultModel
 from repro.service import EvaluationServer, ServiceClient, ServiceError, start_in_background
-from repro.service.protocol import parse_evaluate_payload
+from repro.service.protocol import ServiceRequest, parse_evaluate_payload
 
 MODEL = {"p": [0.05, 0.02, 0.01], "q": [1e-4, 5e-4, 2e-3]}
 
@@ -63,7 +64,7 @@ def _computed(servers) -> list[int]:
 
 
 def _payload_owned_by(router: ShardRouter, shard: str, exclude_seeds=()) -> dict:
-    """A /v1/evaluate payload whose route key lands on ``shard``."""
+    """A /v1/evaluate payload whose digest lands on ``shard``."""
     for seed in range(1000):
         if seed in exclude_seeds:
             continue
@@ -73,7 +74,7 @@ def _payload_owned_by(router: ShardRouter, shard: str, exclude_seeds=()) -> dict
             "options": {"replications": 500},
             "seed": seed,
         }
-        key = parse_evaluate_payload(payload).group_key()
+        key = parse_evaluate_payload(payload).digest()
         if router.ring.owner(key) == shard:
             return payload
     raise AssertionError(f"no seed in 0..999 hashed to {shard}")  # pragma: no cover
@@ -385,7 +386,7 @@ class TestReplication:
         ) as (servers, handles, router, front):
             client = ServiceClient(port=front.port)
             payload = _payload_owned_by(router, router.ring.shards[0])
-            key = parse_evaluate_payload(payload).group_key()
+            key = parse_evaluate_payload(payload).digest()
             primary, standby = router.placement.replica_set(key)
 
             first, served = client.evaluate_detail(**_as_kwargs(payload))
@@ -463,6 +464,68 @@ class TestReplication:
             _, served = client.evaluate_detail(**kwargs)
             # The repeat is served by the shard's cache, never tagged "router".
             assert served["cached"] in ("lru", "disk")
+
+
+SWEEP_SCALES = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
+
+
+def _direct_record(payload: dict) -> dict:
+    """``repro.evaluate`` on the rescaled model, as the wire record."""
+    model = FaultModel.from_dict(payload["model"]).rescaled(payload.get("p_scale", 1.0), 1.0)
+    direct = evaluate(model, payload["method"], seed=payload.get("seed"),
+                      options=payload.get("options"))
+    return _strip_elapsed(json.loads(json.dumps(direct.to_dict())))
+
+
+class TestDigestPlacement:
+    """One key per request: the router places, replicates and sub-batches
+    by the content digest, which every cache tier uses too."""
+
+    def test_sweep_points_spread_over_the_shards_that_own_their_digests(self):
+        with cluster(2) as (servers, handles, router, front):
+            # Ports are ephemeral, so pick a seed whose sweep both shards share.
+            for seed in range(1000):
+                sweep = [
+                    {"model": MODEL, "method": "montecarlo", "p_scale": scale,
+                     "options": {"replications": 500}, "seed": seed}
+                    for scale in SWEEP_SCALES
+                ]
+                owners = [router.ring.owner(parse_evaluate_payload(p).digest()) for p in sweep]
+                if len(set(owners)) == 2:
+                    break
+            client = ServiceClient(port=front.port)
+            with ThreadPoolExecutor(max_workers=len(sweep)) as pool:
+                answers = list(pool.map(
+                    lambda body: client.request("POST", "/v1/evaluate", body), sweep))
+            owned = [owners.count(f"127.0.0.1:{handle.port}") for handle in handles]
+            assert _computed(servers) == owned
+            assert all(owned)
+        for body, answer in zip(sweep, answers):
+            assert json.dumps(_strip_elapsed(answer["result"])) == json.dumps(_direct_record(body))
+
+    def test_routing_never_asks_for_the_group_key(self, monkeypatch):
+        def unused(self):
+            raise AssertionError("the serving path keys requests by digest()")
+
+        monkeypatch.setattr(ServiceRequest, "group_key", unused)
+        single = {"model": MODEL, "method": "montecarlo", "p_scale": 0.5,
+                  "options": {"replications": 500}, "seed": 3}
+        batch_payload = {"model": MODEL, "requests": BATCH_REQUESTS, "seed": 11}
+        with cluster(2) as (servers, handles, router, front):
+            client = ServiceClient(port=front.port)
+            routed = client.request("POST", "/v1/evaluate", single)
+            batch = client.request("POST", "/v1/evaluate/batch", batch_payload)
+        assert _strip_elapsed(routed["result"]) == _direct_record(single)
+        direct = evaluate_batch(FaultModel.from_dict(MODEL), BATCH_REQUESTS, seed=11)
+        assert [_strip_elapsed(record) for record in batch["results"]] == [
+            _strip_elapsed(json.loads(json.dumps(result.to_dict()))) for result in direct
+        ]
+        with cluster(2, router_kw={"replication": 2, "lru_size": 0}) as (
+            servers, handles, router, front
+        ):
+            replicated = ServiceClient(port=front.port).request("POST", "/v1/evaluate", single)
+            assert _wait_for(lambda: router.registry["replica_writes"] >= 1)
+        assert _strip_elapsed(replicated["result"]) == _direct_record(single)
 
 
 class TestSharedHealthView:

@@ -82,7 +82,7 @@ def fake_shard(response: bytes):
 
 
 def _payload_owned_by(router: ShardRouter, shard: str) -> dict:
-    """A /v1/evaluate payload whose route key lands on ``shard``."""
+    """A /v1/evaluate payload whose digest lands on ``shard``."""
     for seed in range(1000):
         payload = {
             "model": MODEL,
@@ -90,7 +90,7 @@ def _payload_owned_by(router: ShardRouter, shard: str) -> dict:
             "options": {"replications": 500},
             "seed": seed,
         }
-        if router.ring.owner(parse_evaluate_payload(payload).group_key()) == shard:
+        if router.ring.owner(parse_evaluate_payload(payload).digest()) == shard:
             return payload
     raise AssertionError(f"no seed in 0..999 hashed to {shard}")  # pragma: no cover
 

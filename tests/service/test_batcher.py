@@ -24,18 +24,14 @@ SEED = 7
 
 class Recorder:
     """A run_in_pool that executes the real worker functions synchronously
-    while recording every dispatch, plus the group-metrics callback feed."""
+    while recording every dispatch."""
 
     def __init__(self) -> None:
         self.calls: list[tuple[str, tuple]] = []
-        self.groups: list[int] = []
 
     async def run(self, function, arguments):
         self.calls.append((function.__name__, arguments))
         return function(arguments)
-
-    def on_group(self, group_size: int) -> None:
-        self.groups.append(group_size)
 
 
 def _payload(model, method="montecarlo", seed=SEED, p_scale=1.0, **options):
@@ -81,17 +77,15 @@ class TestDispatch:
     @pytest.mark.parametrize("method", [d.name for d in default_registry()])
     def test_every_request_dispatches_alone_on_arrival(self, small_model, method):
         recorder = Recorder()
-        batcher = MicroBatcher(recorder.run, on_group=recorder.on_group)
+        batcher = MicroBatcher(recorder.run)
         scales = (0.25, 0.5, 0.75)
         requests = [_request(small_model, method=method, p_scale=s) for s in scales]
         outcomes = _submit_all(batcher, requests)
         assert [name for name, _ in recorder.calls] == ["evaluate_single"] * 3
-        assert recorder.groups == [1, 1, 1]
         assert batcher._pending == {}
-        for (record, meta), scale in zip(outcomes, scales):
+        for record, scale in zip(outcomes, scales):
             expected = _direct(small_model, scale, method=method)
             assert record["metrics"] == expected.to_dict()["metrics"]
-            assert meta == {"group_size": 1}
 
     def test_pending_holds_the_job_until_flush(self, small_model):
         # The job sits under its digest, with its trace id and submit time,
@@ -144,10 +138,10 @@ class TestDispatch:
         assert outcomes[0]["served"] == {"cached": None, "group_size": 1}
 
     def test_batch_and_window_switches_are_gone(self):
-        with pytest.raises(TypeError):
-            MicroBatcher(Recorder().run, batch=False)
-        with pytest.raises(TypeError):
-            MicroBatcher(Recorder().run, window_seconds=0.005)
+        # on_group is gone too: the server counts its pool jobs itself.
+        for switch in ({"batch": False}, {"window_seconds": 0.005}, {"on_group": print}):
+            with pytest.raises(TypeError):
+                MicroBatcher(Recorder().run, **switch)
 
 
 class TestFailures:

@@ -109,8 +109,8 @@ class TestDigestInvariants:
         assert request.group_key() == group_digest(payload)
 
     def test_transform_values_share_a_group(self):
-        """Batchable transforms differ, group digest does not: the router's
-        shard-affinity guarantee (groupmates land on one shard)."""
+        """Batchable transforms differ, group digest does not: the study
+        planner dispatches such points as one batched-kernel group."""
         digests = {
             group_digest(
                 evaluation_payload(

@@ -183,8 +183,9 @@ def test_normal_theory_paths_load_no_scipy_stats():
 
 
 def test_router_parses_inline_models_without_numpy():
-    """A router's whole request path for inline models -- parse, digest, group
-    key, a batch element's route key -- loads no numpy; naming a scenario does."""
+    """A router's whole request path for inline models -- parse, digest,
+    replica payload, a batch element's digest -- loads no numpy; naming a
+    scenario does."""
     code = (
         "import json, sys\n"
         "from repro.cli import build_parser\n"
@@ -194,12 +195,12 @@ def test_router_parses_inline_models_without_numpy():
         "model = {'p': [0.05, 0.02, 1], 'q': [1e-4, 5e-4, 0], 'names': ['a', 'b', 'c']}\n"
         "request = parse_evaluate_payload({'model': model, 'method': 'montecarlo', 'seed': 3,\n"
         "                                  'p_scale': 0.5, 'q_scale': 2})\n"
-        "keys = [request.digest(), request.group_key(), request.payload_text()]\n"
+        "keys = [request.digest(), request.payload_text()]\n"
         "model_data, requests, seed = parse_batch_payload(\n"
         "    {'model': model, 'requests': ['moments', {'method': 'exact', 'level': 0.9}]})\n"
         "ShardRouter(['127.0.0.1:9'])\n"
         "keys += [parse_evaluate_payload({'model': model_data, 'method': method,\n"
-        "                                 'options': options, 'seed': seed}).group_key()\n"
+        "                                 'options': options, 'seed': seed}).digest()\n"
         "         for method, options in requests]\n"
         "inline = 'numpy' in sys.modules\n"
         "parse_evaluate_payload({'scenario': 'high-quality', 'method': 'moments'})\n"
@@ -207,4 +208,4 @@ def test_router_parses_inline_models_without_numpy():
         "                  'keys': len(set(keys))}))\n"
     )
     output = json.loads(_run(code))
-    assert output == {"inline": False, "scenario": True, "keys": 5}
+    assert output == {"inline": False, "scenario": True, "keys": 4}
