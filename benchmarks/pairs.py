@@ -3,7 +3,7 @@
 Usage::
 
     python3 benchmarks/pairs.py --parent REV --pr N --kind K \\
-        [--claim-metric M --claim-workload W]
+        [--claim-metric M --claim-workload W] [--trace N]
 
 Checks ``REV`` out with ``git worktree add --detach`` in a temporary
 directory (local git only) and removes that worktree at the end.  For each
@@ -19,6 +19,13 @@ and quartiles are those of :func:`statistics.quantiles` (``n=4``), as in
 ``perfbench/benchlib/stats.py:spread``; ``pairs_won`` counts the pairs in
 which the change is better by the metric's ``better`` (ties count for
 neither side).  The ledger's earlier bytes are left as they are.
+
+With ``--trace N`` (at least 3) each workload's untraced pairs are followed
+by N traced runs per side (``--trace 1``, seeds 11 .. 10+N, alternated the
+same way), and the entry gains a ``layers`` object: per workload, per
+``per_layer`` metric of ``BENCHMARK.json`` that reads nonzero on either
+side, both sides' medians and IQRs.  A moved end-to-end metric then names
+its layer.
 """
 
 from __future__ import annotations
@@ -41,6 +48,21 @@ SEEDS = tuple(range(11, 21))
 SECONDS = 10
 
 
+def _iqr(values: Sequence[float]) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return round(q3 - q1, 4)
+
+
+def spread(parent: Sequence[float], change: Sequence[float]) -> dict:
+    """Both sides' medians and IQRs."""
+    return {
+        "parent_median": round(statistics.median(parent), 4),
+        "change_median": round(statistics.median(change), 4),
+        "parent_iqr": _iqr(parent),
+        "change_iqr": _iqr(change),
+    }
+
+
 def summarize(workload: str, metric: str, better: str, seeds: Sequence[int],
               parent: Sequence[float], change: Sequence[float]) -> dict:
     """One ledger measurement from paired runs (``parent[i]``, ``change[i]``
@@ -49,29 +71,34 @@ def summarize(workload: str, metric: str, better: str, seeds: Sequence[int],
         raise ValueError("need at least two pairs, one value per side per seed")
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
-
-    def iqr(values: Sequence[float]) -> float:
-        q1, _, q3 = statistics.quantiles(values, n=4)
-        return round(q3 - q1, 4)
-
     sign = 1 if better == "lower" else -1
     return {
         "workload": workload,
         "metric": metric,
         "seeds": list(seeds),
         "pairs": len(seeds),
-        "parent_median": round(statistics.median(parent), 4),
-        "change_median": round(statistics.median(change), 4),
-        "parent_iqr": iqr(parent),
-        "change_iqr": iqr(change),
+        **spread(parent, change),
         "pairs_won": sum(sign * (old - new) > 0 for old, new in zip(parent, change)),
     }
 
 
-def run_side(tree: Path, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its end-to-end metric values."""
+def summarize_layers(names: Sequence[str], parent: Sequence[dict],
+                     change: Sequence[dict]) -> dict:
+    """Per-layer spreads of traced runs, for each of ``names`` nonzero on either side."""
+    layers = {}
+    for name in names:
+        old = [values.get(name, 0.0) for values in parent]
+        new = [values.get(name, 0.0) for values in change]
+        if any(old) or any(new):
+            layers[name] = spread(old, new)
+    return layers
+
+
+def run_side(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One ``perfbench/run.py --trace {trace}`` run in ``tree``: its metric values
+    (end-to-end untraced, per-layer traced)."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     # The run puts its own tree's src first; drop a caller's path to either tree.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     completed = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
@@ -84,15 +111,25 @@ def run_side(tree: Path, workload: str, seed: int) -> dict:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def measure(parent_tree: Path, benchmark: dict) -> list[dict]:
-    measurements = []
+def alternate(parent_tree: Path, workload: str, seeds: Sequence[int],
+              trace: int = 0) -> dict[str, list[dict]]:
+    """One run per side per seed, the parent first on odd seeds."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    trees = {"parent": parent_tree, "change": ROOT}
+    for seed in seeds:
+        for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+            runs[side].append(run_side(trees[side], workload, seed, trace))
+            label = f"{workload} seed {seed} {side}{' traced' if trace else ''}"
+            print(f"{label}: {runs[side][-1]}", flush=True)
+    return runs
+
+
+def measure(parent_tree: Path, benchmark: dict, traced: int = 0) -> tuple[list[dict], dict]:
+    """The entry's measurements and, with ``traced`` runs per side, its ``layers``."""
+    measurements, layers = [], {}
+    layer_names = [metric["name"] for metric in benchmark["per_layer"]]
     for workload in (item["name"] for item in benchmark["workloads"]):
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for seed in SEEDS:
-            trees = {"parent": parent_tree, "change": ROOT}
-            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-                runs[side].append(run_side(trees[side], workload, seed))
-                print(f"{workload} seed {seed} {side}: {runs[side][-1]}", flush=True)
+        runs = alternate(parent_tree, workload, SEEDS)
         for metric in benchmark["end_to_end"]:
             name = metric["name"]
             measurements.append(summarize(
@@ -100,7 +137,11 @@ def measure(parent_tree: Path, benchmark: dict) -> list[dict]:
                 [values[name] for values in runs["parent"]],
                 [values[name] for values in runs["change"]],
             ))
-    return measurements
+        if traced:
+            seeds = range(SEEDS[0], SEEDS[0] + traced)
+            runs = alternate(parent_tree, workload, seeds, trace=1)
+            layers[workload] = summarize_layers(layer_names, runs["parent"], runs["change"])
+    return measurements, layers
 
 
 def append_entry(entry: dict) -> None:
@@ -119,7 +160,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--kind", required=True, metavar="K")
     parser.add_argument("--claim-metric", metavar="M")
     parser.add_argument("--claim-workload", metavar="W")
+    parser.add_argument("--trace", type=int, default=0, metavar="N",
+                        help="traced runs per side and workload for the entry's layers "
+                             "(0, the default, runs none; else at least 3)")
     arguments = parser.parse_args(argv)
+    if arguments.trace and arguments.trace < 3:
+        parser.error("--trace needs at least 3 runs per side for an IQR, or 0")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     workloads = [item["name"] for item in benchmark["workloads"]]
@@ -140,17 +186,20 @@ def main(argv: list[str] | None = None) -> int:
     subprocess.run(["git", "worktree", "add", "--detach", str(parent_tree), arguments.parent],
                    cwd=ROOT, check=True)
     try:
-        measurements = measure(parent_tree, benchmark)
+        measurements, layers = measure(parent_tree, benchmark, arguments.trace)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)], cwd=ROOT)
         shutil.rmtree(scratch, ignore_errors=True)
-    append_entry({
+    entry = {
         "pr": arguments.pr,
         "kind": arguments.kind,
         "claim": claim,
         "date": datetime.date.today().isoformat(),
         "measurements": measurements,
-    })
+    }
+    if layers:
+        entry["layers"] = layers
+    append_entry(entry)
     print(f"appended PR {arguments.pr}'s entry to {LEDGER.name}")
     return 0
 

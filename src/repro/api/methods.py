@@ -63,11 +63,27 @@ def _max_support(options: dict) -> int | None:
     return None if max_support is None else int(max_support)
 
 
+def _reach(options: dict) -> float | None:
+    """The highest quantile level an ``exact`` or ``tail-quantile`` record reads.
+
+    That is ``level``, floored at the 0.99 that ``tail-quantile`` always
+    reads, so at default options both methods share one distribution.  A
+    record with a ``threshold`` reads an exceedance, which can lie at any
+    level: ``None`` keeps the full lattice.
+    """
+    if options["threshold"] is not None:
+        return None
+    return max(float(options["level"]), 0.99)
+
+
 def _exact_bracket(model, options: dict):
     from repro.core.pfd_distribution import exact_pfd_distribution
 
     return exact_pfd_distribution(
-        model, int(options["versions"]), max_support=_max_support(options)
+        model,
+        int(options["versions"]),
+        max_support=_max_support(options),
+        reach=_reach(options),
     )
 
 
@@ -87,6 +103,7 @@ def _swept_brackets(model, variations, options: dict):
         q_scales,
         versions=int(options["versions"]),
         max_support=_max_support(options),
+        reach=_reach(options),
     )
     points = (model.rescaled(v["p_scale"], v["q_scale"]) for v in variations)
     return zip(points, brackets)
@@ -108,7 +125,8 @@ _MAX_SUPPORT = OptionSpec(
     minimum=2,
     help=(
         "largest full support computed exactly; larger models are bracketed on a "
-        "lattice of 4 * max_support cells (null keeps the full support)"
+        "lattice of 4 * max_support cells, folded only up to the highest quantile "
+        "level read unless a threshold is set (null keeps the full support)"
     ),
 )
 

@@ -84,8 +84,10 @@ __all__ = [
 #: ``exact`` / ``tail-quantile`` report bracketed quantiles and exceedances.
 #: Version 3: a lone ``montecarlo`` within the sparse kernel's memory budget
 #: is its one-point sweep, and every ``montecarlo`` record carries the
-#: standard errors of its means.
-CACHE_FORMAT_VERSION = 3
+#: standard errors of its means.  Version 4: ``exact`` / ``tail-quantile``
+#: fold the lattice only as far as the record reads, so ``exact_support`` /
+#: ``tail_support`` count fewer cells.
+CACHE_FORMAT_VERSION = 4
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -35,9 +35,9 @@ import numpy as np
 
 from repro.core.model_content import (
     check_p_scale,
-    check_q_scale,
     check_values,
     fault_names,
+    parse_scale,
     typed_content,
 )
 
@@ -320,8 +320,12 @@ class FaultModel:
         :func:`repro.evaluate_sweep`: :meth:`scaled` (Appendix B process
         quality) composed with a uniform failure-region scaling.  Neutral
         scales return ``self`` unchanged, so derived-quantity caches survive.
+        Both scales are typed as the service wire types them
+        (:func:`~repro.core.model_content.parse_scale`): a NaN, infinite or
+        negative scale raises the wire's ``ValueError``.
         """
-        check_q_scale(q_scale)
+        p_scale = parse_scale(p_scale, "p_scale")
+        q_scale = parse_scale(q_scale, "q_scale")
         if p_scale == 1.0 and q_scale == 1.0:
             return self
         model = self.scaled(p_scale) if p_scale != 1.0 else self

@@ -10,10 +10,9 @@ model content -- the shard router -- never loads numpy:
 * :func:`check_values` and :func:`fault_names` -- equal lengths, at least one
   fault, finite values, ``p_i`` and ``q_i`` in ``[0, 1]``, the strict
   ``sum(q) <= 1`` check and the per-fault labels;
-* :func:`parse_scale`, :func:`check_p_scale`, :func:`check_q_scale`,
-  :func:`check_rescaled` and :func:`parse_transform` -- the
-  ``p_scale``/``q_scale`` sweep transforms: the typing of a scale and the
-  rules of applying it to a model;
+* :func:`parse_scale`, :func:`check_p_scale`, :func:`check_rescaled` and
+  :func:`parse_transform` -- the ``p_scale``/``q_scale`` sweep transforms:
+  the typing of a scale and the rules of applying it to a model;
 * :func:`model_content` -- all of the above, returning the canonical content
   dict (the :meth:`FaultModel.to_dict` shape) that request digests hash.
 
@@ -32,7 +31,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "check_p_scale",
-    "check_q_scale",
     "check_rescaled",
     "check_values",
     "fault_names",
@@ -140,30 +138,27 @@ def check_p_scale(p_max: float, k: float) -> None:
         raise ValueError("p and q must be finite")
 
 
-def check_q_scale(q_scale: float) -> None:
-    """The sign rule of scaling every ``q_i`` by ``q_scale``."""
-    if q_scale < 0.0:
-        raise ValueError(f"q_scale must be non-negative, got {q_scale}")
-
-
 def check_rescaled(
-    p: Sequence[float], q: Sequence[float], strict: bool, p_scale: float, q_scale: float
-) -> None:
+    p: Sequence[float], q: Sequence[float], strict: bool, p_scale: Any, q_scale: Any
+) -> tuple[float, float]:
     """Reject exactly the transforms :meth:`FaultModel.rescaled` rejects, with its messages.
 
     ``p`` and ``q`` must already satisfy :func:`check_values`.  The steps
-    are those of ``rescaled``: the ``q_scale`` sign, then ``p`` scaled by
-    ``p_scale``, then ``q`` by ``q_scale``.  A NaN or infinite scale fails
-    as the model it would build does.  A scaled ``p`` that passes
+    are those of ``rescaled``: both scales typed by :func:`parse_scale`
+    (``p_scale`` first), then ``p`` scaled by ``p_scale``, then ``q`` by
+    ``q_scale``.  So a NaN, infinite or negative scale gets the wire's
+    message whichever surface it reaches.  A scaled ``p`` that passes
     :func:`check_p_scale` is finite and lies in ``[0, 1]``, and scaling
     ``p`` cannot break a ``q`` rule, so the scaled ``q`` is checked against
-    the unscaled ``p``.
+    the unscaled ``p``.  Returns the typed ``(p_scale, q_scale)``.
     """
-    check_q_scale(q_scale)
+    p_scale = parse_scale(p_scale, "p_scale")
+    q_scale = parse_scale(q_scale, "q_scale")
     if p_scale != 1.0:
         check_p_scale(max(p), p_scale)
     if q_scale != 1.0:
         check_values(p, [value * q_scale for value in q], strict)
+    return p_scale, q_scale
 
 
 def parse_scale(value: Any, name: str) -> float:
@@ -185,15 +180,11 @@ def parse_transform(
 ) -> tuple[float, float]:
     """The ``(p_scale, q_scale)`` of ``data`` (absent keys are 1.0), checked against a model.
 
-    Types both scales with :func:`parse_scale`, then applies
-    :func:`check_rescaled` to the model's float lists ``p`` and ``q``: what
-    passes is exactly what :meth:`FaultModel.rescaled` accepts.  Callers
-    checking many transforms of one model take its lists once.
+    Applies :func:`check_rescaled` to the model's float lists ``p`` and
+    ``q``: what passes is exactly what :meth:`FaultModel.rescaled` accepts.
+    Callers checking many transforms of one model take its lists once.
     """
-    p_scale = parse_scale(data.get("p_scale", 1.0), "p_scale")
-    q_scale = parse_scale(data.get("q_scale", 1.0), "q_scale")
-    check_rescaled(p, q, strict, p_scale, q_scale)
-    return p_scale, q_scale
+    return check_rescaled(p, q, strict, data.get("p_scale", 1.0), data.get("q_scale", 1.0))
 
 
 def model_content(data: Mapping) -> dict:

@@ -18,9 +18,9 @@ the library:
 
 The ``exact`` and ``tail-quantile`` evaluation methods are both readouts of
 one :func:`exact_pfd_distribution`.  Inside a :func:`shared_distributions`
-scope that distribution is computed once per point model and every later
-request for it is served from the scope; outside a scope nothing is kept
-between calls.
+scope that distribution is computed once per point model and reach (the
+highest quantile level read) and every later request for it is served
+from the scope; outside a scope nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ def shared_distributions() -> Iterator[DistributionScope]:
     """Compute each distinct exact PFD distribution once inside the block.
 
     While the block runs, :func:`exact_pfd_distribution` memoises its result
-    on ``(versions, max_support, q, p)`` and returns the *same* object for
-    every repeat call, so ``exact`` and ``tail-quantile`` readouts of one
-    point model cost one kernel run.  The cached arrays are read-only.
+    on ``(versions, max_support, q, p)`` plus the ``reach`` of a lattice
+    bracket and returns the *same* object for every repeat call, so
+    ``exact`` and ``tail-quantile`` readouts of one point model at one reach
+    cost one kernel run.  The cached arrays are read-only.
     The memo lives in the yielded :class:`DistributionScope` and is dropped
     when the block exits; a nested block starts an empty scope of its own.
     """
@@ -85,7 +86,10 @@ def shared_distributions() -> Iterator[DistributionScope]:
 
 
 def exact_pfd_distribution(
-    model: FaultModel, versions: int = 1, max_support: int | None = 4096
+    model: FaultModel,
+    versions: int = 1,
+    max_support: int | None = 4096,
+    reach: float | None = None,
 ) -> DistributionBracket:
     """The distribution of the PFD of a 1-out-of-``versions`` system, bracketed.
 
@@ -102,6 +106,13 @@ def exact_pfd_distribution(
         exceed it is bracketed on a lattice of ``4 * max_support`` cells
         instead.  ``None`` always keeps the full support (exact but
         exponential in ``n``).
+    reach:
+        The highest quantile level the caller reads.  A lattice is then
+        folded only as far as that quantile can lie: every quantile up to
+        ``reach`` is the one the full lattice gives, the bracket is coarser
+        above it, and the support counts only the cells folded.  ``None``
+        (the default) folds the full lattice, for callers that read any
+        level or an exceedance probability.
 
     Returns a :class:`~repro.stats.discrete.DistributionBracket`: lower and
     upper distributions with lower <= PFD <= upper outcome by outcome (one
@@ -109,23 +120,32 @@ def exact_pfd_distribution(
     distribution takes the conservative upper one.
 
     Inside a :func:`shared_distributions` scope a repeat call with an equal
-    model, ``versions`` and ``max_support`` returns the bracket the first
-    call computed; outside one every call computes afresh.
+    model, ``versions``, ``max_support`` and ``reach`` returns the bracket
+    the first call computed; an exact bracket does not depend on ``reach``
+    and serves every reach.  Outside a scope every call computes afresh.
     """
     if versions < 1:
         raise ValueError(f"versions must be a positive integer, got {versions}")
     scope = _SCOPE.get()
     if scope is None:
-        return bracket_two_points(model.q, model.p ** versions, max_support=max_support)
+        return bracket_two_points(
+            model.q, model.p ** versions, max_support=max_support, reach=reach
+        )
     key = (versions, max_support, model.q.tobytes(), model.p.tobytes())
     bracket = scope.distributions.get(key)
+    if bracket is None:
+        bracket = scope.distributions.get(key + (reach,))
     if bracket is not None:
         scope.shared += 1
         return bracket
-    bracket = bracket_two_points(model.q, model.p ** versions, max_support=max_support)
+    bracket = bracket_two_points(
+        model.q, model.p ** versions, max_support=max_support, reach=reach
+    )
     if bracket.exact is not None:
         bracket.exact.support.setflags(write=False)
         bracket.exact.probabilities.setflags(write=False)
+    else:
+        key += (reach,)
     scope.distributions[key] = bracket
     scope.computed += 1
     return bracket

@@ -30,13 +30,16 @@ def batched_scaled_pfd(
     q_scales=None,
     versions: int = 1,
     max_support: int | None = 4096,
+    reach: float | None = None,
 ) -> list[DistributionBracket]:
     """PFD distribution brackets of a family of rescaled models, one per point.
 
     Point ``j`` is ``exact_pfd_distribution(model.rescaled(p_scales[j],
-    q_scales[j]), versions, max_support)``: every ``p_i`` multiplied by
-    ``p_scales[j]`` and every ``q_i`` by ``q_scales[j]`` (``q_scales``
-    defaults to all ones), combined 1-out-of-``versions``.  The scales are
+    q_scales[j]), versions, max_support, reach)``: every ``p_i`` multiplied
+    by ``p_scales[j]`` and every ``q_i`` by ``q_scales[j]`` (``q_scales``
+    defaults to all ones), combined 1-out-of-``versions``, each lattice
+    folded only as far as the ``reach`` quantile can lie (``None``, the
+    default, folds the full lattice).  The scales are
     applied by :meth:`FaultModel.rescaled` itself, so an invalid point
     raises its ``ValueError`` and no bracket is returned; the sweep core
     (:func:`repro.api.evaluate.sweep_outcomes`) checks every point first and
@@ -53,7 +56,7 @@ def batched_scaled_pfd(
     with telemetry.span("kernel.batched_pmf", points=int(p_scales.size), faults=int(model.n)):
         return [
             pfd_distribution.exact_pfd_distribution(
-                model.rescaled(float(p_scale), float(q_scale)), versions, max_support
+                model.rescaled(float(p_scale), float(q_scale)), versions, max_support, reach
             )
             for p_scale, q_scale in zip(p_scales, q_scales)
         ]

@@ -23,6 +23,7 @@ Two layers are provided:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -458,44 +459,57 @@ def _outward(value: float, slack: float, sign: int) -> float:
 
 
 def _fold(
-    shifts: np.ndarray, probabilities: np.ndarray, cells: int, clamp: bool
+    shifts: np.ndarray, odds: np.ndarray, cells: int, clamp: bool
 ) -> tuple[np.ndarray, float]:
     """Fold two-point contributions as integer shifts on a lattice of ``cells``.
 
-    Contribution ``i`` moves mass ``probabilities[i]`` up by ``shifts[i]``
-    cells.  Mass pushed past the top cell is clamped into it when ``clamp``
-    is set (which can only lower a value) and otherwise returned apart as
-    the overflow (to be placed at or above every value).  Returns the
-    normalised weights and the overflow mass.
+    Contribution ``i`` is present with odds ``odds[i] = p_i / (1 - p_i)`` and
+    then moves its mass up by ``shifts[i]`` cells.  Mass pushed past the top
+    cell is clamped into it when ``clamp`` is set (which can only lower a
+    value) and otherwise returned apart as the overflow (to be placed at or
+    above every value).  Returns the normalised weights and the overflow
+    mass.
 
     The fold keeps unnormalised weights ``u`` scaled by ``1 / prod(1 - p)``,
     so each contribution costs one multiply and one shift-add over the
-    occupied cells: ``u[s:] += p / (1 - p) * u[:-s]``.
+    occupied cells: ``u[s:] += odds * u[:-s]``.  The weight of a cell below
+    the top one depends only on the cells below it, so a shorter lattice
+    computes those cells exactly as a longer one does.
     """
     weights = np.zeros(cells)
     weights[0] = 1.0
     scratch = np.empty(cells)
+    # Bound once: the loop body runs per fault and is mostly call overhead.
+    multiply = np.multiply
+    add_reduce = np.add.reduce
+    moving = shifts != 0
+    odds = odds[moving]
     top = 0
     spilled = 0.0
     scale = 1.0
-    for shift, probability in zip(shifts.tolist(), probabilities.tolist()):
-        if shift == 0:
-            continue
-        odds = probability / (1.0 - probability)
+    for shift, odd, growth in zip(shifts[moving].tolist(), odds.tolist(), (1.0 + odds).tolist()):
         # Overflow stays past the lattice whether or not this fault is present.
-        spilled *= 1.0 + odds
+        spilled *= growth
         occupied = top + 1
-        kept = max(0, min(occupied, cells - shift))
-        if kept < occupied:
-            spill = odds * float(weights[kept:occupied].sum())
+        end = occupied + shift
+        if end > cells:
+            end = cells
+            kept = cells - shift
+            if kept < 0:
+                kept = 0
+            spill = odd * float(add_reduce(weights[kept:occupied]))
             if clamp:
                 weights[-1] += spill
             else:
                 spilled += spill
-        np.multiply(weights[:kept], odds, out=scratch[:kept])
-        weights[shift : shift + kept] += scratch[:kept]
-        top = min(top + shift, cells - 1)
-        scale *= 1.0 + odds
+        else:
+            kept = occupied
+        source = scratch[:kept]
+        multiply(weights[:kept], odd, out=source)
+        target = weights[shift:end]
+        target += source
+        top = end - 1
+        scale *= growth
         if scale > 1e150:
             weights /= scale
             spilled /= scale
@@ -505,10 +519,54 @@ def _fold(
     return weights, spilled / total
 
 
+def _reach_cells(
+    shifts: np.ndarray, probabilities: np.ndarray, cells: int, reach: float | None, slack: float
+) -> int:
+    """Cells a fold by ``shifts`` needs up to quantile level ``reach``.
+
+    See :func:`_lattice_bracket`; ``None`` or a level within ``2 * slack`` of 1
+    keeps all ``cells``.
+    """
+    if reach is None:
+        return cells
+    level = reach + 2.0 * slack
+    if level >= 1.0:
+        return cells
+    mean = float(np.dot(shifts, probabilities))
+    variance = float(np.dot(shifts * shifts, probabilities * (1.0 - probabilities)))
+    k = math.sqrt(level / (1.0 - level))
+    return min(cells, math.ceil(mean + k * math.sqrt(variance)) + 3)
+
+
 def _lattice_bracket(
-    values: np.ndarray, probabilities: np.ndarray, cells: int, offset: float
+    values: np.ndarray,
+    probabilities: np.ndarray,
+    cells: int,
+    offset: float,
+    reach: float | None = None,
 ) -> DistributionBracket:
-    """The lower and upper lattice folds of ``sum_i B_i`` (see :func:`bracket_two_points`)."""
+    """The lower and upper lattice folds of ``sum_i B_i`` (see :func:`bracket_two_points`).
+
+    With a ``reach``, each fold stops at the cell past which Cantelli's
+    one-sided inequality shows the ``reach`` quantile cannot lie.  A fold
+    moves contribution ``i`` by ``s_i`` cells (``floor`` of ``values[i] /
+    delta`` for the lower fold, ``ceil`` for the upper), so on an unbounded
+    lattice it is the distribution of ``S = sum_i s_i B_i``, with mean
+    ``mu = sum_i s_i p_i`` and variance ``sigma^2 = sum_i s_i^2 p_i (1 -
+    p_i)``.  For any distribution, ``P(S >= mu + k sigma) <= 1 / (1 + k^2)``;
+    with ``t = reach + 2 slack`` and ``k = sqrt(t / (1 - t))`` that is ``1 -
+    t``, so ``P(S <= c - 1) >= t`` at ``c = ceil(mu + k sigma)``.  The
+    cumulative weights carry at most ``slack`` of rounding, so at every
+    level up to ``reach`` the cell that ``searchsorted(cum, level +/- slack)``
+    finds is at most ``c - 1``.  The fold keeps ``c + 3`` cells: every cell
+    below its top cell is computed by the same float operations as on the
+    full lattice (:func:`_fold`), and the mass past the cut is clamped into
+    the top cell (lower fold) or sent to the overflow atom (upper fold)
+    exactly as past the full lattice, so the bracket stays rigorous at every
+    level and is only coarser above ``reach``.  Only the normalising total
+    is summed over fewer cells, which can move a weight by a rounding.
+    ``reach=None``, or ``t >= 1``, folds the full lattice.
+    """
     mean = float(np.dot(values, probabilities))
     variance = float(np.dot(values * values, probabilities * (1.0 - probabilities)))
     total = float(values.sum())
@@ -521,8 +579,19 @@ def _lattice_bracket(
     up = np.ceil(ratios)
     up += up * delta < values
     slack = (cells + 3 * values.size) * _EPS
-    lower, _ = _fold(down.astype(np.int64), probabilities, cells, clamp=True)
-    upper, overflow = _fold(up.astype(np.int64), probabilities, cells, clamp=False)
+    odds = probabilities / (1.0 - probabilities)
+    lower, _ = _fold(
+        down.astype(np.int64),
+        odds,
+        _reach_cells(down, probabilities, cells, reach, slack),
+        clamp=True,
+    )
+    upper, overflow = _fold(
+        up.astype(np.int64),
+        odds,
+        _reach_cells(up, probabilities, cells, reach, slack),
+        clamp=False,
+    )
     lower.setflags(write=False)
     upper.setflags(write=False)
     return DistributionBracket(
@@ -540,6 +609,7 @@ def bracket_two_points(
     values: np.ndarray,
     probabilities: np.ndarray,
     max_support: int | None = None,
+    reach: float | None = None,
 ) -> DistributionBracket:
     """Bracket the distribution of ``sum_i B_i`` for independent two-point variables.
 
@@ -570,6 +640,9 @@ def bracket_two_points(
     40 standard deviations plus the largest value, capped at
     ``sum(values)`` -- which keeps ``delta`` small for long-tailed models;
     the clamp and the overflow atom keep the bracket rigorous beyond it.
+    A ``reach`` folds each lattice only as far as the ``reach`` quantile can
+    lie (:func:`_lattice_bracket`): every quantile at a level up to it reads
+    as on the full lattice, and the bracket is only coarser above it.
 
     Parameters
     ----------
@@ -579,6 +652,10 @@ def bracket_two_points(
     max_support:
         Largest full support folded exactly, and a quarter of the lattice
         size otherwise (``None`` always folds exactly, exponential in ``n``).
+    reach:
+        The highest quantile level the caller reads, in ``[0, 1]``; ``None``
+        folds the full lattice, for callers reading any level or an
+        exceedance probability.  An exact bracket does not depend on it.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     probabilities = np.atleast_1d(np.asarray(probabilities, dtype=float))
@@ -592,6 +669,8 @@ def bracket_two_points(
         raise ValueError("all values must be non-negative")
     if max_support is not None and max_support < 2:
         raise ValueError(f"max_support must be >= 2, got {max_support}")
+    if reach is not None and not 0.0 <= reach <= 1.0:
+        raise ValueError(f"reach must be in [0, 1], got {reach}")
     offset = float(np.sum(values[probabilities == 1.0]))
     active = (probabilities > 0.0) & (probabilities < 1.0) & (values != 0.0)
     result = DiscreteDistribution.point_mass(0.0)
@@ -609,6 +688,7 @@ def bracket_two_points(
                 np.repeat(unique_pairs[:, 1], counts),
                 4 * max_support,
                 offset,
+                reach,
             )
     grouped = counts >= 2
     # Singles are folded largest-value first (fixed, reproducible order).

@@ -180,6 +180,29 @@ class TestEvaluateBatch:
             json.dumps(result.to_dict()["metrics"]) for result in separate
         ]
 
+    def test_each_read_reach_folds_its_own_lattice(self, monkeypatch):
+        from repro.core import pfd_distribution
+        from repro.experiments.scenarios import get_scenario
+
+        reaches = []
+        original = pfd_distribution.bracket_two_points
+
+        def logging(*args, **kwargs):
+            reaches.append(kwargs["reach"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pfd_distribution, "bracket_two_points", logging)
+        model = get_scenario("many-small-faults", n=40)
+        requests = ["exact", "tail-quantile", ("exact", {"level": 0.999}),
+                    ("tail-quantile", {"level": 0.5}), ("exact", {"threshold": 1e-3})]
+        batched = evaluate_batch(model, requests)
+        # Default levels and a lower one read up to 0.99 and share one lattice;
+        # 0.999 folds its own, and an exceedance folds the full lattice.
+        assert reaches == [0.99, 0.999, None]
+        supports = [result["exact_support" if result.method == "exact" else "tail_support"]
+                    for result in batched]
+        assert supports[0] == supports[1] == supports[3] < supports[2] < supports[4]
+
 class TestBatchCoalescing:
     """Identical work items compute once; the result fans out per request."""
 

@@ -87,6 +87,26 @@ class TestSharedDistributions:
         assert (inner.computed, inner.shared) == (1, 0)
         assert (outer.computed, outer.shared) == (1, 1)
 
+    def test_a_lattice_bracket_is_shared_per_reach(self, random_model: FaultModel):
+        with shared_distributions() as scope:
+            first = exact_pfd_distribution(random_model, 2, 256, reach=0.99)
+            again = exact_pfd_distribution(random_model, 2, 256, reach=0.99)
+            higher = exact_pfd_distribution(random_model, 2, 256, reach=0.999)
+            full = exact_pfd_distribution(random_model, 2, 256)
+        assert not first.is_exact
+        assert again is first
+        assert len({id(first), id(higher), id(full)}) == 3
+        assert (scope.computed, scope.shared) == (3, 1)
+        assert first.upper_weights.size < higher.upper_weights.size < full.upper_weights.size
+
+    def test_an_exact_bracket_serves_every_reach(self, small_model: FaultModel):
+        with shared_distributions() as scope:
+            first = exact_pfd_distribution(small_model, 2, reach=0.99)
+            assert exact_pfd_distribution(small_model, 2, reach=0.999) is first
+            assert exact_pfd_distribution(small_model, 2) is first
+        assert first.is_exact
+        assert (scope.computed, scope.shared) == (1, 2)
+
 class TestExceedanceAndPercentile:
     def test_exceedance_simple_case(self):
         model = FaultModel(p=np.array([0.5]), q=np.array([0.2]))

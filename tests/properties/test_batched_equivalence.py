@@ -95,7 +95,7 @@ class TestBatchedExactEquivalence:
             batched_scaled_pfd(model, np.array([0.5, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="pushes some p_i above 1"):
             batched_scaled_pfd(model, np.array([50.0]))
-        with pytest.raises(ValueError, match="q_scale must be non-negative"):
+        with pytest.raises(ValueError, match="'q_scale' must be a finite non-negative number"):
             batched_scaled_pfd(model, np.ones(1), np.array([-1.0]))
         assert batched_scaled_pfd(model, np.array([])) == []
 

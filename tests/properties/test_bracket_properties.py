@@ -6,6 +6,12 @@ fold that rounds every ``q_i`` down and an upper fold that rounds every
 ``q_i`` up.  Outcome by outcome lower <= PFD <= upper, so every quantile and
 every exceedance of the true distribution -- computed here with the full
 support, ``max_support=None`` -- must fall inside the reported ``[lo, hi]``.
+
+With a ``reach`` -- the highest quantile level the caller reads -- each fold
+stops at the cell past which Cantelli's one-sided inequality shows that
+level cannot lie.  Every quantile at a level up to the reach must then read
+bit for bit as on the full lattice, and the cut bracket must still contain
+the full-support distribution at every level and threshold.
 """
 
 from __future__ import annotations
@@ -21,13 +27,24 @@ from repro.core.pfd_distribution import exact_pfd_distribution, prob_pfd_zero
 
 LEVELS = (0.5, 0.9, 0.99, 0.999)
 
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
 
 @st.composite
 def fault_models(draw, max_faults: int = 16):
     n = draw(st.integers(min_value=1, max_value=max_faults))
-    unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-    p = draw(hnp.arrays(dtype=float, shape=n, elements=unit))
-    q = draw(hnp.arrays(dtype=float, shape=n, elements=unit))
+    p = draw(hnp.arrays(dtype=float, shape=n, elements=_unit))
+    q = draw(hnp.arrays(dtype=float, shape=n, elements=_unit))
+    total = q.sum()
+    return FaultModel(p=p, q=q / total if total > 1.0 else q)
+
+
+@st.composite
+def lattice_models(draw):
+    """Models whose support passes 4096 points: 20 to 150 distinct faults present."""
+    n = draw(st.integers(min_value=20, max_value=150))
+    p = draw(hnp.arrays(dtype=float, shape=n, elements=st.floats(1e-3, 0.5)))
+    q = draw(hnp.arrays(dtype=float, shape=n, elements=st.floats(1e-6, 1.0), unique=True))
     total = q.sum()
     return FaultModel(p=p, q=q / total if total > 1.0 else q)
 
@@ -96,3 +113,57 @@ class TestBracketEnds:
         assert bracket.ceiling == pytest.approx(model.q.sum())
         assert bracket.quantile(1.0)[1] == bracket.ceiling
         assert bracket.upper().support[-1] == bracket.ceiling
+
+
+class TestReachCut:
+    @given(
+        lattice_models(),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([64, 512, 4096]),
+        _unit,
+        st.lists(_unit, min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quantiles_up_to_the_reach_equal_the_full_lattices(
+        self, model, versions, max_support, reach, levels
+    ):
+        full = exact_pfd_distribution(model, versions, max_support)
+        cut = exact_pfd_distribution(model, versions, max_support, reach=reach)
+        assert not full.is_exact
+        assert cut.upper_weights.size <= full.upper_weights.size
+        assert cut.lower_weights.size <= full.lower_weights.size
+        read = [level for level in levels if level <= reach] + [reach]
+        assert cut.quantiles(read) == full.quantiles(read)
+
+    @given(
+        fault_models(),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=2, max_value=64),
+        _unit,
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_cut_bracket_contains_the_full_support(
+        self, model, versions, max_support, reach, data
+    ):
+        truth = exact_pfd_distribution(model, versions, max_support=None).exact
+        cut = exact_pfd_distribution(model, versions, max_support, reach=reach)
+        levels = [*LEVELS, *data.draw(st.lists(_unit, max_size=4)), reach]
+        for level, (low, high) in zip(levels, cut.quantiles(levels)):
+            assert low <= truth.quantile(level) <= high
+        thresholds = data.draw(
+            st.lists(st.sampled_from(truth.support.tolist()), min_size=1, max_size=6)
+        )
+        for threshold in thresholds:
+            low, high = cut.survival(threshold)
+            assert low <= truth.survival(threshold) <= high
+
+    def test_a_reach_of_one_folds_the_full_lattice(self):
+        model = FaultModel.random(np.random.default_rng(3), n=80)
+        full = exact_pfd_distribution(model, 2, 4096)
+        whole = exact_pfd_distribution(model, 2, 4096, reach=1.0)
+        cut = exact_pfd_distribution(model, 2, 4096, reach=0.99)
+        np.testing.assert_array_equal(whole.upper_weights, full.upper_weights)
+        np.testing.assert_array_equal(whole.lower_weights, full.lower_weights)
+        assert cut.upper_weights.size < full.upper_weights.size
+        assert cut.support_size < full.support_size

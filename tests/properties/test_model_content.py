@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fault_model import FaultModel
@@ -97,12 +97,20 @@ def _expected(model: dict, p_scale: float, q_scale: float) -> tuple[dict | None,
     return built.to_dict(), None
 
 
-@given(st.data())
+@st.composite
+def _requests(draw) -> tuple[dict, float, float]:
+    """``(model, p_scale, q_scale)`` of one wire request."""
+    model = draw(_models())
+    return model, draw(_p_scales(model["p"])), draw(_q_scales)
+
+
+@given(_requests())
+# ``1 / p_max`` overflows to inf for a subnormal ``p``: the wire and
+# ``FaultModel.rescaled`` must word the non-finite scale alike.
+@example(({"p": [5e-324], "q": [0.0]}, math.inf, 0))
 @settings(max_examples=300, deadline=None)
-def test_parser_content_and_rejections_match_the_model(data):
-    model = data.draw(_models())
-    p_scale = data.draw(_p_scales(model["p"]))
-    q_scale = data.draw(_q_scales)
+def test_parser_content_and_rejections_match_the_model(drawn):
+    model, p_scale, q_scale = drawn
     body = {"model": model, "method": "moments", "p_scale": p_scale, "q_scale": q_scale}
     wire = json.loads(json.dumps(body))
     content, message = _expected(wire["model"], float(p_scale), float(q_scale))
@@ -169,8 +177,25 @@ def test_check_rescaled_rejects_exactly_what_rescaled_rejects(data):
 
 
 def test_check_rescaled_closes_the_non_finite_hole():
-    with pytest.raises(ValueError, match="^p and q must be finite$"):
+    message = "^'p_scale' must be a finite non-negative number, got {}$"
+    with pytest.raises(ValueError, match=message.format("nan")):
         check_rescaled([0.3, 0.2], [0.1, 0.1], True, math.nan, 1.0)
-    with pytest.raises(ValueError, match="^p and q must be finite$"):
+    with pytest.raises(ValueError, match=message.format("inf")):
         check_rescaled([0.0, 0.0], [0.1, 0.1], True, math.inf, 1.0)
     check_rescaled([0.3, 0.2], [0.1, 0.1], True, -0.0, 1.0)
+
+
+@pytest.mark.parametrize("p_scale, q_scale, name", [
+    (math.inf, 0.0, "p_scale"), (math.nan, 1.0, "p_scale"), (-1.0, 1.0, "p_scale"),
+    (1.0, math.inf, "q_scale"), (1.0, math.nan, "q_scale"), (1.0, -1.0, "q_scale"),
+])
+def test_rescaled_words_a_bad_scale_as_the_wire_does(p_scale, q_scale, name):
+    """One message per non-finite or negative scale, whichever surface it reaches."""
+    model = {"p": [5e-324, 0.5], "q": [0.0, 0.1]}
+    body = {"model": model, "method": "moments", "p_scale": p_scale, "q_scale": q_scale}
+    with pytest.raises(ValueError) as wire:
+        parse_evaluate_payload(json.loads(json.dumps(body)))
+    with pytest.raises(ValueError) as direct:
+        FaultModel(p=np.asarray(model["p"]), q=np.asarray(model["q"])).rescaled(p_scale, q_scale)
+    assert str(wire.value) == str(direct.value)
+    assert str(direct.value).startswith(f"'{name}' must be a finite non-negative number")

@@ -4,7 +4,7 @@ The unified-API refactor moved method dispatch from per-consumer tables into
 :class:`repro.api.MethodRegistry`.  Study cache digests must survive it byte
 for byte: the digests below were recorded by running ``plan_study`` on the
 *pre-registry* implementation (commit f421fea) and re-pinned for the
-deliberate cache format bumps to versions 2 and 3, so a warm cache written by the
+deliberate cache format bumps to versions 2, 3 and 4, so a warm cache written by the
 old dispatch must be served untouched by the new one.
 """
 
@@ -37,18 +37,20 @@ COMPAT_SPEC = {
 #: ``mc_jobs`` options: resolved options are hashed, so only they moved.
 #: Every digest moved again, on purpose, when ``CACHE_FORMAT_VERSION`` went
 #: to 3 (a sparse lone ``montecarlo`` is its one-point sweep, and its
-#: records carry standard errors).  Any other change here silently
+#: records carry standard errors), and again when it went to 4 (``exact`` /
+#: ``tail-quantile`` fold the lattice only as far as the record reads, so
+#: their support fields count fewer cells).  Any other change here silently
 #: invalidates every user's warm study cache -- treat a failure as a
 #: release blocker, not a snapshot bump.
 PRE_REGISTRY_DIGESTS = [
-    ("moments", "2523d29a4805326533093ed6deb98f7298076df5457d552833646ccebb347497"),
-    ("bounds", "bd57130159b59642e97776961f256a514bbade0fee99c2e5dacacecdbfcc8cd9"),
-    ("exact", "0bffb356666fc2b542134d98f861dad601a0effa3db0719112af4569716a8176"),
-    ("montecarlo", "83a22ca2fecf1b2dc4fd2812f1ae06851c4c361060de1a342bdecba634f297bc"),
-    ("moments", "4b64f13f3a05ceebad187f395742ee312fc7e4313b601ce2dc43a7266c7a505d"),
-    ("bounds", "610139088ab935f5f83c6300c652032b659435fcac0f04a23ddf805a70bb59a1"),
-    ("exact", "53cea29e8c25131a076b05512d140b36e8b59963a19feb1dfcd339b8fb7d7516"),
-    ("montecarlo", "a0d00eb577fc0eb039c51fbc962fcedc7e2c19836ff64820c1fb4ad2d1f066fc"),
+    ("moments", "f4d75ea4814699ef7ab39a8b090bbd6f4a26ff1d955b2e68a8a358c75cf15420"),
+    ("bounds", "6e2b5cfed88b1dd4d07ef2c4297c1e0c0bb66e60afcdd87ef677c9da68be8e48"),
+    ("exact", "762a051edce1224484e8af13fa9d86c457a47ba3ee679136c12c54af196eb7ac"),
+    ("montecarlo", "f87bbd3465fa8cd48c1fd852f3955ee61391c3ea4af13a6ee77daf0d4de4c3ae"),
+    ("moments", "474f6cecebead2e76e0a05d4b798cd7faf38c54d8da2d39ca500ee5961c3694e"),
+    ("bounds", "9d0c8616efe8e252e236c54243d98b6fd638fdd4dbea2736eb26cde458e5a138"),
+    ("exact", "6e16275717692d59feee296e0e81010873a13481ab4388ecd5fc0108e7acde74"),
+    ("montecarlo", "0a46131be1606798481fe00c8e3e5af9666ce0e40de3f7ca7c4898e8fdd21f97"),
 ]
 
 

@@ -344,7 +344,7 @@ def shared_spec_dict() -> dict:
 def convolutions(tmp_path, monkeypatch):
     """Log every exact-distribution kernel run to a file, pool workers included.
 
-    Returns a function reading the logged runs as ``(n, p digest)`` pairs.
+    Returns a function reading the logged runs as ``n p-digest reach`` lines.
     """
     import hashlib
 
@@ -357,7 +357,7 @@ def convolutions(tmp_path, monkeypatch):
     def logging(values, probabilities, *args, **kwargs):
         with open(log, "a", encoding="utf-8") as handle:
             digest = hashlib.sha256(probabilities.tobytes()).hexdigest()[:16]
-            handle.write(f"{values.size} {digest}\n")
+            handle.write(f"{values.size} {digest} {kwargs.get('reach')}\n")
         return original(values, probabilities, *args, **kwargs)
 
     monkeypatch.setattr(pfd_distribution, "bracket_two_points", logging)
@@ -373,7 +373,20 @@ class TestSharedDistributions:
         result = run_study(spec, cache_dir=str(tmp_path / "cache"), jobs=jobs)
         assert result.summary["computed"] == 16
         runs = convolutions()
-        assert len(runs) == len(set(runs)) == 4
+        assert len(runs) == len(set(runs))
+        reaches = {}
+        for run in runs:
+            n, digest, reach = run.split()
+            reaches.setdefault((int(n), digest), []).append(reach)
+        assert len(reaches) == 4
+        # One run per (point model, reach): levels 0.99 and 0.999 read
+        # reaches 0.99 and 0.999.  An n=10 model fits ``max_support`` and is
+        # folded exactly, which does not depend on the reach: one run.
+        for (n, _), read in reaches.items():
+            if n == 20:
+                assert sorted(read) == ["0.99", "0.999"]
+            else:
+                assert len(read) == 1
 
     def test_records_equal_lone_evaluate(self, tmp_path):
         from repro import evaluate

@@ -66,3 +66,23 @@ def test_every_measurement_follows_the_schema(entry, measurement):
     if entry["pr"] not in PRE_SCHEMA:
         nulls = sorted(key for key in MEASUREMENT_KEYS if measurement[key] is None)
         assert not nulls, nulls
+
+
+LAYER_KEYS = {"parent_median", "change_median", "parent_iqr", "change_iqr"}
+LAYER_METRICS = {metric["name"] for metric in BENCHMARK["per_layer"]}
+
+
+@pytest.mark.parametrize(
+    "entry", [entry for entry in LEDGER if "layers" in entry], ids=lambda entry: f"pr{entry['pr']}"
+)
+def test_layers_name_workloads_and_per_layer_metrics(entry):
+    """``benchmarks/pairs.py --trace N``: per workload, each layer's spread per side."""
+    assert entry["layers"]
+    for workload, layers in entry["layers"].items():
+        assert workload in WORKLOADS
+        assert layers
+        for name, spread in layers.items():
+            assert name in LAYER_METRICS
+            assert set(spread) == LAYER_KEYS
+            assert all(isinstance(value, (int, float)) for value in spread.values())
+            assert spread["parent_iqr"] >= 0 and spread["change_iqr"] >= 0

@@ -11,9 +11,11 @@ scheme changed, and that is a breaking-change decision, not a refactor.
 
 The pinned hexes must never be *updated* casually.  They were re-pinned
 on purpose when ``CACHE_FORMAT_VERSION`` went from 1 to 2 (the ``exact`` /
-``tail-quantile`` records became bracketed) and again from 2 to 3 (a sparse
-lone ``montecarlo`` became its one-point sweep, and ``montecarlo`` records
-gained the standard errors of their means); the version is part of every
+``tail-quantile`` records became bracketed), from 2 to 3 (a sparse lone
+``montecarlo`` became its one-point sweep, and ``montecarlo`` records
+gained the standard errors of their means) and from 3 to 4 (``exact`` /
+``tail-quantile`` fold the lattice only as far as the record reads, so
+their support fields count fewer cells); the version is part of every
 payload, so each bump moved every digest, and the ring layout pin below did
 not move.  The two inline-model pins were re-pinned once more, with the
 version unchanged, when an inline model's ``p`` and ``q`` began to hash as
@@ -44,7 +46,7 @@ class TestGoldenDigests:
         payload = evaluation_payload({"model": _MODEL}, {}, "moments", {}, None)
         assert (
             payload_digest(payload)
-            == "b16eab8963bf9774bfde8f825d941b325a06b08fb317cee98f933795270ffc80"
+            == "27fc62091627a8f0776b8d78340f8f0383ec65254c4ae9e4145bd0d39c0daec8"
         )
         # Neutral transforms and no entropy: the group digest collapses to
         # the payload digest.
@@ -60,11 +62,11 @@ class TestGoldenDigests:
         )
         assert (
             payload_digest(payload)
-            == "a0687f36c549c3faf662036652a30ed3091f3296b186d4703fefba0438c442c0"
+            == "be4202c9aeea6f09986808f70f5c9377f05969d92c1d4215058cc6dcd66077c1"
         )
         assert (
             group_digest(payload)
-            == "64648f63a74861a5a72f47682fe6a9cec20303481851443739248222c7496972"
+            == "9490ea0dc3471eeda4c05fe8dd0cc3017e8c1e67803be0f59b19749b46f61c97"
         )
 
     def test_scenario_payload(self):
@@ -73,7 +75,7 @@ class TestGoldenDigests:
         )
         assert (
             payload_digest(payload)
-            == "887142cf1d0af0aaaf35ab4cc506b8ff7697cf7a222e78c8e7e8f48483e6de64"
+            == "f7ce4d372585b6e96ec7ba065b80b98518c53646e00fc3d264f00b147a53f4fb"
         )
 
 

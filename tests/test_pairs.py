@@ -72,3 +72,20 @@ def test_summary_matches_the_ledger_schema(pairs):
 def test_rejects_unpaired_or_unnamed_input(pairs, seeds, parent, change, better):
     with pytest.raises(ValueError):
         pairs.summarize("cold_mix", "setup_s", better, seeds, parent, change)
+
+
+def test_layers_keep_each_metric_nonzero_on_either_side(pairs):
+    from test_bench_trajectory import LAYER_KEYS
+
+    parent = [{"kernel.exact_us.p50": us, "router.failovers": 0.0} for us in (900, 1000, 1100)]
+    change = [{"kernel.exact_us.p50": us, "router.failovers": 0.0} for us in (400, 500, 700)]
+    change[0]["shard.rejected"] = 1.0
+    names = ["kernel.exact_us.p50", "router.failovers", "shard.rejected"]
+    layers = pairs.summarize_layers(names, parent, change)
+    assert list(layers) == ["kernel.exact_us.p50", "shard.rejected"]
+    assert set(layers["kernel.exact_us.p50"]) == LAYER_KEYS
+    # Exclusive quartiles of three values are the two outer ones.
+    assert layers["kernel.exact_us.p50"] == {
+        "parent_median": 1000, "change_median": 500, "parent_iqr": 200, "change_iqr": 300,
+    }
+    assert layers["shard.rejected"]["parent_median"] == 0.0

@@ -21,7 +21,6 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 TRANSFORM_TEXTS = (
     "pushes some p_i above 1",
-    "q_scale must be non-negative",
     "must be a finite non-negative number",
 )
 
