@@ -3,7 +3,7 @@
 Usage::
 
     python3 benchmarks/pairs.py --parent REV --pr N --kind K \\
-        [--claim-metric M --claim-workload W] [--trace N]
+        [--claim-metric M --claim-workload W]
 
 Checks ``REV`` out with ``git worktree add --detach`` in a temporary
 directory (local git only) and removes that worktree at the end.  For each
@@ -20,12 +20,13 @@ and quartiles are those of :func:`statistics.quantiles` (``n=4``), as in
 which the change is better by the metric's ``better`` (ties count for
 neither side).  The ledger's earlier bytes are left as they are.
 
-With ``--trace N`` (at least 3) each workload's untraced pairs are followed
-by N traced runs per side (``--trace 1``, seeds 11 .. 10+N, alternated the
-same way), and the entry gains a ``layers`` object: per workload, per
+Once every workload's untraced pairs are in, each workload gets
+``TRACED`` traced runs per side (``--trace 1``, seeds 11-13, alternated the
+same way), and the entry's ``layers`` object holds, per workload and per
 ``per_layer`` metric of ``BENCHMARK.json`` that reads nonzero on either
 side, both sides' medians and IQRs.  A moved end-to-end metric then names
-its layer.
+its layer; the traced runs come after the untraced ones, so they cannot
+disturb the end-to-end figures.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "BENCH_trajectory.json"
 SEEDS = tuple(range(11, 21))
 SECONDS = 10
+#: Traced runs per side and workload: the fewest that have an IQR.
+TRACED = 3
 
 
 def _iqr(values: Sequence[float]) -> float:
@@ -124,11 +127,11 @@ def alternate(parent_tree: Path, workload: str, seeds: Sequence[int],
     return runs
 
 
-def measure(parent_tree: Path, benchmark: dict, traced: int = 0) -> tuple[list[dict], dict]:
-    """The entry's measurements and, with ``traced`` runs per side, its ``layers``."""
-    measurements, layers = [], {}
-    layer_names = [metric["name"] for metric in benchmark["per_layer"]]
-    for workload in (item["name"] for item in benchmark["workloads"]):
+def measure(parent_tree: Path, benchmark: dict) -> tuple[list[dict], dict]:
+    """The entry's end-to-end ``measurements`` and its per-layer ``layers``."""
+    measurements = []
+    workloads = [item["name"] for item in benchmark["workloads"]]
+    for workload in workloads:
         runs = alternate(parent_tree, workload, SEEDS)
         for metric in benchmark["end_to_end"]:
             name = metric["name"]
@@ -137,10 +140,11 @@ def measure(parent_tree: Path, benchmark: dict, traced: int = 0) -> tuple[list[d
                 [values[name] for values in runs["parent"]],
                 [values[name] for values in runs["change"]],
             ))
-        if traced:
-            seeds = range(SEEDS[0], SEEDS[0] + traced)
-            runs = alternate(parent_tree, workload, seeds, trace=1)
-            layers[workload] = summarize_layers(layer_names, runs["parent"], runs["change"])
+    layers = {}
+    layer_names = [metric["name"] for metric in benchmark["per_layer"]]
+    for workload in workloads:
+        runs = alternate(parent_tree, workload, SEEDS[:TRACED], trace=1)
+        layers[workload] = summarize_layers(layer_names, runs["parent"], runs["change"])
     return measurements, layers
 
 
@@ -160,12 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--kind", required=True, metavar="K")
     parser.add_argument("--claim-metric", metavar="M")
     parser.add_argument("--claim-workload", metavar="W")
-    parser.add_argument("--trace", type=int, default=0, metavar="N",
-                        help="traced runs per side and workload for the entry's layers "
-                             "(0, the default, runs none; else at least 3)")
     arguments = parser.parse_args(argv)
-    if arguments.trace and arguments.trace < 3:
-        parser.error("--trace needs at least 3 runs per side for an IQR, or 0")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     workloads = [item["name"] for item in benchmark["workloads"]]
@@ -186,20 +185,18 @@ def main(argv: list[str] | None = None) -> int:
     subprocess.run(["git", "worktree", "add", "--detach", str(parent_tree), arguments.parent],
                    cwd=ROOT, check=True)
     try:
-        measurements, layers = measure(parent_tree, benchmark, arguments.trace)
+        measurements, layers = measure(parent_tree, benchmark)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)], cwd=ROOT)
         shutil.rmtree(scratch, ignore_errors=True)
-    entry = {
+    append_entry({
         "pr": arguments.pr,
         "kind": arguments.kind,
         "claim": claim,
         "date": datetime.date.today().isoformat(),
         "measurements": measurements,
-    }
-    if layers:
-        entry["layers"] = layers
-    append_entry(entry)
+        "layers": layers,
+    })
     print(f"appended PR {arguments.pr}'s entry to {LEDGER.name}")
     return 0
 

@@ -159,9 +159,7 @@ def workload_convolution(quick: bool) -> dict:
     0.999 quantiles (0 where the quantile is the closed-form zero).
     ``cold_mix_model`` times the kernel on the benchmark's ``cold_mix``
     model shape (100 random faults, versions 2, default options), median
-    over five models: ``seconds`` on the full lattice and ``reach_seconds``
-    folded only up to level 0.99, the reach of a default ``exact`` or
-    ``tail-quantile`` record.
+    over five models.
     """
     import numpy as np
 
@@ -169,11 +167,11 @@ def workload_convolution(quick: bool) -> dict:
     from repro.core.pfd_distribution import exact_pfd_distribution, pfd_quantiles, prob_pfd_zero
     from repro.experiments.scenarios import many_small_faults_scenario
 
-    def best_seconds(model, versions: int, reach: float | None = None) -> float:
+    def best_seconds(model, versions: int) -> float:
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            exact_pfd_distribution(model, versions, max_support=4096, reach=reach)
+            exact_pfd_distribution(model, versions, max_support=4096)
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -201,17 +199,10 @@ def workload_convolution(quick: bool) -> dict:
         FaultModel.random(np.random.default_rng(seed), n=100, p_range=(0.001, 0.1), total_impact=0.5)
         for seed in range(5)
     ]
-    middle = len(cold_models) // 2
-    cold_seconds = sorted(best_seconds(model, 2) for model in cold_models)[middle]
-    reach_seconds = sorted(best_seconds(model, 2, 0.99) for model in cold_models)[middle]
+    cold_seconds = sorted(best_seconds(model, 2) for model in cold_models)[len(cold_models) // 2]
     return {
         "pair": rows,
-        "cold_mix_model": {
-            "n": 100,
-            "versions": 2,
-            "seconds": round(cold_seconds, 4),
-            "reach_seconds": round(reach_seconds, 4),
-        },
+        "cold_mix_model": {"n": 100, "versions": 2, "seconds": round(cold_seconds, 4)},
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
 

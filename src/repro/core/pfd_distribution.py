@@ -108,11 +108,14 @@ def exact_pfd_distribution(
         exponential in ``n``).
     reach:
         The highest quantile level the caller reads.  A lattice is then
-        folded only as far as that quantile can lie: every quantile up to
-        ``reach`` is the one the full lattice gives, the bracket is coarser
-        above it, and the support counts only the cells folded.  ``None``
-        (the default) folds the full lattice, for callers that read any
-        level or an exceedance probability.
+        folded only as far as that quantile can lie: the bracket stays
+        rigorous at every level, each quantile up to ``reach`` is the one
+        the full lattice gives unless the shorter normaliser rounds a
+        cumulative weight across a ``level +- slack`` boundary (see
+        :func:`repro.stats.discrete._lattice_bracket`), the bracket is
+        coarser above it, and the support counts only the cells folded.
+        ``None`` (the default) folds the full lattice, for callers that
+        read any level or an exceedance probability.
 
     Returns a :class:`~repro.stats.discrete.DistributionBracket`: lower and
     upper distributions with lower <= PFD <= upper outcome by outcome (one
@@ -123,6 +126,13 @@ def exact_pfd_distribution(
     model, ``versions``, ``max_support`` and ``reach`` returns the bracket
     the first call computed; an exact bracket does not depend on ``reach``
     and serves every reach.  Outside a scope every call computes afresh.
+
+    Whether a bracket comes out exact is known only once the kernel has
+    grouped the faults, so the memo looks a model up twice: under its
+    reach-free key (an exact bracket) and then with the reach (a lattice
+    one).  The second probe is one dict lookup; without it a small model
+    read by ``exact`` at ``level=0.999`` and by ``tail-quantile`` at 0.99
+    would fold its full support once per reach.
     """
     if versions < 1:
         raise ValueError(f"versions must be a positive integer, got {versions}")

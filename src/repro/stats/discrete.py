@@ -641,8 +641,10 @@ def bracket_two_points(
     ``sum(values)`` -- which keeps ``delta`` small for long-tailed models;
     the clamp and the overflow atom keep the bracket rigorous beyond it.
     A ``reach`` folds each lattice only as far as the ``reach`` quantile can
-    lie (:func:`_lattice_bracket`): every quantile at a level up to it reads
-    as on the full lattice, and the bracket is only coarser above it.
+    lie (:func:`_lattice_bracket`): the bracket stays rigorous, every
+    quantile at a level up to it reads as on the full lattice unless a
+    normaliser rounding moves a boundary cell, and the bracket is only
+    coarser above it.
 
     Parameters
     ----------

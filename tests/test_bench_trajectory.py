@@ -76,7 +76,7 @@ LAYER_METRICS = {metric["name"] for metric in BENCHMARK["per_layer"]}
     "entry", [entry for entry in LEDGER if "layers" in entry], ids=lambda entry: f"pr{entry['pr']}"
 )
 def test_layers_name_workloads_and_per_layer_metrics(entry):
-    """``benchmarks/pairs.py --trace N``: per workload, each layer's spread per side."""
+    """``benchmarks/pairs.py``'s traced runs: per workload, each layer's spread per side."""
     assert entry["layers"]
     for workload, layers in entry["layers"].items():
         assert workload in WORKLOADS

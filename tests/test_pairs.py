@@ -1,7 +1,8 @@
 """The ledger writer ``benchmarks/pairs.py``: its pure summary of paired runs.
 
 The module is loaded by path and runs nothing: :func:`summarize` is fed a
-fixed fixture of ten pairs, so its figures can be checked by hand.
+fixed fixture of ten pairs, so its figures can be checked by hand, and
+:func:`measure` runs against a stand-in for ``run_side``.
 """
 
 from __future__ import annotations
@@ -89,3 +90,36 @@ def test_layers_keep_each_metric_nonzero_on_either_side(pairs):
         "parent_median": 1000, "change_median": 500, "parent_iqr": 200, "change_iqr": 300,
     }
     assert layers["shard.rejected"]["parent_median"] == 0.0
+
+
+def test_traced_runs_follow_every_untraced_pair(pairs, monkeypatch):
+    """``measure`` runs all workloads' untraced pairs, as before the layers
+    existed, and only then ``TRACED`` traced runs per side and workload."""
+    calls = []
+
+    def run_side(tree, workload, seed, trace=0):
+        calls.append((workload, seed, trace))
+        side = 1.0 if tree == pairs.ROOT else 2.0
+        values = {"setup_s": side, "cpu_ms_per_op": side, "peak_rss_mb": side}
+        if trace:
+            values["kernel.exact_us.p50"] = 100 * side
+        return values
+
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    benchmark = {
+        "workloads": [{"name": "cold_mix"}, {"name": "study_sweep"}],
+        "end_to_end": [{"name": name, "better": "lower"}
+                       for name in ("setup_s", "cpu_ms_per_op", "peak_rss_mb")],
+        "per_layer": [{"name": "kernel.exact_us.p50"}, {"name": "router.failovers"}],
+    }
+    measurements, layers = pairs.measure(Path("parent"), benchmark)
+    untraced = 2 * 2 * len(pairs.SEEDS)
+    assert [trace for _, _, trace in calls] == [0] * untraced + [1] * 2 * 2 * pairs.TRACED
+    assert [workload for workload, _, trace in calls if trace] == (
+        ["cold_mix"] * 2 * pairs.TRACED + ["study_sweep"] * 2 * pairs.TRACED
+    )
+    assert len(measurements) == 6 and all(m["pairs_won"] == 10 for m in measurements)
+    assert set(layers) == {"cold_mix", "study_sweep"}
+    for spread in layers.values():
+        assert list(spread) == ["kernel.exact_us.p50"]
+        assert spread["kernel.exact_us.p50"]["change_median"] == 100
