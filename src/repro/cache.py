@@ -107,32 +107,50 @@ def canonical_json(payload) -> str:
 def payload_digest(payload) -> str:
     """SHA-256 hex digest of ``payload``'s content: the cache key.
 
-    A payload whose base is ``{"model": m}``, with only ``float`` entries in
-    ``m["p"]`` and ``m["q"]``, hashes :data:`_FLOAT_FRAME`, then ``p`` and
-    ``q`` as length-prefixed little-endian float64 arrays, then the
-    canonical text of the payload without them; any other payload hashes
-    its canonical text.  So two payloads share a digest exactly when their
-    canonical texts are equal, and a non-finite value raises ``ValueError``.
+    A payload whose base is ``{"model": m}``, with ``m["p"]`` and ``m["q"]``
+    each a list of ``float`` entries or the little-endian float64 bytes of
+    one (:class:`repro.core.model_content.ModelContent`'s spelling), hashes
+    :data:`_FLOAT_FRAME`, then ``p`` and ``q`` as length-prefixed
+    little-endian float64 arrays, then the canonical text of the payload
+    without them; any other payload hashes its canonical text.  So two
+    payloads share a digest exactly when their canonical texts, with the
+    bytes read as their float lists, are equal, and a non-finite value
+    raises ``ValueError``.
     """
     base = payload.get("base") if isinstance(payload, dict) else None
     model = base.get("model") if isinstance(base, dict) and len(base) == 1 else None
-    arrays = [model.get(key) for key in ("p", "q")] if isinstance(model, dict) else ()
-    if not arrays or not all(
-        isinstance(values, (list, tuple)) and all(map(isinstance, values, repeat(float)))
-        for values in arrays
-    ):
+    arrays = () if not isinstance(model, dict) else [
+        _float64_bytes(model.get(key)) for key in ("p", "q")
+    ]
+    if not arrays or None in arrays:
         return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
     state = hashlib.sha256(_FLOAT_FRAME)
-    for values in arrays:
-        if not all(map(math.isfinite, values)):
-            raise ValueError("Out of range float values are not JSON compliant")
-        floats = array("d", values)
-        if sys.byteorder == "big":
-            floats.byteswap()
-        state.update(len(floats).to_bytes(8, "little") + floats.tobytes())
+    for raw in arrays:
+        state.update((len(raw) // 8).to_bytes(8, "little") + raw)
     rest = {key: value for key, value in model.items() if key not in ("p", "q")}
     state.update(canonical_json({**payload, "base": {"model": rest}}).encode("utf-8"))
     return state.hexdigest()
+
+
+def _float64_bytes(values) -> bytes | None:
+    """``values`` -- a list of floats, or little-endian float64 bytes -- as
+    little-endian float64 bytes; ``None`` for anything else.  A non-finite
+    value raises ``ValueError``."""
+    if isinstance(values, bytes):
+        floats = array("d", values)
+        if sys.byteorder == "big":
+            floats.byteswap()
+        if not all(map(math.isfinite, floats)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return values
+    if not (isinstance(values, (list, tuple)) and all(map(isinstance, values, repeat(float)))):
+        return None
+    if not all(map(math.isfinite, values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    floats = array("d", values)
+    if sys.byteorder == "big":
+        floats.byteswap()
+    return floats.tobytes()
 
 
 def is_entry(value) -> bool:

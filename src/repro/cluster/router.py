@@ -16,7 +16,8 @@ same endpoints, same error bodies) and forwards each request to a backend
   request with the batch's model and seed.  The router LRU answers the
   elements it holds; the rest go to their digest's owner as one
   ``/v1/evaluate/batch`` sub-batch per shard (one admission there, not one
-  per element), whose shard serves each element as that request, so every
+  per element; the model in the bytes spelling), whose shard serves each
+  element as that request, so every
   record is that request's; records are kept in the router LRU and
   replicated like ``/v1/evaluate`` ones, and reassemble in request order;
 * a router-side **read-through LRU** answers repeat ``/v1/evaluate``
@@ -29,8 +30,9 @@ same endpoints, same error bodies) and forwards each request to a backend
   **write-all** -- a freshly computed result is asynchronously ``PUT`` to
   the other replicas' ``/v1/cache/<digest>`` surface (``replica_writes``,
   failpoint ``router.replica_write``) as the bytes of a cache entry
-  (:func:`_replica_entry`), which the receiving shard checks and writes
-  through :mod:`repro.cache` like any other entry -- and reads are
+  (:func:`_replica_entry`, the model in the bytes spelling), which the
+  receiving shard checks and writes through :mod:`repro.cache` like any
+  other entry -- and reads are
   **read-any**: the forward walk's fallback shard is exactly the next
   replica, which already holds the warm entry, so a shard death loses no
   warm cache
@@ -135,9 +137,11 @@ _COUNTER_NAMES = (
 def _replica_entry(digest: str, payload_text: str, metrics: dict) -> bytes:
     """The body of a replica ``PUT /v1/cache/<digest>``: a study-shaped entry.
 
-    The payload goes out as the request's canonical text
-    (:meth:`ServiceRequest.payload_text`); the body decodes to
-    ``{"digest": digest, "payload": payload, "metrics": metrics}``.
+    The payload goes out as the request's canonical text; the router sends
+    it with the model in the bytes spelling
+    (:meth:`ServiceRequest.payload_text` with ``f64``), so neither side
+    writes or reads float text.  The body decodes to ``{"digest": digest,
+    "payload": payload, "metrics": metrics}``.
     """
     return (
         f'{{"digest": {json.dumps(digest)}, "payload": {payload_text}, '
@@ -499,7 +503,7 @@ class ShardRouter(HttpApp):
 
     async def _write_replicas(self, request, metrics: dict, targets: Sequence[str]) -> None:
         digest = request.digest()
-        entry = _replica_entry(digest, request.payload_text(), metrics)
+        entry = _replica_entry(digest, request.payload_text(f64=True), metrics)
         for shard in targets:
             try:
                 faults.hit("router.replica_write")
@@ -564,8 +568,8 @@ class ShardRouter(HttpApp):
         answered here, the rest go to their key's shard as one sub-batch per
         shard, and the first failed sub-batch fails the whole batch."""
         payload = parse_json_body(http_request.body)
-        model_data, pairs, seed = parse_batch_payload(payload)
-        requests = batch_requests(model_data, pairs, seed)
+        model, pairs, seed = parse_batch_payload(payload)
+        requests = batch_requests(model, pairs, seed)
         self.registry.inc("fanout_requests")
         results: list[Any] = [None] * len(requests)
         served: list[Any] = [dict(_ROUTER_SERVED) for _ in requests]
@@ -579,9 +583,11 @@ class ShardRouter(HttpApp):
                 owner = self.ring.candidates(request.digest())[0]
                 groups.setdefault(owner, []).append(index)
 
+        wire_model = model.wire()
+
         async def send(members: list[int]) -> tuple[int, Any, dict, str | None]:
             sub: dict[str, Any] = {
-                "model": model_data,
+                "model": wire_model,
                 "requests": [payload["requests"][index] for index in members],
                 "seed": seed,
             }

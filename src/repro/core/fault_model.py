@@ -34,11 +34,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.model_content import (
+    ModelContent,
     check_p_scale,
     check_values,
     fault_names,
+    parse_content,
     parse_scale,
-    typed_content,
 )
 
 __all__ = ["FaultClass", "FaultModel"]
@@ -414,21 +415,37 @@ class FaultModel:
             "strict": self.strict,
         }
 
+    def content(self) -> ModelContent:
+        """The model as the service carries it: ``p`` and ``q`` as
+        little-endian float64 bytes (:class:`~repro.core.model_content.ModelContent`)."""
+        return ModelContent(
+            np.ascontiguousarray(self.p, dtype="<f8").tobytes(),
+            np.ascontiguousarray(self.q, dtype="<f8").tobytes(),
+            self.names,
+            self.strict,
+        )
+
+    @staticmethod
+    def from_content(content: ModelContent) -> "FaultModel":
+        """The model of a :class:`~repro.core.model_content.ModelContent`,
+        its vectors read straight from the bytes with ``np.frombuffer``."""
+        return FaultModel(
+            p=np.frombuffer(content.p, dtype="<f8"),
+            q=np.frombuffer(content.q, dtype="<f8"),
+            names=content.names,
+            strict=content.strict,
+        )
+
     @staticmethod
     def from_dict(data: Mapping) -> "FaultModel":
         """Reconstruct a model from :meth:`to_dict` output (or any JSON model).
 
-        The JSON typing of :func:`~repro.core.model_content.typed_content`
-        applies: ``p`` and ``q`` are arrays of numbers, ``names`` is absent or
-        an array of strings, ``strict`` is absent or a boolean.
+        The JSON typing of :func:`~repro.core.model_content.parse_content`
+        applies: ``p`` and ``q`` are arrays of numbers (or their bytes
+        spelling ``p_f64`` / ``q_f64``), ``names`` is absent or an array of
+        strings, ``strict`` is absent or a boolean.
         """
-        content = typed_content(data)
-        return FaultModel(
-            p=np.asarray(content["p"], dtype=float),
-            q=np.asarray(content["q"], dtype=float),
-            names=content["names"],
-            strict=content["strict"],
-        )
+        return FaultModel.from_content(parse_content(data))
 
     def __len__(self) -> int:
         return self.n

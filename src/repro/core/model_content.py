@@ -4,17 +4,21 @@ One home for every value rule the model's parameters obey, applied to plain
 Python sequences of floats so that a process which only validates and routes
 model content -- the shard router -- never loads numpy:
 
-* :func:`typed_content` -- the JSON typing of a model mapping (``p`` and
-  ``q`` arrays of numbers, ``names`` absent or an array of strings,
-  ``strict`` absent or a boolean);
 * :func:`check_values` and :func:`fault_names` -- equal lengths, at least one
   fault, finite values, ``p_i`` and ``q_i`` in ``[0, 1]``, the strict
-  ``sum(q) <= 1`` check and the per-fault labels;
+  ``sum(q) <= 1`` check and the per-fault labels (``fault_1 .. fault_n``
+  when none are given);
 * :func:`parse_scale`, :func:`check_p_scale`, :func:`check_rescaled` and
   :func:`parse_transform` -- the ``p_scale``/``q_scale`` sweep transforms:
   the typing of a scale and the rules of applying it to a model;
-* :func:`model_content` -- all of the above, returning the canonical content
-  dict (the :meth:`FaultModel.to_dict` shape) that request digests hash.
+* :func:`parse_content` -- the JSON typing of a model mapping (``p`` and
+  ``q`` arrays of numbers or, spelled ``p_f64`` and ``q_f64``, base64 of
+  little-endian float64 bytes; ``names`` absent or an array of strings,
+  ``strict`` absent or a boolean), then the value rules above, returning a
+  :class:`ModelContent`: the checked model with ``p`` and ``q`` as
+  little-endian float64 bytes, the form the service carries between
+  processes and request digests hash; :func:`model_content` returns its
+  canonical content dict (the :meth:`FaultModel.to_dict` shape).
 
 :class:`~repro.core.fault_model.FaultModel` calls these rules for its own
 checks, so a model and the wire parser accept and reject exactly the same
@@ -25,23 +29,34 @@ and the Monte Carlo sweep kernel -- checks it here and nowhere else.
 
 from __future__ import annotations
 
+import binascii
+import functools
 import math
 import numbers
+import sys
+from array import array
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
+    "F64_KEYS",
+    "ModelContent",
     "check_p_scale",
     "check_rescaled",
     "check_values",
     "fault_names",
     "model_content",
+    "parse_content",
     "parse_scale",
     "parse_transform",
-    "typed_content",
 ]
 
 #: Slack on the strict non-overlap check ``sum(q) <= 1``.
 STRICT_SUM_TOLERANCE = 1e-9
+
+#: The bytes spelling of each parameter vector: base64 of its little-endian
+#: float64 values, accepted in place of the JSON array.
+F64_KEYS = {"p": "p_f64", "q": "q_f64"}
 
 
 def _json_type(value: Any) -> str:
@@ -68,36 +83,70 @@ def _float(value: int | float) -> float:
         return math.inf
 
 
-def typed_content(data: Mapping) -> dict:
-    """Apply the JSON typing rules to a model mapping.
+def _from_le(raw: bytes) -> list[float]:
+    """Little-endian float64 bytes as a list of floats."""
+    values = array("d", raw)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tolist()
 
-    Returns ``{"p": [float], "q": [float], "names": tuple[str, ...],
-    "strict": bool}``; integers become floats and absent keys take their
-    defaults (no names, strict).  A missing ``p`` or ``q`` raises
-    ``KeyError``; a value of the wrong type raises ``ValueError`` naming the
-    offending key.  The values themselves are not checked here.
+
+def _le_bytes(values: Sequence[float]) -> bytes:
+    """Floats as little-endian float64 bytes."""
+    packed = array("d", values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _vector(data: Mapping, key: str) -> tuple[list[float], bytes | None, str]:
+    """``data``'s vector ``key``: its values, their little-endian float64
+    bytes when it came in that spelling (else ``None``), and the key it was
+    spelled with.
+
+    Either spelling is accepted, not both: a JSON array of numbers under
+    ``key``, or base64 of little-endian float64 bytes under ``key_f64``,
+    whose values must be finite.  Every message names the key.
     """
-    p = _numbers(data, "p")
-    q = _numbers(data, "q")
-    names = data.get("names", ())
-    if not isinstance(names, (list, tuple)):
-        raise ValueError(f"'names' must be an array of strings, got {_json_type(names)}")
-    for name in names:
-        if not isinstance(name, str):
-            raise ValueError(f"'names' must be an array of strings, got element {name!r}")
-    strict = data.get("strict", True)
-    if not isinstance(strict, bool):
-        raise ValueError(f"'strict' must be a boolean, got {strict!r}")
-    return {"p": p, "q": q, "names": tuple(names), "strict": strict}
+    f64 = F64_KEYS[key]
+    if f64 not in data:
+        return _numbers(data, key), None, key
+    if key in data:
+        raise ValueError(f"give one of '{key}' and '{f64}', not both")
+    text = data[f64]
+    if not isinstance(text, str):
+        raise ValueError(f"'{f64}' must be a base64 string, got {_json_type(text)}")
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as error:  # binascii.Error, or text that is not ASCII
+        raise ValueError(f"'{f64}' is not valid base64: {error}") from None
+    if len(raw) % 8:
+        raise ValueError(
+            f"'{f64}' must hold whole float64 values (8 bytes each), got {len(raw)} bytes"
+        )
+    values = _from_le(raw)
+    if not _all_finite(values):
+        raise ValueError(f"'{f64}' must hold finite values")
+    return values, raw, f64
+
+
+def _all_finite(values: Sequence[float]) -> bool:
+    # A finite sum has no infinite or NaN term; only an overflowing sum of
+    # finite terms needs the element-wise check.
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _check_lengths(p: Sequence[float], q: Sequence[float], p_key="p", q_key="q") -> None:
+    if len(p) != len(q):
+        raise ValueError(f"{p_key} ({len(p)}) and {q_key} ({len(q)}) must have the same length")
 
 
 def check_values(p: Sequence[float], q: Sequence[float], strict: bool) -> None:
     """The value rules of the parameter vectors (``ValueError`` on the first broken one)."""
-    if len(p) != len(q):
-        raise ValueError(f"p ({len(p)}) and q ({len(q)}) must have the same length")
+    _check_lengths(p, q)
     if not p:
         raise ValueError("a fault model must contain at least one potential fault")
-    if not (all(map(math.isfinite, p)) and all(map(math.isfinite, q))):
+    if not (_all_finite(p) and _all_finite(q)):
         raise ValueError("p and q must be finite")
     if min(p) < 0.0 or max(p) > 1.0:
         raise ValueError("all p_i must lie in [0, 1]")
@@ -113,9 +162,15 @@ def check_values(p: Sequence[float], q: Sequence[float], strict: bool) -> None:
             )
 
 
+@functools.lru_cache(maxsize=64)
+def _default_names(n: int) -> tuple[str, ...]:
+    """``fault_1 .. fault_n``: the labels of a model given without names."""
+    return tuple(f"fault_{i + 1}" for i in range(n))
+
+
 def fault_names(names: Iterable[str], n: int) -> tuple[str, ...]:
     """The per-fault labels: ``names`` as given, or ``fault_1 .. fault_n`` when empty."""
-    labels = tuple(names) if names else tuple(f"fault_{i + 1}" for i in range(n))
+    labels = tuple(names) if names else _default_names(n)
     if len(labels) != n:
         raise ValueError(f"expected {n} names, got {len(labels)}")
     return labels
@@ -167,7 +222,9 @@ def parse_scale(value: Any, name: str) -> float:
     A scale is a number (booleans are not numbers), finite and non-negative;
     the messages name the key.  Returns the value as a float.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         raise ValueError(f"'{name}' must be a number, got {value!r}")
     scale = _float(value)
     if not math.isfinite(scale) or scale < 0.0:
@@ -187,16 +244,85 @@ def parse_transform(
     return check_rescaled(p, q, strict, data.get("p_scale", 1.0), data.get("q_scale", 1.0))
 
 
+@dataclass(frozen=True)
+class ModelContent:
+    """A checked model ``{(p_i, q_i)}`` as the service carries it.
+
+    ``p`` and ``q`` are the parameter vectors as little-endian float64
+    bytes: what the ``p_f64`` / ``q_f64`` spelling decodes to, what
+    :func:`repro.cache.payload_digest` hashes and what a pool worker reads
+    with ``np.frombuffer``.  ``names`` are the per-fault labels
+    (``fault_1 .. fault_n`` by default) and ``strict`` the non-overlap flag.
+    The constructor checks nothing: build one with :func:`parse_content`,
+    or :meth:`~repro.core.fault_model.FaultModel.content` from a model that
+    checked itself.
+    """
+
+    p: bytes
+    q: bytes
+    names: tuple[str, ...]
+    strict: bool
+
+    def vectors(self) -> tuple[list[float], list[float]]:
+        """``(p, q)`` as lists of floats."""
+        return _from_le(self.p), _from_le(self.q)
+
+    def to_dict(self) -> dict:
+        """The canonical content dict: the :meth:`FaultModel.to_dict` shape,
+        ``p`` and ``q`` as JSON lists (the form cache entries keep)."""
+        p, q = self.vectors()
+        return {"p": p, "q": q, "names": list(self.names), "strict": self.strict}
+
+    def wire(self) -> dict:
+        """The bytes spelling: ``p_f64`` and ``q_f64``, ``names`` only when
+        they are not the defaults, and ``strict``."""
+        data = {
+            "p_f64": binascii.b2a_base64(self.p, newline=False).decode("ascii"),
+            "q_f64": binascii.b2a_base64(self.q, newline=False).decode("ascii"),
+        }
+        if self.names != _default_names(len(self.names)):
+            data["names"] = list(self.names)
+        data["strict"] = self.strict
+        return data
+
+
+def parse_content(data: Mapping) -> ModelContent:
+    """Parse a model mapping, in either spelling, into its checked content.
+
+    The JSON typing comes first: each vector is an array of numbers (booleans
+    are not numbers; integers become floats) or, under ``p_f64`` / ``q_f64``,
+    base64 of little-endian float64 bytes holding finite values; ``names`` is
+    absent or an array of strings and ``strict`` absent or a boolean.  Then
+    :func:`check_values` and :func:`fault_names` apply, without numpy.
+    Raises ``KeyError`` for a missing ``p`` or ``q`` and ``ValueError``,
+    naming the offending key where there is one, for any other invalid
+    content.
+    """
+    (p, p_bytes, p_key), (q, q_bytes, q_key) = _vector(data, "p"), _vector(data, "q")
+    _check_lengths(p, q, p_key, q_key)
+    names = data.get("names", ())
+    if not isinstance(names, (list, tuple)):
+        raise ValueError(f"'names' must be an array of strings, got {_json_type(names)}")
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"'names' must be an array of strings, got element {name!r}")
+    strict = data.get("strict", True)
+    if not isinstance(strict, bool):
+        raise ValueError(f"'strict' must be a boolean, got {strict!r}")
+    check_values(p, q, strict)
+    return ModelContent(
+        _le_bytes(p) if p_bytes is None else p_bytes,
+        _le_bytes(q) if q_bytes is None else q_bytes,
+        fault_names(names, len(p)),
+        strict,
+    )
+
+
 def model_content(data: Mapping) -> dict:
-    """Parse a JSON model mapping into its canonical content dict.
+    """Parse a model mapping into its canonical content dict.
 
     The result is what ``FaultModel.from_dict(data).to_dict()`` returns --
     float ``p`` and ``q`` lists, the names (``fault_i`` by default) and the
-    strict flag -- built and checked without numpy.  Raises ``KeyError``
-    for a missing ``p`` or ``q`` and ``ValueError`` for any other invalid
-    content.
+    strict flag -- built and checked without numpy (:func:`parse_content`).
     """
-    content = typed_content(data)
-    check_values(content["p"], content["q"], content["strict"])
-    names = fault_names(content["names"], len(content["p"]))
-    return {"p": content["p"], "q": content["q"], "names": list(names), "strict": content["strict"]}
+    return parse_content(data).to_dict()

@@ -151,12 +151,14 @@ def split_base_url(base: str) -> tuple[str, int]:
 
 
 def _model_payload(model, scenario: str | None) -> dict:
+    """The request's model source: a ``FaultModel`` in the bytes spelling, a
+    mapping as given, or a scenario name."""
     if (model is None) == (scenario is None):
         raise ValueError("provide exactly one of model and scenario")
     if scenario is not None:
         return {"scenario": scenario}
-    if hasattr(model, "to_dict"):
-        return {"model": model.to_dict()}
+    if hasattr(model, "content"):
+        return {"model": model.content().wire()}
     if isinstance(model, Mapping):
         return {"model": dict(model)}
     raise ValueError(f"model must be a FaultModel or a mapping, got {type(model).__name__}")
@@ -164,6 +166,12 @@ def _model_payload(model, scenario: str | None) -> dict:
 
 class ServiceClient:
     """Talk to a running ``repro serve`` instance.
+
+    A :class:`~repro.core.fault_model.FaultModel` goes out in the bytes
+    spelling of :mod:`repro.service.protocol`: ``p_f64`` and ``q_f64``, base64
+    of the little-endian float64 vectors, with ``names`` left out when they
+    are the defaults ``fault_1 .. fault_n``.  A mapping goes out as given, so
+    list-spelled models still work; both spellings are the same request.
 
     Transient failures are retried transparently: connection errors (the
     server is restarting, a worker crash bounced it) and retryable statuses

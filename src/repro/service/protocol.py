@@ -6,6 +6,17 @@
      "options": {"replications": 50000}, "seed": 7,
      "p_scale": 0.5, "q_scale": 1.0}
 
+An inline model's vectors have two spellings, accepted alike: JSON arrays
+of numbers under ``p`` and ``q``, or base64 of their little-endian float64
+bytes under ``p_f64`` and ``q_f64`` (one spelling per vector, not both)::
+
+    {"model": {"p_f64": "/Knx0k1iUD8...", "q_f64": "LUMc6+I2Gj8..."}, ...}
+
+:class:`~repro.service.client.ServiceClient` sends the bytes spelling, and
+leaves out ``names`` when they are the defaults ``fault_1 .. fault_n``.  Both
+spellings of one model are the same request: same digest, same cache entry,
+same record.
+
 ``"scenario": "<name>"`` may replace ``"model"``; the scenario is resolved
 to its concrete model content immediately, so a scenario-spelled request and
 its inline-model equivalent are the *same* request (same digest, same route
@@ -20,42 +31,47 @@ types and transforms the model rejects all raise ``ValueError`` here, which
 the server and the router both map to the same 400 response -- nothing
 invalid ever reaches the worker pool.  Inline model content is typed
 strictly: ``p`` and ``q`` must be arrays of numbers (booleans are not
-numbers), ``names`` absent or an array of strings, ``strict`` absent or a
+numbers), ``p_f64`` and ``q_f64`` base64 strings of whole, finite float64
+values, ``names`` absent or an array of strings, ``strict`` absent or a
 boolean, and the message names the offending key.
 
 The model's content rules come from :mod:`repro.core.model_content`, the
 numpy-free module :class:`~repro.core.fault_model.FaultModel` also checks
-itself with: an inline model is parsed straight into its canonical content
-dict (the ``FaultModel.to_dict()`` shape) and its transforms are checked
-without building a model, so the router never loads numpy for inline-model
-traffic.  A ``"scenario"`` request builds its scenario's model, and loads
-numpy, in whichever process parses it.
+itself with: an inline model is parsed straight into its checked
+:class:`~repro.core.model_content.ModelContent` (``p`` and ``q`` as float64
+bytes) and its transforms are checked without building a model, so the
+router never loads numpy for inline-model traffic.  A ``"scenario"`` request
+builds its scenario's model, and loads numpy, in whichever process parses
+it.  The model stays bytes on every hop: the router's replica entries and
+batch sub-bodies carry it in the bytes spelling, and a shard hands the bytes
+to its pool worker.
 
 A parsed request carries its content identity, computed on first use:
 :meth:`ServiceRequest.digest` is the response-cache key
-(:func:`repro.cache.payload_digest`, which keys studies too -- a
-deterministic-method entry a study warmed over the same inline model is
-served to service traffic as-is) and the router's placement key.
-:meth:`ServiceRequest.group_key` is the study planner's group digest, which
-the service does not call.
+(:func:`repro.cache.payload_digest` over the model's bytes, which keys
+studies too -- a deterministic-method entry a study warmed over the same
+inline model is served to service traffic as-is) and the router's placement
+key.  :meth:`ServiceRequest.group_key` is the study planner's group digest,
+which the service does not call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.api.registry import default_registry
 from repro.api.results import EvaluationRequest
 from repro.cache import canonical_json, payload_digest
-from repro.core.model_content import model_content, parse_transform
+from repro.core.model_content import F64_KEYS, ModelContent, parse_content, parse_transform
 from repro.grouping import evaluation_payload, group_digest
 from repro.stats.rng import DEFAULT_SEED
 
 __all__ = [
     "ServiceRequest",
     "batch_requests",
+    "list_spelled",
     "parse_batch_payload",
     "parse_evaluate_payload",
     "parse_timeout_ms",
@@ -71,7 +87,7 @@ _BATCH_KEYS = {"model", "scenario", "requests", "seed", "timeout_ms"}
 class ServiceRequest:
     """One validated ``/v1/evaluate`` request with its content identity."""
 
-    model_data: dict
+    model: ModelContent
     method: str
     options: dict
     seed: int
@@ -99,44 +115,71 @@ class ServiceRequest:
         """
         return [self.seed] if self.requires_seed else None
 
-    def payload(self) -> dict:
-        """The canonical content payload (the study-compatible cache identity)."""
+    def _payload(self, model: dict) -> dict:
         return evaluation_payload(
-            {"model": self.model_data},
+            {"model": model},
             {"p_scale": self.p_scale, "q_scale": self.q_scale},
             self.method,
             self.options,
             self.entropy,
         )
 
-    def payload_text(self) -> str:
-        """``canonical_json(self.payload())``: the payload of a replica entry."""
-        return canonical_json(self.payload())
+    def _hashed(self) -> dict:
+        """The payload with the model's vectors as bytes, as the digest hashes it."""
+        model = self.model
+        return self._payload(
+            {"p": model.p, "q": model.q, "names": model.names, "strict": model.strict}
+        )
+
+    def payload(self) -> dict:
+        """The canonical content payload (the study-compatible cache identity),
+        the model as JSON lists: what a disk entry holds."""
+        return self._payload(self.model.to_dict())
+
+    def payload_text(self, f64: bool = False) -> str:
+        """``canonical_json(self.payload())``; with ``f64``, the same payload
+        with the model in the bytes spelling: a replica entry's payload."""
+        return canonical_json(self._payload(self.model.wire()) if f64 else self.payload())
 
     def digest(self) -> str:
         """Content digest of this request: the response-cache key."""
         digest = self._digests.get("digest")
         if digest is None:
-            digest = self._digests["digest"] = payload_digest(self.payload())
+            digest = self._digests["digest"] = payload_digest(self._hashed())
         return digest
 
     def group_key(self) -> str:
         """The payload's batch-group digest; the serving path does not call it."""
         key = self._digests.get("group")
         if key is None:
-            key = self._digests["group"] = group_digest(self.payload())
+            key = self._digests["group"] = group_digest(self._hashed())
         return key
 
     def single_arguments(self) -> tuple:
         """Arguments for :func:`repro.service.worker.evaluate_single`."""
         return (
-            self.model_data,
+            self.model,
             self.method,
             self.options,
             self.seed,
             self.p_scale,
             self.q_scale,
         )
+
+
+def list_spelled(payload):
+    """A pushed entry's ``payload`` with an inline model in the bytes spelling
+    decoded to its canonical lists (what a disk entry holds); any other
+    payload as it is.  Invalid model content raises ``ValueError``."""
+    base = payload.get("base") if isinstance(payload, dict) else None
+    model = base.get("model") if isinstance(base, dict) else None
+    if not isinstance(model, Mapping) or not any(key in model for key in F64_KEYS.values()):
+        return payload
+    try:
+        content = parse_content(model)
+    except KeyError as error:
+        raise ValueError(f"model is missing required key {error}") from error
+    return {**payload, "base": {**base, "model": content.to_dict()}}
 
 
 def _require_mapping(payload, what: str) -> Mapping:
@@ -154,9 +197,9 @@ def _reject_unknown(payload: Mapping, accepted: set[str], what: str) -> None:
         )
 
 
-def _parse_model(payload: Mapping) -> dict:
+def _parse_model(payload: Mapping) -> ModelContent:
     """Resolve the request's model source (inline content XOR scenario) to
-    its canonical content dict."""
+    its checked content."""
     has_model = payload.get("model") is not None
     has_scenario = payload.get("scenario") is not None
     if has_model == has_scenario:
@@ -167,12 +210,12 @@ def _parse_model(payload: Mapping) -> dict:
         scenario = payload["scenario"]
         if not isinstance(scenario, str):
             raise ValueError(f"'scenario' must be a string, got {scenario!r}")
-        return get_scenario(scenario).to_dict()
+        return get_scenario(scenario).content()
     data = payload["model"]
     if not isinstance(data, Mapping):
         raise ValueError(f"'model' must be a JSON object, got {type(data).__name__}")
     try:
-        return model_content(data)
+        return parse_content(data)
     except KeyError as error:
         raise ValueError(f"model is missing required key {error}") from error
     except ValueError as error:
@@ -222,9 +265,9 @@ def parse_evaluate_payload(payload) -> ServiceRequest:
     seed = _parse_seed(payload.get("seed"))
     # Transform typing and the model-dependent constraints (p_i pushed above
     # 1, the strict sum(q) <= 1 invariant) fail here, not in the worker pool.
-    p_scale, q_scale = parse_transform(payload, model["p"], model["q"], model["strict"])
+    p_scale, q_scale = parse_transform(payload, *model.vectors(), model.strict)
     return ServiceRequest(
-        model_data=model,
+        model=model,
         method=method,
         options=resolved,
         seed=seed,
@@ -235,16 +278,16 @@ def parse_evaluate_payload(payload) -> ServiceRequest:
     )
 
 
-def parse_batch_payload(payload) -> tuple[dict, list[tuple[str, dict]], int]:
+def parse_batch_payload(payload) -> tuple[ModelContent, list[tuple[str, dict]], int]:
     """Validate a ``/v1/evaluate/batch`` body.
 
-    Returns ``(model_data, requests, seed)`` where ``requests`` is a list of
+    Returns ``(model, requests, seed)`` where ``requests`` is a list of
     ``(method, options)`` pairs in request order -- exactly what
     :func:`repro.evaluate_batch` accepts, so the endpoint is a lossless
     transport of its argument list.  Request elements accept the same
     spellings as the Python API: a method name or a mapping with a
     ``"method"`` key and the options flattened alongside it.  Element ``i``
-    is the ``/v1/evaluate`` request ``{"model": model_data, "method": ...,
+    is the ``/v1/evaluate`` request ``{"model": model, "method": ...,
     "options": ..., "seed": seed}``, which :func:`batch_requests` builds.
     """
     payload = _require_mapping(payload, "a batch request")
@@ -268,7 +311,7 @@ def parse_batch_payload(payload) -> tuple[dict, list[tuple[str, dict]], int]:
 
 
 def batch_requests(
-    model_data: dict, requests: list[tuple[str, dict]], seed: int
+    model: ModelContent, requests: list[tuple[str, dict]], seed: int
 ) -> list[ServiceRequest]:
     """The ``/v1/evaluate`` request of each element of a parsed batch.
 
@@ -282,7 +325,7 @@ def batch_requests(
         resolved = registry.resolve_options(method, options)
         parsed.append(
             ServiceRequest(
-                model_data=model_data,
+                model=model,
                 method=method,
                 options=resolved,
                 seed=seed,

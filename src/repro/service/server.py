@@ -76,6 +76,7 @@ from repro.service.http import (
 )
 from repro.service.protocol import (
     batch_requests,
+    list_spelled,
     parse_batch_payload,
     parse_evaluate_payload,
     parse_timeout_ms,
@@ -446,8 +447,8 @@ class EvaluationServer(HttpApp):
         batch's model and seed -- its LRU entry, a flight already computing
         it, or a flight this batch starts -- so it gets that request's
         record and cache entry."""
-        model_data, pairs, seed = parse_batch_payload(payload)
-        requests = batch_requests(model_data, pairs, seed)
+        model, pairs, seed = parse_batch_payload(payload)
+        requests = batch_requests(model, pairs, seed)
         self.registry.inc("batch_endpoint_requests")
         self.registry.inc("batch_endpoint_evaluations", len(requests))
         loop = asyncio.get_running_loop()
@@ -459,14 +460,14 @@ class EvaluationServer(HttpApp):
 
         answers = [self._answer(request, start) for request in requests]
         if started:
-            await self._resolve_batch(model_data, seed, started)
+            await self._resolve_batch(model, seed, started)
         responses = await asyncio.gather(*(self._reply(answer) for answer in answers))
         return {
             "results": [response["result"] for response in responses],
             "served": [response["served"] for response in responses],
         }
 
-    async def _resolve_batch(self, model_data: dict, seed: int, started: list[tuple]) -> None:
+    async def _resolve_batch(self, model, seed: int, started: list[tuple]) -> None:
         """Settle the flights a batch started: the shared tiers, then every
         miss in one pool job, then store."""
         try:
@@ -474,7 +475,7 @@ class EvaluationServer(HttpApp):
                 *(self._probe_shared(request, digest) for request, digest, _ in started)
             )
             misses = [item[0] for item, (_, cached) in zip(started, probes) if cached is None]
-            computed = iter(await self._compute_batch(model_data, seed, misses) if misses else ())
+            computed = iter(await self._compute_batch(model, seed, misses) if misses else ())
             for (request, digest, future), (record, cached) in zip(started, probes):
                 outcome = (record, {"group_size": 0}) if cached else next(computed)
                 if isinstance(outcome, BaseException):
@@ -490,7 +491,7 @@ class EvaluationServer(HttpApp):
                 if not future.done():
                     future.set_exception(error)
 
-    async def _compute_batch(self, model_data: dict, seed: int, misses: list) -> list:
+    async def _compute_batch(self, model, seed: int, misses: list) -> list:
         """``(record, meta)``, or the error, for each of a batch's misses.
 
         One ``repro.evaluate_batch`` pool job: each record is the scalar
@@ -498,7 +499,7 @@ class EvaluationServer(HttpApp):
         by several elements is computed once.  If the job fails, each miss
         is computed on its own, so only the failing elements fail.
         """
-        arguments = (model_data, [(request.method, request.options) for request in misses], seed)
+        arguments = (model, [(request.method, request.options) for request in misses], seed)
         try:
             records = await self._run_in_pool(worker.evaluate_batch, arguments)
         except Exception:  # noqa: BLE001 - isolated below, element by element
@@ -590,22 +591,32 @@ class EvaluationServer(HttpApp):
         """``PUT /v1/cache/<digest>``: accept a pushed study-shaped entry.
 
         The LRU fills when the entry's payload is rich enough to rebuild a
-        wire record (:func:`~repro.cache.result_record`); the disk tier
-        fills when it exists and the entry carries its payload.  The pushed bytes are
-        trusted exactly as far as a disk entry would be -- the digest keys
-        them, the content-addressed scheme makes collisions a non-concern.
+        wire record (:func:`~repro.cache.result_record`, which reads only
+        the method and the seed entropy, so a model in the bytes spelling is
+        not decoded for it); the disk tier fills when it exists and the
+        entry carries its payload, stored with the model as JSON lists
+        (:func:`~repro.service.protocol.list_spelled`), as a study stores
+        it.  The pushed bytes are trusted exactly as far as a disk entry
+        would be -- the digest keys them, the content-addressed scheme makes
+        collisions a non-concern.
         """
         entry = parse_json_body(body, "cache entry")
         if not is_entry(entry):
             raise HttpError(400, "a cache entry needs a 'metrics' object (study entry shape)")
-        stored = False
         payload, metrics = entry.get("payload"), entry["metrics"]
+        on_disk = None
+        if self.disk is not None and isinstance(payload, dict):
+            try:
+                on_disk = list_spelled(payload)
+            except ValueError as error:
+                raise HttpError(400, f"cache entry payload: {error}") from error
+        stored = False
         record = result_record(payload, metrics)
         if record is not None:
             self.cache.put_local(digest, record)
             stored = True
-        if self.disk is not None and isinstance(payload, dict):
-            await self._in_io_thread(self.disk.store, digest, payload, metrics)
+        if on_disk is not None:
+            await self._in_io_thread(self.disk.store, digest, on_disk, metrics)
             stored = True
         if stored:
             self.registry.inc("cache_endpoint_stores")

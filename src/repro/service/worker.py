@@ -5,6 +5,10 @@ the same functions serve the in-process thread executor (``--workers 0``)
 and the process pool (``--workers N``, :mod:`repro.service.pool`), whose
 workers are forked from the server and so share its method registry.
 
+A job carries its model as a :class:`~repro.core.model_content.ModelContent`,
+``p`` and ``q`` as float64 bytes, which :meth:`FaultModel.from_content` reads
+with ``np.frombuffer``.
+
 The contract that makes the service trustworthy: every record produced here
 is **byte-identical** to what the public API returns for the same inputs --
 
@@ -73,8 +77,8 @@ def evaluate_single(arguments: tuple) -> dict:
     """One scalar evaluation: the direct ``repro.evaluate`` path."""
     faults.hit("worker.crash")
     faults.hit("worker.evaluate")
-    model_data, method, options, seed, p_scale, q_scale = arguments
-    model = FaultModel.from_dict(model_data).rescaled(p_scale, q_scale)
+    content, method, options, seed, p_scale, q_scale = arguments
+    model = FaultModel.from_content(content).rescaled(p_scale, q_scale)
     return api_evaluate(model, method, seed=seed, options=options).to_dict()
 
 
@@ -83,6 +87,6 @@ def evaluate_batch(arguments: tuple) -> list[dict]:
     ``repro.evaluate_batch`` call, so each record is ``repro.evaluate(model,
     method, seed=seed, options=options)``'s and elements that read one exact
     PFD distribution share it."""
-    model_data, requests, seed = arguments
-    results = api_evaluate_batch(FaultModel.from_dict(model_data), requests, seed=seed)
+    content, requests, seed = arguments
+    results = api_evaluate_batch(FaultModel.from_content(content), requests, seed=seed)
     return [result.to_dict() for result in results]

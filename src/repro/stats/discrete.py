@@ -605,6 +605,23 @@ def _lattice_bracket(
     )
 
 
+def _pair_runs(values: np.ndarray, probabilities: np.ndarray) -> tuple:
+    """The ``(value, probability)`` pairs in ascending order, value first, and
+    their runs of identical pairs: ``(values, probabilities, starts, counts)``.
+
+    ``values[starts]`` and ``probabilities[starts]`` are the distinct pairs
+    and ``counts`` their multiplicities -- ``np.unique(np.stack((values,
+    probabilities), axis=1), axis=0, return_counts=True)``, from one
+    ``lexsort`` rather than a structured-array sort.
+    """
+    order = np.lexsort((probabilities, values))
+    values, probabilities = values[order], probabilities[order]
+    starts = np.flatnonzero(np.concatenate((
+        [True], (values[1:] != values[:-1]) | (probabilities[1:] != probabilities[:-1])
+    )))
+    return values, probabilities, starts, np.diff(np.append(starts, values.size))
+
+
 def bracket_two_points(
     values: np.ndarray,
     probabilities: np.ndarray,
@@ -678,30 +695,30 @@ def bracket_two_points(
     result = DiscreteDistribution.point_mass(0.0)
     if not np.any(active):
         return DistributionBracket(exact=result.shifted(offset))
-    pairs = np.stack([values[active], probabilities[active]], axis=1)
-    unique_pairs, counts = np.unique(pairs, axis=0, return_counts=True)
+    sorted_values, sorted_probabilities, starts, counts = _pair_runs(
+        values[active], probabilities[active]
+    )
     support_bound = 1
     for count in counts.tolist():
         support_bound *= count + 1
         if max_support is not None and support_bound > max_support:
             # Ascending values, identical pairs adjacent: a fixed fold order.
             return _lattice_bracket(
-                np.repeat(unique_pairs[:, 0], counts),
-                np.repeat(unique_pairs[:, 1], counts),
-                4 * max_support,
-                offset,
-                reach,
+                sorted_values, sorted_probabilities, 4 * max_support, offset, reach
             )
+    unique_values, unique_probabilities = sorted_values[starts], sorted_probabilities[starts]
     grouped = counts >= 2
     # Singles are folded largest-value first (fixed, reproducible order).
-    singles = unique_pairs[~grouped][::-1]
-    for value, probability in singles.tolist():
+    singles = zip(
+        unique_values[~grouped][::-1].tolist(), unique_probabilities[~grouped][::-1].tolist()
+    )
+    for value, probability in singles:
         result = result.convolve_two_point(value, probability)
     for group_index in np.flatnonzero(grouped):
         result = result.convolve(
             _binomial_contribution(
-                float(unique_pairs[group_index, 0]),
-                float(unique_pairs[group_index, 1]),
+                float(unique_values[group_index]),
+                float(unique_probabilities[group_index]),
                 int(counts[group_index]),
             )
         )

@@ -120,10 +120,10 @@ def test_parser_content_and_rejections_match_the_model(drawn):
         assert str(error) == message
         return
     assert message is None
-    assert request.model_data == content
-    assert json.dumps(request.model_data) == json.dumps(content)
+    assert request.model.to_dict() == content
+    assert json.dumps(request.model.to_dict()) == json.dumps(content)
     batch = {"model": wire["model"], "requests": ["moments"]}
-    assert parse_batch_payload(batch)[0] == content
+    assert parse_batch_payload(batch)[0].to_dict() == content
 
 
 @given(st.lists(st.floats(0.0, 1.0, **_FLOATS), min_size=1, max_size=50), st.floats(0.0, 8.0, **_FLOATS))

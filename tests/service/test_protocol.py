@@ -223,14 +223,15 @@ class TestResultRecord:
 
 class TestParseBatch:
     def test_request_spellings(self, small_model):
-        model_data, requests, seed = parse_batch_payload(
+        model, requests, seed = parse_batch_payload(
             {
                 "model": small_model.to_dict(),
                 "requests": ["moments", {"method": "exact", "max_support": 512}],
                 "seed": 11,
             }
         )
-        assert model_data == small_model.to_dict()
+        assert model == small_model.content()
+        assert model.to_dict() == small_model.to_dict()
         assert requests[0] == ("moments", {})
         assert requests[1] == ("exact", {"max_support": 512})
         assert seed == 11

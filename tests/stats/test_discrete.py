@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.stats.discrete import DiscreteDistribution, bracket_two_points
+from repro.stats.discrete import DiscreteDistribution, _pair_runs, bracket_two_points
 
 
 class TestConstruction:
@@ -166,6 +166,28 @@ class TestConvolution:
             low, high = bracket.quantile(level)
             assert low <= full.quantile(level) <= high
         assert bracket.lower().mean() <= full.mean() <= bracket.upper().mean()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pair_runs_match_np_unique(self, seed):
+        """The grouping behind the support bound gives ``np.unique``'s
+        ascending pairs and counts, so the fold order and weights hold."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        # Few distinct values and probabilities, so pairs repeat, and the
+        # same value appears with different probabilities (and vice versa).
+        values = rng.choice(rng.uniform(1e-6, 0.1, size=4), size=n)
+        probabilities = rng.choice(rng.uniform(0.01, 0.99, size=3), size=n)
+        expected_pairs, expected_counts = np.unique(
+            np.stack([values, probabilities], axis=1), axis=0, return_counts=True
+        )
+        sorted_values, sorted_probabilities, starts, counts = _pair_runs(values, probabilities)
+        pairs = np.stack([sorted_values[starts], sorted_probabilities[starts]], axis=1)
+        assert np.array_equal(pairs, expected_pairs)
+        assert counts.tolist() == expected_counts.tolist()
+        assert np.array_equal(sorted_values, np.repeat(expected_pairs[:, 0], expected_counts))
+        assert np.array_equal(
+            sorted_probabilities, np.repeat(expected_pairs[:, 1], expected_counts)
+        )
 
 
 class TestSampling:

@@ -97,14 +97,50 @@ def test_every_writer_leaves_the_same_entry_bytes(tmp_path):
     assert computed["served"]["cached"] is None
     by_shard = _entry_file(tmp_path / "shard")
 
-    body = _replica_entry(DIGEST, REQUEST.payload_text(), computed["result"]["metrics"])
+    # The router's replica entry carries the model in the bytes spelling;
+    # the receiving shard writes it to disk as JSON lists, as a study does.
+    body = _replica_entry(DIGEST, REQUEST.payload_text(f64=True), computed["result"]["metrics"])
+    assert "p_f64" in json.loads(body)["payload"]["base"]["model"]
     receiver = EvaluationServer(cache_dir=str(tmp_path / "put"))
     [(status, answer)] = _routes(receiver, [("PUT", f"/v1/cache/{DIGEST}", body)])
     assert (status, answer) == (200, {"digest": DIGEST, "stored": True})
     by_put = _entry_file(tmp_path / "put")
 
     assert by_study == by_shard == by_put
-    assert json.loads(by_study) == json.loads(body)
+    assert json.loads(by_study) == {**json.loads(body), "payload": REQUEST.payload()}
+
+
+def test_a_replica_entry_fills_the_lru_without_decoding_the_model(monkeypatch):
+    """A shard without a disk tier builds its LRU record from the entry's
+    method and entropy alone: the bytes-spelled model is never decoded."""
+    from repro.core import model_content
+    from repro.service import server as server_module
+
+    computed = _evaluate(EvaluationServer())
+    body = _replica_entry(DIGEST, REQUEST.payload_text(f64=True), computed["result"]["metrics"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replica entry's model was decoded")
+
+    receiver = EvaluationServer()
+
+    async def run():
+        try:
+            with monkeypatch.context() as patch:
+                for name in ("_from_le", "parse_content"):
+                    patch.setattr(model_content, name, refuse)
+                patch.setattr(server_module, "list_spelled", refuse)
+                put = await receiver._route("PUT", f"/v1/cache/{DIGEST}", body)
+            hit = await receiver._route("POST", "/v1/evaluate", json.dumps(EXACT).encode())
+            return put[:2], hit[:2]
+        finally:
+            await receiver.aclose(drain_seconds=0.0)
+
+    put, (status, hit) = asyncio.run(run())
+    assert put == (200, {"digest": DIGEST, "stored": True})
+    assert status == 200 and hit["served"]["cached"] == "lru"
+    assert receiver.registry["evaluations_computed"] == 0
+    assert _record_bytes(hit) == _record_bytes(computed)
 
 
 def test_disk_and_peer_hits_serve_the_computed_record(tmp_path):

@@ -183,29 +183,35 @@ def test_normal_theory_paths_load_no_scipy_stats():
 
 
 def test_router_parses_inline_models_without_numpy():
-    """A router's whole request path for inline models -- parse, digest,
-    replica payload, a batch element's digest -- loads no numpy; naming a
-    scenario does."""
+    """A router's whole request path for inline models, in either spelling
+    -- parse, digest, replica payload, a batch element's digest and its
+    sub-body -- loads no numpy; naming a scenario does."""
     code = (
-        "import json, sys\n"
+        "import base64, json, struct, sys\n"
         "from repro.cli import build_parser\n"
         "build_parser()\n"
         "from repro.cluster.router import ShardRouter\n"
         "from repro.service.protocol import parse_batch_payload, parse_evaluate_payload\n"
         "model = {'p': [0.05, 0.02, 1], 'q': [1e-4, 5e-4, 0], 'names': ['a', 'b', 'c']}\n"
-        "request = parse_evaluate_payload({'model': model, 'method': 'montecarlo', 'seed': 3,\n"
-        "                                  'p_scale': 0.5, 'q_scale': 2})\n"
-        "keys = [request.digest(), request.payload_text()]\n"
-        "model_data, requests, seed = parse_batch_payload(\n"
-        "    {'model': model, 'requests': ['moments', {'method': 'exact', 'level': 0.9}]})\n"
+        "f64 = {'p_f64': base64.b64encode(struct.pack('<3d', 0.05, 0.02, 1)).decode(),\n"
+        "       'q_f64': base64.b64encode(struct.pack('<3d', 1e-4, 5e-4, 0)).decode(),\n"
+        "       'names': ['a', 'b', 'c']}\n"
+        "body = {'method': 'montecarlo', 'seed': 3, 'p_scale': 0.5, 'q_scale': 2}\n"
+        "request = parse_evaluate_payload({'model': model, **body})\n"
+        "same = parse_evaluate_payload({'model': f64, **body})\n"
+        "keys = [request.digest(), request.payload_text(), same.digest(),\n"
+        "        same.payload_text(f64=True)]\n"
+        "content, requests, seed = parse_batch_payload(\n"
+        "    {'model': f64, 'requests': ['moments', {'method': 'exact', 'level': 0.9}]})\n"
         "ShardRouter(['127.0.0.1:9'])\n"
-        "keys += [parse_evaluate_payload({'model': model_data, 'method': method,\n"
+        "keys += [parse_evaluate_payload({'model': content.wire(), 'method': method,\n"
         "                                 'options': options, 'seed': seed}).digest()\n"
         "         for method, options in requests]\n"
         "inline = 'numpy' in sys.modules\n"
         "parse_evaluate_payload({'scenario': 'high-quality', 'method': 'moments'})\n"
         "print(json.dumps({'inline': inline, 'scenario': 'numpy' in sys.modules,\n"
+        "                  'same': same.digest() == request.digest(),\n"
         "                  'keys': len(set(keys))}))\n"
     )
     output = json.loads(_run(code))
-    assert output == {"inline": False, "scenario": True, "keys": 4}
+    assert output == {"inline": False, "scenario": True, "same": True, "keys": 5}
