@@ -114,8 +114,9 @@ def payload_digest(payload) -> str:
     little-endian float64 arrays, then the canonical text of the payload
     without them; any other payload hashes its canonical text.  So two
     payloads share a digest exactly when their canonical texts, with the
-    bytes read as their float lists, are equal, and a non-finite value
-    raises ``ValueError``.
+    bytes read as their float lists, are equal.  A non-finite value in a
+    list raises ``ValueError``; bytes are hashed as they are, since a
+    ``ModelContent`` holds only finite values its parse has checked.
     """
     base = payload.get("base") if isinstance(payload, dict) else None
     model = base.get("model") if isinstance(base, dict) and len(base) == 1 else None
@@ -135,13 +136,8 @@ def payload_digest(payload) -> str:
 def _float64_bytes(values) -> bytes | None:
     """``values`` -- a list of floats, or little-endian float64 bytes -- as
     little-endian float64 bytes; ``None`` for anything else.  A non-finite
-    value raises ``ValueError``."""
+    value in a list raises ``ValueError``."""
     if isinstance(values, bytes):
-        floats = array("d", values)
-        if sys.byteorder == "big":
-            floats.byteswap()
-        if not all(map(math.isfinite, floats)):
-            raise ValueError("Out of range float values are not JSON compliant")
         return values
     if not (isinstance(values, (list, tuple)) and all(map(isinstance, values, repeat(float)))):
         return None

@@ -139,7 +139,7 @@ def _replica_entry(digest: str, payload_text: str, metrics: dict) -> bytes:
 
     The payload goes out as the request's canonical text; the router sends
     it with the model in the bytes spelling
-    (:meth:`ServiceRequest.payload_text` with ``f64``), so neither side
+    (:meth:`ServiceRequest.wire_payload_text`), so neither side
     writes or reads float text.  The body decodes to ``{"digest": digest,
     "payload": payload, "metrics": metrics}``.
     """
@@ -503,7 +503,7 @@ class ShardRouter(HttpApp):
 
     async def _write_replicas(self, request, metrics: dict, targets: Sequence[str]) -> None:
         digest = request.digest()
-        entry = _replica_entry(digest, request.payload_text(f64=True), metrics)
+        entry = _replica_entry(digest, request.wire_payload_text(), metrics)
         for shard in targets:
             try:
                 faults.hit("router.replica_write")

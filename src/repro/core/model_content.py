@@ -35,7 +35,7 @@ import math
 import numbers
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -63,17 +63,17 @@ def _json_type(value: Any) -> str:
     return "null" if value is None else type(value).__name__
 
 
-def _numbers(data: Mapping, key: str) -> list[float]:
-    """``data[key]`` as a list of floats: an array of numbers, booleans excluded."""
+def _numbers(data: Mapping, key: str) -> tuple[float, ...]:
+    """``data[key]`` as a tuple of floats: an array of numbers, booleans excluded."""
     values = data[key]
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"'{key}' must be an array of numbers, got {_json_type(values)}")
     if set(map(type, values)) <= {float}:
-        return list(values)
+        return tuple(values)
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"'{key}' must be an array of numbers, got element {value!r}")
-    return [_float(value) for value in values]
+    return tuple(map(_float, values))
 
 
 def _float(value: int | float) -> float:
@@ -83,12 +83,12 @@ def _float(value: int | float) -> float:
         return math.inf
 
 
-def _from_le(raw: bytes) -> list[float]:
-    """Little-endian float64 bytes as a list of floats."""
+def _from_le(raw: bytes) -> tuple[float, ...]:
+    """Little-endian float64 bytes as a tuple of floats."""
     values = array("d", raw)
     if sys.byteorder == "big":
         values.byteswap()
-    return values.tolist()
+    return tuple(values)
 
 
 def _le_bytes(values: Sequence[float]) -> bytes:
@@ -99,7 +99,7 @@ def _le_bytes(values: Sequence[float]) -> bytes:
     return packed.tobytes()
 
 
-def _vector(data: Mapping, key: str) -> tuple[list[float], bytes | None, str]:
+def _vector(data: Mapping, key: str) -> tuple[tuple[float, ...], bytes | None, str]:
     """``data``'s vector ``key``: its values, their little-endian float64
     bytes when it came in that spelling (else ``None``), and the key it was
     spelled with.
@@ -116,10 +116,17 @@ def _vector(data: Mapping, key: str) -> tuple[list[float], bytes | None, str]:
     text = data[f64]
     if not isinstance(text, str):
         raise ValueError(f"'{f64}' must be a base64 string, got {_json_type(text)}")
+    # The lax decoder skips stray characters and surplus padding, so the text
+    # must also be exactly the padded standard base64 of what it decoded to.
     try:
-        raw = binascii.a2b_base64(text, strict_mode=True)
-    except ValueError as error:  # binascii.Error, or text that is not ASCII
-        raise ValueError(f"'{f64}' is not valid base64: {error}") from None
+        raw = binascii.a2b_base64(text)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raw = None
+    if raw is None or binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
+        raise ValueError(
+            f"'{f64}' is not valid base64: expected the padded standard "
+            "alphabet (A-Z, a-z, 0-9, '+', '/'), nothing else"
+        )
     if len(raw) % 8:
         raise ValueError(
             f"'{f64}' must hold whole float64 values (8 bytes each), got {len(raw)} bytes"
@@ -255,23 +262,33 @@ class ModelContent:
     (``fault_1 .. fault_n`` by default) and ``strict`` the non-overlap flag.
     The constructor checks nothing: build one with :func:`parse_content`,
     or :meth:`~repro.core.fault_model.FaultModel.content` from a model that
-    checked itself.
+    checked itself.  ``decoded`` holds the float vectors when the maker
+    already has them (:func:`parse_content` does); it is neither compared
+    nor pickled, so a pool job carries the bytes alone.
     """
 
     p: bytes
     q: bytes
     names: tuple[str, ...]
     strict: bool
+    decoded: tuple[tuple[float, ...], tuple[float, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
-    def vectors(self) -> tuple[list[float], list[float]]:
-        """``(p, q)`` as lists of floats."""
-        return _from_le(self.p), _from_le(self.q)
+    def __reduce__(self):
+        return ModelContent, (self.p, self.q, self.names, self.strict)
+
+    def vectors(self) -> tuple[Sequence[float], Sequence[float]]:
+        """``(p, q)`` as sequences of floats, decoded once per content."""
+        if self.decoded is None:
+            object.__setattr__(self, "decoded", (_from_le(self.p), _from_le(self.q)))
+        return self.decoded
 
     def to_dict(self) -> dict:
         """The canonical content dict: the :meth:`FaultModel.to_dict` shape,
         ``p`` and ``q`` as JSON lists (the form cache entries keep)."""
         p, q = self.vectors()
-        return {"p": p, "q": q, "names": list(self.names), "strict": self.strict}
+        return {"p": list(p), "q": list(q), "names": list(self.names), "strict": self.strict}
 
     def wire(self) -> dict:
         """The bytes spelling: ``p_f64`` and ``q_f64``, ``names`` only when
@@ -315,6 +332,7 @@ def parse_content(data: Mapping) -> ModelContent:
         _le_bytes(q) if q_bytes is None else q_bytes,
         fault_names(names, len(p)),
         strict,
+        (p, q),
     )
 
 

@@ -136,10 +136,15 @@ class ServiceRequest:
         the model as JSON lists: what a disk entry holds."""
         return self._payload(self.model.to_dict())
 
-    def payload_text(self, f64: bool = False) -> str:
-        """``canonical_json(self.payload())``; with ``f64``, the same payload
-        with the model in the bytes spelling: a replica entry's payload."""
-        return canonical_json(self._payload(self.model.wire()) if f64 else self.payload())
+    def payload_text(self) -> str:
+        """``canonical_json(self.payload())``: the text a disk entry's payload
+        holds, the plain encoding the request's identities are pinned to."""
+        return canonical_json(self.payload())
+
+    def wire_payload_text(self) -> str:
+        """The canonical text of the payload with the model in the bytes
+        spelling: what the router sends as a replica entry's payload."""
+        return canonical_json(self._payload(self.model.wire()))
 
     def digest(self) -> str:
         """Content digest of this request: the response-cache key."""

@@ -13,6 +13,7 @@ import asyncio
 import base64
 import json
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -124,8 +125,20 @@ def test_a_routed_model_is_one_record_in_either_spelling():
 
 _GOOD = {"p_f64": _f64([0.05, 0.02]), "q_f64": _f64([1e-4, 5e-4])}
 
+_NOT_BASE64 = [
+    "not base64!",
+    _GOOD["p_f64"][:-1],  # a group cut short
+    _GOOD["p_f64"] + "=",  # padding after a whole group
+    "=" + _GOOD["p_f64"][1:],  # padding first
+    _GOOD["p_f64"][:4] + "=" + _GOOD["p_f64"][5:],  # padding inside
+    _GOOD["p_f64"][:-4] + "AA-_",  # the URL-safe alphabet
+    _GOOD["p_f64"][:-4] + "AA\n=",  # whitespace
+    _GOOD["p_f64"][:-4] + "AA\u00e9=",  # not ASCII
+    "A" * 21 + "B==",  # bits set past the last byte
+]
+
 _REJECTIONS = [
-    ({**_GOOD, "p_f64": "not base64!"}, "'p_f64' is not valid base64"),
+    *(({**_GOOD, "p_f64": text}, "'p_f64' is not valid base64") for text in _NOT_BASE64),
     ({**_GOOD, "q_f64": base64.b64encode(b"\x00" * 12).decode()},
      "'q_f64' must hold whole float64 values (8 bytes each), got 12 bytes"),
     ({**_GOOD, "q_f64": _f64([1e-4])}, "p_f64 (2) and q_f64 (1) must have the same length"),
@@ -154,5 +167,21 @@ def test_a_bad_bytes_spelling_is_a_400_naming_its_key(role, model, message):
     status, document = _answer(app, {"model": model, "method": "moments"})
     assert status == 400
     assert document["code"] == "bad_request"
-    # The base64 error appends the decoder's own reason.
+    # The base64 error goes on to say what a valid spelling looks like.
     assert document["error"].startswith(f"invalid model: {message}")
+
+
+def test_a_parsed_model_is_decoded_once_and_pickled_as_bytes(monkeypatch):
+    from repro.core import model_content
+
+    request = parse_evaluate_payload({"model": _GOOD, "method": "moments", "p_scale": 0.5})
+
+    def refuse(raw):
+        raise AssertionError("the parsed model was decoded again")
+
+    monkeypatch.setattr(model_content, "_from_le", refuse)
+    request.digest()
+    assert request.model.to_dict()["p"] == [0.05, 0.02]
+    job = pickle.loads(pickle.dumps(request.model))
+    assert job == request.model
+    assert job.decoded is None

@@ -99,7 +99,7 @@ def test_every_writer_leaves_the_same_entry_bytes(tmp_path):
 
     # The router's replica entry carries the model in the bytes spelling;
     # the receiving shard writes it to disk as JSON lists, as a study does.
-    body = _replica_entry(DIGEST, REQUEST.payload_text(f64=True), computed["result"]["metrics"])
+    body = _replica_entry(DIGEST, REQUEST.wire_payload_text(), computed["result"]["metrics"])
     assert "p_f64" in json.loads(body)["payload"]["base"]["model"]
     receiver = EvaluationServer(cache_dir=str(tmp_path / "put"))
     [(status, answer)] = _routes(receiver, [("PUT", f"/v1/cache/{DIGEST}", body)])
@@ -117,7 +117,7 @@ def test_a_replica_entry_fills_the_lru_without_decoding_the_model(monkeypatch):
     from repro.service import server as server_module
 
     computed = _evaluate(EvaluationServer())
-    body = _replica_entry(DIGEST, REQUEST.payload_text(f64=True), computed["result"]["metrics"])
+    body = _replica_entry(DIGEST, REQUEST.wire_payload_text(), computed["result"]["metrics"])
 
     def refuse(*args, **kwargs):
         raise AssertionError("the replica entry's model was decoded")

@@ -200,7 +200,7 @@ def test_router_parses_inline_models_without_numpy():
         "request = parse_evaluate_payload({'model': model, **body})\n"
         "same = parse_evaluate_payload({'model': f64, **body})\n"
         "keys = [request.digest(), request.payload_text(), same.digest(),\n"
-        "        same.payload_text(f64=True)]\n"
+        "        same.wire_payload_text()]\n"
         "content, requests, seed = parse_batch_payload(\n"
         "    {'model': f64, 'requests': ['moments', {'method': 'exact', 'level': 0.9}]})\n"
         "ShardRouter(['127.0.0.1:9'])\n"
