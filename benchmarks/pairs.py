@@ -36,6 +36,7 @@ import datetime
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -97,6 +98,10 @@ def summarize_layers(names: Sequence[str], parent: Sequence[dict],
     return layers
 
 
+def _default_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def run_side(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One ``perfbench/run.py --trace {trace}`` run in ``tree``: its metric values
     (end-to-end untraced, per-layer traced)."""
@@ -104,7 +109,11 @@ def run_side(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
                "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     # The run puts its own tree's src first; drop a caller's path to either tree.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    completed = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    # perfbench stops its fleet with SIGINT, which a background job's
+    # children would inherit as ignored: each stop would then wait out its
+    # timeout, and the servers would exit without writing their spans.
+    completed = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
+                               preexec_fn=_default_sigint)
     lines = completed.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     if completed.returncode != 0 or result is None or not result["correct"] or result["failed"]:

@@ -662,9 +662,9 @@ def workload_pool_handoff(quick: bool) -> dict:
     executor = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
 
     async def executor_submit(arguments):
-        job = (_echo_job, arguments, None, None, True)
+        job = (_echo_job, arguments, None, None)
         loop = asyncio.get_running_loop()
-        result, _ = await loop.run_in_executor(executor, worker.run_job, job)
+        result, _, _, _ = await loop.run_in_executor(executor, worker.run_job, job)
         return result
 
     try:

@@ -795,14 +795,13 @@ def _handle_serve(arguments: argparse.Namespace) -> int:
             "--trace-file and --ship-traces are mutually exclusive: spans go "
             "to a local file or to a collector, not both"
         )
+    # Pool jobs send their spans home in their replies, and this process
+    # writes or ships them with its own.
     if arguments.trace_file is not None:
-        # Exported to the environment so pool workers trace into the same
-        # file as the server process.
         from repro import telemetry
 
         telemetry.configure(arguments.trace_file)
     elif arguments.ship_traces is not None:
-        # Likewise exported, so pool workers ship to the same collector.
         from repro.telemetry.collector import configure_shipping
 
         configure_shipping(arguments.ship_traces)

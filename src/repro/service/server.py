@@ -245,14 +245,12 @@ class EvaluationServer(HttpApp):
         # through several short-lived loops.
         self._slots: asyncio.Semaphore | None = None
         self._slots_loop = None
-        # This server's own instruments, plus an accumulator for the metric
-        # deltas pool workers ship back with their job results.
+        # This server's own instruments; pool jobs' kernel times land here too.
         self.registry = MetricsRegistry()
         self.registry.register_counters(_COUNTER_NAMES)
         self.registry.gauge("max_group_size")
         for name in _HISTOGRAM_NAMES:
             self.registry.histogram(name)
-        self._worker_metrics = MetricsRegistry()
         # Single flight: one task per digest in flight, joined by its duplicates.
         self._flights: dict[str, asyncio.Task] = {}
         self.batcher = MicroBatcher(self._run_in_pool)
@@ -285,25 +283,18 @@ class EvaluationServer(HttpApp):
 
         # Jobs cross the executor as a run_job envelope carrying the trace
         # id and enclosing span id out (contextvars stop at the executor
-        # boundary) and, for process pools, the worker's metrics delta back.
-        job = (
-            function,
-            arguments,
-            telemetry.current_trace_id(),
-            telemetry.current_span_id(),
-            self.workers >= 1,
-        )
+        # boundary); the job's kernel time and span events come back with
+        # its result, from threads and worker processes alike.
+        trace_id = telemetry.current_trace_id()
+        job = (function, arguments, trace_id, telemetry.current_span_id())
         for attempt in (0, 1):
             executor = self._ensure_executor()
             try:
                 # A WorkerPool answers with an asyncio future (wrap_future
                 # passes it through), a thread executor with a concurrent one.
-                result, delta = await asyncio.wrap_future(
+                result, failure, seconds, events = await asyncio.wrap_future(
                     executor.submit(worker.run_job, job)
                 )
-                if delta is not None:
-                    self._worker_metrics.merge(delta)
-                return result
             except BrokenExecutor as error:
                 # A worker process died mid-job (end of file on its pipe) and
                 # the pool terminated the rest.  Rebuild it and retry the job
@@ -320,6 +311,12 @@ class EvaluationServer(HttpApp):
                         "the request was not retried again"
                     ) from error
                 self.registry.inc("retried_jobs")
+            else:
+                self.registry.observe("kernel_seconds", seconds, trace_id=trace_id)
+                telemetry.write_events(events)
+                if failure is not None:
+                    raise failure
+                return result
 
     def _slot_semaphore(self) -> asyncio.Semaphore:
         loop = asyncio.get_running_loop()
@@ -623,15 +620,14 @@ class EvaluationServer(HttpApp):
         return {"digest": digest, "stored": stored}
 
     def _metrics_snapshot(self) -> dict:
-        """One consistent registry cut, merged with worker-side observations.
+        """One consistent registry cut, merged with this process's global one.
 
         Operational gauges (queue depth, inflight, LRU size, ...) are set
         into the registry synchronously on the event loop and then *every*
         value is read in a single locked pass -- no counter in one response
-        can be newer than a gauge next to it.  Worker metrics arrive from
-        two places with disjoint instrument names: the process-global
-        registry (thread-mode kernels and cache tiers run in this process)
-        and the accumulated deltas pool workers shipped back.
+        can be newer than a gauge next to it.  Pool jobs' kernel times are
+        already in the registry (:meth:`_run_in_pool` observes them); the
+        process-global registry adds the span shipper's counters.
         """
         self.registry.set_gauge("uptime_seconds", round(time.time() - self._started, 3))
         self.registry.set_gauge("running_requests", self._running)
@@ -645,9 +641,7 @@ class EvaluationServer(HttpApp):
         self.registry.set_gauge("cache_dir", self.cache_dir)
         telemetry.set_process_gauges(self.registry)
         return merge_snapshots(
-            self.registry.snapshot(),
-            telemetry.global_registry().snapshot(),
-            self._worker_metrics.snapshot(),
+            self.registry.snapshot(), telemetry.global_registry().snapshot()
         )
 
     # ----------------------------------------------------------------- #

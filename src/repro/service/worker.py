@@ -26,7 +26,6 @@ from repro import faults, telemetry
 from repro.api.evaluate import evaluate as api_evaluate
 from repro.api.evaluate import evaluate_batch as api_evaluate_batch
 from repro.core.fault_model import FaultModel
-from repro.telemetry.metrics import subtract_snapshots
 
 __all__ = ["evaluate_batch", "evaluate_single", "run_job"]
 
@@ -34,29 +33,26 @@ __all__ = ["evaluate_batch", "evaluate_single", "run_job"]
 def run_job(arguments: tuple) -> tuple:
     """Run one pool job under telemetry; the server's executor entry point.
 
-    ``arguments`` is ``(function, function_arguments, trace_id, parent_span,
-    collect)``.  The wrapper exists because neither trace context nor metrics
-    cross the executor boundary on their own (neither a thread executor nor
-    a worker's pipe carries contextvars, and a pool worker's registry lives
-    in another process):
+    ``arguments`` is ``(function, function_arguments, trace_id,
+    parent_span)``.  Neither a thread executor nor a worker's pipe carries
+    contextvars, so the request's trace id and enclosing span id ride in
+    explicitly and scope a ``worker.kernel`` span: worker-side events land
+    in the right trace *and* nest under the server-side span that
+    dispatched the job.
 
-    * the request's trace id and enclosing span id ride in explicitly and
-      scope a ``worker.kernel`` span, so worker-side events land in the
-      right trace *and* nest under the server-side span that dispatched the
-      job in a stitched fleet trace;
-    * with ``collect`` (process pools), the delta of this process's global
-      metrics registry across the job rides back with the result, for the
-      server to merge -- in thread mode the observations are already in the
-      server process's registry and ``None`` comes back instead.
-
-    Returns ``(result, metrics_delta_or_None)``.  Everything in the job
-    tuple is picklable (module-level function + plain data), so the same
-    wrapper serves thread and process executors.
+    The job's telemetry comes home in its reply, the one channel that
+    crosses every executor: returns ``(result, error, kernel_seconds,
+    events)``, where ``error`` is the exception the job raised (``result``
+    is then ``None``) and ``events`` are the span events emitted while it
+    ran, captured instead of written (empty while tracing is off).  The
+    server observes the kernel time and writes the events with its own
+    tracer.
     """
-    function, function_arguments, trace_id, parent_span, collect = arguments
-    registry = telemetry.global_registry()
-    before = registry.snapshot() if collect else None
+    function, function_arguments, trace_id, parent_span = arguments
+    events: list[dict] = []
+    token = telemetry.capture_events(events)
     start = time.perf_counter()
+    result = error = None
     try:
         with telemetry.span(
             "worker.kernel",
@@ -65,12 +61,11 @@ def run_job(arguments: tuple) -> tuple:
             job=function.__name__,
         ):
             result = function(function_arguments)
+    except Exception as failure:  # noqa: BLE001 - re-raised by the server
+        error = failure
     finally:
-        registry.observe(
-            "kernel_seconds", time.perf_counter() - start, trace_id=trace_id
-        )
-    delta = subtract_snapshots(registry.snapshot(), before) if collect else None
-    return result, delta
+        token.var.reset(token)
+    return result, error, time.perf_counter() - start, events
 
 
 def evaluate_single(arguments: tuple) -> dict:

@@ -5,13 +5,17 @@ and near-free when idle**:
 
 * :mod:`repro.telemetry.metrics` -- typed counters, gauges and fixed-bucket
   latency histograms in a lock-consistent :class:`MetricsRegistry`;
-  snapshots merge across processes, so pool workers ship their kernel
-  timings back with their job results.
+  snapshots merge across processes and fleets.
 * :mod:`repro.telemetry.tracing` -- named spans emitting JSONL trace
   events with propagated trace ids; one ``None`` check when disabled
   (the :func:`repro.faults.hit` idiom), armed via
   ``configure(trace_file=...)`` or the ``REPRO_TRACE_FILE`` env var that
-  :func:`configure` exports to spawned worker pools.
+  :func:`configure` exports to spawned study workers.
+
+A service pool job sends its telemetry home in its reply: its kernel time
+and the span events :func:`capture_events` collected while it ran, which
+the server observes and hands to :func:`write_events`
+(:func:`repro.service.worker.run_job`).
 
 Neither facility ever touches a seeded RNG stream or a result payload:
 with telemetry on or off, every evaluation produces byte-identical results
@@ -19,8 +23,8 @@ and cache digests (pinned in ``tests/telemetry/test_determinism.py``).
 
 Besides per-server registries (each :class:`~repro.service.server.EvaluationServer`
 owns one), the module keeps a **process-global registry** for code that has
-no registry in scope -- kernel spans, cache tiers, the study runner.  In a
-pool worker, deltas of this registry are what travel back to the parent.
+no registry in scope: a shard's span shipper counts ``spans_shipped`` and
+``spans_dropped`` there, and the server merges it into ``/metrics``.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from repro.telemetry.metrics import (
     merge_snapshots,
     parse_prometheus,
     render_prometheus,
-    subtract_snapshots,
 )
 from repro.telemetry.tracing import (
     Span,
+    capture_events,
     configure,
     current_span_id,
     current_trace_id,
@@ -50,12 +54,14 @@ from repro.telemetry.tracing import (
     record,
     set_trace_id,
     span,
+    write_events,
 )
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "MetricsRegistry",
     "Span",
+    "capture_events",
     "configure",
     "current_span_id",
     "current_trace_id",
@@ -73,17 +79,16 @@ __all__ = [
     "set_process_gauges",
     "set_trace_id",
     "span",
-    "subtract_snapshots",
+    "write_events",
 ]
 
 _global_registry = MetricsRegistry()
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-global registry (kernel, cache and study instrumentation).
+    """The process-global registry: the span shipper's counters.
 
-    In the server process its snapshot is merged into ``/metrics``; in a
-    pool worker, per-job deltas of it are shipped back with job results.
+    In the server process its snapshot is merged into ``/metrics``.
     """
     return _global_registry
 

@@ -5,7 +5,7 @@ a fleet (N shards x W workers behind R routers) that means dozens of files
 on as many hosts, so this module moves trace events over the wire instead:
 
 * :class:`SpanShipper` -- a :func:`repro.telemetry.tracing.configure` sink
-  installed on shards and pool workers.  ``shipper(event)`` appends to a
+  installed on shards.  ``shipper(event)`` appends to a
   **bounded queue and returns immediately**: the request path never blocks
   on trace shipping, and when the queue is full the event is *dropped and
   counted* (``spans_dropped``), never queued unboundedly.  A daemon thread
@@ -19,9 +19,9 @@ on as many hosts, so this module moves trace events over the wire instead:
   ``repro trace summarize`` exactly like a local trace file -- except it
   holds the *whole* router->shard->worker tree for each routed request.
 
-Workers join automatically: :func:`configure_shipping` exports the
-collector endpoint to ``REPRO_TRACE_COLLECTOR``, and
-``tracing._load_env`` arms a fresh shipper in every pool worker process.
+Pool workers ship nothing themselves: a job's spans ride home in its
+reply and the shard's shipper sends them on
+(:func:`repro.service.worker.run_job`).
 
 The POSTs go through :class:`repro.service.client.ServiceClient` with
 ``retries=0`` -- the flush loop owns the retry -- imported when a shipper
@@ -37,25 +37,14 @@ import threading
 from collections import deque
 from typing import Callable
 
-from repro.telemetry.tracing import ENV_VAR, configure
+from repro import telemetry
+from repro.telemetry.tracing import configure
 
-__all__ = ["ENV_COLLECTOR", "SpanShipper", "TraceCollector", "configure_shipping"]
-
-#: Environment variable carrying the collector ``host:port`` to spawned
-#: worker processes (the shipping analogue of ``REPRO_TRACE_FILE``).
-ENV_COLLECTOR = "REPRO_TRACE_COLLECTOR"
+__all__ = ["SpanShipper", "TraceCollector", "configure_shipping"]
 
 #: Keys an event must carry to be accepted by a collector: the minimum for
 #: ``repro trace summarize`` to place it in a tree.
 _REQUIRED_KEYS = ("name", "trace", "span", "dur_ms")
-
-
-def _global_registry():
-    # Lazy: repro.telemetry may still be mid-import when tracing._load_env
-    # pulls this module in a worker process.
-    from repro import telemetry
-
-    return telemetry.global_registry()
 
 
 class SpanShipper:
@@ -115,12 +104,14 @@ class SpanShipper:
             self._wake.set()
 
     def _count(self, name: str, amount: int = 1) -> None:
-        registry = self._registry if self._registry is not None else _global_registry()
+        registry = self._registry if self._registry is not None else telemetry.global_registry()
         registry.inc(name, amount)
 
     def _ensure_thread(self) -> None:
-        # Lazily started so a shipper armed before a process-pool fork does
-        # not leave a dead thread handle in the children.
+        # Started by the first event, so a shipper that never ships starts
+        # no thread.  Pool workers forked from a shard inherit a copy whose
+        # thread handle is not running; they never call it, because a
+        # job's events ride home in its reply.
         with self._lock:
             if self._thread is not None or self._stop.is_set():
                 return
@@ -272,20 +263,12 @@ class TraceCollector:
                 self._stream = None
 
 
-def configure_shipping(
-    endpoint: str, *, export_env: bool = True, **options
-) -> SpanShipper:
+def configure_shipping(endpoint: str, **options) -> SpanShipper:
     """Arm tracing with a :class:`SpanShipper` posting to ``endpoint``.
 
-    The shipping analogue of ``telemetry.configure(trace_file=...)``:
-    ``export_env=True`` mirrors the endpoint into ``REPRO_TRACE_COLLECTOR``
-    so worker processes spawned from now on ship to the same collector
-    (each arming its own shipper via ``tracing._load_env``).
+    The shipping analogue of ``telemetry.configure(trace_file=...)``; the
+    service's pool jobs send their spans home to this process's shipper.
     """
     shipper = SpanShipper(endpoint, **options)
     configure(sink=shipper)
-    if export_env:
-        os.environ[ENV_COLLECTOR] = endpoint
-        # A stale file path would win over the collector in _load_env.
-        os.environ.pop(ENV_VAR, None)
     return shipper

@@ -15,10 +15,8 @@ renders the classic text exposition format via :func:`render_prometheus`):
   running count/sum/min/max and an optional *exemplar* (the trace id of the
   slowest traced observation, so a bad p99 links straight to a stitched
   trace).  Fixed buckets make histograms *merge-able*:
-  adding two registries' bucket counts is exact, which is how
-  the service's pool workers report their kernel timings back with
-  their job results (snapshot before, snapshot after, ship the
-  :func:`subtract`-ed delta, :meth:`MetricsRegistry.merge` on arrival).
+  adding two registries' bucket counts is exact, which is how a router
+  rolls its shards' scrapes up into one fleet view.
   Quantiles (p50/p95/p99) are derived from the buckets by linear
   interpolation -- resolution is bucket-width, which is the documented
   trade for mergeability.
@@ -43,7 +41,6 @@ __all__ = [
     "MetricsRegistry",
     "merge_snapshots",
     "render_prometheus",
-    "subtract_snapshots",
 ]
 
 #: Default latency bucket upper bounds in **seconds**: 50 us to 100 s in
@@ -294,11 +291,11 @@ class MetricsRegistry:
             }
 
     def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a snapshot (e.g. a worker process's delta) into this registry.
+        """Fold a snapshot (e.g. a shard's scrape) into this registry.
 
         Counters and histogram counts/sums add; gauges take the maximum
-        (a worker's gauge is a high-water mark by the time it arrives);
-        histogram min/max combine when the delta knows them.
+        (a high-water mark by the time it arrives); histogram min/max
+        combine when the snapshot knows them.
         """
         for name, value in snapshot.get("counters", {}).items():
             instrument = self.counter(name)
@@ -348,49 +345,6 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> dict:
     for snapshot in snapshots:
         combined.merge(snapshot)
     return combined.snapshot()
-
-
-def subtract_snapshots(after: Mapping[str, Any], before: Mapping[str, Any]) -> dict:
-    """The delta ``after - before``: what happened between two snapshots.
-
-    Counters and histogram counts/sums subtract; gauges keep their ``after``
-    value; histogram min/max of just the window are unknowable from two
-    cumulative snapshots, so the delta carries ``None`` for both (merge
-    treats ``None`` as "no information").  Zero-valued counters and empty
-    histograms are dropped, so an idle worker ships an empty delta.
-    """
-    delta: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    before_counters = before.get("counters", {})
-    for name, value in after.get("counters", {}).items():
-        changed = value - before_counters.get(name, 0)
-        if changed:
-            delta["counters"][name] = changed
-    for name, value in after.get("gauges", {}).items():
-        if value != before.get("gauges", {}).get(name, 0):
-            delta["gauges"][name] = value
-    before_histograms = before.get("histograms", {})
-    for name, data in after.get("histograms", {}).items():
-        previous = before_histograms.get(
-            name, {"counts": [0] * len(data["counts"]), "count": 0, "sum": 0.0}
-        )
-        count = data["count"] - previous["count"]
-        if not count:
-            continue
-        delta["histograms"][name] = {
-            "buckets": list(data["buckets"]),
-            "counts": [now - then for now, then in zip(data["counts"], previous["counts"])],
-            "count": count,
-            "sum": data["sum"] - previous["sum"],
-            "min": None,
-            "max": None,
-            # The exemplar rides the delta only when the window changed it.
-            "exemplar": (
-                data.get("exemplar")
-                if data.get("exemplar") != previous.get("exemplar")
-                else None
-            ),
-        }
-    return delta
 
 
 def histogram_summary(snapshot: Mapping[str, Any]) -> dict:

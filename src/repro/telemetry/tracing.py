@@ -17,10 +17,12 @@ the API or the ``REPRO_TRACE_FILE`` environment variable::
 
 Configuring through :func:`configure` also exports the path to
 ``os.environ`` (disable with ``export_env=False``), so worker *processes*
-spawned afterwards -- the service's ``--workers`` pool, the study runner's
-job pool -- trace into the same file when they import this module.  Events
-are single JSON lines appended under an ``O_APPEND`` file handle, so
-interleaved multi-process writes stay line-atomic for typical event sizes.
+spawned afterwards -- the study runner's job pool -- trace into the same
+file when they import this module.  Events are single JSON lines appended
+under an ``O_APPEND`` file handle, so interleaved multi-process writes stay
+line-atomic for typical event sizes.  A service pool job writes nothing
+itself: :func:`capture_events` collects its events, they ride home in the
+job's reply and the server hands them to :func:`write_events`.
 
 Every event carries a **trace id** -- propagated from the enclosing request
 (the server stamps one per HTTP request, honouring an incoming
@@ -53,6 +55,7 @@ from typing import Any, Callable, TextIO
 
 __all__ = [
     "Span",
+    "capture_events",
     "configure",
     "current_span_id",
     "current_trace_id",
@@ -62,6 +65,7 @@ __all__ = [
     "record",
     "set_trace_id",
     "span",
+    "write_events",
 ]
 
 #: Environment variable holding the cross-process trace-file configuration.
@@ -73,6 +77,8 @@ ENV_VAR = "REPRO_TRACE_FILE"
 # jobs receive their trace id explicitly in the job arguments.
 _trace_id: contextvars.ContextVar[str | None] = contextvars.ContextVar("repro_trace", default=None)
 _span_id: contextvars.ContextVar[str | None] = contextvars.ContextVar("repro_span", default=None)
+# Where a pool job's events go instead of the writer (see capture_events).
+_captured: contextvars.ContextVar[list | None] = contextvars.ContextVar("repro_capture", default=None)
 
 _lock = threading.Lock()
 _writer: Callable[[dict], None] | None = None
@@ -103,6 +109,17 @@ def current_span_id() -> str | None:
 def set_trace_id(trace_id: str | None) -> contextvars.Token:
     """Bind the current context to ``trace_id``; returns the reset token."""
     return _trace_id.set(trace_id)
+
+
+def capture_events(events: list) -> contextvars.Token:
+    """Append the current context's span events to ``events`` instead of
+    writing them; returns the reset token.
+
+    Only a set writer builds events, so with tracing off nothing is
+    captured.  A pool job captures its events to send them home in its
+    reply (:func:`repro.service.worker.run_job`).
+    """
+    return _captured.set(events)
 
 
 def enabled() -> bool:
@@ -241,6 +258,23 @@ def _emit(
         "pid": os.getpid(),
         "attrs": attrs,
     }
+    captured = _captured.get()
+    if captured is not None:
+        captured.append(event)
+        return
+    _write(writer, event)
+
+
+def write_events(events: list) -> None:
+    """Write events emitted elsewhere as they are (a pool job's, sent home in
+    its reply): ``ts``, ``pid`` and ``parent`` stay the emitter's."""
+    writer = _writer
+    if writer is not None:
+        for event in events:
+            _write(writer, event)
+
+
+def _write(writer: Callable[[dict], None], event: dict) -> None:
     try:
         writer(event)
     except Exception:
@@ -285,7 +319,7 @@ def configure(
 
 
 def disable(*, export_env: bool = True) -> None:
-    """Disable tracing and (by default) clear the exported env vars."""
+    """Disable tracing and (by default) clear the exported env var."""
     global _writer
     with _lock:
         _close_stream_locked()
@@ -293,7 +327,6 @@ def disable(*, export_env: bool = True) -> None:
         _writer = None
         if export_env:
             os.environ.pop(ENV_VAR, None)
-            os.environ.pop("REPRO_TRACE_COLLECTOR", None)
 
 
 def _close_stream_locked() -> None:
@@ -319,30 +352,15 @@ def _close_writer_locked() -> None:
 
 
 def _load_env() -> None:
-    """Enable tracing from the environment (worker-process startup path).
-
-    ``REPRO_TRACE_FILE`` wins when both are set (its semantics predate the
-    collector); otherwise ``REPRO_TRACE_COLLECTOR`` arms a span shipper
-    posting to that ``host:port`` -- this is how process-pool workers join
-    the fleet's trace collection without any plumbing through the pool.
-    """
+    """Enable tracing from ``REPRO_TRACE_FILE`` (worker-process startup path)."""
     path = os.environ.get(ENV_VAR)
-    if path:
-        try:
-            configure(path, export_env=False)
-        except OSError:
-            # An unwritable path in a worker degrades to no tracing there --
-            # unlike faults, lost telemetry cannot make a test vacuously pass.
-            pass
-        return
-    endpoint = os.environ.get("REPRO_TRACE_COLLECTOR")
-    if not endpoint:
+    if not path:
         return
     try:
-        from repro.telemetry.collector import configure_shipping
-
-        configure_shipping(endpoint, export_env=False)
-    except Exception:
+        configure(path, export_env=False)
+    except OSError:
+        # An unwritable path in a worker degrades to no tracing there --
+        # unlike faults, lost telemetry cannot make a test vacuously pass.
         pass
 
 

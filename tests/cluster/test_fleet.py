@@ -176,7 +176,6 @@ class TestTraceCollection:
         with fleet(router_kw={"collector": None}) as (servers, handles, router, front):
             shipper = configure_shipping(
                 f"127.0.0.1:{front.port}",
-                export_env=False,
                 registry=registry,
                 flush_interval=0.05,
             )

@@ -225,7 +225,6 @@ class TestConfigureShipping:
         registry = MetricsRegistry()
         shipper = configure_shipping(
             "127.0.0.1:1",
-            export_env=False,
             transport=lambda batch: batches.append(batch) or True,
             flush_interval=3600.0,
             batch_size=1024,
@@ -238,17 +237,3 @@ class TestConfigureShipping:
         assert [event["name"] for event in shipped] == ["unit.op"]
         assert shipped[0]["trace"] == "t-ship"
         assert registry["spans_shipped"] == 1
-
-    def test_export_env_arms_workers_and_clears_stale_file_var(self, monkeypatch):
-        monkeypatch.setenv(tracing.ENV_VAR, "/stale/trace.jsonl")
-        configure_shipping(
-            "127.0.0.1:2",
-            transport=lambda batch: True,
-            registry=MetricsRegistry(),
-        )
-        import os
-
-        assert os.environ["REPRO_TRACE_COLLECTOR"] == "127.0.0.1:2"
-        assert tracing.ENV_VAR not in os.environ
-        tracing.disable()
-        assert "REPRO_TRACE_COLLECTOR" not in os.environ

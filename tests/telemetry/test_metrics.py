@@ -15,7 +15,6 @@ from repro.telemetry.metrics import (
     merge_snapshots,
     parse_prometheus,
     render_prometheus,
-    subtract_snapshots,
 )
 
 
@@ -158,42 +157,6 @@ class TestSnapshotMerge:
         delta.observe("lat", 0.5)
         with pytest.raises(ValueError, match="bucket bounds differ"):
             registry.merge(delta.snapshot())
-
-    def test_subtract_yields_the_window_delta_and_drops_idle_metrics(self):
-        registry = MetricsRegistry()
-        registry.inc("jobs", 3)
-        registry.inc("idle", 1)
-        registry.observe("lat", 0.01)
-        before = registry.snapshot()
-        registry.inc("jobs", 2)
-        registry.observe("lat", 0.02)
-        registry.observe("lat", 0.03)
-        delta = subtract_snapshots(registry.snapshot(), before)
-        assert delta["counters"] == {"jobs": 2}  # "idle" unchanged -> dropped
-        data = delta["histograms"]["lat"]
-        assert data["count"] == 2
-        assert data["sum"] == pytest.approx(0.05)
-        # Window min/max are unknowable from two cumulative snapshots.
-        assert data["min"] is None and data["max"] is None
-
-    def test_snapshot_delta_round_trip_restores_totals(self):
-        """The worker protocol: before + (after - before) == after."""
-        worker = MetricsRegistry()
-        worker.inc("kernel_calls", 4)
-        worker.observe("kernel_seconds", 0.25)
-        before = worker.snapshot()
-        worker.inc("kernel_calls", 1)
-        worker.observe("kernel_seconds", 0.5)
-        after = worker.snapshot()
-        delta = subtract_snapshots(after, before)
-        rebuilt = merge_snapshots(before, delta)
-        assert rebuilt["counters"] == after["counters"]
-        assert rebuilt["histograms"]["kernel_seconds"]["counts"] == (
-            after["histograms"]["kernel_seconds"]["counts"]
-        )
-        assert rebuilt["histograms"]["kernel_seconds"]["sum"] == pytest.approx(
-            after["histograms"]["kernel_seconds"]["sum"]
-        )
 
 
 @settings(max_examples=50, deadline=None)

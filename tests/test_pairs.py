@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import signal
 import statistics
 from pathlib import Path
 
@@ -123,3 +124,20 @@ def test_traced_runs_follow_every_untraced_pair(pairs, monkeypatch):
     for spread in layers.values():
         assert list(spread) == ["kernel.exact_us.p50"]
         assert spread["kernel.exact_us.p50"]["change_median"] == 100
+
+
+def test_a_run_sees_sigint_at_its_default_while_the_caller_ignores_it(pairs, tmp_path):
+    """A background job starts the ledger with SIGINT ignored; the fleet that
+    ``perfbench/run.py`` stops with SIGINT must not inherit that."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, signal\n"
+        "ignored = signal.getsignal(signal.SIGINT) is signal.SIG_IGN\n"
+        "print(json.dumps({'correct': True, 'failed': 0,\n"
+        "                  'metrics': {'sigint_ignored': {'value': ignored}}}))\n"
+    )
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        assert pairs.run_side(tmp_path, "cold_mix", 11) == {"sigint_ignored": False}
+    finally:
+        signal.signal(signal.SIGINT, previous)
