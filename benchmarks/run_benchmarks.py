@@ -1016,7 +1016,7 @@ def workload_telemetry_overhead(quick: bool) -> dict:
     one()  # warm caches and imports before any timing
 
     # 1. Per-span cost of the disabled path (shared no-op object).
-    tracing.disable(export_env=False)
+    tracing.disable()
     loops = 200_000
     start = time.perf_counter()
     for _ in range(loops):
@@ -1037,7 +1037,7 @@ def workload_telemetry_overhead(quick: bool) -> dict:
     sunk.clear()
     one()
     spans_per_evaluate = len(sunk)
-    tracing.disable(export_env=False)
+    tracing.disable()
 
     # 4. The evaluation's own wall time, telemetry disabled (best block).
     best = float("inf")
@@ -1138,7 +1138,7 @@ def workload_telemetry_fleet_overhead(quick: bool) -> dict:
             for _ in range(probe_calls):
                 one()
             spans_per_request = len(sunk) / probe_calls
-            tracing.disable(export_env=False)
+            tracing.disable()
 
             # 3. The warm request's own wall time, shipping off (best block).
             best = float("inf")

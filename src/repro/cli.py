@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-file",
         default=None,
         help=(
-            "capture telemetry spans into this JSONL file (exported to worker "
-            "processes; analyse with 'repro trace summarize')"
+            "capture telemetry spans into this JSONL file, pool workers' "
+            "included (analyse with 'repro trace summarize')"
         ),
     )
 
@@ -258,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-file",
         default=None,
         help=(
-            "capture telemetry spans into this JSONL file (exported to worker "
-            "processes; analyse with 'repro trace summarize')"
+            "capture telemetry spans into this JSONL file, pool workers' "
+            "included (analyse with 'repro trace summarize')"
         ),
     )
     serve_parser.add_argument(
@@ -746,8 +746,8 @@ def _handle_study(arguments: argparse.Namespace) -> int:
     cache_dir = None if arguments.cache_dir.lower() == "none" else arguments.cache_dir
 
     if arguments.trace_file is not None:
-        # Exported to the environment so study worker processes trace into
-        # the same file.
+        # Pool tasks send their spans home in their replies, and this
+        # process writes them.
         from repro import telemetry
 
         telemetry.configure(arguments.trace_file)
@@ -795,16 +795,6 @@ def _handle_serve(arguments: argparse.Namespace) -> int:
             "--trace-file and --ship-traces are mutually exclusive: spans go "
             "to a local file or to a collector, not both"
         )
-    # Pool jobs send their spans home in their replies, and this process
-    # writes or ships them with its own.
-    if arguments.trace_file is not None:
-        from repro import telemetry
-
-        telemetry.configure(arguments.trace_file)
-    elif arguments.ship_traces is not None:
-        from repro.telemetry.collector import configure_shipping
-
-        configure_shipping(arguments.ship_traces)
     server = EvaluationServer(
         workers=arguments.workers,
         cache_dir=cache_dir,
@@ -815,6 +805,17 @@ def _handle_serve(arguments: argparse.Namespace) -> int:
         slow_request_ms=arguments.slow_request_ms,
         cache_peers=tuple(arguments.cache_peer or ()),
     )
+    # Pool jobs send their spans home in their replies, and this process
+    # writes or ships them with its own; a shipper counts into the
+    # server's registry, so /metrics carries spans_shipped/spans_dropped.
+    if arguments.trace_file is not None:
+        from repro import telemetry
+
+        telemetry.configure(arguments.trace_file)
+    elif arguments.ship_traces is not None:
+        from repro.telemetry.collector import configure_shipping
+
+        configure_shipping(arguments.ship_traces, registry=server.registry)
     try:
         asyncio.run(server.serve_forever(arguments.host, arguments.port))
     except KeyboardInterrupt:

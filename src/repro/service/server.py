@@ -82,7 +82,7 @@ from repro.service.protocol import (
     parse_timeout_ms,
 )
 from repro.service import worker
-from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["EvaluationServer", "ServerHandle", "WorkerCrashError", "start_in_background"]
 
@@ -620,14 +620,15 @@ class EvaluationServer(HttpApp):
         return {"digest": digest, "stored": stored}
 
     def _metrics_snapshot(self) -> dict:
-        """One consistent registry cut, merged with this process's global one.
+        """One consistent registry cut.
 
         Operational gauges (queue depth, inflight, LRU size, ...) are set
         into the registry synchronously on the event loop and then *every*
         value is read in a single locked pass -- no counter in one response
         can be newer than a gauge next to it.  Pool jobs' kernel times are
-        already in the registry (:meth:`_run_in_pool` observes them); the
-        process-global registry adds the span shipper's counters.
+        already in the registry (:meth:`_run_in_pool` observes them), and so
+        are a span shipper's counters when ``repro serve --ship-traces``
+        hands it this registry.
         """
         self.registry.set_gauge("uptime_seconds", round(time.time() - self._started, 3))
         self.registry.set_gauge("running_requests", self._running)
@@ -640,9 +641,7 @@ class EvaluationServer(HttpApp):
         self.registry.set_gauge("request_timeout_ms", self.request_timeout_ms)
         self.registry.set_gauge("cache_dir", self.cache_dir)
         telemetry.set_process_gauges(self.registry)
-        return merge_snapshots(
-            self.registry.snapshot(), telemetry.global_registry().snapshot()
-        )
+        return self.registry.snapshot()
 
     # ----------------------------------------------------------------- #
     # Admission control and deadlines

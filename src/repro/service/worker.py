@@ -44,28 +44,24 @@ def run_job(arguments: tuple) -> tuple:
     crosses every executor: returns ``(result, error, kernel_seconds,
     events)``, where ``error`` is the exception the job raised (``result``
     is then ``None``) and ``events`` are the span events emitted while it
-    ran, captured instead of written (empty while tracing is off).  The
-    server observes the kernel time and writes the events with its own
-    tracer.
+    ran (:func:`repro.telemetry.run_captured`).  The server observes the
+    kernel time and writes the events with its own tracer.
     """
-    function, function_arguments, trace_id, parent_span = arguments
-    events: list[dict] = []
-    token = telemetry.capture_events(events)
     start = time.perf_counter()
-    result = error = None
-    try:
-        with telemetry.span(
-            "worker.kernel",
-            trace_id=trace_id,
-            parent_id=parent_span,
-            job=function.__name__,
-        ):
-            result = function(function_arguments)
-    except Exception as failure:  # noqa: BLE001 - re-raised by the server
-        error = failure
-    finally:
-        token.var.reset(token)
+    result, error, events = telemetry.run_captured(_kernel, arguments)
     return result, error, time.perf_counter() - start, events
+
+
+def _kernel(arguments: tuple):
+    """A job's function, inside its ``worker.kernel`` span."""
+    function, function_arguments, trace_id, parent_span = arguments
+    with telemetry.span(
+        "worker.kernel",
+        trace_id=trace_id,
+        parent_id=parent_span,
+        job=function.__name__,
+    ):
+        return function(function_arguments)
 
 
 def evaluate_single(arguments: tuple) -> dict:

@@ -35,6 +35,7 @@ re-run recomputes nothing and reproduces the table byte for byte.
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -139,9 +140,11 @@ def plan_study(spec: StudySpec) -> list[PlannedPoint]:
 def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
     """Group worker entry point: one pickle per task of one or more groups.
 
-    ``arguments`` is ``(base, groups)``; every group shares ``base`` and,
-    when there are several, the point models (a bundle, see
-    :func:`_plan_groups`).  A bundle runs inside one
+    ``arguments`` is ``(base, groups, trace_id, parent_span)``; every group
+    shares ``base`` and, when there are several, the point models (a
+    bundle, see :func:`_plan_groups`).  The caller's trace id and enclosing
+    span id ride in explicitly, as a service job's do, and parent the
+    task's ``study.group`` span.  A bundle runs inside one
     :func:`~repro.core.pfd_distribution.shared_distributions` scope, so each
     distinct exact PFD distribution is computed once for all its groups;
     the task's span reports the scope's misses and hits as
@@ -158,11 +161,13 @@ def _evaluate_group(arguments: tuple) -> list[tuple[str, Any]]:
     """
     from repro.core.pfd_distribution import shared_distributions
 
-    base, groups = arguments
+    base, groups, trace_id, parent_span = arguments
     outcomes: list[tuple[str, Any]] = []
     scope = shared_distributions() if len(groups) > 1 else contextlib.nullcontext()
     with telemetry.span(
         "study.group",
+        trace_id=trace_id,
+        parent_id=parent_span,
         method=",".join(method.name for _, method, *_ in groups),
         group_size=sum(len(variations) for _, _, variations, *_ in groups),
     ) as span, scope as distributions:
@@ -224,7 +229,8 @@ def _plan_groups(
 
     Returns one ``(members, arguments)`` pair per task: ``members`` lists
     the ``(digest, planned index)`` of every point the task computes, in
-    the order :func:`_evaluate_group` returns their outcomes.
+    the order :func:`_evaluate_group` returns their outcomes, and
+    ``arguments`` carry the caller's trace id and enclosing span id.
     """
     registry = default_registry()
     groups: dict[str, dict] = {}
@@ -285,6 +291,8 @@ def _plan_groups(
         key=lambda task: sum(len(members) * group["weight"] for group, members in task),
         reverse=True,
     )
+    # The caller's trace id and enclosing span ride in every task.
+    context = (telemetry.current_trace_id(), telemetry.current_span_id())
     work = []
     for task in tasks:
         task_members: list[tuple[str, int]] = []
@@ -299,7 +307,7 @@ def _plan_groups(
             arguments.append(
                 (group["shared"], group["method"], variations, group["entropy"], entropies)
             )
-        work.append((task_members, (dict(spec.base), tuple(arguments))))
+        work.append((task_members, (dict(spec.base), tuple(arguments), *context)))
     return work
 
 
@@ -372,6 +380,23 @@ def run_study(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
+    # One trace for the whole run, its pool tasks' spans included: the
+    # caller's, or a fresh one.
+    token = telemetry.set_trace_id(telemetry.current_trace_id() or telemetry.new_trace_id())
+    try:
+        return _run_study(spec, cache_dir, jobs, force, progress, keep_going)
+    finally:
+        token.var.reset(token)
+
+
+def _run_study(
+    spec: StudySpec,
+    cache_dir: str | None,
+    jobs: int,
+    force: bool,
+    progress: Callable[[int, int, int], None] | None,
+    keep_going: bool,
+) -> StudyResult:
     with telemetry.span("study.plan", study=spec.name):
         planned = plan_study(spec)
     distinct = len({entry.digest for entry in planned})
@@ -420,34 +445,40 @@ def run_study(
         # in-process.
         workers = min(effective_jobs, len(groups))
         work = [arguments for _, arguments in groups]
+        # A task's span events come home in its reply, in process or not.
+        run_task = functools.partial(telemetry.run_captured, _evaluate_group)
         if workers > 1:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             from repro.api.methods import import_kernels
 
-            # Forked workers inherit this process's modules: import the
-            # kernels once here rather than once in every worker.
+            # Forked workers inherit this process's modules and tracer:
+            # import the kernels once here rather than once in every worker.
             import_kernels()
-            executor = ProcessPoolExecutor(max_workers=workers)
-            fresh = executor.map(_evaluate_group, work)
+            executor = ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork")
+            )
+            fresh = executor.map(run_task, work)
         else:
-            fresh = map(_evaluate_group, work)
-        # ((digest, planned index), outcome) per point, task by task.
-        finished = (
-            pair for (members, _), outcomes in zip(groups, fresh) for pair in zip(members, outcomes)
-        )
+            fresh = map(run_task, work)
         failures: list[tuple[str, int, str]] = []
         try:
-            for (digest, index), (status, outcome) in finished:
-                if status == "error":
-                    failures.append((digest, index, outcome))
-                    continue
-                metrics_by_digest[digest] = outcome
-                resolved += 1
-                if cache is not None:
-                    cache.store(digest, planned[index].payload, outcome)
-                if progress is not None:
-                    progress(resolved, distinct, resolved - cached_count)
+            # Task by task: its span events, then each point's outcome.
+            for (members, _), (outcomes, error, events) in zip(groups, fresh):
+                telemetry.write_events(events)
+                if error is not None:
+                    raise error
+                for (digest, index), (status, outcome) in zip(members, outcomes):
+                    if status == "error":
+                        failures.append((digest, index, outcome))
+                        continue
+                    metrics_by_digest[digest] = outcome
+                    resolved += 1
+                    if cache is not None:
+                        cache.store(digest, planned[index].payload, outcome)
+                    if progress is not None:
+                        progress(resolved, distinct, resolved - cached_count)
         finally:
             if executor is not None:
                 executor.shutdown()

@@ -9,22 +9,21 @@ and near-free when idle**:
 * :mod:`repro.telemetry.tracing` -- named spans emitting JSONL trace
   events with propagated trace ids; one ``None`` check when disabled
   (the :func:`repro.faults.hit` idiom), armed via
-  ``configure(trace_file=...)`` or the ``REPRO_TRACE_FILE`` env var that
-  :func:`configure` exports to spawned study workers.
+  ``configure(trace_file=...)`` or ``configure(sink=...)``.
 
-A service pool job sends its telemetry home in its reply: its kernel time
-and the span events :func:`capture_events` collected while it ran, which
-the server observes and hands to :func:`write_events`
-(:func:`repro.service.worker.run_job`).
+A pool task -- a service job or a study task -- sends its span events home
+in its reply: :func:`run_captured` collects them while it runs, and the
+parent hands them to :func:`write_events` (:func:`repro.service.worker.run_job`,
+:func:`repro.studies.runner.run_study`).  A service job's kernel time rides
+home the same way.
 
 Neither facility ever touches a seeded RNG stream or a result payload:
 with telemetry on or off, every evaluation produces byte-identical results
 and cache digests (pinned in ``tests/telemetry/test_determinism.py``).
 
-Besides per-server registries (each :class:`~repro.service.server.EvaluationServer`
-owns one), the module keeps a **process-global registry** for code that has
-no registry in scope: a shard's span shipper counts ``spans_shipped`` and
-``spans_dropped`` there, and the server merges it into ``/metrics``.
+Every registry has an owner: each
+:class:`~repro.service.server.EvaluationServer` owns one, and a shard's
+span shipper counts ``spans_shipped`` and ``spans_dropped`` into it.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.tracing import (
     Span,
-    capture_events,
     configure,
     current_span_id,
     current_trace_id,
@@ -52,6 +50,7 @@ from repro.telemetry.tracing import (
     enabled,
     new_trace_id,
     record,
+    run_captured,
     set_trace_id,
     span,
     write_events,
@@ -61,13 +60,11 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "MetricsRegistry",
     "Span",
-    "capture_events",
     "configure",
     "current_span_id",
     "current_trace_id",
     "disable",
     "enabled",
-    "global_registry",
     "histogram_quantile",
     "histogram_summary",
     "merge_snapshots",
@@ -75,30 +72,12 @@ __all__ = [
     "parse_prometheus",
     "record",
     "render_prometheus",
-    "reset_global_registry",
+    "run_captured",
     "set_process_gauges",
     "set_trace_id",
     "span",
     "write_events",
 ]
-
-_global_registry = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-global registry: the span shipper's counters.
-
-    In the server process its snapshot is merged into ``/metrics``.
-    """
-    return _global_registry
-
-
-def reset_global_registry() -> MetricsRegistry:
-    """Replace the process-global registry with a fresh one (tests only)."""
-    global _global_registry
-    _global_registry = MetricsRegistry()
-    return _global_registry
-
 
 #: Stamped at import: how long *this process* has been alive, as opposed to
 #: the server/router ``uptime_seconds`` gauge which measures serving time.

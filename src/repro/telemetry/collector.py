@@ -13,15 +13,18 @@ on as many hosts, so this module moves trace events over the wire instead:
   shipments count into ``spans_shipped``, failed batches into
   ``spans_dropped`` -- the two counters are the loss accounting the smoke
   run asserts on (``shipped + dropped == emitted``, ``dropped == 0``).
+  They count into the registry the shipper is given -- ``repro serve``
+  passes its server's, so ``/metrics`` carries them -- or into one of its
+  own.
 * :class:`TraceCollector` -- the receiving side, owned by routers behind
   ``POST /v1/traces``: validates each event, keeps a bounded in-memory ring
   and optionally appends to a JSONL file, which then feeds
   ``repro trace summarize`` exactly like a local trace file -- except it
   holds the *whole* router->shard->worker tree for each routed request.
 
-Pool workers ship nothing themselves: a job's spans ride home in its
-reply and the shard's shipper sends them on
-(:func:`repro.service.worker.run_job`).
+Pool workers ship nothing themselves: a pool task's spans ride home in
+its reply and the parent's shipper sends them on
+(:func:`repro.telemetry.run_captured`).
 
 The POSTs go through :class:`repro.service.client.ServiceClient` with
 ``retries=0`` -- the flush loop owns the retry -- imported when a shipper
@@ -37,7 +40,7 @@ import threading
 from collections import deque
 from typing import Callable
 
-from repro import telemetry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import configure
 
 __all__ = ["SpanShipper", "TraceCollector", "configure_shipping"]
@@ -78,7 +81,7 @@ class SpanShipper:
         self.batch_size = int(batch_size)
         self.flush_interval = float(flush_interval)
         self.timeout = float(timeout)
-        self._registry = registry
+        self._registry = registry if registry is not None else MetricsRegistry()
         self._client = ServiceClient(self.host, self.port, timeout=self.timeout, retries=0)
         self._transport = transport
         self._queue: deque = deque()
@@ -94,7 +97,7 @@ class SpanShipper:
     def __call__(self, event: dict) -> None:
         with self._lock:
             if len(self._queue) >= self.capacity:
-                self._count("spans_dropped")
+                self._registry.inc("spans_dropped")
                 return
             self._queue.append(event)
             depth = len(self._queue)
@@ -103,15 +106,11 @@ class SpanShipper:
         if depth >= self.batch_size:
             self._wake.set()
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        registry = self._registry if self._registry is not None else telemetry.global_registry()
-        registry.inc(name, amount)
-
     def _ensure_thread(self) -> None:
         # Started by the first event, so a shipper that never ships starts
-        # no thread.  Pool workers forked from a shard inherit a copy whose
-        # thread handle is not running; they never call it, because a
-        # job's events ride home in its reply.
+        # no thread.  Pool workers forked from a shard or a study runner
+        # inherit a copy whose thread handle is not running; they never
+        # call it, because a task's events ride home in its reply.
         with self._lock:
             if self._thread is not None or self._stop.is_set():
                 return
@@ -163,13 +162,13 @@ class SpanShipper:
                 # One retry separates a transient failure (a reset or a
                 # timeout mid-POST) from a genuinely dead collector.
                 if self._deliver(batch) or self._deliver(batch):
-                    self._count("spans_shipped", len(batch))
+                    self._registry.inc("spans_shipped", len(batch))
                     shipped += len(batch)
                 else:
                     # A dead collector degrades to counted loss, never
                     # blocking or unbounded growth; the next batch dials
                     # again.
-                    self._count("spans_dropped", len(batch))
+                    self._registry.inc("spans_dropped", len(batch))
         return shipped
 
     def close(self, timeout: float = 5.0) -> None:
@@ -190,7 +189,7 @@ class TraceCollector:
     Keeps the most recent ``capacity`` events in memory (a deque ring: old
     events age out, ingestion never fails for space) and, when ``path`` is
     given, appends every accepted event to a JSONL file with the exact
-    on-disk schema of ``REPRO_TRACE_FILE`` -- so the collector file drops
+    on-disk schema of a ``--trace-file`` -- so the collector file drops
     straight into ``repro trace summarize``.
     """
 

@@ -9,20 +9,16 @@ Production code is sprinkled with cheap, named spans::
 A span does nothing until tracing is configured -- the disabled path is one
 ``None`` check returning a shared no-op object, mirroring the
 :func:`repro.faults.hit` idiom, so spans can stay in hot paths.  Enable via
-the API or the ``REPRO_TRACE_FILE`` environment variable::
+the API or a command's ``--trace-file``::
 
     telemetry.configure(trace_file="service.trace.jsonl")
-    # or, from outside the process:
-    REPRO_TRACE_FILE=service.trace.jsonl repro serve ...
 
-Configuring through :func:`configure` also exports the path to
-``os.environ`` (disable with ``export_env=False``), so worker *processes*
-spawned afterwards -- the study runner's job pool -- trace into the same
-file when they import this module.  Events are single JSON lines appended
-under an ``O_APPEND`` file handle, so interleaved multi-process writes stay
-line-atomic for typical event sizes.  A service pool job writes nothing
-itself: :func:`capture_events` collects its events, they ride home in the
-job's reply and the server hands them to :func:`write_events`.
+Events are single JSON lines appended to the file and flushed one by one.
+A pool task -- a service job or a study task -- writes nothing itself:
+:func:`run_captured` collects its events, they ride home in the task's
+reply and the parent hands them to :func:`write_events`.  So a forked
+worker, whose copy of the writer is never called, needs no tracing of its
+own.
 
 Every event carries a **trace id** -- propagated from the enclosing request
 (the server stamps one per HTTP request, honouring an incoming
@@ -51,11 +47,10 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, TextIO
+from typing import Any, Callable
 
 __all__ = [
     "Span",
-    "capture_events",
     "configure",
     "current_span_id",
     "current_trace_id",
@@ -63,13 +58,11 @@ __all__ = [
     "enabled",
     "new_trace_id",
     "record",
+    "run_captured",
     "set_trace_id",
     "span",
     "write_events",
 ]
-
-#: Environment variable holding the cross-process trace-file configuration.
-ENV_VAR = "REPRO_TRACE_FILE"
 
 # Current trace id and enclosing span id.  Contextvars follow asyncio tasks,
 # so concurrent requests in the server keep distinct trace contexts.  NOTE:
@@ -77,12 +70,11 @@ ENV_VAR = "REPRO_TRACE_FILE"
 # jobs receive their trace id explicitly in the job arguments.
 _trace_id: contextvars.ContextVar[str | None] = contextvars.ContextVar("repro_trace", default=None)
 _span_id: contextvars.ContextVar[str | None] = contextvars.ContextVar("repro_span", default=None)
-# Where a pool job's events go instead of the writer (see capture_events).
+# Where a pool task's events go instead of the writer (see run_captured).
 _captured: contextvars.ContextVar[list | None] = contextvars.ContextVar("repro_capture", default=None)
 
 _lock = threading.Lock()
 _writer: Callable[[dict], None] | None = None
-_stream: TextIO | None = None
 
 
 def new_trace_id() -> str:
@@ -111,15 +103,24 @@ def set_trace_id(trace_id: str | None) -> contextvars.Token:
     return _trace_id.set(trace_id)
 
 
-def capture_events(events: list) -> contextvars.Token:
-    """Append the current context's span events to ``events`` instead of
-    writing them; returns the reset token.
+def run_captured(function: Callable[[Any], Any], argument: Any) -> tuple:
+    """Run ``function(argument)`` with its span events captured instead of
+    written; returns ``(result, error, events)``.
 
-    Only a set writer builds events, so with tracing off nothing is
-    captured.  A pool job captures its events to send them home in its
-    reply (:func:`repro.service.worker.run_job`).
+    ``error`` is the exception the call raised (``result`` is then
+    ``None``).  Only a set writer builds events, so with tracing off
+    ``events`` stays empty.  A pool task runs through here to send its
+    events home in its reply (:func:`repro.service.worker.run_job`,
+    :func:`repro.studies.runner.run_study`).
     """
-    return _captured.set(events)
+    events: list[dict] = []
+    token = _captured.set(events)
+    try:
+        return function(argument), None, events
+    except Exception as error:  # noqa: BLE001 - handed to the caller
+        return None, error, events
+    finally:
+        _captured.reset(token)
 
 
 def enabled() -> bool:
@@ -283,64 +284,47 @@ def _write(writer: Callable[[dict], None], event: dict) -> None:
         pass
 
 
+class _FileWriter:
+    """A writer appending each event to a JSONL file as one flushed line."""
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self._stream = open(path, "a", encoding="utf-8")
+
+    def __call__(self, event: dict) -> None:
+        self._stream.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._stream.flush()
+
+    def close(self) -> None:
+        self._stream.close()
+
+
 def configure(
     trace_file: str | os.PathLike | None = None,
     *,
     sink: Callable[[dict], None] | None = None,
-    export_env: bool = True,
 ) -> None:
     """Enable tracing into ``trace_file`` (JSONL) or a callable ``sink``.
 
-    Exactly one destination must be given.  ``export_env=True`` (default,
-    file destinations only) mirrors the path into ``REPRO_TRACE_FILE`` so
-    worker processes spawned from now on trace into the same file.  The
-    file is opened in append mode: one server run and its workers share it.
+    Exactly one destination must be given.  The file is opened in append
+    mode, so successive runs accumulate in one file.
     """
-    global _writer, _stream
+    global _writer
     if (trace_file is None) == (sink is None):
         raise ValueError("configure() needs exactly one of trace_file and sink")
+    writer = sink if sink is not None else _FileWriter(trace_file)
     with _lock:
-        _close_stream_locked()
         _close_writer_locked()
-        if sink is not None:
-            _writer = sink
-            return
-        path = os.fspath(trace_file)
-        stream = open(path, "a", encoding="utf-8")
-        _stream = stream
-
-        def _write_line(event: dict, _stream: TextIO = stream) -> None:
-            _stream.write(json.dumps(event, separators=(",", ":")) + "\n")
-            _stream.flush()
-
-        _writer = _write_line
-        if export_env:
-            os.environ[ENV_VAR] = os.path.abspath(path)
+        _writer = writer
 
 
-def disable(*, export_env: bool = True) -> None:
-    """Disable tracing and (by default) clear the exported env var."""
-    global _writer
+def disable() -> None:
+    """Disable tracing, closing the writer."""
     with _lock:
-        _close_stream_locked()
         _close_writer_locked()
-        _writer = None
-        if export_env:
-            os.environ.pop(ENV_VAR, None)
-
-
-def _close_stream_locked() -> None:
-    global _stream
-    if _stream is not None:
-        try:
-            _stream.close()
-        except OSError:
-            pass
-        _stream = None
 
 
 def _close_writer_locked() -> None:
-    """Release a sink that owns resources (a span shipper's thread/socket)."""
+    """Release a writer that owns resources (a file, a shipper's thread)."""
     global _writer
     close = getattr(_writer, "close", None)
     if callable(close):
@@ -349,20 +333,3 @@ def _close_writer_locked() -> None:
         except Exception:
             pass
     _writer = None
-
-
-def _load_env() -> None:
-    """Enable tracing from ``REPRO_TRACE_FILE`` (worker-process startup path)."""
-    path = os.environ.get(ENV_VAR)
-    if not path:
-        return
-    try:
-        configure(path, export_env=False)
-    except OSError:
-        # An unwritable path in a worker degrades to no tracing there --
-        # unlike faults, lost telemetry cannot make a test vacuously pass.
-        pass
-
-
-_load_env()
-

@@ -28,12 +28,9 @@ TRACES = [f"{index:016x}" for index in range(0xA1, 0xA4)]
 
 @pytest.fixture(autouse=True)
 def _tracing_off():
-    # A fresh global registry too: ``/metrics`` merges it in, and kernel
-    # times observed by earlier tests must not count here.
-    tracing.disable(export_env=False)
-    telemetry.reset_global_registry()
+    tracing.disable()
     yield
-    tracing.disable(export_env=False)
+    tracing.disable()
 
 
 def _post(port: int, payload: dict, trace_id: str) -> dict:
@@ -98,9 +95,9 @@ def test_shipped_pool_worker_spans_arrive_once_with_their_pid_and_parent(small_m
 
 def test_pool_worker_spans_land_in_the_trace_file_once(small_model, tmp_path):
     path = tmp_path / "shard.trace.jsonl"
-    telemetry.configure(path, export_env=False)
+    telemetry.configure(path)
     _serve(small_model, workers=1)
-    tracing.disable(export_env=False)
+    tracing.disable()
     _check_worker_spans([json.loads(line) for line in path.read_text().splitlines()])
 
 

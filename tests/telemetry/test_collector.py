@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.service.client import split_base_url
+from repro.service.client import ServiceClient, split_base_url
 from repro.telemetry import tracing
 from repro.telemetry.collector import SpanShipper, TraceCollector, configure_shipping
 from repro.telemetry.metrics import MetricsRegistry
@@ -237,3 +243,44 @@ class TestConfigureShipping:
         assert [event["name"] for event in shipped] == ["unit.op"]
         assert shipped[0]["trace"] == "t-ship"
         assert registry["spans_shipped"] == 1
+
+    def test_a_shipper_given_no_registry_counts_into_its_own(self):
+        shipper = SpanShipper("127.0.0.1:1", transport=lambda batch: True)
+        shipper(_event(0))
+        shipper.close()
+        assert shipper._registry["spans_shipped"] == 1
+
+    def test_serve_ship_traces_counts_into_the_servers_metrics(self, small_model):
+        # Nothing listens on the collector port, so every batch is dropped
+        # and counted; the shard's /metrics must carry the count.
+        ports = []
+        for _ in range(2):
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                ports.append(probe.getsockname()[1])
+        port, dead = ports
+        source = Path(__file__).resolve().parents[2] / "src"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", str(port),
+             "--ship-traces", f"127.0.0.1:{dead}"],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            client = ServiceClient(port=port, timeout=10.0)
+            deadline = time.monotonic() + 60.0
+            while True:
+                try:
+                    client.evaluate(small_model, "moments")
+                    break
+                except OSError:
+                    assert process.poll() is None, "repro serve exited during start-up"
+                    assert time.monotonic() < deadline, "repro serve did not come up"
+                    time.sleep(0.05)
+            while client.metrics().get("spans_dropped", 0) == 0:
+                assert time.monotonic() < deadline, "no dropped span reached /metrics"
+                time.sleep(0.05)
+        finally:
+            process.send_signal(signal.SIGINT)
+            process.communicate(timeout=30)

@@ -24,10 +24,8 @@ from repro.telemetry import tracing
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
     tracing.disable()
-    telemetry.reset_global_registry()
     yield
     tracing.disable()
-    telemetry.reset_global_registry()
 
 
 def _stable_bytes(result) -> str:
@@ -82,19 +80,20 @@ class TestResultBytes:
     def test_metrics_recording_does_not_perturb_exact_results(self):
         model = many_small_faults_scenario(n=50)
         baseline = _stable_bytes(evaluate(model, "exact", max_support=512))
-        registry = telemetry.reset_global_registry()
+        registry = telemetry.MetricsRegistry()
         registry.observe("kernel_seconds", 0.001)
         with_metrics = _stable_bytes(evaluate(model, "exact", max_support=512))
         assert with_metrics == baseline
 
 
 class TestCacheDigests:
-    def test_study_cache_digests_identical_with_tracing_on(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_study_cache_digests_identical_with_tracing_on(self, tmp_path, jobs):
         """Same spec, traced and untraced: same records, same digest set."""
-        plain = run_study(_study_spec(), cache_dir=tmp_path / "plain", jobs=1)
+        plain = run_study(_study_spec(), cache_dir=tmp_path / "plain", jobs=jobs)
 
-        tracing.configure(tmp_path / "study.trace.jsonl", export_env=False)
-        traced = run_study(_study_spec(), cache_dir=tmp_path / "traced", jobs=1)
+        tracing.configure(tmp_path / "study.trace.jsonl")
+        traced = run_study(_study_spec(), cache_dir=tmp_path / "traced", jobs=jobs)
         tracing.disable()
 
         assert traced.records == plain.records
@@ -111,6 +110,7 @@ class TestCacheDigests:
             for line in (tmp_path / "study.trace.jsonl").read_text().splitlines()
         ]
         names = {event["name"] for event in events}
-        # Parent-process spans are always captured; point/group spans may run
-        # in pool workers, which only trace when the env var is exported.
-        assert {"study.plan", "study.cache_probe", "study.dispatch", "study.aggregate"} <= names
+        # Group spans come home from pool workers in their tasks' replies.
+        assert {
+            "study.plan", "study.cache_probe", "study.group", "study.dispatch", "study.aggregate"
+        } <= names

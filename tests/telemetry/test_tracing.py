@@ -1,4 +1,4 @@
-"""Tracer: no-op discipline when disabled, span nesting, file/env plumbing."""
+"""Tracer: no-op discipline when disabled, span nesting, file plumbing."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.telemetry import tracing
 
 @pytest.fixture(autouse=True)
 def _tracing_disabled():
-    """Every test starts and ends with tracing off and the env var clear."""
+    """Every test starts and ends with tracing off."""
     tracing.disable()
     yield
     tracing.disable()
@@ -114,41 +114,18 @@ class TestSpans:
 
 
 class TestFilePlumbing:
-    def test_file_mode_appends_jsonl_and_exports_the_env_var(self, tmp_path):
+    def test_file_mode_appends_jsonl(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracing.configure(path)
-        assert os.environ[tracing.ENV_VAR] == str(path)
         with telemetry.span("first"):
             pass
         telemetry.record("second", 0.001)
         tracing.disable()
-        assert tracing.ENV_VAR not in os.environ
         lines = path.read_text().strip().splitlines()
         events = [json.loads(line) for line in lines]
         assert [event["name"] for event in events] == ["first", "second"]
         for event in events:
             assert set(event) == {"ts", "name", "trace", "span", "parent", "dur_ms", "pid", "attrs"}
-
-    def test_load_env_arms_tracing_like_a_worker_import(self, tmp_path):
-        path = tmp_path / "worker.jsonl"
-        os.environ[tracing.ENV_VAR] = str(path)
-        try:
-            tracing._load_env()
-            assert telemetry.enabled()
-            with telemetry.span("worker.kernel"):
-                pass
-        finally:
-            tracing.disable(export_env=False)
-            os.environ.pop(tracing.ENV_VAR, None)
-        assert json.loads(path.read_text().splitlines()[0])["name"] == "worker.kernel"
-
-    def test_unwritable_env_path_degrades_to_no_tracing(self, tmp_path):
-        os.environ[tracing.ENV_VAR] = str(tmp_path / "missing" / "dir" / "t.jsonl")
-        try:
-            tracing._load_env()
-            assert not telemetry.enabled()
-        finally:
-            os.environ.pop(tracing.ENV_VAR, None)
 
     def test_configure_requires_exactly_one_destination(self, tmp_path):
         with pytest.raises(ValueError, match="exactly one"):
