@@ -785,10 +785,6 @@ def _handle_serve(arguments: argparse.Namespace) -> int:
             f"--request-timeout-ms must be >= 0 (0 disables the deadline), "
             f"got {arguments.request_timeout_ms:g}"
         )
-    if arguments.slow_request_ms is not None and arguments.slow_request_ms < 0.0:
-        raise ValueError(
-            f"--slow-request-ms must be >= 0, got {arguments.slow_request_ms:g}"
-        )
     cache_dir = None if arguments.cache_dir.lower() == "none" else arguments.cache_dir
     if arguments.trace_file is not None and arguments.ship_traces is not None:
         raise ValueError(
@@ -834,26 +830,6 @@ def _handle_route(arguments: argparse.Namespace) -> int:
         raise ValueError("route needs at least one --shard HOST:PORT")
     if not 0 < arguments.port < 65536:
         raise ValueError(f"port must be in 1..65535, got {arguments.port}")
-    if arguments.probe_interval_ms <= 0.0:
-        raise ValueError(
-            f"--probe-interval-ms must be positive, got {arguments.probe_interval_ms:g}"
-        )
-    if arguments.retries < 0:
-        raise ValueError(f"--retries must be >= 0, got {arguments.retries}")
-    if arguments.lru_size < 0:
-        raise ValueError(
-            f"--lru-size must be >= 0 (0 disables the router cache), "
-            f"got {arguments.lru_size}"
-        )
-    if not 1 <= arguments.replication <= len(arguments.shard):
-        raise ValueError(
-            f"--replication must be in 1..{len(arguments.shard)} (the shard "
-            f"count), got {arguments.replication}"
-        )
-    if arguments.trace_file is not None:
-        from repro import telemetry
-
-        telemetry.configure(arguments.trace_file)
     collector = None
     if arguments.collector_file is not None:
         from repro.telemetry.collector import TraceCollector
@@ -875,6 +851,10 @@ def _handle_route(arguments: argparse.Namespace) -> int:
         collector=collector,
         slo_objectives=slo_objectives,
     )
+    if arguments.trace_file is not None:
+        from repro import telemetry
+
+        telemetry.configure(arguments.trace_file)
     try:
         asyncio.run(router.serve_forever(arguments.host, arguments.port))
     except KeyboardInterrupt:

@@ -300,7 +300,6 @@ def run_soak(
     replications: int = 2_000,
     n_faults: int = 40,
     probe_interval_ms: float = 100.0,
-    router_lru_size: int = 0,
     timeout: float = 30.0,
     slo_max_burn: float | None = None,
 ) -> dict:
@@ -315,10 +314,6 @@ def run_soak(
     busiest shard (most primary keys -- deterministic) is killed; at
     ``restart_shard_at`` it restarts on the same port and rejoins via the
     router's probe loop.
-
-    The router's LRU defaults *off* (``router_lru_size=0``): the soak
-    measures what the shard tier serves under failure, which a router-side
-    cache would mask.
 
     Every response is checked byte-identical to the expected record; any
     failure must be a typed :class:`ServiceError`.  Returns a JSON-safe
@@ -395,7 +390,9 @@ def run_soak(
         addresses,
         replication=replication,
         probe_interval_ms=probe_interval_ms,
-        lru_size=router_lru_size,
+        # No router LRU: the soak measures what the shard tier serves under
+        # failure, which a router-side cache would mask.
+        lru_size=0,
         retries=2,
         timeout=timeout,
     )
@@ -640,9 +637,7 @@ def run_soak(
         # counter columns of the fleet document reproduces the flat rollup
         # exactly (fixed bucket bounds make histogram merges exact too; the
         # integration tests cover those -- the soak spot-checks counters).
-        fleet_document = router.federation.document(
-            router._metrics_snapshot(), self_role="router"
-        )
+        fleet_document = router.federation.document(router._metrics_snapshot())
         fleet_targets = fleet_document.get("targets") or {}
         checked = {}
         for counter in ("requests_total", "errors_total", "spans_dropped"):

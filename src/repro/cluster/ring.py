@@ -12,9 +12,10 @@ Heterogeneous shards get **weights**: a shard with weight ``w`` contributes
 ``round(replicas * w)`` virtual nodes (at least one), so a box with twice
 the cores can own twice the key space.  The CLI spelling is
 ``--shard HOST:PORT@WEIGHT`` (:func:`parse_shard_specs`).  Weight 1.0 --
-the default -- contributes exactly ``replicas`` nodes with exactly the
-seed-era labels, so an unweighted ring is byte-identical to every ring
-built before weights existed (pinned in ``tests/test_digest_stability.py``).
+the default -- contributes exactly ``replicas`` nodes labelled
+``"{shard}#0"`` .. ``"{shard}#{replicas-1}"``, so an unweighted ring and
+one whose weights are all 1.0 are the same ring (the layout is pinned in
+``tests/test_digest_stability.py``).
 
 Failover is a property of *lookup*, not of ring mutation: the ring always
 holds every configured shard, and :meth:`ConsistentHashRing.owner` takes an
@@ -43,19 +44,13 @@ def _point(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
 
-def parse_shard_specs(
-    specs: Sequence[str],
-) -> tuple[list[str], dict[str, float] | None]:
+def parse_shard_specs(specs: Sequence[str]) -> tuple[list[str], dict[str, float]]:
     """Split ``HOST:PORT@WEIGHT`` spellings into names and a weight table.
 
-    Returns ``(names, weights)`` where ``weights`` is ``None`` when no spec
-    carried a weight -- the unweighted ring constructor path, kept distinct
-    so equal-weight rings stay byte-identical to pre-weight rings.  A spec
-    without ``@`` gets weight 1.0 when any other spec is weighted.
+    Returns ``(names, weights)``; a spec without ``@`` gets weight 1.0.
     """
     names: list[str] = []
     weights: dict[str, float] = {}
-    weighted = False
     for spec in specs:
         name, separator, raw = str(spec).rpartition("@")
         if not separator:
@@ -76,8 +71,7 @@ def parse_shard_specs(
             raise ValueError(f"shard spec {spec!r} has no host")
         names.append(name)
         weights[name] = weight
-        weighted = True
-    return names, (weights if weighted else None)
+    return names, weights
 
 
 class ConsistentHashRing:
@@ -87,7 +81,7 @@ class ConsistentHashRing:
         self,
         shards: Sequence[str],
         replicas: int = 64,
-        weights: Mapping[str, float] | Sequence[float] | None = None,
+        weights: Mapping[str, float] | None = None,
     ) -> None:
         names = [str(shard) for shard in shards]
         if not names:
@@ -109,22 +103,13 @@ class ConsistentHashRing:
 
     @staticmethod
     def _resolve_weights(
-        names: Sequence[str], weights: Mapping[str, float] | Sequence[float] | None
+        names: Sequence[str], weights: Mapping[str, float] | None
     ) -> dict[str, float]:
-        if weights is None:
-            return {name: 1.0 for name in names}
-        if isinstance(weights, Mapping):
-            unknown = set(weights) - set(names)
-            if unknown:
-                raise ValueError(f"weights name unknown shards: {sorted(unknown)}")
-            table = {name: float(weights.get(name, 1.0)) for name in names}
-        else:
-            values = list(weights)
-            if len(values) != len(names):
-                raise ValueError(
-                    f"got {len(values)} weights for {len(names)} shards"
-                )
-            table = {name: float(value) for name, value in zip(names, values)}
+        weights = weights or {}
+        unknown = set(weights) - set(names)
+        if unknown:
+            raise ValueError(f"weights name unknown shards: {sorted(unknown)}")
+        table = {name: float(weights.get(name, 1.0)) for name in names}
         for name, weight in table.items():
             if not math.isfinite(weight) or weight <= 0.0:
                 raise ValueError(
@@ -135,9 +120,8 @@ class ConsistentHashRing:
     def node_count(self, shard: str) -> int:
         """Virtual nodes ``shard`` contributes: ``round(replicas * weight)``, >= 1.
 
-        Weight 1.0 is exactly ``replicas`` nodes with the seed-era labels
-        ``"{shard}#{0..replicas-1}"`` -- the byte-identity contract for
-        unweighted and equal-weight rings.
+        Weight 1.0 is exactly ``replicas`` nodes labelled
+        ``"{shard}#{0..replicas-1}"``, whether the weight was given or not.
         """
         return max(1, round(self.replicas * self.weights[shard]))
 

@@ -103,7 +103,7 @@ from repro.service.protocol import (
 from repro.telemetry.collector import TraceCollector
 from repro.telemetry.federation import MetricsFederation
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.slo import DEFAULT_OBJECTIVES, SLOEngine
+from repro.telemetry.slo import SLOEngine
 
 __all__ = ["ShardRouter"]
 
@@ -163,7 +163,7 @@ class ShardRouter(HttpApp):
     replication:
         Replica-set size R: each key's computed results fan out to its
         first R candidate shards, reads fall through the same order.
-        1 (the default) is PR-8 behaviour -- no fan-out.
+        1 (the default) keeps each result on its owner alone -- no fan-out.
     probe_interval_ms:
         How often each shard is probed via ``/healthz`` (also the
         saturation cooldown when a shard sends no ``Retry-After``, and the
@@ -246,7 +246,7 @@ class ShardRouter(HttpApp):
         self.registry.histogram("hop_seconds")
         self.federation = MetricsFederation()
         self.collector = collector if collector is not None else TraceCollector()
-        self.slo = SLOEngine(slo_objectives or DEFAULT_OBJECTIVES)
+        self.slo = SLOEngine(slo_objectives)
         self._probe_task: asyncio.Task | None = None
         self._replica_tasks: set[asyncio.Task] = set()
 

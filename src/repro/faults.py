@@ -5,24 +5,26 @@ Production code is sprinkled with cheap, named *failpoints*::
     from repro import faults
     faults.hit("worker.evaluate")
 
-A failpoint does nothing until armed.  Tests (and the CI chaos job) arm them
-through the API or the ``REPRO_FAULTS`` environment variable::
+A failpoint does nothing until armed.  Tests arm them through the API, and
+the CI chaos jobs through the ``REPRO_FAULTS`` environment variable of the
+processes they start::
 
     faults.inject("worker.evaluate", error=RuntimeError("boom"), every=3)
-    # or, from outside the process:
+    # or, for a process you start yourself:
     REPRO_FAULTS="worker.evaluate:error=RuntimeError,message=boom,every=3"
 
 and from then on every third ``hit("worker.evaluate")`` raises.  Injection is
-**deterministic** -- a per-process hit counter, no randomness -- so a chaos
-scenario replays exactly, and **off by default**: with nothing armed,
-:func:`hit` is one truthiness check on an empty dict.
+**deterministic** -- a hit counter, no randomness -- so a chaos scenario
+replays exactly, and **off by default**: with nothing armed, :func:`hit` is
+one truthiness check on an empty dict.
 
-Arming through :func:`inject` also exports the configuration to
-``os.environ`` (disable with ``export_env=False``), so worker *processes*
-spawned afterwards -- the service's ``--workers`` pool, the study runner's
-job pool -- arm the same failpoints when they import this module.  Each
-process counts its own hits; that is what makes crash-restart scenarios
-deterministic (a freshly rebuilt worker starts counting from zero).
+The variable is read once, when this module is imported; :func:`inject` and
+:func:`clear` change the registry of the calling process only and never
+write ``os.environ``.  Worker pools (the service's ``--workers`` pool, the
+study runner's job pool) fork, so a worker starts with a copy of the
+forking process's registry, hit counts included, and counts on from there
+in its own copy.  A pool rebuilt after a crash forks again from the
+server, whose counts the workers' hits never moved.
 
 Directives (API keyword / env spelling):
 
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["FaultInjected", "active", "clear", "hit", "inject"]
 
-#: Environment variable holding the cross-process failpoint configuration.
+#: Environment variable read at import to arm a process started by exec.
 ENV_VAR = "REPRO_FAULTS"
 
 #: ``os._exit`` status for ``crash`` failpoints (EX_SOFTWARE; distinctive in
@@ -99,7 +101,7 @@ class _FailPoint:
         raise self.error(self.message or f"failpoint {self.name!r} fired")
 
     def spec(self) -> str:
-        """The env-var spelling of this failpoint (round-trips via parsing)."""
+        """The ``REPRO_FAULTS`` spelling of this failpoint (round-trips via parsing)."""
         directives = []
         if self.crash:
             directives.append("crash")
@@ -141,14 +143,11 @@ def inject(
     every: int = 1,
     times: int | None = None,
     crash: bool = False,
-    export_env: bool = True,
 ) -> None:
     """Arm the failpoint ``name``; replaces any previous arming of it.
 
     ``error`` accepts an exception class, an instance (its type and message
-    are taken) or a builtin exception name.  ``export_env=True`` (default)
-    mirrors the whole registry into ``REPRO_FAULTS`` so worker processes
-    spawned from now on arm themselves identically.
+    are taken) or a builtin exception name.
     """
     if every < 1:
         raise ValueError(f"every must be a positive integer, got {every}")
@@ -167,31 +166,21 @@ def inject(
         _registry[name] = _FailPoint(
             name=name, error=error, message=message, every=every, times=times, crash=crash
         )
-        if export_env:
-            _export_locked()
 
 
 def clear(name: str | None = None) -> None:
-    """Disarm one failpoint (or all of them) and update the exported env var."""
+    """Disarm one failpoint (or all of them)."""
     with _lock:
         if name is None:
             _registry.clear()
         else:
             _registry.pop(name, None)
-        _export_locked()
 
 
 def active() -> dict[str, str]:
     """The armed failpoints as ``{name: spec}`` (introspection and tests)."""
     with _lock:
         return {name: point.spec() for name, point in _registry.items()}
-
-
-def _export_locked() -> None:
-    if _registry:
-        os.environ[ENV_VAR] = ";".join(point.spec() for point in _registry.values())
-    else:
-        os.environ.pop(ENV_VAR, None)
 
 
 def _resolve_error(name: str) -> type[BaseException]:
@@ -251,7 +240,7 @@ def _parse_positive(value: str, what: str) -> int:
 
 
 def _load_env() -> None:
-    """Arm failpoints from ``REPRO_FAULTS`` (worker-process startup path)."""
+    """Arm failpoints from ``REPRO_FAULTS`` (run once, at import)."""
     configuration = os.environ.get(ENV_VAR)
     if not configuration:
         return

@@ -188,7 +188,7 @@ class ServiceClient:
     :class:`ServiceError` when the server answered (429/503, ``Retry-After``
     attached), the transport error otherwise -- so honoured ``Retry-After``
     values can never stretch a call past the caller's own deadline.
-    ``None`` (the default) keeps the unbounded PR-6 behaviour.
+    ``None`` (the default) sets no budget: only ``retries`` bounds a call.
     """
 
     def __init__(
@@ -219,7 +219,6 @@ class ServiceClient:
         # Injection seams for the retry tests: a recorded fake clock and a
         # pinned jitter make the whole backoff schedule assertable.
         self._sleep = sleep
-        self._rng = rng
         # One keep-alive connection per thread (http.client connections are
         # not thread-safe); client-side transport stats behind one lock.
         self._local = threading.local()

@@ -1,8 +1,8 @@
 """Metrics federation: merge every shard's scrape into one fleet snapshot.
 
-PR 7 made registries *exactly* mergeable (fixed histogram bucket bounds,
-integer counts, ``repr(float)`` sums in the text exposition), and PR 8's
-router already visits every shard on the probe schedule.  Federation is the
+Registries are *exactly* mergeable (fixed histogram bucket bounds, integer
+counts, ``repr(float)`` sums in the text exposition), and the router
+already visits every shard on the probe schedule.  Federation is the
 composition of the two: the router scrapes ``/metrics?format=prom`` from
 each shard (and each peer router) alongside its health probes, parses the
 text back into snapshot form, and a :class:`MetricsFederation` keeps the
@@ -14,8 +14,8 @@ which is byte-for-byte the snapshot a single combined registry would have
 produced (``tests/telemetry/test_federation.py`` pins this partitioned-
 merge invariance with hypothesis).  The router serves the result at
 ``/metrics?scope=fleet`` in JSON (roll-up at the top level -- a strict
-superset of the PR-6/7 local schema -- plus a ``shards`` table of the
-per-target ingredients) and in the Prometheus text format (roll-up series
+superset of the local ``/metrics`` schema -- plus a ``targets`` table of
+the per-target ingredients) and in the Prometheus text format (roll-up series
 plus per-target ``repro_fleet_target_*`` gauges carrying ``target=``/
 ``role=`` labels).
 
@@ -34,6 +34,7 @@ from repro.telemetry.metrics import (
     histogram_summary,
     merge_snapshots,
     parse_prometheus,
+    PREFIX,
     render_prometheus,
 )
 
@@ -88,12 +89,12 @@ class MetricsFederation:
             snapshots.append(local)
         return merge_snapshots(*snapshots)
 
-    def document(self, local: Mapping | None = None, *, self_role: str = "router") -> dict:
+    def document(self, local: Mapping | None = None) -> dict:
         """The ``/metrics?scope=fleet`` JSON body.
 
         The top level is the roll-up in exactly the local ``/metrics``
         shape (counters and gauges flat, ``histograms`` summarised), so
-        every consumer of the PR-6/7 schema reads a fleet scope unchanged.
+        every consumer of the local schema reads a fleet scope unchanged.
         The additive ``targets`` table carries the per-target ingredients
         -- the roll-up equals their merge, which CI pins exactly.  (Named
         ``targets``, not ``shards``: the router already serves a ``shards``
@@ -118,7 +119,7 @@ class MetricsFederation:
             }
         if local is not None:
             shards["self"] = {
-                "role": self_role,
+                "role": "router",
                 "updated": now,
                 "age_seconds": 0.0,
                 "counters": dict(local.get("counters", {})),
@@ -140,7 +141,7 @@ class MetricsFederation:
             "targets": shards,
         }
 
-    def prometheus(self, local: Mapping | None = None, prefix: str = "repro_") -> str:
+    def prometheus(self, local: Mapping | None = None) -> str:
         """The ``/metrics?scope=fleet&format=prom`` body.
 
         Roll-up series first (plain, so the fleet scope round-trips through
@@ -149,21 +150,21 @@ class MetricsFederation:
         only labelled series besides histogram ``le`` buckets.
         """
         now = self._clock()
-        lines = [render_prometheus(self.fleet_snapshot(local), prefix=prefix).rstrip("\n")]
+        lines = [render_prometheus(self.fleet_snapshot(local)).rstrip("\n")]
         entries = self.targets()
         if local is not None:
             entries["self"] = {"role": "router", "updated": now}
-        lines.append(f"# TYPE {prefix}fleet_target_up gauge")
+        lines.append(f"# TYPE {PREFIX}fleet_target_up gauge")
         for target in sorted(entries):
             role = entries[target]["role"]
             lines.append(
-                f'{prefix}fleet_target_up{{target="{target}",role="{role}"}} 1'
+                f'{PREFIX}fleet_target_up{{target="{target}",role="{role}"}} 1'
             )
-        lines.append(f"# TYPE {prefix}fleet_target_scrape_age_seconds gauge")
+        lines.append(f"# TYPE {PREFIX}fleet_target_scrape_age_seconds gauge")
         for target in sorted(entries):
             age = max(0.0, now - entries[target]["updated"])
             lines.append(
-                f'{prefix}fleet_target_scrape_age_seconds{{target="{target}"}} '
+                f'{PREFIX}fleet_target_scrape_age_seconds{{target="{target}"}} '
                 f"{round(age, 6)}"
             )
         return "\n".join(lines) + "\n"

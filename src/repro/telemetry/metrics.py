@@ -55,25 +55,27 @@ DEFAULT_LATENCY_BUCKETS = (
 )
 
 
+#: The name prefix of every series in the Prometheus text format.
+PREFIX = "repro_"
+
+
 class Counter:
     """A monotonically increasing total. Mutate only via the owning registry."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.value = 0
 
 
 class Gauge:
     """A point-in-time value (queue depth, in-flight count, high-water mark)."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.value = 0
 
 
@@ -85,23 +87,15 @@ class Histogram:
     ``len(buckets) + 1`` entries (the last is the overflow bucket).
     """
 
-    __slots__ = (
-        "name", "help", "buckets", "counts", "count", "sum", "min", "max", "exemplar",
-    )
+    __slots__ = ("name", "buckets", "counts", "count", "sum", "min", "max", "exemplar")
 
-    def __init__(
-        self,
-        name: str,
-        buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
-        help: str = "",
-    ) -> None:
+    def __init__(self, name: str, buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS) -> None:
         bounds = tuple(float(bound) for bound in buckets)
         if not bounds:
             raise ValueError(f"histogram {name!r} needs at least one bucket bound")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError(f"histogram {name!r} bucket bounds must be strictly increasing")
         self.name = name
-        self.help = help
         self.buckets = bounds
         self.counts = [0] * (len(bounds) + 1)
         self.count = 0
@@ -205,30 +199,30 @@ class MetricsRegistry:
             if other_kind != kind and name in table:
                 raise ValueError(f"metric {name!r} is already registered as a {other_kind}")
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         with self._lock:
             instrument = self._counters.get(name)
             if instrument is None:
                 self._check_free(name, "counter")
-                instrument = self._counters[name] = Counter(name, help)
+                instrument = self._counters[name] = Counter(name)
             return instrument
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         with self._lock:
             instrument = self._gauges.get(name)
             if instrument is None:
                 self._check_free(name, "gauge")
-                instrument = self._gauges[name] = Gauge(name, help)
+                instrument = self._gauges[name] = Gauge(name)
             return instrument
 
     def histogram(
-        self, name: str, buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS, help: str = ""
+        self, name: str, buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS
     ) -> Histogram:
         with self._lock:
             instrument = self._histograms.get(name)
             if instrument is None:
                 self._check_free(name, "histogram")
-                instrument = self._histograms[name] = Histogram(name, buckets, help)
+                instrument = self._histograms[name] = Histogram(name, buckets)
             return instrument
 
     def register_counters(self, names: Iterable[str]) -> None:
@@ -369,7 +363,7 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def render_prometheus(snapshot: Mapping[str, Any], prefix: str = "repro_") -> str:
+def render_prometheus(snapshot: Mapping[str, Any]) -> str:
     """Render a registry snapshot in the Prometheus text exposition format.
 
     Counters and gauges become single samples; histograms become the
@@ -379,17 +373,17 @@ def render_prometheus(snapshot: Mapping[str, Any], prefix: str = "repro_") -> st
     """
     lines: list[str] = []
     for name, value in sorted(snapshot.get("counters", {}).items()):
-        metric = f"{prefix}{name}"
+        metric = f"{PREFIX}{name}"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_format_value(value)}")
     for name, value in sorted(snapshot.get("gauges", {}).items()):
-        if not isinstance(value, (bool, int, float)) or value is None:
+        if not isinstance(value, (bool, int, float)):
             continue
-        metric = f"{prefix}{name}"
+        metric = f"{PREFIX}{name}"
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(value)}")
     for name, data in sorted(snapshot.get("histograms", {}).items()):
-        metric = f"{prefix}{name}"
+        metric = f"{PREFIX}{name}"
         lines.append(f"# TYPE {metric} histogram")
         cumulative = 0
         for bound, count in zip(data["buckets"], data["counts"]):
@@ -402,7 +396,7 @@ def render_prometheus(snapshot: Mapping[str, Any], prefix: str = "repro_") -> st
     return "\n".join(lines) + "\n"
 
 
-def parse_prometheus(text: str, prefix: str = "repro_") -> dict:
+def parse_prometheus(text: str) -> dict:
     """Parse :func:`render_prometheus` output back into a snapshot-like dict.
 
     Supports the subset this module emits: the only *structural* label is
@@ -435,7 +429,7 @@ def parse_prometheus(text: str, prefix: str = "repro_") -> dict:
                 )
                 continue
             base = metric[: metric.rindex("_bucket")]
-            name = base[len(prefix):]
+            name = base[len(PREFIX):]
             entry = snapshot["histograms"].setdefault(
                 name, {"buckets": [], "cumulative": []}
             )
@@ -445,14 +439,14 @@ def parse_prometheus(text: str, prefix: str = "repro_") -> dict:
             entry["cumulative"].append(value)
             continue
         if sample.endswith("_sum") and types.get(sample[: -len("_sum")]) == "histogram":
-            name = sample[len(prefix):-len("_sum")]
+            name = sample[len(PREFIX):-len("_sum")]
             snapshot["histograms"].setdefault(name, {})["sum"] = value
             continue
         if sample.endswith("_count") and types.get(sample[: -len("_count")]) == "histogram":
-            name = sample[len(prefix):-len("_count")]
+            name = sample[len(PREFIX):-len("_count")]
             snapshot["histograms"].setdefault(name, {})["count"] = int(value)
             continue
-        name = sample[len(prefix):]
+        name = sample[len(PREFIX):]
         kind = types.get(sample, "gauge")
         target = "counters" if kind == "counter" else "gauges"
         parsed = int(value) if value.is_integer() else value

@@ -247,6 +247,10 @@ def gate(
     }
 
 
+#: The most samples an :class:`SLOEngine` keeps; the oldest drop first.
+MAX_SAMPLES = 4096
+
+
 class SLOEngine:
     """Windowed SLO evaluation over a stream of (fleet) snapshots.
 
@@ -263,14 +267,11 @@ class SLOEngine:
         objectives: Iterable[Objective] | None = None,
         *,
         clock: Callable[[], float] = time.time,
-        max_samples: int = 4096,
     ) -> None:
-        self.objectives = tuple(objectives) if objectives else DEFAULT_OBJECTIVES
-        if not self.objectives:
-            raise ValueError("SLOEngine needs at least one objective")
+        self.objectives = tuple(objectives or ()) or DEFAULT_OBJECTIVES
         self._clock = clock
         self._lock = threading.Lock()
-        self._samples: deque = deque(maxlen=int(max_samples))
+        self._samples: deque = deque(maxlen=MAX_SAMPLES)
 
     def observe(self, snapshot: Mapping[str, Any]) -> None:
         measures = {

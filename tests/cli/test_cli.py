@@ -595,3 +595,13 @@ class TestServeCommand:
             assert "cannot bind" in capsys.readouterr().err
         finally:
             blocker.close()
+
+
+class TestRouteCommand:
+    def test_rejected_setting_exits_2_before_any_tracer_is_armed(self, tmp_path, capsys):
+        trace = tmp_path / "route-trace.jsonl"
+        argv = ["route", "--shard", "127.0.0.1:1", "--retries", "-1"]
+        assert main([*argv, "--trace-file", str(trace)]) == 2
+        # The router's own check, not a copy in the CLI.
+        assert "error: retries must be >= 0, got -1" in capsys.readouterr().err
+        assert not trace.exists()

@@ -432,7 +432,7 @@ class TestReplication:
         with cluster(
             2, router_kw={"replication": 2, "lru_size": 0}
         ) as (servers, handles, router, front):
-            faults.inject("router.replica_write", export_env=False)
+            faults.inject("router.replica_write")
             try:
                 client = ServiceClient(port=front.port)
                 client.evaluate_detail(

@@ -206,3 +206,27 @@ def test_each_front_frames_through_its_module_globals(monkeypatch):
         for role in ("shard", "router"):
             ServiceClient(port=handles[role].port).evaluate(model, "moments")
     assert all(count >= 1 for count in counts.values()), counts
+
+
+@pytest.mark.parametrize("slow_request_ms", [0.0, None])
+def test_the_slow_request_log_names_each_request_and_its_trace(capsys, slow_request_ms):
+    body = json.dumps({"model": MODEL, "method": "moments"}).encode()
+    with start_in_background(EvaluationServer(slow_request_ms=slow_request_ms)) as handle:
+        traces = []
+        for _ in range(2):
+            status, _, trace = _exchange(handle.port, "POST", "/v1/evaluate", body)
+            assert status == 200
+            traces.append(trace)
+    logged = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("slow request:")
+    ]
+    if slow_request_ms is None:
+        assert logged == []
+        return
+    assert len(logged) == 2
+    for line, trace in zip(logged, traces):
+        head, _, tail = line.partition(" in ")
+        assert head == "slow request: POST /v1/evaluate -> 200"
+        assert tail.endswith(f" ms (trace {trace})")
+        float(tail.split(" ms ")[0])

@@ -542,8 +542,7 @@ class TestKeepGoing:
         # points, one hit per point): the second point -- and only it --
         # raises.
         faults.inject(
-            "studies.point", error=RuntimeError, message="boom", every=2, times=1,
-            export_env=False,
+            "studies.point", error=RuntimeError, message="boom", every=2, times=1
         )
 
     def test_strict_mode_still_raises(self, flaky_spec):
@@ -586,6 +585,22 @@ class TestKeepGoing:
         assert error_rows[0]["mean_system"] == ""  # no metrics on an error row
         healthy_rows = [row for row in table if row["status"] == ""]
         assert all(row["mean_system"] for row in healthy_rows)
+
+    def test_forked_workers_inherit_the_armed_failpoint(self, flaky_spec, monkeypatch):
+        import os
+
+        from repro import faults
+
+        # Two pool workers on any machine (the runner caps jobs at the CPU
+        # count), and no environment hand-off: the fork alone arms them.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        faults.inject("studies.point", error=RuntimeError, message="boom")
+        result = run_study(flaky_spec, jobs=2, keep_going=True)
+        assert result.summary["dispatched_tasks"] >= 2
+        assert result.summary["failed"] == 3
+        assert [record["status"] for record in result.records] == ["error"] * 3
+        assert {record["error"] for record in result.records} == {"boom"}
 
     def test_warm_rerun_recomputes_only_the_failed_points(self, flaky_spec, tmp_path):
         from repro import faults
